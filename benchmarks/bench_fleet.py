@@ -45,7 +45,7 @@ from repro.fleet import (
     simulate_batched,
     simulate_event,
 )
-from repro.multiplex import Catalog, serve_catalog, split_requests
+from repro.multiplex import Catalog, split_requests
 from repro.scale.columnar import ColumnarWriter
 from repro.scale.kernels import (
     active_backend,
@@ -280,10 +280,8 @@ def test_fleet_runner_smoke(benchmark):
         FleetPolicy.immediate_dyadic(),
         workload,
     )
-    oracle = serve_catalog(
-        catalog, CATALOG_DELAY_MIN, 120.0, policy="dyadic", workload=workload
-    )
-    assert report.peak_channels == oracle.peak_channels
+    ref_peak, _ = _reference_catalog_sweep(catalog, workload)
+    assert report.peak_channels == ref_peak
 
 
 # ---------------------------------------------------------------------------

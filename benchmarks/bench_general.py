@@ -1,5 +1,5 @@
 """General-arrivals fastpath vs. the cubic oracle, plus channel schedules
-and multiplex aggregation — the ``BENCH_general.json`` trajectory.
+and catalog-wide aggregation — the ``BENCH_general.json`` trajectory.
 
 Two modes (same layout as ``bench_fastpath.py``):
 
@@ -13,10 +13,12 @@ Two modes (same layout as ``bench_fastpath.py``):
 
 "Reference" timings exercise the frozen pre-fastpath paths — the cubic
 full-scan forest DP with recursive MergeNode reconstruction, the heap
-greedy channel loop over StreamInterval objects, and the per-object
+greedy channel loop over StreamInterval objects, and the per-stream
 Python aggregation loops.  "Fast" timings exercise the O(n^2)
 Knuth-windowed flat forest, ``assign_channels_flat`` and the stacked
-interval-array aggregation.  Every timed pair asserts exact agreement.
+interval-array aggregation (``fleet.dg_fleet_peak``,
+``simulation.channels.interval_profile``).  Every timed pair asserts
+exact agreement.
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ from repro.core.general import (
 from repro.core.online import build_online_flat_forest
 from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.general import optimal_flat_forest_general
-from repro.multiplex import Catalog, aggregate_peak, aggregate_profile, serve_catalog
+from repro.fleet import dg_fleet_peak
+from repro.fleet.capacity import dg_envelopes
+from repro.multiplex import Catalog
 from repro.simulation.channels import (
     StreamInterval,
     assign_channels,
     assign_channels_flat,
     flat_forest_intervals,
+    interval_profile,
 )
 
 from repro.fastpath.general import _knuth_tables
@@ -67,19 +72,15 @@ def irregular_times(n: int) -> List[float]:
     return ts
 
 
-def reference_aggregate_peak(loads) -> int:
-    """The pre-vectorisation event sweep over StreamInterval objects.
+def reference_aggregate_peak(starts, ends) -> int:
+    """The pre-vectorisation event sweep, one Python event per stream end.
 
     Keep in sync with ``sweep_peak`` in
-    ``tests/multiplex/test_workload_server.py`` — both freeze the deleted
+    ``tests/simulation/test_channels_flat.py`` — both freeze the deleted
     production sweep as an oracle (not shared: ``tests`` is not
     importable from benchmark script mode).
     """
-    events = []
-    for load in loads:
-        for s in load.intervals:
-            events.append((s.start, 1))
-            events.append((s.end, -1))
+    events = [(s, 1) for s in starts] + [(e, -1) for e in ends]
     events.sort(key=lambda e: (e[0], e[1]))
     level = peak = 0
     for _, delta in events:
@@ -88,19 +89,26 @@ def reference_aggregate_peak(loads) -> int:
     return peak
 
 
-def reference_aggregate_profile(loads, t0, t1, resolution) -> np.ndarray:
+def reference_aggregate_profile(starts, ends, t0, t1, resolution) -> np.ndarray:
     """The pre-vectorisation per-stream loop (with the bin-edge fix)."""
     nbins = int(np.ceil((t1 - t0) / resolution))
     diff = np.zeros(nbins + 1, dtype=np.int64)
-    for load in loads:
-        for s in load.intervals:
-            lo_t, hi_t = max(s.start, t0), min(s.end, t1)
-            if hi_t > lo_t:
-                lo = int(np.floor((lo_t - t0) / resolution))
-                hi = int(np.ceil((hi_t - t0) / resolution))
-                diff[lo] += 1
-                diff[hi] -= 1
+    for start, end in zip(starts, ends):
+        lo_t, hi_t = max(start, t0), min(end, t1)
+        if hi_t > lo_t:
+            lo = int(np.floor((lo_t - t0) / resolution))
+            hi = int(np.ceil((hi_t - t0) / resolution))
+            diff[lo] += 1
+            diff[hi] -= 1
     return np.cumsum(diff[:-1])
+
+
+def dg_catalog_intervals(catalog, delay: float, horizon: float):
+    """Stacked DG envelope ``(starts, ends)`` of a whole catalog, in minutes."""
+    envelopes = dg_envelopes(catalog, delay, horizon)
+    starts = np.concatenate([s for _, s, _ in envelopes]) * delay
+    ends = np.concatenate([e for _, _, e in envelopes]) * delay
+    return starts, ends
 
 
 def _channel_case(n: int):
@@ -140,11 +148,12 @@ def test_assign_channels_flat_smoke(benchmark):
 
 def test_aggregate_profile_smoke(benchmark):
     catalog = Catalog.zipf(8, duration_minutes=120.0, exponent=0.8)
-    report = serve_catalog(catalog, 10.0, 480.0, policy="dg")
-    t1 = max(float(l.ends.max()) for l in report.loads) + 1.0
-    prof = benchmark(aggregate_profile, report.loads, 0.0, t1, 5.0)
-    assert prof.max() >= report.peak_channels
-    assert aggregate_peak(report.loads) == reference_aggregate_peak(report.loads)
+    starts, ends = dg_catalog_intervals(catalog, 10.0, 480.0)
+    t1 = float(ends.max()) + 1.0
+    prof = benchmark(interval_profile, starts, ends, 0.0, t1, 5.0)
+    peak = dg_fleet_peak(catalog, 10.0, 480.0)
+    assert prof.max() >= peak
+    assert peak == reference_aggregate_peak(starts.tolist(), ends.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +227,29 @@ def run_sweep() -> Dict:
         _assert_assignments_equal(oracle, ch, objs)
         rows.append(_case("assign_channels", len(objs), ref_s, fast_s))
 
-    # -- catalog aggregation on stacked arrays vs object loops --------------
+    # -- catalog aggregation on stacked arrays vs per-stream loops ----------
     catalog = Catalog.zipf(120, duration_minutes=180.0, exponent=0.8)
-    report = serve_catalog(catalog, 5.0, 2880.0, policy="dg")
-    n_streams = int(sum(l.starts.size for l in report.loads))
-    t1 = max(float(l.ends.max()) for l in report.loads) + 1.0
-    # materialise the object tuples outside the timers: the reference cost
-    # being measured is the aggregation walk, not the (lazy) construction.
-    object_views = [l.intervals for l in report.loads]
-
-    class _ObjLoad:  # minimal stand-in exposing .intervals for the reference
-        __slots__ = ("intervals",)
-
-        def __init__(self, intervals):
-            self.intervals = intervals
-
-    obj_loads = [_ObjLoad(iv) for iv in object_views]
+    starts, ends = dg_catalog_intervals(catalog, 5.0, 2880.0)
+    n_streams = int(starts.size)
+    t1 = float(ends.max()) + 1.0
+    # convert to Python floats outside the timers: the reference cost
+    # being measured is the aggregation walk, not the conversion.
+    start_list, end_list = starts.tolist(), ends.tolist()
     ref_s, ref_peak = timeit_best(
-        lambda: reference_aggregate_peak(obj_loads), repeats=3
+        lambda: reference_aggregate_peak(start_list, end_list), repeats=3
     )
-    fast_s, fast_peak = timeit_best(lambda: aggregate_peak(report.loads), repeats=3)
+    fast_s, fast_peak = timeit_best(
+        lambda: dg_fleet_peak(catalog, 5.0, 2880.0), repeats=3
+    )
     assert fast_peak == ref_peak
     rows.append(_case("aggregate_peak", n_streams, ref_s, fast_s))
 
     ref_s, ref_prof = timeit_best(
-        lambda: reference_aggregate_profile(obj_loads, 0.0, t1, 5.0), repeats=3
+        lambda: reference_aggregate_profile(start_list, end_list, 0.0, t1, 5.0),
+        repeats=3,
     )
     fast_s, fast_prof = timeit_best(
-        lambda: aggregate_profile(report.loads, 0.0, t1, 5.0), repeats=3
+        lambda: interval_profile(starts, ends, 0.0, t1, 5.0), repeats=3
     )
     assert np.array_equal(fast_prof, ref_prof)
     assert fast_prof.max() >= fast_peak
@@ -257,8 +261,8 @@ def run_sweep() -> Dict:
         "description": (
             "General-arrivals fastpath: O(n^3) full-scan forest DP vs the "
             "Knuth-windowed O(n^2) flat reconstruction; heap-greedy channel "
-            "assignment vs assign_channels_flat; object-loop multiplex "
-            "aggregation vs stacked interval arrays.  Best-of-k wall clock, "
+            "assignment vs assign_channels_flat; per-stream catalog "
+            "aggregation loops vs stacked interval arrays.  Best-of-k wall clock, "
             "exact agreement asserted on every pair.  knuth_tables_backend "
             "times the backend-dispatched Knuth window scan at n = 4000 "
             "(compiled under numba; numpy-only rows record ~1x with an "

@@ -13,17 +13,14 @@ workload-dependent peak.
 Run:  python examples/multiplex_provisioning.py
 """
 
-from repro.multiplex import (
-    Catalog,
-    catalog_workload,
-    min_delay_for_budget,
-    serve_catalog,
-)
+from repro.fleet import FleetPolicy, dg_fleet_peak, min_fleet_delay, run_fleet
+from repro.multiplex import Catalog, catalog_workload
 
 TITLES = 30
 HORIZON_MIN = 12 * 60.0      # a 12-hour prime-time window
 REQ_EVERY_MIN = 0.5          # ~2 requests/minute across the catalog
 BUDGET = 200                 # physical multicast channels owned
+DELAYS = (2.0, 5.0, 10.0, 15.0, 30.0)
 
 catalog = Catalog.zipf(TITLES, duration_minutes=120.0, exponent=0.8)
 workload = catalog_workload(catalog, REQ_EVERY_MIN, HORIZON_MIN, seed=7)
@@ -35,21 +32,22 @@ print(f"Window: {HORIZON_MIN:.0f} min, {total_requests} requests "
 
 print("Peak channels needed vs delay guarantee:")
 print("  delay   DG peak (certain)   dyadic peak (this workload)")
-for delay in (2.0, 5.0, 10.0, 15.0, 30.0):
-    dg = serve_catalog(catalog, delay, HORIZON_MIN, policy="dg")
-    dy = serve_catalog(catalog, delay, HORIZON_MIN, policy="dyadic",
-                       workload=workload)
-    print(f"  {delay:4.0f}m   {dg.peak_channels:8d}            "
+for delay in DELAYS:
+    dg_peak = dg_fleet_peak(catalog, delay, HORIZON_MIN)
+    dy = run_fleet(catalog, delay, HORIZON_MIN, FleetPolicy.immediate_dyadic(),
+                   workload=workload)
+    print(f"  {delay:4.0f}m   {dg_peak:8d}            "
           f"{dy.peak_channels:8d}")
 print()
 
-chosen = min_delay_for_budget(
-    catalog, HORIZON_MIN, BUDGET, candidate_delays=(2.0, 5.0, 10.0, 15.0, 30.0)
-)
+chosen = min_fleet_delay(catalog, HORIZON_MIN, BUDGET, DELAYS)
 if chosen is None:
     print(f"No candidate delay fits {BUDGET} channels.")
 else:
-    report = serve_catalog(catalog, chosen, HORIZON_MIN, policy="dg")
+    # DG serves every slot whatever the requests, so this run realises
+    # exactly the envelope dg_fleet_peak provisions for.
+    report = run_fleet(catalog, chosen, HORIZON_MIN,
+                       FleetPolicy.delay_guaranteed(), workload=workload)
     print(f"Budget {BUDGET} channels -> guarantee a {chosen:.0f}-minute "
           f"start-up delay:")
     print(f"  certain peak: {report.peak_channels} channels "
@@ -57,9 +55,9 @@ else:
     print(f"  total bandwidth: {report.total_units_minutes / 60:.0f} "
           "stream-hours over the window")
     print("\nBusiest titles by bandwidth:")
-    for load in report.busiest_objects(5):
-        print(f"  {load.name}: {load.total_units_minutes / 60:6.1f} "
-              f"stream-hours, peak {load.peak} channels (L = {load.L} slots)")
+    for obj in report.busiest_objects(5):
+        print(f"  {obj.name}: {obj.total_units_minutes / 60:6.1f} "
+              f"stream-hours, peak {obj.peak} channels (L = {obj.L} slots)")
 
 print("\nWhy DG and not dyadic for provisioning?  Dyadic's peak above is")
 print("for *this* trace; a flash crowd moves it.  DG's envelope is a")

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from ..fleet.capacity import min_fleet_delay
 from ..fleet.engine import FleetPolicy, simulate_batched
-from ..multiplex import Catalog, min_delay_for_budget
+from ..multiplex import Catalog
 from ..sweeps import Axis, SweepSpec, run_sweep
 from ..sweeps.evaluators import (
     day_night_trace,
@@ -51,6 +52,7 @@ def multiplex_spec(
             "seed": int(seed),
         },
         metrics=("dg_peak", "dg_units", "dy_peak", "dy_units"),
+        version="2",
     )
 
 
@@ -87,7 +89,7 @@ def run_multiplex(
     ]
     budget = rows[len(rows) // 2][1]  # mid-grid DG peak as the budget
     catalog = Catalog.zipf(titles, duration_minutes=120.0, exponent=0.8)
-    chosen = min_delay_for_budget(catalog, horizon_minutes, budget, delays)
+    chosen = min_fleet_delay(catalog, horizon_minutes, budget, delays)
     return [
         ExperimentResult(
             title=f"Catalog of {titles} titles, {horizon_minutes:.0f} min "

@@ -3,9 +3,9 @@
 The recursive specification :func:`~repro.baselines.dyadic.dyadic_forest`
 and the stack machine :class:`~repro.baselines.dyadic.DyadicOnline` both
 materialise a :class:`~repro.core.merge_tree.MergeNode` per arrival, which
-makes the dyadic comparator the slowest per-object step in
-``multiplex.serve_catalog`` provisioning sweeps and in the dyadic
-simulation policies.  This module re-expresses both constructions on
+makes the dyadic comparator the slowest per-object step in catalog
+provisioning runs (``fleet.run_fleet``) and in the dyadic simulation
+policies.  This module re-expresses both constructions on
 parent-index arrays:
 
 * :func:`dyadic_flat_forest` — the batch construction, vectorised level

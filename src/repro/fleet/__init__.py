@@ -34,14 +34,12 @@ from .engine import (
 from .runner import (
     FleetObjectResult,
     FleetReport,
-    fleet_profile,
     install_task_fault_hook,
     iter_fleet,
     object_run,
     pool_map,
     run_fleet,
     sanitize_times,
-    shared_workload,
     stored_workload,
 )
 from .scenarios import (
@@ -78,7 +76,6 @@ __all__ = [
     "dg_fleet_peak",
     "diurnal",
     "flash_crowd",
-    "fleet_profile",
     "inject",
     "install_task_fault_hook",
     "iter_fleet",
@@ -92,7 +89,6 @@ __all__ = [
     "run_fleet",
     "sanitize_times",
     "scenario_workload",
-    "shared_workload",
     "simulate_batched",
     "simulate_event",
     "simulate_segmented",

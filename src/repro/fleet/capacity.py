@@ -5,9 +5,13 @@ algorithm "by increasing the guaranteed delay, we can ensure that we
 never go over the fixed maximum bandwidth and still never have to decline
 a client request".  The DG envelope is workload-independent, so for a
 fixed channel budget the smallest feasible delay is a pure search
-problem; this module runs it with bisection instead of the linear scan
-:func:`repro.multiplex.min_delay_for_budget` performs (kept as the
-oracle the tests compare against).
+problem; this module runs it with bisection instead of a linear scan over
+the candidate grid (the tests keep the unmemoised scan as their oracle).
+
+Peaks are taken straight from the memoised slot-unit envelopes: every
+object in a fleet shares one slot (the delay guarantee) and the DG
+envelope endpoints are whole slots, so the peak is the same on the slot
+and the minute timeline and nothing is rescaled.
 
 Monotonicity caveat: the fleet DG peak is nonincreasing in the delay up
 to the ``L = round(duration / delay)`` rounding, which can produce
@@ -22,21 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..multiplex.catalog import Catalog, MediaObject
-from ..multiplex.server import (
-    ObjectLoad,
-    _load_from_arrays,
-    aggregate_peak,
-    dg_object_load,
-)
+from ..simulation.channels import peak_concurrency
 
 __all__ = [
     "default_delay_grid",
     "dg_envelope",
+    "dg_envelopes",
+    "aggregate_peak",
     "dg_fleet_peak",
     "min_fleet_delay",
     "min_object_delay",
@@ -46,6 +47,9 @@ __all__ = [
     "admission_report",
     "render_frontier",
 ]
+
+#: one object's DG stream intervals, ``(labels, starts, ends)`` in slots
+Envelope = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def default_delay_grid(
@@ -58,7 +62,7 @@ def default_delay_grid(
 
 
 @lru_cache(maxsize=1024)
-def dg_envelope(L: int, n_slots: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dg_envelope(L: int, n_slots: int) -> Envelope:
     """The DG stream-interval envelope in slot units, memoised.
 
     The envelope — ``(labels, starts, ends)`` of the static tiled
@@ -67,8 +71,8 @@ def dg_envelope(L: int, n_slots: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     whose ``(units, slots)`` pair repeats (identical durations, repeated
     delay probes, neighbouring budgets re-bracketing the same grid
     points) reuses the arrays instead of rebuilding the forest.  The
-    returned arrays are marked read-only; callers scale *copies* into
-    minutes (``_load_from_arrays`` multiplies into fresh arrays).
+    returned arrays are marked read-only; callers that want minutes
+    scale into fresh arrays.
     """
     from ..core.online import build_online_flat_forest
 
@@ -79,26 +83,38 @@ def dg_envelope(L: int, n_slots: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return labels, starts, ends
 
 
-def _dg_loads(catalog: Catalog, delay: float, horizon: float) -> List[ObjectLoad]:
-    # Mirrors multiplex.server.dg_object_load point for point, but routes
-    # the forest build through the (L, n_slots) envelope memo — the
-    # unmemoised multiplex path stays the oracle the tests compare with.
-    if horizon <= 0:
+def dg_envelopes(
+    objects: Iterable[MediaObject], delay_minutes: float, horizon_minutes: float
+) -> List[Envelope]:
+    """Each object's DG envelope at one delay, in slot units of that delay.
+
+    A stream starts every ``delay_minutes`` over ``horizon / delay``
+    slots, whatever the workload; the forests come from the
+    :func:`dg_envelope` memo.
+    """
+    if horizon_minutes <= 0:
         raise ValueError("horizon must be positive")
-    loads = []
-    for obj in catalog:
-        L = obj.units(delay)
-        n_slots = max(1, int(np.ceil(horizon / delay)))
-        labels, starts, ends = dg_envelope(L, n_slots)
-        loads.append(
-            _load_from_arrays(obj.name, L, delay, labels, starts, ends, clients=0)
-        )
-    return loads
+    n_slots = max(1, int(np.ceil(horizon_minutes / delay_minutes)))
+    return [dg_envelope(obj.units(delay_minutes), n_slots) for obj in objects]
+
+
+def aggregate_peak(envelopes: Sequence[Envelope]) -> int:
+    """Peak number of simultaneously live streams across envelopes.
+
+    The envelopes must share one timeline.  Half-open intervals, so a
+    stream ending exactly when another starts never double-counts (see
+    :func:`~repro.simulation.channels.peak_concurrency`); 0 when empty.
+    """
+    if not envelopes:
+        return 0
+    starts = np.concatenate([env[1] for env in envelopes])
+    ends = np.concatenate([env[2] for env in envelopes])
+    return peak_concurrency(starts, ends)
 
 
 def dg_fleet_peak(catalog: Catalog, delay_minutes: float, horizon_minutes: float) -> int:
     """Fleet-wide DG envelope peak — deterministic, workload-independent."""
-    return aggregate_peak(_dg_loads(catalog, delay_minutes, horizon_minutes))
+    return aggregate_peak(dg_envelopes(catalog, delay_minutes, horizon_minutes))
 
 
 def _bisect_smallest_feasible(
@@ -132,9 +148,9 @@ def min_fleet_delay(
 ) -> Optional[float]:
     """Smallest candidate delay whose fleet DG envelope fits the budget.
 
-    The bisection twin of :func:`repro.multiplex.min_delay_for_budget`
-    (same answer on the same grid, O(log) instead of O(grid) envelope
-    builds); returns None when even the largest candidate does not fit.
+    O(log) peak evaluations over the sorted grid (the same answer as a
+    linear scan on any grid where the peak is monotone); returns None
+    when even the largest candidate does not fit.
     """
     if budget_channels < 1:
         raise ValueError("budget must be >= 1 channel")
@@ -155,20 +171,12 @@ def min_object_delay(
     """Smallest candidate delay for *one* object under a per-object budget."""
     if budget_channels < 1:
         raise ValueError("budget must be >= 1 channel")
-    if horizon_minutes <= 0:
-        raise ValueError("horizon must be positive")
     grid = sorted(delays if delays is not None else default_delay_grid())
-
-    def feasible(d: float) -> bool:
-        labels, starts, ends = dg_envelope(
-            obj.units(d), max(1, int(np.ceil(horizon_minutes / d)))
-        )
-        load = _load_from_arrays(
-            obj.name, obj.units(d), d, labels, starts, ends, clients=0
-        )
-        return load.peak <= budget_channels
-
-    idx = _bisect_smallest_feasible(grid, feasible)
+    idx = _bisect_smallest_feasible(
+        grid,
+        lambda d: aggregate_peak(dg_envelopes([obj], d, horizon_minutes))
+        <= budget_channels,
+    )
     return None if idx is None else grid[idx]
 
 
@@ -197,6 +205,9 @@ def capacity_frontier(
     the previous answer as a lower bracket (a smaller budget never admits
     a smaller delay), trimming envelope builds on dense budget sweeps.
     """
+    budgets = sorted({int(b) for b in budgets}, reverse=True)
+    if budgets and budgets[-1] < 1:
+        raise ValueError("budget must be >= 1 channel")
     grid = sorted(delays if delays is not None else default_delay_grid())
     peaks: dict = {}
 
@@ -207,7 +218,7 @@ def capacity_frontier(
 
     points: List[FrontierPoint] = []
     lo_idx = 0  # delays before the previous answer are already infeasible
-    for budget in sorted(set(int(b) for b in budgets), reverse=True):
+    for budget in budgets:
         sub = grid[lo_idx:]
         idx = _bisect_smallest_feasible(sub, lambda d: peak(d) <= budget)
         if idx is None:
@@ -283,17 +294,17 @@ def admission_report(
             served_weight_fraction=1.0,
         )
     d_max = grid[-1]
-    loads = {o.name: dg_object_load(o, d_max, horizon_minutes) for o in catalog}
+    envelope = dict(zip(catalog, dg_envelopes(catalog, d_max, horizon_minutes)))
     by_popularity = sorted(catalog, key=lambda o: o.weight)  # least first
     admitted = list(catalog.objects)
     dropped: List[str] = []
-    peak = aggregate_peak([loads[o.name] for o in admitted])
+    peak = aggregate_peak([envelope[o] for o in admitted])
     for obj in by_popularity:
         if peak <= budget_channels:
             break
         admitted = [o for o in admitted if o.name != obj.name]
         dropped.append(obj.name)
-        peak = aggregate_peak([loads[o.name] for o in admitted])
+        peak = aggregate_peak([envelope[o] for o in admitted])
     return AdmissionReport(
         budget_channels=budget_channels,
         delay_minutes=d_max,

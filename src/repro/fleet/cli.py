@@ -33,6 +33,21 @@ from .scenarios import SCENARIOS, scenario_workload
 __all__ = ["fleet_main"]
 
 
+def _budget_list(text: str) -> List[int]:
+    """``--budgets`` value: comma-separated whole channel counts, each >= 1."""
+    try:
+        budgets = [int(b) for b in text.split(",") if b.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"budgets must be whole channel counts, got {text!r}"
+        ) from None
+    if not budgets:
+        raise argparse.ArgumentTypeError("need at least one budget")
+    if min(budgets) < 1:
+        raise argparse.ArgumentTypeError("budget must be >= 1 channel")
+    return budgets
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -70,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "installed, else the contract-equal numpy "
                         "fallback)")
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument("--budgets", type=str, default=None,
+    parser.add_argument("--budgets", type=_budget_list, default=None,
                         help="comma-separated channel budgets for the "
                         "capacity frontier (default: derived from the run)")
     parser.add_argument("--no-frontier", action="store_true",
@@ -138,7 +153,7 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
         return exit_code
     print()
     if args.budgets:
-        budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+        budgets = args.budgets
     else:
         # bracket the DG envelope at the requested delay (the frontier's
         # own policy) from comfortable to starved

@@ -16,7 +16,9 @@ arrays in memory at a time (per worker).
 Workloads come in two forms:
 
 * an explicit per-object trace mapping (minutes), e.g. from
-  :func:`repro.multiplex.split_requests` or the scenario library;
+  :func:`repro.multiplex.split_requests` or the scenario library,
+  shipped to sharded workers as pickled float64 arrays — or, with
+  ``store=``, through an on-disk columnar store (the out-of-core route);
 * generated in-worker: each object draws its own Poisson trace with rate
   ``global_rate * weight`` (the thinning property makes this the same
   process as splitting one global stream) from a per-object seed spawned
@@ -26,21 +28,18 @@ Workloads come in two forms:
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -66,9 +65,7 @@ __all__ = [
     "pool_map",
     "run_fleet",
     "sanitize_times",
-    "shared_workload",
     "stored_workload",
-    "fleet_profile",
 ]
 
 _EMPTY = np.empty(0, dtype=np.float64)
@@ -234,8 +231,10 @@ class FleetReport:
     def profile(
         self, t0: float = 0.0, t1: Optional[float] = None, resolution: float = 1.0
     ) -> np.ndarray:
+        """Per-bin live-stream counts (bin-occupancy rule, see
+        :func:`~repro.simulation.channels.interval_profile`)."""
         starts, ends = self._stacked()
-        return fleet_profile(
+        return interval_profile(
             starts,
             ends,
             t0,
@@ -265,64 +264,9 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def fleet_profile(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    t0: float,
-    t1: float,
-    resolution: float,
-) -> np.ndarray:
-    """Per-bin live-stream counts on ``[t0, t1)`` (bin-occupancy rule).
-
-    Same semantics as :func:`repro.multiplex.aggregate_profile` — both
-    delegate to the shared kernel
-    :func:`repro.simulation.channels.interval_profile` — but takes
-    stacked interval arrays directly so incremental accumulators need no
-    ``ObjectLoad`` objects.
-    """
-    return interval_profile(starts, ends, t0, t1, resolution)
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-
-
-class _ShmSlice(NamedTuple):
-    """A view into a shared-memory float64 array: ``segment[start:stop]``.
-
-    When an explicit workload mapping is sharded across processes, the
-    parent concatenates every object's arrival times into **one**
-    :class:`multiprocessing.shared_memory.SharedMemory` segment and ships
-    each worker only this (name, start, stop) triple — the per-object
-    trace lists are never pickled.
-    """
-
-    name: str
-    start: int
-    stop: int
-
-
-def _read_shm_slice(view: _ShmSlice) -> np.ndarray:
-    """Copy one object's times out of the shared segment (worker side).
-
-    Attaching re-registers the name with the resource tracker; with the
-    fork start method the tracker (and its name *set*) is shared with the
-    parent, so the duplicate collapses and the parent's single ``unlink``
-    is the only cleanup — no per-worker unregister (racy: concurrent
-    unregisters of one name KeyError inside the tracker process).
-    """
-    shm = shared_memory.SharedMemory(name=view.name)
-    try:
-        flat = np.frombuffer(
-            shm.buf, dtype=np.float64, count=view.stop - view.start,
-            offset=view.start * 8,
-        )
-        times = flat.copy()
-        del flat  # release the exported buffer so close() cannot raise
-    finally:
-        shm.close()
-    return times
 
 
 WorkloadValue = Union[ArrivalTrace, np.ndarray, Sequence[float]]
@@ -359,38 +303,6 @@ def sanitize_times(
     return clean, int(ts.size - clean.size)
 
 
-def _share_workload(
-    catalog: Catalog, workload: Dict[str, WorkloadValue]
-) -> Tuple[Optional[shared_memory.SharedMemory], Dict[str, _ShmSlice]]:
-    """Concatenate all traces into one shared segment; map name -> slice.
-
-    Returns ``(None, {})`` when the workload holds no arrivals at all
-    (zero-byte segments are invalid, and there is nothing to ship).
-    """
-    arrays = {
-        obj.name: _times_of(workload[obj.name])
-        for obj in catalog
-        if obj.name in workload
-    }
-    total = sum(a.size for a in arrays.values())
-    if total == 0:
-        return None, {}
-    segment = shared_memory.SharedMemory(create=True, size=total * 8)
-    flat = np.frombuffer(segment.buf, dtype=np.float64, count=total)
-    views: Dict[str, _ShmSlice] = {}
-    offset = 0
-    for obj in catalog:
-        times = arrays.get(obj.name)
-        if times is None:
-            continue
-        stop = offset + times.size
-        flat[offset:stop] = times
-        views[obj.name] = _ShmSlice(segment.name, offset, stop)
-        offset = stop
-    del flat
-    return segment, views
-
-
 @contextlib.contextmanager
 def stored_workload(
     catalog: Catalog,
@@ -400,20 +312,18 @@ def stored_workload(
 ) -> Iterator[Dict[str, StoreSlice]]:
     """Context-managed columnar-store shipping of an explicit workload.
 
-    The out-of-core successor to :func:`shared_workload`: the parent
-    spools each object's times into a :mod:`repro.scale.columnar` store
-    under a fresh private directory (inside ``root``, or the system temp
-    dir) and yields per-object :class:`StoreSlice` addresses; workers
-    attach the segment once and map their column zero-copy.  Unlike
-    shared memory, this works under any start method — workers open the
-    store by path — and the data never transits pickles or ``/dev/shm``.
+    The out-of-core route: the parent spools each object's times into a
+    :mod:`repro.scale.columnar` store under a fresh private directory
+    (inside ``root``, or the system temp dir) and yields per-object
+    :class:`StoreSlice` addresses; workers attach the segment once and
+    map their column zero-copy.  This works under any start method —
+    workers open the store by path — and the data never transits pickles.
 
-    Cleanup mirrors the PR 6 shm unlink guarantees: the store directory
-    is removed on **every** exit path — a worker crash mid-attach, an
-    exception in the fold, generator abandonment — and worker-held mmaps
-    keep reading the unlinked inode harmlessly until the process exits
-    (``tests/fleet/test_store_faults.py`` kills workers at every fold
-    index and asserts the directory is gone).
+    The store directory is removed on **every** exit path — a worker
+    crash mid-attach, an exception in the fold, generator abandonment —
+    and worker-held mmaps keep reading the unlinked inode harmlessly
+    until the process exits (``tests/fleet/test_store_faults.py`` kills
+    workers at every fold index and asserts the directory is gone).
     """
     if root is not None:
         root = os.fspath(root)
@@ -428,28 +338,6 @@ def stored_workload(
     finally:
         columnar.detach(base)  # drop any parent-side attachment first
         shutil.rmtree(base, ignore_errors=True)
-
-
-@contextlib.contextmanager
-def shared_workload(
-    catalog: Catalog, workload: Dict[str, WorkloadValue]
-) -> Iterator[Dict[str, _ShmSlice]]:
-    """Context-managed shared-memory shipping of an explicit workload.
-
-    Guarantees the segment is closed *and unlinked* on every exit path —
-    a worker crash mid-fold, an exception raised by the fold, generator
-    abandonment — so a killed run can never leak ``/dev/shm`` segments
-    (``tests/fleet/test_runner_faults.py`` kills a worker mid-fold and
-    asserts the segment name is gone).
-    """
-    segment, views = _share_workload(catalog, workload)
-    try:
-        yield views
-    finally:
-        if segment is not None:
-            segment.close()
-            with contextlib.suppress(FileNotFoundError):
-                segment.unlink()
 
 
 def object_run(
@@ -531,8 +419,6 @@ def _run_shard(args) -> FleetObjectResult:
         rng = np.random.default_rng(seed_seq)
         trace = poisson(mean_gap / obj.weight, horizon, seed=rng)
         times = np.asarray(trace.times, dtype=np.float64)
-    elif isinstance(times, _ShmSlice):
-        times = _read_shm_slice(times)
     elif isinstance(times, StoreSlice):
         # Columnar store: attach once per process (cached), take a
         # zero-copy view, and give the pages back after folding so the
@@ -555,7 +441,7 @@ def _shard_args(
     horizon_minutes: float,
     policy: FleetPolicy,
     seed,
-    views: Optional[Dict[str, Union[_ShmSlice, StoreSlice]]] = None,
+    views: Optional[Dict[str, StoreSlice]] = None,
 ) -> Iterable[tuple]:
     if workload is None and views is not None:
         # Store-only workload: every object's times come from the
@@ -582,11 +468,8 @@ def _shard_args(
             )
     else:
         for obj in catalog:
-            if views is not None and obj.name in views:
-                times = views[obj.name]
-            else:
-                trace = workload.get(obj.name)
-                times = _EMPTY if trace is None else _times_of(trace)
+            trace = workload.get(obj.name)
+            times = _EMPTY if trace is None else _times_of(trace)
             yield (obj, times, None, None, delay_minutes, horizon_minutes, policy)
 
 
@@ -605,17 +488,17 @@ def iter_fleet(
 
     The incremental core of :func:`run_fleet`: each
     :class:`FleetObjectResult` is yielded the moment its shard returns,
-    so a consumer can accumulate peaks/profiles (``fleet_profile`` on
-    stacked intervals) or spill results without ever holding a full
-    :class:`FleetReport`.  Workload shipping (shared memory or columnar
-    store) is torn down when the generator finishes **or is abandoned**
-    — the ``finally`` runs on ``close()``/GC, so early exits leak
-    nothing.
+    so a consumer can accumulate peaks/profiles
+    (:func:`~repro.simulation.channels.interval_profile` on stacked
+    intervals) or spill results without ever holding a full
+    :class:`FleetReport`.  A columnar-store spool is torn down when the
+    generator finishes **or is abandoned** — the ``finally`` runs on
+    ``close()``/GC, so early exits leak nothing.
 
-    ``store`` selects the out-of-core path:
+    ``store`` selects how an explicit workload reaches the shards:
 
-    * ``None`` — PR 5 behaviour (pickled traces, or one shm segment when
-      sharded under ``fork``);
+    * ``None`` — each shard carries its object's times as a float64
+      array (pickled to the worker when sharded, on every start method);
     * ``True`` or a directory path, with ``workload`` — the workload is
       spooled through a private on-disk columnar store
       (:func:`stored_workload`; the path is the spool's parent
@@ -629,9 +512,8 @@ def iter_fleet(
     if delay_minutes <= 0 or horizon_minutes <= 0:
         raise ValueError("delay and horizon must be positive")
     policy = policy or FleetPolicy.batched_dyadic()
-    sharded = bool(workers and workers > 1)
     with contextlib.ExitStack() as stack:
-        views: Optional[Dict[str, Union[_ShmSlice, StoreSlice]]] = None
+        views: Optional[Dict[str, StoreSlice]] = None
         if store is not None and store is not False:
             if workload is not None:
                 root = None if store is True else os.fspath(store)
@@ -641,20 +523,6 @@ def iter_fleet(
                 workload = None  # everything ships through the store
             else:
                 views = columnar.store_slices(store)
-        elif (
-            sharded
-            and workload is not None
-            and multiprocessing.get_start_method(allow_none=False) == "fork"
-        ):
-            # Ship the per-object traces through one shared-memory segment
-            # instead of pickling a list per shard; workers read their slice
-            # by (name, start, stop).  Fold results are byte-identical to the
-            # pickling path (tests/fleet/test_runner.py asserts workers=0 vs 2).
-            # Gated on the fork start method: the single-unlink cleanup in
-            # _read_shm_slice relies on workers sharing the parent's resource
-            # tracker; under spawn/forkserver each worker's tracker would
-            # unlink the segment at exit, so those platforms keep pickling.
-            views = stack.enter_context(shared_workload(catalog, workload))
         args = list(
             _shard_args(
                 catalog,
@@ -688,7 +556,8 @@ def run_fleet(
     larger values fan objects across a process pool.  Results are folded
     into the report in catalog order as they complete, so output is
     independent of worker count — ``tests/fleet/test_runner.py`` asserts
-    byte-identical reports for ``workers=0`` and ``workers=2``.
+    byte-identical reports for ``workers=0``, ``workers=2`` and
+    ``workers=2`` with ``store=True``.
 
     Workload values may be :class:`ArrivalTrace` objects or raw arrival
     arrays; either way the times pass through :func:`sanitize_times`
@@ -696,9 +565,8 @@ def run_fleet(
     duplicated, out-of-window entries) degrades to its valid arrival
     multiset — counted per object in ``FleetObjectResult.repaired`` —
     instead of crashing the fold.  A worker process dying mid-fold is
-    retried in-process (see :func:`pool_map`); workload shipping state —
-    shm segment or columnar-store spool — is torn down on every exit
-    path (see :func:`shared_workload` / :func:`stored_workload`).
+    retried in-process (see :func:`pool_map`); a columnar-store spool is
+    torn down on every exit path (see :func:`stored_workload`).
 
     ``store`` (see :func:`iter_fleet`) routes workload shipping through
     the out-of-core columnar store: pass ``True``/a spool directory with

@@ -1,35 +1,15 @@
-"""Multi-object Media-on-Demand provisioning (the paper's Section 5
-future work): catalogs with Zipf popularity, per-object stream-merging
-envelopes, aggregate peak-bandwidth analysis, and delay-for-budget
-search."""
+"""Multi-object Media-on-Demand catalogs and workloads (the paper's
+Section 5 future work): catalogs with Zipf popularity and per-object
+request traces split from one global arrival process.  Serving a
+catalog and planning its channels live in :mod:`repro.fleet`."""
 
 from .catalog import Catalog, MediaObject, zipf_weights
-from .server import (
-    MultiplexReport,
-    ObjectLoad,
-    aggregate_peak,
-    aggregate_profile,
-    dg_object_load,
-    dyadic_envelope,
-    dyadic_object_load,
-    min_delay_for_budget,
-    serve_catalog,
-)
 from .workload import catalog_workload, split_requests
 
 __all__ = [
     "Catalog",
     "MediaObject",
-    "MultiplexReport",
-    "ObjectLoad",
-    "aggregate_peak",
-    "aggregate_profile",
     "catalog_workload",
-    "dg_object_load",
-    "dyadic_envelope",
-    "dyadic_object_load",
-    "min_delay_for_budget",
-    "serve_catalog",
     "split_requests",
     "zipf_weights",
 ]

@@ -4,8 +4,8 @@ The 10^7-client tier (ROADMAP item 1) in two halves:
 
 * :mod:`repro.scale.columnar` — a chunked, memory-mapped columnar
   arrival store (one float64 segment + offsets index) that workers
-  attach once and read as zero-copy views, replacing shared-memory
-  shipping for store-backed fleet runs;
+  attach once and read as zero-copy views — the out-of-core route for
+  store-backed fleet runs;
 * :mod:`repro.scale.kernels` — numba-JIT versions (optional dependency;
   numpy fallback auto-selected and contract-tested equal) of the three
   hot kernels that remained pure-numpy-bound: slot bucketing +

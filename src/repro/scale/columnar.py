@@ -5,10 +5,10 @@ in **one** on-disk float64 segment (``segment.bin``) described by an
 offsets index (``index.json``), so a catalog workload is written once —
 streamed through a bounded write buffer, never whole — and every reader
 attaches the segment once and takes **zero-copy read-only views** per
-object.  This replaces the PR 5 one-shot shared-memory shipping for
-store-backed fleet runs: instead of pickling traces or copying them into
-``/dev/shm``, the parent ships each worker a tiny :class:`StoreSlice`
-``(root, name, offset, count)`` and the worker maps the pages lazily.
+object.  This is the out-of-core route for store-backed fleet runs:
+instead of pickling traces, the parent ships each worker a tiny
+:class:`StoreSlice` ``(root, name, offset, count)`` and the worker maps
+the pages lazily.
 
 Layout (schema ``repro.scale.store.v1``)::
 

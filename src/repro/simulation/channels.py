@@ -348,9 +348,8 @@ def interval_profile(
     interval live during *any part* of it — ``floor`` for the low edge,
     ``ceil`` for the high edge — so a stream touching a bin is charged
     for the whole bin and the profile max never under-reports the true
-    peak.  One ``np.add.at`` difference-array pass; the single shared
-    kernel behind ``multiplex.aggregate_profile`` and
-    ``fleet.fleet_profile``.
+    peak.  One ``np.add.at`` difference-array pass; the kernel behind
+    ``fleet.FleetReport.profile``.
     """
     if t1 <= t0 or resolution <= 0:
         raise ValueError("need t1 > t0 and positive resolution")

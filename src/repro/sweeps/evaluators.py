@@ -326,19 +326,28 @@ def multiplex_point(
 ) -> Dict[str, object]:
     """DG vs dyadic provisioning for one delay guarantee.
 
+    DG peak and bandwidth come from the memoised slot-unit envelopes of
+    :mod:`repro.fleet.capacity`; dyadic from an immediate-dyadic
+    :func:`~repro.fleet.runner.run_fleet` over the seeded workload.
     Catalog and workload are regenerated from the seed per point (cheap
     next to the serve), keeping the evaluator a pure function of its
     parameters — the property the content-hash cache relies on.
     """
-    from ..multiplex import Catalog, catalog_workload, serve_catalog
+    from ..fleet.capacity import aggregate_peak, dg_envelopes
+    from ..fleet.runner import run_fleet
+    from ..multiplex import Catalog, catalog_workload
 
     catalog = Catalog.zipf(titles, duration_minutes=duration, exponent=exponent)
     workload = catalog_workload(catalog, mean_interarrival, horizon, seed=seed)
-    dg = serve_catalog(catalog, delay, horizon, policy="dg")
-    dy = serve_catalog(catalog, delay, horizon, policy="dyadic", workload=workload)
+    envelopes = dg_envelopes(catalog, delay, horizon)
+    dy = run_fleet(
+        catalog, delay, horizon, FleetPolicy.immediate_dyadic(), workload=workload
+    )
     return {
-        "dg_peak": dg.peak_channels,
-        "dg_units": dg.total_units_minutes,
+        "dg_peak": aggregate_peak(envelopes),
+        "dg_units": sum(
+            float(np.sum(ends - starts) * delay) for _, starts, ends in envelopes
+        ),
         "dy_peak": dy.peak_channels,
         "dy_units": dy.total_units_minutes,
     }

@@ -53,6 +53,14 @@ class TestFleetCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "contracts: OK" in proc.stdout
 
+    @pytest.mark.parametrize("budgets", ["0,50", "-3", ","])
+    def test_bad_budgets_exit_two_before_running(self, budgets):
+        proc = _run("fleet", "--objects", "6", "--budgets", budgets)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "--budgets" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""  # rejected before the fleet ran
+
 
 class TestExperimentsCli:
     def test_unknown_experiment_exits_two(self):

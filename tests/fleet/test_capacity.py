@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.online import build_online_flat_forest
 from repro.fleet import (
     admission_report,
     capacity_frontier,
@@ -13,10 +15,39 @@ from repro.fleet import (
     min_object_delay,
     render_frontier,
 )
-from repro.multiplex import Catalog, min_delay_for_budget
+from repro.fleet.capacity import aggregate_peak, dg_envelope, dg_envelopes
+from repro.multiplex import Catalog
+from repro.simulation.channels import interval_profile, peak_concurrency
+from tests.simulation.test_channels_flat import sweep_peak
 
 HORIZON = 240.0
 GRID = default_delay_grid(lo=0.5, hi=16.0, points=10)
+
+
+def minute_peak(catalog, delay, horizon):
+    """Fleet DG peak on the minute timeline, every forest rebuilt unmemoised."""
+    n_slots = max(1, int(np.ceil(horizon / delay)))
+    starts, ends = [], []
+    for obj in catalog:
+        L = obj.units(delay)
+        _labels, s, e = build_online_flat_forest(L, n_slots).intervals(L)
+        starts.append(s * delay)
+        ends.append(e * delay)
+    return peak_concurrency(np.concatenate(starts), np.concatenate(ends))
+
+
+def min_delay_for_budget(catalog, horizon, budget, candidate_delays):
+    """The linear-scan delay search: the unmemoised oracle for the bisection.
+
+    Walks the candidates smallest first and returns the first whose
+    minute-timeline DG peak fits the budget (None when none fits).
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1 channel")
+    for delay in sorted(candidate_delays):
+        if minute_peak(catalog, delay, horizon) <= budget:
+            return delay
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +57,7 @@ def catalog():
 
 class TestMinFleetDelay:
     def test_bisect_matches_linear_oracle(self, catalog):
-        """The O(log) bisection returns what the multiplex linear scan does."""
+        """The O(log) bisection returns what the linear scan does."""
         for budget in (3, 10, 30, 80, 200):
             mine = min_fleet_delay(catalog, HORIZON, budget, GRID)
             oracle = min_delay_for_budget(catalog, HORIZON, budget, GRID)
@@ -48,6 +79,14 @@ class TestMinFleetDelay:
     def test_rejects_zero_budget(self, catalog):
         with pytest.raises(ValueError):
             min_fleet_delay(catalog, HORIZON, 0, GRID)
+
+    def test_slot_peak_equals_minute_peak(self, catalog):
+        """Envelope endpoints are whole slots, so peaks taken in slot
+        units equal the peaks of the minute-scaled intervals."""
+        for d in GRID:
+            assert dg_fleet_peak(catalog, d, HORIZON) == minute_peak(
+                catalog, d, HORIZON
+            )
 
 
 class TestMinObjectDelay:
@@ -101,6 +140,11 @@ class TestFrontier:
         )
         assert "capacity frontier" in text and "infeasible" in text
 
+    @pytest.mark.parametrize("budgets", [[0, 50], [-3]])
+    def test_rejects_budget_below_one(self, catalog, budgets):
+        with pytest.raises(ValueError, match="budget must be >= 1 channel"):
+            capacity_frontier(catalog, HORIZON, budgets, GRID)
+
 
 class TestAdmission:
     def test_feasible_budget_admits_everything(self, catalog):
@@ -124,13 +168,26 @@ class TestAdmission:
         assert set(report.admitted) | set(report.dropped) == set(names)
         assert "shedding" in report.render()
 
+    def test_shedding_reads_the_envelope_memo(self, catalog):
+        """Shedding pins the delay at the grid maximum, which the
+        bisection already probed: its envelopes are all memo hits."""
+        dg_envelope.cache_clear()
+        assert min_fleet_delay(catalog, HORIZON, 4, GRID) is None
+        probe = dg_envelope.cache_info()
+        report = admission_report(catalog, HORIZON, 4, GRID)
+        after = dg_envelope.cache_info()
+        assert report.dropped
+        assert after.misses == probe.misses
+        # the repeated bisection, then one lookup per object to shed
+        assert after.hits - probe.hits == (
+            probe.hits + probe.misses + len(catalog)
+        )
+
 
 class TestEnvelopeMemo:
     """The DG envelope memo: fewer forest builds, identical answers."""
 
     def test_frontier_probes_hit_the_envelope_cache(self, catalog):
-        from repro.fleet.capacity import dg_envelope
-
         dg_envelope.cache_clear()
         points = capacity_frontier(catalog, HORIZON, [5, 20, 60, 150], GRID)
         info = dg_envelope.cache_info()
@@ -147,36 +204,63 @@ class TestEnvelopeMemo:
         assert [p.budget_channels for p in points] == [5, 20, 60, 150]
 
     def test_memoised_frontier_equals_unmemoised_oracle(self, catalog):
-        """Every frontier delay equals the multiplex linear scan, which
-        rebuilds its envelopes from scratch (no memo on that path)."""
+        """Every frontier delay equals the linear scan, which rebuilds
+        every envelope (no memo on that path)."""
         for budget in (5, 20, 60, 150):
             assert min_fleet_delay(catalog, HORIZON, budget, GRID) == (
                 min_delay_for_budget(catalog, HORIZON, budget, GRID)
             )
 
     def test_envelope_matches_object_load(self, catalog):
-        import numpy as np
-
-        from repro.fleet.capacity import dg_envelope
-        from repro.multiplex.server import dg_object_load
-
+        """The memoised envelope equals the object's DG forest built
+        without the memo."""
         obj = catalog[0]
         delay = GRID[3]
         L = obj.units(delay)
         n_slots = max(1, int(np.ceil(HORIZON / delay)))
-        labels, starts, ends = dg_envelope(L, n_slots)
-        oracle = dg_object_load(obj, delay, HORIZON)
-        assert np.array_equal(labels * delay, oracle.labels)
-        assert np.array_equal(starts * delay, oracle.starts)
-        assert np.array_equal(ends * delay, oracle.ends)
+        oracle = build_online_flat_forest(L, n_slots).intervals(L)
+        for got, want in zip(dg_envelope(L, n_slots), oracle):
+            assert np.array_equal(got, want)
 
     def test_cached_arrays_are_read_only(self):
-        from repro.fleet.capacity import dg_envelope
-
         labels, starts, ends = dg_envelope(15, 40)
         for arr in (labels, starts, ends):
             with pytest.raises(ValueError):
                 arr[0] = -1.0
+
+
+class TestAggregatePeak:
+    """The fleet-wide peak over stacked DG envelopes."""
+
+    def test_aggregate_peak_sums_overlaps(self):
+        envelope = dg_envelope(4, 16)
+        assert aggregate_peak([envelope, envelope]) == 2 * aggregate_peak(
+            [envelope]
+        )
+
+    def test_aggregate_peak_empty(self):
+        assert aggregate_peak([]) == 0
+
+    def test_aggregate_peak_matches_event_sweep(self, catalog):
+        # whole-slot endpoints: many ends tie with starts, so the
+        # half-open tie rule is exercised on every probe
+        for delay in (GRID[0], GRID[4], GRID[-1]):
+            envelopes = dg_envelopes(catalog, delay, HORIZON)
+            starts = np.concatenate([env[1] for env in envelopes])
+            ends = np.concatenate([env[2] for env in envelopes])
+            assert aggregate_peak(envelopes) == sweep_peak(
+                starts.tolist(), ends.tolist()
+            )
+
+    def test_profile_max_dominates_peak_catalog(self, catalog):
+        delay, horizon = 13.0, 480.0
+        envelopes = dg_envelopes(catalog, delay, horizon)
+        starts = np.concatenate([env[1] for env in envelopes]) * delay
+        ends = np.concatenate([env[2] for env in envelopes]) * delay
+        prof = interval_profile(
+            starts, ends, 0.0, float(ends.max()) + 1.0, resolution=7.3
+        )
+        assert prof.max() >= dg_fleet_peak(catalog, delay, horizon)
 
 
 class TestGrid:

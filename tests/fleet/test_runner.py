@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fleet import FleetPolicy, fleet_profile, run_fleet
-from repro.multiplex import Catalog, aggregate_profile, serve_catalog, split_requests
 from repro.arrivals import poisson
+from repro.baselines.dyadic import DyadicParams
+from repro.burnin.contracts import fleet_reports_equal
+from repro.fastpath.dyadic import dyadic_flat_forest
+from repro.fleet import FleetPolicy, run_fleet
+from repro.multiplex import Catalog, split_requests
+from repro.simulation.channels import (
+    flat_forest_intervals,
+    interval_profile,
+    peak_concurrency,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,40 +31,53 @@ def workload(catalog):
 
 class TestRunFleet:
     def test_matches_multiplex_dyadic_provisioning(self, catalog, workload):
-        """Immediate-dyadic fleet == the multiplex provisioning sweep."""
+        """Immediate-dyadic fleet == each object's dyadic forest built by
+        hand over its trace in slot units and scaled back to minutes —
+        the provisioning the ``multiplex`` experiment reports."""
         report = run_fleet(
             catalog, 2.0, 180.0,
             policy=FleetPolicy.immediate_dyadic(), workload=workload,
         )
-        oracle = serve_catalog(
-            catalog, 2.0, 180.0, policy="dyadic", workload=workload
+        all_starts, all_ends = [], []
+        for obj, got in zip(catalog, report.objects):
+            trace = workload[obj.name]
+            assert got.clients == len(trace)
+            if len(trace) == 0:
+                assert got.streams == 0
+                continue
+            L = obj.units(2.0)
+            forest = dyadic_flat_forest(
+                [t / 2.0 for t in trace], L, DyadicParams()
+            )
+            _labels, starts, ends = flat_forest_intervals(forest, L)
+            assert np.array_equal(got.starts, starts * 2.0)
+            assert np.array_equal(got.ends, ends * 2.0)
+            all_starts.append(starts * 2.0)
+            all_ends.append(ends * 2.0)
+        assert report.peak_channels == peak_concurrency(
+            np.concatenate(all_starts), np.concatenate(all_ends)
         )
-        assert report.peak_channels == oracle.peak_channels
-        assert report.total_units_minutes == pytest.approx(
-            oracle.total_units_minutes
-        )
-        assert report.clients == oracle.clients
 
     def test_worker_count_does_not_change_results(self, catalog, workload):
-        serial = run_fleet(
-            catalog, 2.0, 180.0, workload=workload,
-        )
-        sharded = run_fleet(
-            catalog, 2.0, 180.0, workload=workload, workers=2,
-        )
-        assert [o.name for o in serial.objects] == [o.name for o in sharded.objects]
-        for a, b in zip(serial.objects, sharded.objects):
-            assert a.clients == b.clients and a.streams == b.streams
-            assert np.array_equal(a.starts, b.starts)
-            assert np.array_equal(a.ends, b.ends)
-        assert serial.peak_channels == sharded.peak_channels
+        """In-process, sharded (pickled arrays) and sharded through the
+        columnar store: byte-identical FleetReports."""
+        for policy in (FleetPolicy.batched_dyadic(), FleetPolicy.immediate_dyadic()):
+            serial = run_fleet(
+                catalog, 2.0, 180.0, policy=policy, workload=workload, workers=0,
+            )
+            for kwargs in ({"workers": 2}, {"workers": 2, "store": True}):
+                sharded = run_fleet(
+                    catalog, 2.0, 180.0, policy=policy, workload=workload,
+                    **kwargs,
+                )
+                assert fleet_reports_equal(serial, sharded) is None, (
+                    policy.kind, kwargs
+                )
 
     def test_hybrid_worker_count_does_not_change_results(self, catalog, workload):
         """Segmented hybrid through the sharded runner: workers=0 and
         workers=2 must produce byte-identical FleetReports (the exact
         equivalence predicate the burn-in contracts replay)."""
-        from repro.burnin.contracts import fleet_reports_equal
-
         policy = FleetPolicy.hybrid(window_slots=5, rate_high=0.5, rate_low=0.2)
         serial = run_fleet(
             catalog, 2.0, 180.0, policy=policy, workload=workload, workers=0,
@@ -139,54 +160,6 @@ class TestRunFleet:
             assert o.max_startup_delay_minutes <= 3.0
 
 
-class TestSharedMemoryShipping:
-    """Explicit workloads ship to workers via shared memory, not pickles."""
-
-    def test_share_and_read_roundtrip(self, catalog, workload):
-        from repro.fleet.runner import _read_shm_slice, _share_workload
-
-        segment, views = _share_workload(catalog, workload)
-        assert segment is not None
-        try:
-            for obj in catalog:
-                trace = workload.get(obj.name)
-                if trace is None or len(trace) == 0:
-                    assert obj.name not in views or (
-                        views[obj.name].stop == views[obj.name].start
-                    )
-                    continue
-                got = _read_shm_slice(views[obj.name])
-                assert np.array_equal(
-                    got, np.asarray(trace.times, dtype=np.float64)
-                )
-                assert got.flags.owndata  # a copy, safe after unlink
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_empty_workload_skips_the_segment(self, catalog):
-        from repro.fleet.runner import _share_workload
-
-        segment, views = _share_workload(catalog, {})
-        assert segment is None and views == {}
-
-    def test_sharded_explicit_workload_matches_serial_exactly(
-        self, catalog, workload
-    ):
-        """workers=0 (arrays in-process) vs workers=2 (shared memory):
-        the fold must be byte-identical — same satellite contract the
-        pickling path had."""
-        serial = run_fleet(catalog, 2.0, 180.0, workload=workload, workers=0)
-        sharded = run_fleet(catalog, 2.0, 180.0, workload=workload, workers=2)
-        for a, b in zip(serial.objects, sharded.objects):
-            assert a.name == b.name
-            assert a.clients == b.clients and a.streams == b.streams
-            assert a.total_units_minutes == b.total_units_minutes
-            assert np.array_equal(a.starts, b.starts)
-            assert np.array_equal(a.ends, b.ends)
-        assert serial.peak_channels == sharded.peak_channels
-
-
 class TestPoolMap:
     def test_in_order_results_regardless_of_workers(self):
         from repro.fleet.runner import pool_map
@@ -204,28 +177,28 @@ class TestFleetProfile:
     def test_profile_bounds_peak(self, catalog, workload):
         report = run_fleet(catalog, 2.0, 180.0, workload=workload)
         # bin-occupancy over-approximates, so the max never under-reports
-        starts, ends = report._stacked()
-        prof = fleet_profile(starts, ends, 0.0, 240.0, 5.0)
+        prof = report.profile(0.0, 240.0, 5.0)
         assert prof.max() >= report.peak_channels
         assert prof.sum() > 0
         # empty fleet profile is all zero
-        empty = np.empty(0)
-        assert fleet_profile(empty, empty, 0.0, 10.0, 1.0).max() == 0
+        empty = run_fleet(catalog, 2.0, 180.0, workload={})
+        assert empty.profile(0.0, 10.0, 1.0).max() == 0
 
-    def test_profile_validation(self):
+    def test_profile_validation(self, catalog):
+        report = run_fleet(catalog, 2.0, 180.0, workload={})
         with pytest.raises(ValueError):
-            fleet_profile(np.empty(0), np.empty(0), 5.0, 5.0, 1.0)
+            report.profile(5.0, 5.0, 1.0)
         with pytest.raises(ValueError):
-            fleet_profile(np.empty(0), np.empty(0), 0.0, 5.0, 0.0)
+            report.profile(0.0, 5.0, 0.0)
 
     def test_report_profile_equals_objectload_aggregation(self, catalog, workload):
+        """The stacked fleet profile equals the sum of per-object profiles."""
         report = run_fleet(
             catalog, 2.0, 180.0,
             policy=FleetPolicy.immediate_dyadic(), workload=workload,
         )
-        oracle = serve_catalog(
-            catalog, 2.0, 180.0, policy="dyadic", workload=workload
+        per_object = sum(
+            interval_profile(o.starts, o.ends, 0.0, 240.0, 2.0)
+            for o in report.objects
         )
-        mine = report.profile(0.0, 240.0, resolution=2.0)
-        theirs = aggregate_profile(oracle.loads, 0.0, 240.0, 2.0)
-        assert np.array_equal(mine, theirs)
+        assert np.array_equal(report.profile(0.0, 240.0, resolution=2.0), per_object)

@@ -1,16 +1,12 @@
-"""Runner hardening: pool crash recovery and shared-memory hygiene."""
+"""Runner hardening: pool crash recovery and feed repair."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.arrivals import poisson
 from repro.burnin import WorkerKill, installed_task_fault
-from repro.fleet import pool_map, sanitize_times, shared_workload
-from repro.multiplex import Catalog, split_requests
+from repro.fleet import pool_map, sanitize_times
 
 
 def _square(x: int) -> int:
@@ -56,44 +52,6 @@ class TestPoolMapCrashRecovery:
     def test_ordinary_task_exceptions_still_propagate(self):
         with pytest.raises(ValueError, match="task error"):
             list(pool_map(_raise_on_three, list(range(6)), workers=2))
-
-
-class TestSharedWorkloadCleanup:
-    @pytest.fixture()
-    def catalog(self):
-        return Catalog.zipf(4, duration_minutes=30.0)
-
-    @pytest.fixture()
-    def workload(self, catalog):
-        base = poisson(1.0, 60.0, seed=2)
-        return split_requests(base, catalog, seed=2)
-
-    @staticmethod
-    def _segment_path(views) -> Path:
-        name = next(iter(views.values())).name
-        return Path("/dev/shm") / name.lstrip("/")
-
-    def test_unlinked_on_clean_exit(self, catalog, workload):
-        with shared_workload(catalog, workload) as views:
-            path = self._segment_path(views)
-            assert path.exists()
-        assert not path.exists()
-
-    def test_unlinked_on_crash_path(self, catalog, workload):
-        """The regression the burn-in harness guards: an exception (or a
-        worker crash surfacing as one) mid-fold must not leak /dev/shm
-        segments."""
-        with pytest.raises(RuntimeError, match="mid-fold"):
-            with shared_workload(catalog, workload) as views:
-                path = self._segment_path(views)
-                assert path.exists()
-                raise RuntimeError("worker crashed mid-fold")
-        assert not path.exists()
-
-    def test_empty_workload_ships_nothing(self, catalog):
-        empty = {o.name: np.empty(0) for o in catalog}
-        with shared_workload(catalog, empty) as views:
-            assert views == {}
 
 
 class TestSanitizeTimes:

@@ -1,6 +1,6 @@
 """Columnar-store shipping under faults: cleanup on every exit path.
 
-The store-backed runner must mirror the PR 6 shared-memory guarantees:
+The store-backed runner owns the only shipping state that can leak:
 the on-disk spool directory is removed on clean exit, on an exception in
 the fold, on generator abandonment, and when a worker is hard-killed at
 *any* point of the run — and a killed worker never changes the folded

@@ -1,63 +1,16 @@
-"""Tests for multi-object workloads and peak-bandwidth provisioning."""
+"""Tests for multi-object workloads: one request stream split by popularity."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arrivals import ArrivalTrace, poisson
 from repro.multiplex import (
     Catalog,
     MediaObject,
-    aggregate_peak,
-    aggregate_profile,
     catalog_workload,
-    dg_object_load,
-    dyadic_object_load,
-    min_delay_for_budget,
-    serve_catalog,
     split_requests,
 )
-from repro.multiplex.server import ObjectLoad
-
-
-def make_load(triples, name="synthetic", L=10, delay=1.0):
-    """An ObjectLoad straight from (label, start, end) triples."""
-    labels = np.array([t[0] for t in triples], dtype=np.float64)
-    starts = np.array([t[1] for t in triples], dtype=np.float64)
-    ends = np.array([t[2] for t in triples], dtype=np.float64)
-    return ObjectLoad(
-        name=name,
-        L=L,
-        delay_minutes=delay,
-        total_units_minutes=float(np.sum(ends - starts)),
-        labels=labels,
-        starts=starts,
-        ends=ends,
-    )
-
-
-def sweep_peak(loads):
-    """The pre-vectorisation event-sweep aggregate peak (oracle).
-
-    Keep in sync with ``reference_aggregate_peak`` in
-    ``benchmarks/bench_general.py`` (same frozen sweep; benchmarks are
-    not importable from here without path games, so the 12 lines are
-    duplicated deliberately).
-    """
-    events = []
-    for load in loads:
-        for s in load.intervals:
-            events.append((s.start, 1))
-            events.append((s.end, -1))
-    events.sort(key=lambda e: (e[0], e[1]))  # ends before starts at ties
-    level = peak = 0
-    for _, delta in events:
-        level += delta
-        peak = max(peak, level)
-    return peak
 
 
 @pytest.fixture(scope="module")
@@ -89,156 +42,6 @@ class TestSplitRequests:
         wl = catalog_workload(catalog, 2.0, 400.0, seed=4)
         assert set(wl) == {o.name for o in catalog}
         assert all(t.horizon == 400.0 for t in wl.values())
-
-
-class TestObjectLoads:
-    def test_dg_load_deterministic(self):
-        obj = MediaObject("m", 120.0, 1.0)
-        a = dg_object_load(obj, 15.0, 480.0)
-        b = dg_object_load(obj, 15.0, 480.0)
-        assert a.intervals == b.intervals
-        assert a.L == 8
-        assert a.total_units_minutes > 0
-        assert a.peak >= 1
-
-    def test_dg_load_peak_decreases_with_delay(self):
-        obj = MediaObject("m", 120.0, 1.0)
-        peaks = [dg_object_load(obj, d, 720.0).peak for d in (5.0, 15.0, 30.0)]
-        assert peaks[0] >= peaks[1] >= peaks[2]
-
-    def test_dyadic_load_empty_trace(self):
-        obj = MediaObject("m", 120.0, 1.0)
-        empty = ArrivalTrace(times=(), horizon=480.0)
-        load = dyadic_object_load(obj, 15.0, empty)
-        assert load.total_units_minutes == 0.0
-        assert load.peak == 0
-
-    def test_dyadic_load_scales_with_requests(self):
-        obj = MediaObject("m", 120.0, 1.0)
-        sparse = poisson(60.0, 960.0, seed=5)
-        dense = poisson(5.0, 960.0, seed=5)
-        lo = dyadic_object_load(obj, 15.0, sparse)
-        hi = dyadic_object_load(obj, 15.0, dense)
-        assert hi.total_units_minutes > lo.total_units_minutes
-
-
-class TestAggregation:
-    def test_aggregate_peak_sums_overlaps(self):
-        obj = MediaObject("m", 60.0, 1.0)
-        load = dg_object_load(obj, 15.0, 240.0)
-        assert aggregate_peak([load, load]) == 2 * load.peak
-
-    def test_profile_matches_peak(self):
-        obj = MediaObject("m", 120.0, 1.0)
-        load = dg_object_load(obj, 15.0, 480.0)
-        prof = aggregate_profile([load], 0.0, 720.0, resolution=1.0)
-        assert prof.max() == load.peak
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            aggregate_profile([], 10.0, 5.0, 1.0)
-
-    def test_aggregate_peak_matches_event_sweep(self, catalog):
-        wl = catalog_workload(catalog, 2.0, 480.0, seed=11)
-        report = serve_catalog(catalog, 15.0, 480.0, policy="dyadic", workload=wl)
-        assert aggregate_peak(report.loads) == sweep_peak(report.loads)
-
-    def test_aggregate_peak_empty(self):
-        assert aggregate_peak([]) == 0
-
-    def test_short_stream_counts_in_profile(self):
-        # Regression: ceil on both bin edges made any stream shorter than
-        # the resolution vanish from the profile entirely.
-        load = make_load([(0.5, 0.2, 0.8)])
-        prof = aggregate_profile([load], 0.0, 1.0, resolution=1.0)
-        assert prof.tolist() == [1]
-        assert prof.max() >= aggregate_peak([load])
-
-    def test_profile_over_approximates_peak(self):
-        # Bin-occupancy semantics: a stream touching a bin counts for the
-        # whole bin, so the profile can exceed — never undercut — the peak.
-        load = make_load([(1, 0.0, 1.5), (2, 1.6, 3.0)])  # never concurrent
-        prof = aggregate_profile([load], 0.0, 3.0, resolution=1.0)
-        assert aggregate_peak([load]) == 1
-        assert prof.max() == 2  # both touch bin [1, 2)
-        assert prof.max() >= aggregate_peak([load])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=200),
-                st.integers(min_value=1, max_value=80),
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        st.floats(min_value=0.1, max_value=7.0, allow_nan=False),
-    )
-    def test_profile_max_dominates_peak_randomized(self, raw, resolution):
-        load = make_load(
-            [(i, s / 3.0, (s + d) / 3.0) for i, (s, d) in enumerate(raw)]
-        )
-        t1 = float(load.ends.max()) + resolution
-        prof = aggregate_profile([load], 0.0, t1, resolution=resolution)
-        assert prof.max() >= aggregate_peak([load])
-        assert aggregate_peak([load]) == sweep_peak([load])
-
-    def test_profile_max_dominates_peak_catalog(self, catalog):
-        report = serve_catalog(catalog, 13.0, 480.0, policy="dg")
-        t1 = max(float(l.ends.max()) for l in report.loads) + 1.0
-        prof = aggregate_profile(report.loads, 0.0, t1, resolution=7.3)
-        assert prof.max() >= report.peak_channels
-
-
-class TestServeCatalog:
-    def test_dg_report(self, catalog):
-        report = serve_catalog(catalog, 15.0, 480.0, policy="dg")
-        assert len(report.loads) == len(catalog)
-        assert report.peak_channels >= len(catalog)  # one live stream each min.
-        assert report.total_units_minutes > 0
-
-    def test_dyadic_requires_workload(self, catalog):
-        with pytest.raises(ValueError):
-            serve_catalog(catalog, 15.0, 480.0, policy="dyadic")
-
-    def test_unknown_policy(self, catalog):
-        with pytest.raises(ValueError):
-            serve_catalog(catalog, 15.0, 480.0, policy="quantum")
-
-    def test_dyadic_report(self, catalog):
-        wl = catalog_workload(catalog, 2.0, 480.0, seed=6)
-        report = serve_catalog(catalog, 15.0, 480.0, policy="dyadic", workload=wl)
-        assert report.clients == sum(len(t) for t in wl.values())
-        assert report.peak_channels > 0
-
-    def test_busiest_objects(self, catalog):
-        report = serve_catalog(catalog, 15.0, 480.0, policy="dg")
-        top = report.busiest_objects(3)
-        assert len(top) == 3
-        assert top[0].total_units_minutes >= top[-1].total_units_minutes
-
-
-class TestDelayForBudget:
-    def test_monotone_knob(self, catalog):
-        peaks = [
-            serve_catalog(catalog, d, 480.0, policy="dg").peak_channels
-            for d in (5.0, 10.0, 20.0)
-        ]
-        assert peaks[0] >= peaks[1] >= peaks[2]
-
-    def test_finds_smallest_feasible(self, catalog):
-        candidates = (5.0, 10.0, 20.0, 40.0)
-        peak_at_10 = serve_catalog(catalog, 10.0, 480.0, policy="dg").peak_channels
-        chosen = min_delay_for_budget(catalog, 480.0, peak_at_10, candidates)
-        assert chosen is not None and chosen <= 10.0
-
-    def test_infeasible_budget(self, catalog):
-        assert min_delay_for_budget(catalog, 480.0, 1, (5.0, 10.0)) is None
-
-    def test_bad_budget(self, catalog):
-        with pytest.raises(ValueError):
-            min_delay_for_budget(catalog, 480.0, 0, (5.0,))
 
 
 class TestSplitRequestsVectorised:

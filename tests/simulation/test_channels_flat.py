@@ -1,6 +1,7 @@
-"""``assign_channels_flat`` vs. the greedy heap oracle, plus the
+"""``assign_channels_flat`` vs. the greedy heap oracle, the
 ``ChannelAssignment`` bugfixes (horizon-clipped utilisation, indexed
-``channel_of``)."""
+``channel_of``), and the bin-occupancy ``interval_profile`` against the
+vectorised ``peak_concurrency`` and the frozen event-sweep peak."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.simulation.channels import (
     assign_forest_channels,
     flat_forest_intervals,
     forest_intervals,
+    interval_profile,
     min_forest_channels,
     peak_concurrency,
 )
@@ -25,6 +27,23 @@ from repro.simulation.channels import (
 
 def iv(label, start, end):
     return StreamInterval(label=label, start=start, end=end)
+
+
+def sweep_peak(starts, ends):
+    """The pre-vectorisation event-sweep peak (oracle).
+
+    Keep in sync with ``reference_aggregate_peak`` in
+    ``benchmarks/bench_general.py`` (same frozen sweep; benchmarks are
+    not importable from here without path games, so the few lines are
+    duplicated deliberately).
+    """
+    events = [(s, 1) for s in starts] + [(e, -1) for e in ends]
+    events.sort(key=lambda e: (e[0], e[1]))  # ends before starts at ties
+    level = peak = 0
+    for _, delta in events:
+        level += delta
+        peak = max(peak, level)
+    return peak
 
 
 #: integer endpoints — duplicate start/end times everywhere (the heap's
@@ -207,3 +226,57 @@ class TestLazyArrayAssignment:
         assert empty.num_channels == 0
         assert empty.utilisation(10.0) == 0.0
         assert empty.channels == []
+
+
+class TestIntervalProfile:
+    """Bin-occupancy semantics: a stream touching a bin counts for the
+    whole bin, so the profile can exceed — never undercut — the peak."""
+
+    def test_short_stream_counts_in_profile(self):
+        # Regression: ceil on both bin edges made any stream shorter than
+        # the resolution vanish from the profile entirely.
+        starts, ends = np.array([0.2]), np.array([0.8])
+        prof = interval_profile(starts, ends, 0.0, 1.0, resolution=1.0)
+        assert prof.tolist() == [1]
+        assert prof.max() >= peak_concurrency(starts, ends)
+
+    def test_profile_over_approximates_peak(self):
+        starts, ends = np.array([0.0, 1.6]), np.array([1.5, 3.0])  # never concurrent
+        prof = interval_profile(starts, ends, 0.0, 3.0, resolution=1.0)
+        assert peak_concurrency(starts, ends) == 1
+        assert prof.max() == 2  # both touch bin [1, 2)
+
+    def test_profile_exact_on_bin_aligned_ends(self):
+        # DG envelope endpoints are whole slots: at slot resolution every
+        # bin edge is an event time, so the profile is exact.
+        _labels, starts, ends = build_online_flat_forest(8, 32).intervals(8)
+        prof = interval_profile(starts, ends, 0.0, float(ends.max()), 1.0)
+        assert prof.max() == peak_concurrency(starts, ends)
+
+    def test_profile_validation(self):
+        empty = np.empty(0)
+        with pytest.raises(ValueError):
+            interval_profile(empty, empty, 10.0, 5.0, 1.0)
+        with pytest.raises(ValueError):
+            interval_profile(empty, empty, 0.0, 5.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=200),
+                st.integers(min_value=1, max_value=80),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.floats(min_value=0.1, max_value=7.0, allow_nan=False),
+    )
+    def test_profile_max_dominates_peak_randomized(self, raw, resolution):
+        starts = np.array([s / 3.0 for s, _ in raw])
+        ends = np.array([(s + d) / 3.0 for s, d in raw])
+        t1 = float(ends.max()) + resolution
+        prof = interval_profile(starts, ends, 0.0, t1, resolution=resolution)
+        peak = peak_concurrency(starts, ends)
+        assert prof.max() >= peak
+        assert peak == sweep_peak(starts.tolist(), ends.tolist())
