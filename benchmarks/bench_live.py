@@ -20,11 +20,22 @@ concatenated in global id order) is asserted **identical** — arrivals,
 parents, and subtree maxima ``z`` — to the batch build of the same
 prefix.  The sweep enforces the ISSUE 7 acceptance floor: >= 5x at
 n = 10^5 clients.
+
+``live_daemon_multiday`` times the whole daemon instead: ``LiveDaemon.step``
+over several simulated days of 10-minute epochs on a stationary
+multi-title trace, with a ``checkpoint()`` + ``LiveDaemon.restore()`` at
+the middle epoch.  It records per-epoch p50/p99 latency, the checkpoint
+size and the restore time, asserts that per-epoch latency stays flat
+(median of the last tenth of epochs over the first tenth <= 1.5, each
+epoch normalised by a speed probe timed next to it: work scales with the
+open window, not with history) and that the restored daemon's drained
+report equals the uninterrupted one (``fleet_reports_equal``).  Every row carries the kernel backend tag.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -34,9 +45,14 @@ if __name__ == "__main__":  # script mode: make src importable before repro
 
 import numpy as np
 
+from repro.burnin.contracts import fleet_reports_equal
 from repro.fastpath.dyadic import dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.incremental import IncrementalFlatForest
+from repro.fleet.scenarios import scenario_workload
+from repro.live import LiveConfig, LiveDaemon
+from repro.multiplex import Catalog
+from repro.scale.kernels import active_backend
 
 from conftest import timeit_best, write_bench_json
 
@@ -55,6 +71,36 @@ TRACES = {
     10_000: 0.05,
     100_000: 0.01,
 }
+
+
+#: live_daemon_multiday geometry: (titles, days, mean inter-arrival in
+#: minutes) for the full row and for the bench-smoke case.
+DAEMON_FULL = (20, 4, 0.02)
+DAEMON_SMOKE = (4, 0.5, 0.2)
+
+#: repeats of the multi-day run; per-epoch latency is the minimum over
+#: them.
+DAEMON_REPEATS = 2
+
+#: flat-latency bar: last-tenth over first-tenth median epoch latency.
+DRIFT_BAR = 1.5
+
+_PROBE_X = np.random.default_rng(5).random(4000)
+
+
+def _speed_probe() -> float:
+    """Seconds for a fixed Python + numpy workload (~0.1 ms).
+
+    Timed right after every epoch: dividing an epoch's latency by the
+    probe next to it cancels the machine's speed swings, which otherwise
+    read as drift.
+    """
+    t0 = time.perf_counter()
+    total = 0.0
+    for v in _PROBE_X[:400].tolist():
+        total += v
+    np.unique(np.floor(_PROBE_X * 1000.0))
+    return time.perf_counter() - t0
 
 
 def _trace(n: int) -> np.ndarray:
@@ -115,6 +161,66 @@ def _assert_identical(committed, batch: FlatForest) -> None:
     assert np.array_equal(inc.z, batch.z), "z mismatch"
 
 
+def _daemon_feed(titles: int, days: float, mean_gap: float):
+    """A stationary Zipf catalog trace, cut into 10-minute epoch batches."""
+    catalog = Catalog.zipf(titles, duration_minutes=120.0)
+    config = LiveConfig(
+        delay_minutes=2.0,
+        horizon_minutes=days * 1440.0,
+        epoch_minutes=10.0,
+        fence_minutes=30.0,
+    )
+    workload = scenario_workload(
+        "zipf", catalog, mean_gap, config.horizon_minutes, seed=11
+    )
+    times = {name: np.asarray(trace.times) for name, trace in workload.items()}
+    batches = []
+    for k in range(config.num_epochs):
+        t0, t1 = config.epoch_bounds(k)
+        batches.append({
+            name: ts[np.searchsorted(ts, t0):np.searchsorted(ts, t1)]
+            for name, ts in times.items()
+        })
+    return catalog, config, batches
+
+
+def _serve_multiday(catalog, config, batches, probe: bool = False):
+    """Step every epoch; checkpoint + restore after the middle one.
+
+    Returns the uninterrupted and the restored daemon's drained reports,
+    the per-epoch step seconds (speed-normalised with ``probe``), the
+    checkpoint size and the restore time.
+    """
+    daemon = LiveDaemon(catalog, config)
+    mid = len(batches) // 2
+    seconds = np.empty(len(batches))
+    probes = np.ones(len(batches))
+    for k, batch in enumerate(batches):
+        t0 = time.perf_counter()
+        daemon.step(batch)
+        seconds[k] = time.perf_counter() - t0
+        if probe:
+            probes[k] = _speed_probe()
+        if k == mid - 1:
+            token = daemon.checkpoint()
+            t0 = time.perf_counter()
+            restored = LiveDaemon.restore(token)
+            restore_s = time.perf_counter() - t0
+    for batch in batches[mid:]:
+        restored.step(batch)
+    daemon.drain()
+    restored.drain()
+    if probe:
+        seconds *= np.median(probes) / probes
+    return daemon.report(), restored.report(), seconds, len(token.encode()), restore_s
+
+
+def _drift(seconds: np.ndarray) -> float:
+    """Median epoch latency of the last tenth over that of the first tenth."""
+    tenth = seconds.size // 10
+    return float(np.median(seconds[-tenth:]) / np.median(seconds[:tenth]))
+
+
 # ---------------------------------------------------------------------------
 # pytest-benchmark smoke tests (small n, CI-friendly)
 # ---------------------------------------------------------------------------
@@ -136,6 +242,16 @@ def test_full_rebuild_smoke(benchmark):
     assert np.array_equal(final.arrivals, ts)
 
 
+def test_daemon_multiday_smoke(benchmark):
+    catalog, config, batches = _daemon_feed(*DAEMON_SMOKE)
+    whole, resumed, seconds, _size, _restore_s = benchmark(
+        _serve_multiday, catalog, config, batches
+    )
+    assert seconds.size == config.num_epochs
+    assert whole.fleet.streams > 0
+    assert fleet_reports_equal(resumed.fleet, whole.fleet) is None
+
+
 # ---------------------------------------------------------------------------
 # full sweep (script mode): writes BENCH_live.json
 # ---------------------------------------------------------------------------
@@ -154,6 +270,43 @@ def _case(name: str, n: int, ref_s: float, fast_s: float, **extra) -> Dict:
         f"  {name:28s} n={n:>7d}  ref {ref_s:10.4f}s  "
         f"fast {fast_s:10.6f}s  x{row['speedup']:.1f}"
     )
+    return row
+
+
+def _daemon_row() -> Dict:
+    titles, days, mean_gap = DAEMON_FULL
+    catalog, config, batches = _daemon_feed(titles, days, mean_gap)
+    runs = [
+        _serve_multiday(catalog, config, batches, probe=True)
+        for _ in range(DAEMON_REPEATS)
+    ]
+    for whole, resumed, *_rest in runs:
+        assert fleet_reports_equal(resumed.fleet, whole.fleet) is None
+    seconds = np.min([run[2] for run in runs], axis=0)
+    ms = seconds * 1e3
+    row = {
+        "name": "live_daemon_multiday",
+        "n": runs[0][0].fleet.clients,
+        "titles": titles,
+        "days": days,
+        "epochs": config.num_epochs,
+        "epoch_ms_p50": round(float(np.median(ms)), 4),
+        "epoch_ms_p99": round(float(np.percentile(ms, 99)), 4),
+        "drift": round(_drift(seconds), 3),
+        "checkpoint_bytes": runs[0][3],
+        "restore_seconds": round(min(run[4] for run in runs), 6),
+        "backend": active_backend(),
+    }
+    print(
+        f"  {row['name']:28s} n={row['n']:>7d}  epochs={row['epochs']}  "
+        f"p50 {row['epoch_ms_p50']:.2f} ms  p99 {row['epoch_ms_p99']:.2f} ms  "
+        f"drift {row['drift']:.2f}  "
+        f"checkpoint {row['checkpoint_bytes']:,} B  "
+        f"restore {row['restore_seconds']:.3f} s"
+    )
+    # ROADMAP item 4's flat-latency bar: per-epoch work must not grow
+    # with elapsed history.
+    assert row["drift"] <= DRIFT_BAR, row
     return row
 
 
@@ -181,12 +334,15 @@ def run_sweep() -> Dict:
                 fast_s,
                 L=LIVE_L,
                 epochs=EPOCHS,
+                backend=active_backend(),
             )
         )
 
     # Acceptance floor (ISSUE 7): >= 5x at n = 10^5 clients.
     big = [r for r in rows if r["n"] >= 100_000]
     assert big and all(r["speedup"] >= 5 for r in big), big
+
+    rows.append(_daemon_row())
 
     return {
         "schema": "repro.fastpath.bench.v1",
@@ -196,7 +352,14 @@ def run_sweep() -> Dict:
             "the whole-prefix dyadic forest every epoch.  Best-of-k wall "
             "clock over a 96-epoch day; the incremental run's committed "
             "trees are asserted node-for-node identical (arrivals, "
-            "parents, z) to the batch build.  Floor: >= 5x at n = 10^5."
+            "parents, z) to the batch build.  Floor: >= 5x at n = 10^5.  "
+            "live_daemon_multiday steps LiveDaemon through 4 days of "
+            "10-minute epochs on a stationary 20-title Zipf trace with a "
+            "mid-run checkpoint/restore: per-epoch latency p50/p99 "
+            "(speed-probe normalised, minimum over 2 runs), checkpoint "
+            "bytes, restore seconds; asserts drift (last-tenth over "
+            "first-tenth median latency) <= 1.5 and restored == "
+            "uninterrupted drained report."
         ),
         "benchmarks": rows,
     }

@@ -7,9 +7,8 @@ schema version, the horizon, and the times array.
 
 The payload-level helpers (:func:`trace_payload` /
 :func:`trace_from_payload`) expose the envelope as a plain dict so
-composite documents — the live daemon's checkpoint embeds one envelope
-per catalog object — can nest traces without double-encoding JSON
-strings.  Both directions run the full validation (schema tag, declared
+composite documents — one envelope per catalog object, say — can nest
+traces without double-encoding JSON strings.  Both directions run the full validation (schema tag, declared
 count, ArrivalTrace invariants), so a partial trace cut mid-horizon, a
 zero-arrival object, or a single-client object round-trips exactly or
 fails loudly (``tests/arrivals/test_serialization.py``).

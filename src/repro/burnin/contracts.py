@@ -562,25 +562,28 @@ def _check_fence_monotone(records, out: ContractReport) -> None:
 
 
 def _check_commit_immutability(report, out: ContractReport) -> None:
-    """Every record's digest must be reproducible from the *final*
-    interval arrays truncated at that record's committed counts — i.e.
-    commits only ever appended; nothing already emitted was rewritten."""
-    from ..live.daemon import live_digest
+    """The record digest chain, re-derived in one pass over the *final*
+    interval arrays cut at each record's committed counts, must match
+    every record — i.e. commits only ever appended; nothing already
+    emitted was rewritten, dropped or moved to another object."""
+    from ..live.daemon import chain_digests
 
     per_object = [(o.starts, o.ends) for o in report.fleet.objects]
-    checks = 0
-    bad: List[str] = []
-    for rec in report.records:
-        checks += 1
-        if len(rec.committed_counts) != len(per_object):
-            bad.append(f"epoch {rec.epoch}: count tuple arity mismatch")
-            continue
-        expected = live_digest(per_object, rec.committed_counts)
-        if rec.digest != expected:
-            bad.append(
-                f"epoch {rec.epoch}: digest {rec.digest} != {expected} — "
-                "a committed stream changed after emission"
-            )
+    records = report.records
+    bad = [
+        f"epoch {rec.epoch}: count tuple arity mismatch"
+        for rec in records
+        if len(rec.committed_counts) != len(per_object)
+    ]
+    if not bad:
+        expected = chain_digests(per_object, [r.committed_counts for r in records])
+        bad = [
+            f"epoch {rec.epoch}: digest {rec.digest} != {want} — "
+            "a committed stream changed after emission"
+            for rec, want in zip(records, expected)
+            if rec.digest != want
+        ]
+    checks = len(records)
     out.record(
         "live.committed-prefix-immutability", not bad, checks, "; ".join(bad[:3])
     )

@@ -37,6 +37,12 @@ tree.  Committed trees come back as contiguous, self-contained
 ``z`` arrays), in tree order, which is also global arrival order — so
 concatenating committed trees with the live remainder reproduces the
 batch construction node for node.
+
+Resume.  Because the live remainder is whole trees, the forest's entire
+state is ``(live arrivals, id offset, watermark, last push)``
+(:meth:`~IncrementalFlatForest.open_window`), and
+:meth:`~IncrementalFlatForest.resume` rebuilds it with one ``push_batch``:
+O(open window), whatever the history.
 """
 
 from __future__ import annotations
@@ -146,6 +152,64 @@ class IncrementalFlatForest:
     def min_live_cutoff(self) -> Optional[float]:
         """Window end of the oldest live tree (None when empty)."""
         return self._tree_cutoffs[0] if self._tree_cutoffs else None
+
+    def open_window(self) -> Tuple[np.ndarray, int, float, Optional[float]]:
+        """``(live arrivals, id offset, watermark, last push)``.
+
+        Everything :meth:`resume` needs to rebuild this forest exactly:
+        the live nodes' parents, ``z`` and the rightmost-path stack are
+        functions of the live arrivals alone.
+        """
+        return (
+            np.asarray(self._arrivals, dtype=np.float64),
+            self._offset,
+            self._watermark,
+            self._last_time,
+        )
+
+    @classmethod
+    def resume(
+        cls,
+        L: float,
+        arrivals: np.ndarray,
+        offset: int,
+        watermark: float,
+        last_time: Optional[float],
+        params: DyadicParams = DyadicParams(),
+    ) -> "IncrementalFlatForest":
+        """Rebuild a forest from :meth:`open_window` output.
+
+        Eviction pops whole trees only, so the live remainder starts at a
+        tree root and ``push_batch`` into an empty forest — ids offset by
+        the evicted count, watermark preset — partitions it into the same
+        windows and rebuilds every node, ``z`` and stack entry exactly.
+        Inconsistent state raises ``ValueError``.
+        """
+        ts = np.ascontiguousarray(arrivals, dtype=np.float64)
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        if ts.size:
+            if not ts[0] > watermark:
+                raise ValueError(
+                    f"live arrival {float(ts[0])} at or below the committed "
+                    f"watermark {watermark}"
+                )
+            if last_time != ts[-1]:
+                raise ValueError(
+                    f"last push {last_time} is not the newest live arrival "
+                    f"{float(ts[-1])}"
+                )
+        elif last_time is not None and last_time > watermark:
+            raise ValueError(
+                f"last push {last_time} is above the watermark {watermark} "
+                "but no arrival is live"
+            )
+        forest = cls(L, params)
+        forest._offset = offset
+        forest._watermark = watermark
+        forest.push_batch(ts)
+        forest._last_time = last_time
+        return forest
 
     def live_forest(self) -> Optional[FlatForest]:
         """The live remainder as a :class:`FlatForest` (None when empty).

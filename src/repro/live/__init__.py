@@ -9,10 +9,13 @@ streams once the fence passes their merge windows
 (:mod:`repro.live.horizon`), and emits channel schedules the moment each
 tree is final (:mod:`repro.live.schedule`) — ahead of (accelerated)
 wall-clock, with a cumulative report bit-identical to the offline batch
-oracle on the same trace.  Checkpoint/restore rides on the arrivals
-serialization envelope; the fence/epoch invariants are standing
-``burnin.contracts`` checks, soak-tested by the live episode family in
-``burnin.soak``.
+oracle on the same trace.  Per-epoch work scales with the new commits
+and the open window, not with elapsed history: each record's digest is
+one link of a hash chain over the newly committed streams, and
+checkpoints are resume tokens (``repro.live-checkpoint.v2``) that restore
+without replaying a single epoch.  The fence/epoch invariants and the
+digest chain are standing ``burnin.contracts`` checks, soak-tested by
+the live episode family in ``burnin.soak``.
 """
 
 from .daemon import (
@@ -20,6 +23,7 @@ from .daemon import (
     EpochRecord,
     LiveDaemon,
     LiveReport,
+    chain_digests,
     live_digest,
 )
 from .horizon import LIVE_POLICIES, LiveConfig, LiveHorizon
@@ -34,5 +38,6 @@ __all__ = [
     "LiveDaemon",
     "LiveHorizon",
     "LiveReport",
+    "chain_digests",
     "live_digest",
 ]

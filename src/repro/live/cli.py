@@ -145,7 +145,7 @@ def _smoke(args) -> int:
     workload = scenario_workload(
         "diurnal", catalog, 0.4, config.horizon_minutes, seed=args.seed
     )
-    accel = args.accel or 600.0  # a 2-hour day in ~12s of wall-clock
+    accel = args.accel or 600.0  # a 2-hour day in 0.2 s of wall-clock
     print(
         f"live smoke: diurnal day, {len(catalog)} objects, "
         f"{config.num_epochs} epochs at {accel:g} min/s"

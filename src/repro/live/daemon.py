@@ -1,4 +1,4 @@
-"""The live serving daemon: epoch loop, ledgers, checkpoint/restore.
+"""The live serving daemon: epoch loop, ledgers, digest chain, resume token.
 
 :class:`LiveDaemon` turns the batch fleet pipeline inside out.  Offline,
 :func:`repro.fleet.runner.run_fleet` sees every arrival up front,
@@ -25,32 +25,50 @@ batch kernel uses.  The fold order (catalog order, arrival order within
 an object) matches, so even ``float(np.sum(...))`` reductions agree to
 the last bit.
 
-Checkpoint format (``repro.live-checkpoint.v1``): a JSON envelope with
-the config, the last ingested epoch, the catalog, and one arrival-trace
-payload (:func:`repro.arrivals.serialization.trace_payload`) per object
-holding the clean minutes ingested so far plus its repaired count.
-``restore`` rebuilds the daemon by *replaying* those epochs through the
-normal ingest path — state is a pure function of the clean prefix, so the
-restored daemon (records, digests, forests, planners) is identical to one
-that never stopped, which the burn-in episode proves end to end with
-``fleet_reports_equal`` across a mid-run checkpoint/restore.
+Digest chain.  Each epoch record's digest links the previous record's
+digest, the per-object counts of streams committed since that record,
+and :func:`live_digest` of exactly those streams::
+
+    digest_k = H(digest_{k-1} || new counts_k || live_digest(new streams_k))
+
+(``digest_{-1}`` is the empty string).  A record costs O(new commits),
+never O(history), and :func:`chain_digests` re-derives every digest from
+the final arrays in one pass — ``burnin.contracts.check_live_report``
+uses it to prove that no committed stream changed, vanished or moved
+between objects after it was emitted.
+
+Resume token (``repro.live-checkpoint.v2``): compact JSON holding the
+config, the catalog, the last ingested epoch, every record (the chain
+head is the last record's digest) and, per object, the ledger counters,
+the committed ``starts``/``ends``/channel ids as base64 little-endian
+arrays, the open window (live forest arrivals with id offset and
+watermark, or the pending roots of root-only policies) and the channel
+planner's free heap.  :meth:`LiveDaemon.restore` validates every field —
+a damaged or hostile token raises ``ValueError`` naming the field —
+cross-checks the counters, the planner and the last record's totals
+against the carried intervals, checks those against the record chain,
+rebuilds each open forest with one ``push_batch`` and sets the horizon
+directly.  No epoch is replayed: restore costs O(open window) plus one
+hash pass over the carried intervals.  The committed intervals still
+travel in the token, so its size grows with the history.  Version-1
+(replay) checkpoints are rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import bisect
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..arrivals.serialization import trace_from_payload, trace_payload
 from ..arrivals.traces import ArrivalTrace
-from ..fastpath.flat_forest import FlatForest
 from ..fastpath.incremental import IncrementalFlatForest
 from ..multiplex.catalog import Catalog, MediaObject
 from ..fleet.runner import (
@@ -67,10 +85,11 @@ __all__ = [
     "EpochRecord",
     "LiveDaemon",
     "LiveReport",
+    "chain_digests",
     "live_digest",
 ]
 
-CHECKPOINT_SCHEMA = "repro.live-checkpoint.v1"
+CHECKPOINT_SCHEMA = "repro.live-checkpoint.v2"
 REPORT_SCHEMA = "repro.live-report.v1"
 
 _EMPTY = np.empty(0, dtype=np.float64)
@@ -83,19 +102,164 @@ def live_digest(
     per_object: Sequence[Tuple[np.ndarray, np.ndarray]],
     counts: Sequence[int],
 ) -> str:
-    """Digest of the first ``counts[i]`` committed intervals per object.
+    """Digest of the first ``counts[i]`` intervals of each object's arrays.
 
-    The committed-prefix-immutability witness: each epoch record carries
-    ``live_digest`` of the streams committed *so far*; because committed
-    arrays only ever grow at the end, recomputing the digest from the
-    **final** arrays truncated at each record's counts must reproduce
-    every record's digest (``burnin.contracts.check_live_report``).
+    One link of the record chain: the daemon hashes the streams committed
+    since the previous record with it (see :func:`chain_digests`).
     """
     h = hashlib.sha256()
     for (starts, ends), count in zip(per_object, counts):
         h.update(np.ascontiguousarray(starts[:count]).tobytes())
         h.update(np.ascontiguousarray(ends[:count]).tobytes())
     return h.hexdigest()[:16]
+
+
+def _link(head: str, counts: Sequence[int], fresh: str) -> str:
+    """``H(head || counts || fresh)``: one record's chained digest."""
+    h = hashlib.sha256(head.encode())
+    h.update(np.asarray(counts, dtype="<i8").tobytes())
+    h.update(fresh.encode())
+    return h.hexdigest()[:16]
+
+
+def chain_digests(
+    per_object: Sequence[Tuple[np.ndarray, np.ndarray]],
+    counts_by_record: Sequence[Sequence[int]],
+) -> List[str]:
+    """Every record digest, re-derived from committed arrays in one pass.
+
+    ``counts_by_record[k]`` is record ``k``'s cumulative committed count
+    per object; link ``k`` hashes the intervals between record ``k-1``'s
+    counts and record ``k``'s.  Committed arrays only ever grow at the
+    end, so the result equals the records' own digests unless a committed
+    stream was rewritten, dropped or moved.
+    """
+    digests: List[str] = []
+    head = ""
+    prev = [0] * len(per_object)
+    for counts in counts_by_record:
+        new = [c - p for c, p in zip(counts, prev)]
+        fresh = live_digest(
+            [(s[p:], e[p:]) for (s, e), p in zip(per_object, prev)], new
+        )
+        head = _link(head, new, fresh)
+        digests.append(head)
+        prev = list(counts)
+    return digests
+
+
+# -- resume-token encoding -----------------------------------------------------
+
+
+def _encode(values, dtype: str = "<f8") -> str:
+    """Base64 of ``values`` as little-endian ``dtype`` bytes."""
+    raw = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _finite_or_none(value: float) -> Optional[float]:
+    return None if value == -math.inf else value
+
+
+def _or_minus_inf(value: Optional[float]) -> float:
+    return -math.inf if value is None else value
+
+
+class _Fields:
+    """Typed reads from one mapping of a decoded resume token.
+
+    Every failure — missing key, wrong type, non-finite number, bad base64,
+    wrong length — raises ``ValueError`` naming the field's path, so a
+    damaged or hostile token never surfaces as ``KeyError`` or
+    ``TypeError``.
+    """
+
+    def __init__(self, mapping: Any, path: str):
+        if not isinstance(mapping, dict):
+            raise ValueError(f"checkpoint field {path or '<top>'}: expected an object")
+        self._mapping = mapping
+        self.path = path
+
+    def error(self, key: str, problem: str) -> ValueError:
+        where = f"{self.path}.{key}" if self.path else key
+        return ValueError(f"checkpoint field {where}: {problem}")
+
+    def keys(self) -> List[str]:
+        return list(self._mapping)
+
+    def value(self, key: str) -> Any:
+        if key not in self._mapping:
+            raise self.error(key, "missing")
+        return self._mapping[key]
+
+    def section(self, key: str, path: Optional[str] = None) -> "_Fields":
+        where = f"{self.path}.{key}" if self.path else key
+        return _Fields(self.value(key), path or where)
+
+    def items(self, key: str) -> list:
+        value = self.value(key)
+        if not isinstance(value, list):
+            raise self.error(key, f"expected a list, got {type(value).__name__}")
+        return value
+
+    def integer(self, key: str, lo: int = 0) -> int:
+        value = self.value(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+            raise self.error(key, f"expected an integer >= {lo}, got {value!r}")
+        return value
+
+    def number(self, key: str, optional: bool = False) -> Optional[float]:
+        value = self.value(key)
+        if value is None and optional:
+            return None
+        if isinstance(value, float) and math.isfinite(value):
+            return value
+        # an int converts exactly when within float range (JSON allows any size)
+        if (
+            isinstance(value, int)
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+        ):
+            return float(value)
+        raise self.error(key, f"expected a finite number, got {value!r}")
+
+    def text(self, key: str) -> str:
+        value = self.value(key)
+        if not isinstance(value, str):
+            raise self.error(key, f"expected a string, got {value!r}")
+        return value
+
+    def flag(self, key: str) -> bool:
+        value = self.value(key)
+        if not isinstance(value, bool):
+            raise self.error(key, f"expected true or false, got {value!r}")
+        return value
+
+    def array(self, key: str, dtype: str, size: Optional[int] = None) -> np.ndarray:
+        """A base64 little-endian array; ``size`` pins its length."""
+        try:
+            raw = base64.b64decode(self.text(key), validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise self.error(key, f"not base64 ({exc})") from None
+        itemsize = np.dtype(dtype).itemsize
+        if len(raw) % itemsize or (size is not None and len(raw) != size * itemsize):
+            want = "a whole number of" if size is None else f"{size}"
+            raise self.error(
+                key, f"{len(raw)} bytes is not {want} {itemsize}-byte values"
+            )
+        native = np.float64 if dtype == "<f8" else np.intp
+        return np.frombuffer(raw, dtype=dtype).astype(native)
+
+    def increasing(self, key: str, values: np.ndarray, strict: bool) -> np.ndarray:
+        """Check ``values`` (read from ``key``) are finite and sorted."""
+        if not np.isfinite(values).all():
+            raise self.error(key, "non-finite value")
+        steps = np.diff(values)
+        if strict and np.any(steps <= 0):
+            raise self.error(key, "not strictly increasing")
+        if np.any(steps < 0):
+            raise self.error(key, "not sorted")
+        return values
 
 
 @dataclass(frozen=True)
@@ -140,6 +304,26 @@ class EpochRecord:
             "digest": self.digest,
         }
 
+    @classmethod
+    def _from_token(cls, f: _Fields) -> "EpochRecord":
+        counts = f.items("committed_counts")
+        if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts):
+            raise f.error("committed_counts", "expected integers >= 0")
+        return cls(
+            epoch=f.integer("epoch"),
+            ingest_clock=f.number("ingest_clock"),
+            fence=f.number("fence", optional=True),
+            drain=f.flag("drain"),
+            ingested=f.integer("ingested"),
+            repaired=f.integer("repaired"),
+            committed_streams=f.integer("committed_streams"),
+            committed_roots=f.integer("committed_roots"),
+            committed_counts=tuple(counts),
+            max_committed_cutoff=f.number("max_committed_cutoff", optional=True),
+            min_live_cutoff=f.number("min_live_cutoff", optional=True),
+            digest=f.text("digest"),
+        )
+
 
 class _ObjectLedger:
     """One object's live state: forest, counters, committed intervals."""
@@ -160,17 +344,16 @@ class _ObjectLedger:
         self.streams = 0
         self.max_wait_slots = 0.0
         self.max_cutoff_minutes: Optional[float] = None
-        self.ingested: List[float] = []  # clean minutes, for checkpointing
+        self._last_push = -math.inf  # newest value pushed, slot units
         self.starts: List[np.ndarray] = []  # committed, minutes
         self.ends: List[np.ndarray] = []
         self.channel_ids: List[np.ndarray] = []
-        self._last_push = -math.inf
+        self._recorded = 0  # committed chunks already hashed into a record
 
     def ingest(self, clean_minutes: np.ndarray) -> None:
         """Absorb one epoch's clean, strictly-later arrival minutes."""
         if clean_minutes.size == 0:
             return
-        self.ingested.extend(clean_minutes.tolist())
         self.clients += int(clean_minutes.size)
         ts = clean_minutes / self.delay  # slot units, same division as object_run
         if self.kind in _SLOTTED_KINDS:
@@ -181,29 +364,28 @@ class _ObjectLedger:
             self.max_wait_slots = max(
                 self.max_wait_slots, float(np.max(service - ts))
             )
-            vals = np.unique(service)
-            vals = vals[vals > self._last_push]  # slot already served earlier
-            if vals.size == 0:
+            push = np.unique(service)
+            push = push[push > self._last_push]  # slot already served earlier
+            if push.size == 0:
                 return
-            self._last_push = float(vals[-1])
-            push = vals
         else:
             push = ts  # immediate kinds serve at the arrival instant
+        self._last_push = float(push[-1])
         if self.forest is not None:
             self.forest.push_batch(push)
         else:
             self.pending.extend(push.tolist())
 
-    def commit(self, fence_slots: float) -> int:
+    def commit(self, fence_slots: float) -> None:
         """Commit every stream whose merge window closed before the fence."""
-        committed = 0
         if self.forest is not None:
-            for tree in self.forest.evict_committable(fence_slots):
-                committed += self._emit(
-                    tree.forest.arrivals,
-                    tree.forest.stream_lengths(self.L),
-                    roots=1,
-                    cutoff_slots=tree.cutoff,
+            trees = self.forest.evict_committable(fence_slots)
+            if trees:
+                self._emit(
+                    np.concatenate([t.forest.arrivals for t in trees]),
+                    np.concatenate([t.forest.stream_lengths(self.L) for t in trees]),
+                    roots=len(trees),
+                    cutoff_slots=trees[-1].cutoff,
                 )
         elif self.pending:
             # root-only kinds: a stream is final the moment it starts, so
@@ -212,13 +394,12 @@ class _ObjectLedger:
             if n:
                 vals = np.asarray(self.pending[:n], dtype=np.float64)
                 del self.pending[:n]
-                committed += self._emit(
+                self._emit(
                     vals,
                     np.full(n, float(self.L), dtype=np.float64),
                     roots=n,
                     cutoff_slots=float(vals[-1]),
                 )
-        return committed
 
     def _emit(
         self,
@@ -226,7 +407,7 @@ class _ObjectLedger:
         lengths_slots: np.ndarray,
         roots: int,
         cutoff_slots: float,
-    ) -> int:
+    ) -> None:
         # The exact minute-scale expressions of runner._simulate_object:
         # starts = arrivals * delay, ends = (arrivals + lengths) * delay.
         starts = arrivals_slots * self.delay
@@ -239,7 +420,21 @@ class _ObjectLedger:
         cutoff_minutes = cutoff_slots * self.delay
         if self.max_cutoff_minutes is None or cutoff_minutes > self.max_cutoff_minutes:
             self.max_cutoff_minutes = cutoff_minutes
-        return int(starts.size)
+
+    def fresh_streams(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Streams committed since the previous record, as one chunk.
+
+        Compacts those commits into a single chunk, so the ledger holds
+        at most one chunk per record however many trees committed.
+        """
+        k = self._recorded
+        if len(self.starts) - k > 1:
+            for chunks in (self.starts, self.ends, self.channel_ids):
+                chunks[k:] = [np.concatenate(chunks[k:])]
+        self._recorded = len(self.starts)
+        if self._recorded == k:
+            return _EMPTY, _EMPTY
+        return self.starts[-1], self.ends[-1]
 
     def min_live_cutoff_minutes(self) -> Optional[float]:
         if self.forest is not None:
@@ -278,6 +473,110 @@ class _ObjectLedger:
             ends=ends,
             repaired=self.repaired,
         )
+
+    # -- resume token ----------------------------------------------------------
+
+    def to_token(self) -> dict:
+        starts, ends = self.committed_arrays()
+        free_at, release_seq, seq, last_start = self.planner.state()
+        if self.forest is not None:
+            arrivals, offset, watermark, _last = self.forest.open_window()
+            open_window = {
+                "arrivals": _encode(arrivals),
+                "offset": offset,
+                "watermark": _finite_or_none(watermark),
+            }
+        else:
+            open_window = {"arrivals": _encode(self.pending)}
+        return {
+            "clients": self.clients,
+            "repaired": self.repaired,
+            "roots": self.roots,
+            "streams": self.streams,
+            "max_wait_slots": self.max_wait_slots,
+            "max_cutoff_minutes": self.max_cutoff_minutes,
+            "last_push": _finite_or_none(self._last_push),
+            "committed": {
+                "starts": _encode(starts),
+                "ends": _encode(ends),
+                "channels": _encode(self.channel_array(), "<i8"),
+            },
+            "open": open_window,
+            "planner": {
+                "channels": int(free_at.size),
+                "free_at": _encode(free_at),
+                "release_seq": _encode(release_seq, "<i8"),
+                "seq": seq,
+                "last_start": _finite_or_none(last_start),
+            },
+        }
+
+    @classmethod
+    def from_token(
+        cls, obj: MediaObject, config: LiveConfig, f: _Fields
+    ) -> "_ObjectLedger":
+        """Rebuild a ledger from :meth:`to_token` output, validating it."""
+        led = cls(obj, config)
+        led.clients = f.integer("clients")
+        led.repaired = f.integer("repaired")
+        led.streams = n = f.integer("streams")
+        led.roots = f.integer("roots")
+        if led.roots > n:
+            raise f.error("roots", f"{led.roots} roots but {n} streams")
+        led.max_wait_slots = f.number("max_wait_slots")
+        led.max_cutoff_minutes = f.number("max_cutoff_minutes", optional=True)
+        last_push = f.number("last_push", optional=True)
+        led._last_push = _or_minus_inf(last_push)
+
+        c = f.section("committed")
+        starts = c.increasing("starts", c.array("starts", "<f8", n), strict=False)
+        ends = c.array("ends", "<f8", n)
+        if not np.isfinite(ends).all() or np.any(ends <= starts):
+            raise c.error("ends", "non-finite, or not after its stream's start")
+
+        # the planner has assigned exactly the committed streams, in order
+        p = f.section("planner")
+        channels = p.integer("channels")
+        free_at = p.array("free_at", "<f8", channels)
+        release_seq = p.array("release_seq", "<i8", channels)
+        seq = p.integer("seq")
+        if seq != n:
+            raise p.error("seq", f"{seq} streams assigned but {n} committed")
+        last_start = _or_minus_inf(p.number("last_start", optional=True))
+        if last_start != (starts[-1] if n else -math.inf):
+            raise p.error("last_start", "is not the last committed start")
+        try:
+            led.planner = ChannelPlanner.resume(free_at, release_seq, seq, last_start)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint field {p.path}: {exc}") from None
+        ids = c.array("channels", "<i8", n)
+        if n and (int(ids.min()) < 0 or int(ids.max()) >= channels):
+            raise c.error("channels", f"channel id outside [0, {channels})")
+        if n:
+            led.starts, led.ends, led.channel_ids = [starts], [ends], [ids]
+            led._recorded = 1
+
+        o = f.section("open")
+        arrivals = o.increasing("arrivals", o.array("arrivals", "<f8"), strict=True)
+        if led.forest is not None:
+            offset = o.integer("offset")
+            if offset != n:
+                raise o.error("offset", f"{offset} evicted nodes but {n} committed streams")
+            try:
+                led.forest = IncrementalFlatForest.resume(
+                    led.L,
+                    arrivals,
+                    offset,
+                    _or_minus_inf(o.number("watermark", optional=True)),
+                    last_push,
+                )
+            except ValueError as exc:
+                raise o.error("arrivals", str(exc)) from None
+        else:
+            if arrivals.size and last_push != arrivals[-1]:
+                raise o.error("arrivals", "newest pending root is not the last push")
+            led.pending = arrivals.tolist()
+        return led
 
 
 @dataclass
@@ -388,6 +687,9 @@ class LiveDaemon:
         live = [
             c for led in ledgers if (c := led.min_live_cutoff_minutes()) is not None
         ]
+        fresh = [led.fresh_streams() for led in ledgers]
+        new_counts = [int(starts.size) for starts, _ends in fresh]
+        head = self.records[-1].digest if self.records else ""
         record = EpochRecord(
             epoch=self.horizon.epoch,
             ingest_clock=self.horizon.ingest_clock,
@@ -400,9 +702,7 @@ class LiveDaemon:
             committed_counts=counts,
             max_committed_cutoff=max(cutoffs) if cutoffs else None,
             min_live_cutoff=min(live) if live else None,
-            digest=live_digest(
-                [led.committed_arrays() for led in ledgers], counts
-            ),
+            digest=_link(head, new_counts, live_digest(fresh, new_counts)),
         )
         self.records.append(record)
         return record
@@ -426,10 +726,9 @@ class LiveDaemon:
         Epoch ``k`` accepts arrivals in its own window ``[t0, t1)``;
         everything else in a batch — non-finite, out-of-window (early
         *or* late), duplicate — is repaired away and counted, mirroring
-        :func:`~repro.fleet.runner.sanitize_times`.  Entries at or below
-        an object's last ingested time are likewise dropped (a replayed
-        batch cannot corrupt a committed tree: the forest's watermark
-        would refuse it before the ledger ever saw it).
+        :func:`~repro.fleet.runner.sanitize_times`.  Every earlier
+        epoch's arrivals lie below ``t0``, so a replayed batch is
+        repaired away by the window alone.
         """
         k = self.horizon.epoch + 1
         t0, t1 = self.config.epoch_bounds(k)
@@ -440,11 +739,8 @@ class LiveDaemon:
                 continue
             times = _times_of(raw)
             clean, repaired = sanitize_times(times, self.config.horizon_minutes)
-            led = self._ledgers[obj.name]
-            last = led.ingested[-1] if led.ingested else -math.inf
-            lo = max(t0, np.nextafter(last, math.inf))
-            keep = clean[(clean >= lo) & (clean < t1)]
-            led.repaired += repaired + int(clean.size - keep.size)
+            keep = clean[(clean >= t0) & (clean < t1)]
+            self._ledgers[obj.name].repaired += repaired + int(clean.size - keep.size)
             slices[obj.name] = keep
         self._repaired_folded = True  # step() accounts repairs itself
         return self._process_epoch(k, slices)
@@ -535,27 +831,16 @@ class LiveDaemon:
     # -- checkpoint / restore --------------------------------------------------
 
     def checkpoint(self) -> str:
-        """Serialise the daemon's ingested prefix as JSON.
+        """Serialise the daemon as a resume token (compact, sorted JSON).
 
-        State is a pure function of (config, catalog, clean ingested
-        minutes per object), so that is all the checkpoint holds — no
-        forest internals, no planner heaps.  Restore replays.
+        See the module docstring for the layout; ``restore(text)
+        .checkpoint() == text`` byte for byte.
         """
         if self.horizon.drained:
             raise RuntimeError("nothing to checkpoint: the stream was drained")
-        objects = {}
-        for obj in self.catalog:
-            led = self._ledgers[obj.name]
-            trace = ArrivalTrace(
-                times=tuple(led.ingested), horizon=self.config.horizon_minutes
-            )
-            objects[obj.name] = trace_payload(
-                trace, meta={"repaired": led.repaired}
-            )
         payload = {
             "schema": CHECKPOINT_SCHEMA,
             "config": self.config.to_payload(),
-            "epoch": self.horizon.epoch,
             "catalog": [
                 {
                     "name": obj.name,
@@ -564,58 +849,156 @@ class LiveDaemon:
                 }
                 for obj in self.catalog
             ],
-            "objects": objects,
+            "epoch": self.horizon.epoch,
+            "records": [r.to_payload() for r in self.records],
+            "chain_head": self.records[-1].digest if self.records else "",
+            "objects": {
+                obj.name: self._ledgers[obj.name].to_token() for obj in self.catalog
+            },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def restore(cls, text: str) -> "LiveDaemon":
-        """Rebuild a daemon from :meth:`checkpoint` output, by replay.
+        """Rebuild a daemon from :meth:`checkpoint` output, replaying nothing.
 
         The restored daemon is indistinguishable from one that never
-        stopped (same ledgers, records, digests, planner state); calling
-        :meth:`run` with the original workload continues exactly where
-        the checkpoint left off.
+        stopped (same ledgers, records, digests, forests, planner state);
+        calling :meth:`run` with the original workload continues exactly
+        where the checkpoint left off.  Any inconsistency raises
+        ``ValueError`` naming the offending field.
         """
-        payload = json.loads(text)
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("checkpoint JSON is nested too deeply") from None
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != CHECKPOINT_SCHEMA:
             raise ValueError(
-                f"not a live checkpoint (schema={payload.get('schema')!r})"
+                f"not a live checkpoint of schema {CHECKPOINT_SCHEMA} "
+                f"(schema={schema!r}); replay checkpoints (v1) are not read"
             )
-        config = LiveConfig.from_payload(payload["config"])
-        catalog = Catalog(
-            [
-                MediaObject(
-                    name=str(entry["name"]),
-                    duration_minutes=float(entry["duration_minutes"]),
-                    weight=float(entry["weight"]),
+        token = _Fields(payload, "")
+        config_payload = token.value("config")
+        try:
+            config = LiveConfig.from_payload(config_payload)
+        except ValueError as exc:
+            raise token.error("config", str(exc)) from None
+        catalog = _catalog_from(token.items("catalog"))
+        epoch = token.integer("epoch", lo=-1)
+        if epoch >= config.num_epochs:
+            raise token.error("epoch", f"{epoch} is past the last epoch")
+
+        records = [
+            EpochRecord._from_token(_Fields(entry, f"records[{i}]"))
+            for i, entry in enumerate(token.items("records"))
+        ]
+        prev_counts = (0,) * len(catalog)
+        for i, rec in enumerate(records):
+            if rec.epoch != i or rec.drain:
+                raise ValueError(
+                    f"checkpoint field records[{i}].epoch: expected undrained "
+                    f"epoch {i}, got epoch {rec.epoch}"
                 )
-                for entry in payload["catalog"]
-            ]
-        )
-        daemon = cls(catalog, config)
-        clean_by_name: Dict[str, np.ndarray] = {}
-        for obj in catalog:
-            entry = payload["objects"].get(obj.name)
-            if entry is None:
-                raise ValueError(f"checkpoint is missing object {obj.name!r}")
-            trace = trace_from_payload(entry)
-            clean_by_name[obj.name] = np.asarray(trace.times, dtype=np.float64)
-            # fold repaired up front so replayed records carry the same
-            # cumulative counts the original run's records did
-            daemon._ledgers[obj.name].repaired = int(
-                entry.get("meta", {}).get("repaired", 0)
+            counts = rec.committed_counts
+            if len(counts) != len(catalog) or any(
+                c < p for c, p in zip(counts, prev_counts)
+            ):
+                raise ValueError(
+                    f"checkpoint field records[{i}].committed_counts: not one "
+                    f"non-decreasing count per object ({len(catalog)} objects)"
+                )
+            if rec.committed_streams != sum(counts):
+                raise ValueError(
+                    f"checkpoint field records[{i}].committed_streams: "
+                    f"{rec.committed_streams} is not the sum of its counts"
+                )
+            prev_counts = counts
+        if len(records) != epoch + 1:
+            raise token.error(
+                "epoch",
+                f"{epoch} differs from the last of the {len(records)} records",
             )
-        daemon._repaired_folded = True
-        last_epoch = int(payload["epoch"])
-        for k in range(0, last_epoch + 1):
-            t0, t1 = config.epoch_bounds(k)
-            slices = {
-                name: clean[
-                    np.searchsorted(clean, t0, side="left"):
-                    np.searchsorted(clean, t1, side="left")
-                ]
-                for name, clean in clean_by_name.items()
-            }
-            daemon._process_epoch(k, slices)
+
+        daemon = cls(catalog, config)
+        objects = token.section("objects")
+        present = set(objects.keys())
+        unknown = sorted(present - {obj.name for obj in catalog})
+        if unknown:
+            raise token.error("objects", f"{unknown[0]!r} is not in the catalog")
+        for obj in catalog:
+            if obj.name not in present:
+                raise ValueError(f"checkpoint is missing object {obj.name!r}")
+            daemon._ledgers[obj.name] = _ObjectLedger.from_token(
+                obj, config, objects.section(obj.name, f"objects[{obj.name!r}]")
+            )
+        ledgers = [daemon._ledgers[obj.name] for obj in catalog]
+        if records:
+            for key, total in (
+                ("committed_counts", tuple(led.streams for led in ledgers)),
+                ("committed_roots", sum(led.roots for led in ledgers)),
+                ("repaired", sum(led.repaired for led in ledgers)),
+            ):
+                if getattr(records[-1], key) != total:
+                    raise ValueError(
+                        f"checkpoint field records[{epoch}].{key}: differs from "
+                        f"the objects' counters ({total})"
+                    )
+        else:
+            # before epoch 0 a ledger is a fresh one, but for the repairs
+            # run() folds in ahead of its first epoch
+            for obj, led in zip(catalog, ledgers):
+                fresh = _ObjectLedger(obj, config)
+                fresh.repaired = led.repaired
+                want, got = fresh.to_token(), led.to_token()
+                changed = [key for key in want if got[key] != want[key]]
+                if changed:
+                    raise ValueError(
+                        f"checkpoint field objects[{obj.name!r}].{changed[0]}: "
+                        "state ingested before epoch 0"
+                    )
+        derived = chain_digests(
+            [led.committed_arrays() for led in ledgers],
+            [rec.committed_counts for rec in records],
+        )
+        for i, (rec, want) in enumerate(zip(records, derived)):
+            if rec.digest != want:
+                raise ValueError(
+                    f"checkpoint field records[{i}].digest: {rec.digest} does not "
+                    f"chain over the carried committed intervals (re-derived {want})"
+                )
+        if token.text("chain_head") != (derived[-1] if derived else ""):
+            raise token.error("chain_head", "is not the last record's digest")
+
+        daemon.horizon.seek(epoch)
+        if records and (
+            records[-1].ingest_clock != daemon.horizon.ingest_clock
+            or records[-1].fence != daemon.horizon.fence
+        ):
+            raise ValueError(
+                f"checkpoint field records[{epoch}].ingest_clock: the clock or "
+                f"fence differs from epoch {epoch}'s"
+            )
+        daemon.records = records
+        # run() folds a workload's repairs in once, before its first
+        # epoch.  A token with no record and no repair may predate that
+        # fold; folding then is exact (a clean workload's fold adds 0).
+        daemon._repaired_folded = bool(records) or any(led.repaired for led in ledgers)
         return daemon
+
+
+def _catalog_from(entries: list) -> Catalog:
+    fields = [_Fields(entry, f"catalog[{i}]") for i, entry in enumerate(entries)]
+    specs = [
+        (f.text("name"), f.number("duration_minutes"), f.number("weight"))
+        for f in fields
+    ]
+    try:
+        objects = [MediaObject(*spec) for spec in specs]
+        catalog = Catalog(objects)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint field catalog: {exc}") from None
+    # keep the carried weights exactly: re-normalising an already
+    # normalised catalog can move a weight by one ULP
+    catalog.objects = objects
+    return catalog

@@ -26,6 +26,7 @@ surfaces as a loud error instead of a silently reordered schedule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -108,13 +109,32 @@ class LiveConfig:
 
     @staticmethod
     def from_payload(payload: dict) -> "LiveConfig":
-        return LiveConfig(
-            delay_minutes=float(payload["delay_minutes"]),
-            horizon_minutes=float(payload["horizon_minutes"]),
-            epoch_minutes=float(payload["epoch_minutes"]),
-            fence_minutes=float(payload["fence_minutes"]),
-            policy=str(payload["policy"]),
-        )
+        """Inverse of :meth:`to_payload`, for untrusted input.
+
+        A missing key, a wrong type or a non-finite number raises
+        ``ValueError`` naming the field; so does any value the
+        constructor refuses.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected an object, got {type(payload).__name__}")
+        values = {}
+        for name in ("delay_minutes", "horizon_minutes", "epoch_minutes", "fence_minutes"):
+            if name not in payload:
+                raise ValueError(f"{name}: missing")
+            value = payload[name]
+            # JSON ints may exceed float range; abs(nan) <= max is False
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"{name}: expected a finite number, got {value!r}")
+            values[name] = float(value)
+        if "policy" not in payload:
+            raise ValueError("policy: missing")
+        if not isinstance(payload["policy"], str):
+            raise ValueError(f"policy: expected a string, got {payload['policy']!r}")
+        return LiveConfig(policy=payload["policy"], **values)
 
 
 class LiveHorizon:
@@ -153,6 +173,21 @@ class LiveHorizon:
         assert self.fence is not None and fence >= self.fence  # lag is constant
         self.fence = fence
         return t0, t1
+
+    def seek(self, k: int) -> None:
+        """Jump a fresh cursor to just after epoch ``k`` (restore path).
+
+        Leaves the cursor exactly where ``begin_epoch(0..k)`` would; ``k =
+        -1`` means nothing ingested yet.
+        """
+        if self.epoch != -1 or self.drained:
+            raise RuntimeError("seek needs a fresh cursor")
+        if k == -1:
+            return
+        _t0, t1 = self.config.epoch_bounds(k)
+        self.epoch = k
+        self.ingest_clock = t1
+        self.fence = self.config.fence_at(t1)
 
     def mark_drained(self) -> None:
         if self.drained:

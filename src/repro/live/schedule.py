@@ -18,6 +18,10 @@ identical array, which ``burnin.contracts.check_live_report`` asserts
 stream for stream against ``assign_channels_flat`` over the daemon's
 final committed intervals, along with ``channels == peak_concurrency``
 (the greedy's optimality).
+
+The planner's whole state is one free time and one release sequence
+number per channel plus two counters; :meth:`ChannelPlanner.state` and
+:meth:`ChannelPlanner.resume` carry it through the daemon's resume token.
 """
 
 from __future__ import annotations
@@ -45,6 +49,56 @@ class ChannelPlanner:
     def channels(self) -> int:
         """Channels opened so far (== peak concurrency of the streams fed)."""
         return self._channels
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray, int, float]:
+        """``(free_at, release_seq, seq, last_start)`` for :meth:`resume`.
+
+        Every opened channel sits in the free heap exactly once (each
+        assignment pops or opens a channel and pushes it straight back),
+        so the heap is two arrays indexed by channel: when each channel
+        frees up and its release sequence number.
+        """
+        free_at = np.empty(self._channels, dtype=np.float64)
+        release_seq = np.empty(self._channels, dtype=np.int64)
+        for t, rel, idx in self._free:
+            free_at[idx] = t
+            release_seq[idx] = rel
+        return free_at, release_seq, self._seq, self._last_start
+
+    @classmethod
+    def resume(
+        cls,
+        free_at: np.ndarray,
+        release_seq: np.ndarray,
+        seq: int,
+        last_start: float,
+    ) -> "ChannelPlanner":
+        """Rebuild a planner from :meth:`state` output.
+
+        Heap keys are unique (release sequence numbers never repeat), so
+        the sorted key list — itself a valid heap — pops in exactly the
+        order the original heap would.
+        """
+        if free_at.shape != release_seq.shape or free_at.ndim != 1:
+            raise ValueError("free_at and release_seq must be 1-D arrays of equal length")
+        if not np.isfinite(free_at).all():
+            raise ValueError("channel free times must be finite")
+        if release_seq.size and (
+            int(release_seq.min()) < 0
+            or int(release_seq.max()) >= seq
+            or np.unique(release_seq).size != release_seq.size
+        ):
+            raise ValueError(
+                f"release sequence numbers must be distinct and in [0, {seq})"
+            )
+        planner = cls()
+        planner._free = sorted(
+            zip(free_at.tolist(), release_seq.tolist(), range(free_at.size))
+        )
+        planner._seq = seq
+        planner._channels = int(free_at.size)
+        planner._last_start = last_start
+        return planner
 
     def assign(
         self,

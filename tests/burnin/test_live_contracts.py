@@ -98,6 +98,44 @@ class TestSeededViolations:
             "live.committed-prefix-immutability"
         ]
 
+    def test_rewritten_last_stream_before_drain_is_caught(self, clean_report):
+        # the newest stream any epoch record hashed: only that record's
+        # link (and the drain's, which chains over it) can see it
+        records = clean_report.records
+        counts = records[-2].committed_counts
+        victim = max(range(len(counts)), key=lambda i: counts[i])
+        assert counts[victim] > 0
+        objects = list(clean_report.fleet.objects)
+        ends = objects[victim].ends.copy()
+        ends[counts[victim] - 1] = np.nextafter(ends[counts[victim] - 1], np.inf)
+        objects[victim] = dataclasses.replace(objects[victim], ends=ends)
+        fleet = dataclasses.replace(clean_report.fleet, objects=objects)
+        broken = dataclasses.replace(clean_report, fleet=fleet)
+        assert not _names(check_live_report(broken))[
+            "live.committed-prefix-immutability"
+        ]
+
+    def test_count_moved_between_objects_is_caught(self, clean_report):
+        # same total, same bytes in the same order — only the per-object
+        # split of one record's commits changes
+        records = list(clean_report.records)
+        victim = next(
+            i
+            for i in range(1, len(records) - 1)
+            if records[i].committed_counts[0] > records[i - 1].committed_counts[0]
+        )
+        counts = list(records[victim].committed_counts)
+        counts[0] -= 1
+        counts[1] += 1
+        records[victim] = dataclasses.replace(
+            records[victim], committed_counts=tuple(counts)
+        )
+        assert records[victim].committed_streams == sum(counts)
+        broken = dataclasses.replace(clean_report, records=records)
+        assert not _names(check_live_report(broken))[
+            "live.committed-prefix-immutability"
+        ]
+
     def test_non_monotone_epochs_are_caught(self, clean_report):
         records = list(clean_report.records)
         records[2] = dataclasses.replace(records[2], epoch=5)

@@ -179,6 +179,42 @@ def test_batch_after_evict_and_empty_batch():
     _assert_identical(_materialise(inc, committed), dyadic_flat_forest(ts, L, params))
 
 
+def _state(inc):
+    return (
+        inc._arrivals, inc._parent, inc._z, inc._offset, inc._tree_roots,
+        inc._tree_cutoffs, inc._last_time, inc._watermark,
+        [(e.node, e.arrival, e.cutoff, e.last_child_interval) for e in inc._stack],
+    )
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_resume_rebuilds_the_open_window_exactly(params):
+    ts = _poisson_trace(400, seed=5, scale=1.3)
+    inc = IncrementalFlatForest(L, params)
+    for k, lo in enumerate(range(0, ts.size, 23)):
+        inc.push_batch(ts[lo : lo + 23])
+        if k % 3 == 2:
+            inc.evict_committable(float(ts[lo]) - params.window(L) / 3)
+        back = IncrementalFlatForest.resume(L, *inc.open_window(), params=params)
+        assert _state(back) == _state(inc)
+    # everything committed: the empty window still remembers its last push
+    inc.evict_committable(math.inf)
+    back = IncrementalFlatForest.resume(L, *inc.open_window(), params=params)
+    assert len(back) == 0 and _state(back) == _state(inc)
+    with pytest.raises(RuntimeError):
+        back.push(float(ts[-1]) + 1.0)  # still at or below the watermark
+
+
+def test_resume_rejects_inconsistent_state():
+    arrivals = np.asarray([10.0, 11.0])
+    with pytest.raises(ValueError, match="watermark"):
+        IncrementalFlatForest.resume(L, arrivals, 3, 10.0, 11.0)
+    with pytest.raises(ValueError, match="last push"):
+        IncrementalFlatForest.resume(L, arrivals, 3, 5.0, 12.0)
+    with pytest.raises(ValueError, match="offset"):
+        IncrementalFlatForest.resume(L, arrivals, -1, 5.0, 11.0)
+
+
 def test_rejects_bad_input():
     inc = IncrementalFlatForest(L)
     inc.push(1.0)

@@ -123,20 +123,26 @@ class TestRecords:
 class TestCheckpointRestore:
     @pytest.mark.parametrize("policy", LIVE_POLICIES)
     def test_midrun_restore_replays_identically(self, catalog, workload, policy):
-        config = _config(policy)
-        daemon = LiveDaemon(catalog, config)
-        daemon.run(workload, until_epoch=config.num_epochs // 2 - 1)
-        snapshot = daemon.checkpoint()
-        report = daemon.run(workload)
+        # a fence lag shorter than a merge window, and one longer
+        for epoch, fence in ((10.0, 15.0), (6.0, 40.0)):
+            config = _config(policy, epoch, fence)
+            daemon = LiveDaemon(catalog, config)
+            daemon.run(workload, until_epoch=config.num_epochs // 2 - 1)
+            snapshot = daemon.checkpoint()
+            report = daemon.run(workload)
 
-        resumed = LiveDaemon.restore(snapshot).run(workload)
-        assert resumed is not None
-        assert fleet_reports_equal(resumed.fleet, report.fleet) is None
-        assert [r.to_payload() for r in resumed.records] == [
-            r.to_payload() for r in report.records
-        ]
-        for name in resumed.channels:
-            np.testing.assert_array_equal(resumed.channels[name], report.channels[name])
+            resumed = LiveDaemon.restore(snapshot).run(workload)
+            assert resumed is not None
+            assert fleet_reports_equal(resumed.fleet, report.fleet) is None
+            oracle = _oracle(catalog, workload, config)
+            assert fleet_reports_equal(resumed.fleet, oracle) is None
+            assert [r.to_payload() for r in resumed.records] == [
+                r.to_payload() for r in report.records
+            ]
+            for name in resumed.channels:
+                np.testing.assert_array_equal(
+                    resumed.channels[name], report.channels[name]
+                )
 
     def test_checkpoint_at_zero_epochs(self, catalog, workload):
         config = _config()

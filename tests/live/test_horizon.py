@@ -70,6 +70,27 @@ class TestLiveConfig:
         config = _config(policy=policy, epoch_minutes=7.5)
         assert LiveConfig.from_payload(config.to_payload()) == config
 
+    def test_from_payload_names_the_bad_field(self):
+        good = _config().to_payload()
+        for key in good:
+            payload = dict(good)
+            del payload[key]
+            with pytest.raises(ValueError, match=f"{key}: missing"):
+                LiveConfig.from_payload(payload)
+        for key, value in (
+            ("delay_minutes", "5"),
+            ("epoch_minutes", True),
+            ("fence_minutes", float("nan")),
+            ("horizon_minutes", 10**400),
+            ("policy", 3),
+        ):
+            with pytest.raises(ValueError, match=f"{key}: expected"):
+                LiveConfig.from_payload({**good, key: value})
+        with pytest.raises(ValueError, match="fence_minutes"):
+            LiveConfig.from_payload({**good, "fence_minutes": 0})
+        with pytest.raises(ValueError, match="expected an object"):
+            LiveConfig.from_payload([])
+
     @pytest.mark.parametrize("policy", LIVE_POLICIES)
     def test_fleet_policy_kind_matches(self, policy):
         assert _config(policy=policy).fleet_policy().kind == policy

@@ -1,0 +1,469 @@
+"""Resume tokens: state equivalence across restore, hostile-token rejection.
+
+``LiveDaemon.restore`` rebuilds a daemon from a ``repro.live-checkpoint.v2``
+token without replaying an epoch.  The restored daemon must be the
+uninterrupted one — byte-identical token, node-identical open forests,
+identical planners — and a damaged or hostile token must raise a
+``ValueError`` naming the field, never ``KeyError``/``TypeError``/
+``AssertionError``.
+"""
+
+from __future__ import annotations
+
+import base64
+import copy
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from repro.burnin.contracts import fleet_reports_equal
+from repro.fastpath.incremental import IncrementalFlatForest
+from repro.fleet.scenarios import scenario_workload
+from repro.live import CHECKPOINT_SCHEMA, LIVE_POLICIES, LiveConfig, LiveDaemon
+from repro.multiplex.catalog import Catalog
+
+DELAY = 1.5
+HORIZON = 120.0
+#: (epoch, fence) geometries: short lag, and a lag longer than a window
+GEOMETRIES = [(10.0, 15.0), (6.0, 40.0)]
+
+
+def _config(policy="batched-dyadic", epoch=10.0, fence=15.0) -> LiveConfig:
+    return LiveConfig(
+        delay_minutes=DELAY,
+        horizon_minutes=HORIZON,
+        epoch_minutes=epoch,
+        fence_minutes=fence,
+        policy=policy,
+    )
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return Catalog.zipf(5, duration_minutes=45.0)
+
+
+@pytest.fixture(scope="module")
+def workload(catalog):
+    return scenario_workload("blend", catalog, 0.3, HORIZON, seed=19)
+
+
+def _midrun(catalog, workload, config):
+    daemon = LiveDaemon(catalog, config)
+    daemon.run(workload, until_epoch=config.num_epochs // 2 - 1)
+    return daemon, daemon.checkpoint()
+
+
+def _forest_state(forest):
+    if forest is None:
+        return None
+    return {
+        "arrivals": forest._arrivals,
+        "parent": forest._parent,
+        "z": forest._z,
+        "offset": forest._offset,
+        "roots": forest._tree_roots,
+        "cutoffs": forest._tree_cutoffs,
+        "stack": [
+            (e.node, e.arrival, e.cutoff, e.last_child_interval)
+            for e in forest._stack
+        ],
+        "last": forest._last_time,
+        "watermark": forest._watermark,
+    }
+
+
+def _planner_state(planner):
+    return sorted(planner._free), planner._seq, planner._channels, planner._last_start
+
+
+@pytest.mark.parametrize("epoch,fence", GEOMETRIES)
+@pytest.mark.parametrize("policy", LIVE_POLICIES)
+class TestStateEquivalence:
+    def test_checkpoint_of_restore_is_byte_identical(
+        self, catalog, workload, policy, epoch, fence
+    ):
+        _daemon, text = _midrun(catalog, workload, _config(policy, epoch, fence))
+        assert LiveDaemon.restore(text).checkpoint() == text
+
+    def test_open_state_equals_uninterrupted(
+        self, catalog, workload, policy, epoch, fence
+    ):
+        daemon, text = _midrun(catalog, workload, _config(policy, epoch, fence))
+        restored = LiveDaemon.restore(text)
+        for key in ("epoch", "ingest_clock", "fence", "drained"):
+            assert getattr(restored.horizon, key) == getattr(daemon.horizon, key)
+        open_nodes = 0
+        for name, led in daemon._ledgers.items():
+            back = restored._ledgers[name]
+            assert _forest_state(back.forest) == _forest_state(led.forest)
+            assert back.pending == led.pending
+            assert _planner_state(back.planner) == _planner_state(led.planner)
+            for attr in (
+                "clients", "repaired", "roots", "streams", "max_wait_slots",
+                "max_cutoff_minutes", "_last_push",
+            ):
+                assert getattr(back, attr) == getattr(led, attr), attr
+            open_nodes += len(led.forest) if led.forest is not None else len(led.pending)
+        assert open_nodes > 0, "the checkpoint should hold a non-empty open window"
+
+    def test_restore_replays_no_epoch(
+        self, catalog, workload, policy, epoch, fence, monkeypatch
+    ):
+        daemon, text = _midrun(catalog, workload, _config(policy, epoch, fence))
+        calls = {"epochs": 0, "batch_pushed": 0, "scalar_pushes": 0}
+        process, push_batch, push = (
+            LiveDaemon._process_epoch,
+            IncrementalFlatForest.push_batch,
+            IncrementalFlatForest.push,
+        )
+
+        def counting_process(self, *args):
+            calls["epochs"] += 1
+            return process(self, *args)
+
+        def counting_push_batch(self, arrivals):
+            calls["batch_pushed"] += len(arrivals)
+            return push_batch(self, arrivals)
+
+        def counting_push(self, t):
+            calls["scalar_pushes"] += 1
+            return push(self, t)
+
+        monkeypatch.setattr(LiveDaemon, "_process_epoch", counting_process)
+        monkeypatch.setattr(IncrementalFlatForest, "push_batch", counting_push_batch)
+        monkeypatch.setattr(IncrementalFlatForest, "push", counting_push)
+        restored = LiveDaemon.restore(text)
+        assert calls["epochs"] == 0
+        assert calls["scalar_pushes"] == 0
+        live = sum(
+            len(led.forest) for led in daemon._ledgers.values() if led.forest is not None
+        )
+        assert calls["batch_pushed"] == live
+        assert restored.horizon.epoch == daemon.horizon.epoch
+
+
+def test_restore_before_any_epoch(catalog, workload):
+    config = _config()
+    text = LiveDaemon(catalog, config).checkpoint()
+    restored = LiveDaemon.restore(text)
+    assert restored.horizon.epoch == -1 and restored.records == []
+    assert restored.checkpoint() == text
+    report = restored.run(workload)
+    assert fleet_reports_equal(report.fleet, LiveDaemon(catalog, config).run(workload).fleet) is None
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_restore_before_any_epoch_counts_repairs_once(catalog, workload, folded):
+    # run() folds a workload's repairs in before its first epoch: a token
+    # taken before that fold must fold them, one taken after must not
+    config = _config()
+    dirty = dict(workload)
+    dirty[catalog.objects[0].name] = np.array([5.0, 5.0, math.nan, 30.0])
+    daemon = LiveDaemon(catalog, config)
+    if folded:
+        daemon.run(dirty, until_epoch=-1)
+    resumed = LiveDaemon.restore(daemon.checkpoint()).run(dirty)
+    uninterrupted = LiveDaemon(catalog, config).run(dirty)
+    assert resumed.fleet.repaired == uninterrupted.fleet.repaired == 2
+    assert fleet_reports_equal(resumed.fleet, uninterrupted.fleet) is None
+
+
+# ---------------------------------------------------------------------------
+# hostile tokens
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def token(catalog, workload):
+    daemon = LiveDaemon(catalog, _config())
+    daemon.run(workload, until_epoch=6)
+    payload = json.loads(daemon.checkpoint())
+    busy = max(payload["objects"], key=lambda n: payload["objects"][n]["streams"])
+    obj = payload["objects"][busy]
+    assert obj["streams"] > 4 and _decode(obj["open"]["arrivals"]).size > 2
+    return payload, busy
+
+
+def _decode(text, dtype="<f8"):
+    return np.frombuffer(base64.b64decode(text), dtype=dtype).copy()
+
+
+def _encode(values, dtype="<f8"):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
+
+def _rejects(payload, match):
+    with pytest.raises(ValueError, match=match):
+        LiveDaemon.restore(json.dumps(payload))
+
+
+def _copy(token):
+    payload, busy = token
+    payload = copy.deepcopy(payload)
+    return payload, payload["objects"][busy]
+
+
+class TestHostileTokens:
+    def test_clean_token_restores(self, token):
+        payload, _ = _copy(token)
+        assert LiveDaemon.restore(json.dumps(payload)).horizon.epoch == 6
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("config", "fence_minutes"),
+            ("epoch",),
+            ("records",),
+            ("records", 0, "digest"),
+            ("chain_head",),
+            ("objects", None, "clients"),
+            ("objects", None, "committed", "starts"),
+            ("objects", None, "open", "watermark"),
+            ("objects", None, "planner", "seq"),
+        ],
+    )
+    def test_missing_key(self, token, path):
+        payload, _ = _copy(token)
+        node = payload
+        for key in path[:-1]:
+            node = node[token[1] if key is None else key]
+        del node[path[-1]]
+        _rejects(payload, rf"{path[-1]}: missing")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            (None, "clients", "7"),
+            (None, "streams", 1.5),
+            (None, "repaired", -1),
+            (None, "committed", []),
+            (None, "max_wait_slots", None),
+            ("open", "offset", True),
+            ("planner", "seq", "0"),
+            ("committed", "starts", 42),
+        ],
+    )
+    def test_wrong_type(self, token, section, key, value):
+        payload, obj = _copy(token)
+        (obj if section is None else obj[section])[key] = value
+        _rejects(payload, rf"{key}: expected")
+
+    def test_wrong_top_level_types(self, token):
+        for key, value in (("records", "x"), ("epoch", {"a": 1}), ("objects", [])):
+            payload, _ = _copy(token)
+            payload[key] = value
+            _rejects(payload, rf"{key}: expected")
+        with pytest.raises(ValueError, match="not a live checkpoint"):
+            LiveDaemon.restore("[1, 2]")
+        with pytest.raises(ValueError):
+            LiveDaemon.restore("{not json")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            LiveDaemon.restore("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("section,key", [("committed", "starts"), ("open", "arrivals")])
+    def test_truncated_array(self, token, section, key):
+        payload, obj = _copy(token)
+        obj[section][key] = obj[section][key][:-4]  # drops the last 3 bytes
+        _rejects(payload, rf"{section}\.{key}")
+        raw = base64.b64decode(obj[section][key] + "====")
+        obj[section][key] = base64.b64encode(raw[:-3]).decode()  # valid base64, 5-byte tail
+        _rejects(payload, rf"{section}\.{key}")
+
+    @pytest.mark.parametrize("key", ["starts", "ends", "channels"])
+    def test_non_base64_array(self, token, key):
+        payload, obj = _copy(token)
+        obj["committed"][key] = "@@@@" + obj["committed"][key][4:]
+        _rejects(payload, rf"committed\.{key}: not base64")
+
+    @pytest.mark.parametrize("key", ["starts", "ends", "channels"])
+    def test_array_length_differs_from_counters(self, token, key):
+        payload, obj = _copy(token)
+        dtype = "<i8" if key == "channels" else "<f8"
+        obj["committed"][key] = _encode(_decode(obj["committed"][key], dtype)[:-1], dtype)
+        _rejects(payload, rf"committed\.{key}")
+
+    def test_stream_counter_differs_from_arrays(self, token):
+        payload, obj = _copy(token)
+        obj["streams"] += 1
+        _rejects(payload, r"committed\.starts")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("section,key,match", [
+        ("committed", "starts", r"committed\.starts: non-finite"),
+        ("committed", "ends", r"committed\.ends: non-finite"),
+        ("open", "arrivals", r"open\.arrivals: non-finite"),
+        ("planner", "free_at", r"planner: channel free times must be finite"),
+    ])
+    def test_non_finite_values(self, token, section, key, match, value):
+        payload, obj = _copy(token)
+        values = _decode(obj[section][key])
+        values[len(values) // 2] = value
+        obj[section][key] = _encode(values)
+        _rejects(payload, match)
+
+    @pytest.mark.parametrize("section,key", [("committed", "starts"), ("open", "arrivals")])
+    def test_unsorted_values(self, token, section, key):
+        payload, obj = _copy(token)
+        values = _decode(obj[section][key])
+        values[[1, 2]] = values[[2, 1]]
+        obj[section][key] = _encode(values)
+        _rejects(payload, rf"{section}\.{key}: not (sorted|strictly increasing)")
+
+    def test_live_arrival_at_or_below_watermark(self, token):
+        payload, obj = _copy(token)
+        obj["open"]["watermark"] = float(_decode(obj["open"]["arrivals"])[0])
+        _rejects(payload, r"open\.arrivals: live arrival .* watermark")
+
+    def test_committed_start_nudged_one_ulp_breaks_the_chain(self, token):
+        payload, obj = _copy(token)
+        starts = _decode(obj["committed"]["starts"])
+        k = starts.size // 2
+        starts[k] = np.nextafter(starts[k], math.inf)
+        obj["committed"]["starts"] = _encode(starts)
+        _rejects(payload, r"records\[\d+\]\.digest: .* does not chain")
+
+    def test_committed_end_nudged_one_ulp_breaks_the_chain(self, token):
+        payload, obj = _copy(token)
+        ends = _decode(obj["committed"]["ends"])
+        ends[-1] = np.nextafter(ends[-1], math.inf)
+        obj["committed"]["ends"] = _encode(ends)
+        _rejects(payload, r"digest")
+
+    @pytest.mark.parametrize("drop", [0, 3, -1])
+    def test_shortened_record_list(self, token, drop):
+        payload, _ = _copy(token)
+        del payload["records"][drop]
+        _rejects(payload, "records")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_epoch_differs_from_last_record(self, token, delta):
+        payload, _ = _copy(token)
+        payload["epoch"] += delta
+        _rejects(payload, "epoch")
+
+    def test_chain_head_mismatch(self, token):
+        payload, _ = _copy(token)
+        payload["chain_head"] = payload["records"][-2]["digest"]
+        _rejects(payload, "chain_head")
+
+    def test_record_counts_moved_between_objects(self, token):
+        payload, _ = _copy(token)
+        rec = payload["records"][-1]
+        counts = rec["committed_counts"]
+        src = int(np.argmax(counts))
+        counts[src] -= 1
+        counts[(src + 1) % len(counts)] += 1
+        _rejects(payload, "committed_counts")
+
+    @pytest.mark.parametrize("count", [2**70, 0])
+    def test_record_counts_out_of_order(self, token, count):
+        # a count beyond any array (or shrinking back) never reaches the hash
+        payload, _ = _copy(token)
+        payload["records"][-3]["committed_counts"][0] = count
+        payload["records"][-4]["committed_counts"][0] = max(
+            1, payload["records"][-4]["committed_counts"][0]
+        )
+        for rec in payload["records"]:
+            rec["committed_streams"] = sum(rec["committed_counts"])
+        _rejects(payload, r"records\[\d+\]\.committed_counts")
+
+    @pytest.mark.parametrize("key", ["committed_roots", "repaired"])
+    def test_last_record_totals_differ_from_counters(self, token, key):
+        # neither total is hashed into the chain
+        payload, _ = _copy(token)
+        payload["records"][-1][key] += 1
+        _rejects(payload, rf"records\[6\]\.{key}: differs from the objects' counters")
+
+    def test_record_streams_differ_from_its_counts(self, token):
+        payload, _ = _copy(token)
+        payload["records"][2]["committed_streams"] += 1
+        _rejects(payload, r"records\[2\]\.committed_streams")
+
+    @pytest.mark.parametrize("key", ["seq", "last_start"])
+    def test_planner_differs_from_committed_streams(self, token, key):
+        payload, obj = _copy(token)
+        planner = obj["planner"]
+        if key == "seq":
+            planner["seq"] += 1
+        else:
+            planner["last_start"] = float(np.nextafter(planner["last_start"], -math.inf))
+        _rejects(payload, rf"planner\.{key}")
+
+    def test_v1_schema_is_rejected_by_name(self, token):
+        payload, _ = _copy(token)
+        payload["schema"] = "repro.live-checkpoint.v1"
+        _rejects(payload, r"repro\.live-checkpoint\.v1")
+        assert CHECKPOINT_SCHEMA == "repro.live-checkpoint.v2"
+
+    def test_planner_release_sequence_must_be_distinct(self, token):
+        payload, obj = _copy(token)
+        seq = _decode(obj["planner"]["release_seq"], "<i8")
+        seq[:] = 0
+        obj["planner"]["release_seq"] = _encode(seq, "<i8")
+        _rejects(payload, "planner")
+
+    def test_channel_id_outside_the_planner(self, token):
+        payload, obj = _copy(token)
+        ids = _decode(obj["committed"]["channels"], "<i8")
+        ids[0] = obj["planner"]["channels"]
+        obj["committed"]["channels"] = _encode(ids, "<i8")
+        _rejects(payload, r"committed\.channels")
+
+    def test_unknown_object(self, token):
+        payload, obj = _copy(token)
+        payload["objects"]["intruder"] = obj
+        _rejects(payload, "intruder")
+
+    def test_every_leaf_replaced_raises_only_value_error(self, token):
+        """Sweep: each scalar leaf swapped for wrong-typed values either
+        restores or raises ``ValueError`` — never another exception."""
+        payload, _ = _copy(token)
+
+        def leaves(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)) and not (
+                    path == ("records",) and key not in (0, len(node) - 1)
+                ):
+                    yield from leaves(value, path + (key,))
+                elif not isinstance(value, (dict, list)):
+                    yield path + (key,)
+
+        paths = list(leaves(payload))
+        assert len(paths) > 100
+        for path in paths:
+            for value in (None, -1, 2.5, "x", [], True, 2**70, 10**400):
+                mutated = copy.deepcopy(payload)
+                node = mutated
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    LiveDaemon.restore(json.dumps(mutated))
+                except ValueError:
+                    pass
+
+
+class TestTokenBeforeEpochZero:
+    """A token with no record has ingested nothing: every ledger must be
+    fresh but for its repairs (accepted by
+    ``test_restore_before_any_epoch_counts_repairs_once``), whatever the
+    empty chain says."""
+
+    def test_committed_streams_are_rejected(self, catalog, token):
+        payload, busy = token
+        fresh = json.loads(LiveDaemon(catalog, _config()).checkpoint())
+        fresh["objects"][busy] = copy.deepcopy(payload["objects"][busy])
+        assert fresh["epoch"] == -1 and fresh["records"] == [] and fresh["chain_head"] == ""
+        _rejects(fresh, rf"objects\[{re.escape(repr(busy))}\]\.clients: .*before epoch 0")
+
+    def test_open_window_arrivals_are_rejected(self, catalog):
+        payload = json.loads(LiveDaemon(catalog, _config()).checkpoint())
+        obj = payload["objects"][catalog.objects[0].name]
+        obj["open"]["arrivals"] = _encode([1.0, 2.0])
+        obj["last_push"] = 2.0
+        _rejects(payload, r"before epoch 0")
