@@ -19,6 +19,14 @@ Knuth-windowed flat forest, ``assign_channels_flat`` and the stacked
 interval-array aggregation (``fleet.dg_fleet_peak``,
 ``simulation.channels.interval_profile``).  Every timed pair asserts
 exact agreement.
+
+The ``capacity_plan`` rows time the capacity sequence of ``python -m
+repro fleet`` (``dg_fleet_peak`` -> ``capacity_frontier`` ->
+``admission_report``) at 1000 titles from a cold envelope memo, against
+the same sequence on the frozen concatenate-and-sort peak with
+one-title-at-a-time shedding.  Uniform durations share one envelope per
+delay probe; seeded mixed durations do not, so that row is bounded by
+the envelope builds both sides pay.
 """
 
 from __future__ import annotations
@@ -31,7 +39,10 @@ if __name__ == "__main__":  # script mode: make src importable before repro
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import contextlib
+
 import numpy as np
+import pytest
 
 from repro.core.general import (
     optimal_forest_general_reference,
@@ -39,15 +50,24 @@ from repro.core.general import (
 from repro.core.online import build_online_flat_forest
 from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.general import optimal_flat_forest_general
-from repro.fleet import dg_fleet_peak
-from repro.fleet.capacity import dg_envelopes
-from repro.multiplex import Catalog
+from repro.fleet import (
+    AdmissionReport,
+    admission_report,
+    capacity,
+    capacity_frontier,
+    default_delay_grid,
+    dg_fleet_peak,
+    min_fleet_delay,
+)
+from repro.fleet.capacity import dg_envelope, dg_envelopes
+from repro.multiplex import Catalog, MediaObject, zipf_weights
 from repro.simulation.channels import (
     StreamInterval,
     assign_channels,
     assign_channels_flat,
     flat_forest_intervals,
     interval_profile,
+    peak_concurrency,
 )
 
 from repro.fastpath.general import _knuth_tables
@@ -111,6 +131,97 @@ def dg_catalog_intervals(catalog, delay: float, horizon: float):
     return starts, ends
 
 
+#: the ``python -m repro fleet`` capacity sequence at catalog scale:
+#: 1000 titles, a one-day horizon and a 2-minute delay
+CAPACITY_TITLES, CAPACITY_HORIZON, CAPACITY_DELAY = 1000, 1440.0, 2.0
+
+#: asserted capacity_plan speedups: uniform durations share one envelope
+#: per probe; mixed durations pay the same envelope builds on both sides
+CAPACITY_FLOORS = {"uniform": 10.0, "mixed": 2.0}
+
+
+def capacity_catalog(titles: int, durations: str) -> Catalog:
+    """A Zipf catalog with 120-minute titles (``"uniform"``) or seeded
+    durations uniform on 80-180 minutes (``"mixed"``)."""
+    if durations == "uniform":
+        return Catalog.zipf(titles, duration_minutes=120.0, exponent=0.8)
+    minutes = np.random.default_rng(1).uniform(80.0, 180.0, titles)
+    return Catalog([
+        MediaObject(f"title-{i + 1:03d}", float(d), float(w))
+        for i, (d, w) in enumerate(zip(minutes, zipf_weights(titles, 0.8)))
+    ])
+
+
+def stacked_peak(envelopes) -> int:
+    """The concatenate-and-sort fleet peak: one stacked copy per object.
+
+    Keep in sync with ``stacked_peak`` in ``tests/fleet/test_capacity.py``
+    (not shared: ``tests`` is not importable from benchmark script mode).
+    """
+    if not envelopes:
+        return 0
+    starts = np.concatenate([env[1] for env in envelopes])
+    ends = np.concatenate([env[2] for env in envelopes])
+    return peak_concurrency(starts, ends)
+
+
+def shed_linear(catalog, horizon, budget, delay) -> AdmissionReport:
+    """One title shed per stacked peak until the admitted set fits.
+
+    Keep in sync with ``shed_linear`` in ``tests/fleet/test_capacity.py``.
+    """
+    envelope = dict(zip(catalog, dg_envelopes(catalog, delay, horizon)))
+    by_popularity = sorted(catalog, key=lambda o: o.weight)  # least first
+    admitted = list(catalog.objects)
+    dropped = []
+    peak = stacked_peak([envelope[o] for o in admitted])
+    for obj in by_popularity:
+        if peak <= budget:
+            break
+        admitted = [o for o in admitted if o.name != obj.name]
+        dropped.append(obj.name)
+        peak = stacked_peak([envelope[o] for o in admitted])
+    return AdmissionReport(
+        budget_channels=budget,
+        delay_minutes=delay,
+        feasible=False,
+        admitted=tuple(o.name for o in admitted),
+        dropped=tuple(dropped),
+        peak_channels=peak,
+        served_weight_fraction=float(sum(o.weight for o in admitted)),
+    )
+
+
+@contextlib.contextmanager
+def stacked_peaks():
+    """Route every ``fleet.capacity`` peak through :func:`stacked_peak`."""
+    weighted = capacity.aggregate_peak
+    capacity.aggregate_peak = stacked_peak
+    try:
+        yield
+    finally:
+        capacity.aggregate_peak = weighted
+
+
+def capacity_plan(catalog: Catalog, reference: bool = False):
+    """``(peak, frontier, admission)`` from the CLI's capacity sequence,
+    from a cold envelope memo as every CLI run starts; ``reference`` runs
+    it on stacked peaks with linear shedding."""
+    horizon, delay = CAPACITY_HORIZON, CAPACITY_DELAY
+    dg_envelope.cache_clear()
+    with stacked_peaks() if reference else contextlib.nullcontext():
+        peak = dg_fleet_peak(catalog, delay, horizon)
+        budgets = sorted({max(1, int(peak * f)) for f in (1.5, 1.0, 0.75, 0.5, 0.25)})
+        hi = delay * 16
+        grid = default_delay_grid(lo=min(max(0.25, delay / 8), hi / 2), hi=hi)
+        frontier = capacity_frontier(catalog, horizon, budgets, grid)
+        if not reference:
+            return peak, frontier, admission_report(catalog, horizon, budgets[0], grid)
+        # the tightest budget sheds, so the frozen loop is the whole report
+        assert min_fleet_delay(catalog, horizon, budgets[0], grid) is None
+        return peak, frontier, shed_linear(catalog, horizon, budgets[0], grid[-1])
+
+
 def _channel_case(n: int):
     """(interval objects, starts, ends) for a DG forest with ~n streams."""
     flat = build_online_flat_forest(FOREST_L, n)
@@ -154,6 +265,14 @@ def test_aggregate_profile_smoke(benchmark):
     peak = dg_fleet_peak(catalog, 10.0, 480.0)
     assert prof.max() >= peak
     assert peak == reference_aggregate_peak(starts.tolist(), ends.tolist())
+
+
+@pytest.mark.parametrize("durations", sorted(CAPACITY_FLOORS))
+def test_capacity_plan_smoke(benchmark, durations):
+    catalog = capacity_catalog(120, durations)
+    fast = benchmark(capacity_plan, catalog)
+    assert not fast[2].feasible and fast[2].dropped
+    assert fast == capacity_plan(catalog, reference=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +374,21 @@ def run_sweep() -> Dict:
     assert fast_prof.max() >= fast_peak
     rows.append(_case("aggregate_profile", n_streams, ref_s, fast_s))
 
+    # -- capacity planning: weighted peaks + bisected shedding --------------
+    for durations, floor in sorted(CAPACITY_FLOORS.items(), reverse=True):
+        catalog = capacity_catalog(CAPACITY_TITLES, durations)
+        ref_s, ref_plan = timeit_best(
+            lambda: capacity_plan(catalog, reference=True), repeats=2
+        )
+        fast_s, fast_plan = timeit_best(lambda: capacity_plan(catalog), repeats=3)
+        assert fast_plan == ref_plan
+        assert ref_s / fast_s >= floor, (durations, ref_s, fast_s)
+        rows.append(_case(
+            "capacity_plan", len(catalog), ref_s, fast_s,
+            durations=durations, dropped=len(fast_plan[2].dropped),
+            backend=backend,
+        ))
+
     payload = {
         "schema": "repro.fastpath.bench.v1",
         "L": GENERAL_L,
@@ -266,7 +400,13 @@ def run_sweep() -> Dict:
             "exact agreement asserted on every pair.  knuth_tables_backend "
             "times the backend-dispatched Knuth window scan at n = 4000 "
             "(compiled under numba; numpy-only rows record ~1x with an "
-            "honest backend tag)."
+            "honest backend tag).  capacity_plan times python -m repro "
+            "fleet's dg_fleet_peak -> capacity_frontier -> admission_report "
+            "at 1000 titles, 1440-minute horizon, 2-minute delay, from a "
+            "cold envelope memo: multiplicity-weighted peaks with bisected "
+            "shedding vs concatenate-and-sort peaks with one title shed per "
+            "peak, on uniform (floor 10x) and seeded mixed 80-180 minute "
+            "durations (floor 2x; both sides pay the same envelope builds)."
         ),
         "benchmarks": rows,
     }

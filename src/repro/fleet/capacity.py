@@ -11,7 +11,11 @@ the candidate grid (the tests keep the unmemoised scan as their oracle).
 Peaks are taken straight from the memoised slot-unit envelopes: every
 object in a fleet shares one slot (the delay guarantee) and the DG
 envelope endpoints are whole slots, so the peak is the same on the slot
-and the minute timeline and nothing is rescaled.
+and the minute timeline and nothing is rescaled.  Whole-slot endpoints
+also mean no sort is needed: :func:`aggregate_peak` adds each *distinct*
+envelope, times the number of objects sharing it, into one int64
+difference array over the slots, so titles of one duration cost one
+envelope's worth of work per delay probe, not one per title.
 
 Monotonicity caveat: the fleet DG peak is nonincreasing in the delay up
 to the ``L = round(duration / delay)`` rounding, which can produce
@@ -20,18 +24,26 @@ observed inversions.  The bisection assumes the predicate
 ``peak(delay) <= budget`` is monotone on the grid; the returned delay is
 always *verified* feasible (the predicate was evaluated on it), so a
 rare inversion can only make the answer conservative, never infeasible.
+
+Load shedding has no such caveat.  Dropping a title removes its
+intervals and never adds one, so the admitted set's peak is exactly
+nonincreasing in the number of least-popular titles dropped, and
+:func:`admission_report` bisects the drop count: O(log n) peak
+evaluations give the same plan as dropping one title at a time (the
+tests keep that loop as their oracle).
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..multiplex.catalog import Catalog, MediaObject
-from ..simulation.channels import peak_concurrency
 
 __all__ = [
     "default_delay_grid",
@@ -56,9 +68,22 @@ def default_delay_grid(
     lo: float = 0.25, hi: float = 32.0, points: int = 22
 ) -> List[float]:
     """A geometric candidate-delay grid in minutes (lo and hi included)."""
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("need 0 < lo < hi, both finite")
+    if points < 2:
+        raise ValueError("need points >= 2: lo and hi are both included")
     return [float(d) for d in np.geomspace(lo, hi, points)]
+
+
+def _candidate_delays(delays: Optional[Sequence[float]]) -> List[float]:
+    """The sorted candidate grid (the default grid when None), validated:
+    at least one delay, every one positive and finite."""
+    grid = sorted(delays if delays is not None else default_delay_grid())
+    if not grid:
+        raise ValueError("need at least one candidate delay")
+    if not all(0 < d < math.inf for d in grid):
+        raise ValueError(f"candidate delays must be positive and finite, got {grid}")
+    return grid
 
 
 @lru_cache(maxsize=1024)
@@ -98,18 +123,40 @@ def dg_envelopes(
     return [dg_envelope(obj.units(delay_minutes), n_slots) for obj in objects]
 
 
+def _whole_slots(values: np.ndarray) -> np.ndarray:
+    """Endpoints as int64 slot indices; ValueError unless the cast is exact."""
+    slots = values.astype(np.int64)
+    if not np.array_equal(slots, values):
+        raise ValueError("envelope endpoints must be whole slots")
+    return slots
+
+
 def aggregate_peak(envelopes: Sequence[Envelope]) -> int:
     """Peak number of simultaneously live streams across envelopes.
 
-    The envelopes must share one timeline.  Half-open intervals, so a
-    stream ending exactly when another starts never double-counts (see
-    :func:`~repro.simulation.channels.peak_concurrency`); 0 when empty.
+    The envelopes share one timeline of whole, non-negative slots.  Each
+    distinct envelope (by identity: the memo hands every object with the
+    same ``(L, n_slots)`` the same tuple; equal copies are just counted
+    apart) adds its occupancy, times its multiplicity, into one int64
+    difference array.  Half-open intervals: a stream ending at slot t
+    frees its channel before one starting at t takes it, as in
+    :func:`~repro.simulation.channels.peak_concurrency`.  0 when empty.
     """
-    if not envelopes:
+    multiplicity = Counter(map(id, envelopes))
+    distinct = {id(env): env for env in envelopes}
+    slots = [
+        (multiplicity[key], _whole_slots(env[1]), _whole_slots(env[2]))
+        for key, env in distinct.items()
+    ]
+    if not slots:
         return 0
-    starts = np.concatenate([env[1] for env in envelopes])
-    ends = np.concatenate([env[2] for env in envelopes])
-    return peak_concurrency(starts, ends)
+    size = 1 + max(int(max(s.max(), e.max())) for _, s, e in slots)
+    diff = np.zeros(size, dtype=np.int64)
+    for count, starts, ends in slots:
+        diff += count * (
+            np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
+        )
+    return int(np.cumsum(diff).max())
 
 
 def dg_fleet_peak(catalog: Catalog, delay_minutes: float, horizon_minutes: float) -> int:
@@ -120,10 +167,11 @@ def dg_fleet_peak(catalog: Catalog, delay_minutes: float, horizon_minutes: float
 def _bisect_smallest_feasible(
     grid: Sequence[float], feasible
 ) -> Optional[int]:
-    """Index of the smallest grid value with ``feasible(grid[i])`` true.
+    """Index of the first grid entry with ``feasible(grid[i])`` true.
 
     Classic predicate bisection (monotone assumption, see module
-    docstring): O(log len(grid)) predicate evaluations.
+    docstring): at most ``ceil(log2(len(grid))) + 2`` predicate
+    evaluations.
     """
     lo, hi = 0, len(grid) - 1
     if not feasible(grid[hi]):
@@ -154,7 +202,7 @@ def min_fleet_delay(
     """
     if budget_channels < 1:
         raise ValueError("budget must be >= 1 channel")
-    grid = sorted(delays if delays is not None else default_delay_grid())
+    grid = _candidate_delays(delays)
     idx = _bisect_smallest_feasible(
         grid,
         lambda d: dg_fleet_peak(catalog, d, horizon_minutes) <= budget_channels,
@@ -171,7 +219,7 @@ def min_object_delay(
     """Smallest candidate delay for *one* object under a per-object budget."""
     if budget_channels < 1:
         raise ValueError("budget must be >= 1 channel")
-    grid = sorted(delays if delays is not None else default_delay_grid())
+    grid = _candidate_delays(delays)
     idx = _bisect_smallest_feasible(
         grid,
         lambda d: aggregate_peak(dg_envelopes([obj], d, horizon_minutes))
@@ -208,7 +256,7 @@ def capacity_frontier(
     budgets = sorted({int(b) for b in budgets}, reverse=True)
     if budgets and budgets[-1] < 1:
         raise ValueError("budget must be >= 1 channel")
-    grid = sorted(delays if delays is not None else default_delay_grid())
+    grid = _candidate_delays(delays)
     peaks: dict = {}
 
     def peak(d: float) -> int:
@@ -273,15 +321,17 @@ def admission_report(
 
     If some candidate delay fits the whole catalog, report it (feasible,
     nothing dropped).  Otherwise pin the delay at the grid maximum and
-    drop least-popular objects until the remaining envelope fits — the
-    DG guarantee then still holds for every *admitted* request.  The
-    capacity invariant ``peak <= budget`` holds for the admitted set
+    drop least-popular objects (ties in catalog order) until the
+    remaining envelope fits — the DG guarantee then still holds for
+    every *admitted* request.  The drop count is bisected, since the
+    admitted peak never rises as titles are dropped (module docstring).
+    The capacity invariant ``peak <= budget`` holds for the admitted set
     unconditionally: if even the most popular object alone exceeds the
     budget at the maximum delay, *everything* is shed — an empty admitted
     set and an honest report beat a violated guarantee (the burn-in
     contract layer asserts this under flash-crowd overload).
     """
-    grid = sorted(delays if delays is not None else default_delay_grid())
+    grid = _candidate_delays(delays)
     d = min_fleet_delay(catalog, horizon_minutes, budget_channels, grid)
     if d is not None:
         return AdmissionReport(
@@ -294,24 +344,25 @@ def admission_report(
             served_weight_fraction=1.0,
         )
     d_max = grid[-1]
-    envelope = dict(zip(catalog, dg_envelopes(catalog, d_max, horizon_minutes)))
-    by_popularity = sorted(catalog, key=lambda o: o.weight)  # least first
-    admitted = list(catalog.objects)
-    dropped: List[str] = []
-    peak = aggregate_peak([envelope[o] for o in admitted])
-    for obj in by_popularity:
-        if peak <= budget_channels:
-            break
-        admitted = [o for o in admitted if o.name != obj.name]
-        dropped.append(obj.name)
-        peak = aggregate_peak([envelope[o] for o in admitted])
+    objects = catalog.objects
+    envelopes = dg_envelopes(objects, d_max, horizon_minutes)
+    shed_order = sorted(range(len(objects)), key=lambda i: objects[i].weight)
+    peaks: Dict[int, int] = {}
+
+    def fits(k: int) -> bool:  # after dropping the k least popular
+        peaks[k] = aggregate_peak([envelopes[i] for i in shed_order[k:]])
+        return peaks[k] <= budget_channels
+
+    k = _bisect_smallest_feasible(range(len(objects) + 1), fits)
+    shed = set(shed_order[:k])
+    admitted = [o for i, o in enumerate(objects) if i not in shed]
     return AdmissionReport(
         budget_channels=budget_channels,
         delay_minutes=d_max,
         feasible=False,
         admitted=tuple(o.name for o in admitted),
-        dropped=tuple(dropped),
-        peak_channels=peak,
+        dropped=tuple(objects[i].name for i in shed_order[:k]),
+        peak_channels=peaks[k],
         served_weight_fraction=float(sum(o.weight for o in admitted)),
     )
 

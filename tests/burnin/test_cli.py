@@ -61,6 +61,26 @@ class TestFleetCli:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""  # rejected before the fleet ran
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--delay", "0"),
+            ("--delay", "-1"),
+            ("--delay", "nan"),
+            ("--delay", "inf"),
+            ("--horizon", "0"),
+            ("--objects", "0"),
+            ("--duration", "0"),
+            ("--mean-interarrival", "0"),
+        ],
+    )
+    def test_bad_numbers_exit_two_before_running(self, flag, value):
+        proc = _run("fleet", "--objects", "6", flag, value)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""  # rejected before the fleet ran
+
 
 class TestExperimentsCli:
     def test_unknown_experiment_exits_two(self):

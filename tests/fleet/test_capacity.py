@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.online import build_online_flat_forest
 from repro.fleet import (
+    AdmissionReport,
     admission_report,
     capacity_frontier,
     default_delay_grid,
@@ -15,13 +21,61 @@ from repro.fleet import (
     min_object_delay,
     render_frontier,
 )
+from repro.fleet import capacity
 from repro.fleet.capacity import aggregate_peak, dg_envelope, dg_envelopes
-from repro.multiplex import Catalog
+from repro.multiplex import Catalog, MediaObject, zipf_weights
 from repro.simulation.channels import interval_profile, peak_concurrency
 from tests.simulation.test_channels_flat import sweep_peak
 
 HORIZON = 240.0
 GRID = default_delay_grid(lo=0.5, hi=16.0, points=10)
+
+
+def stacked_peak(envelopes):
+    """The concatenate-and-sort peak: every envelope's intervals stacked,
+    one per object, and swept by ``peak_concurrency``.  The oracle for
+    the multiplicity-weighted difference array of ``aggregate_peak``."""
+    if not envelopes:
+        return 0
+    starts = np.concatenate([env[1] for env in envelopes])
+    ends = np.concatenate([env[2] for env in envelopes])
+    return peak_concurrency(starts, ends)
+
+
+def shed_linear(catalog, horizon, budget, delay):
+    """The one-title-at-a-time shedding loop: the oracle for the bisected
+    drop count.  Drops least-popular titles (stable sort, so ties in
+    catalog order) and re-stacks the admitted envelopes after each drop
+    until the peak fits the budget."""
+    envelope = dict(zip(catalog, dg_envelopes(catalog, delay, horizon)))
+    by_popularity = sorted(catalog, key=lambda o: o.weight)  # least first
+    admitted = list(catalog.objects)
+    dropped = []
+    peak = stacked_peak([envelope[o] for o in admitted])
+    for obj in by_popularity:
+        if peak <= budget:
+            break
+        admitted = [o for o in admitted if o.name != obj.name]
+        dropped.append(obj.name)
+        peak = stacked_peak([envelope[o] for o in admitted])
+    return AdmissionReport(
+        budget_channels=budget,
+        delay_minutes=delay,
+        feasible=False,
+        admitted=tuple(o.name for o in admitted),
+        dropped=tuple(dropped),
+        peak_channels=peak,
+        served_weight_fraction=float(sum(o.weight for o in admitted)),
+    )
+
+
+def mixed_catalog(weights, seed=5):
+    """Seeded durations uniform on 20-90 minutes, the given raw weights."""
+    durations = np.random.default_rng(seed).uniform(20.0, 90.0, len(weights))
+    return Catalog([
+        MediaObject(f"mix-{i:02d}", float(d), float(w))
+        for i, (d, w) in enumerate(zip(durations, weights))
+    ])
 
 
 def minute_peak(catalog, delay, horizon):
@@ -184,6 +238,89 @@ class TestAdmission:
         )
 
 
+def _shedding_budgets(catalog):
+    """Budgets infeasible at the grid maximum: from starved to one
+    channel short of the whole catalog's peak."""
+    full = dg_fleet_peak(catalog, GRID[-1], HORIZON)
+    return sorted({b for b in (1, 2, full // 4, full // 2, full - 1) if b >= 1})
+
+
+class TestBisectedShedding:
+    """admission_report equals the one-at-a-time loop, field for field."""
+
+    @pytest.mark.parametrize(
+        "catalog",
+        [
+            Catalog.zipf(40, duration_minutes=60.0),
+            mixed_catalog(zipf_weights(40)),
+            # ties: the stable sort sheds tied titles in catalog order
+            mixed_catalog([3.0] * 5 + [2.0] * 12 + [1.0] * 15),
+        ],
+        ids=["zipf", "mixed-durations", "tied-weights"],
+    )
+    def test_equals_linear_shedding(self, catalog):
+        for budget in _shedding_budgets(catalog):
+            report = admission_report(catalog, HORIZON, budget, GRID)
+            assert not report.feasible
+            oracle = shed_linear(catalog, HORIZON, budget, GRID[-1])
+            assert report == oracle, budget
+            assert report.served_weight_fraction.hex() == (
+                oracle.served_weight_fraction.hex()
+            )
+
+    def test_budget_equal_to_a_prefix_peak(self):
+        catalog = mixed_catalog(zipf_weights(30))
+        envelopes = dict(zip(catalog, dg_envelopes(catalog, GRID[-1], HORIZON)))
+        order = sorted(catalog, key=lambda o: o.weight)
+        prefix = [stacked_peak([envelopes[o] for o in order[k:]]) for k in range(31)]
+        for k in (3, 10, 22):
+            assert prefix[k] < prefix[0]
+            report = admission_report(catalog, HORIZON, prefix[k], GRID)
+            assert report == shed_linear(catalog, HORIZON, prefix[k], GRID[-1])
+            assert report.peak_channels == prefix[k]
+            assert len(report.dropped) == min(
+                j for j in range(31) if prefix[j] <= prefix[k]
+            )
+
+    @pytest.mark.parametrize(
+        "catalog",
+        [Catalog.zipf(12, duration_minutes=60.0), mixed_catalog(zipf_weights(12))],
+        ids=["zipf", "mixed-durations"],
+    )
+    def test_budget_below_top_title_sheds_everything(self, catalog):
+        top = catalog.popularity_rank()[0]
+        own = aggregate_peak(dg_envelopes([top], GRID[-1], HORIZON))
+        assert own >= 2
+        report = admission_report(catalog, HORIZON, own - 1, GRID)
+        assert report == shed_linear(catalog, HORIZON, own - 1, GRID[-1])
+        assert report.admitted == () and len(report.dropped) == len(catalog)
+        assert report.peak_channels == 0
+        assert report.served_weight_fraction == 0.0
+
+    def test_drop_count_is_bisected(self, monkeypatch):
+        """At most ceil(log2(n + 1)) + 3 peaks for shedding, where the
+        linear loop takes one per dropped title plus one."""
+        catalog = Catalog.zipf(200, duration_minutes=60.0)
+        budget = dg_fleet_peak(catalog, GRID[-1], HORIZON) // 3
+        calls = Counter()
+        aggregate, fleet = capacity.aggregate_peak, capacity.dg_fleet_peak
+
+        def counted_aggregate(envelopes):
+            calls["aggregate"] += 1
+            return aggregate(envelopes)
+
+        def counted_fleet(*args):
+            calls["fleet"] += 1
+            return fleet(*args)
+
+        monkeypatch.setattr(capacity, "aggregate_peak", counted_aggregate)
+        monkeypatch.setattr(capacity, "dg_fleet_peak", counted_fleet)
+        report = admission_report(catalog, HORIZON, budget, GRID)
+        shedding_calls = calls["aggregate"] - calls["fleet"]
+        assert len(report.dropped) > 100
+        assert shedding_calls <= math.ceil(math.log2(len(catalog) + 1)) + 3
+
+
 class TestEnvelopeMemo:
     """The DG envelope memo: fewer forest builds, identical answers."""
 
@@ -241,6 +378,33 @@ class TestAggregatePeak:
     def test_aggregate_peak_empty(self):
         assert aggregate_peak([]) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_weighted_peak_equals_stacked_oracle(self, data):
+        """Any multiset, in any order: repeats of one memoised envelope
+        are weighted, equal copies that are not identical are counted
+        apart, and both give the stacked sweep's peak."""
+        params = data.draw(st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 200)),
+            min_size=1, max_size=6,
+        ))
+        distinct = [dg_envelope(L, n) for L, n in params]
+        index = st.integers(0, len(distinct) - 1)
+        envelopes = [distinct[i] for i in data.draw(st.lists(index, max_size=40))]
+        envelopes += [
+            tuple(a.copy() for a in distinct[i])
+            for i in data.draw(st.lists(index, max_size=4))
+        ]
+        envelopes = data.draw(st.permutations(envelopes))
+        assert aggregate_peak(envelopes) == stacked_peak(envelopes)
+
+    @pytest.mark.parametrize("column", [1, 2], ids=["start", "end"])
+    def test_non_integral_endpoint_raises(self, column):
+        envelope = [a.copy() for a in dg_envelope(4, 16)]
+        envelope[column][3] += 0.5
+        with pytest.raises(ValueError, match="whole slots"):
+            aggregate_peak([dg_envelope(4, 16), tuple(envelope)])
+
     def test_aggregate_peak_matches_event_sweep(self, catalog):
         # whole-slot endpoints: many ends tie with starts, so the
         # half-open tie rule is exercised on every probe
@@ -273,3 +437,32 @@ class TestGrid:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             default_delay_grid(4.0, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            default_delay_grid(1.0, math.inf)
+
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_rejects_fewer_than_two_points(self, points):
+        with pytest.raises(ValueError, match="points >= 2"):
+            default_delay_grid(1.0, 8.0, points)
+
+
+#: every public search over a candidate-delay grid
+SEARCHES = {
+    "min_fleet_delay": lambda cat, grid: min_fleet_delay(cat, HORIZON, 10, grid),
+    "min_object_delay": lambda cat, grid: min_object_delay(cat[0], HORIZON, 10, grid),
+    "capacity_frontier": lambda cat, grid: capacity_frontier(cat, HORIZON, [10], grid),
+    "admission_report": lambda cat, grid: admission_report(cat, HORIZON, 10, grid),
+}
+
+
+class TestDelayGridValidation:
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_empty_grid_raises(self, catalog, search):
+        with pytest.raises(ValueError, match="at least one candidate delay"):
+            SEARCHES[search](catalog, [])
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_delay_raises(self, catalog, search, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SEARCHES[search](catalog, [1.0, bad, 4.0])
