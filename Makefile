@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke
+.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest
 
 ## tier-1 test suite (must stay green)
 test:
@@ -60,3 +60,9 @@ burnin-smoke:
 ## worker kill; exits 5 on any lead-time, equality, or fence violation
 live-smoke:
 	$(PY) -m repro live --smoke
+
+## end-to-end benchmark harness check (CI job): one spoiled pass per
+## perfbench workload must be reported as failed, so a src/ API change
+## that breaks the harness fails here, not in the next benchmark run
+perfbench-selftest:
+	python3 perfbench/run.py --selftest

@@ -12,7 +12,7 @@ experiments are reproducible; nothing reads global RNG state.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def constant_rate(
         raise ValueError(f"offset {offset} outside [0, {horizon})")
     count = int(np.floor((horizon - offset) / interarrival))
     times = offset + interarrival * np.arange(count + 1)
-    times = times[times < horizon]
-    return ArrivalTrace(times=tuple(float(t) for t in times), horizon=horizon)
+    return ArrivalTrace(times=times[times < horizon], horizon=horizon)
 
 
 def poisson(
@@ -62,28 +61,63 @@ def poisson(
     Gaps are i.i.d. exponential with mean ``mean_interarrival``; ties (which
     have probability zero but can appear after float rounding) are nudged by
     the smallest representable step so the trace stays strictly increasing.
+
+    Arrival ``i`` is ``t += gap`` added sequentially.  Each block of gaps
+    is one ``np.cumsum`` carrying the running time in its first cell
+    (``np.cumsum`` adds in order, so the sums are bit-identical to the
+    per-gap loop), and the per-gap loop runs only from a block's first
+    tie: the same values, the same block draws and the same generator
+    state afterwards.
     """
     if mean_interarrival <= 0:
         raise ValueError(
             f"mean_interarrival must be positive, got {mean_interarrival}"
         )
     rng = rng_from(seed)
-    times = []
+    parts: List[np.ndarray] = []
     t = 0.0
+    first = True  # no arrival yet, so the first gap cannot tie
     # Draw in blocks to amortise RNG overhead without materialising more
     # than needed (expected count = horizon / mean).
-    expected = max(16, int(horizon / mean_interarrival * 1.2) + 16)
+    block = max(16, int(horizon / mean_interarrival * 1.2) + 16)
     while True:
-        gaps = rng.exponential(mean_interarrival, size=expected)
-        for g in gaps:
+        gaps = rng.exponential(mean_interarrival, size=block)
+        acc = np.empty(block + 1, dtype=np.float64)
+        acc[0] = t
+        acc[1:] = gaps
+        np.cumsum(acc, out=acc)  # acc[i + 1]: the running time after gap i
+        tied = acc[1:] <= acc[:-1]
+        tied[0] &= not first
+        k = int(np.argmax(tied))
+        if not tied[k]:
+            k = block
+        rising = acc[1 : k + 1]
+        cross = int(np.searchsorted(rising, horizon))
+        parts.append(rising[:cross])
+        if cross < k:
+            break
+        if k == block:
+            t = acc[-1]
+            first = False
+            continue
+        # A gap too small to move the running time: from here the per-gap
+        # loop, which nudges a tie one step past the previous arrival.
+        tail = []
+        prev = t = acc[k]
+        for g in gaps[k:]:
             t += g
+            if t <= prev:
+                t = np.nextafter(prev, np.inf)
             if t >= horizon:
-                return ArrivalTrace(times=tuple(times), horizon=horizon)
-            if times and t <= times[-1]:
-                t = np.nextafter(times[-1], np.inf)
-                if t >= horizon:
-                    return ArrivalTrace(times=tuple(times), horizon=horizon)
-            times.append(t)
+                break
+            tail.append(t)
+            prev = t
+        parts.append(np.array(tail, dtype=np.float64))
+        if t >= horizon:
+            break
+        first = False
+    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return ArrivalTrace(times=times, horizon=horizon)
 
 
 def every_slot(n: int, slot: float = 1.0) -> ArrivalTrace:
@@ -95,8 +129,7 @@ def every_slot(n: int, slot: float = 1.0) -> ArrivalTrace:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    times = tuple(i * slot for i in range(n))
-    return ArrivalTrace(times=times, horizon=n * slot)
+    return ArrivalTrace(times=np.arange(n) * slot, horizon=n * slot)
 
 
 def bursty(

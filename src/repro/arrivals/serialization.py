@@ -17,8 +17,11 @@ fails loudly (``tests/arrivals/test_serialization.py``).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
+
+import numpy as np
 
 from .traces import ArrivalTrace
 
@@ -40,28 +43,59 @@ def trace_payload(trace: ArrivalTrace, meta: Union[dict, None] = None) -> dict:
         "schema": _SCHEMA,
         "horizon": trace.horizon,
         "count": len(trace),
-        "times": list(trace.times),
+        "times": trace.times.tolist(),
         "meta": meta or {},
     }
+
+
+def _is_number(value) -> bool:
+    # bool is an int subclass, but ``true`` is not a time
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def trace_from_payload(payload: dict) -> ArrivalTrace:
     """Rebuild a trace from a :func:`trace_payload` dict.
 
-    Validates the schema tag and the declared count, then re-runs the
-    ArrivalTrace invariants (strictly increasing, inside the horizon).
+    Validates the schema tag, the field types and the declared count,
+    then re-runs the ArrivalTrace invariants (finite, strictly
+    increasing, inside the horizon).  Any malformed payload raises a
+    ``ValueError`` naming the offending field.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"trace payload must be a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("schema") != _SCHEMA:
         raise ValueError(
             f"not an arrival-trace document (schema={payload.get('schema')!r})"
         )
-    times = tuple(float(t) for t in payload["times"])
-    if payload.get("count") != len(times):
+    horizon = payload.get("horizon")
+    try:
+        h = float(horizon) if _is_number(horizon) else math.nan
+    except OverflowError:  # an integer literal past the float range
+        h = math.inf
+    if not (math.isfinite(h) and h > 0):
         raise ValueError(
-            f"corrupt trace: declared {payload.get('count')} times, "
-            f"found {len(times)}"
+            f"trace field 'horizon' must be a positive finite number, got {horizon!r}"
         )
-    return ArrivalTrace(times=times, horizon=float(payload["horizon"]))
+    times = payload.get("times")
+    if not isinstance(times, list) or not all(_is_number(t) for t in times):
+        raise ValueError("trace field 'times' must be a list of numbers")
+    count = payload.get("count")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"trace field 'count' must be an integer, got {count!r}")
+    if count != len(times):
+        raise ValueError(
+            f"corrupt trace: declared {count} times, found {len(times)}"
+        )
+    try:
+        ts = np.array(times, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("trace field 'times' holds a number out of float range") from None
+    try:
+        return ArrivalTrace(times=ts, horizon=h)
+    except ValueError as exc:
+        raise ValueError(f"trace field 'times': {exc}") from None
 
 
 def trace_to_json(trace: ArrivalTrace, meta: Union[dict, None] = None) -> str:

@@ -11,68 +11,103 @@ policies consume arrivals in two forms:
   becomes one imaginary client at the slot end (batched dyadic / DG).
 
 ``ArrivalTrace`` is an immutable container with those transforms plus the
-usual summary statistics.
+usual summary statistics.  Its times are one read-only float64 array —
+the columnar form every layer from generator to report consumes without
+a per-client Python object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
 __all__ = ["ArrivalTrace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrivalTrace:
     """A strictly increasing sequence of client arrival times.
 
     ``horizon`` is the (exclusive) end of the observation window; arrivals
     must fall in ``[0, horizon)``.  Times are floats in *slot units* unless
     a caller opts for other units consistently.
+
+    ``times`` may be passed as any one-dimensional sequence of numbers and
+    is stored as a read-only float64 array.  A float64 ndarray argument
+    is not copied: the trace keeps a read-only view of it, so the caller
+    must not write to that array afterwards.
     """
 
-    times: Tuple[float, ...]
+    times: np.ndarray
     horizon: float
 
     def __post_init__(self) -> None:
-        ts = self.times
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}"
+            )
+        ts = np.asarray(self.times, dtype=np.float64)
+        if ts.ndim != 1:
+            raise ValueError(
+                f"arrival times must be one-dimensional, got shape {ts.shape}"
+            )
+        if ts.flags.writeable:
+            ts = ts.view()
+            ts.flags.writeable = False
+        object.__setattr__(self, "times", ts)
+        # One vectorised pass; every comparison is False on NaN, so a
+        # non-finite entry fails one of the two tests below.
+        if not (ts[1:] > ts[:-1]).all():
+            if not np.isfinite(ts).all():
+                raise ValueError("arrival times must be finite")
             raise ValueError("arrival times must be strictly increasing")
-        if ts and (ts[0] < 0 or ts[-1] >= self.horizon):
+        if ts.size and not (ts[0] >= 0 and ts[-1] < self.horizon):
+            if not np.isfinite(ts[[0, -1]]).all():
+                raise ValueError("arrival times must be finite")
             raise ValueError(
                 f"arrivals must lie in [0, {self.horizon}); "
                 f"got range [{ts[0]}, {ts[-1]}]"
             )
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
     @staticmethod
     def from_times(times: Iterable[float], horizon: float) -> "ArrivalTrace":
-        return ArrivalTrace(times=tuple(times), horizon=horizon)
+        return ArrivalTrace(times=np.fromiter(times, dtype=np.float64), horizon=horizon)
 
     # -- basics ----------------------------------------------------------------
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArrivalTrace):
+            return NotImplemented
+        return self.horizon == other.horizon and np.array_equal(
+            self.times, other.times
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.horizon, self.times.tobytes()))
+
     def __len__(self) -> int:
-        return len(self.times)
+        return self.times.size
 
     def __iter__(self):
-        return iter(self.times)
+        """Python floats, for the per-client oracle loops."""
+        return iter(self.times.tolist())
 
     def is_empty(self) -> bool:
-        return not self.times
+        return self.times.size == 0
 
     def mean_interarrival(self) -> float:
         """Mean gap between consecutive arrivals (nan when < 2 arrivals)."""
-        if len(self.times) < 2:
+        n = self.times.size
+        if n < 2:
             return math.nan
-        return (self.times[-1] - self.times[0]) / (len(self.times) - 1)
+        return float(self.times[-1] - self.times[0]) / (n - 1)
 
     def rate(self) -> float:
         """Arrivals per unit time over the horizon."""
-        return len(self.times) / self.horizon
+        return self.times.size / self.horizon
 
     # -- slotting ----------------------------------------------------------------
 
@@ -83,12 +118,15 @@ class ArrivalTrace:
         return int(math.ceil(self.horizon / slot))
 
     def slot_counts(self, slot: float = 1.0) -> np.ndarray:
-        """Clients per slot; slot ``t`` covers ``[t*slot, (t+1)*slot)``."""
-        counts = np.zeros(self.num_slots(slot), dtype=np.int64)
-        if self.times:
-            idx = (np.asarray(self.times) / slot).astype(np.int64)
-            np.add.at(counts, idx, 1)
-        return counts
+        """Clients per slot; slot ``t`` covers ``[t*slot, (t+1)*slot)``.
+
+        An arrival just below the horizon can round up to index
+        ``num_slots`` in ``t / slot``; it belongs to the last slot.
+        """
+        nslots = self.num_slots(slot)
+        idx = (self.times / slot).astype(np.int64)
+        np.minimum(idx, nslots - 1, out=idx)
+        return np.bincount(idx, minlength=nslots).astype(np.int64, copy=False)
 
     def slotted(self, slot: float = 1.0, keep_empty: bool = False) -> List[int]:
         """Batch arrivals to slot ends, in units of ``slot``.
@@ -104,8 +142,7 @@ class ArrivalTrace:
         """
         if keep_empty:
             return list(range(self.num_slots(slot)))
-        counts = self.slot_counts(slot)
-        return [int(i) for i in np.nonzero(counts)[0]]
+        return np.flatnonzero(self.slot_counts(slot)).tolist()
 
     def slot_end_times(self, slot: float = 1.0, keep_empty: bool = False) -> List[float]:
         """End times of the served slots (the batched clients' start times)."""
@@ -117,12 +154,13 @@ class ArrivalTrace:
         """Sub-trace of arrivals in ``[start, end)``, re-anchored at 0."""
         if not 0 <= start < end <= self.horizon:
             raise ValueError(f"bad window [{start}, {end}) for horizon {self.horizon}")
-        kept = tuple(t - start for t in self.times if start <= t < end)
+        ts = self.times
+        kept = ts[(ts >= start) & (ts < end)] - start
         return ArrivalTrace(times=kept, horizon=end - start)
 
     def merged_with(self, other: "ArrivalTrace") -> "ArrivalTrace":
-        """Union of two traces on the max horizon (duplicates perturbed)."""
-        times = sorted(set(self.times) | set(other.times))
+        """Union of two traces on the max horizon (duplicates collapse)."""
         return ArrivalTrace(
-            times=tuple(times), horizon=max(self.horizon, other.horizon)
+            times=np.union1d(self.times, other.times),
+            horizon=max(self.horizon, other.horizon),
         )

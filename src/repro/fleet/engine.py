@@ -75,9 +75,10 @@ ULP of never-extended leaf stream lengths.
 
 The one observable difference by construction: the oracle's
 ``BandwidthMetrics.intervals`` list is in stream *finish* order (end
-time, ties by extension sequence), while the kernel records intervals
-sorted by ``(end, start)``.  :func:`assert_equivalent_run` canonicalises
-both sides before comparing; every derived metric is order-independent.
+time, ties by extension sequence), while the kernel's array-backed
+metrics read back sorted by ``(end, start)``.
+:func:`assert_equivalent_run` canonicalises both sides before
+comparing; every derived metric is order-independent.
 """
 
 from __future__ import annotations
@@ -314,30 +315,6 @@ def _served_slots(
     return bucket_slots(times, slot_ends)
 
 
-def _metrics_from_arrays(
-    L: int,
-    n_clients: int,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    is_root: np.ndarray,
-) -> BandwidthMetrics:
-    """A ``BandwidthMetrics`` carrying the batched intervals.
-
-    Intervals are recorded in ``(end, start)`` order — the deterministic
-    stand-in for the oracle's finish order (ties there depend on
-    extension sequence numbers; all derived metrics are order-free).
-    """
-    metrics = BandwidthMetrics(L=L)
-    order = np.lexsort((starts, ends))
-    metrics.intervals = list(
-        zip(starts[order].tolist(), ends[order].tolist())
-    )
-    metrics.streams_started = int(starts.size)
-    metrics.roots_started = int(np.count_nonzero(is_root))
-    metrics.clients_served = n_clients
-    return metrics
-
-
 def simulate_batched(
     L: int,
     trace: ArrivalTrace,
@@ -439,9 +416,8 @@ def simulate_batched(
 
     if forest is not None:
         starts = forest.arrivals
-        is_root = forest.is_root
-        metrics = _metrics_from_arrays(
-            L, n_clients, starts, starts + lengths, is_root
+        metrics = BandwidthMetrics.from_arrays(
+            L, starts, starts + lengths, forest.is_root, n_clients
         )
     else:
         metrics = BandwidthMetrics(L=L)
@@ -566,8 +542,8 @@ def simulate_segmented(
         )
         lengths = np.concatenate(length_parts)
         starts = forest.arrivals
-        metrics = _metrics_from_arrays(
-            L, n_clients, starts, starts + lengths, forest.is_root
+        metrics = BandwidthMetrics.from_arrays(
+            L, starts, starts + lengths, forest.is_root, n_clients
         )
     else:
         metrics = BandwidthMetrics(L=L)

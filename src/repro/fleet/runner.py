@@ -366,7 +366,7 @@ def object_run(
         # Float division can push the last arrival onto the horizon; the
         # trace contract is arrivals strictly inside [0, horizon).
         horizon_slots = float(np.nextafter(ts[-1], np.inf))
-    trace = ArrivalTrace(times=tuple(ts.tolist()), horizon=horizon_slots)
+    trace = ArrivalTrace(times=ts, horizon=horizon_slots)
     return simulate_batched(L, trace, policy, slot=1.0), repaired
 
 
@@ -417,8 +417,7 @@ def _run_shard(args) -> FleetObjectResult:
         # whole — entropy alone would drop the spawn key and give every
         # object the same stream).
         rng = np.random.default_rng(seed_seq)
-        trace = poisson(mean_gap / obj.weight, horizon, seed=rng)
-        times = np.asarray(trace.times, dtype=np.float64)
+        times = poisson(mean_gap / obj.weight, horizon, seed=rng).times
     elif isinstance(times, StoreSlice):
         # Columnar store: attach once per process (cached), take a
         # zero-copy view, and give the pages back after folding so the

@@ -19,7 +19,7 @@ the ``python -m repro fleet`` CLI.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, Iterable
 
 import numpy as np
 
@@ -58,25 +58,35 @@ def compose(*transformers: Transformer) -> Transformer:
 
 
 def _strictly_increasing(times: Iterable[float], horizon: float) -> ArrivalTrace:
-    """Sorted times nudged onto a strictly increasing grid inside [0, horizon)."""
-    out: List[float] = []
-    for t in sorted(times):
-        if t < 0 or t >= horizon:
-            continue
-        if out and t <= out[-1]:
-            t = float(np.nextafter(out[-1], np.inf))
-            if t >= horizon:
-                continue
-        out.append(float(t))
-    return ArrivalTrace(times=tuple(out), horizon=horizon)
+    """Sorted times nudged onto a strictly increasing grid inside [0, horizon).
+
+    Each time that does not exceed its (already nudged) predecessor moves
+    one float step past it.  On non-negative floats the bit pattern is an
+    order-preserving integer and one step is ``+1``, so the cascade is a
+    running maximum of ``bits[i] - i``; a nudge reaching the horizon drops
+    that time and every later one.
+    """
+    ts = np.sort(np.asarray(times, dtype=np.float64), kind="stable")
+    ts = ts[(ts >= 0.0) & (ts < horizon)]
+    if not (ts[1:] > ts[:-1]).all():
+        step = np.arange(ts.size)
+        # + 0.0 folds -0.0 into +0.0, whose bit pattern is the integer 0
+        bits = np.maximum.accumulate((ts + 0.0).view(np.int64) - step) + step
+        ts = bits[bits < np.float64(horizon).view(np.int64)].view(np.float64)
+    return ArrivalTrace(times=ts, horizon=horizon)
 
 
 def inject(extra_times: Iterable[float]) -> Transformer:
     """Merge extra arrival times into a trace (duplicates nudged)."""
-    extras = list(extra_times)
+    extras = np.array(
+        extra_times if isinstance(extra_times, np.ndarray) else list(extra_times),
+        dtype=np.float64,
+    )
 
     def apply(trace: ArrivalTrace) -> ArrivalTrace:
-        return _strictly_increasing(list(trace.times) + extras, trace.horizon)
+        return _strictly_increasing(
+            np.concatenate([trace.times, extras]), trace.horizon
+        )
 
     return apply
 
@@ -98,7 +108,7 @@ def flash_crowd(
     burst = at + rng.uniform(0.0, spread, size=clients)
 
     def apply(trace: ArrivalTrace) -> ArrivalTrace:
-        return inject(burst.tolist())(trace)
+        return inject(burst)(trace)
 
     return apply
 
@@ -130,7 +140,7 @@ def premiere_drop(
         n = int(rng.poisson(clients * mass))
         u = rng.uniform(0.0, 1.0, size=n)
         offsets = -decay * np.log1p(-u * mass)
-        return inject((at + offsets).tolist())(trace)
+        return inject(at + offsets)(trace)
 
     return apply
 
@@ -154,14 +164,14 @@ def diurnal(
     rng = rng_from(seed)
 
     def apply(trace: ArrivalTrace) -> ArrivalTrace:
-        if not trace.times:
+        if trace.is_empty():
             return trace
-        ts = np.asarray(trace.times)
+        ts = trace.times
         keep_p = (1.0 + depth * np.cos(2.0 * np.pi * (ts - phase) / period)) / (
             1.0 + depth
         )
         keep = rng.uniform(0.0, 1.0, size=ts.size) < keep_p
-        return ArrivalTrace(times=tuple(ts[keep].tolist()), horizon=trace.horizon)
+        return ArrivalTrace(times=ts[keep], horizon=trace.horizon)
 
     return apply
 
@@ -173,11 +183,11 @@ def thinned(keep_fraction: float, seed: SeedLike = None) -> Transformer:
     rng = rng_from(seed)
 
     def apply(trace: ArrivalTrace) -> ArrivalTrace:
-        if not trace.times:
+        if trace.is_empty():
             return trace
-        ts = np.asarray(trace.times)
+        ts = trace.times
         keep = rng.uniform(0.0, 1.0, size=ts.size) < keep_fraction
-        return ArrivalTrace(times=tuple(ts[keep].tolist()), horizon=trace.horizon)
+        return ArrivalTrace(times=ts[keep], horizon=trace.horizon)
 
     return apply
 

@@ -27,19 +27,24 @@ def split_requests(
     Returns a per-object trace on the same horizon (possibly empty).
     The RNG draw is one ``choice`` over the whole trace (unchanged from
     the original loop implementation, so seeds reproduce byte-identical
-    workloads); the bucketing is a stable argsort/group-boundary pass —
+    workloads); the bucketing is a stable argsort/group-count pass —
     within each object the stable sort preserves arrival order, so each
-    sub-trace stays strictly increasing.
+    sub-trace stays strictly increasing.  The sub-traces are slices of
+    one grouped array, with no per-request Python object.
     """
     rng = rng_from(seed)
     picks = rng.choice(len(catalog), size=len(trace), p=catalog.weights())
-    times = np.asarray(trace.times, dtype=np.float64)
-    order = np.argsort(picks, kind="stable")
-    bounds = np.searchsorted(picks[order], np.arange(len(catalog) + 1))
+    # keys of 16 bits or fewer take numpy's (stable) radix sort
+    order = np.argsort(
+        picks.astype(np.min_scalar_type(len(catalog))), kind="stable"
+    )
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(picks, minlength=len(catalog))))
+    )
+    grouped = trace.times[order]
     return {
         obj.name: ArrivalTrace(
-            times=tuple(times[order[bounds[k] : bounds[k + 1]]].tolist()),
-            horizon=trace.horizon,
+            times=grouped[bounds[k] : bounds[k + 1]], horizon=trace.horizon
         )
         for k, obj in enumerate(catalog)
     }

@@ -10,28 +10,73 @@ matters for servers carrying many media objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["BandwidthMetrics"]
 
 
-@dataclass
+@dataclass(eq=False)
 class BandwidthMetrics:
-    """Accumulates per-stream usage intervals and summarises them."""
+    """Per-stream usage intervals and their summaries.
+
+    The event simulator records one stream at a time
+    (:meth:`record_stream`); the batched engine hands over whole
+    start/end arrays (:meth:`from_arrays`).  Array-backed metrics keep
+    those arrays: the ``(end, start)`` order is sorted on first read, and
+    the :attr:`intervals` list the event oracle compares against is only
+    built if someone reads it.
+    """
 
     L: float
-    intervals: List[Tuple[float, float]] = field(default_factory=list)
     streams_started: int = 0
     roots_started: int = 0
     clients_served: int = 0
+
+    def __post_init__(self) -> None:
+        #: recorded (start, end) pairs; None while array-backed and unread
+        self._intervals: Optional[List[Tuple[float, float]]] = []
+        #: (starts, ends) of an array-backed run, None once recorded into
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._ordered = False
+
+    @classmethod
+    def from_arrays(
+        cls,
+        L: float,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        is_root: np.ndarray,
+        clients_served: int,
+    ) -> "BandwidthMetrics":
+        """Metrics over whole stream arrays, kept as they are until read.
+
+        Read back, the intervals come in ``(end, start)`` order: the
+        deterministic stand-in for the event simulator's finish order.
+        """
+        metrics = cls(
+            L, int(starts.size), int(np.count_nonzero(is_root)), clients_served
+        )
+        metrics._intervals = None
+        metrics._arrays = (starts, ends)
+        return metrics
+
+    @property
+    def intervals(self) -> List[Tuple[float, float]]:
+        """``(start, end)`` pairs: in finish order when recorded stream by
+        stream, in ``(end, start)`` order when array-backed."""
+        if self._intervals is None:
+            starts, ends = self.interval_arrays()
+            self._intervals = list(zip(starts.tolist(), ends.tolist()))
+        return self._intervals
 
     def record_stream(self, start: float, end: float, is_root: bool) -> None:
         if end < start:
             raise ValueError(f"stream interval reversed: [{start}, {end}]")
         self.intervals.append((start, end))
+        self._arrays = None
         self.streams_started += 1
         if is_root:
             self.roots_started += 1
@@ -43,9 +88,17 @@ class BandwidthMetrics:
 
     @property
     def total_units(self) -> float:
-        """Total bandwidth in slot units (the paper's Fcost)."""
-        total = sum(e - s for s, e in self.intervals)
-        return int(total) if float(total).is_integer() else total
+        """Total bandwidth in slot units (the paper's Fcost).
+
+        Summed in :attr:`intervals` order, one interval at a time
+        (``np.add.accumulate`` adds sequentially), so the float total is
+        the same however the metrics were filled.
+        """
+        starts, ends = self.interval_arrays()
+        if not starts.size:
+            return 0
+        total = float(np.add.accumulate(ends - starts)[-1])
+        return int(total) if total.is_integer() else total
 
     @property
     def streams_served(self) -> float:
@@ -59,12 +112,17 @@ class BandwidthMetrics:
         return self.total_units / self.clients_served
 
     def interval_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The recorded intervals as ``(starts, ends)`` float arrays."""
-        if not self.intervals:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        arr = np.asarray(self.intervals, dtype=np.float64)
-        return arr[:, 0], arr[:, 1]
+        """The intervals as ``(starts, ends)`` float arrays, in
+        :attr:`intervals` order."""
+        if self._arrays is None:
+            arr = np.asarray(self._intervals, dtype=np.float64).reshape(-1, 2)
+            return arr[:, 0], arr[:, 1]
+        if not self._ordered:
+            starts, ends = self._arrays
+            order = np.lexsort((starts, ends))
+            self._arrays = (starts[order], ends[order])
+            self._ordered = True
+        return self._arrays
 
     def concurrency_profile(
         self, t0: float, t1: float, resolution: float = 1.0

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrivals import ArrivalTrace, poisson
 from repro.arrivals.serialization import (
@@ -32,7 +33,7 @@ class TestRoundTrip:
     def test_poisson_exact(self):
         t = poisson(0.9, 200.0, seed=5)
         back = trace_from_json(trace_to_json(t))
-        assert back.times == t.times
+        assert back.times.tolist() == t.times.tolist()
         assert back.horizon == t.horizon
 
     @given(increasing_times(min_size=0, max_size=30, horizon=50.0))
@@ -134,7 +135,7 @@ class TestPartialTraces:
     def test_single_client_object(self):
         lone = ArrivalTrace(times=(7.25,), horizon=90.0)
         back = trace_from_payload(trace_payload(lone))
-        assert back == lone and back.times == (7.25,)
+        assert back == lone and back.times.tolist() == [7.25]
 
     def test_partial_cut_is_bit_exact_not_approximate(self):
         full = poisson(0.05, 45.0, seed=23)
@@ -157,3 +158,113 @@ class TestPartialTraces:
         bad_count = dict(payload, count=2)
         with pytest.raises(ValueError, match="declared"):
             trace_from_payload(bad_count)
+
+
+def _payload(**changes):
+    payload = trace_payload(ArrivalTrace(times=(1.0, 2.0), horizon=10.0))
+    payload.update(changes)
+    return payload
+
+
+class TestHostilePayloads:
+    """Every malformed envelope raises a ValueError naming its field."""
+
+    @pytest.mark.parametrize("field", ["horizon", "times", "count"])
+    def test_missing_field(self, field):
+        payload = _payload()
+        del payload[field]
+        with pytest.raises(ValueError, match=field):
+            trace_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("times", 5),
+            ("times", [[1.0]]),
+            ("times", ["1.0", "2.0"]),
+            ("times", [True, 2.0]),
+            ("times", [1.0, float("nan")]),
+            ("times", [1.0, float("inf")]),
+            ("times", [1.0, 10**400]),
+            ("horizon", None),
+            ("horizon", "10"),
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
+            ("horizon", 10**400),
+            ("horizon", -1.0),
+            ("count", True),
+            ("count", 2.0),
+            ("count", None),
+        ],
+    )
+    def test_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            trace_from_payload(_payload(**{field: value}))
+
+    def test_non_finite_json_literals(self):
+        text = trace_to_json(ArrivalTrace(times=(1.0,), horizon=10.0))
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ValueError, match="times"):
+                trace_from_json(text.replace("[1.0]", f"[{bad}]"))
+            with pytest.raises(ValueError, match="horizon"):
+                trace_from_json(text.replace('"horizon": 10.0', f'"horizon": {bad}'))
+
+    @pytest.mark.parametrize("payload", [None, [], "trace", 3.5])
+    def test_non_dict_payload(self, payload):
+        with pytest.raises(ValueError, match="payload"):
+            trace_from_payload(payload)
+
+
+#: JSON values of every type, the hostile ones included
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**400),
+    st.floats(),
+    st.text(max_size=4),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_time_lists = st.lists(
+    st.one_of(st.floats(min_value=-1.0, max_value=12.0), _json_scalars), max_size=8
+)
+
+
+@st.composite
+def payload_dicts(draw):
+    """Envelopes near the valid shape: each field valid (mostly), hostile
+    or missing."""
+    times = sorted(
+        set(draw(st.lists(st.floats(min_value=0.0, max_value=9.99), max_size=8)))
+    )
+    fields = {
+        "schema": (st.just("repro.arrival-trace.v1"), _json_values),
+        "horizon": (st.sampled_from([10.0, 10, 9.995]), _json_values),
+        "times": (st.just(times), _time_lists | _json_values),
+        "count": (st.just(len(times)), _json_values),
+        "meta": (st.just({}), _json_values),
+    }
+    payload = {}
+    for key, (valid, hostile) in fields.items():
+        mode = draw(st.sampled_from(["valid"] * 4 + ["hostile", "missing"]))
+        if mode != "missing":
+            payload[key] = draw(valid if mode == "valid" else hostile)
+    return payload
+
+
+class TestPayloadFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(payload_dicts(), _json_values))
+    def test_equal_round_trip_or_value_error(self, payload):
+        try:
+            trace = trace_from_payload(payload)
+        except ValueError:
+            return
+        assert trace.times.tolist() == [float(t) for t in payload["times"]]
+        assert trace.horizon == float(payload["horizon"])
+        again = trace_from_payload(json.loads(json.dumps(trace_payload(trace))))
+        assert again == trace

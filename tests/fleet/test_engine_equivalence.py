@@ -112,7 +112,7 @@ def test_equivalence_on_poisson_traces(mean, seed, L):
 
     trace = poisson(mean, 40.0, seed=seed)
     for policy in POLICIES:
-        if not trace.times and policy.kind in NEEDS_ARRIVALS:
+        if not len(trace.times) and policy.kind in NEEDS_ARRIVALS:
             continue
         assert_equivalent_run(
             simulate_event(L, trace, policy),

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.fleet.scenarios as scenarios
 from repro.arrivals import constant_rate, poisson
 from repro.arrivals.traces import ArrivalTrace
 from repro.fleet import (
@@ -20,11 +26,13 @@ from repro.fleet import (
 from repro.fleet.cli import fleet_main
 from repro.multiplex import Catalog
 
+from tests.arrivals.oracles import poisson_loop, strictly_increasing_loop
+
 
 def _valid(trace: ArrivalTrace) -> None:
     ts = trace.times
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    assert not ts or (ts[0] >= 0 and ts[-1] < trace.horizon)
+    assert not len(ts) or (ts[0] >= 0 and ts[-1] < trace.horizon)
 
 
 BASE = poisson(0.5, 120.0, seed=4)
@@ -47,7 +55,7 @@ class TestTransformers:
 
     def test_flash_crowd_deterministic(self):
         crowd = lambda: flash_crowd(at=40.0, clients=25, spread=2.0, seed=8)
-        assert crowd()(BASE).times == crowd()(BASE).times
+        assert crowd()(BASE).times.tolist() == crowd()(BASE).times.tolist()
 
     def test_premiere_drop_decays(self):
         out = premiere_drop(clients=400, decay=20.0, seed=3)(BASE)
@@ -69,7 +77,10 @@ class TestTransformers:
         assert 0 < len(out) < len(BASE)
 
     def test_diurnal_depth_zero_is_noop(self):
-        assert diurnal(period=60.0, depth=0.0, seed=5)(BASE).times == BASE.times
+        assert (
+            diurnal(period=60.0, depth=0.0, seed=5)(BASE).times.tolist()
+            == BASE.times.tolist()
+        )
 
     def test_thinned(self):
         out = thinned(0.5, seed=6)(BASE)
@@ -104,6 +115,95 @@ class TestTransformers:
             premiere_drop(clients=5, decay=0.0)
 
 
+#: horizons and the values around them that nudges run into
+EDGE_HORIZONS = [1.0, 7.5, 120.0]
+
+
+@st.composite
+def duplicate_heavy(draw):
+    """A horizon and times full of repeats, negatives and near-horizon values."""
+    horizon = draw(st.sampled_from(EDGE_HORIZONS))
+    below = np.nextafter(horizon, 0.0)
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=horizon * 1.1),
+                st.sampled_from(
+                    [0.0, 5e-324, -1.0, below, np.nextafter(below, 0.0), horizon]
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    times = draw(st.lists(st.sampled_from(pool), max_size=50))
+    return horizon, times
+
+
+class TestStrictlyIncreasingMatchesTheLoop:
+    """The bit-pattern running maximum is the per-time nudging loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(duplicate_heavy())
+    def test_bytes_equal(self, case):
+        horizon, times = case
+        fast = scenarios._strictly_increasing(times, horizon).times
+        slow = strictly_increasing_loop(times, horizon)
+        assert fast.tobytes() == slow.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(duplicate_heavy(), st.integers(min_value=0, max_value=30))
+    def test_duplicate_heavy_inject(self, case, take):
+        horizon, extras = case
+        base = poisson(0.25, horizon, seed=take)
+        extras = extras + base.times[:take].tolist()
+        fast = inject(extras)(base).times
+        slow = strictly_increasing_loop(base.times.tolist() + extras, horizon)
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_cascade_runs_into_the_horizon(self):
+        below = np.nextafter(1.0, 0.0)
+        times = [below] * 3 + [0.5] * 3
+        out = scenarios._strictly_increasing(times, 1.0).times
+        assert out.tolist() == [
+            0.5, np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0),
+            below,
+        ]
+
+
+def _scenario_digest(name, catalog, seed):
+    """Arrays (bytes) and generator state left by one scenario build."""
+    rng = np.random.default_rng(seed)
+    workload = scenario_workload(name, catalog, 0.05, 240.0, seed=rng)
+    arrays = {k: (t.times.tobytes(), t.horizon) for k, t in workload.items()}
+    return arrays, json.dumps(rng.bit_generator.state, sort_keys=True)
+
+
+class TestScenariosMatchTheLoops:
+    """Every scenario is byte-identical to one built on the frozen loops."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_arrays_and_generator_state(self, name, monkeypatch):
+        catalog = Catalog.zipf(6, duration_minutes=60.0)
+        fast = _scenario_digest(name, catalog, 17)
+        monkeypatch.setattr(
+            scenarios,
+            "poisson",
+            lambda mean, horizon, seed=None: ArrivalTrace(
+                times=poisson_loop(mean, horizon, seed), horizon=horizon
+            ),
+        )
+        monkeypatch.setattr(
+            scenarios,
+            "_strictly_increasing",
+            lambda times, horizon: ArrivalTrace(
+                times=strictly_increasing_loop(times.tolist(), horizon),
+                horizon=horizon,
+            ),
+        )
+        assert fast == _scenario_digest(name, catalog, 17)
+
+
 class TestScenarioWorkload:
     @pytest.fixture(scope="class")
     def catalog(self):
@@ -120,7 +220,7 @@ class TestScenarioWorkload:
     def test_scenarios_are_seed_deterministic(self, catalog):
         a = scenario_workload("flash", catalog, 0.5, 60.0, seed=11)
         b = scenario_workload("flash", catalog, 0.5, 60.0, seed=11)
-        assert all(a[k].times == b[k].times for k in a)
+        assert all(a[k].times.tolist() == b[k].times.tolist() for k in a)
 
     def test_flash_hits_the_top_title(self, catalog):
         plain = scenario_workload("zipf", catalog, 0.5, 60.0, seed=11)

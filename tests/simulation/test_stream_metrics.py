@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulation.metrics import BandwidthMetrics
@@ -141,6 +142,58 @@ class TestBandwidthMetrics:
         m = BandwidthMetrics(L=10)
         assert m.peak_concurrency() == 0
         assert list(m.concurrency_profile(0, 5)) == [0, 0, 0, 0, 0]
+
+
+class TestArrayBackedMetrics:
+    """``from_arrays`` metrics read back exactly as recorded ones would."""
+
+    @staticmethod
+    def _arrays(seed, n=200):
+        """Unsorted starts and continuous lengths (sums round)."""
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, 50.0, size=n)
+        return starts, starts + rng.uniform(0.0, 12.0, size=n)
+
+    def test_intervals_read_back_in_end_start_order(self):
+        # a coarse grid: many streams share an end but not a start
+        rng = np.random.default_rng(1)
+        starts = rng.integers(0, 40, size=200) * 0.5
+        ends = starts + rng.integers(0, 4, size=200) * 0.5
+        m = BandwidthMetrics.from_arrays(10, starts, ends, np.arange(200) < 7, 300)
+        pairs = sorted(zip(starts.tolist(), ends.tolist()), key=lambda p: (p[1], p[0]))
+        assert m.intervals == pairs
+        assert (m.streams_started, m.roots_started, m.clients_served) == (200, 7, 300)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_total_is_the_sequential_sum_in_interval_order(self, seed):
+        starts, ends = self._arrays(seed)
+        m = BandwidthMetrics.from_arrays(10, starts, ends, starts < 0, 0)
+        total = 0
+        for s, e in m.intervals:
+            total += e - s
+        assert m.total_units == total
+        assert m.streams_served == total / 10
+
+    def test_same_summaries_as_recorded_metrics(self):
+        starts, ends = self._arrays(4)
+        fast = BandwidthMetrics.from_arrays(10, starts, ends, starts < 0, 0)
+        slow = BandwidthMetrics(L=10)
+        for s, e in fast.intervals:
+            slow.record_stream(s, e, is_root=False)
+        assert fast.total_units == slow.total_units
+        assert fast.peak_concurrency() == slow.peak_concurrency()
+        assert np.array_equal(
+            fast.concurrency_profile(0.0, 60.0), slow.concurrency_profile(0.0, 60.0)
+        )
+
+    def test_recording_after_arrays_appends(self):
+        m = BandwidthMetrics.from_arrays(
+            10, np.array([2.0, 0.0]), np.array([3.0, 5.0]), np.array([True, False]), 2
+        )
+        m.record_stream(4.0, 4.5, is_root=True)
+        assert m.intervals == [(2.0, 3.0), (0.0, 5.0), (4.0, 4.5)]
+        assert m.total_units == 6.5
+        assert (m.streams_started, m.roots_started) == (3, 2)
 
 
 class TestVectorisedEquivalence:
