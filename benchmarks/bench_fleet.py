@@ -38,10 +38,15 @@ if __name__ == "__main__":  # script mode: make src importable before repro
 import numpy as np
 
 from repro.arrivals import poisson
+from repro.burnin.contracts import fleet_reports_equal
 from repro.fleet import (
+    FleetObjectResult,
     FleetPolicy,
+    FleetReport,
     assert_equivalent_run,
+    object_run,
     run_fleet,
+    scenario_workload,
     simulate_batched,
     simulate_event,
 )
@@ -69,6 +74,15 @@ ENGINE_TRACES = {
 CATALOG_TITLES = 120
 CATALOG_HORIZON_MIN = 480.0
 CATALOG_DELAY_MIN = 2.0
+
+#: shard-pass case: the fleet-catalog shape (1000 Zipf titles, a day of
+#: arrivals at a 2-minute delay, batched dyadic; ~7.2 x 10^5 clients).
+SHARD_TITLES = 1000
+SHARD_MEAN_GAP_MIN = 0.002
+SHARD_HORIZON_MIN = 1440.0
+
+#: asserted floor of the shard pass over the per-object loop.
+SHARD_FLOOR = 3.0
 
 #: scale-tier kernel rows (clients per case).
 SCALE_NS = (1_000_000, 10_000_000)
@@ -160,6 +174,57 @@ def _run_rss_child(mode: str, store: str) -> Dict:
         check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _per_object_fleet(catalog, workload, delay, horizon, policy) -> FleetReport:
+    """The fleet fold with one ``simulate_batched`` run per object (via
+    ``object_run``): the path every catalog run took before shards, and
+    the reference the shard pass must equal bit for bit."""
+    report = FleetReport(policy.kind, delay, horizon)
+    for obj in catalog:
+        trace = workload.get(obj.name)
+        times = np.empty(0) if trace is None else np.asarray(trace.times)
+        result, repaired = object_run(obj, times, delay, horizon, policy)
+        if result is None or result.forest is None:
+            starts = ends = np.empty(0)
+            roots = 0
+        else:
+            starts = result.forest.arrivals * delay
+            ends = (result.forest.arrivals + result.lengths) * delay
+            roots = result.metrics.roots_started
+        report.objects.append(
+            FleetObjectResult(
+                name=obj.name,
+                L=obj.units(delay),
+                delay_minutes=delay,
+                clients=0 if result is None else int(result.client_arrival.size),
+                streams=int(starts.size),
+                roots=roots,
+                total_units_minutes=float(np.sum(ends - starts)),
+                max_startup_delay_minutes=(
+                    0.0 if result is None else result.max_startup_delay() * delay
+                ),
+                starts=starts,
+                ends=ends,
+                repaired=repaired,
+            )
+        )
+    return report
+
+
+def _assert_same_fold(shard: FleetReport, per_object: FleetReport) -> None:
+    assert fleet_reports_equal(shard, per_object) is None, fleet_reports_equal(
+        shard, per_object
+    )
+    assert [o.repaired for o in shard.objects] == [
+        o.repaired for o in per_object.objects
+    ]
+
+
+def _shard_case(titles: int, mean_gap: float, horizon: float):
+    catalog = Catalog.zipf(titles, duration_minutes=120.0, exponent=0.8)
+    workload = scenario_workload("zipf", catalog, mean_gap, horizon, seed=1)
+    return catalog, workload
 
 
 def _engine_pair(kind: str, n: int):
@@ -282,6 +347,18 @@ def test_fleet_runner_smoke(benchmark):
     )
     ref_peak, _ = _reference_catalog_sweep(catalog, workload)
     assert report.peak_channels == ref_peak
+
+
+def test_fleet_shard_catalog_smoke(benchmark):
+    """The shard pass vs one simulate_batched run per object on a small
+    fleet-catalog-shaped catalog; the folds must be equal."""
+    catalog, workload = _shard_case(100, 0.05, 480.0)
+    policy = FleetPolicy.batched_dyadic()
+    shard = benchmark(
+        run_fleet, catalog, CATALOG_DELAY_MIN, 480.0, policy, workload
+    )
+    per_object = _per_object_fleet(catalog, workload, CATALOG_DELAY_MIN, 480.0, policy)
+    _assert_same_fold(shard, per_object)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +489,30 @@ def run_sweep() -> Dict:
         )
     )
 
+    # -- shard pass vs one simulate_batched run per object ------------------
+    catalog, workload = _shard_case(SHARD_TITLES, SHARD_MEAN_GAP_MIN, SHARD_HORIZON_MIN)
+    policy = FleetPolicy.batched_dyadic()
+    n_requests = sum(len(t) for t in workload.values())
+    ref_s, per_object = timeit_best(
+        lambda: _per_object_fleet(
+            catalog, workload, CATALOG_DELAY_MIN, SHARD_HORIZON_MIN, policy
+        ),
+        repeats=3,
+    )
+    fast_s, shard = timeit_best(
+        lambda: run_fleet(
+            catalog, CATALOG_DELAY_MIN, SHARD_HORIZON_MIN, policy, workload
+        ),
+        repeats=5,
+    )
+    _assert_same_fold(shard, per_object)
+    row = _case(
+        "fleet_shard_catalog", n_requests, ref_s, fast_s,
+        objects=SHARD_TITLES, backend=backend,
+    )
+    assert row["speedup"] >= SHARD_FLOOR, row
+    rows.append(row)
+
     # -- scale tier: backend-dispatched kernels at 10^6 / 10^7 --------------
     for n in SCALE_NS:
         times, slot_ends, parent = _scale_inputs(n)
@@ -466,6 +567,10 @@ def run_sweep() -> Dict:
             "case.  engine_hybrid rows run the segmented sweep (hysteresis "
             "scan + per-mode-segment forests) against the event-driven "
             "HybridPolicy at 10^5 and 10^6 clients.  "
+            "fleet_shard_catalog runs a 1000-title fleet-catalog-shaped "
+            "catalog through the runner's shard pass against one "
+            "simulate_batched run per object, asserts the folded reports "
+            "equal field for field, repaired counts included (floor >= 3x).  "
             "scale_* rows time the backend-dispatched kernels at 10^6/10^7 "
             "(floor >= 3x under numba; numpy-only rows record ~1x with an "
             "honest backend tag); fleet_columnar_catalog runs a 10^7-client "

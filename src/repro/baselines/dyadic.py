@@ -42,7 +42,10 @@ from ..core.merge_tree import MergeForest, MergeNode, MergeTree
 from ..core.validation import check_finite_value, check_strictly_increasing
 
 __all__ = [
+    "MIN_ALPHA",
+    "MIN_RELATIVE_GAP",
     "DyadicParams",
+    "check_stream_length",
     "dyadic_interval_index",
     "dyadic_tree",
     "dyadic_forest",
@@ -52,22 +55,49 @@ __all__ = [
 ]
 
 
+#: Smallest allowed relative offset ``(t - x) / (y - x)`` of an arrival
+#: inside a dyadic window.  Below this the interval index would exceed any
+#: realistic tree depth (and float arithmetic degenerates); real media
+#: timelines are nowhere near this resolution.
+MIN_RELATIVE_GAP: float = 1e-12
+
+#: Smallest allowed interval ratio ``alpha``.  The interval index of an
+#: offset at the resolution limit is about ``log(1/MIN_RELATIVE_GAP) /
+#: log(alpha)``: 106 at ``alpha = 1.3``, 2,777 at this floor, and without
+#: a floor it grows without bound as ``alpha`` approaches 1 (the flat
+#: construction classifies against a table of that many powers).
+MIN_ALPHA: float = 1.01
+
+
+def check_stream_length(L: float) -> None:
+    """Reject a non-positive or non-finite stream length ``L``.
+
+    NaN fails every comparison, so ``L <= 0`` alone would let it through
+    and every window would become NaN.
+    """
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
+
+
 @dataclass(frozen=True)
 class DyadicParams:
     """Algorithm parameters: interval ratio ``alpha`` and cutoff ``beta``.
 
-    ``alpha > 1``; ``beta in (0, 1]`` is the root-merge window as a fraction
-    of the stream length ``L``.  ``beta <= (L-1)/L`` keeps every tree span
-    within ``L - 1`` (required for the last arrival to finish merging);
-    the paper's choices (0.5 or F_h/L) always satisfy that for ``L >= 2``.
+    ``alpha >= MIN_ALPHA`` (finite); ``beta in (0, 1]`` is the root-merge
+    window as a fraction of the stream length ``L``.  ``beta <= (L-1)/L``
+    keeps every tree span within ``L - 1`` (required for the last arrival
+    to finish merging); the paper's choices (0.5 or F_h/L) always satisfy
+    that for ``L >= 2``.
     """
 
     alpha: float = PHI
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.alpha <= 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= MIN_ALPHA):
+            raise ValueError(
+                f"alpha must be finite and at least {MIN_ALPHA}, got {self.alpha}"
+            )
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
@@ -89,13 +119,6 @@ def paper_beta(L: int, arrivals: str) -> float:
     if arrivals == "constant":
         return fib(tree_size_index(L)) / L
     raise ValueError(f"unknown arrival type {arrivals!r}")
-
-
-#: Smallest allowed relative offset ``(t - x) / (y - x)`` of an arrival
-#: inside a dyadic window.  Below this the interval index would exceed any
-#: realistic tree depth (and float arithmetic degenerates); real media
-#: timelines are nowhere near this resolution.
-MIN_RELATIVE_GAP: float = 1e-12
 
 
 def dyadic_interval_index(t: float, x: float, y: float, alpha: float) -> int:
@@ -164,6 +187,7 @@ def dyadic_tree(
 
     All arrivals must lie within ``arrivals[0] + beta * L``.
     """
+    check_stream_length(L)
     ts = list(arrivals)
     if not ts:
         raise ValueError("need at least one arrival")
@@ -186,6 +210,7 @@ def dyadic_forest(
     A new root starts whenever an arrival falls beyond the current root's
     cutoff ``root + beta * L``.
     """
+    check_stream_length(L)
     ts = list(arrivals)
     if not ts:
         raise ValueError("need at least one arrival")
@@ -246,8 +271,7 @@ class DyadicOnline:
     """
 
     def __init__(self, L: float, params: DyadicParams = DyadicParams()):
-        if L <= 0:
-            raise ValueError(f"L must be positive, got {L}")
+        check_stream_length(L)
         self.L = L
         self.params = params
         self._roots: List[MergeNode] = []

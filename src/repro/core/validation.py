@@ -19,7 +19,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["check_strictly_increasing", "check_finite_value"]
+import numpy as np
+
+__all__ = [
+    "check_strictly_increasing",
+    "check_finite_value",
+    "check_offsets",
+    "non_increasing_within",
+]
 
 
 def check_finite_value(t: float, what: str = "arrival time") -> None:
@@ -43,3 +50,30 @@ def check_strictly_increasing(
         if prev is not None and t <= prev:
             raise ValueError(f"{what} must be strictly increasing")
         prev = t
+
+
+def check_offsets(offsets, n: int) -> np.ndarray:
+    """Object bounds over ``n`` values laid end to end (object ``k`` is
+    ``values[offsets[k]:offsets[k + 1]]``): 1-D integers running
+    non-decreasing from 0 to ``n``.  Returned as an intp array."""
+    offsets = np.asarray(offsets)
+    if (
+        offsets.ndim != 1
+        or offsets.size == 0
+        or offsets.dtype.kind not in "iu"
+        or offsets[0] != 0
+        or offsets[-1] != n
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise ValueError("offsets must run non-decreasing from 0 to the number of values")
+    return offsets.astype(np.intp, copy=False)
+
+
+def non_increasing_within(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Mask over ``values[1:]``: True where a value does not exceed the
+    one before it in the same object (each object's first value is free).
+    NaN compares False, so callers check finiteness separately."""
+    bad = values[1:] <= values[:-1]
+    inner = offsets[1:-1]
+    bad[inner[(inner > 0) & (inner < values.size)] - 1] = False
+    return bad

@@ -99,6 +99,28 @@ class FlatForest:
         self.z = z
         self.root_index = root_index
 
+    @classmethod
+    def concatenated(
+        cls, arrivals: np.ndarray, parent: np.ndarray, z: np.ndarray
+    ) -> "FlatForest":
+        """Several objects' forests laid end to end, built by trusted code.
+
+        The ragged kernels' output: ``parent`` indexes the whole array and
+        never crosses an object, and arrivals increase within each object
+        but restart at the next one, so label lookups (:meth:`find`) do
+        not apply.  Nothing is validated; every per-node array query
+        (``stream_lengths``, ``is_root``, ``z``) does apply.
+        """
+        forest = cls.__new__(cls)
+        forest.arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+        forest.parent = np.ascontiguousarray(parent, dtype=np.intp)
+        forest.z = np.ascontiguousarray(z, dtype=np.float64)
+        n = forest.arrivals.size
+        forest.root_index = np.maximum.accumulate(
+            np.where(forest.parent == -1, np.arange(n), -1)
+        )
+        return forest
+
     # -- basic queries ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -158,10 +180,13 @@ class FlatForest:
 
     # -- costs (all vectorised) ------------------------------------------------
 
-    def stream_lengths(self, L: float, model: str = "receive-two") -> np.ndarray:
-        """Per-node stream lengths: Lemma 1 or Lemma 17; roots carry ``L``."""
+    def stream_lengths(
+        self, L: Union[float, np.ndarray], model: str = "receive-two"
+    ) -> np.ndarray:
+        """Per-node stream lengths: Lemma 1 or Lemma 17; roots carry ``L``
+        (one value, or one per node for a :meth:`concatenated` forest)."""
         nonroot = self.parent >= 0
-        out = np.full(len(self), float(L))
+        out = np.full(len(self), L, dtype=np.float64)
         p = self.arrivals[self.parent[nonroot]]
         if model == "receive-two":
             out[nonroot] = 2 * self.z[nonroot] - self.arrivals[nonroot] - p

@@ -53,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..baselines.dyadic import DyadicParams, dyadic_interval_index
+from ..baselines.dyadic import DyadicParams, check_stream_length, dyadic_interval_index
 from ..core.validation import check_finite_value
 from .dyadic import dyadic_flat_forest
 from .flat_forest import FlatForest
@@ -110,8 +110,7 @@ class IncrementalFlatForest:
     """
 
     def __init__(self, L: float, params: DyadicParams = DyadicParams()):
-        if L <= 0:
-            raise ValueError(f"L must be positive, got {L}")
+        check_stream_length(L)
         self.L = L
         self.params = params
         self._window = params.window(L)

@@ -59,6 +59,14 @@ structure (admission control, load-shedding, QoE-adaptive selection):
 compute the feedback trajectory from counts, then slot-sweep the
 segments.
 
+Shards.  Given a :class:`RaggedTrace` (several objects' arrivals end to
+end, as the fleet runner ships them), :func:`simulate_batched` runs the
+whole shard as one pass: one ragged ``bucket_slots`` call and one ragged
+``dyadic_flat_forest`` call for every object, so a thousand small titles
+cost a dozen engine calls, not a thousand.  The one-object run stays the
+oracle: each object's slice of the :class:`ShardResult` is bit-identical
+to it.
+
 Exactness contract
 ------------------
 
@@ -93,9 +101,10 @@ from ..arrivals.traces import ArrivalTrace
 from ..baselines.dyadic import DyadicParams
 from ..core.full_cost import build_optimal_flat_forest
 from ..core.online import build_online_flat_forest
+from ..core.validation import check_offsets, non_increasing_within
 from ..fastpath.dyadic import dyadic_flat_forest
 from ..fastpath.flat_forest import FlatForest
-from ..scale.kernels import bucket_slots, hysteresis_scan
+from ..scale.kernels import bucket_slots, forest_z, hysteresis_scan
 from ..simulation.metrics import BandwidthMetrics
 from ..simulation.server import Simulation
 from ..simulation.verify import VerificationReport, verify_forest, verify_forest_continuous
@@ -106,6 +115,8 @@ __all__ = [
     "SEGMENTED",
     "SLOT_SWEEPABLE",
     "BatchedResult",
+    "RaggedTrace",
+    "ShardResult",
     "simulate_batched",
     "simulate_segmented",
     "make_event_policy",
@@ -132,6 +143,9 @@ SEGMENTED = ("hybrid",)
 FLEET_POLICIES = SLOT_SWEEPABLE + SEGMENTED
 
 _IMMEDIATE = ("immediate-dyadic", "unicast")
+
+_EMPTY = np.empty(0, dtype=np.float64)
+_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -294,6 +308,78 @@ class BatchedResult:
         return report
 
 
+@dataclass(frozen=True, eq=False)
+class RaggedTrace:
+    """Several objects' arrival traces end to end, run as one engine pass.
+
+    Object ``k`` arrives at ``times[offsets[k]:offsets[k + 1]]``, strictly
+    increasing inside ``[0, horizons[k])``: each slice meets the
+    :class:`~repro.arrivals.traces.ArrivalTrace` contract, checked here
+    in one vectorised pass.  Empty objects are allowed.
+    """
+
+    times: np.ndarray
+    offsets: np.ndarray
+    horizons: np.ndarray
+
+    def __post_init__(self) -> None:
+        ts = np.ascontiguousarray(self.times, dtype=np.float64)
+        horizons = np.ascontiguousarray(self.horizons, dtype=np.float64)
+        if ts.ndim != 1 or horizons.ndim != 1:
+            raise ValueError("times and horizons must be one-dimensional")
+        offsets = check_offsets(self.offsets, ts.size)
+        if offsets.size != horizons.size + 1:
+            raise ValueError("need one horizon per object")
+        if not (np.isfinite(horizons).all() and (horizons > 0).all()):
+            raise ValueError("horizons must be positive and finite")
+        # Every comparison is False on NaN, so the range test rejects it.
+        if not ((ts >= 0) & (ts < np.repeat(horizons, np.diff(offsets)))).all():
+            raise ValueError("arrivals must be finite and lie in [0, horizon)")
+        if non_increasing_within(ts, offsets).any():
+            raise ValueError("arrival times must be strictly increasing")
+        object.__setattr__(self, "times", ts)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "horizons", horizons)
+
+    def __len__(self) -> int:
+        return self.horizons.size
+
+    def trace(self, k: int) -> ArrivalTrace:
+        """Object ``k``'s arrivals as a one-object trace."""
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return ArrivalTrace(self.times[lo:hi], float(self.horizons[k]))
+
+
+@dataclass
+class ShardResult:
+    """The run of a :class:`RaggedTrace`: every object's streams end to end.
+
+    Object ``k``'s streams are nodes ``node_offsets[k]:node_offsets[k +
+    1]`` of :attr:`forest` (a :meth:`FlatForest.concatenated` forest,
+    labels on that object's clock) with :attr:`lengths`; the per-object
+    counters are what the fleet fold reads.  Slicing object ``k`` out
+    gives exactly the one-object :class:`BatchedResult`'s forest labels,
+    lengths, root count and maximum start-up delay.
+    """
+
+    #: None when no object started a stream
+    forest: Optional[FlatForest]
+    lengths: np.ndarray
+    node_offsets: np.ndarray
+    #: arrivals, root streams and maximum start-up delay (0.0 when no
+    #: client was served) per object
+    clients: np.ndarray
+    roots: np.ndarray
+    max_startup_delay: np.ndarray
+
+
+def _check_slot(L, slot: float) -> None:
+    if np.any(np.asarray(L) < 1):
+        raise ValueError(f"L must be >= 1, got {L}")
+    if not (math.isfinite(slot) and slot > 0):
+        raise ValueError(f"slot must be positive and finite, got {slot}")
+
+
 def _served_slots(
     times: np.ndarray, slot_ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,13 +412,16 @@ def simulate_batched(
     The batched equivalent of ``Simulation(L, trace, policy, slot).run()``
     for every kind in :data:`SLOT_SWEEPABLE` — same metrics, same flat
     forest (see the module docstring for the exactness contract).
+
+    Given a :class:`RaggedTrace` (and one ``L`` per object), the whole
+    shard of objects runs as one engine pass and a :class:`ShardResult`
+    comes back; see :func:`_simulate_shard`.
     """
+    if isinstance(trace, RaggedTrace):
+        return _simulate_shard(L, trace, policy, slot)
     if policy.kind in SEGMENTED:
         return simulate_segmented(L, trace, policy, slot)
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if slot <= 0:
-        raise ValueError(f"slot must be positive, got {slot}")
+    _check_slot(L, slot)
     times = np.asarray(trace.times, dtype=np.float64)
     n_clients = times.size
     kind = policy.kind
@@ -437,6 +526,120 @@ def simulate_batched(
     )
 
 
+#: kinds whose shard pass is one ragged sweep; the rest loop per object
+_RAGGED = ("batched-dyadic", "immediate-dyadic", "pure-batching", "unicast")
+
+
+def _simulate_shard(
+    L, trace: RaggedTrace, policy: FleetPolicy, slot: float
+) -> ShardResult:
+    """One engine pass over a shard of objects.
+
+    The ragged kinds bucket every object's arrivals with one
+    ``bucket_slots`` call and build every object's forest with one
+    ``dyadic_flat_forest`` call; the other kinds (whose forests are
+    templates over every slot, or come from a per-trace optimum or a
+    mode scan) loop over the objects inside this pass.  Either way object
+    ``k``'s slice is bit-identical to ``simulate_batched(L[k],
+    trace.trace(k), policy, slot)``, which the fleet replay contract
+    checks.
+    """
+    L = np.asarray(L, dtype=np.int64)
+    if L.shape != (len(trace),):
+        raise ValueError(f"need one L per object, got shape {L.shape}")
+    _check_slot(L, slot)
+    pass_ = _ragged_pass if policy.kind in _RAGGED else _per_object_pass
+    labels, parent, z, lengths, node_offsets, max_delay = pass_(L, trace, policy, slot)
+    forest: Optional[FlatForest] = None
+    roots = np.zeros(len(trace), dtype=np.int64)
+    if labels.size:
+        forest = FlatForest.concatenated(labels, parent, z)
+        roots = np.diff(np.concatenate(([0], np.cumsum(forest.is_root)))[node_offsets])
+    return ShardResult(
+        forest=forest,
+        lengths=lengths,
+        node_offsets=node_offsets,
+        clients=np.diff(trace.offsets),
+        roots=roots,
+        max_startup_delay=max_delay,
+    )
+
+
+def _ragged_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slot: float):
+    times, offsets = trace.times, trace.offsets
+    # Immediate kinds serve every client on arrival: no wait at all.
+    max_wait = np.zeros(len(trace))
+    if policy.uses_slots:
+        scale = slot
+        nslots = np.ceil(trace.horizons / slot).astype(np.intp)
+        # The exact float end times the event loop schedules SlotEnd at;
+        # object k's slots are the first nslots[k] of them.
+        slot_ends = np.arange(1, nslots.max(initial=0) + 1, dtype=np.float64) * slot
+        client_slot, served_idx, node_offsets = bucket_slots(
+            times, slot_ends, offsets, nslots
+        )
+        labels = slot_ends[served_idx]
+        # A served client waits > 0; 0 stands for the unserved, so an
+        # object nobody was served reads 0.  max is exact in any order.
+        wait = np.where(
+            client_slot >= 0, slot_ends[np.maximum(client_slot, 0)] - times, 0.0
+        )
+        busy = np.diff(offsets) > 0
+        if busy.any():
+            max_wait[busy] = np.maximum.reduceat(wait, offsets[:-1][busy])
+    else:
+        scale = 1.0
+        labels, node_offsets = times, offsets
+    node_L = np.repeat(L, np.diff(node_offsets))
+    if "dyadic" in policy.kind and labels.size:
+        # x / 1.0 == x, so at scale 1 the labels are the units (and the
+        # units' subtree maxima are the labels').
+        units = dyadic_flat_forest(
+            labels if scale == 1.0 else labels / scale,
+            L, policy.params or DyadicParams(), offsets=node_offsets,
+        )
+        parent = units.parent
+        z = units.z if scale == 1.0 else forest_z(labels, parent)
+        lengths = units.stream_lengths(node_L) * scale
+    else:  # every stream is a root of length L
+        parent = np.full(labels.size, -1, dtype=np.intp)
+        z = labels
+        lengths = node_L * scale
+    return labels, parent, z, lengths, node_offsets, max_wait
+
+
+def _per_object_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slot: float):
+    """The kinds with no ragged kernel: one :func:`simulate_batched` run
+    per object, concatenated."""
+    labels, parents, zs, lengths = [_EMPTY], [_NO_NODES], [_EMPTY], [_EMPTY]
+    node_offsets, delays = [0], []
+    for k in range(len(trace)):
+        sub = trace.trace(k)
+        result = None
+        if len(sub) or policy.kind != "general-offline":
+            # The optimum is undefined over zero served slots; a quiet
+            # object contributes nothing.
+            result = simulate_batched(int(L[k]), sub, policy, slot)
+        base = node_offsets[-1]
+        if result is not None and result.forest is not None:
+            f = result.forest
+            labels.append(f.arrivals)
+            parents.append(np.where(f.parent < 0, -1, f.parent + base))
+            zs.append(f.z)
+            lengths.append(result.lengths)
+            base += f.arrivals.size
+        node_offsets.append(base)
+        delays.append(0.0 if result is None else result.max_startup_delay())
+    return (
+        np.concatenate(labels),
+        np.concatenate(parents),
+        np.concatenate(zs),
+        np.concatenate(lengths),
+        np.asarray(node_offsets, dtype=np.intp),
+        np.asarray(delays, dtype=np.float64),
+    )
+
+
 def _nodes_among_served(
     client_slot: np.ndarray, served_idx: np.ndarray
 ) -> np.ndarray:
@@ -469,10 +672,7 @@ def simulate_segmented(
     Same exactness contract as :func:`simulate_batched`: bit-identical
     metrics, parent arrays, and mode log for power-of-two ``slot``.
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if slot <= 0:
-        raise ValueError(f"slot must be positive, got {slot}")
+    _check_slot(L, slot)
     if policy.kind not in SEGMENTED:
         raise ValueError(f"{policy.kind!r} is not a segmented policy kind")
     params = policy.params or DyadicParams()

@@ -1,17 +1,23 @@
-"""Sharded catalog runner: one batched kernel run per media object.
+"""Sharded catalog runner: one batched engine pass per shard of objects.
 
 The fleet question the paper's Section 5 poses — how many channels does a
 *catalog* need for a given delay guarantee — multiplies one-trace
-simulation by the catalog size.  This module fans a multi-object workload
-across worker processes (one :func:`~repro.fleet.engine.simulate_batched`
-run per object, each in slot units of its own delay) and aggregates the
-flat interval arrays into fleet-wide peak and profile.
+simulation by the catalog size.  This module groups the catalog into
+*shards* (consecutive objects holding at most :data:`SHARD_ARRIVALS`
+arrivals; a larger object is a shard of its own), fans them across
+worker processes (one :func:`~repro.fleet.engine.simulate_batched` pass
+per shard over a :class:`~repro.fleet.engine.RaggedTrace`, each object
+in slot units of its own delay) and aggregates the flat interval arrays
+into fleet-wide peak and profile.  Every folded object equals its
+one-object run (:func:`object_run`) bit for bit.
 
 Memory contract: workers return only per-object *summaries* plus the
 stream interval arrays (O(streams), not O(requests)); per-client arrays
 never leave the worker, and results are folded into the report as they
-stream back — a 10^6-request catalog holds at most one object's client
-arrays in memory at a time (per worker).
+stream back — a shard holds at most max(:data:`SHARD_ARRIVALS`, largest
+object) arrivals, so a 10^6-request catalog holds at most that many
+clients' arrays in memory at a time (per worker).  A generated object
+counts its expected arrivals, so its shard may hold a few more.
 
 Workloads come in two forms:
 
@@ -28,6 +34,7 @@ Workloads come in two forms:
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import shutil
 import tempfile
@@ -37,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -50,11 +56,12 @@ import numpy as np
 
 from ..arrivals.generators import poisson
 from ..arrivals.traces import ArrivalTrace
+from ..core.validation import non_increasing_within
 from ..multiplex.catalog import Catalog, MediaObject
 from ..scale import columnar
 from ..scale.columnar import StoreSlice
 from ..simulation.channels import interval_profile, peak_concurrency
-from .engine import BatchedResult, FleetPolicy, simulate_batched
+from .engine import BatchedResult, FleetPolicy, RaggedTrace, simulate_batched
 
 __all__ = [
     "FleetObjectResult",
@@ -87,10 +94,16 @@ def install_task_fault_hook(hook: Optional[Callable]) -> Optional[Callable]:
     return previous
 
 
+def _fire_hook(hook: Callable, fault_points: Optional[Callable], index: int, arg) -> None:
+    points = ((index, arg),) if fault_points is None else fault_points(index, arg)
+    for i, a in points:
+        hook(i, a)
+
+
 def _invoke_hooked(payload) -> object:
     """Pooled task wrapper when a fault hook is installed (picklable)."""
-    fn, hook, index, arg = payload
-    hook(index, arg)
+    fn, hook, fault_points, index, arg = payload
+    _fire_hook(hook, fault_points, index, arg)
     return fn(arg)
 
 
@@ -99,6 +112,7 @@ def pool_map(
     args: Sequence,
     workers: int = 0,
     chunksize: int = 4,
+    fault_points: Optional[Callable] = None,
 ) -> Iterator:
     """Map ``fn`` over ``args``, optionally sharded across processes.
 
@@ -119,13 +133,18 @@ def pool_map(
     be pure/idempotent — which the in-order fold contract already
     demands.  Ordinary exceptions raised *by* a task are not retried;
     they propagate to the caller as before.
+
+    The fault hook fires once per task as ``hook(index, arg)``, or, for
+    tasks that bundle several units of work, once per pair that the
+    picklable ``fault_points(index, arg)`` returns, in the process that
+    runs the task.
     """
     args = list(args)
     hook = _TASK_FAULT_HOOK
     if not (workers and workers > 1):
         for index, a in enumerate(args):
             if hook is not None:
-                hook(index, a)
+                _fire_hook(hook, fault_points, index, a)
             yield fn(a)
         return
     done = 0
@@ -135,7 +154,7 @@ def pool_map(
             task_fn = fn
         else:
             payloads = [
-                (fn, hook, i, a)
+                (fn, hook, fault_points, i, a)
                 for i, a in enumerate(args[done:], start=done)
             ]
             task_fn = _invoke_hooked
@@ -152,7 +171,7 @@ def pool_map(
             # in the fresh pool below.
             arg = args[done]
             if hook is not None:
-                hook(done, arg)
+                _fire_hook(hook, fault_points, done, arg)
             yield fn(arg)
             done += 1
 
@@ -281,8 +300,8 @@ def _times_of(trace: WorkloadValue) -> np.ndarray:
 
 
 def sanitize_times(
-    times: np.ndarray, horizon: float
-) -> Tuple[np.ndarray, int]:
+    times: np.ndarray, horizon: float, offsets: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, ...]:
     """``(clean, repaired)`` — arrival times coerced onto the trace contract.
 
     The fleet ingests workloads from outside the library (deserialised
@@ -294,13 +313,31 @@ def sanitize_times(
     (``tests/burnin/test_faults.py`` asserts that equivalence).
     ``repaired`` counts the entries that had to go; 0 on any trace that
     already satisfies the contract.
+
+    Ragged form: with ``offsets``, ``times`` holds several objects' feeds
+    end to end (object ``k`` is ``times[offsets[k]:offsets[k + 1]]``);
+    each is repaired on its own, ``repaired`` has one count per object,
+    and a third array delimits the objects in ``clean``.  An object whose
+    in-window entries already increase strictly is kept as it is (exactly
+    what sorting and collapsing would return); only the others are sorted.
     """
     ts = np.asarray(times, dtype=np.float64)
     ok = np.isfinite(ts)
     # & instead of chained comparisons: NaN must not reach the range test
     ok &= (ts >= 0.0) & (ts < horizon)
-    clean = np.unique(ts[ok])  # sorts and collapses exact duplicates
-    return clean, int(ts.size - clean.size)
+    if offsets is None:
+        clean = np.unique(ts[ok])  # sorts and collapses exact duplicates
+        return clean, int(ts.size - clean.size)
+    kept = ts[ok]
+    bounds = np.concatenate(([0], np.cumsum(ok)))[offsets]
+    dec = non_increasing_within(kept, bounds)
+    if not dec.any():
+        return kept, np.diff(offsets) - np.diff(bounds), bounds
+    parts = [kept[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    for k in np.unique(np.searchsorted(bounds, np.flatnonzero(dec), side="right") - 1):
+        parts[k] = np.unique(parts[k])
+    bounds = np.concatenate(([0], np.cumsum([p.size for p in parts])))
+    return np.concatenate(parts), np.diff(offsets) - np.diff(bounds), bounds
 
 
 @contextlib.contextmanager
@@ -370,69 +407,113 @@ def object_run(
     return simulate_batched(L, trace, policy, slot=1.0), repaired
 
 
-def _simulate_object(
-    obj: MediaObject,
-    times_minutes: np.ndarray,
-    delay_minutes: float,
-    horizon_minutes: float,
-    policy: FleetPolicy,
-) -> FleetObjectResult:
-    """One object's run, reduced to the fleet-aggregation summary."""
-    result, repaired = object_run(
-        obj, times_minutes, delay_minutes, horizon_minutes, policy
-    )
-    L = obj.units(delay_minutes)
-    if result is None or result.forest is None:
-        starts = ends = _EMPTY
-        roots = 0
-    else:
-        starts = result.forest.arrivals * delay_minutes
-        ends = (result.forest.arrivals + result.lengths) * delay_minutes
-        roots = result.metrics.roots_started
-    return FleetObjectResult(
-        name=obj.name,
-        L=L,
-        delay_minutes=delay_minutes,
-        clients=0 if result is None else int(result.client_arrival.size),
-        streams=int(starts.size),
-        roots=roots,
-        total_units_minutes=float(np.sum(ends - starts)),
-        max_startup_delay_minutes=(
-            0.0 if result is None
-            else result.max_startup_delay() * delay_minutes
-        ),
-        starts=starts,
-        ends=ends,
-        repaired=repaired,
-    )
+#: Arrival budget of one pool task, a *shard*: consecutive catalog
+#: objects are grouped until the next one would take the shard past it,
+#: and an object larger than the budget is a shard of its own.  Shards
+#: depend only on arrival counts, never on timing or the worker count.
+SHARD_ARRIVALS = 1 << 16
 
 
-def _run_shard(args) -> FleetObjectResult:
-    """Module-level worker entry (picklable for process pools)."""
-    obj, times, seed_seq, mean_gap, delay, horizon, policy = args
-    release: Optional[Tuple[columnar.ColumnarStore, StoreSlice]] = None
-    if times is None:
-        # In-worker thinned generation: this object's share of the global
-        # Poisson stream, from its own spawned SeedSequence (shipped
-        # whole — entropy alone would drop the spawn key and give every
-        # object the same stream).
-        rng = np.random.default_rng(seed_seq)
-        times = poisson(mean_gap / obj.weight, horizon, seed=rng).times
-    elif isinstance(times, StoreSlice):
-        # Columnar store: attach once per process (cached), take a
-        # zero-copy view, and give the pages back after folding so the
-        # process never keeps more than one object's column resident.
-        store = columnar.attach(times.root)
-        release = (store, times)
-        times = store.view(times)
+def _shards(entries: List[tuple], sizes: List[float]) -> List[Tuple[tuple, ...]]:
+    """Consecutive ``entries`` grouped into shards of at most
+    :data:`SHARD_ARRIVALS` arrivals (``sizes``), one oversized entry
+    alone."""
+    shards: List[Tuple[tuple, ...]] = []
+    current: List[tuple] = []
+    total = 0.0
+    for entry, size in zip(entries, sizes):
+        if current and total + size > SHARD_ARRIVALS:
+            shards.append(tuple(current))
+            current, total = [], 0.0
+        current.append(entry)
+        total += size
+    if current:
+        shards.append(tuple(current))
+    return shards
+
+
+def _shard_points(index: int, shard) -> List[tuple]:
+    """Fault-hook points of a shard task: one per catalog object it holds
+    (``pool_map``'s ``fault_points``)."""
+    return [(entry[0], entry) for entry in shard[0]]
+
+
+def _shard_times(entries, mean_gap, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(clean, repaired, offsets)``: a shard's arrival times end to end,
+    through :func:`sanitize_times`."""
+    columns: List[np.ndarray] = []
+    releases: List[Tuple[columnar.ColumnarStore, StoreSlice]] = []
     try:
-        return _simulate_object(obj, times, delay, horizon, policy)
+        for _, obj, source in entries:
+            if isinstance(source, np.random.SeedSequence):
+                # In-worker thinned generation: this object's share of the
+                # global Poisson stream, from its own spawned SeedSequence
+                # (shipped whole — entropy alone would drop the spawn key
+                # and give every object the same stream).
+                rng = np.random.default_rng(source)
+                source = poisson(mean_gap / obj.weight, horizon, seed=rng).times
+            elif isinstance(source, StoreSlice):
+                # Columnar store: attach once per process (cached) and take
+                # a zero-copy view; the pages go back once the shard's
+                # times are sanitized (a copy).
+                store = columnar.attach(source.root)
+                releases.append((store, source))
+                source = store.view(source)
+            columns.append(source)
+        offsets = np.concatenate(([0], np.cumsum([c.size for c in columns])))
+        times = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        return sanitize_times(times, horizon, offsets)
     finally:
-        if release is not None:
-            release[0].release_slice(release[1])
+        for store, sl in releases:
+            store.release_slice(sl)
 
 
-def _shard_args(
+def _run_shard(shard) -> List[FleetObjectResult]:
+    """Module-level worker entry (picklable for process pools): one
+    engine pass over a shard of objects, folded per object."""
+    entries, mean_gap, delay, horizon, policy = shard
+    clean, repaired, offsets = _shard_times(entries, mean_gap, horizon)
+    # Slot units of the delay guarantee, with object_run's expressions.
+    ts = clean / delay
+    horizons = np.full(len(entries), horizon / delay)
+    busy = np.diff(offsets) > 0
+    last = ts[offsets[1:][busy] - 1]
+    # Float division can push the last arrival onto the horizon; the
+    # trace contract is arrivals strictly inside [0, horizon).
+    horizons[busy] = np.where(
+        last >= horizons[busy], np.nextafter(last, np.inf), horizons[busy]
+    )
+    L = [obj.units(delay) for _, obj, _ in entries]
+    result = simulate_batched(L, RaggedTrace(ts, offsets, horizons), policy, slot=1.0)
+    if result.forest is None:
+        starts_all = ends_all = _EMPTY
+    else:
+        starts_all = result.forest.arrivals * delay
+        ends_all = (result.forest.arrivals + result.lengths) * delay
+    bounds = result.node_offsets.tolist()
+    out = []
+    for j, (_, obj, _) in enumerate(entries):
+        starts = starts_all[bounds[j] : bounds[j + 1]].copy()
+        ends = ends_all[bounds[j] : bounds[j + 1]].copy()
+        out.append(
+            FleetObjectResult(
+                name=obj.name,
+                L=L[j],
+                delay_minutes=delay,
+                clients=int(result.clients[j]),
+                streams=int(starts.size),
+                roots=int(result.roots[j]),
+                total_units_minutes=float(np.sum(ends - starts)),
+                max_startup_delay_minutes=float(result.max_startup_delay[j]) * delay,
+                starts=starts,
+                ends=ends,
+                repaired=int(repaired[j]),
+            )
+        )
+    return out
+
+
+def _fleet_shards(
     catalog: Catalog,
     workload: Optional[Dict[str, ArrivalTrace]],
     mean_interarrival_minutes: Optional[float],
@@ -441,35 +522,39 @@ def _shard_args(
     policy: FleetPolicy,
     seed,
     views: Optional[Dict[str, StoreSlice]] = None,
-) -> Iterable[tuple]:
+) -> List[tuple]:
+    """Pool tasks: shards of ``(index, object, source)`` entries, where a
+    source is a times array, a :class:`StoreSlice` or a seed for
+    in-worker generation, sized by its arrival count (a generated
+    object's by its expected count)."""
     if workload is None and views is not None:
         # Store-only workload: every object's times come from the
         # columnar store by name; absent objects are quiet.
-        for obj in catalog:
-            times = views.get(obj.name, _EMPTY)
-            yield (obj, times, None, None, delay_minutes, horizon_minutes, policy)
+        sources = [views.get(obj.name, _EMPTY) for obj in catalog]
+        sizes = [s.count if isinstance(s, StoreSlice) else 0 for s in sources]
     elif workload is None:
         if mean_interarrival_minutes is None:
             raise ValueError(
                 "need either a workload mapping, a columnar store, or "
                 "mean_interarrival_minutes for in-worker generation"
             )
-        children = np.random.SeedSequence(seed).spawn(len(catalog))
-        for obj, child in zip(catalog, children):
-            yield (
-                obj,
-                None,
-                child,
-                mean_interarrival_minutes,
-                delay_minutes,
-                horizon_minutes,
-                policy,
-            )
+        sources = np.random.SeedSequence(seed).spawn(len(catalog))
+        sizes = [
+            horizon_minutes / (mean_interarrival_minutes / obj.weight)
+            for obj in catalog
+        ]
     else:
-        for obj in catalog:
-            trace = workload.get(obj.name)
-            times = _EMPTY if trace is None else _times_of(trace)
-            yield (obj, times, None, None, delay_minutes, horizon_minutes, policy)
+        sources = [
+            _EMPTY if workload.get(obj.name) is None
+            else _times_of(workload[obj.name])
+            for obj in catalog
+        ]
+        sizes = [s.size for s in sources]
+    entries = [(i, obj, src) for i, (obj, src) in enumerate(zip(catalog, sources))]
+    return [
+        (shard, mean_interarrival_minutes, delay_minutes, horizon_minutes, policy)
+        for shard in _shards(entries, sizes)
+    ]
 
 
 def iter_fleet(
@@ -508,8 +593,9 @@ def iter_fleet(
       10^7-client catalog run never materialises the workload in any
       process.
     """
-    if delay_minutes <= 0 or horizon_minutes <= 0:
-        raise ValueError("delay and horizon must be positive")
+    for name, value in (("delay_minutes", delay_minutes), ("horizon_minutes", horizon_minutes)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     policy = policy or FleetPolicy.batched_dyadic()
     with contextlib.ExitStack() as stack:
         views: Optional[Dict[str, StoreSlice]] = None
@@ -522,20 +608,21 @@ def iter_fleet(
                 workload = None  # everything ships through the store
             else:
                 views = columnar.store_slices(store)
-        args = list(
-            _shard_args(
-                catalog,
-                workload,
-                mean_interarrival_minutes,
-                delay_minutes,
-                horizon_minutes,
-                policy,
-                seed,
-                views,
-            )
+        shards = _fleet_shards(
+            catalog,
+            workload,
+            mean_interarrival_minutes,
+            delay_minutes,
+            horizon_minutes,
+            policy,
+            seed,
+            views,
         )
-        for result in pool_map(_run_shard, args, workers=workers):
-            yield result
+        for results in pool_map(
+            _run_shard, shards, workers=workers, chunksize=1,
+            fault_points=_shard_points,
+        ):
+            yield from results
 
 
 def run_fleet(

@@ -408,7 +408,7 @@ class _ObjectLedger:
         roots: int,
         cutoff_slots: float,
     ) -> None:
-        # The exact minute-scale expressions of runner._simulate_object:
+        # The exact minute-scale expressions of the fleet fold (runner._run_shard):
         # starts = arrivals * delay, ends = (arrivals + lengths) * delay.
         starts = arrivals_slots * self.delay
         ends = (arrivals_slots + lengths_slots) * self.delay

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from ..core.validation import check_offsets
 
 __all__ = [
     "HAVE_NUMBA",
@@ -107,25 +109,24 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bucket_slots_body(times, slot_ends, client_slot, served):
-    """Two-pointer slot bucketing over sorted arrivals.
+def _bucket_slots_body(times, offsets, nslots, slot_ends, client_slot):
+    """Two-pointer slot bucketing over sorted arrivals, object by object.
 
-    Exactly ``searchsorted(slot_ends, times, side="right")`` with the
+    Exactly ``searchsorted(slot_ends[:nslots[k]], times, side="right")``
+    per object ``k`` (``times[offsets[k]:offsets[k + 1]]``) with the
     past-the-last-slot -1 rule: ``client_slot[i]`` is the first slot end
     strictly after ``times[i]`` (SlotEnd fires before Arrival at equal
-    timestamps), and ``served[k]`` flags slots that caught an arrival.
+    timestamps).  The pointer restarts at every object, because each
+    object's arrivals are one sorted run of their own.
     """
-    ns = slot_ends.shape[0]
-    j = 0
-    for i in range(times.shape[0]):
-        t = times[i]
-        while j < ns and slot_ends[j] <= t:
-            j += 1
-        if j >= ns:
-            client_slot[i] = -1
-        else:
-            client_slot[i] = j
-            served[j] = True
+    for k in range(nslots.shape[0]):
+        ns = nslots[k]
+        j = 0
+        for i in range(offsets[k], offsets[k + 1]):
+            t = times[i]
+            while j < ns and slot_ends[j] <= t:
+                j += 1
+            client_slot[i] = j if j < ns else -1
 
 
 def _forest_z_body(arrivals, parent, z):
@@ -281,8 +282,11 @@ else:
 
 
 def bucket_slots(
-    times: np.ndarray, slot_ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+    times: np.ndarray,
+    slot_ends: np.ndarray,
+    offsets: Optional[np.ndarray] = None,
+    nslots: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, ...]:
     """``(client_slot, served_idx)`` for sorted arrivals against slot ends.
 
     ``client_slot[i]`` is the slot whose end serves arrival ``i`` (-1
@@ -290,19 +294,52 @@ def bucket_slots(
     ``times`` must be non-decreasing (the :class:`ArrivalTrace` contract)
     and ``slot_ends`` strictly increasing.  Both backends reproduce
     ``searchsorted(..., side="right")`` exactly.
+
+    Ragged form: with ``offsets``, ``times`` holds several objects'
+    arrivals end to end (object ``k`` is ``times[offsets[k]:offsets[k +
+    1]]``, each non-decreasing), object ``k`` has the first ``nslots[k]``
+    entries of ``slot_ends`` as its slots, and a third array comes back:
+    ``served_idx`` is every object's served slots end to end and
+    ``served_offsets`` (``len(offsets)`` entries) delimits them.
+
+    ``client_slot`` is non-decreasing within an object, with any -1
+    entries in its tail, so the served slots are the starts of its runs:
+    one comparison per arrival, no ``np.unique``.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     slot_ends = np.ascontiguousarray(slot_ends, dtype=np.float64)
+    ragged = offsets is not None
+    if ragged:
+        offsets = check_offsets(offsets, times.size)
+        nslots = np.ascontiguousarray(nslots, dtype=np.intp)
+        if nslots.shape != (offsets.size - 1,) or not (
+            (nslots >= 0).all() and (nslots <= slot_ends.size).all()
+        ):
+            raise ValueError("need one slot count per object, within len(slot_ends)")
+    else:
+        offsets = np.array([0, times.size], dtype=np.intp)
+        nslots = np.array([slot_ends.size], dtype=np.intp)
     if _BACKEND == "numba":
         client_slot = np.empty(times.size, dtype=np.intp)
-        served = np.zeros(slot_ends.size, dtype=np.bool_)
-        _bucket_slots_jit(times, slot_ends, client_slot, served)
-        served_idx = np.nonzero(served)[0]
+        _bucket_slots_jit(times, offsets, nslots, slot_ends, client_slot)
+    else:
+        client_slot = np.searchsorted(slot_ends, times, side="right")
+        limit = nslots[0] if not ragged else np.repeat(nslots, np.diff(offsets))
+        client_slot[client_slot >= limit] = -1
+        client_slot = client_slot.astype(np.intp, copy=False)
+    # A run starts at each object's first arrival and wherever the slot
+    # changes; runs of -1 are not served.
+    head = np.empty(times.size, dtype=bool)
+    if times.size:
+        head[0] = True
+        np.not_equal(client_slot[1:], client_slot[:-1], out=head[1:])
+        head[offsets[:-1][offsets[:-1] < times.size]] = True
+        head &= client_slot >= 0
+    heads = np.flatnonzero(head)
+    served_idx = client_slot[heads]
+    if not ragged:
         return client_slot, served_idx
-    client_slot = np.searchsorted(slot_ends, times, side="right")
-    client_slot = np.where(client_slot >= slot_ends.size, -1, client_slot)
-    served_idx = np.unique(client_slot[client_slot >= 0])
-    return client_slot.astype(np.intp, copy=False), served_idx.astype(np.intp, copy=False)
+    return client_slot, served_idx, np.searchsorted(heads, offsets)
 
 
 def forest_z(arrivals: np.ndarray, parent: np.ndarray) -> np.ndarray:

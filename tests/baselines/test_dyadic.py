@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,24 @@ class TestParams:
 
     def test_window(self):
         assert DyadicParams(beta=0.5).window(100) == 50
+
+    def test_nan_alpha_rejected(self):
+        """``nan <= 1.0`` is False, so NaN used to pass."""
+        with pytest.raises(ValueError, match="alpha"):
+            DyadicParams(alpha=float("nan"))
+
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            DyadicParams(alpha=float("inf"))
+
+    def test_alpha_below_floor_rejected(self):
+        from repro.baselines.dyadic import MIN_ALPHA
+
+        with pytest.raises(ValueError, match="alpha"):
+            DyadicParams(alpha=1 + 1e-9)
+        with pytest.raises(ValueError, match="alpha"):
+            DyadicParams(alpha=np.nextafter(MIN_ALPHA, 0.0))
+        assert DyadicParams(alpha=MIN_ALPHA).alpha == MIN_ALPHA
 
     def test_paper_beta(self):
         assert paper_beta(100, "poisson") == 0.5

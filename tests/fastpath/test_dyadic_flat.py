@@ -3,8 +3,8 @@
 Satellite contract of the flat-simulation PR: ``dyadic_flat_forest`` ==
 ``dyadic_forest`` == ``DyadicOnline`` == ``DyadicFlatOnline`` on
 adversarial traces — arrivals exactly on dyadic interval edges, exactly
-at the cutoff ``y``, dense clusters, both ``alpha = 2`` and
-``alpha = phi``.
+at the cutoff ``y``, dense clusters, for alpha from the ``MIN_ALPHA``
+floor up to 7.5 — and the ragged form == one call per object.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dyadic import (
+    MIN_ALPHA,
+    MIN_RELATIVE_GAP,
     DyadicOnline,
     DyadicParams,
     dyadic_cost,
@@ -34,6 +36,7 @@ from tests.conftest import increasing_times, increasing_times_exact
 
 ALPHAS = st.sampled_from([2.0, PHI])
 BETAS = st.sampled_from([0.5, 0.3, 0.9])
+EDGE_ALPHAS = [1.3, PHI, 2.0, 3.0, 7.5]
 
 
 def _assert_same_forest(ts, L, params):
@@ -65,7 +68,7 @@ class TestBatchEquivalence:
         # the public dyadic_cost entry point now routes through the flat path
         assert dyadic_cost(times, L, params) == dyadic_flat_cost(times, L, params)
 
-    @pytest.mark.parametrize("alpha", [2.0, PHI])
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
     def test_arrivals_on_interval_edges(self, alpha):
         """Arrivals exactly at dyadic left edges and at the cutoff."""
         params = DyadicParams(alpha=alpha, beta=0.5)
@@ -73,10 +76,31 @@ class TestBatchEquivalence:
         window = params.window(L)
         ts = {0.0, window}  # root and an arrival exactly at the cutoff
         for i in range(1, 18):
-            ts.add(window / alpha**i)  # interval left edges
+            if alpha**-i >= MIN_RELATIVE_GAP:  # deeper edges are rejected
+                ts.add(window / alpha**i)  # interval left edges
         _assert_same_forest(sorted(ts), L, params)
 
-    @pytest.mark.parametrize("alpha", [2.0, PHI])
+    @pytest.mark.parametrize("alpha", [MIN_ALPHA, 1.05, 1.3, 7.5])
+    def test_every_table_edge(self, alpha):
+        """An arrival on every left edge down to the resolution limit: the
+        whole interval table, its deepest entry included."""
+        params = DyadicParams(alpha=alpha, beta=0.5)
+        window = params.window(64)
+        ts = {0.0, window}
+        i = 1
+        while alpha**-i >= MIN_RELATIVE_GAP:
+            ts.add(window / alpha**i)
+            i += 1
+        ts = sorted(ts)
+        _assert_same_forest(ts, 64, params)
+        # and one step past the table rejects like the oracle does
+        below = [0.0, window / alpha**i, window]
+        with pytest.raises(ValueError, match="resolution limit"):
+            dyadic_forest(below, 64, params)
+        with pytest.raises(ValueError, match="resolution limit"):
+            dyadic_flat_forest(below, 64, params)
+
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
     def test_nested_edge_grid(self, alpha):
         """Edges of the *second-level* windows too (deep descents)."""
         params = DyadicParams(alpha=alpha, beta=0.5)
@@ -120,6 +144,40 @@ class TestValidation:
             dyadic_flat_forest([0.0], 0)
         with pytest.raises(ValueError):
             DyadicFlatOnline(0)
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf")])
+    def test_non_finite_L_rejected_by_batch(self, L):
+        """NaN used to build a one-tree chain; the oracle gave four roots."""
+        with pytest.raises(ValueError, match="finite"):
+            dyadic_flat_forest([0.0, 1.0, 2.0, 5.0], L)
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf")])
+    def test_non_finite_L_rejected_by_flat_online(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            DyadicFlatOnline(L)
+
+    @pytest.mark.parametrize("L", [float("nan"), float("inf")])
+    def test_non_finite_L_rejected_by_oracles(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            dyadic_forest([0.0, 1.0, 2.0, 5.0], L)
+        with pytest.raises(ValueError, match="finite"):
+            DyadicOnline(L)
+
+    def test_alpha_near_one_is_rejected_not_exhausting_memory(self):
+        """alpha = 1 + 1e-9 used to build a ~1e10-entry power table."""
+        with pytest.raises(ValueError, match="alpha"):
+            dyadic_flat_forest([0, 1, 2, 5], 8, DyadicParams(alpha=1 + 1e-9))
+
+    def test_interval_table_is_small_and_strictly_decreasing(self):
+        from repro.fastpath.dyadic import _power_tables
+
+        for alpha, size in ((1.3, 107), (PHI, None), (MIN_ALPHA, 2_778)):
+            edges, powers = _power_tables(alpha)
+            assert np.all(np.diff(edges) > 0)  # alpha ** -i, ascending
+            assert edges[0] <= MIN_RELATIVE_GAP < edges[1]
+            assert edges.size == powers.size <= 2_778
+            if size is not None:
+                assert edges.size == size
 
     def test_resolution_limit_matches_oracle(self):
         ts = [0.0, 1e-14, 1.0]
@@ -168,3 +226,74 @@ class TestFlatOnline:
         assert online.push(70.0) == 2  # new root
         assert len(online) == 3
         assert online.finish().num_trees() == 2
+
+
+@st.composite
+def ragged_catalog(draw):
+    """1-40 objects' strictly increasing traces (empty and one-arrival
+    objects included), each with its own L."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    parts, lengths = [], []
+    for _ in range(k):
+        n = draw(st.sampled_from([0, 0, 1, 1, 2, 5, 12, 30]))
+        ticks = draw(
+            st.lists(st.integers(0, 299_999), min_size=n, max_size=n, unique=True)
+        )
+        parts.append(np.asarray(sorted(ticks), dtype=np.float64) / 1000.0)
+        lengths.append(draw(st.sampled_from([2, 5, 17, 60, 64, 100])))
+    return parts, lengths
+
+
+class TestRagged:
+    @settings(max_examples=80, deadline=None)
+    @given(ragged_catalog(), st.sampled_from([1.3, PHI, 2.0, 3.0]), BETAS)
+    def test_ragged_equals_per_object(self, catalog, alpha, beta):
+        parts, lengths = catalog
+        params = DyadicParams(alpha=alpha, beta=beta)
+        offsets = np.cumsum([0] + [p.size for p in parts])
+        values = np.concatenate(parts)
+        if values.size == 0:
+            with pytest.raises(ValueError, match="at least one arrival"):
+                dyadic_flat_forest(values, lengths, params, offsets=offsets)
+            return
+        ragged = dyadic_flat_forest(values, lengths, params, offsets=offsets)
+        assert np.array_equal(ragged.arrivals, values)
+        for k, part in enumerate(parts):
+            lo, hi = offsets[k], offsets[k + 1]
+            if part.size == 0:
+                continue
+            one = dyadic_flat_forest(part, lengths[k], params)
+            parent = ragged.parent[lo:hi]
+            assert np.array_equal(np.where(parent < 0, -1, parent - lo), one.parent)
+            assert np.array_equal(ragged.z[lo:hi], one.z)
+            assert np.array_equal(
+                ragged.stream_lengths(np.repeat(lengths, np.diff(offsets)))[lo:hi],
+                one.stream_lengths(lengths[k]),
+            )
+
+    def test_one_object_ragged_equals_batch(self):
+        ts = [0.0, 1.5, 2.0, 9.0, 40.0, 41.0]
+        flat = dyadic_flat_forest(ts, 20)
+        ragged = dyadic_flat_forest(ts, 20, offsets=[0, 6])
+        assert np.array_equal(ragged.parent, flat.parent)
+        assert np.array_equal(ragged.z, flat.z)
+
+    def test_objects_may_restart_their_clocks(self):
+        """Times fall at object boundaries; within an object they must rise."""
+        values = [0.0, 5.0, 9.0, 0.0, 1.0]
+        ragged = dyadic_flat_forest(values, [20, 20], offsets=[0, 3, 5])
+        assert ragged.parent.tolist() == [-1, 0, 0, -1, 3]
+        with pytest.raises(ValueError, match="within each object"):
+            dyadic_flat_forest([0.0, 5.0, 5.0], [20], offsets=[0, 3])
+
+    @pytest.mark.parametrize(
+        "offsets", [[0, 2], [1, 3], [0, 3, 2, 3], [0.0, 3.0], [[0, 3]]]
+    )
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            dyadic_flat_forest([0.0, 1.0, 2.0], 20, offsets=offsets)
+
+    def test_non_finite_L_rejected(self):
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="finite"):
+                dyadic_flat_forest([0.0, 1.0, 0.5], [20, bad], offsets=[0, 2, 3])

@@ -226,3 +226,9 @@ def test_rejects_bad_input():
         inc.push_batch(np.asarray([2.0, 2.0]))
     with pytest.raises(ValueError):
         IncrementalFlatForest(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rejects_non_finite_L(bad):
+    with pytest.raises(ValueError, match="finite"):
+        IncrementalFlatForest(bad)

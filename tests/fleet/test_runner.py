@@ -143,6 +143,22 @@ class TestRunFleet:
         with pytest.raises(ValueError):
             run_fleet(catalog, 2.0, -1.0, workload={})
 
+    def test_rejects_nan_delay_up_front(self, catalog, workload):
+        """NaN used to fail deep in the run with "cannot convert float NaN
+        to integer"."""
+        with pytest.raises(ValueError, match="delay_minutes"):
+            run_fleet(catalog, float("nan"), 180.0, workload=workload)
+
+    def test_rejects_infinite_delay_up_front(self, catalog, workload):
+        """inf used to fail with "arrival times must be strictly
+        increasing"."""
+        with pytest.raises(ValueError, match="delay_minutes"):
+            run_fleet(catalog, float("inf"), 180.0, workload=workload)
+
+    def test_rejects_non_finite_horizon_up_front(self, catalog):
+        with pytest.raises(ValueError, match="horizon_minutes"):
+            run_fleet(catalog, 2.0, float("inf"), workload={})
+
     def test_report_summaries(self, catalog, workload):
         report = run_fleet(catalog, 2.0, 180.0, workload=workload)
         assert report.clients == sum(len(t) for t in workload.values())

@@ -53,6 +53,17 @@ slot_counts = st.lists(
 ).map(lambda xs: np.asarray(xs, dtype=np.int64))
 
 
+@st.composite
+def ragged_bucketing(draw):
+    """Several objects' sorted times end to end, shared slot ends and a
+    per-object slot count (0 included: every arrival past the last slot)."""
+    ends = draw(slot_ends)
+    objects = draw(st.lists(sorted_times, min_size=1, max_size=6))
+    nslots = [draw(st.integers(0, ends.size)) for _ in objects]
+    offsets = np.cumsum([0] + [t.size for t in objects])
+    return objects, offsets, np.asarray(nslots), ends
+
+
 def _hysteresis_reference(counts, window, rate_high, rate_low):
     """The event ``HybridPolicy`` mode trajectory, deque window and all."""
     from collections import deque
@@ -132,10 +143,31 @@ class TestScalarBodiesMatchFallbacks:
         K.configure_backend("numpy")
         cs_ref, served_ref = K.bucket_slots(times, ends)
         cs = np.empty(times.size, dtype=np.intp)
-        served = np.zeros(ends.size, dtype=np.bool_)
-        K._bucket_slots_body(times, ends, cs, served)
+        offsets = np.array([0, times.size], dtype=np.intp)
+        K._bucket_slots_body(times, offsets, np.array([ends.size]), ends, cs)
         assert np.array_equal(cs, cs_ref)
-        assert np.array_equal(np.nonzero(served)[0], served_ref)
+        assert np.array_equal(np.unique(cs[cs >= 0]), served_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_bucketing())
+    def test_bucket_slots_ragged_body(self, case):
+        """The ragged body restarts its pointer per object and equals the
+        ragged fallback, which equals one call per object."""
+        objects, offsets, nslots, ends = case
+        times = np.concatenate(objects)
+        K.configure_backend("numpy")
+        cs_ref, served_ref, served_offsets = K.bucket_slots(
+            times, ends, offsets, nslots
+        )
+        cs = np.empty(times.size, dtype=np.intp)
+        K._bucket_slots_body(times, offsets, nslots, ends, cs)
+        assert np.array_equal(cs, cs_ref)
+        for k, obj in enumerate(objects):
+            one_cs, one_served = K.bucket_slots(obj, ends[: nslots[k]])
+            assert np.array_equal(cs_ref[offsets[k] : offsets[k + 1]], one_cs)
+            lo, hi = served_offsets[k], served_offsets[k + 1]
+            assert np.array_equal(served_ref[lo:hi], one_served)
+            assert np.array_equal(one_served, np.unique(one_cs[one_cs >= 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(random_forest())
@@ -251,6 +283,18 @@ class TestJitBackend:
         assert np.array_equal(jit[1], ref[1])
 
     @settings(max_examples=25, deadline=None)
+    @given(ragged_bucketing())
+    def test_bucket_slots_ragged_backends_identical(self, case):
+        objects, offsets, nslots, ends = case
+        times = np.concatenate(objects)
+        K.configure_backend("numpy")
+        ref = K.bucket_slots(times, ends, offsets, nslots)
+        K.configure_backend("numba")
+        jit = K.bucket_slots(times, ends, offsets, nslots)
+        for a, b in zip(jit, ref):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None)
     @given(random_forest())
     def test_forest_z_backends_identical(self, forest):
         arr, par = forest.arrivals, forest.parent
@@ -301,3 +345,16 @@ class TestJitBackend:
         assert np.array_equal(
             K.hysteresis_scan(counts, window, rate_high, rate_low), ref
         )
+
+
+class TestRaggedBucketValidation:
+    def test_rejects_bad_slot_counts(self):
+        times = np.array([0.5, 1.5, 0.2])
+        ends = np.array([1.0, 2.0])
+        for nslots in ([1], [1, 3], [-1, 1]):
+            with pytest.raises(ValueError, match="slot count"):
+                K.bucket_slots(times, ends, [0, 2, 3], nslots)
+
+    def test_rejects_bad_offsets(self):
+        with pytest.raises(ValueError, match="offsets"):
+            K.bucket_slots(np.array([0.5]), np.array([1.0]), [0, 2], [1])
