@@ -38,11 +38,11 @@ bench-experiments:
 bench-live:
 	$(PY) benchmarks/bench_live.py
 
-## quick pytest-benchmark pass over the fastpath + general-arrivals +
-## flat-simulation + fleet + experiments + live smoke cases (CI job;
-## every run asserts fast == reference)
+## quick pytest-benchmark pass over the smoke cases of every
+## benchmarks/bench_*.py, so a new bench file runs in CI by default
+## (every run asserts fast == reference)
 bench-smoke:
-	$(PY) -m pytest benchmarks/bench_fastpath.py benchmarks/bench_general.py benchmarks/bench_sim.py benchmarks/bench_fleet.py benchmarks/bench_experiments.py benchmarks/bench_live.py --benchmark-only -q
+	$(PY) -m pytest $(wildcard benchmarks/bench_*.py) --benchmark-only -q
 
 ## full fault-injected soak: 50 episodes across every fault family,
 ## every standing contract checked after each; writes the evidence

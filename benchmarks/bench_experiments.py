@@ -28,20 +28,134 @@ from __future__ import annotations
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 if __name__ == "__main__":  # script mode: make src importable before repro
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.experiments.fig1_delay_savings import run_fig1, run_fig1_reference
-from repro.experiments.fig9_online_ratio import run_fig9, run_fig9_reference
-from repro.experiments.policy_comparison import run_fig12, run_fig12_reference
+import numpy as np
+
+from repro.arrivals import constant_rate, poisson
+from repro.baselines.batching import batched_dyadic_cost
+from repro.baselines.dyadic import DyadicParams, dyadic_cost, paper_beta
+from repro.core.bounds import online_ratio_bound, online_ratio_bound_applies
+from repro.core.fibonacci import PHI
+from repro.core.full_cost import optimal_full_cost
+from repro.core.online import online_full_cost
+from repro.experiments import ExperimentResult
+from repro.experiments import fig1_delay_savings as fig1
+from repro.experiments import fig9_online_ratio as fig9
+from repro.experiments import policy_comparison as fig12
+from repro.experiments.fig1_delay_savings import fig1_spec, run_fig1
+from repro.experiments.fig9_online_ratio import run_fig9
+from repro.experiments.policy_comparison import comparison_spec, run_fig12
 from repro.sweeps import SweepCache, run_sweep
-from repro.experiments.fig1_delay_savings import fig1_spec
-from repro.experiments.policy_comparison import comparison_spec
 
 from conftest import timeit_best, write_bench_json
+
+
+# ---------------------------------------------------------------------------
+# the retired per-point loops: the oracles every sweep driver is timed
+# against and asserted row-identical to
+# ---------------------------------------------------------------------------
+
+
+def run_fig1_reference(
+    delays_pct: Sequence[float] = fig1.DEFAULT_DELAYS,
+    horizon_media: int = 100,
+) -> List[ExperimentResult]:
+    """Fig. 1, one flat-forest ``Acost`` built per point."""
+    rows = []
+    for pct in delays_pct:
+        if not 0 < pct <= 100:
+            raise ValueError(f"delay percent must be in (0, 100], got {pct}")
+        L = max(1, round(100.0 / pct))
+        n = horizon_media * L
+        rows.append(
+            fig1._row(pct, L, n, optimal_full_cost(L, n), online_full_cost(L, n))
+        )
+    return fig1._format(rows, horizon_media)
+
+
+def run_fig9_reference(
+    Ls: Sequence[int] = fig9.DEFAULT_LS, ns: Sequence[int] = fig9.DEFAULT_NS
+) -> List[ExperimentResult]:
+    """Fig. 9, one flat forest per (L, n) point."""
+    results = []
+    for L in Ls:
+        rows = []
+        for n in ns:
+            a = online_full_cost(L, n)
+            f = optimal_full_cost(L, n)
+            applies = online_ratio_bound_applies(L, n)
+            bound = online_ratio_bound(L, n)
+            rows.append(fig9._row(n, a, f, applies, bound))
+        results.append(fig9._table(L, rows))
+    return results
+
+
+def _compare_policies_reference(
+    L: int, lam: float, horizon: float, kind: str, seeds: Sequence[int]
+) -> dict:
+    """One Fig. 11/12 point: per-point flat-forest ``Acost`` plus the
+    baseline cost helpers."""
+    if kind not in ("constant", "poisson"):
+        raise ValueError(f"unknown arrival kind {kind!r}")
+    n_slots = int(np.ceil(horizon))
+    dg = online_full_cost(L, n_slots) / L
+    dyadic_params = DyadicParams(alpha=PHI, beta=0.5)
+    batched_params = DyadicParams(alpha=PHI, beta=paper_beta(L, kind))
+    imm_vals, bat_vals = [], []
+    for seed in seeds:
+        if kind == "constant":
+            trace = constant_rate(lam, horizon)
+        else:
+            trace = poisson(lam, horizon, seed=seed)
+        if len(trace) == 0:
+            continue
+        imm_vals.append(dyadic_cost(list(trace), L, dyadic_params) / L)
+        bat_vals.append(batched_dyadic_cost(trace, L, 1.0, batched_params) / L)
+        if kind == "constant":
+            break
+    return {
+        "lam": lam,
+        "immediate_dyadic": float(np.mean(imm_vals)) if imm_vals else 0.0,
+        "batched_dyadic": float(np.mean(bat_vals)) if bat_vals else 0.0,
+        "delay_guaranteed": dg,
+    }
+
+
+def _run_comparison_reference(
+    kind: str,
+    L: int,
+    lambdas: Sequence[float],
+    horizon_media: int,
+    seeds: Sequence[int],
+) -> List[ExperimentResult]:
+    horizon = float(horizon_media * L)
+    rows = []
+    for lam in lambdas:
+        r = _compare_policies_reference(L, lam, horizon, kind, seeds)
+        rows.append(
+            (
+                lam,
+                round(r["immediate_dyadic"], 2),
+                round(r["batched_dyadic"], 2),
+                round(r["delay_guaranteed"], 2),
+            )
+        )
+    return fig12._table(kind, L, horizon_media, rows)
+
+
+def run_fig12_reference(
+    L: int = 100,
+    lambdas: Sequence[float] = fig12.DEFAULT_LAMBDAS,
+    horizon_media: int = 100,
+    seeds: Sequence[int] = (0, 1, 2),
+) -> List[ExperimentResult]:
+    """Fig. 12, the per-point loop."""
+    return _run_comparison_reference("poisson", L, lambdas, horizon_media, seeds)
 
 
 def _rows(results) -> List:

@@ -15,7 +15,8 @@ the production policies; "fast" timings run the slot-sweep kernel
 ``repro.fleet.simulate_batched`` on the same trace and policy.  Every
 timed pair asserts full equivalence in-run — identical metric counters,
 interval multisets, total bandwidth, flat-forest parent arrays, and
-per-client service — via ``assert_equivalent_run``.  The sweep enforces
+per-client service — via ``assert_equivalent_run`` from
+``tests/fleet/oracles.py``.  The sweep enforces
 the ISSUE 4 acceptance floor: >= 10x at n = 10^5 clients for every
 engine case.
 """
@@ -31,8 +32,9 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-if __name__ == "__main__":  # script mode: make src importable before repro
+if __name__ == "__main__":  # script mode: make src and the oracles importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np
@@ -43,12 +45,10 @@ from repro.fleet import (
     FleetObjectResult,
     FleetPolicy,
     FleetReport,
-    assert_equivalent_run,
     object_run,
     run_fleet,
     scenario_workload,
     simulate_batched,
-    simulate_event,
 )
 from repro.multiplex import Catalog, split_requests
 from repro.scale.columnar import ColumnarWriter
@@ -60,6 +60,7 @@ from repro.scale.kernels import (
 )
 
 from conftest import timeit_best, write_bench_json
+from tests.fleet.oracles import assert_equivalent_run, simulate_event
 
 #: stream length for the engine cases (slot units).
 ENGINE_L = 100

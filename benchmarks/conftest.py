@@ -1,20 +1,17 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates a paper table/figure (or an ablation DESIGN.md
-calls out) through the same entry points the CLI uses, times it with
-pytest-benchmark, and asserts the paper's qualitative shape on the output
-so a regression in *correctness* fails the bench, not just a slowdown.
+Every bench times a fast path against its reference implementation and
+asserts their outputs equal in-run, so a regression in *correctness*
+fails the bench, not just a slowdown.
 
-Run with:  pytest benchmarks/ --benchmark-only
+Run the smoke sizes of every ``bench_*.py`` with:  make bench-smoke
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence
-
-import pytest
+from typing import Dict
 
 #: repo root — machine-readable benchmark trajectories live here as
 #: ``BENCH_<name>.json`` so successive PRs can compare timings.
@@ -45,20 +42,3 @@ def timeit_best(fn, repeats: int = 3):
         best = min(best, time.perf_counter() - t0)
     return best, result
 
-
-def column(result, name: str) -> List:
-    """Column accessor (mirrors ExperimentResult.column for readability)."""
-    return result.column(name)
-
-
-def assert_strictly_decreasing(xs: Sequence[float], label: str = "series") -> None:
-    assert all(a > b for a, b in zip(xs, xs[1:])), f"{label} not decreasing: {xs}"
-
-
-def assert_nonincreasing(xs: Sequence[float], label: str = "series") -> None:
-    assert all(a >= b for a, b in zip(xs, xs[1:])), f"{label} increased: {xs}"
-
-
-def assert_all_ok(rows, label: str = "table") -> None:
-    bad = [r for r in rows if r[-1] != "ok"]
-    assert not bad, f"{label} rows failed: {bad[:5]}"

@@ -17,6 +17,7 @@ import argparse
 import time
 from typing import List, Optional
 
+from ..argtypes import positive_float, positive_int
 from .soak import SoakConfig, run_soak
 
 __all__ = ["burnin_main"]
@@ -34,24 +35,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "overload) and re-assert every standing invariant after every "
         "episode.",
     )
-    parser.add_argument("--episodes", type=int, default=defaults.episodes,
+    parser.add_argument("--episodes", type=positive_int,
+                        default=defaults.episodes,
                         help=f"soak episodes (default {defaults.episodes})")
     parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="base seed; same seed, same evidence report, "
                         "byte for byte (default 0)")
-    parser.add_argument("--objects", type=int, default=defaults.objects,
+    parser.add_argument("--objects", type=positive_int,
+                        default=defaults.objects,
                         help=f"catalog size per episode (default {defaults.objects})")
     parser.add_argument("--workers", type=int, default=defaults.workers,
                         help="worker processes for sharded episodes "
                         f"(default {defaults.workers}; worker-kill episodes "
                         "need >= 2)")
-    parser.add_argument("--horizon", type=float, default=defaults.horizon_minutes,
+    parser.add_argument("--horizon", type=positive_float,
+                        default=defaults.horizon_minutes,
                         help="episode horizon in minutes "
                         f"(default {defaults.horizon_minutes:g})")
-    parser.add_argument("--delay", type=float, default=defaults.delay_minutes,
+    parser.add_argument("--delay", type=positive_float,
+                        default=defaults.delay_minutes,
                         help="guaranteed start-up delay in minutes "
                         f"(default {defaults.delay_minutes:g})")
-    parser.add_argument("--mean-interarrival", type=float,
+    parser.add_argument("--mean-interarrival", type=positive_float,
                         default=defaults.mean_interarrival_minutes,
                         help="global mean inter-arrival in minutes "
                         f"(default {defaults.mean_interarrival_minutes:g})")

@@ -159,8 +159,9 @@ def tree_size_index(L: int) -> int:
     Examples from the paper: ``L = 1 -> h = 2`` (``F_3 < 3 <= F_4``),
     ``L = 2 -> h = 3``, ``L = 4 -> h = 4``.
     """
-    if L < 1:
-        raise ValueError(f"stream length L must be >= 1, got {L}")
+    # NaN fails every comparison; an infinite L would grow the table forever.
+    if not 1 <= L < math.inf:
+        raise ValueError(f"stream length L must be finite and >= 1, got {L}")
     target = L + 2
     _extend_to_value(target)
     # smallest index j with F_j >= target, searching from k=3 upward;

@@ -14,16 +14,14 @@ curves nearly coincide and fall steeply as delay grows.  Pure batching
 
 Sweep-tier driver: the grid is a one-axis :class:`~repro.sweeps.SweepSpec`
 over the delay percentage, each point evaluated by the closed-form
-``Fcost``/``Acost`` kernels (no forest is built); :func:`run_fig1_reference`
-keeps the retired per-point loop as the benchmark oracle.
+``Fcost``/``Acost`` kernels (no forest is built); the retired per-point
+loop is the oracle of ``benchmarks/bench_experiments.py``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.full_cost import optimal_full_cost
-from ..core.online import online_full_cost
 from ..sweeps import Axis, SweepSpec, run_sweep
 from ..sweeps.evaluators import delay_savings_point
 from .charts import render_chart
@@ -109,21 +107,3 @@ def run_fig1(
     ]
     return _format(rows, horizon_media, columns=sweep.columns_json())
 
-
-def run_fig1_reference(
-    delays_pct: Sequence[float] = DEFAULT_DELAYS,
-    horizon_media: int = 100,
-) -> List[ExperimentResult]:
-    """The retired per-point loop (flat-forest ``Acost`` built per point).
-
-    Benchmark oracle only: ``benchmarks/bench_experiments.py`` asserts its
-    rows equal the sweep driver's before timing either.
-    """
-    rows = []
-    for pct in delays_pct:
-        if not 0 < pct <= 100:
-            raise ValueError(f"delay percent must be in (0, 100], got {pct}")
-        L = max(1, round(100.0 / pct))
-        n = horizon_media * L
-        rows.append(_row(pct, L, n, optimal_full_cost(L, n), online_full_cost(L, n)))
-    return _format(rows, horizon_media)

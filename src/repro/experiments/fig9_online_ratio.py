@@ -7,18 +7,15 @@ lengths and reports the measured ratio next to the bound.
 
 Sweep-tier driver: one two-axis :class:`~repro.sweeps.SweepSpec` over
 ``(L, n)``, each point evaluated by the closed-form ``Acost``/``Fcost``
-kernels (O(log n) per point after the per-``L`` template memo);
-:func:`run_fig9_reference` keeps the retired loop — which built an
-``n``-node flat forest per point — as the benchmark oracle.
+kernels (O(log n) per point after the per-``L`` template memo); the
+retired loop, which built an ``n``-node flat forest per point, is the
+oracle of ``benchmarks/bench_experiments.py``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.bounds import online_ratio_bound, online_ratio_bound_applies
-from ..core.full_cost import optimal_full_cost
-from ..core.online import online_full_cost
 from ..sweeps import Axis, SweepSpec, run_sweep
 from ..sweeps.evaluators import online_ratio_point
 from .charts import render_chart
@@ -94,22 +91,3 @@ def run_fig9(
         results.append(_table(L, rows, columns=columns if i == 0 else None))
     return results
 
-
-def run_fig9_reference(
-    Ls: Sequence[int] = DEFAULT_LS, ns: Sequence[int] = DEFAULT_NS
-) -> List[ExperimentResult]:
-    """The retired per-point loop (one flat forest per (L, n) point).
-
-    Benchmark oracle only; asserted row-identical to :func:`run_fig9`.
-    """
-    results = []
-    for L in Ls:
-        rows = []
-        for n in ns:
-            a = online_full_cost(L, n)
-            f = optimal_full_cost(L, n)
-            applies = online_ratio_bound_applies(L, n)
-            bound = online_ratio_bound(L, n)
-            rows.append(_row(n, a, f, applies, bound))
-        results.append(_table(L, rows))
-    return results

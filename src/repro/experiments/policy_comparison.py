@@ -18,8 +18,8 @@ Sweep-tier driver: the intensity grid is a one-axis
 through the batched fleet kernel (:func:`repro.fleet.simulate_batched`)
 and takes DG from the closed-form ``Acost`` (intensity-independent).
 The event-driven simulator produces identical totals — asserted in the
-integration tests — and :func:`run_fig12_reference` keeps the retired
-per-point loop as the benchmark oracle.
+integration tests — and the retired per-point loop is the oracle of
+``benchmarks/bench_experiments.py``.
 
 Expected shape (the paper's findings): DG is flat in ``lam``; immediate
 dyadic is worst for ``lam < delay`` (no batching savings) and best for
@@ -138,68 +138,6 @@ def _run_comparison(
     return _table(kind, L, horizon_media, rows, columns=sweep.columns_json())
 
 
-def _compare_policies_reference(
-    L: int, lam: float, horizon: float, kind: str, seeds: Sequence[int]
-) -> dict:
-    """The retired per-point computation: per-point flat-forest ``Acost``
-    plus the baseline cost helpers (benchmark oracle only)."""
-    import numpy as np
-
-    from ..arrivals import constant_rate, poisson
-    from ..baselines.batching import batched_dyadic_cost
-    from ..baselines.dyadic import DyadicParams, dyadic_cost, paper_beta
-    from ..core.fibonacci import PHI
-    from ..core.online import online_full_cost
-
-    if kind not in ("constant", "poisson"):
-        raise ValueError(f"unknown arrival kind {kind!r}")
-    n_slots = int(np.ceil(horizon))
-    dg = online_full_cost(L, n_slots) / L
-    dyadic_params = DyadicParams(alpha=PHI, beta=0.5)
-    batched_params = DyadicParams(alpha=PHI, beta=paper_beta(L, kind))
-    imm_vals, bat_vals = [], []
-    for seed in seeds:
-        if kind == "constant":
-            trace = constant_rate(lam, horizon)
-        else:
-            trace = poisson(lam, horizon, seed=seed)
-        if len(trace) == 0:
-            continue
-        imm_vals.append(dyadic_cost(list(trace), L, dyadic_params) / L)
-        bat_vals.append(batched_dyadic_cost(trace, L, 1.0, batched_params) / L)
-        if kind == "constant":
-            break
-    return {
-        "lam": lam,
-        "immediate_dyadic": float(np.mean(imm_vals)) if imm_vals else 0.0,
-        "batched_dyadic": float(np.mean(bat_vals)) if bat_vals else 0.0,
-        "delay_guaranteed": dg,
-    }
-
-
-def _run_comparison_reference(
-    kind: str,
-    L: int,
-    lambdas: Sequence[float],
-    horizon_media: int,
-    seeds: Sequence[int],
-) -> List[ExperimentResult]:
-    """The retired per-point loop (benchmark oracle)."""
-    horizon = float(horizon_media * L)
-    rows = []
-    for lam in lambdas:
-        r = _compare_policies_reference(L, lam, horizon, kind, seeds)
-        rows.append(
-            (
-                lam,
-                round(r["immediate_dyadic"], 2),
-                round(r["batched_dyadic"], 2),
-                round(r["delay_guaranteed"], 2),
-            )
-        )
-    return _table(kind, L, horizon_media, rows)
-
-
 @register(
     "fig11",
     "Policy comparison under constant-rate arrivals (Fig. 11)",
@@ -230,12 +168,3 @@ def run_fig12(
 ) -> List[ExperimentResult]:
     return _run_comparison("poisson", L, lambdas, horizon_media, seeds=seeds)
 
-
-def run_fig12_reference(
-    L: int = 100,
-    lambdas: Sequence[float] = DEFAULT_LAMBDAS,
-    horizon_media: int = 100,
-    seeds: Sequence[int] = (0, 1, 2),
-) -> List[ExperimentResult]:
-    """Per-point reference loop for Fig. 12 (benchmark oracle)."""
-    return _run_comparison_reference("poisson", L, lambdas, horizon_media, seeds)

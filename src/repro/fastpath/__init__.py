@@ -20,14 +20,13 @@ reference implementations in :mod:`repro.core` — the O(n^2)/O(n^3) DPs in
   numpy-backed merge-forest representation with vectorised ``Mcost`` /
   ``Fcost`` / stream-length / interval evaluation and lossless round-trip
   conversion to/from :class:`~repro.core.merge_tree.MergeForest`;
-* :mod:`repro.fastpath.dyadic` — the flat (alpha, beta)-dyadic builders
-  (vectorised batch :func:`~repro.fastpath.dyadic.dyadic_flat_forest`,
-  incremental :class:`~repro.fastpath.dyadic.DyadicFlatOnline`), with the
-  recursive / ``MergeNode`` constructions of ``baselines.dyadic`` as
-  oracles;
+* :mod:`repro.fastpath.dyadic` — the vectorised batch (alpha, beta)-dyadic
+  builder :func:`~repro.fastpath.dyadic.dyadic_flat_forest`, with the
+  recursive ``MergeNode`` construction of ``baselines.dyadic`` as oracle;
 * :mod:`repro.fastpath.incremental` —
-  :class:`~repro.fastpath.incremental.IncrementalFlatForest`, the
-  rolling-horizon forest behind ``repro.live``: append-arrival /
+  :class:`~repro.fastpath.incremental.IncrementalFlatForest`, the one
+  flat dyadic stack machine (``DyadicOnline`` is its oracle), behind the
+  dyadic simulation policies and ``repro.live``: append-arrival /
   extend-stream / evict-completed-tree in amortised O(log n), vectorised
   epoch ingest, node-for-node equal to the batch construction on every
   prefix;
@@ -57,7 +56,7 @@ from .general import (
     optimal_flat_tree_general,
 )
 from .flat_forest import FlatForest
-from .dyadic import DyadicFlatOnline, dyadic_flat_cost, dyadic_flat_forest
+from .dyadic import dyadic_flat_forest
 from .incremental import CommittedTree, IncrementalFlatForest
 from .replay import replay_verify_forest, replay_verify_forest_continuous
 
@@ -74,8 +73,6 @@ __all__ = [
     "FlatForest",
     "CommittedTree",
     "IncrementalFlatForest",
-    "DyadicFlatOnline",
-    "dyadic_flat_cost",
     "dyadic_flat_forest",
     "replay_verify_forest",
     "replay_verify_forest_continuous",

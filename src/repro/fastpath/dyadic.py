@@ -5,8 +5,8 @@ and the stack machine :class:`~repro.baselines.dyadic.DyadicOnline` both
 materialise a :class:`~repro.core.merge_tree.MergeNode` per arrival, which
 makes the dyadic comparator the slowest per-object step in catalog
 provisioning runs (``fleet.run_fleet``) and in the dyadic simulation
-policies.  This module re-expresses both constructions on
-parent-index arrays:
+policies.  This module and :mod:`repro.fastpath.incremental` re-express
+both constructions on parent-index arrays:
 
 * :func:`dyadic_flat_forest` — the batch construction, vectorised level
   by level: every tree level of every window is classified into dyadic
@@ -21,10 +21,9 @@ parent-index arrays:
   form builds many objects' forests in one pass (the fleet runner's
   shards): only root finding is per object, and even that runs one
   round of searches for all objects at a time.
-* :class:`DyadicFlatOnline` — the incremental stack machine with the
-  rightmost path held as parallel Python lists and the forest accumulated
-  as a parent array; ``push`` is the same O(amortised 1) walk as
-  ``DyadicOnline.push`` minus every ``MergeNode`` allocation.
+* :class:`~repro.fastpath.incremental.IncrementalFlatForest` — the one
+  flat incremental stack machine; ``push`` is the same O(amortised 1)
+  walk as ``DyadicOnline.push`` minus every ``MergeNode`` allocation.
 
 Exactness contract (same shape as ``fastpath.general``): every interval
 classification evaluates the exact float expressions of the reference —
@@ -41,20 +40,15 @@ to 7.5, and ragged == one call per object on random catalogs.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..baselines.dyadic import (
-    MIN_RELATIVE_GAP,
-    DyadicParams,
-    check_stream_length,
-    dyadic_interval_index,
-)
-from ..core.validation import check_finite_value, check_offsets, non_increasing_within
+from ..baselines.dyadic import MIN_RELATIVE_GAP, DyadicParams, check_stream_length
+from ..core.validation import check_offsets, non_increasing_within
 from .flat_forest import FlatForest
 
-__all__ = ["dyadic_flat_forest", "dyadic_flat_cost", "DyadicFlatOnline"]
+__all__ = ["dyadic_flat_forest"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,103 +227,3 @@ def dyadic_flat_forest(
     window = params.beta * lengths
     parent, z = _dyadic_parents(ts, offsets, window, params.alpha)
     return FlatForest.concatenated(ts, parent, z)
-
-
-def dyadic_flat_cost(
-    arrivals: Union[np.ndarray, Sequence[float]],
-    L: float,
-    params: DyadicParams = DyadicParams(),
-) -> float:
-    """Total receive-two bandwidth of the dyadic solution, flat path."""
-    return dyadic_flat_forest(arrivals, L, params).full_cost(L)
-
-
-class _FlatStackEntry:
-    __slots__ = ("node", "cutoff", "last_child_interval")
-
-    def __init__(self, node: int, cutoff: float, last_child_interval: Optional[int]):
-        self.node = node
-        self.cutoff = cutoff
-        self.last_child_interval = last_child_interval
-
-
-class DyadicFlatOnline:
-    """Incremental dyadic merging into a parent array — no ``MergeNode``s.
-
-    The drop-in flat twin of :class:`~repro.baselines.dyadic.DyadicOnline`
-    for the simulation policies: ``push`` places one strictly-later
-    arrival and returns its node index; :meth:`current_path` exposes the
-    receiving path (root down to the arrival just placed) that merging
-    policies hand to clients and walk for Lemma 1 ancestor extensions.
-    Placement decisions replicate ``DyadicOnline.push`` exactly (same
-    interval classifier, same window arithmetic), which the fastpath
-    equivalence tests assert node for node; ``finish()`` returns the
-    accumulated :class:`FlatForest`.
-    """
-
-    def __init__(self, L: float, params: DyadicParams = DyadicParams()):
-        check_stream_length(L)
-        self.L = L
-        self.params = params
-        self.arrivals: List[float] = []
-        self.parent: List[int] = []
-        self._stack: List[_FlatStackEntry] = []
-        self._last_time: Optional[float] = None
-
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-    def push(self, t: float) -> int:
-        """Place the arrival at time ``t``; returns its node index."""
-        check_finite_value(t, what="arrival")
-        if self._last_time is not None and t <= self._last_time:
-            raise ValueError(
-                f"arrivals must be strictly increasing: {t} after {self._last_time}"
-            )
-        self._last_time = t
-        node = len(self.arrivals)
-        if not self._stack or t > self._stack[0].cutoff:
-            self.arrivals.append(t)
-            self.parent.append(-1)
-            self._stack = [_FlatStackEntry(node, t + self.params.window(self.L), None)]
-            return node
-        depth = 0
-        while True:
-            entry = self._stack[depth]
-            idx = dyadic_interval_index(
-                t, self.arrivals[entry.node], entry.cutoff, self.params.alpha
-            )
-            if entry.last_child_interval is not None and idx == entry.last_child_interval:
-                depth += 1  # belongs inside the current last child's window
-                continue
-            if entry.last_child_interval is not None and idx > entry.last_child_interval:
-                raise AssertionError(
-                    "dyadic interval index increased along time — "
-                    "ordering invariant broken"
-                )
-            start = self.arrivals[entry.node]
-            span = entry.cutoff - start
-            hi = start + span / self.params.alpha ** (idx - 1)
-            self.arrivals.append(t)
-            self.parent.append(entry.node)
-            entry.last_child_interval = idx
-            del self._stack[depth + 1 :]
-            self._stack.append(_FlatStackEntry(node, hi, None))
-            return node
-
-    def extend(self, arrivals: Sequence[float]) -> None:
-        for t in arrivals:
-            self.push(t)
-
-    def current_path(self) -> Tuple[float, ...]:
-        """Arrivals along the rightmost path, root first — the receiving
-        path of the most recently pushed node."""
-        return tuple(self.arrivals[e.node] for e in self._stack)
-
-    def finish(self) -> FlatForest:
-        if not self.arrivals:
-            raise ValueError("no arrivals were pushed")
-        return FlatForest(
-            np.asarray(self.arrivals, dtype=np.float64),
-            np.asarray(self.parent, dtype=np.intp),
-        )

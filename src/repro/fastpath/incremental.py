@@ -1,13 +1,16 @@
-"""Incremental flat merge forests for the rolling-horizon live tier.
+"""Incremental flat merge forests: the one flat dyadic stack machine.
 
-The batch builder :func:`~repro.fastpath.dyadic.dyadic_flat_forest` and
-the stack machine :class:`~repro.fastpath.dyadic.DyadicFlatOnline` both
-assume the full arrival sequence is available (or at least retained): the
-batch path rebuilds from scratch, and the online path grows its arrays
-forever.  A long-running daemon needs three operations neither provides:
+:class:`IncrementalFlatForest` is the one flat twin of the ``MergeNode``
+stack machine :class:`~repro.baselines.dyadic.DyadicOnline`.  The event
+policies (``simulation.policies``, ``simulation.hybrid``) only push and
+read :meth:`~IncrementalFlatForest.current_path`; the live tier also
+batches, evicts and resumes.  The batch builder
+:func:`~repro.fastpath.dyadic.dyadic_flat_forest` assumes the full
+arrival sequence is available and rebuilds from scratch.  A long-running
+daemon needs three operations it does not provide:
 
 * **append-arrival** — place one strictly-later arrival, amortised
-  O(log n) (the rightmost-path walk of ``DyadicFlatOnline``);
+  O(log n) (the rightmost-path walk of ``DyadicOnline.push``);
 * **extend-stream** — maintain the subtree maxima ``z`` *as arrivals
   land*, so every node's Lemma 1 receive-two length ``2 z - x - p`` is
   current at all times (the batch path only knows ``z`` after the fact);
@@ -244,7 +247,7 @@ class IncrementalFlatForest:
     def push(self, t: float) -> int:
         """Place one arrival; returns its global node id.
 
-        The ``DyadicFlatOnline`` rightmost-path walk, plus the
+        The ``DyadicOnline.push`` rightmost-path walk, plus the
         extend-stream half: every rightmost-path ancestor's subtree now
         ends at ``t``, so their ``z`` entries advance — O(depth) total.
         """
@@ -292,6 +295,11 @@ class IncrementalFlatForest:
     def extend(self, arrivals: Sequence[float]) -> None:
         for t in arrivals:
             self.push(t)
+
+    def current_path(self) -> Tuple[float, ...]:
+        """Arrivals along the rightmost path, root first: the receiving
+        path of the most recently pushed node."""
+        return tuple(e.arrival for e in self._stack)
 
     def push_batch(self, arrivals: Union[np.ndarray, Sequence[float]]) -> int:
         """Vectorised bulk append of a sorted arrival batch; returns count.

@@ -27,10 +27,7 @@ from .engine import (
     FleetPolicy,
     RaggedTrace,
     ShardResult,
-    assert_equivalent_run,
-    make_event_policy,
     simulate_batched,
-    simulate_event,
     simulate_segmented,
 )
 from .runner import (
@@ -72,7 +69,6 @@ __all__ = [
     "ShardResult",
     "Transformer",
     "admission_report",
-    "assert_equivalent_run",
     "capacity_frontier",
     "compose",
     "constant_poisson_blend",
@@ -83,7 +79,6 @@ __all__ = [
     "inject",
     "install_task_fault_hook",
     "iter_fleet",
-    "make_event_policy",
     "min_fleet_delay",
     "min_object_delay",
     "object_run",
@@ -94,7 +89,6 @@ __all__ = [
     "sanitize_times",
     "scenario_workload",
     "simulate_batched",
-    "simulate_event",
     "simulate_segmented",
     "stored_workload",
     "thinned",

@@ -13,10 +13,10 @@ catalog end to end in seconds::
 from __future__ import annotations
 
 import argparse
-import math
 import time
 from typing import List, Optional
 
+from ..argtypes import positive_float, positive_int
 from ..multiplex.catalog import Catalog
 from ..scale.columnar import is_store
 from ..scale.kernels import configure_backend
@@ -49,45 +49,23 @@ def _budget_list(text: str) -> List[int]:
     return budgets
 
 
-def _positive_float(text: str) -> float:
-    """A minutes value: a positive, finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """A count: a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
         description="Serve a media catalog through the batched fleet engine "
         "and plan channel capacity for a start-up-delay guarantee.",
     )
-    parser.add_argument("--objects", type=_positive_int, default=120,
+    parser.add_argument("--objects", type=positive_int, default=120,
                         help="catalog size (Zipf popularity; default 120)")
-    parser.add_argument("--duration", type=_positive_float, default=120.0,
+    parser.add_argument("--duration", type=positive_float, default=120.0,
                         help="media duration in minutes (default 120)")
     parser.add_argument("--exponent", type=float, default=0.8,
                         help="Zipf exponent (default 0.8)")
-    parser.add_argument("--delay", type=_positive_float, default=2.0,
+    parser.add_argument("--delay", type=positive_float, default=2.0,
                         help="guaranteed start-up delay in minutes (default 2)")
-    parser.add_argument("--horizon", type=_positive_float, default=360.0,
+    parser.add_argument("--horizon", type=positive_float, default=360.0,
                         help="observation horizon in minutes (default 360)")
-    parser.add_argument("--mean-interarrival", type=_positive_float, default=0.05,
+    parser.add_argument("--mean-interarrival", type=positive_float, default=0.05,
                         help="global mean inter-arrival in minutes (default 0.05)")
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), default="zipf",
                         help="workload scenario (default zipf)")

@@ -32,7 +32,7 @@ wins, and the batched kernel evaluates it directly:
   (:func:`~repro.fastpath.general.optimal_flat_forest_general`);
 * ``batched-dyadic`` — the (alpha, beta)-dyadic forest over served slot
   ends (:func:`~repro.fastpath.dyadic.dyadic_flat_forest`, bit-identical
-  to the ``DyadicFlatOnline`` pushes the event policy performs);
+  to the ``IncrementalFlatForest`` pushes the event policy performs);
 * ``immediate-dyadic`` — the dyadic forest over the raw arrival times;
 * ``pure-batching`` / ``unicast`` — every served slot end / every
   arrival is a root of length ``L``.
@@ -84,15 +84,15 @@ ULP of never-extended leaf stream lengths.
 The one observable difference by construction: the oracle's
 ``BandwidthMetrics.intervals`` list is in stream *finish* order (end
 time, ties by extension sequence), while the kernel's array-backed
-metrics read back sorted by ``(end, start)``.
-:func:`assert_equivalent_run` canonicalises both sides before
-comparing; every derived metric is order-independent.
+metrics read back sorted by ``(end, start)``.  The oracle pairing in
+``tests/fleet/oracles.py`` canonicalises both sides before comparing;
+every derived metric is order-independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -106,7 +106,6 @@ from ..fastpath.dyadic import dyadic_flat_forest
 from ..fastpath.flat_forest import FlatForest
 from ..scale.kernels import bucket_slots, forest_z, hysteresis_scan
 from ..simulation.metrics import BandwidthMetrics
-from ..simulation.server import Simulation
 from ..simulation.verify import VerificationReport, verify_forest, verify_forest_continuous
 
 __all__ = [
@@ -119,9 +118,6 @@ __all__ = [
     "ShardResult",
     "simulate_batched",
     "simulate_segmented",
-    "make_event_policy",
-    "simulate_event",
-    "assert_equivalent_run",
 ]
 
 #: policy kinds whose whole run is one slot sweep (no mode feedback).
@@ -154,8 +150,8 @@ class FleetPolicy:
 
     The event-driven :mod:`repro.simulation.policies` classes are
     callback objects; the kernel needs only the *kind* (plus dyadic
-    parameters), and :func:`make_event_policy` builds the matching
-    callback policy for oracle runs.
+    parameters).  ``tests/fleet/oracles.py`` builds the matching callback
+    policy for oracle runs.
     """
 
     kind: str
@@ -254,7 +250,6 @@ class BatchedResult:
     #: (slot_index, mode) switch history for segmented kinds, matching the
     #: event policy's ``mode_log`` entry for entry; None for pure sweeps.
     mode_log: Optional[List[Tuple[int, str]]] = None
-    _paths: Optional[List[Tuple[float, ...]]] = field(default=None, repr=False)
 
     def flat_forest(self) -> FlatForest:
         """The realised merge forest (same contract as the event result)."""
@@ -269,19 +264,6 @@ class BatchedResult:
         return float(
             np.max(self.client_service[served] - self.client_arrival[served])
         )
-
-    def client_paths(self) -> List[Tuple[float, ...]]:
-        """Per-client receiving paths (root-first label tuples), lazily.
-
-        Shares tuple cells via ``FlatForest.paths``; unserved clients get
-        an empty tuple.
-        """
-        if self._paths is None:
-            node_paths = self.flat_forest().paths() if self.forest is not None else []
-            self._paths = [
-                node_paths[int(k)] if k >= 0 else () for k in self.client_node
-            ]
-        return self._paths
 
     def verify(self, continuous: bool = False) -> VerificationReport:
         """Replay-verify the realised forest, mirroring ``verify_simulation``.
@@ -374,31 +356,12 @@ class ShardResult:
 
 
 def _check_slot(L, slot: float) -> None:
-    if np.any(np.asarray(L) < 1):
-        raise ValueError(f"L must be >= 1, got {L}")
+    lengths = np.asarray(L, dtype=np.float64)
+    # NaN fails every comparison, so the range test rejects it too.
+    if not ((lengths >= 1) & (lengths < math.inf)).all():
+        raise ValueError(f"L must be finite and >= 1, got {L}")
     if not (math.isfinite(slot) and slot > 0):
         raise ValueError(f"slot must be positive and finite, got {slot}")
-
-
-def _served_slots(
-    times: np.ndarray, slot_ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(client_slot, served_idx)`` via searchsorted pre-bucketing.
-
-    ``client_slot[i]`` is the slot whose end serves arrival ``i`` under
-    the event ordering (SlotEnd fires before an Arrival at the same
-    timestamp, so an arrival exactly on a boundary belongs to the *next*
-    slot — ``side="right"`` against the float end times encodes that
-    rule exactly).  ``served_idx`` is the sorted set of non-empty slots.
-
-    Backend-dispatched (:func:`repro.scale.kernels.bucket_slots`): the
-    numpy path is the original ``searchsorted`` expression; the numba
-    path a compiled two-pointer sweep, exact for the sorted arrivals the
-    trace contract guarantees.  Arrivals past the last slot end are
-    never flushed by any SlotEnd — the event loop leaves them parked
-    forever; both backends mirror that as -1.
-    """
-    return bucket_slots(times, slot_ends)
 
 
 def simulate_batched(
@@ -431,7 +394,7 @@ def simulate_batched(
         nslots = trace.num_slots(slot)
         # The exact float end times the event loop schedules SlotEnd at.
         slot_ends = np.arange(1, nslots + 1, dtype=np.float64) * slot
-        client_slot, served_idx = _served_slots(times, slot_ends)
+        client_slot, served_idx = bucket_slots(times, slot_ends)
         served_ends = slot_ends[served_idx]
     else:
         client_slot = served_idx = served_ends = None  # type: ignore[assignment]
@@ -544,10 +507,10 @@ def _simulate_shard(
     trace.trace(k), policy, slot)``, which the fleet replay contract
     checks.
     """
+    _check_slot(L, slot)
     L = np.asarray(L, dtype=np.int64)
     if L.shape != (len(trace),):
         raise ValueError(f"need one L per object, got shape {L.shape}")
-    _check_slot(L, slot)
     pass_ = _ragged_pass if policy.kind in _RAGGED else _per_object_pass
     labels, parent, z, lengths, node_offsets, max_delay = pass_(L, trace, policy, slot)
     forest: Optional[FlatForest] = None
@@ -664,10 +627,11 @@ def simulate_segmented(
     at mode entry (the mode-exit cut is a preorder prefix, so its ``z``
     values already encode that extensions stopped), dyadic segments are
     the (alpha, beta)-dyadic forest over the segment's *served* slot ends
-    (exact because the event policy starts a fresh ``DyadicFlatOnline``
-    at every dyadic mode entry).  Per-segment forests concatenate into
-    one flat forest: labels stay strictly increasing and no tree spans a
-    segment boundary, so global ``z`` values equal the per-segment ones.
+    (exact because the event policy starts a fresh
+    ``IncrementalFlatForest`` at every dyadic mode entry).  Per-segment
+    forests concatenate into one flat forest: labels stay strictly
+    increasing and no tree spans a segment boundary, so global ``z``
+    values equal the per-segment ones.
 
     Same exactness contract as :func:`simulate_batched`: bit-identical
     metrics, parent arrays, and mode log for power-of-two ``slot``.
@@ -680,7 +644,7 @@ def simulate_segmented(
     n_clients = times.size
     nslots = trace.num_slots(slot)
     slot_ends = np.arange(1, nslots + 1, dtype=np.float64) * slot
-    client_slot, served_idx = _served_slots(times, slot_ends)
+    client_slot, served_idx = bucket_slots(times, slot_ends)
 
     mode_log: List[Tuple[int, str]] = []
     labels_parts: List[np.ndarray] = []
@@ -776,108 +740,3 @@ def simulate_segmented(
         client_node=client_node,
         mode_log=mode_log,
     )
-
-
-# ---------------------------------------------------------------------------
-# Oracle pairing: the matching event-driven run
-# ---------------------------------------------------------------------------
-
-
-def make_event_policy(policy: FleetPolicy, L: int, trace: ArrivalTrace, slot: float = 1.0):
-    """The event-driven :class:`~repro.simulation.policies.Policy` that
-    realises the same run ``simulate_batched`` sweeps — the oracle half
-    of every equivalence test and benchmark."""
-    from ..simulation.policies import (
-        BatchedDyadicPolicy,
-        DelayGuaranteedPolicy,
-        GeneralOfflinePolicy,
-        ImmediateDyadicPolicy,
-        OfflineOptimalPolicy,
-        PureBatchingPolicy,
-        UnicastPolicy,
-    )
-
-    kind = policy.kind
-    if kind == "delay-guaranteed":
-        return DelayGuaranteedPolicy(L)
-    if kind == "offline-optimal":
-        return OfflineOptimalPolicy(L, trace.num_slots(slot))
-    if kind == "general-offline":
-        ends = [t / slot for t in trace.slot_end_times(slot)]
-        return GeneralOfflinePolicy(L, ends)
-    if kind == "batched-dyadic":
-        return BatchedDyadicPolicy(L, policy.params)
-    if kind == "immediate-dyadic":
-        return ImmediateDyadicPolicy(L, policy.params)
-    if kind == "pure-batching":
-        return PureBatchingPolicy(L)
-    if kind == "unicast":
-        return UnicastPolicy(L)
-    if kind == "hybrid":
-        from ..simulation.hybrid import HybridPolicy
-
-        return HybridPolicy(
-            L,
-            policy.params,
-            window_slots=policy.window_slots,
-            rate_high=policy.rate_high,
-            rate_low=policy.rate_low,
-        )
-    raise ValueError(f"no event policy for {kind!r}")  # pragma: no cover
-
-
-def simulate_event(
-    L: int, trace: ArrivalTrace, policy: FleetPolicy, slot: float = 1.0
-):
-    """Run the event-driven oracle for a :class:`FleetPolicy` spec."""
-    return Simulation(L, trace, make_event_policy(policy, L, trace, slot), slot).run()
-
-
-def assert_equivalent_run(event_result, batched: BatchedResult) -> None:
-    """Assert an event-driven run and a batched run realised the same system.
-
-    Canonical comparison (used by tests *and* asserted inside benchmark
-    runs): identical metric counters, identical sorted interval arrays,
-    identical total bandwidth, identical flat-forest labels and parent
-    arrays, and identical per-client service times / serving labels.
-    """
-    em, bm = event_result.metrics, batched.metrics
-    assert em.L == bm.L, (em.L, bm.L)
-    assert em.streams_started == bm.streams_started, "streams_started differ"
-    assert em.roots_started == bm.roots_started, "roots_started differ"
-    assert em.clients_served == bm.clients_served, "clients_served differ"
-
-    e_log = list(getattr(event_result, "mode_log", None) or [])
-    b_log = list(batched.mode_log or [])
-    assert e_log == b_log, f"mode logs differ: {e_log} != {b_log}"
-
-    ea = np.asarray(em.intervals, dtype=np.float64).reshape(-1, 2)
-    ba = np.asarray(bm.intervals, dtype=np.float64).reshape(-1, 2)
-    e_order = np.lexsort((ea[:, 0], ea[:, 1])) if ea.size else slice(None)
-    assert np.array_equal(ea[e_order], ba), "interval multisets differ"
-    # The multisets are identical, so totals agree up to summation order
-    # (bit-identical on slotted runs, last-ULP on continuous float traces).
-    et, bt = float(em.total_units), float(bm.total_units)
-    assert abs(et - bt) <= 1e-9 * max(1.0, abs(bt)), "total bandwidth differs"
-
-    if event_result.streams:
-        ef, bf = event_result.flat_forest(), batched.flat_forest()
-        assert np.array_equal(ef.arrivals, bf.arrivals), "stream labels differ"
-        assert np.array_equal(ef.parent, bf.parent), "parent arrays differ"
-    else:
-        assert batched.forest is None, "batched run invented streams"
-
-    served_labels = {}
-    if batched.forest is not None:
-        labels = batched.forest.arrivals
-        served_labels = {
-            i: labels[int(k)] for i, k in enumerate(batched.client_node) if k >= 0
-        }
-    assert len(event_result.clients) == batched.client_arrival.size
-    for i, client in enumerate(event_result.clients):
-        if client.tree_label is None:
-            assert i not in served_labels, f"client {i} served only in batch"
-            continue
-        assert client.tree_label == served_labels.get(i), f"client {i} label"
-        assert client.service_time == batched.client_service[i], f"client {i} service"
-        assert client.path == batched.client_paths()[i], f"client {i} path"

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from ..argtypes import positive_float, positive_int
 from ..fleet.runner import run_fleet
 from ..fleet.scenarios import SCENARIOS, scenario_workload
 from ..multiplex.catalog import Catalog
@@ -45,29 +46,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "ingestion, incremental merge forests, fence-gated commits, and "
         "channel schedules emitted ahead of accelerated wall-clock.",
     )
-    parser.add_argument("--objects", type=int, default=24,
+    parser.add_argument("--objects", type=positive_int, default=24,
                         help="catalog size (Zipf popularity; default 24)")
-    parser.add_argument("--duration", type=float, default=120.0,
+    parser.add_argument("--duration", type=positive_float, default=120.0,
                         help="media duration in minutes (default 120)")
     parser.add_argument("--exponent", type=float, default=0.8,
                         help="Zipf exponent (default 0.8)")
-    parser.add_argument("--delay", type=float, default=2.0,
+    parser.add_argument("--delay", type=positive_float, default=2.0,
                         help="guaranteed start-up delay in minutes (default 2)")
-    parser.add_argument("--horizon", type=float, default=360.0,
+    parser.add_argument("--horizon", type=positive_float, default=360.0,
                         help="stream horizon in minutes (default 360)")
-    parser.add_argument("--epoch", type=float, default=30.0,
+    parser.add_argument("--epoch", type=positive_float, default=30.0,
                         help="ingest epoch length in minutes (default 30)")
-    parser.add_argument("--fence", type=float, default=60.0,
+    parser.add_argument("--fence", type=positive_float, default=60.0,
                         help="commit fence lag in minutes (default 60)")
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), default="diurnal",
                         help="workload scenario (default diurnal)")
     parser.add_argument("--policy", choices=LIVE_POLICIES,
                         default="batched-dyadic",
                         help="serving policy (default batched-dyadic)")
-    parser.add_argument("--mean-interarrival", type=float, default=0.2,
+    parser.add_argument("--mean-interarrival", type=positive_float, default=0.2,
                         help="global mean inter-arrival in minutes (default 0.2)")
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument("--accel", type=float, default=None, metavar="X",
+    parser.add_argument("--accel", type=positive_float, default=None, metavar="X",
                         help="pace ingestion at X simulated minutes per "
                         "wall-clock second (default: no pacing)")
     parser.add_argument("--report", type=str, default=None, metavar="PATH",

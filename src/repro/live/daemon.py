@@ -359,7 +359,7 @@ class _ObjectLedger:
         if self.kind in _SLOTTED_KINDS:
             # The serving slot end of arrival t is floor(t) + 1 — exactly
             # the slot the event ordering gives it (a boundary arrival
-            # belongs to the *next* slot; see engine._served_slots).
+            # belongs to the *next* slot; see kernels.bucket_slots).
             service = np.floor(ts) + 1.0
             self.max_wait_slots = max(
                 self.max_wait_slots, float(np.max(service - ts))

@@ -10,6 +10,7 @@ assumption: a library of objects whose request shares follow a Zipf law
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -25,8 +26,9 @@ def zipf_weights(count: int, exponent: float = 0.8) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    # NaN fails every comparison, so the range test rejects it too.
+    if not 0 <= exponent < math.inf:
+        raise ValueError(f"exponent must be finite and >= 0, got {exponent}")
     raw = 1.0 / np.arange(1, count + 1, dtype=float) ** exponent
     return raw / raw.sum()
 

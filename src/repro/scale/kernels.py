@@ -289,11 +289,15 @@ def bucket_slots(
 ) -> Tuple[np.ndarray, ...]:
     """``(client_slot, served_idx)`` for sorted arrivals against slot ends.
 
-    ``client_slot[i]`` is the slot whose end serves arrival ``i`` (-1
-    past the last slot end); ``served_idx`` the sorted non-empty slots.
-    ``times`` must be non-decreasing (the :class:`ArrivalTrace` contract)
-    and ``slot_ends`` strictly increasing.  Both backends reproduce
-    ``searchsorted(..., side="right")`` exactly.
+    ``client_slot[i]`` is the slot whose end serves arrival ``i`` under
+    the event ordering: a SlotEnd fires before an Arrival at the same
+    time, so an arrival exactly on a boundary belongs to the *next* slot,
+    hence ``side="right"`` against the float end times.  Arrivals past
+    the last slot end are never flushed by any SlotEnd (the event loop
+    parks them forever): -1.  ``served_idx`` is the sorted non-empty
+    slots.  ``times`` must be non-decreasing (the :class:`ArrivalTrace`
+    contract) and ``slot_ends`` strictly increasing.  Both backends
+    reproduce ``searchsorted(..., side="right")`` exactly.
 
     Ragged form: with ``offsets``, ``times`` holds several objects'
     arrivals end to end (object ``k`` is ``times[offsets[k]:offsets[k +

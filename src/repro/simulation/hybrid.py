@@ -28,7 +28,7 @@ from typing import Deque, List, Optional, TYPE_CHECKING
 
 from ..baselines.dyadic import DyadicParams
 from ..core.online import OnlineScheduler
-from ..fastpath.dyadic import DyadicFlatOnline
+from ..fastpath.incremental import IncrementalFlatForest
 from .policies import Policy, _serve_dyadic_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +66,7 @@ class HybridPolicy(Policy):
         self._recent_sum = 0
         self._mode = "dyadic"
         self._dg_anchor: Optional[int] = None
-        self._dyadic = DyadicFlatOnline(L, self.params)
+        self._dyadic = IncrementalFlatForest(L, self.params)
         #: (slot_index, mode) history of mode switches, for analysis
         self.mode_log: List[tuple] = []
 
@@ -99,7 +99,7 @@ class HybridPolicy(Policy):
             # across the DG interlude would interleave tree label ranges,
             # which breaks the merge-forest property (trees must be
             # contiguous in time).  A new root will start instead.
-            self._dyadic = DyadicFlatOnline(self.L, self.params)
+            self._dyadic = IncrementalFlatForest(self.L, self.params)
             self.mode_log.append((slot_index, "dyadic"))
 
     # -- slot handling ------------------------------------------------------------

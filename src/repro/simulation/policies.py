@@ -15,8 +15,8 @@ Since the flat-simulation refactor no policy constructs or traverses
 ``MergeNode`` objects: the off-line replays precompute flat parent
 arrays (``build_optimal_flat_forest`` / the ``OnlineScheduler`` tables),
 and the dyadic policies place arrivals with
-:class:`~repro.fastpath.dyadic.DyadicFlatOnline`, whose stack *is* the
-receiving path the Lemma 1 extensions walk.
+:class:`~repro.fastpath.incremental.IncrementalFlatForest`, whose stack
+*is* the receiving path the Lemma 1 extensions walk.
 
 Policies implemented (the paper's Section 4.2 cast plus baselines):
 
@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..baselines.dyadic import DyadicParams
 from ..core.full_cost import build_optimal_flat_forest
 from ..core.online import OnlineScheduler
-from ..fastpath.dyadic import DyadicFlatOnline
+from ..fastpath.incremental import IncrementalFlatForest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .client import Client
@@ -254,7 +254,7 @@ class ImmediateDyadicPolicy(Policy):
         self.name = "immediate-dyadic"
         self.L = L
         self.params = params or DyadicParams()
-        self._builder = DyadicFlatOnline(L, self.params)
+        self._builder = IncrementalFlatForest(L, self.params)
 
     def on_arrival(self, client: "Client", sim: "Simulation") -> None:
         self._builder.push(client.arrival)
@@ -273,7 +273,7 @@ class BatchedDyadicPolicy(Policy):
         self.name = "batched-dyadic"
         self.L = L
         self.params = params or DyadicParams()
-        self._builder = DyadicFlatOnline(L, self.params)
+        self._builder = IncrementalFlatForest(L, self.params)
 
     def on_slot_end(
         self, slot_index: int, clients: List["Client"], sim: "Simulation"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrivals import constant_rate
 from repro.baselines.dyadic import (
     DyadicOnline,
     DyadicParams,
@@ -61,6 +62,15 @@ class TestParams:
         assert paper_beta(15, "constant") == 8 / 15
         with pytest.raises(ValueError):
             paper_beta(100, "uniform")
+        # F_h / L beats clearly-off betas on constant-rate arrivals
+        trace = list(constant_rate(0.5, 3000.0))
+        best = paper_beta(100, "constant")
+        costs = {
+            beta: dyadic_cost(trace, 100, DyadicParams(alpha=PHI, beta=beta))
+            for beta in (0.15, best, 0.95)
+        }
+        assert costs[best] <= costs[0.15]
+        assert costs[best] <= costs[0.95] * 1.05
 
 
 class TestIntervalIndex:

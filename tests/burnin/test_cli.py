@@ -38,6 +38,27 @@ class TestBurninCli:
         payload = json.loads(report.read_text())
         assert payload["ok"] is True
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--episodes", "0"),
+            ("--objects", "0"),
+            ("--horizon", "nan"),
+            ("--delay", "inf"),
+            ("--mean-interarrival", "nan"),
+        ],
+    )
+    def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
+        """A typo used to run broken episodes and exit 3, like a violation."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["burnin", "--episodes", "1", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""  # rejected before the soak ran
+
     def test_contract_violation_exits_three(self):
         proc = _run("burnin", "--episodes", "2", "--selftest-violation")
         assert proc.returncode == 3, proc.stdout + proc.stderr

@@ -117,3 +117,9 @@ class TestTreeSizeIndex:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             fm.tree_size_index(0)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_L_rejected(self, L):
+        """inf grew the Fibonacci table forever; NaN returned 1."""
+        with pytest.raises(ValueError, match="finite"):
+            fm.tree_size_index(L)

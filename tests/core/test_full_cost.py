@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import full_cost as fc
@@ -62,6 +64,14 @@ class TestTheorem12:
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=1, max_value=150),
     )
+    @example(5, 1000)
+    @example(15, 1000)
+    @example(50, 10)
+    @example(50, 100)
+    @example(50, 1000)
+    @example(150, 10)
+    @example(150, 100)
+    @example(150, 1000)
     def test_two_candidate_minimum(self, L, n):
         _, best = fc.brute_force_stream_count(L, n)
         assert fc.optimal_full_cost(L, n) == best
@@ -91,7 +101,9 @@ class TestTheorem12:
 
 
 class TestForestConstruction:
-    @pytest.mark.parametrize("L,n", [(15, 8), (15, 14), (4, 16), (10, 100), (33, 500)])
+    @pytest.mark.parametrize(
+        "L,n", [(15, 8), (15, 14), (4, 16), (10, 100), (33, 500), (500, 50_000)]
+    )
     def test_optimal_forest_cost(self, L, n):
         forest = fc.build_optimal_forest(L, n)
         assert forest.full_cost(L) == fc.optimal_full_cost(L, n)
@@ -109,6 +121,12 @@ class TestForestConstruction:
     def test_infeasible_s(self):
         with pytest.raises(ValueError):
             fc.build_optimal_forest(5, 20, s=2)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_L_rejected(self, L):
+        """An infinite L used to hang until memory ran out."""
+        with pytest.raises(ValueError, match="finite"):
+            fc.optimal_full_cost(L, 10)
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import dp, offline
@@ -37,6 +37,7 @@ class TestClosedForm:
             offline.merge_cost(0)
 
     @given(st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=60))
+    @example([8, 1_000_000])
     def test_vectorised_matches_scalar(self, ns):
         arr = offline.merge_cost_array(ns)
         assert arr.dtype == np.int64
@@ -86,7 +87,7 @@ class TestLastMergeTable:
 
 
 class TestBuildOptimalTree:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12, 13, 20, 21, 33, 34, 54, 55, 100, 233, 500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12, 13, 20, 21, 33, 34, 54, 55, 100, 233, 500, 2000])
     def test_cost_is_optimal(self, n):
         tree = offline.build_optimal_tree(n)
         assert len(tree) == n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,12 @@ class TestOnlineForest:
         assert online.online_full_cost(L, n, tree_size=online.online_tree_size(L)) == default
         assert online.online_full_cost(L, n, tree_size=20) >= optimal_full_cost(L, n)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_L_rejected(self, L):
+        """An infinite L used to hang until memory ran out."""
+        with pytest.raises(ValueError, match="finite"):
+            online.online_full_cost(L, 10)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             online.build_online_forest(0, 5)
@@ -92,9 +100,10 @@ class TestOnlineForest:
 
 
 class TestTheorem22:
-    @pytest.mark.parametrize("L", [7, 10, 15, 25])
+    @pytest.mark.parametrize("L", [7, 9, 10, 12, 15, 20, 25, 30])
     def test_bound_holds_on_grid(self, L):
-        for n in (L * L + 3, L * L + 57, 4 * L * L, 20 * L * L):
+        dense = [int(mult * (L * L + 3)) for mult in (1.1, 2, 5, 20)]
+        for n in (L * L + 3, L * L + 57, 4 * L * L, 20 * L * L, *dense):
             ratio = online.online_over_optimal_ratio(L, n)
             assert 1.0 <= ratio <= bounds.online_ratio_bound(L, n) + 1e-12
 

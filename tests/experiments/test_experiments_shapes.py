@@ -92,6 +92,12 @@ class TestFig11And12:
         assert imm[0] > dg[0] and imm[0] > bat[0]
         assert imm[-1] < dg[-1]
         assert bat[-1] < dg[-1]
+        # the crossover with DG sits near lam = delay (0.5 to 2 slots)
+        lams = (0.25, 0.5, 1.0, 2.0, 5.0)
+        below = [lam for lam, v in zip(lams, imm) if v > dg[0]]
+        above = [lam for lam, v in zip(lams, imm) if v < dg[0]]
+        assert below and above
+        assert max(below) <= 2.0 and min(above) >= 0.5
         # immediate ~= batched once lam > delay (within 3%)
         assert abs(imm[-1] - bat[-1]) / bat[-1] < 0.03
 

@@ -1,8 +1,8 @@
 """Flat dyadic builders vs. the MergeNode oracles — node-for-node.
 
-Satellite contract of the flat-simulation PR: ``dyadic_flat_forest`` ==
-``dyadic_forest`` == ``DyadicOnline`` == ``DyadicFlatOnline`` on
-adversarial traces — arrivals exactly on dyadic interval edges, exactly
+``dyadic_flat_forest`` == ``dyadic_forest`` == ``DyadicOnline`` ==
+``IncrementalFlatForest`` (the one flat stack machine) on adversarial
+traces — arrivals exactly on dyadic interval edges, exactly
 at the cutoff ``y``, dense clusters, for alpha from the ``MIN_ALPHA``
 floor up to 7.5 — and the ragged form == one call per object.
 """
@@ -25,12 +25,9 @@ from repro.baselines.dyadic import (
     dyadic_forest,
 )
 from repro.core.fibonacci import PHI
-from repro.fastpath.dyadic import (
-    DyadicFlatOnline,
-    dyadic_flat_cost,
-    dyadic_flat_forest,
-)
+from repro.fastpath.dyadic import dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
+from repro.fastpath.incremental import IncrementalFlatForest
 
 from tests.conftest import increasing_times, increasing_times_exact
 
@@ -39,14 +36,40 @@ BETAS = st.sampled_from([0.5, 0.3, 0.9])
 EDGE_ALPHAS = [1.3, PHI, 2.0, 3.0, 7.5]
 
 
+def _interval_edges(params, L):
+    """Root, an arrival exactly at the cutoff, and every dyadic left edge
+    above the resolution limit (down to ``alpha ** -17``)."""
+    window = params.window(L)
+    ts = {0.0, window}
+    for i in range(1, 18):
+        if params.alpha**-i >= MIN_RELATIVE_GAP:  # deeper edges are rejected
+            ts.add(window / params.alpha**i)
+    return sorted(ts)
+
+
+def _nested_edges(params, L):
+    """Left edges of the root's intervals and of the second-level windows."""
+    alpha, window = params.alpha, params.window(L)
+    ts = {0.0}
+    for i in range(1, 8):
+        child = window / alpha**i
+        ts.add(child)
+        hi = window / alpha ** (i - 1)
+        for j in range(1, 6):
+            ts.add(child + (hi - child) / alpha**j)
+    return sorted(t for t in ts if t <= window)
+
+
 def _assert_same_forest(ts, L, params):
     ref = FlatForest.from_forest(dyadic_forest(ts, L, params))
     flat = dyadic_flat_forest(ts, L, params)
     assert flat.equals(ref)
     assert np.array_equal(flat.z, ref.z)  # trusted-z shortcut is exact
-    online = DyadicFlatOnline(L, params)
+    online = IncrementalFlatForest(L, params)
     online.extend(ts)
-    assert online.finish().equals(ref)
+    live = online.live_forest()
+    assert live.equals(ref)
+    assert np.array_equal(live.z, ref.z)  # z kept current push by push
     return flat, ref
 
 
@@ -62,23 +85,15 @@ class TestBatchEquivalence:
         params = DyadicParams(alpha=alpha, beta=0.5)
         L = 64  # binary-exact L: every length expression stays exact
         flat, _ref = _assert_same_forest(times, L, params)
-        assert dyadic_flat_cost(times, L, params) == dyadic_forest(
-            times, L, params
-        ).full_cost(L)
-        # the public dyadic_cost entry point now routes through the flat path
-        assert dyadic_cost(times, L, params) == dyadic_flat_cost(times, L, params)
+        assert flat.full_cost(L) == dyadic_forest(times, L, params).full_cost(L)
+        # the public dyadic_cost entry point routes through the flat path
+        assert dyadic_cost(times, L, params) == flat.full_cost(L)
 
     @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
     def test_arrivals_on_interval_edges(self, alpha):
         """Arrivals exactly at dyadic left edges and at the cutoff."""
         params = DyadicParams(alpha=alpha, beta=0.5)
-        L = 64
-        window = params.window(L)
-        ts = {0.0, window}  # root and an arrival exactly at the cutoff
-        for i in range(1, 18):
-            if alpha**-i >= MIN_RELATIVE_GAP:  # deeper edges are rejected
-                ts.add(window / alpha**i)  # interval left edges
-        _assert_same_forest(sorted(ts), L, params)
+        _assert_same_forest(_interval_edges(params, 64), 64, params)
 
     @pytest.mark.parametrize("alpha", [MIN_ALPHA, 1.05, 1.3, 7.5])
     def test_every_table_edge(self, alpha):
@@ -104,16 +119,7 @@ class TestBatchEquivalence:
     def test_nested_edge_grid(self, alpha):
         """Edges of the *second-level* windows too (deep descents)."""
         params = DyadicParams(alpha=alpha, beta=0.5)
-        L = 64
-        window = params.window(L)
-        ts = {0.0}
-        for i in range(1, 8):
-            child = window / alpha**i
-            ts.add(child)
-            hi = window / alpha ** (i - 1)
-            for j in range(1, 6):
-                ts.add(child + (hi - child) / alpha**j)
-        _assert_same_forest(sorted(t for t in ts if t <= window), L, params)
+        _assert_same_forest(_nested_edges(params, 64), 64, params)
 
     def test_multiple_roots(self):
         params = DyadicParams(beta=0.5)
@@ -143,7 +149,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             dyadic_flat_forest([0.0], 0)
         with pytest.raises(ValueError):
-            DyadicFlatOnline(0)
+            IncrementalFlatForest(0)
 
     @pytest.mark.parametrize("L", [float("nan"), float("inf")])
     def test_non_finite_L_rejected_by_batch(self, L):
@@ -154,7 +160,7 @@ class TestValidation:
     @pytest.mark.parametrize("L", [float("nan"), float("inf")])
     def test_non_finite_L_rejected_by_flat_online(self, L):
         with pytest.raises(ValueError, match="finite"):
-            DyadicFlatOnline(L)
+            IncrementalFlatForest(L)
 
     @pytest.mark.parametrize("L", [float("nan"), float("inf")])
     def test_non_finite_L_rejected_by_oracles(self, L):
@@ -192,7 +198,7 @@ class TestFlatOnline:
         rng = random.Random(5)
         params = DyadicParams(alpha=PHI, beta=0.5)
         obj = DyadicOnline(100, params)
-        flat = DyadicFlatOnline(100, params)
+        flat = IncrementalFlatForest(100, params)
         t = 0.0
         for _ in range(200):
             t += rng.choice([0.125, 0.5, 3.0, 60.0])
@@ -201,14 +207,26 @@ class TestFlatOnline:
             want = tuple(n.arrival for n in node.path_from_root())
             assert flat.current_path() == want
 
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+    def test_paths_match_object_stack_on_edge_grids(self, alpha):
+        params = DyadicParams(alpha=alpha, beta=0.5)
+        for ts in (_interval_edges(params, 64), _nested_edges(params, 64)):
+            obj = DyadicOnline(64, params)
+            flat = IncrementalFlatForest(64, params)
+            for t in ts:
+                node = obj.push(t)
+                flat.push(t)
+                want = tuple(n.arrival for n in node.path_from_root())
+                assert flat.current_path() == want
+
     def test_monotonicity_enforced(self):
-        online = DyadicFlatOnline(100)
+        online = IncrementalFlatForest(100)
         online.push(5.0)
         with pytest.raises(ValueError, match="strictly increasing"):
             online.push(5.0)
 
     def test_nan_push_rejected_without_advancing(self):
-        online = DyadicFlatOnline(100)
+        online = IncrementalFlatForest(100)
         online.push(0.0)
         with pytest.raises(ValueError, match="finite"):
             online.push(float("nan"))
@@ -216,16 +234,15 @@ class TestFlatOnline:
         assert online.current_path() == (0.0, 1.0)
 
     def test_finish_empty(self):
-        with pytest.raises(ValueError):
-            DyadicFlatOnline(100).finish()
+        assert IncrementalFlatForest(100).live_forest() is None
 
     def test_indices_are_arrival_order(self):
-        online = DyadicFlatOnline(100)
+        online = IncrementalFlatForest(100)
         assert online.push(0.0) == 0
         assert online.push(10.0) == 1
         assert online.push(70.0) == 2  # new root
         assert len(online) == 3
-        assert online.finish().num_trees() == 2
+        assert online.live_forest().num_trees() == 2
 
 
 @st.composite

@@ -112,6 +112,21 @@ def test_push_batch_equals_scalar_push(params, batch):
 
 
 @pytest.mark.parametrize("params", PARAMS)
+@pytest.mark.parametrize("batch", [1, 5, 17, 64])
+def test_current_path_after_push_batch(params, batch):
+    """The stack ``push_batch`` rebuilds gives the scalar pushes' path."""
+    for seed in range(10):
+        ts = _poisson_trace(150, seed=seed, scale=0.2 + 0.3 * seed)
+        scalar = IncrementalFlatForest(L, params)
+        batched = IncrementalFlatForest(L, params)
+        for lo in range(0, ts.size, batch):
+            chunk = ts[lo : lo + batch]
+            scalar.extend(chunk.tolist())
+            batched.push_batch(chunk)
+            assert batched.current_path() == scalar.current_path()
+
+
+@pytest.mark.parametrize("params", PARAMS)
 def test_eviction_is_invisible_to_the_global_forest(params):
     ts = _poisson_trace(400, seed=3, scale=2.5)  # many windows
     inc = IncrementalFlatForest(L, params)

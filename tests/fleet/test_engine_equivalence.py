@@ -20,12 +20,9 @@ from hypothesis import strategies as st
 
 from repro.arrivals.traces import ArrivalTrace
 from repro.baselines.dyadic import DyadicParams
-from repro.fleet import (
-    FleetPolicy,
-    assert_equivalent_run,
-    simulate_batched,
-    simulate_event,
-)
+from repro.fleet import FleetPolicy, simulate_batched
+
+from tests.fleet.oracles import assert_equivalent_run, simulate_event
 
 #: the policy matrix the ISSUE names: dyadic at alpha in {2, phi},
 #: offline-optimal, and the batching baselines, plus DG and the

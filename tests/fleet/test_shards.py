@@ -239,6 +239,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="slot"):
             simulate_batched(4, trace, FleetPolicy.hybrid(), slot=math.inf)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "kind", ["delay-guaranteed", "offline-optimal", "hybrid"]
+    )
+    def test_simulate_batched_rejects_non_finite_L(self, kind, L):
+        """An infinite L used to hang these kinds until memory ran out."""
+        trace = ArrivalTrace(np.array([0.5, 1.5]), 3.0)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_batched(L, trace, FleetPolicy(kind))
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["pure-batching", "unicast"])
+    def test_simulate_batched_rejects_non_finite_L_totals(self, kind, L):
+        """These kinds used to report a total of inf or NaN units."""
+        trace = ArrivalTrace(np.array([0.5, 1.5]), 3.0)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_batched(L, trace, FleetPolicy(kind))
+        ragged = RaggedTrace(np.array([0.5, 0.2]), [0, 1, 2], [3.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            simulate_batched([4, L], ragged, FleetPolicy(kind))
+
     def test_shard_rejects_non_finite_slot(self):
         trace = RaggedTrace(np.array([0.5]), [0, 1], [3.0])
         with pytest.raises(ValueError, match="slot"):

@@ -46,6 +46,29 @@ class TestLiveCli:
         with pytest.raises(SystemExit):
             live_main([*FAST, "--policy", "delay-guaranteed"])
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--objects", "0"),
+            ("--duration", "inf"),
+            ("--delay", "nan"),
+            ("--horizon", "0"),
+            ("--epoch", "-1"),
+            ("--fence", "nan"),
+            ("--mean-interarrival", "0"),
+            ("--accel", "0"),
+            ("--accel", "-1"),
+            ("--accel", "inf"),
+        ],
+    )
+    def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["live", *FAST, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""  # rejected before the daemon ran
+
     def test_violation_exit_code_value(self):
         # the exit code is a published contract (README, CI)
         assert EXIT_LIVE_VIOLATION == 5

@@ -28,6 +28,12 @@ class TestZipfWeights:
         with pytest.raises(ValueError):
             zipf_weights(3, -1.0)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, exponent):
+        """NaN used to give all-NaN weights that failed inside sampling."""
+        with pytest.raises(ValueError, match="finite"):
+            zipf_weights(3, exponent)
+
 
 class TestMediaObject:
     def test_units(self):

@@ -110,12 +110,8 @@ class TestThresholdEdgeCases:
 
     @staticmethod
     def _both(trace, L=20, **knobs):
-        from repro.fleet import (
-            FleetPolicy,
-            assert_equivalent_run,
-            simulate_batched,
-            simulate_event,
-        )
+        from repro.fleet import FleetPolicy, simulate_batched
+        from tests.fleet.oracles import assert_equivalent_run, simulate_event
 
         policy = FleetPolicy.hybrid(**knobs)
         event = simulate_event(L, trace, policy)

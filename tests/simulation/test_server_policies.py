@@ -23,7 +23,9 @@ from repro.simulation import (
 
 
 class TestDelayGuaranteed:
-    @pytest.mark.parametrize("L,n", [(15, 8), (15, 57), (20, 100), (7, 33)])
+    @pytest.mark.parametrize(
+        "L,n", [(15, 8), (15, 57), (20, 100), (7, 33), (100, 10_000)]
+    )
     def test_cost_equals_analytic_A(self, L, n):
         res = Simulation(L, every_slot(n), DelayGuaranteedPolicy(L)).run()
         assert res.metrics.total_units == online_full_cost(L, n)
