@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest
+.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke
 
 ## tier-1 test suite (must stay green)
 test:
@@ -66,3 +66,14 @@ live-smoke:
 ## that breaks the harness fails here, not in the next benchmark run
 perfbench-selftest:
 	python3 perfbench/run.py --selftest
+
+## traced end-to-end benchmark check (CI job): one --trace 1 pass per
+## perfbench workload; fails when a pass breaks or any output check
+## fails.  Traced passes wrap program attributes by name, so a refactor
+## that renames one fails here while perfbench-selftest stays green
+perfbench-trace-smoke:
+	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  python3 perfbench/run.py --workload $$w --seconds 1 --trace 1 | tail -n 1 \
+	    | python3 -c 'import json, sys; r = json.loads(sys.stdin.read() or "{}"); print(sys.argv[1] + ":", r.get("failed", "?"), "of", r.get("attempted", "?"), "checks failed"); sys.exit(r.get("failed", 1) > 0)' $$w \
+	    || exit 1; \
+	done

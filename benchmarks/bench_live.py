@@ -13,13 +13,13 @@ Two modes (same layout as ``bench_fleet.py``):
 "Reference" is what a live daemon without :class:`IncrementalFlatForest`
 would have to do: hold every arrival and rebuild the whole-prefix forest
 with ``dyadic_flat_forest`` each epoch.  "Fast" is the incremental path
-the live tier actually runs — ``push_batch`` per epoch plus fence-lagged
-``evict_committable``, keeping live memory at O(open window).  At
-sampled epochs the incremental state (committed trees + live remainder,
-concatenated in global id order) is asserted **identical** — arrivals,
-parents, and subtree maxima ``z`` — to the batch build of the same
-prefix.  The sweep enforces the ISSUE 7 acceptance floor: >= 5x at
-n = 10^5 clients.
+the live tier actually runs — the ragged ``push_batch`` per epoch plus
+fence-lagged ``evict_committable``, which builds each tree once, when it
+commits, and keeps live memory at O(open window).  The committed trees,
+concatenated in global id order, are asserted **identical** — arrivals,
+parents, and subtree maxima ``z`` — to the batch build of the whole
+trace.  The sweep enforces an acceptance floor: >= 5x at n = 10^5
+clients.
 
 ``live_daemon_multiday`` times the whole daemon instead: ``LiveDaemon.step``
 over several simulated days of 10-minute epochs on a stationary
@@ -123,34 +123,32 @@ def _reference_rebuild(ts: np.ndarray, edges: np.ndarray) -> FlatForest:
 
 
 def _incremental_serve(ts: np.ndarray, edges: np.ndarray):
-    """The live tier's loop: push_batch per epoch + fence eviction."""
-    inc = IncrementalFlatForest(LIVE_L)
+    """The live tier's loop: ragged push_batch per epoch + fence eviction
+    (one object here, so the offsets delimit a single window)."""
+    inc = IncrementalFlatForest(np.array([LIVE_L], dtype=np.float64))
     committed = []
     for k in range(1, EPOCHS + 1):
         lo = int(np.searchsorted(ts, edges[k - 1], side="left"))
         m = int(np.searchsorted(ts, edges[k], side="left"))
-        inc.push_batch(ts[lo:m])
-        committed.extend(
+        inc.push_batch(ts[lo:m], np.array([0, m - lo]))
+        committed.append(
             inc.evict_committable(edges[max(0, k - FENCE_LAG_EPOCHS)])
         )
-    committed.extend(inc.evict_committable(np.inf))
+    committed.append(inc.evict_committable(np.inf))
     return inc, committed
 
 
 def _materialised(committed) -> FlatForest:
     """Committed trees concatenated in global id order, as one forest."""
-    arrivals, parent, z = [], [], []
-    for tree in committed:
-        base = len(arrivals)
-        local = tree.forest.parent + base
-        local[tree.forest.parent < 0] = -1
-        arrivals.extend(tree.forest.arrivals.tolist())
-        parent.extend(local.tolist())
-        z.extend(tree.forest.z.tolist())
+    forests = [c.forest for c in committed if len(c.forest)]
+    bases = np.cumsum([0] + [len(f) for f in forests[:-1]])
+    parent = np.concatenate([
+        np.where(f.parent < 0, -1, f.parent + base) for f, base in zip(forests, bases)
+    ])
     return FlatForest(
-        np.asarray(arrivals, dtype=np.float64),
-        np.asarray(parent, dtype=np.intp),
-        z=np.asarray(z, dtype=np.float64),
+        np.concatenate([f.arrivals for f in forests]),
+        parent,
+        z=np.concatenate([f.z for f in forests]),
     )
 
 
@@ -321,7 +319,7 @@ def run_sweep() -> Dict:
         fast_s, (inc, committed) = timeit_best(
             lambda: _incremental_serve(ts, edges), repeats=3
         )
-        assert len(inc) == 0 and inc.evicted == n
+        assert len(inc) == 0 and inc.evicted.tolist() == [n]
         # node-for-node equality of the whole served day against the
         # batch build of the full trace (prefix equality at every epoch
         # is pinned by tests/fastpath/test_incremental.py)
@@ -348,7 +346,8 @@ def run_sweep() -> Dict:
         "schema": "repro.fastpath.bench.v1",
         "description": (
             "Rolling-horizon live serving: IncrementalFlatForest "
-            "(push_batch per epoch + fence-lagged eviction) vs rebuilding "
+            "(ragged push_batch per epoch + fence-lagged eviction, each "
+            "tree built once at commit) vs rebuilding "
             "the whole-prefix dyadic forest every epoch.  Best-of-k wall "
             "clock over a 96-epoch day; the incremental run's committed "
             "trees are asserted node-for-node identical (arrivals, "

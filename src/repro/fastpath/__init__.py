@@ -26,10 +26,10 @@ reference implementations in :mod:`repro.core` — the O(n^2)/O(n^3) DPs in
 * :mod:`repro.fastpath.incremental` —
   :class:`~repro.fastpath.incremental.IncrementalFlatForest`, the one
   flat dyadic stack machine (``DyadicOnline`` is its oracle), behind the
-  dyadic simulation policies and ``repro.live``: append-arrival /
-  extend-stream / evict-completed-tree in amortised O(log n), vectorised
-  epoch ingest, node-for-node equal to the batch construction on every
-  prefix;
+  dyadic simulation policies and ``repro.live``: one-arrival pushes in
+  amortised O(log n), catalog-wide epoch batches that each tree is built
+  from once, when it commits, node-for-node equal to the batch
+  construction on every prefix;
 * :mod:`repro.fastpath.replay` — batched replay verification of whole
   merge forests (Section 2 receiving programs, Lemma 1/17 tightness,
   Lemma 15 buffer peaks) as per-level vectorised interval algebra,
@@ -57,7 +57,7 @@ from .general import (
 )
 from .flat_forest import FlatForest
 from .dyadic import dyadic_flat_forest
-from .incremental import CommittedTree, IncrementalFlatForest
+from .incremental import CommittedTrees, IncrementalFlatForest
 from .replay import replay_verify_forest, replay_verify_forest_continuous
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
     "optimal_flat_forest_general",
     "optimal_flat_tree_general",
     "FlatForest",
-    "CommittedTree",
+    "CommittedTrees",
     "IncrementalFlatForest",
     "dyadic_flat_forest",
     "replay_verify_forest",

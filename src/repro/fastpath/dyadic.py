@@ -23,7 +23,9 @@ both constructions on parent-index arrays:
   round of searches for all objects at a time.
 * :class:`~repro.fastpath.incremental.IncrementalFlatForest` — the one
   flat incremental stack machine; ``push`` is the same O(amortised 1)
-  walk as ``DyadicOnline.push`` minus every ``MergeNode`` allocation.
+  walk as ``DyadicOnline.push`` minus every ``MergeNode`` allocation, and
+  its catalog-wide epoch batches are built with the ragged form below,
+  each tree once, when it commits.
 
 Exactness contract (same shape as ``fastpath.general``): every interval
 classification evaluates the exact float expressions of the reference —

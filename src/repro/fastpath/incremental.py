@@ -2,31 +2,30 @@
 
 :class:`IncrementalFlatForest` is the one flat twin of the ``MergeNode``
 stack machine :class:`~repro.baselines.dyadic.DyadicOnline`.  The event
-policies (``simulation.policies``, ``simulation.hybrid``) only push and
-read :meth:`~IncrementalFlatForest.current_path`; the live tier also
-batches, evicts and resumes.  The batch builder
-:func:`~repro.fastpath.dyadic.dyadic_flat_forest` assumes the full
-arrival sequence is available and rebuilds from scratch.  A long-running
-daemon needs three operations it does not provide:
+policies (``simulation.policies``, ``simulation.hybrid``) push into a
+one-object forest and read :meth:`~IncrementalFlatForest.current_path`;
+the live tier holds a whole catalog in one forest — one stream length
+per object, arrivals laid end to end as in the ragged
+:func:`~repro.fastpath.dyadic.dyadic_flat_forest` — and batches, evicts
+and resumes it.  The batch builder assumes the full arrival sequence is
+available and rebuilds from scratch.  A long-running daemon needs three
+operations it does not provide:
 
-* **append-arrival** — place one strictly-later arrival, amortised
-  O(log n) (the rightmost-path walk of ``DyadicOnline.push``);
-* **extend-stream** — maintain the subtree maxima ``z`` *as arrivals
-  land*, so every node's Lemma 1 receive-two length ``2 z - x - p`` is
-  current at all times (the batch path only knows ``z`` after the fact);
-  an append updates exactly the rightmost path, O(depth);
-* **evict-completed-tree** — pop finished trees off the front and forget
-  their nodes, so live memory is O(open window), not O(history).
-
-:class:`IncrementalFlatForest` provides all three plus a vectorised bulk
-ingest (:meth:`push_batch`) for epoch batches: arrivals that open *and
-close* whole dyadic windows inside one batch are routed through the
-vectorised ``dyadic_flat_forest`` (tree structure depends only on the
-tree's own members, so building completed windows wholesale is exact),
-and the still-open final window is absorbed by reconstructing the
-rightmost-path stack from its built tree — bit-identical to pushing every
-arrival through the scalar stack machine, which the equivalence tests
-assert on every prefix.
+* **append-arrival** — :meth:`~IncrementalFlatForest.push` places one
+  strictly-later arrival with the rightmost-path walk of
+  ``DyadicOnline.push``, amortised O(log n);
+  :meth:`~IncrementalFlatForest.push_batch` appends an epoch's arrivals
+  for every object at once: it checks them and appends them to the
+  float64 open windows, and builds nothing;
+* **extend-stream** — nothing is kept current as arrivals land.  A
+  node's parent and subtree maximum ``z`` (hence its Lemma 1 receive-two
+  length ``2 z - x - p``) depend only on its own tree's members, so they
+  are built where something reads them: once per tree, when it commits,
+  and on a :meth:`~IncrementalFlatForest.live_forest` snapshot;
+* **evict-completed-tree** — :meth:`~IncrementalFlatForest.evict_committable`
+  pops finished trees off the front of every object's window and builds
+  them all with one ragged ``dyadic_flat_forest`` call, so live memory is
+  O(open window), not O(history).
 
 Eviction contract.  A tree rooted at ``r`` can only change while an
 arrival ``t <= r + window`` may still arrive (later arrivals start new
@@ -35,16 +34,16 @@ whose window end (``cutoff = r + window``) lies strictly before
 ``fence``; the caller promises no future push at or below any committed
 cutoff, and the forest enforces it — a push at or below the committed
 watermark raises rather than silently corrupting an already-emitted
-tree.  Committed trees come back as contiguous, self-contained
-:class:`~repro.fastpath.flat_forest.FlatForest` slices (with their final
-``z`` arrays), in tree order, which is also global arrival order — so
-concatenating committed trees with the live remainder reproduces the
-batch construction node for node.
+tree.  The committed trees come back as one :class:`CommittedTrees`,
+objects end to end and trees in order within each, so an object's
+committed trees followed by its live remainder reproduce the batch
+construction node for node.
 
-Resume.  Because the live remainder is whole trees, the forest's entire
-state is ``(live arrivals, id offset, watermark, last push)``
-(:meth:`~IncrementalFlatForest.open_window`), and
-:meth:`~IncrementalFlatForest.resume` rebuilds it with one ``push_batch``:
+Resume.  Because the live remainder is whole trees, the state is the
+live arrivals plus, per object, the evicted count, the watermark and the
+last push (:meth:`~IncrementalFlatForest.open_window`), and
+:meth:`~IncrementalFlatForest.resume` restores it directly, building the
+open windows once so that a window the builder refuses fails there:
 O(open window), whatever the history.
 """
 
@@ -57,219 +56,289 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..baselines.dyadic import DyadicParams, check_stream_length, dyadic_interval_index
-from ..core.validation import check_finite_value
+from ..core.validation import check_finite_value, check_offsets, non_increasing_within
 from .dyadic import dyadic_flat_forest
 from .flat_forest import FlatForest
 
-__all__ = ["CommittedTree", "IncrementalFlatForest"]
+__all__ = ["CommittedTrees", "IncrementalFlatForest"]
 
-#: batch-prefix size above which extending the open tree switches from
-#: scalar pushes to a vectorised whole-tree rebuild.
-_BULK_REBUILD_MIN = 16
+
+def _ragged_extend(
+    values: np.ndarray, bounds: np.ndarray, new: np.ndarray, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Append ``new[offsets[k]:offsets[k + 1]]`` to each object ``k`` of
+    ``values`` (delimited by ``bounds``); returns the new values and bounds."""
+    out = np.empty(values.size + new.size, dtype=np.float64)
+    # new value j of object k lands right after the object's old values
+    dest = np.arange(new.size) + np.repeat(bounds[1:], np.diff(offsets))
+    old = np.ones(out.size, dtype=bool)
+    old[dest] = False
+    out[dest] = new
+    out[old] = values
+    return out, bounds + offsets
+
+
+def _ragged_split(
+    values: np.ndarray, bounds: np.ndarray, take: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(taken, taken_offsets, rest, rest_bounds)``: the values where the
+    mask ``take`` holds, and the others, each still delimited per object."""
+    cum = np.concatenate(([0], np.cumsum(take)))[bounds]
+    return values[take], cum, values[~take], bounds - cum
 
 
 @dataclass(frozen=True)
-class CommittedTree:
-    """One finished tree popped off the front of the incremental forest.
+class CommittedTrees:
+    """Every tree one :meth:`IncrementalFlatForest.evict_committable` popped.
 
-    ``root_id`` is the tree root's global node id (ids count every node
-    ever pushed, evicted or not); ``cutoff`` the tree's window end —
-    strictly before the fence that committed it; ``forest`` the tree as a
-    self-contained single-tree :class:`FlatForest` (local parent indices,
-    final ``z``).
+    ``forest`` holds them objects end to end (a
+    :meth:`FlatForest.concatenated` forest with final ``z``, empty when
+    nothing committed); object ``k``'s trees are nodes
+    ``offsets[k]:offsets[k + 1]``, in tree order, which is also arrival
+    order.  ``roots[k]`` counts them and ``cutoffs[k]`` is the window end
+    of the last one — strictly before the fence — or ``-inf`` when object
+    ``k`` committed nothing.
     """
 
-    root_id: int
-    cutoff: float
     forest: FlatForest
-
-    def __len__(self) -> int:
-        return len(self.forest)
+    offsets: np.ndarray
+    roots: np.ndarray
+    cutoffs: np.ndarray
 
 
 class _StackEntry:
-    __slots__ = ("node", "arrival", "cutoff", "last_child_interval")
+    __slots__ = ("arrival", "cutoff", "last_child_interval")
 
-    def __init__(
-        self,
-        node: int,
-        arrival: float,
-        cutoff: float,
-        last_child_interval: Optional[int],
-    ):
-        self.node = node
+    def __init__(self, arrival: float, cutoff: float, last_child_interval: Optional[int]):
         self.arrival = arrival
         self.cutoff = cutoff
         self.last_child_interval = last_child_interval
 
 
 class IncrementalFlatForest:
-    """A dyadic merge forest that grows at the right and shrinks at the left.
+    """Dyadic merge forests that grow at the right and shrink at the left.
 
-    Node ids are global and monotone (the id of the k-th push is ``k``,
-    forever); live nodes occupy ids ``[offset, offset + live)`` where
-    ``offset`` counts evicted nodes.  All times are in the caller's units
-    (the live daemon works in slot units of its delay guarantee).
+    ``L`` is one stream length (one object) or one per object.  Node ids
+    are global and monotone per object (the k-th arrival ever pushed to
+    an object has id ``k``); an object's live nodes are ids ``[evicted,
+    evicted + live)``.  All times are in the caller's units (the live
+    daemon works in slot units of its delay guarantee).
     """
 
-    def __init__(self, L: float, params: DyadicParams = DyadicParams()):
-        check_stream_length(L)
-        self.L = L
+    def __init__(self, L: Union[float, Sequence[float], np.ndarray], params: DyadicParams = DyadicParams()):
+        lengths = np.atleast_1d(np.asarray(L, dtype=np.float64))
+        if lengths.ndim != 1 or lengths.size == 0:
+            raise ValueError("L must be one stream length or one per object")
+        for length in lengths.tolist():
+            check_stream_length(length)
         self.params = params
-        self._window = params.window(L)
-        # Live node storage, local index = global id - offset.  Parents
-        # are stored as global ids (-1 for roots); they never cross tree
-        # boundaries, so every live node's parent is live.
-        self._arrivals: List[float] = []
-        self._parent: List[int] = []
-        self._z: List[float] = []
-        self._offset = 0
-        # Live trees, oldest first: global root ids and window ends.
-        self._tree_roots: List[int] = []
-        self._tree_cutoffs: List[float] = []
-        # Rightmost path of the newest tree (the only tree that can grow).
-        self._stack: List[_StackEntry] = []
-        self._last_time: Optional[float] = None
+        self._lengths = lengths
+        # The scalar window expression, elementwise: beta * L.
+        self._window = params.beta * lengths
+        m = lengths.size
+        # Live arrivals, objects end to end: object k is
+        # _values[_bounds[k]:_bounds[k + 1]].  push keeps spare capacity
+        # past the end so that it appends in amortised O(1).
+        self._values = np.empty(0, dtype=np.float64)
+        self._bounds = np.zeros(m + 1, dtype=np.intp)
+        self._evicted = np.zeros(m, dtype=np.int64)
         #: highest committed window end; pushes must land strictly above.
-        self._watermark = -math.inf
+        self._watermark = np.full(m, -math.inf)
+        #: newest value pushed (-inf: nothing yet).
+        self._last = np.full(m, -math.inf)
+        # Rightmost path of a one-object forest's newest tree (the only
+        # tree that can grow); None after a batch until a push needs it.
+        self._stack: Optional[List[_StackEntry]] = []
 
     # -- queries ---------------------------------------------------------------
 
+    @property
+    def objects(self) -> int:
+        return int(self._lengths.size)
+
     def __len__(self) -> int:
-        """Number of *live* (unevicted) nodes."""
-        return len(self._arrivals)
+        """Number of *live* (unevicted) nodes, over every object."""
+        return int(self._bounds[-1])
 
     @property
-    def total_appended(self) -> int:
-        """Nodes ever pushed, evicted or not (== next global id)."""
-        return self._offset + len(self._arrivals)
+    def evicted(self) -> np.ndarray:
+        """Nodes evicted so far, per object."""
+        return self._evicted.copy()
 
     @property
-    def evicted(self) -> int:
-        return self._offset
+    def total_appended(self) -> np.ndarray:
+        """Nodes ever pushed, evicted or not, per object (== next ids)."""
+        return self._evicted + np.diff(self._bounds)
 
-    def num_live_trees(self) -> int:
-        return len(self._tree_roots)
+    def min_live_cutoffs(self) -> np.ndarray:
+        """Window end of each object's oldest live tree (``inf`` when none).
 
-    def min_live_cutoff(self) -> Optional[float]:
-        """Window end of the oldest live tree (None when empty)."""
-        return self._tree_cutoffs[0] if self._tree_cutoffs else None
+        Eviction pops whole trees, so an object's first live arrival is
+        the root of its oldest live tree.
+        """
+        lo, hi = self._bounds[:-1], self._bounds[1:]
+        out = np.full(lo.size, math.inf)
+        has = lo < hi
+        out[has] = self._values[lo[has]] + self._window[has]
+        return out
 
-    def open_window(self) -> Tuple[np.ndarray, int, float, Optional[float]]:
-        """``(live arrivals, id offset, watermark, last push)``.
+    def _live(self) -> np.ndarray:
+        return self._values[: self._bounds[-1]]
+
+    def open_window(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(live arrivals, offsets, evicted, watermark, last push)``.
 
         Everything :meth:`resume` needs to rebuild this forest exactly:
         the live nodes' parents, ``z`` and the rightmost-path stack are
-        functions of the live arrivals alone.
+        functions of the live arrivals alone.  Arrivals are laid out
+        objects end to end (``offsets``); the other three have one entry
+        per object, ``-inf`` meaning none.
         """
         return (
-            np.asarray(self._arrivals, dtype=np.float64),
-            self._offset,
-            self._watermark,
-            self._last_time,
+            self._live().copy(),
+            self._bounds.copy(),
+            self._evicted.copy(),
+            self._watermark.copy(),
+            self._last.copy(),
         )
+
+    @staticmethod
+    def check_open_window(arrivals: np.ndarray, watermark: float, last_push: float) -> None:
+        """Reject one object's open window that no forest could have left.
+
+        ``arrivals`` must be finite and strictly increasing, above the
+        watermark, and end at ``last_push``; an empty window's last push
+        (``-inf`` when nothing was pushed) may not exceed the watermark.
+        """
+        if not np.isfinite(arrivals).all():
+            raise ValueError("live arrivals must be finite")
+        if np.any(arrivals[1:] <= arrivals[:-1]):
+            raise ValueError("live arrivals must be strictly increasing")
+        if arrivals.size:
+            if not arrivals[0] > watermark:
+                raise ValueError(
+                    f"live arrival {float(arrivals[0])} at or below the committed "
+                    f"watermark {watermark}"
+                )
+            if last_push != arrivals[-1]:
+                raise ValueError(
+                    f"last push {last_push} is not the newest live arrival "
+                    f"{float(arrivals[-1])}"
+                )
+        elif last_push > watermark:
+            raise ValueError(
+                f"last push {last_push} is above the watermark {watermark} "
+                "but no arrival is live"
+            )
 
     @classmethod
     def resume(
         cls,
-        L: float,
+        L: Union[float, Sequence[float], np.ndarray],
         arrivals: np.ndarray,
-        offset: int,
-        watermark: float,
-        last_time: Optional[float],
+        offsets: np.ndarray,
+        evicted: np.ndarray,
+        watermark: np.ndarray,
+        last_push: np.ndarray,
         params: DyadicParams = DyadicParams(),
     ) -> "IncrementalFlatForest":
         """Rebuild a forest from :meth:`open_window` output.
 
-        Eviction pops whole trees only, so the live remainder starts at a
-        tree root and ``push_batch`` into an empty forest — ids offset by
-        the evicted count, watermark preset — partitions it into the same
-        windows and rebuilds every node, ``z`` and stack entry exactly.
-        Inconsistent state raises ``ValueError``.
+        Eviction pops whole trees only, so each object's live remainder
+        starts at a tree root; parents, ``z`` and the stack follow from
+        the arrivals.  The open windows are built once here, so a window
+        the dyadic builder refuses raises now.  Inconsistent state raises
+        ``ValueError`` naming the object.
         """
-        ts = np.ascontiguousarray(arrivals, dtype=np.float64)
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        if ts.size:
-            if not ts[0] > watermark:
-                raise ValueError(
-                    f"live arrival {float(ts[0])} at or below the committed "
-                    f"watermark {watermark}"
-                )
-            if last_time != ts[-1]:
-                raise ValueError(
-                    f"last push {last_time} is not the newest live arrival "
-                    f"{float(ts[-1])}"
-                )
-        elif last_time is not None and last_time > watermark:
-            raise ValueError(
-                f"last push {last_time} is above the watermark {watermark} "
-                "but no arrival is live"
-            )
         forest = cls(L, params)
-        forest._offset = offset
-        forest._watermark = watermark
-        forest.push_batch(ts)
-        forest._last_time = last_time
+        m = forest.objects
+        ts = np.ascontiguousarray(arrivals, dtype=np.float64)
+        if ts.ndim != 1:
+            raise ValueError("arrivals must be a 1-D sequence")
+        bounds = check_offsets(offsets, ts.size)
+        evicted = np.asarray(evicted)
+        watermark = np.asarray(watermark, dtype=np.float64)
+        last_push = np.asarray(last_push, dtype=np.float64)
+        if bounds.size != m + 1 or any(a.shape != (m,) for a in (evicted, watermark, last_push)):
+            raise ValueError(f"need offsets and per-object state for {m} objects")
+        if evicted.dtype.kind not in "iu" or np.any(evicted < 0):
+            raise ValueError("evicted counts must be integers >= 0")
+        if np.isnan(watermark).any() or np.isnan(last_push).any():
+            raise ValueError("watermark and last push must not be NaN")
+        for k in range(m):
+            try:
+                cls.check_open_window(
+                    ts[bounds[k] : bounds[k + 1]], float(watermark[k]), float(last_push[k])
+                )
+            except ValueError as exc:
+                raise ValueError(f"object {k}: {exc}") from None
+        forest._values = ts.copy()
+        forest._bounds = bounds.copy()
+        forest._evicted = evicted.astype(np.int64)
+        forest._watermark = watermark.copy()
+        forest._last = last_push.copy()
+        forest._stack = None if ts.size else []
+        forest.live_forest()  # the builder's own checks, once
         return forest
 
     def live_forest(self) -> Optional[FlatForest]:
         """The live remainder as a :class:`FlatForest` (None when empty).
 
-        A snapshot copy — local parent indices, current ``z`` (final for
-        every tree but the newest, monotone-growing for that one).
+        A snapshot built from the live arrivals: objects end to end, as
+        the ragged ``dyadic_flat_forest`` lays them out, with current
+        ``z`` (final for every tree but each object's newest).
         """
-        if not self._arrivals:
+        live = self._live()
+        if not live.size:
             return None
-        off = self._offset
-        parent = np.asarray(self._parent, dtype=np.intp)
-        parent[parent >= 0] -= off
-        return FlatForest(
-            np.asarray(self._arrivals, dtype=np.float64),
-            parent,
-            z=np.asarray(self._z, dtype=np.float64),
-        )
+        return dyadic_flat_forest(live.copy(), self._lengths, self.params, offsets=self._bounds)
 
-    # -- append / extend -------------------------------------------------------
+    # -- append ----------------------------------------------------------------
+
+    def _one_object(self) -> None:
+        if self._lengths.size != 1:
+            raise ValueError("push and current_path need a one-object forest")
 
     def _check_push(self, t: float) -> None:
         check_finite_value(t, what="arrival")
-        if self._last_time is not None and t <= self._last_time:
-            raise ValueError(
-                f"arrivals must be strictly increasing: {t} after {self._last_time}"
-            )
-        if t <= self._watermark:
+        last = self._last[0]
+        if t <= last:
+            raise ValueError(f"arrivals must be strictly increasing: {t} after {float(last)}")
+        watermark = self._watermark[0]
+        if t <= watermark:
             raise RuntimeError(
                 f"arrival {t} at or below the committed watermark "
-                f"{self._watermark}: a committed tree would have to change"
+                f"{float(watermark)}: a committed tree would have to change"
             )
 
     def push(self, t: float) -> int:
-        """Place one arrival; returns its global node id.
+        """Place one arrival on a one-object forest; returns its node id.
 
-        The ``DyadicOnline.push`` rightmost-path walk, plus the
-        extend-stream half: every rightmost-path ancestor's subtree now
-        ends at ``t``, so their ``z`` entries advance — O(depth) total.
+        The ``DyadicOnline.push`` rightmost-path walk: the new node's
+        parent is decided here, and :meth:`current_path` reads it.
         """
+        self._one_object()
         self._check_push(t)
-        self._last_time = t
-        node = self.total_appended
-        off = self._offset
-        if not self._stack or t > self._stack[0].cutoff:
-            self._arrivals.append(t)
-            self._parent.append(-1)
-            self._z.append(t)
-            cutoff = t + self._window
-            self._tree_roots.append(node)
-            self._tree_cutoffs.append(cutoff)
-            self._stack = [_StackEntry(node, t, cutoff, None)]
+        if self._stack is None:
+            self._rebuild_stack()
+        n = int(self._bounds[1])
+        if n == self._values.size:  # grow the buffer, doubling
+            grown = np.empty(max(2 * n, 16), dtype=np.float64)
+            grown[:n] = self._values
+            self._values = grown
+        self._values[n] = t
+        self._bounds[1] = n + 1
+        self._last[0] = t
+        node = int(self._evicted[0]) + n
+        stack = self._stack
+        if not stack or t > stack[0].cutoff:
+            self._stack = [_StackEntry(t, t + float(self._window[0]), None)]
             return node
+        alpha = self.params.alpha
         depth = 0
         while True:
-            entry = self._stack[depth]
-            idx = dyadic_interval_index(
-                t, entry.arrival, entry.cutoff, self.params.alpha
-            )
+            entry = stack[depth]
+            idx = dyadic_interval_index(t, entry.arrival, entry.cutoff, alpha)
             if entry.last_child_interval is not None and idx == entry.last_child_interval:
                 depth += 1  # inside the current last child's window
                 continue
@@ -279,17 +348,10 @@ class IncrementalFlatForest:
                     "ordering invariant broken"
                 )
             span = entry.cutoff - entry.arrival
-            hi = entry.arrival + span / self.params.alpha ** (idx - 1)
-            self._arrivals.append(t)
-            self._parent.append(entry.node)
-            self._z.append(t)
+            hi = entry.arrival + span / alpha ** (idx - 1)
             entry.last_child_interval = idx
-            del self._stack[depth + 1 :]
-            # extend-stream: t is the new subtree maximum of every node
-            # on its receiving path (the surviving stack prefix).
-            for anc in self._stack:
-                self._z[anc.node - off] = t
-            self._stack.append(_StackEntry(node, t, hi, None))
+            del stack[depth + 1 :]
+            stack.append(_StackEntry(t, hi, None))
             return node
 
     def extend(self, arrivals: Sequence[float]) -> None:
@@ -299,182 +361,179 @@ class IncrementalFlatForest:
     def current_path(self) -> Tuple[float, ...]:
         """Arrivals along the rightmost path, root first: the receiving
         path of the most recently pushed node."""
+        self._one_object()
+        if self._stack is None:
+            self._rebuild_stack()
         return tuple(e.arrival for e in self._stack)
 
-    def push_batch(self, arrivals: Union[np.ndarray, Sequence[float]]) -> int:
-        """Vectorised bulk append of a sorted arrival batch; returns count.
+    def push_batch(
+        self,
+        arrivals: Union[np.ndarray, Sequence[float]],
+        offsets: Optional[np.ndarray] = None,
+    ) -> int:
+        """Append a batch of arrivals to the open windows; returns the count.
 
-        Arrivals still inside the open window go through :meth:`push`;
-        the rest split into whole dyadic windows.  Every window that is
-        *superseded inside the batch* (a later window opened after it)
-        is final, so those trees are built in one
-        :func:`dyadic_flat_forest` call; the batch's last window becomes
-        the new open tree, built the same way and then re-expressed as
-        the rightmost-path stack (:meth:`push` continues from it
-        seamlessly).  State after ``push_batch(b)`` is identical to
-        ``for t in b: push(t)`` — asserted by the fastpath equivalence
-        tests — at O(batch) numpy cost instead of O(batch) Python frames.
+        One object takes a sorted batch; with ``offsets`` the batch holds
+        every object's arrivals end to end (object ``k`` is
+        ``arrivals[offsets[k]:offsets[k + 1]]``).  Values must be finite,
+        strictly increasing within each object and above the object's
+        last push (``ValueError``) and its committed watermark
+        (``RuntimeError``).  Nothing is built: O(batch + open window)
+        numpy work however many objects the batch spans.
         """
         ts = np.ascontiguousarray(arrivals, dtype=np.float64)
         if ts.ndim != 1:
             raise ValueError("arrivals must be a 1-D sequence")
+        m = self.objects
+        if offsets is None:
+            if m != 1:
+                raise ValueError(f"a batch for {m} objects needs offsets")
+            offsets = np.array([0, ts.size], dtype=np.intp)
+        else:
+            offsets = check_offsets(offsets, ts.size)
+            if offsets.size != m + 1:
+                raise ValueError(f"offsets must delimit {m} objects")
         if ts.size == 0:
             return 0
         if not np.isfinite(ts).all():
             raise ValueError("arrivals must be finite")
-        if np.any(ts[1:] <= ts[:-1]):
+        if non_increasing_within(ts, offsets).any():
             raise ValueError("arrivals must be strictly increasing")
-        self._check_push(float(ts[0]))
-
-        # Prefix that extends the currently open tree.  Small prefixes go
-        # through scalar pushes (amortised O(log n) each); large ones
-        # rebuild the open tree wholesale with the batch builder — a
-        # tree's structure depends only on its own members, so rebuilding
-        # from (existing members + prefix) is exact, and vectorised
-        # construction beats per-arrival Python walks by orders of
-        # magnitude on epoch-sized batches.
-        split = 0
-        if self._stack:
-            split = int(
-                np.searchsorted(ts, self._stack[0].cutoff, side="right")
+        got = np.flatnonzero(offsets[1:] > offsets[:-1])
+        first = ts[offsets[got]]
+        late = first <= self._last[got]
+        if late.any():
+            j = int(np.argmax(late))
+            raise ValueError(
+                f"arrivals must be strictly increasing: {float(first[j])} after "
+                f"{float(self._last[got[j]])}"
             )
-            if split >= _BULK_REBUILD_MIN:
-                self._rebuild_open_tree(ts[:split])
-            else:
-                for t in ts[:split].tolist():
-                    self.push(t)
-        rest = ts[split:]
-        if rest.size == 0:
-            return int(ts.size)
-
-        # Window boundaries of the remainder (same rule as the batch
-        # builder: a root's window is [r, r + window]).
-        starts: List[int] = []
-        i = 0
-        n = int(rest.size)
-        while i < n:
-            starts.append(i)
-            i = int(np.searchsorted(rest, rest[i] + self._window, side="right"))
-        last_start = starts[-1]
-
-        if last_start > 0:
-            self._append_built(dyadic_flat_forest(rest[:last_start], self.L, self.params))
-        open_tree = dyadic_flat_forest(rest[last_start:], self.L, self.params)
-        base = self.total_appended
-        self._append_built(open_tree)
-        self._rebuild_stack(open_tree, base)
-        self._last_time = float(ts[-1])
+        low = first <= self._watermark[got]
+        if low.any():
+            j = int(np.argmax(low))
+            raise RuntimeError(
+                f"arrival {float(first[j])} at or below the committed watermark "
+                f"{float(self._watermark[got[j]])}: a committed tree would have to change"
+            )
+        self._values, self._bounds = _ragged_extend(self._live(), self._bounds, ts, offsets)
+        self._last[got] = ts[offsets[got + 1] - 1]
+        self._stack = None  # rebuilt if a push follows
         return int(ts.size)
 
-    def _rebuild_open_tree(self, prefix: np.ndarray) -> None:
-        """Vectorised absorb of a batch prefix into the open tree.
+    def _rebuild_stack(self) -> None:
+        """Recompute a one-object forest's rightmost-path stack.
 
-        Every ``prefix`` arrival lies at or below the open root's cutoff,
-        so all of it belongs to the open tree; the tree is rebuilt from
-        (existing members + prefix) in one :func:`dyadic_flat_forest`
-        call.  Node ids are preserved — members keep arrival order, new
-        nodes take the next global ids — and the rebuilt parents/``z`` of
-        the existing members are bit-identical to what the scalar pushes
-        would have left (the builder and the stack machine agree node for
-        node on every prefix).
+        Builds the newest tree from its members and walks root -> last
+        child, re-deriving each entry's cutoff and
+        ``last_child_interval`` with the exact scalar expressions
+        :meth:`push` uses, so later pushes continue bit-identically.
         """
-        root = self._tree_roots[-1]
-        start = root - self._offset
-        members = np.asarray(self._arrivals[start:], dtype=np.float64)
-        tree = dyadic_flat_forest(
-            np.concatenate([members, prefix]), self.L, self.params
-        )
-        assert tree.num_trees() == 1, "open-window arrivals split a tree"
-        del self._arrivals[start:]
-        del self._parent[start:]
-        del self._z[start:]
-        self._arrivals.extend(tree.arrivals.tolist())
-        parent = tree.parent + root
-        parent[tree.parent < 0] = -1
-        self._parent.extend(parent.tolist())
-        self._z.extend(tree.z.tolist())
-        self._rebuild_stack(tree, root)
-        self._last_time = float(prefix[-1])
-
-    def _append_built(self, built: FlatForest) -> None:
-        """Append a batch-built forest's nodes under fresh global ids."""
-        base = self.total_appended
-        self._arrivals.extend(built.arrivals.tolist())
-        parent = built.parent + base
-        parent[built.parent < 0] = -1
-        self._parent.extend(parent.tolist())
-        self._z.extend(built.z.tolist())
-        for r in np.nonzero(built.is_root)[0].tolist():
-            self._tree_roots.append(base + r)
-            self._tree_cutoffs.append(float(built.arrivals[r]) + self._window)
-
-    def _rebuild_stack(self, tree: FlatForest, base: int) -> None:
-        """Recompute the rightmost-path stack of a batch-built open tree.
-
-        Walks root -> last child, re-deriving each entry's cutoff and
-        ``last_child_interval`` with the exact scalar expressions the
-        push path uses, so subsequent pushes continue bit-identically.
-        """
+        live = self._live()
+        if not live.size:
+            self._stack = []
+            return
+        window = float(self._window[0])
+        root = 0  # the newest root: walk the live window's roots
+        while True:
+            nxt = int(np.searchsorted(live, live[root] + window, side="right"))
+            if nxt >= live.size:
+                break
+            root = nxt
+        tree = dyadic_flat_forest(live[root:].copy(), self._lengths[0], self.params)
         parent = tree.parent
         # last child of each node, by arrival order (children have larger
         # indices; the rightmost path is the chain of last children).
         last_child = np.full(len(tree), -1, dtype=np.intp)
         nonroot = np.nonzero(parent >= 0)[0]
         last_child[parent[nonroot]] = nonroot  # later children overwrite
-        node = 0  # tree built from one window: node 0 is the root
+        alpha = self.params.alpha
+        node = 0
         arrival = float(tree.arrivals[0])
-        cutoff = arrival + self._window
+        cutoff = arrival + window
         stack = []
         while True:
             child = int(last_child[node])
             if child < 0:
-                stack.append(_StackEntry(base + node, arrival, cutoff, None))
+                stack.append(_StackEntry(arrival, cutoff, None))
                 break
             child_arrival = float(tree.arrivals[child])
-            idx = dyadic_interval_index(
-                child_arrival, arrival, cutoff, self.params.alpha
-            )
-            stack.append(_StackEntry(base + node, arrival, cutoff, idx))
+            idx = dyadic_interval_index(child_arrival, arrival, cutoff, alpha)
+            stack.append(_StackEntry(arrival, cutoff, idx))
             span = cutoff - arrival
-            cutoff = arrival + span / self.params.alpha ** (idx - 1)
+            cutoff = arrival + span / alpha ** (idx - 1)
             node, arrival = child, child_arrival
         self._stack = stack
 
     # -- evict -----------------------------------------------------------------
 
-    def evict_committable(self, fence: float) -> List[CommittedTree]:
+    def _committable_ends(self, fence: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per object: where its committable trees end, how many there
+        are, and the last one's cutoff (``-inf`` when none).
+
+        Walks each object's roots from its first live arrival while the
+        root's cutoff lies below ``fence``: one round per tree, every
+        object at once.  The next root is the first arrival past the
+        cutoff, searched among ``(object, time)`` keys held as complex
+        numbers (numpy orders them lexicographically, comparing exact
+        floats), as the ragged builder finds roots.
+        """
+        ts = self._live()
+        bounds = self._bounds
+        m = self.objects
+        end = bounds[:-1].copy()
+        trees = np.zeros(m, dtype=np.int64)
+        last = np.full(m, -math.inf)
+        obj = np.flatnonzero(bounds[1:] > bounds[:-1])
+        keys = None
+        while obj.size:
+            cutoff = ts[end[obj]] + self._window[obj]
+            ok = cutoff < fence
+            obj, cutoff = obj[ok], cutoff[ok]
+            if not obj.size:
+                break
+            trees[obj] += 1
+            last[obj] = cutoff
+            if keys is None:
+                keys = np.empty(ts.size, dtype=np.complex128)
+                keys.real = np.repeat(np.arange(m), np.diff(bounds))
+                keys.imag = ts
+            query = np.empty(obj.size, dtype=np.complex128)
+            query.real = obj
+            query.imag = cutoff
+            end[obj] = nxt = np.searchsorted(keys, query, side="right")
+            obj = obj[nxt < bounds[obj + 1]]
+        return end, trees, last
+
+    def evict_committable(self, fence: float) -> CommittedTrees:
         """Pop every leading tree whose window end is strictly below ``fence``.
 
-        ``fence = math.inf`` drains everything (end of stream).  After a
-        tree is committed, any push at or below its cutoff raises — the
-        committed prefix is immutable by construction.
+        Every object at once: the popped trees are built with one ragged
+        :func:`dyadic_flat_forest` call.  ``fence = math.inf`` drains
+        everything (end of stream).  After a tree is committed, any push
+        at or below its cutoff raises — the committed prefix is immutable
+        by construction.
         """
-        out: List[CommittedTree] = []
-        while self._tree_cutoffs and self._tree_cutoffs[0] < fence:
-            root = self._tree_roots.pop(0)
-            cutoff = self._tree_cutoffs.pop(0)
-            end = (
-                self._tree_roots[0]
-                if self._tree_roots
-                else self._offset + len(self._arrivals)
+        end, trees, cutoffs = self._committable_ends(fence)
+        lo, hi = self._bounds[:-1], self._bounds[1:]
+        if not trees.any():
+            empty = np.empty(0, dtype=np.float64)
+            return CommittedTrees(
+                FlatForest.concatenated(empty, np.empty(0, dtype=np.intp), empty),
+                np.zeros(lo.size + 1, dtype=np.intp),
+                trees,
+                cutoffs,
             )
-            count = end - root
-            arr = np.asarray(self._arrivals[:count], dtype=np.float64)
-            parent = np.asarray(self._parent[:count], dtype=np.intp)
-            parent[parent >= 0] -= root
-            z = np.asarray(self._z[:count], dtype=np.float64)
-            del self._arrivals[:count]
-            del self._parent[:count]
-            del self._z[:count]
-            self._offset += count
-            if not self._tree_roots:
-                self._stack = []  # the open tree itself was committed
-            self._watermark = max(self._watermark, cutoff)
-            out.append(
-                CommittedTree(
-                    root_id=root,
-                    cutoff=cutoff,
-                    forest=FlatForest(arr, parent, z=z),
-                )
-            )
-        return out
+        # each object's committed prefix, then its remainder
+        take = np.repeat(
+            np.tile([True, False], lo.size), np.column_stack((end - lo, hi - end)).ravel()
+        )
+        values, offsets, rest, bounds = _ragged_split(self._live(), self._bounds, take)
+        # build before touching the state: a window the builder refuses
+        # leaves the forest as it was
+        forest = dyadic_flat_forest(values, self._lengths, self.params, offsets=offsets)
+        self._values, self._bounds = rest, bounds
+        self._evicted += np.diff(offsets)
+        self._watermark = np.maximum(self._watermark, cutoffs)
+        if not rest.size:
+            self._stack = []  # the open trees themselves were committed
+        return CommittedTrees(forest, offsets, trees, cutoffs)

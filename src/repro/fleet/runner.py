@@ -596,6 +596,11 @@ def iter_fleet(
     for name, value in (("delay_minutes", delay_minutes), ("horizon_minutes", horizon_minutes)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if workload is not None:
+        known = {obj.name for obj in catalog}
+        for name in workload:
+            if name not in known:
+                raise ValueError(f"workload key {name!r} is not in the catalog")
     policy = policy or FleetPolicy.batched_dyadic()
     with contextlib.ExitStack() as stack:
         views: Optional[Dict[str, StoreSlice]] = None
@@ -650,7 +655,9 @@ def run_fleet(
     before simulation, so a malformed external feed (NaN, unsorted,
     duplicated, out-of-window entries) degrades to its valid arrival
     multiset — counted per object in ``FleetObjectResult.repaired`` —
-    instead of crashing the fold.  A worker process dying mid-fold is
+    instead of crashing the fold.  A workload key that is not in the
+    catalog raises ``ValueError`` before any work: its arrivals would
+    otherwise vanish uncounted.  A worker process dying mid-fold is
     retried in-process (see :func:`pool_map`); a columnar-store spool is
     torn down on every exit path (see :func:`stored_workload`).
 

@@ -3,9 +3,11 @@
 The paper's on-line guarantees are about serving an *unbounded* arrival
 stream; every other tier in this repo is batch-replay.  ``repro.live``
 closes that gap: :class:`LiveDaemon` ingests arrivals in epoch batches,
-maintains per-object merge forests incrementally
+one ragged pass over the whole catalog per epoch, holds every object's
+open window in one incremental forest
 (:class:`repro.fastpath.incremental.IncrementalFlatForest`), commits
-streams once the fence passes their merge windows
+streams once the fence passes their merge windows, building each tree
+once, then
 (:mod:`repro.live.horizon`), and emits channel schedules the moment each
 tree is final (:mod:`repro.live.schedule`) — ahead of (accelerated)
 wall-clock, with a cumulative report bit-identical to the offline batch

@@ -4,12 +4,13 @@
 :func:`repro.fleet.runner.run_fleet` sees every arrival up front,
 sanitizes once, builds each object's merge forest whole, and folds a
 :class:`~repro.fleet.runner.FleetReport`.  The daemon ingests the same
-arrivals **epoch by epoch**, maintains each object's forest incrementally
-on an :class:`~repro.fastpath.incremental.IncrementalFlatForest`, commits
-streams as the fence passes their merge windows (emitting channel
-assignments through :class:`~repro.live.schedule.ChannelPlanner` the
-moment each tree is final), and evicts committed trees from live memory —
-yet its cumulative report is **bit-identical** to the offline oracle on
+arrivals **epoch by epoch**, holds every object's open window in one
+ragged :class:`~repro.fastpath.incremental.IncrementalFlatForest`, commits
+streams as the fence passes their merge windows (building each tree once,
+then, and emitting channel assignments through
+:class:`~repro.live.schedule.ChannelPlanner`), and evicts committed trees
+from live memory — yet its cumulative report is **bit-identical** to the
+offline oracle on
 the same trace: same per-object ``starts``/``ends`` arrays, counters,
 bandwidth and startup metrics (``fleet_reports_equal`` returns None;
 ``tests/live/test_daemon.py`` and the burn-in live episodes assert it).
@@ -24,6 +25,11 @@ every per-stream quantity (Lemma 1 lengths via ``z``, minute-scale
 batch kernel uses.  The fold order (catalog order, arrival order within
 an object) matches, so even ``float(np.sum(...))`` reductions agree to
 the last bit.
+
+Each epoch is one ragged pass over the whole catalog: the titles'
+arrivals laid end to end, one ``sanitize_times``, one bucketing pass,
+one ``push_batch`` and one ``evict_committable``, so an epoch costs
+O(epoch + open window), never O(history) or O(titles) numpy calls.
 
 Digest chain.  Each epoch record's digest links the previous record's
 digest, the per-object counts of streams committed since that record,
@@ -46,9 +52,11 @@ watermark, or the pending roots of root-only policies) and the channel
 planner's free heap.  :meth:`LiveDaemon.restore` validates every field —
 a damaged or hostile token raises ``ValueError`` naming the field —
 cross-checks the counters, the planner and the last record's totals
-against the carried intervals, checks those against the record chain,
-rebuilds each open forest with one ``push_batch`` and sets the horizon
-directly.  No epoch is replayed: restore costs O(open window) plus one
+against the carried intervals, checks those against the record chain
+and the open windows against the restored clock and fence, restores the
+open windows directly (building them once, with one ragged
+``dyadic_flat_forest`` call, so a window the builder refuses fails here)
+and sets the horizon directly.  No epoch is replayed: restore costs O(open window) plus one
 hash pass over the carried intervals.  The committed intervals still
 travel in the token, so its size grows with the history.  Version-1
 (replay) checkpoints are rejected.
@@ -57,7 +65,6 @@ travel in the token, so its size grows with the history.  Version-1
 from __future__ import annotations
 
 import base64
-import bisect
 import hashlib
 import json
 import math
@@ -69,7 +76,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..arrivals.traces import ArrivalTrace
-from ..fastpath.incremental import IncrementalFlatForest
+from ..fastpath.incremental import IncrementalFlatForest, _ragged_extend, _ragged_split
 from ..multiplex.catalog import Catalog, MediaObject
 from ..fleet.runner import (
     FleetObjectResult,
@@ -93,6 +100,7 @@ CHECKPOINT_SCHEMA = "repro.live-checkpoint.v2"
 REPORT_SCHEMA = "repro.live-report.v1"
 
 _EMPTY = np.empty(0, dtype=np.float64)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _FOREST_KINDS = ("batched-dyadic", "immediate-dyadic")
 _SLOTTED_KINDS = ("batched-dyadic", "pure-batching")
@@ -202,10 +210,12 @@ class _Fields:
             raise self.error(key, f"expected a list, got {type(value).__name__}")
         return value
 
-    def integer(self, key: str, lo: int = 0) -> int:
+    def integer(self, key: str, lo: int = 0, hi: Optional[int] = None) -> int:
         value = self.value(key)
         if isinstance(value, bool) or not isinstance(value, int) or value < lo:
             raise self.error(key, f"expected an integer >= {lo}, got {value!r}")
+        if hi is not None and value > hi:
+            raise self.error(key, f"expected an integer <= {hi}, got {value!r}")
         return value
 
     def number(self, key: str, optional: bool = False) -> Optional[float]:
@@ -326,98 +336,29 @@ class EpochRecord:
 
 
 class _ObjectLedger:
-    """One object's live state: forest, counters, committed intervals."""
+    """One object's committed side: counters, channel planner, chunks."""
 
     def __init__(self, obj: MediaObject, config: LiveConfig):
         self.obj = obj
-        self.delay = config.delay_minutes
-        self.kind = config.policy
         self.L = obj.units(config.delay_minutes)
-        self.forest = (
-            IncrementalFlatForest(self.L) if self.kind in _FOREST_KINDS else None
-        )
-        self.pending: List[float] = []  # root-only kinds: live starts, slot units
         self.planner = ChannelPlanner()
-        self.clients = 0
-        self.repaired = 0
         self.roots = 0
         self.streams = 0
-        self.max_wait_slots = 0.0
         self.max_cutoff_minutes: Optional[float] = None
-        self._last_push = -math.inf  # newest value pushed, slot units
         self.starts: List[np.ndarray] = []  # committed, minutes
         self.ends: List[np.ndarray] = []
         self.channel_ids: List[np.ndarray] = []
         self._recorded = 0  # committed chunks already hashed into a record
 
-    def ingest(self, clean_minutes: np.ndarray) -> None:
-        """Absorb one epoch's clean, strictly-later arrival minutes."""
-        if clean_minutes.size == 0:
-            return
-        self.clients += int(clean_minutes.size)
-        ts = clean_minutes / self.delay  # slot units, same division as object_run
-        if self.kind in _SLOTTED_KINDS:
-            # The serving slot end of arrival t is floor(t) + 1 — exactly
-            # the slot the event ordering gives it (a boundary arrival
-            # belongs to the *next* slot; see kernels.bucket_slots).
-            service = np.floor(ts) + 1.0
-            self.max_wait_slots = max(
-                self.max_wait_slots, float(np.max(service - ts))
-            )
-            push = np.unique(service)
-            push = push[push > self._last_push]  # slot already served earlier
-            if push.size == 0:
-                return
-        else:
-            push = ts  # immediate kinds serve at the arrival instant
-        self._last_push = float(push[-1])
-        if self.forest is not None:
-            self.forest.push_batch(push)
-        else:
-            self.pending.extend(push.tolist())
-
-    def commit(self, fence_slots: float) -> None:
-        """Commit every stream whose merge window closed before the fence."""
-        if self.forest is not None:
-            trees = self.forest.evict_committable(fence_slots)
-            if trees:
-                self._emit(
-                    np.concatenate([t.forest.arrivals for t in trees]),
-                    np.concatenate([t.forest.stream_lengths(self.L) for t in trees]),
-                    roots=len(trees),
-                    cutoff_slots=trees[-1].cutoff,
-                )
-        elif self.pending:
-            # root-only kinds: a stream is final the moment it starts, so
-            # its own start is its window end
-            n = bisect.bisect_left(self.pending, fence_slots)
-            if n:
-                vals = np.asarray(self.pending[:n], dtype=np.float64)
-                del self.pending[:n]
-                self._emit(
-                    vals,
-                    np.full(n, float(self.L), dtype=np.float64),
-                    roots=n,
-                    cutoff_slots=float(vals[-1]),
-                )
-
-    def _emit(
-        self,
-        arrivals_slots: np.ndarray,
-        lengths_slots: np.ndarray,
-        roots: int,
-        cutoff_slots: float,
+    def emit(
+        self, starts: np.ndarray, ends: np.ndarray, roots: int, cutoff_minutes: float
     ) -> None:
-        # The exact minute-scale expressions of the fleet fold (runner._run_shard):
-        # starts = arrivals * delay, ends = (arrivals + lengths) * delay.
-        starts = arrivals_slots * self.delay
-        ends = (arrivals_slots + lengths_slots) * self.delay
+        """Commit one batch of streams, in start order, and assign channels."""
         self.starts.append(starts)
         self.ends.append(ends)
         self.channel_ids.append(self.planner.assign(starts, ends))
         self.roots += roots
         self.streams += int(starts.size)
-        cutoff_minutes = cutoff_slots * self.delay
         if self.max_cutoff_minutes is None or cutoff_minutes > self.max_cutoff_minutes:
             self.max_cutoff_minutes = cutoff_minutes
 
@@ -436,14 +377,6 @@ class _ObjectLedger:
             return _EMPTY, _EMPTY
         return self.starts[-1], self.ends[-1]
 
-    def min_live_cutoff_minutes(self) -> Optional[float]:
-        if self.forest is not None:
-            cutoff = self.forest.min_live_cutoff()
-            return None if cutoff is None else cutoff * self.delay
-        if self.pending:
-            return self.pending[0] * self.delay
-        return None
-
     def committed_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         if not self.starts:
             return _EMPTY, _EMPTY
@@ -454,79 +387,37 @@ class _ObjectLedger:
             return np.empty(0, dtype=np.intp)
         return np.concatenate(self.channel_ids)
 
-    def result(self) -> FleetObjectResult:
-        starts, ends = self.committed_arrays()
-        if self.kind in _SLOTTED_KINDS:
-            max_startup = self.max_wait_slots * self.delay
-        else:
-            max_startup = 0.0  # immediate kinds serve at the arrival time
-        return FleetObjectResult(
-            name=self.obj.name,
-            L=self.L,
-            delay_minutes=self.delay,
-            clients=self.clients,
-            streams=int(starts.size),
-            roots=self.roots,
-            total_units_minutes=float(np.sum(ends - starts)),
-            max_startup_delay_minutes=max_startup,
-            starts=starts,
-            ends=ends,
-            repaired=self.repaired,
-        )
-
     # -- resume token ----------------------------------------------------------
 
-    def to_token(self) -> dict:
+    def committed_token(self) -> Tuple[dict, dict]:
+        """The token's ``committed`` and ``planner`` sections."""
         starts, ends = self.committed_arrays()
         free_at, release_seq, seq, last_start = self.planner.state()
-        if self.forest is not None:
-            arrivals, offset, watermark, _last = self.forest.open_window()
-            open_window = {
-                "arrivals": _encode(arrivals),
-                "offset": offset,
-                "watermark": _finite_or_none(watermark),
-            }
-        else:
-            open_window = {"arrivals": _encode(self.pending)}
-        return {
-            "clients": self.clients,
-            "repaired": self.repaired,
-            "roots": self.roots,
-            "streams": self.streams,
-            "max_wait_slots": self.max_wait_slots,
-            "max_cutoff_minutes": self.max_cutoff_minutes,
-            "last_push": _finite_or_none(self._last_push),
-            "committed": {
-                "starts": _encode(starts),
-                "ends": _encode(ends),
-                "channels": _encode(self.channel_array(), "<i8"),
-            },
-            "open": open_window,
-            "planner": {
-                "channels": int(free_at.size),
-                "free_at": _encode(free_at),
-                "release_seq": _encode(release_seq, "<i8"),
-                "seq": seq,
-                "last_start": _finite_or_none(last_start),
-            },
+        committed = {
+            "starts": _encode(starts),
+            "ends": _encode(ends),
+            "channels": _encode(self.channel_array(), "<i8"),
         }
+        planner = {
+            "channels": int(free_at.size),
+            "free_at": _encode(free_at),
+            "release_seq": _encode(release_seq, "<i8"),
+            "seq": seq,
+            "last_start": _finite_or_none(last_start),
+        }
+        return committed, planner
 
     @classmethod
     def from_token(
         cls, obj: MediaObject, config: LiveConfig, f: _Fields
     ) -> "_ObjectLedger":
-        """Rebuild a ledger from :meth:`to_token` output, validating it."""
+        """Rebuild the committed side from a token's object entry."""
         led = cls(obj, config)
-        led.clients = f.integer("clients")
-        led.repaired = f.integer("repaired")
         led.streams = n = f.integer("streams")
         led.roots = f.integer("roots")
         if led.roots > n:
             raise f.error("roots", f"{led.roots} roots but {n} streams")
-        led.max_wait_slots = f.number("max_wait_slots")
         led.max_cutoff_minutes = f.number("max_cutoff_minutes", optional=True)
-        last_push = f.number("last_push", optional=True)
-        led._last_push = _or_minus_inf(last_push)
 
         c = f.section("committed")
         starts = c.increasing("starts", c.array("starts", "<f8", n), strict=False)
@@ -555,27 +446,6 @@ class _ObjectLedger:
         if n:
             led.starts, led.ends, led.channel_ids = [starts], [ends], [ids]
             led._recorded = 1
-
-        o = f.section("open")
-        arrivals = o.increasing("arrivals", o.array("arrivals", "<f8"), strict=True)
-        if led.forest is not None:
-            offset = o.integer("offset")
-            if offset != n:
-                raise o.error("offset", f"{offset} evicted nodes but {n} committed streams")
-            try:
-                led.forest = IncrementalFlatForest.resume(
-                    led.L,
-                    arrivals,
-                    offset,
-                    _or_minus_inf(o.number("watermark", optional=True)),
-                    last_push,
-                )
-            except ValueError as exc:
-                raise o.error("arrivals", str(exc)) from None
-        else:
-            if arrivals.size and last_push != arrivals[-1]:
-                raise o.error("arrivals", "newest pending root is not the last push")
-            led.pending = arrivals.tolist()
         return led
 
 
@@ -657,35 +527,163 @@ class LiveDaemon:
       per-batch sanitisation (entries outside the epoch window, below
       the trace contract, or duplicated are repaired away, exactly like
       the fleet's ingest path).
+
+    Each epoch is one ragged pass over the whole catalog: every title's
+    arrivals laid end to end, one ``sanitize_times``, one bucketing pass,
+    one ``push_batch`` and one ``evict_committable``.  Both reject a
+    mapping key that is not in the catalog, and a batch that is not 1-D,
+    before any state changes.
     """
 
     def __init__(self, catalog: Catalog, config: LiveConfig):
         self.catalog = catalog
         self.config = config
         self.horizon = LiveHorizon(config)
-        self._ledgers: Dict[str, _ObjectLedger] = {
-            obj.name: _ObjectLedger(obj, config) for obj in catalog
-        }
+        self._names = [obj.name for obj in catalog]
+        self._known = frozenset(self._names)
+        self._ledgers = [_ObjectLedger(obj, config) for obj in catalog]
+        m = len(self._ledgers)
+        self._L = np.array([led.L for led in self._ledgers], dtype=np.float64)
+        # Ingest-side counters, one entry per object in catalog order.
+        self._clients = np.zeros(m, dtype=np.int64)
+        self._repaired = np.zeros(m, dtype=np.int64)
+        self._max_wait = np.zeros(m)  # slot units, slotted kinds only
+        self._last_push = np.full(m, -math.inf)  # newest value pushed, slot units
+        # Open windows in slot units: a forest for the merging kinds; the
+        # root-only kinds' pending starts, objects end to end.
+        self._forest: Optional[IncrementalFlatForest] = (
+            IncrementalFlatForest(self._L) if config.policy in _FOREST_KINDS else None
+        )
+        self._pending = _EMPTY
+        self._pending_bounds = np.zeros(m + 1, dtype=np.intp)
         self.records: List[EpochRecord] = []
         self._repaired_folded = False
 
     # -- epoch machinery -------------------------------------------------------
 
-    def _commit_all(self, fence_minutes: float) -> None:
-        fence_slots = fence_minutes / self.config.delay_minutes
-        for obj in self.catalog:
-            self._ledgers[obj.name].commit(fence_slots)
+    def _ragged(self, mapping: Dict[str, Any]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every title's times end to end, in catalog order, with offsets.
+
+        Rejects a key that is not in the catalog, and a batch that is not
+        1-D, before anything else happens.
+        """
+        for name in mapping:
+            if name not in self._known:
+                raise ValueError(f"{name!r} is not in the catalog")
+        parts = []
+        for name in self._names:
+            raw = mapping.get(name)
+            times = _EMPTY if raw is None else _times_of(raw)
+            if times.ndim != 1:
+                raise ValueError(
+                    f"arrivals of {name!r} must be 1-D, got shape {times.shape}"
+                )
+            parts.append(times)
+        offsets = np.zeros(len(parts) + 1, dtype=np.intp)
+        np.cumsum([p.size for p in parts], out=offsets[1:])
+        return np.concatenate(parts), offsets
+
+    def _ingest(self, minutes: np.ndarray, offsets: np.ndarray) -> None:
+        """Absorb one epoch's clean, strictly-later arrival minutes."""
+        counts = np.diff(offsets)
+        self._clients += counts
+        if not minutes.size:
+            return
+        m = counts.size
+        ts = minutes / self.config.delay_minutes  # slot units, same division as object_run
+        if self.config.policy in _SLOTTED_KINDS:
+            # The serving slot end of arrival t is floor(t) + 1 — exactly
+            # the slot the event ordering gives it (a boundary arrival
+            # belongs to the *next* slot; see kernels.bucket_slots).
+            service = np.floor(ts) + 1.0
+            got = np.flatnonzero(counts)
+            heads = offsets[got]
+            self._max_wait[got] = np.maximum(
+                self._max_wait[got], np.maximum.reduceat(service - ts, heads)
+            )
+            # each served slot once: the first arrival of each run of
+            # equal slots, unless an earlier epoch already served it
+            title = np.repeat(np.arange(m), counts)
+            first = np.empty(ts.size, dtype=bool)
+            first[0] = True
+            np.not_equal(service[1:], service[:-1], out=first[1:])
+            first[heads] = True
+            first &= service > self._last_push[title]
+            push = service[first]
+            if not push.size:
+                return
+            offsets = np.zeros(m + 1, dtype=np.intp)
+            np.cumsum(np.bincount(title[first], minlength=m), out=offsets[1:])
+        else:
+            push = ts  # immediate kinds serve at the arrival instant
+        pushed = np.flatnonzero(offsets[1:] > offsets[:-1])
+        self._last_push[pushed] = push[offsets[pushed + 1] - 1]
+        if self._forest is not None:
+            self._forest.push_batch(push, offsets)
+        else:
+            self._pending, self._pending_bounds = _ragged_extend(
+                self._pending, self._pending_bounds, push, offsets
+            )
+
+    def _commit(self, fence_minutes: float) -> None:
+        """Commit every stream whose merge window closed before the fence."""
+        delay = self.config.delay_minutes
+        fence_slots = fence_minutes / delay
+        if self._forest is not None:
+            done = self._forest.evict_committable(fence_slots)
+            if not done.roots.any():
+                return
+            arrivals, offsets, roots, cutoffs = (
+                done.forest.arrivals, done.offsets, done.roots, done.cutoffs
+            )
+            lengths = done.forest.stream_lengths(np.repeat(self._L, np.diff(offsets)))
+        else:
+            # root-only kinds: a stream is final the moment it starts, so
+            # its own start is its window end
+            arrivals, offsets, self._pending, self._pending_bounds = _ragged_split(
+                self._pending, self._pending_bounds, self._pending < fence_slots
+            )
+            if not arrivals.size:
+                return
+            roots = np.diff(offsets)
+            cutoffs = arrivals[np.maximum(offsets[1:] - 1, 0)]
+            lengths = np.repeat(self._L, roots)
+        # The exact minute-scale expressions of the fleet fold (runner._run_shard):
+        # starts = arrivals * delay, ends = (arrivals + lengths) * delay.
+        starts = arrivals * delay
+        ends = (arrivals + lengths) * delay
+        for k in np.flatnonzero(roots).tolist():
+            lo, hi = offsets[k], offsets[k + 1]
+            self._ledgers[k].emit(
+                starts[lo:hi], ends[lo:hi], int(roots[k]), float(cutoffs[k]) * delay
+            )
+
+    def _oldest_open(self) -> np.ndarray:
+        """Per object, the window end of its oldest open tree in slot
+        units (a root-only start is its own window end); ``inf`` when the
+        object has nothing open."""
+        if self._forest is not None:
+            return self._forest.min_live_cutoffs()
+        lo, hi = self._pending_bounds[:-1], self._pending_bounds[1:]
+        oldest = np.full(lo.size, math.inf)
+        oldest[lo < hi] = self._pending[lo[lo < hi]]
+        return oldest
+
+    def _min_live_cutoff_minutes(self) -> Optional[float]:
+        """Window end of the oldest live tree over every object, in minutes."""
+        oldest = self._oldest_open()
+        oldest = oldest[oldest < math.inf]
+        if not oldest.size:
+            return None
+        return float(np.min(oldest * self.config.delay_minutes))
 
     def _make_record(self, ingested: int, drain: bool) -> EpochRecord:
-        ledgers = [self._ledgers[obj.name] for obj in self.catalog]
+        ledgers = self._ledgers
         counts = tuple(led.streams for led in ledgers)
         cutoffs = [
             led.max_cutoff_minutes
             for led in ledgers
             if led.max_cutoff_minutes is not None
-        ]
-        live = [
-            c for led in ledgers if (c := led.min_live_cutoff_minutes()) is not None
         ]
         fresh = [led.fresh_streams() for led in ledgers]
         new_counts = [int(starts.size) for starts, _ends in fresh]
@@ -696,27 +694,23 @@ class LiveDaemon:
             fence=self.horizon.fence,
             drain=drain,
             ingested=ingested,
-            repaired=sum(led.repaired for led in ledgers),
+            repaired=sum(self._repaired.tolist()),
             committed_streams=sum(counts),
             committed_roots=sum(led.roots for led in ledgers),
             committed_counts=counts,
             max_committed_cutoff=max(cutoffs) if cutoffs else None,
-            min_live_cutoff=min(live) if live else None,
+            min_live_cutoff=self._min_live_cutoff_minutes(),
             digest=_link(head, new_counts, live_digest(fresh, new_counts)),
         )
         self.records.append(record)
         return record
 
-    def _process_epoch(self, k: int, slices: Dict[str, np.ndarray]) -> EpochRecord:
+    def _process_epoch(self, k: int, minutes: np.ndarray, offsets: np.ndarray) -> EpochRecord:
         self.horizon.begin_epoch(k)
-        ingested = 0
-        for obj in self.catalog:
-            ts = slices.get(obj.name, _EMPTY)
-            ingested += int(ts.size)
-            self._ledgers[obj.name].ingest(ts)
+        self._ingest(minutes, offsets)
         assert self.horizon.fence is not None
-        self._commit_all(self.horizon.fence)
-        return self._make_record(ingested, drain=False)
+        self._commit(self.horizon.fence)
+        return self._make_record(int(minutes.size), drain=False)
 
     # -- driving ---------------------------------------------------------------
 
@@ -728,22 +722,20 @@ class LiveDaemon:
         *or* late), duplicate — is repaired away and counted, mirroring
         :func:`~repro.fleet.runner.sanitize_times`.  Every earlier
         epoch's arrivals lie below ``t0``, so a replayed batch is
-        repaired away by the window alone.
+        repaired away by the window alone.  A step that raises — an
+        unknown title, a batch that is not 1-D, no epoch left to begin —
+        leaves the daemon as it was.
         """
-        k = self.horizon.epoch + 1
-        t0, t1 = self.config.epoch_bounds(k)
-        slices: Dict[str, np.ndarray] = {}
-        for obj in self.catalog:
-            raw = batches.get(obj.name)
-            if raw is None:
-                continue
-            times = _times_of(raw)
-            clean, repaired = sanitize_times(times, self.config.horizon_minutes)
-            keep = clean[(clean >= t0) & (clean < t1)]
-            self._ledgers[obj.name].repaired += repaired + int(clean.size - keep.size)
-            slices[obj.name] = keep
+        times, offsets = self._ragged(batches)
+        k, t0, t1 = self.horizon.next_epoch()
+        clean, repaired, bounds = sanitize_times(
+            times, self.config.horizon_minutes, offsets
+        )
+        inside = (clean >= t0) & (clean < t1)
+        kept = np.concatenate(([0], np.cumsum(inside)))[bounds]
+        self._repaired += repaired + (np.diff(bounds) - np.diff(kept))
         self._repaired_folded = True  # step() accounts repairs itself
-        return self._process_epoch(k, slices)
+        return self._process_epoch(k, clean[inside], kept)
 
     def run(
         self,
@@ -766,35 +758,41 @@ class LiveDaemon:
         decisions landed.  Returns the final :class:`LiveReport` after
         the drain, or None when stopping early.
         """
-        clean_by_name: Dict[str, np.ndarray] = {}
-        for obj in self.catalog:
-            raw = workload.get(obj.name)
-            times = _EMPTY if raw is None else _times_of(raw)
-            clean, repaired = sanitize_times(times, self.config.horizon_minutes)
-            clean_by_name[obj.name] = clean
-            if not self._repaired_folded:
-                self._ledgers[obj.name].repaired += repaired
+        times, offsets = self._ragged(workload)
+        clean, repaired, bounds = sanitize_times(
+            times, self.config.horizon_minutes, offsets
+        )
+        if not self._repaired_folded:
+            self._repaired += repaired
         self._repaired_folded = True
+
+        # every remaining epoch's slice of every title, found once
+        first = self.horizon.epoch + 1
+        windows = [self.config.epoch_bounds(k) for k in range(first, self.config.num_epochs)]
+        t0s = np.array([t0 for t0, _t1 in windows])
+        t1s = np.array([t1 for _t0, t1 in windows])
+        starts = np.empty((len(self._names), len(windows)), dtype=np.intp)
+        ends = np.empty_like(starts)
+        for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            starts[k] = lo + np.searchsorted(clean[lo:hi], t0s, side="left")
+            ends[k] = lo + np.searchsorted(clean[lo:hi], t1s, side="left")
 
         wall0 = time.monotonic()
         accel_base = self.horizon.ingest_clock  # resumed runs pace from here
-        for k in range(self.horizon.epoch + 1, self.config.num_epochs):
+        for i, (t0, t1) in enumerate(windows):
+            k = first + i
             if until_epoch is not None and k > until_epoch:
                 return None
-            t0, t1 = self.config.epoch_bounds(k)
             if accel is not None:
                 due = (t1 - accel_base) / accel
                 now = time.monotonic() - wall0
                 if due > now:
                     time.sleep(due - now)
-            slices = {
-                name: clean[
-                    np.searchsorted(clean, t0, side="left"):
-                    np.searchsorted(clean, t1, side="left")
-                ]
-                for name, clean in clean_by_name.items()
-            }
-            self._process_epoch(k, slices)
+            lo, counts = starts[:, i], ends[:, i] - starts[:, i]
+            slice_offsets = np.zeros(counts.size + 1, dtype=np.intp)
+            np.cumsum(counts, out=slice_offsets[1:])
+            take = np.arange(slice_offsets[-1]) + np.repeat(lo - slice_offsets[:-1], counts)
+            self._process_epoch(k, clean[take], slice_offsets)
             if accel is not None:
                 next_due = (t1 + self.config.epoch_minutes - accel_base) / accel
                 lead = next_due - (time.monotonic() - wall0)
@@ -807,20 +805,40 @@ class LiveDaemon:
     def drain(self) -> EpochRecord:
         """End of stream: commit everything still live, close the run."""
         self.horizon.mark_drained()
-        self._commit_all(math.inf)
+        self._commit(math.inf)
         return self._make_record(0, drain=True)
 
     def report(self) -> LiveReport:
+        delay = self.config.delay_minutes
+        slotted = self.config.policy in _SLOTTED_KINDS
+        objects = []
+        for k, led in enumerate(self._ledgers):
+            starts, ends = led.committed_arrays()
+            objects.append(
+                FleetObjectResult(
+                    name=led.obj.name,
+                    L=led.L,
+                    delay_minutes=delay,
+                    clients=int(self._clients[k]),
+                    streams=int(starts.size),
+                    roots=led.roots,
+                    total_units_minutes=float(np.sum(ends - starts)),
+                    # immediate kinds serve at the arrival time
+                    max_startup_delay_minutes=(
+                        float(self._max_wait[k]) * delay if slotted else 0.0
+                    ),
+                    starts=starts,
+                    ends=ends,
+                    repaired=int(self._repaired[k]),
+                )
+            )
         fleet = FleetReport(
             policy=self.config.policy,
             delay_minutes=self.config.delay_minutes,
             horizon_minutes=self.config.horizon_minutes,
-            objects=[self._ledgers[obj.name].result() for obj in self.catalog],
+            objects=objects,
         )
-        channels = {
-            obj.name: self._ledgers[obj.name].channel_array()
-            for obj in self.catalog
-        }
+        channels = {led.obj.name: led.channel_array() for led in self._ledgers}
         return LiveReport(
             config=self.config,
             fleet=fleet,
@@ -829,6 +847,33 @@ class LiveDaemon:
         )
 
     # -- checkpoint / restore --------------------------------------------------
+
+    def _object_tokens(self) -> List[dict]:
+        """Each object's token entry, in catalog order."""
+        if self._forest is not None:
+            values, bounds, evicted, watermark, _last = self._forest.open_window()
+        else:
+            values, bounds = self._pending, self._pending_bounds
+        tokens = []
+        for k, led in enumerate(self._ledgers):
+            open_window: Dict[str, Any] = {"arrivals": _encode(values[bounds[k] : bounds[k + 1]])}
+            if self._forest is not None:
+                open_window["offset"] = int(evicted[k])
+                open_window["watermark"] = _finite_or_none(float(watermark[k]))
+            committed, planner = led.committed_token()
+            tokens.append({
+                "clients": int(self._clients[k]),
+                "repaired": int(self._repaired[k]),
+                "roots": led.roots,
+                "streams": led.streams,
+                "max_wait_slots": float(self._max_wait[k]),
+                "max_cutoff_minutes": led.max_cutoff_minutes,
+                "last_push": _finite_or_none(float(self._last_push[k])),
+                "committed": committed,
+                "open": open_window,
+                "planner": planner,
+            })
+        return tokens
 
     def checkpoint(self) -> str:
         """Serialise the daemon as a resume token (compact, sorted JSON).
@@ -852,20 +897,76 @@ class LiveDaemon:
             "epoch": self.horizon.epoch,
             "records": [r.to_payload() for r in self.records],
             "chain_head": self.records[-1].digest if self.records else "",
-            "objects": {
-                obj.name: self._ledgers[obj.name].to_token() for obj in self.catalog
-            },
+            "objects": dict(zip(self._names, self._object_tokens())),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def _restore_object(self, k: int, f: _Fields) -> Tuple[np.ndarray, int, float]:
+        """Read object ``k``'s token entry; returns its open window as
+        ``(arrivals, evicted count, watermark)``."""
+        obj = self.catalog.objects[k]
+        self._ledgers[k] = led = _ObjectLedger.from_token(obj, self.config, f)
+        self._clients[k] = f.integer("clients", hi=_INT64_MAX)
+        self._repaired[k] = f.integer("repaired", hi=_INT64_MAX)
+        self._max_wait[k] = f.number("max_wait_slots")
+        last_push = _or_minus_inf(f.number("last_push", optional=True))
+        self._last_push[k] = last_push
+        o = f.section("open")
+        arrivals = o.increasing("arrivals", o.array("arrivals", "<f8"), strict=True)
+        if self._forest is None:
+            if arrivals.size and last_push != arrivals[-1]:
+                raise o.error("arrivals", "newest pending root is not the last push")
+            return arrivals, 0, -math.inf
+        offset = o.integer("offset", hi=_INT64_MAX)
+        if offset != led.streams:
+            raise o.error(
+                "offset", f"{offset} evicted nodes but {led.streams} committed streams"
+            )
+        watermark = _or_minus_inf(o.number("watermark", optional=True))
+        try:
+            IncrementalFlatForest.check_open_window(arrivals, watermark, last_push)
+        except ValueError as exc:
+            raise o.error("arrivals", str(exc)) from None
+        return arrivals, offset, watermark
+
+    def _check_open_against_clock(self) -> None:
+        """Reject open windows the restored epoch could not have left.
+
+        After epoch ``k`` no value pushed can exceed what an arrival
+        before its ingest clock ``t1`` produces (each object's newest
+        open value is its last push), and every tree (or root-only
+        start) whose window end lies below its fence was committed.
+        """
+        delay = self.config.delay_minutes
+        t1 = self.horizon.ingest_clock
+        if self.config.policy in _SLOTTED_KINDS:
+            bound = math.floor(t1 / delay) + 1.0
+        else:
+            bound = t1 / delay
+        assert self.horizon.fence is not None
+        fence_slots = self.horizon.fence / delay
+        oldest = self._oldest_open()
+        for k in np.flatnonzero((self._last_push > bound) | (oldest < fence_slots)).tolist():
+            path = f"checkpoint field objects[{self._names[k]!r}]"
+            if self._last_push[k] > bound:
+                raise ValueError(
+                    f"{path}.last_push: {float(self._last_push[k])} lies past the "
+                    f"ingest clock (at most {bound} after epoch {self.horizon.epoch})"
+                )
+            raise ValueError(
+                f"{path}.open.arrivals: the oldest open window ends at "
+                f"{float(oldest[k])}, before the fence {fence_slots}, so it "
+                "would have been committed"
+            )
 
     @classmethod
     def restore(cls, text: str) -> "LiveDaemon":
         """Rebuild a daemon from :meth:`checkpoint` output, replaying nothing.
 
         The restored daemon is indistinguishable from one that never
-        stopped (same ledgers, records, digests, forests, planner state);
-        calling :meth:`run` with the original workload continues exactly
-        where the checkpoint left off.  Any inconsistency raises
+        stopped (same ledgers, records, digests, open windows, planner
+        state); calling :meth:`run` with the original workload continues
+        exactly where the checkpoint left off.  Any inconsistency raises
         ``ValueError`` naming the offending field.
         """
         try:
@@ -923,21 +1024,40 @@ class LiveDaemon:
         daemon = cls(catalog, config)
         objects = token.section("objects")
         present = set(objects.keys())
-        unknown = sorted(present - {obj.name for obj in catalog})
+        unknown = sorted(present - set(daemon._names))
         if unknown:
             raise token.error("objects", f"{unknown[0]!r} is not in the catalog")
-        for obj in catalog:
-            if obj.name not in present:
-                raise ValueError(f"checkpoint is missing object {obj.name!r}")
-            daemon._ledgers[obj.name] = _ObjectLedger.from_token(
-                obj, config, objects.section(obj.name, f"objects[{obj.name!r}]")
+        opened = []
+        for k, name in enumerate(daemon._names):
+            if name not in present:
+                raise ValueError(f"checkpoint is missing object {name!r}")
+            opened.append(
+                daemon._restore_object(k, objects.section(name, f"objects[{name!r}]"))
             )
-        ledgers = [daemon._ledgers[obj.name] for obj in catalog]
+        values = np.concatenate([arrivals for arrivals, _, _ in opened])
+        bounds = np.zeros(len(opened) + 1, dtype=np.intp)
+        np.cumsum([arrivals.size for arrivals, _, _ in opened], out=bounds[1:])
+        if daemon._forest is not None:
+            try:
+                daemon._forest = IncrementalFlatForest.resume(
+                    daemon._L,
+                    values,
+                    bounds,
+                    np.array([offset for _, offset, _ in opened], dtype=np.int64),
+                    np.array([watermark for _, _, watermark in opened]),
+                    daemon._last_push.copy(),
+                )
+            except ValueError as exc:
+                raise token.error("objects", f"an open window is refused: {exc}") from None
+        else:
+            daemon._pending, daemon._pending_bounds = values, bounds
+
+        ledgers = daemon._ledgers
         if records:
             for key, total in (
                 ("committed_counts", tuple(led.streams for led in ledgers)),
                 ("committed_roots", sum(led.roots for led in ledgers)),
-                ("repaired", sum(led.repaired for led in ledgers)),
+                ("repaired", sum(daemon._repaired.tolist())),
             ):
                 if getattr(records[-1], key) != total:
                     raise ValueError(
@@ -945,16 +1065,16 @@ class LiveDaemon:
                         f"the objects' counters ({total})"
                     )
         else:
-            # before epoch 0 a ledger is a fresh one, but for the repairs
-            # run() folds in ahead of its first epoch
-            for obj, led in zip(catalog, ledgers):
-                fresh = _ObjectLedger(obj, config)
-                fresh.repaired = led.repaired
-                want, got = fresh.to_token(), led.to_token()
+            # before epoch 0 every object is a fresh one, but for the
+            # repairs run() folds in ahead of its first epoch
+            fresh = cls(catalog, config)
+            fresh._repaired[:] = daemon._repaired
+            pairs = zip(daemon._names, fresh._object_tokens(), daemon._object_tokens())
+            for name, want, got in pairs:
                 changed = [key for key in want if got[key] != want[key]]
                 if changed:
                     raise ValueError(
-                        f"checkpoint field objects[{obj.name!r}].{changed[0]}: "
+                        f"checkpoint field objects[{name!r}].{changed[0]}: "
                         "state ingested before epoch 0"
                     )
         derived = chain_digests(
@@ -971,19 +1091,21 @@ class LiveDaemon:
             raise token.error("chain_head", "is not the last record's digest")
 
         daemon.horizon.seek(epoch)
-        if records and (
-            records[-1].ingest_clock != daemon.horizon.ingest_clock
-            or records[-1].fence != daemon.horizon.fence
-        ):
-            raise ValueError(
-                f"checkpoint field records[{epoch}].ingest_clock: the clock or "
-                f"fence differs from epoch {epoch}'s"
-            )
+        if records:
+            if (
+                records[-1].ingest_clock != daemon.horizon.ingest_clock
+                or records[-1].fence != daemon.horizon.fence
+            ):
+                raise ValueError(
+                    f"checkpoint field records[{epoch}].ingest_clock: the clock or "
+                    f"fence differs from epoch {epoch}'s"
+                )
+            daemon._check_open_against_clock()
         daemon.records = records
         # run() folds a workload's repairs in once, before its first
         # epoch.  A token with no record and no repair may predate that
         # fold; folding then is exact (a clean workload's fold adds 0).
-        daemon._repaired_folded = bool(records) or any(led.repaired for led in ledgers)
+        daemon._repaired_folded = bool(records) or bool(daemon._repaired.any())
         return daemon
 
 

@@ -140,6 +140,7 @@ class LiveConfig:
 class LiveHorizon:
     """Monotone epoch/fence cursor over a :class:`LiveConfig`.
 
+    ``next_epoch()`` says which epoch may begin, without advancing;
     ``begin_epoch(k)`` validates the advance (exactly one epoch at a
     time, starting at 0) and returns the epoch's ``(t0, t1)``;
     afterwards :attr:`ingest_clock` and :attr:`fence` reflect the epoch
@@ -159,14 +160,21 @@ class LiveHorizon:
         """True when every epoch has been ingested."""
         return self.epoch + 1 >= self.config.num_epochs
 
-    def begin_epoch(self, k: int) -> Tuple[float, float]:
+    def next_epoch(self) -> Tuple[int, float, float]:
+        """``(k, t0, t1)`` of the epoch that may begin next, without
+        advancing: ``RuntimeError`` after a drain, ``ValueError`` past
+        the last epoch."""
         if self.drained:
             raise RuntimeError("the stream was drained; no further epochs")
-        if k != self.epoch + 1:
+        k = self.epoch + 1
+        return (k, *self.config.epoch_bounds(k))
+
+    def begin_epoch(self, k: int) -> Tuple[float, float]:
+        next_k, t0, t1 = self.next_epoch()
+        if k != next_k:
             raise ValueError(
                 f"epochs must advance one at a time: got {k} after {self.epoch}"
             )
-        t0, t1 = self.config.epoch_bounds(k)
         self.epoch = k
         self.ingest_clock = t1
         fence = self.config.fence_at(t1)

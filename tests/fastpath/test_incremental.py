@@ -4,13 +4,18 @@ The incremental forest must be indistinguishable from the batch
 construction at every moment: concatenating its committed trees with the
 live remainder reproduces ``dyadic_flat_forest`` of the full prefix node
 for node (parents *and* z), whether arrivals came through scalar ``push``
-or vectorised ``push_batch``, and however eviction interleaved.
+or vectorised ``push_batch``, for one object or a ragged catalog, and
+however eviction interleaved.  The scalar walk's own parent decisions
+are pinned through ``current_path()``: after every push it must be the
+rightmost path of the batch build of the prefix.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dyadic import PHI, DyadicParams
 from repro.fastpath import (
@@ -48,8 +53,9 @@ def _edge_trace(params):
 
 
 def _materialise(inc, committed):
-    """Committed trees + live remainder as one global FlatForest."""
-    chunks = [c.forest for c in committed]
+    """Committed trees + live remainder of a one-object forest, as one
+    global FlatForest."""
+    chunks = [c.forest for c in committed if len(c.forest)]
     live = inc.live_forest()
     if live is not None:
         chunks.append(live)
@@ -66,6 +72,15 @@ def _materialise(inc, committed):
     return FlatForest(arrivals, np.concatenate(parents), z=z)
 
 
+def _rightmost_path(forest):
+    """Arrivals from the root to the newest node, root first."""
+    path, i = [], len(forest) - 1
+    while i >= 0:
+        path.append(float(forest.arrivals[i]))
+        i = int(forest.parent[i])
+    return tuple(reversed(path))
+
+
 def _assert_identical(flat_a, flat_b):
     np.testing.assert_array_equal(flat_a.arrivals, flat_b.arrivals)
     np.testing.assert_array_equal(flat_a.parent, flat_b.parent)
@@ -79,9 +94,10 @@ def test_push_matches_batch_on_every_prefix(params):
     committed = []
     for k, t in enumerate(ts, start=1):
         inc.push(float(t))
-        got = _materialise(inc, committed)
         want = dyadic_flat_forest(ts[:k], L, params)
-        _assert_identical(got, want)
+        # the parent the scalar walk just decided, and every one above it
+        assert inc.current_path() == _rightmost_path(want)
+        _assert_identical(_materialise(inc, committed), want)
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -90,7 +106,9 @@ def test_edge_grid_prefixes(params):
     inc = IncrementalFlatForest(L, params)
     for k, t in enumerate(ts, start=1):
         inc.push(float(t))
-        _assert_identical(_materialise(inc, []), dyadic_flat_forest(ts[:k], L, params))
+        want = dyadic_flat_forest(ts[:k], L, params)
+        assert inc.current_path() == _rightmost_path(want)
+        _assert_identical(_materialise(inc, []), want)
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -103,7 +121,7 @@ def test_push_batch_equals_scalar_push(params, batch):
     for lo in range(0, ts.size, batch):
         batched.push_batch(ts[lo : lo + batch])
     _assert_identical(_materialise(scalar, []), _materialise(batched, []))
-    assert scalar.total_appended == batched.total_appended == ts.size
+    assert scalar.total_appended.tolist() == batched.total_appended.tolist() == [ts.size]
     # pushes continue bit-identically after a batch (stack reconstruction)
     tail = float(ts[-1]) + 0.001
     scalar.push(tail)
@@ -135,18 +153,23 @@ def test_eviction_is_invisible_to_the_global_forest(params):
         inc.push(float(t))
         if k % 37 == 0:
             fence = float(t) - params.window(L) / 2
-            committed.extend(inc.evict_committable(fence))
-        _assert_identical(_materialise(inc, committed), dyadic_flat_forest(ts[:k], L, params))
-    committed.extend(inc.evict_committable(math.inf))
+            committed.append(inc.evict_committable(fence))
+        want = dyadic_flat_forest(ts[:k], L, params)
+        assert inc.current_path() == _rightmost_path(want)
+        _assert_identical(_materialise(inc, committed), want)
+    committed.append(inc.evict_committable(math.inf))
     assert inc.live_forest() is None
     assert len(inc) == 0
-    assert inc.evicted == ts.size
-    _assert_identical(_materialise(inc, committed), dyadic_flat_forest(ts, L, params))
-    # committed trees are in tree order and carry their global root ids
-    roots = [c.root_id for c in committed]
-    assert roots == sorted(roots)
-    want_roots = np.nonzero(dyadic_flat_forest(ts, L, params).is_root)[0]
-    assert roots == want_roots.tolist()
+    assert inc.evicted.tolist() == [ts.size]
+    whole = _materialise(inc, committed)
+    _assert_identical(whole, dyadic_flat_forest(ts, L, params))
+    # each eviction reports its trees: their count and the last cutoff
+    assert sum(int(c.roots[0]) for c in committed) == whole.num_trees()
+    roots = np.flatnonzero(whole.is_root)
+    last = [int(roots[: sum(int(c.roots[0]) for c in committed[: i + 1])][-1])
+            for i, c in enumerate(committed) if c.roots[0]]
+    cutoffs = [float(c.cutoffs[0]) for c in committed if c.roots[0]]
+    assert cutoffs == [float(ts[r]) + params.window(L) for r in last]
 
 
 def test_evict_only_strictly_before_fence():
@@ -154,11 +177,14 @@ def test_evict_only_strictly_before_fence():
     inc = IncrementalFlatForest(L, params)
     inc.push(0.0)
     cutoff = 0.0 + params.window(L)
-    assert inc.evict_committable(cutoff) == []  # cutoff == fence: not yet
-    assert inc.min_live_cutoff() == cutoff
+    none = inc.evict_committable(cutoff)  # cutoff == fence: not yet
+    assert none.roots.tolist() == [0] and len(none.forest) == 0
+    assert none.cutoffs.tolist() == [-math.inf]
+    assert inc.min_live_cutoffs().tolist() == [cutoff]
     done = inc.evict_committable(np.nextafter(cutoff, math.inf))
-    assert len(done) == 1 and done[0].cutoff == cutoff
-    assert inc.min_live_cutoff() is None
+    assert done.roots.tolist() == [1] and done.cutoffs.tolist() == [cutoff]
+    assert done.offsets.tolist() == [0, 1]
+    assert inc.min_live_cutoffs().tolist() == [math.inf]
 
 
 def test_watermark_rejects_push_into_committed_window():
@@ -166,8 +192,8 @@ def test_watermark_rejects_push_into_committed_window():
     inc = IncrementalFlatForest(L, params)
     inc.push(0.0)
     inc.push(200.0)  # second window (window = 120)
-    [done] = inc.evict_committable(150.0)
-    assert done.cutoff == 120.0
+    done = inc.evict_committable(150.0)
+    assert done.cutoffs.tolist() == [120.0]
     with pytest.raises(ValueError):
         inc.push(100.0)  # not strictly increasing — caught first
     inc2 = IncrementalFlatForest(L, params)
@@ -187,18 +213,19 @@ def test_batch_after_evict_and_empty_batch():
     committed = []
     third = ts.size // 3
     inc.push_batch(ts[:third])
-    committed.extend(inc.evict_committable(float(ts[third - 1]) - 20.0))
+    committed.append(inc.evict_committable(float(ts[third - 1]) - 20.0))
     assert inc.push_batch(np.asarray([], dtype=np.float64)) == 0
     inc.push_batch(ts[third:])
-    committed.extend(inc.evict_committable(math.inf))
+    committed.append(inc.evict_committable(math.inf))
     _assert_identical(_materialise(inc, committed), dyadic_flat_forest(ts, L, params))
 
 
 def _state(inc):
+    live = inc.live_forest()
     return (
-        inc._arrivals, inc._parent, inc._z, inc._offset, inc._tree_roots,
-        inc._tree_cutoffs, inc._last_time, inc._watermark,
-        [(e.node, e.arrival, e.cutoff, e.last_child_interval) for e in inc._stack],
+        [a.tolist() for a in inc.open_window()],
+        None if live is None else (live.parent.tolist(), live.z.tolist()),
+        inc.current_path(),
     )
 
 
@@ -222,12 +249,19 @@ def test_resume_rebuilds_the_open_window_exactly(params):
 
 def test_resume_rejects_inconsistent_state():
     arrivals = np.asarray([10.0, 11.0])
+    bounds = [0, 2]
     with pytest.raises(ValueError, match="watermark"):
-        IncrementalFlatForest.resume(L, arrivals, 3, 10.0, 11.0)
+        IncrementalFlatForest.resume(L, arrivals, bounds, [3], [10.0], [11.0])
     with pytest.raises(ValueError, match="last push"):
-        IncrementalFlatForest.resume(L, arrivals, 3, 5.0, 12.0)
-    with pytest.raises(ValueError, match="offset"):
-        IncrementalFlatForest.resume(L, arrivals, -1, 5.0, 11.0)
+        IncrementalFlatForest.resume(L, arrivals, bounds, [3], [5.0], [12.0])
+    with pytest.raises(ValueError, match="evicted"):
+        IncrementalFlatForest.resume(L, arrivals, bounds, [-1], [5.0], [11.0])
+    with pytest.raises(ValueError, match="object 1: .*no arrival is live"):
+        IncrementalFlatForest.resume(
+            [L, L], arrivals, [0, 2, 2], [3, 0], [5.0, 1.0], [11.0, 2.0]
+        )
+    with pytest.raises(ValueError, match="resolution limit"):  # the builder refuses
+        IncrementalFlatForest.resume(L, np.asarray([0.0, 1e-14]), bounds, [0], [-math.inf], [1e-14])
 
 
 def test_rejects_bad_input():
@@ -247,3 +281,119 @@ def test_rejects_bad_input():
 def test_rejects_non_finite_L(bad):
     with pytest.raises(ValueError, match="finite"):
         IncrementalFlatForest(bad)
+
+
+# ---------------------------------------------------------------------------
+# ragged form: one forest for several objects, one stream length each
+# ---------------------------------------------------------------------------
+
+
+def _object_forest(committed, live, k):
+    """Object ``k``'s committed trees and live remainder, as one forest."""
+    chunks = []
+    for c in committed:
+        lo, hi = int(c.offsets[k]), int(c.offsets[k + 1])
+        if hi > lo:
+            chunks.append((c.forest, lo, hi))
+    if live is not None:
+        chunks.append(live)
+    arrivals, parents, zs, base = [], [], [], 0
+    for forest, lo, hi in chunks:
+        p = forest.parent[lo:hi].copy()
+        p[p >= 0] += base - lo
+        arrivals.append(forest.arrivals[lo:hi])
+        parents.append(p)
+        zs.append(forest.z[lo:hi])
+        base += hi - lo
+    return FlatForest(np.concatenate(arrivals), np.concatenate(parents), z=np.concatenate(zs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([4.0, 20.0, 60.0, 120.0]), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(PARAMS),
+)
+def test_ragged_epochs_equal_per_object_batch_builds(lengths, seed, params):
+    rng = np.random.default_rng(seed)
+    m = len(lengths)
+    traces = [
+        np.unique(np.cumsum(rng.exponential(rng.choice([0.3, 2.0, 9.0]), size=rng.integers(0, 80))))
+        for _ in range(m)
+    ]
+    edges = np.sort(rng.uniform(0.0, 300.0, size=rng.integers(1, 12)))
+    edges = np.concatenate(([-1.0], edges, [np.inf]))
+    inc = IncrementalFlatForest(lengths, params)
+    committed = []
+    for lo_t, hi_t in zip(edges[:-1], edges[1:]):
+        parts = [ts[(ts > lo_t) & (ts <= hi_t)] for ts in traces]
+        offsets = np.concatenate(([0], np.cumsum([p.size for p in parts])))
+        assert inc.push_batch(np.concatenate(parts), offsets) == offsets[-1]
+        if rng.random() < 0.7:
+            committed.append(inc.evict_committable(hi_t - rng.uniform(0.0, 80.0)))
+    committed.append(inc.evict_committable(math.inf))
+    assert len(inc) == 0 and inc.live_forest() is None
+    assert inc.evicted.tolist() == [ts.size for ts in traces]
+    for k, ts in enumerate(traces):
+        if not ts.size:
+            assert all(c.offsets[k] == c.offsets[k + 1] for c in committed)
+            continue
+        want = dyadic_flat_forest(ts, lengths[k], params)
+        _assert_identical(_object_forest(committed, None, k), want)
+        roots = np.flatnonzero(want.is_root)
+        assert sum(int(c.roots[k]) for c in committed) == roots.size
+        for c in committed:
+            if c.roots[k]:
+                lo, hi = int(c.offsets[k]), int(c.offsets[k + 1])
+                last_root = lo + int(np.flatnonzero(c.forest.parent[lo:hi] < 0)[-1])
+                assert c.cutoffs[k] == c.forest.arrivals[last_root] + params.window(lengths[k])
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_ragged_open_windows_equal_the_prefix_builds(params):
+    lengths = [20.0, 120.0, 5.0]
+    rng = np.random.default_rng(8)
+    traces = [np.unique(np.cumsum(rng.exponential(s, size=60))) for s in (0.5, 3.0, 0.2)]
+    inc = IncrementalFlatForest(lengths, params)
+    committed = []
+    edges = [-1.0, 10.0, 40.0, 41.0, 90.0, 200.0]
+    for lo_t, hi_t in zip(edges[:-1], edges[1:]):
+        parts = [ts[(ts > lo_t) & (ts <= hi_t)] for ts in traces]
+        offsets = np.concatenate(([0], np.cumsum([p.size for p in parts])))
+        inc.push_batch(np.concatenate(parts), offsets)
+        committed.append(inc.evict_committable(hi_t - 30.0))
+        live = inc.live_forest()
+        bounds = inc.open_window()[1]
+        for k, ts in enumerate(traces):
+            n = int(inc.total_appended[k])
+            if not n:
+                continue
+            prefix = ts[:n]
+            part = None
+            if live is not None and bounds[k + 1] > bounds[k]:
+                part = (live, int(bounds[k]), int(bounds[k + 1]))
+            got = _object_forest(committed, part, k)
+            _assert_identical(got, dyadic_flat_forest(prefix, lengths[k], params))
+        back = IncrementalFlatForest.resume(lengths, *inc.open_window(), params=params)
+        assert [a.tolist() for a in back.open_window()] == [a.tolist() for a in inc.open_window()]
+
+
+def test_ragged_batch_checks_every_object():
+    inc = IncrementalFlatForest([10.0, 10.0])
+    inc.push_batch(np.asarray([1.0, 2.0, 5.0]), [0, 2, 3])
+    with pytest.raises(ValueError, match="needs offsets"):
+        inc.push_batch(np.asarray([7.0]))
+    with pytest.raises(ValueError, match="strictly increasing: 4.0 after 5.0"):
+        inc.push_batch(np.asarray([3.0, 4.0]), [0, 1, 2])  # object 1 went back
+    with pytest.raises(ValueError, match="strictly increasing"):
+        inc.push_batch(np.asarray([3.0, 9.0, 8.0]), [0, 1, 3])
+    with pytest.raises(ValueError, match="finite"):
+        inc.push_batch(np.asarray([3.0, math.nan]), [0, 1, 2])
+    with pytest.raises(ValueError, match="one-object"):
+        inc.push(9.0)
+    with pytest.raises(ValueError, match="one-object"):
+        inc.current_path()
+    assert inc.total_appended.tolist() == [2, 1]  # the refused batches left no trace
+    inc.evict_committable(math.inf)
+    with pytest.raises(RuntimeError, match="watermark"):
+        inc.push_batch(np.asarray([20.0, 6.0]), [0, 1, 2])  # 6.0 <= object 1's 15.0

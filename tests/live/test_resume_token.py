@@ -18,8 +18,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.burnin.contracts import fleet_reports_equal
+from repro.fastpath import incremental
 from repro.fastpath.incremental import IncrementalFlatForest
 from repro.fleet.scenarios import scenario_workload
 from repro.live import CHECKPOINT_SCHEMA, LIVE_POLICIES, LiveConfig, LiveDaemon
@@ -57,23 +60,15 @@ def _midrun(catalog, workload, config):
     return daemon, daemon.checkpoint()
 
 
-def _forest_state(forest):
-    if forest is None:
-        return None
-    return {
-        "arrivals": forest._arrivals,
-        "parent": forest._parent,
-        "z": forest._z,
-        "offset": forest._offset,
-        "roots": forest._tree_roots,
-        "cutoffs": forest._tree_cutoffs,
-        "stack": [
-            (e.node, e.arrival, e.cutoff, e.last_child_interval)
-            for e in forest._stack
-        ],
-        "last": forest._last_time,
-        "watermark": forest._watermark,
-    }
+def _open_state(daemon):
+    """The open windows: forest state, or the root-only pending starts."""
+    if daemon._forest is None:
+        return [daemon._pending.tolist(), daemon._pending_bounds.tolist()]
+    forest = daemon._forest
+    live = forest.live_forest()
+    return [a.tolist() for a in forest.open_window()] + (
+        [] if live is None else [live.parent.tolist(), live.z.tolist()]
+    )
 
 
 def _planner_state(planner):
@@ -96,53 +91,57 @@ class TestStateEquivalence:
         restored = LiveDaemon.restore(text)
         for key in ("epoch", "ingest_clock", "fence", "drained"):
             assert getattr(restored.horizon, key) == getattr(daemon.horizon, key)
-        open_nodes = 0
-        for name, led in daemon._ledgers.items():
-            back = restored._ledgers[name]
-            assert _forest_state(back.forest) == _forest_state(led.forest)
-            assert back.pending == led.pending
+        assert _open_state(restored) == _open_state(daemon)
+        for attr in ("_clients", "_repaired", "_max_wait", "_last_push"):
+            np.testing.assert_array_equal(getattr(restored, attr), getattr(daemon, attr))
+        for led, back in zip(daemon._ledgers, restored._ledgers):
             assert _planner_state(back.planner) == _planner_state(led.planner)
-            for attr in (
-                "clients", "repaired", "roots", "streams", "max_wait_slots",
-                "max_cutoff_minutes", "_last_push",
-            ):
+            for attr in ("roots", "streams", "max_cutoff_minutes"):
                 assert getattr(back, attr) == getattr(led, attr), attr
-            open_nodes += len(led.forest) if led.forest is not None else len(led.pending)
+        open_nodes = len(daemon._forest) if daemon._forest is not None else daemon._pending.size
         assert open_nodes > 0, "the checkpoint should hold a non-empty open window"
 
     def test_restore_replays_no_epoch(
         self, catalog, workload, policy, epoch, fence, monkeypatch
     ):
         daemon, text = _midrun(catalog, workload, _config(policy, epoch, fence))
-        calls = {"epochs": 0, "batch_pushed": 0, "scalar_pushes": 0}
+        calls = {"epochs": 0, "pushes": 0, "built": []}
         process, push_batch, push = (
             LiveDaemon._process_epoch,
             IncrementalFlatForest.push_batch,
             IncrementalFlatForest.push,
         )
+        build = incremental.dyadic_flat_forest
 
         def counting_process(self, *args):
             calls["epochs"] += 1
             return process(self, *args)
 
-        def counting_push_batch(self, arrivals):
-            calls["batch_pushed"] += len(arrivals)
-            return push_batch(self, arrivals)
+        def counting_push_batch(self, *args, **kwargs):
+            calls["pushes"] += 1
+            return push_batch(self, *args, **kwargs)
 
         def counting_push(self, t):
-            calls["scalar_pushes"] += 1
+            calls["pushes"] += 1
             return push(self, t)
+
+        def counting_build(arrivals, *args, **kwargs):
+            calls["built"].append(len(arrivals))
+            return build(arrivals, *args, **kwargs)
 
         monkeypatch.setattr(LiveDaemon, "_process_epoch", counting_process)
         monkeypatch.setattr(IncrementalFlatForest, "push_batch", counting_push_batch)
         monkeypatch.setattr(IncrementalFlatForest, "push", counting_push)
+        monkeypatch.setattr(incremental, "dyadic_flat_forest", counting_build)
         restored = LiveDaemon.restore(text)
         assert calls["epochs"] == 0
-        assert calls["scalar_pushes"] == 0
-        live = sum(
-            len(led.forest) for led in daemon._ledgers.values() if led.forest is not None
-        )
-        assert calls["batch_pushed"] == live
+        assert calls["pushes"] == 0
+        # the open windows are set directly and built once, as one ragged
+        # forest, so that the builder vets them
+        if daemon._forest is not None:
+            assert calls["built"] == [len(daemon._forest)]
+        else:
+            assert calls["built"] == []
         assert restored.horizon.epoch == daemon.horizon.epoch
 
 
@@ -467,3 +466,92 @@ class TestTokenBeforeEpochZero:
         obj["open"]["arrivals"] = _encode([1.0, 2.0])
         obj["last_push"] = 2.0
         _rejects(payload, r"before epoch 0")
+
+
+# ---------------------------------------------------------------------------
+# open windows the restored clock and fence rule out
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def epoch5_tokens(catalog, workload):
+    """Per policy: a token taken after epoch 5 (ingest clock 60 min, slot
+    40; fence 45 min, slot 30) and its busiest object's name."""
+    tokens = {}
+    for policy in LIVE_POLICIES:
+        daemon = LiveDaemon(catalog, _config(policy))
+        daemon.run(workload, until_epoch=5)
+        payload = json.loads(daemon.checkpoint())
+        busy = max(payload["objects"], key=lambda n: payload["objects"][n]["streams"])
+        assert _decode(payload["objects"][busy]["open"]["arrivals"]).size
+        tokens[policy] = payload, busy
+    return tokens
+
+
+@pytest.mark.parametrize("policy", LIVE_POLICIES)
+class TestOpenWindowAgainstClock:
+    def test_value_from_the_future(self, epoch5_tokens, policy):
+        payload, obj = _copy(epoch5_tokens[policy])
+        arrivals = np.append(_decode(obj["open"]["arrivals"]), 10_000.0)
+        obj["open"]["arrivals"] = _encode(arrivals)
+        obj["last_push"] = 10_000.0
+        # accepted, every later slot of the title would count as served
+        _rejects(payload, r"last_push: 10000\.0 lies past the ingest clock")
+
+    def test_last_push_from_the_future(self, epoch5_tokens, policy):
+        payload, obj = _copy(epoch5_tokens[policy])
+        obj["open"]["arrivals"] = _encode([])
+        obj["last_push"] = 10_000.0
+        if "watermark" in obj["open"]:
+            obj["open"]["watermark"] = 10_000.0  # an empty window's last push
+        _rejects(payload, r"last_push: 10000\.0 lies past the ingest clock")
+
+    def test_window_the_fence_already_passed(self, epoch5_tokens, policy):
+        payload, obj = _copy(epoch5_tokens[policy])
+        arrivals = _decode(obj["open"]["arrivals"])
+        obj["open"]["arrivals"] = _encode(np.insert(arrivals, 0, 0.5))
+        if "watermark" in obj["open"]:
+            obj["open"]["watermark"] = None
+        _rejects(payload, r"open\.arrivals: the oldest open window ends at .* before the fence")
+
+
+@st.composite
+def _open_values(draw, current, bound):
+    """An open window to fuzz: arbitrary floats, or the token's own window
+    with values dropped and added up to ``bound`` — slot ends or not, and
+    sometimes a neighbour closer than the dyadic builder resolves."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return np.asarray(draw(st.lists(st.floats(width=64), max_size=6)), dtype=np.float64)
+    keep = np.asarray(draw(st.lists(st.booleans(), min_size=current.size, max_size=current.size)), dtype=bool)
+    lo = float(current[0]) if current.size else 0.0
+    added = np.asarray(draw(st.lists(st.floats(min_value=lo, max_value=bound), max_size=4)))
+    if draw(st.booleans()):
+        added = np.floor(added) + 1.0
+    values = np.concatenate([current[keep], added])
+    if values.size and draw(st.booleans()):
+        near = values[draw(st.integers(min_value=0, max_value=values.size - 1))]
+        gap = draw(st.sampled_from([0.0, 1e-13, 1e-9]))
+        values = np.append(values, np.nextafter(near, np.inf) + abs(near) * gap)
+    return np.unique(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_open_window_restores_exactly_or_raises(epoch5_tokens, data):
+    """Random float arrays re-encoded into ``open`` and ``last_push`` (ROADMAP
+    item 5's restore fuzz): a restore either raises ``ValueError`` or
+    round-trips byte for byte."""
+    policy = data.draw(st.sampled_from(LIVE_POLICIES))
+    payload, obj = _copy(epoch5_tokens[policy])
+    values = data.draw(_open_values(_decode(obj["open"]["arrivals"]), bound=42.0))
+    obj["open"]["arrivals"] = _encode(values)
+    newest = float(values[-1]) if values.size and np.isfinite(values[-1]) else None
+    obj["last_push"] = data.draw(
+        st.sampled_from([newest, newest, None]) | st.floats(allow_nan=False, allow_infinity=False)
+    )
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        restored = LiveDaemon.restore(text)
+    except ValueError:
+        return
+    assert restored.checkpoint() == text
