@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke
+.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke perfbench-pairs
 
 ## tier-1 test suite (must stay green)
 test:
@@ -77,3 +77,13 @@ perfbench-trace-smoke:
 	    | python3 -c 'import json, sys; r = json.loads(sys.stdin.read() or "{}"); print(sys.argv[1] + ":", r.get("failed", "?"), "of", r.get("attempted", "?"), "checks failed"); sys.exit(r.get("failed", 1) > 0)' $$w \
 	    || exit 1; \
 	done
+
+## alternating base/change perfbench pairs with the standing verdict per
+## end-to-end metric (gain / within bound / unresolved / worse); BASE is a
+## git ref checked out into a temporary worktree, or a checkout's path:
+##   make perfbench-pairs W=fleet-hot-check SEED=7 PAIRS=10 BASE=HEAD~1
+SEED ?= 1
+PAIRS ?= 10
+BASE ?= HEAD
+perfbench-pairs:
+	python3 benchmarks/perfbench_pairs.py --workload $(W) --seed $(SEED) --pairs $(PAIRS) --base $(BASE)

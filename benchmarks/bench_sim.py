@@ -13,12 +13,13 @@ Two modes (same layout as ``bench_fastpath.py`` / ``bench_general.py``):
 
 "Reference" timings exercise the frozen pre-flat paths — the per-client
 ``ReceivingProgram`` replay (O(total parts) Python objects, quadratic
-buffer bookkeeping), the recursive ``MergeNode`` dyadic construction,
-and an object-walk dyadic policy + ``tree_from_parent_map`` forest
-reconstruction + per-client continuous verification pipeline.  "Fast"
-timings exercise ``fastpath.replay`` (per-level vectorised interval
-algebra), ``fastpath.dyadic`` (vectorised batch construction), and the
-production policy/verify stack.  Every timed pair asserts exact
+buffer bookkeeping), its continuous-interval twin on dyadic forests, the
+recursive ``MergeNode`` dyadic construction, and an object-walk dyadic
+policy + ``tree_from_parent_map`` forest reconstruction + per-client
+continuous verification pipeline.  "Fast" timings exercise
+``fastpath.replay`` (per-level vectorised interval algebra),
+``fastpath.dyadic`` (vectorised batch construction), and the production
+policy/verify stack.  Every timed pair asserts exact
 agreement — identical verification reports, node-for-node identical
 forests — in the same run.
 """
@@ -39,7 +40,7 @@ from repro.core.merge_tree import MergeForest, tree_from_parent_map
 from repro.core.online import build_online_flat_forest
 from repro.fastpath.dyadic import dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
-from repro.fastpath.replay import replay_verify_forest
+from repro.fastpath.replay import replay_verify_forest, replay_verify_forest_continuous
 from repro.simulation import ImmediateDyadicPolicy, Simulation, verify_simulation
 from repro.simulation.policies import Policy
 from repro.simulation.verify import (
@@ -178,6 +179,16 @@ def test_replay_smoke(benchmark):
     _assert_reports_equal(ref, fast)
 
 
+def test_continuous_replay_smoke(benchmark):
+    """Batched continuous replay of a dyadic forest (built through phase 1
+    on its first level) against the per-client interval oracle."""
+    flat = dyadic_flat_forest(irregular_times(3000), DYADIC_L)
+    fast = benchmark(replay_verify_forest_continuous, flat, DYADIC_L)
+    ref = verify_forest_continuous_reference(flat, DYADIC_L)
+    assert ref.ok
+    _assert_reports_equal(ref, fast)
+
+
 def test_dyadic_flat_smoke(benchmark):
     ts = irregular_times(3000)
     fast = benchmark(dyadic_flat_forest, ts, DYADIC_L)
@@ -246,6 +257,21 @@ def run_sweep() -> Dict:
         _assert_reports_equal(ref_report, fast_report)
         rows.append(_case("verify_forest_replay", n, ref_s, fast_s, L=REPLAY_L))
 
+    # -- batched continuous replay vs per-client interval replay ------------
+    for n in (10_000, 100_000):
+        flat = dyadic_flat_forest(irregular_times(n), DYADIC_L)
+        ref_s, ref_report = timeit_best(
+            lambda: verify_forest_continuous_reference(flat, DYADIC_L), repeats=1
+        )
+        fast_s, fast_report = timeit_best(
+            lambda: replay_verify_forest_continuous(flat, DYADIC_L), repeats=3
+        )
+        assert ref_report.ok
+        _assert_reports_equal(ref_report, fast_report)
+        rows.append(
+            _case("verify_forest_continuous_replay", n, ref_s, fast_s, L=DYADIC_L)
+        )
+
     # -- flat dyadic construction vs MergeNode recursion --------------------
     for n in (10_000, 100_000):
         ts = irregular_times(n)
@@ -303,9 +329,10 @@ def run_sweep() -> Dict:
         "schema": "repro.fastpath.bench.v1",
         "description": (
             "Flat simulation engine: batched FlatForest replay verification "
-            "vs per-client ReceivingProgram replay; vectorised dyadic forest "
-            "construction vs MergeNode recursion; flat policy + verify "
-            "pipeline vs the object-walk pipeline.  Best-of-k wall clock; "
+            "vs per-client ReceivingProgram replay (and, continuous, vs the "
+            "per-client interval replay on dyadic forests); vectorised "
+            "dyadic forest construction vs MergeNode recursion; flat policy "
+            "+ verify pipeline vs the object-walk pipeline.  Best-of-k wall clock; "
             "every pair asserts identical reports/forests/costs in-run.  "
             "scale_replay_walk rows time the backend-dispatched demand walk "
             "at 10^6/10^7 against the vectorised level walk (floor >= 3x "

@@ -18,6 +18,7 @@ from typing import Union
 
 from .merge_tree import MergeForest, tree_from_parent_map
 from .receiving_program import ReceivingProgram, receive_two_program
+from .validation import check_finite_value
 
 __all__ = [
     "forest_to_json",
@@ -69,6 +70,8 @@ def forest_from_json(text: str) -> MergeForest:
         parents = {doc["root"]: None}
         for arrival, parent in doc["edges"]:
             parents[arrival] = parent
+        for arrival in parents:  # json reads NaN and Infinity
+            check_finite_value(arrival)
         trees.append(tree_from_parent_map(parents))
     forest = MergeForest(trees)
     if forest.num_arrivals() != payload.get("num_arrivals"):

@@ -9,18 +9,25 @@ policies.  This module and :mod:`repro.fastpath.incremental` re-express
 both constructions on parent-index arrays:
 
 * :func:`dyadic_flat_forest` — the batch construction, vectorised level
-  by level: every tree level of every window is classified into dyadic
-  intervals in one numpy pass (one ``searchsorted`` against the
+  by level.  A level splits every window into its dyadic interval runs
+  (the interval of an offset is one ``searchsorted`` against the
   per-``alpha`` table of scalar ``alpha ** -i`` edges, built once down to
   ``MIN_RELATIVE_GAP``; it returns the index the scalar
   :func:`~repro.baselines.dyadic.dyadic_interval_index` reaches with its
-  log estimate and +-1 corrections), run boundaries mark the new
-  children, and the remainder of each run drops into its child's window
-  for the next pass, carrying its time, window start and cutoff along.
-  O(total tree depth) numpy work, no per-node Python objects.  Its ragged
-  form builds many objects' forests in one pass (the fleet runner's
-  shards): only root finding is per object, and even that runs one
-  round of searches for all objects at a time.
+  log estimate and +-1 corrections): the first member of a run becomes a
+  child, and the rest of the run is that child's window at the next
+  level.  It runs in two phases.  Phase 1, while windows are large (the
+  first levels of a hot title), touches only the heads: it classifies
+  each window's first and last member and finds every interval boundary
+  in between by searching for the edge's time and walking the guess to
+  the exact position.  Phase 2, from the first level whose windows hold
+  no more than ``SPLIT_RATIO`` members per boundary (from the start on
+  catalog shards and live epochs), classifies every member, carrying its
+  time, window start and cutoff along.  O(total tree depth) numpy work,
+  no per-node Python objects.  Its ragged form builds many objects'
+  forests in one pass (the fleet runner's shards): only root finding is
+  per object, and even that runs one round of searches for all objects
+  at a time.
 * :class:`~repro.fastpath.incremental.IncrementalFlatForest` — the one
   flat incremental stack machine; ``push`` is the same O(amortised 1)
   walk as ``DyadicOnline.push`` minus every ``MergeNode`` allocation, and
@@ -34,9 +41,18 @@ computed by the *scalar* interpreter, and child windows
 ``x + (y - x) / alpha ** (i - 1)`` — so the resulting parent arrays are
 **bit-identical** to ``dyadic_forest`` / ``DyadicOnline`` on every input
 both accept, including arrivals exactly on interval edges or on the
-cutoff.  ``tests/fastpath/test_dyadic_flat.py`` asserts node-for-node
-equality on adversarial edge-grid traces for alpha from ``MIN_ALPHA``
-to 7.5, and ragged == one call per object on random catalogs.
+cutoff.  Phase 1 rests on one more fact: within a window ``g`` never
+decreases as ``t`` grows, under IEEE rounding too (subtracting a fixed
+number and dividing by a fixed positive one are both monotone), so the
+interval index is a non-increasing step function of member position.
+Its first member therefore holds the window's smallest ``g`` (where the
+resolution check runs), and a boundary is the first member whose ``g``
+reaches a table edge; the searched edge time is only a guess, moved one
+member at a time by that comparison until it holds exactly.
+``tests/fastpath/test_dyadic_flat.py`` asserts node-for-node equality
+on adversarial edge-grid traces for alpha from ``MIN_ALPHA`` to 7.5, and
+ragged == one call per object on random catalogs, each with phase 1
+forced at every level (``SPLIT_RATIO = 0``) and as shipped.
 """
 
 from __future__ import annotations
@@ -51,6 +67,16 @@ from ..core.validation import check_offsets, non_increasing_within
 from .flat_forest import FlatForest
 
 __all__ = ["dyadic_flat_forest"]
+
+#: Phase 1 places one interval boundary for about as much as 4-5 member
+#: classifications cost phase 2, so it runs while a level holds more than
+#: this many members per boundary (see :func:`_dyadic_parents`).
+SPLIT_RATIO = 8
+
+#: A phase-1 level's fixed cost, in boundaries: its few dozen numpy calls.
+#: A level of at most ``SPLIT_RATIO * SPLIT_LEVEL_COST`` members goes to
+#: phase 2 before any window endpoint is evaluated.
+SPLIT_LEVEL_COST = 128
 
 
 @functools.lru_cache(maxsize=64)
@@ -74,30 +100,38 @@ def _power_tables(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     return edges, powers
 
 
-def _roots(ts: np.ndarray, offsets: np.ndarray, window: np.ndarray) -> np.ndarray:
+def _object_keys(ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``(object, time)`` keys as complex numbers, which numpy orders
+    lexicographically: one sorted array over a ragged call, in which a
+    search stays within its object and every comparison is the exact
+    float one."""
+    counts = np.diff(offsets)
+    keys = np.empty(ts.size, dtype=np.complex128)
+    keys.real = np.repeat(np.arange(counts.size), counts)
+    keys.imag = ts
+    return keys
+
+
+def _roots(
+    ts: np.ndarray, offsets: np.ndarray, window: np.ndarray, keys: Optional[np.ndarray]
+) -> np.ndarray:
     """Root mask: per object, a new root at each arrival past the current
     root's cutoff ``root + window`` (the rule of ``dyadic_forest``).
 
-    One object takes one ``searchsorted`` per root.  Several objects take
-    one per *round*: every object's next root at once, searched among
-    ``(object, time)`` keys held as complex numbers, which numpy orders
-    lexicographically, so the search stays within the object and every
-    comparison is the exact float one.
+    One object (``keys`` is None) takes one ``searchsorted`` per root.
+    Several objects take one per *round*: every object's next root at
+    once, searched among the :func:`_object_keys`.
     """
     n = ts.size
     is_root = np.zeros(n, dtype=bool)
-    if offsets.size == 2:
+    if keys is None:
         w = window[0]
         i = 0
         while i < n:
             is_root[i] = True
             i = int(np.searchsorted(ts, ts[i] + w, side="right"))
         return is_root
-    counts = np.diff(offsets)
-    keys = np.empty(n, dtype=np.complex128)
-    keys.real = np.repeat(np.arange(counts.size), counts)
-    keys.imag = ts
-    obj = np.flatnonzero(counts)
+    obj = np.flatnonzero(np.diff(offsets))
     cur = offsets[obj]
     end = offsets[obj + 1]
     query = np.empty(obj.size, dtype=np.complex128)
@@ -112,6 +146,101 @@ def _roots(ts: np.ndarray, offsets: np.ndarray, window: np.ndarray) -> np.ndarra
     return is_root
 
 
+def _interval(g: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Interval index of relative offsets ``g``: the least ``i >= 1`` with
+    ``alpha ** -i <= g``."""
+    return np.maximum(edges.size - np.searchsorted(edges, g, side="right"), 1)
+
+
+def _raise_resolution(
+    t: np.ndarray, g: np.ndarray, x: np.ndarray, small: np.ndarray
+) -> None:
+    """Reject the first member in index order whose offset ``g`` lies below
+    ``MIN_RELATIVE_GAP`` (the oracle's message)."""
+    j = int(np.argmax(small))
+    raise ValueError(
+        f"arrival {t[j]} is within {g[j]:.3e} of its window start "
+        f"{x[j]} (relative); below the {MIN_RELATIVE_GAP} resolution limit"
+    )
+
+
+def _split_level(ts, keys, members, o, e, x, c, edges, powers, parent, z):
+    """Phase 1: one level placed from its windows' interval boundaries.
+
+    Window ``k`` is owner ``o[k]``, members ``o[k] + 1 .. e[k] - 1``,
+    start ``x[k]`` and cutoff ``c[k]``; ``members`` counts them all.
+    Writes the heads' ``parent`` and ``z`` and returns the next level's
+    ``(members, o, e, x, c)``, or None, placing nothing, when the level
+    holds no more than ``SPLIT_RATIO`` members per boundary (its fixed
+    cost counted in).
+    """
+    busy = e - o > 1  # a root window may hold no member
+    if not busy.all():
+        o, e, x, c = o[busy], e[busy], x[busy], c[busy]
+    span = c - x
+    first, last = o + 1, e - 1
+    t_first = ts[first]
+    g_first = (t_first - x) / span
+    small = g_first < MIN_RELATIVE_GAP
+    if small.any():
+        _raise_resolution(t_first, g_first, x, small)
+    idx_first = _interval(g_first, edges)
+    steps = idx_first - _interval((ts[last] - x) / span, edges)
+    n_steps = int(steps.sum())
+    if members <= SPLIT_RATIO * (n_steps + SPLIT_LEVEL_COST):
+        return None
+    # Step j of a window goes from interval i to i - 1 (i = idx_first - j):
+    # its boundary is the first member with g >= alpha ** -(i - 1).  Guess
+    # it by searching for the edge time, then walk the guess to the exact
+    # position, comparing the reference g against the same table edge.
+    rank = np.arange(n_steps)
+    lower = np.repeat(idx_first + np.cumsum(steps) - steps - 1, steps) - rank
+    threshold = edges[edges.size - 1 - lower]
+    xb, sb = np.repeat(x, steps), np.repeat(span, steps)
+    edge_time = xb + threshold * sb
+    if keys is None:
+        pos = np.searchsorted(ts, edge_time, side="left")
+    else:
+        query = np.empty(n_steps, dtype=np.complex128)
+        query.real = keys.real[np.repeat(o, steps)]
+        query.imag = edge_time
+        pos = np.searchsorted(keys, query, side="left")
+    pos = np.minimum(np.maximum(pos, np.repeat(first + 1, steps)), np.repeat(last, steps))
+    move = rank
+    while move.size:
+        p = pos[move]
+        xm, sm, thr = xb[move], sb[move], threshold[move]
+        shift = ((ts[p] - xm) / sm < thr).astype(np.intp)
+        shift -= (ts[p - 1] - xm) / sm >= thr
+        moved = shift != 0
+        move = move[moved]
+        pos[move] += shift[moved]
+    # Heads in window order: each window's first member, then its
+    # boundaries, non-decreasing.  Equal boundaries are one head, whose
+    # interval is that of the last step to reach it.
+    heads = np.empty(o.size + n_steps, dtype=np.intp)
+    idx = np.empty_like(heads)
+    at_first = np.zeros(heads.size, dtype=bool)
+    at_first[np.cumsum(steps + 1) - steps - 1] = True
+    heads[at_first], idx[at_first] = first, idx_first
+    heads[~at_first], idx[~at_first] = pos, lower
+    last_of = np.empty(heads.size, dtype=bool)
+    last_of[-1] = True
+    np.not_equal(heads[1:], heads[:-1], out=last_of[:-1])
+    heads, idx = heads[last_of], idx[last_of]
+    win = np.repeat(np.arange(o.size), steps + 1)[last_of]
+    # A run ends before the next head, or at its window's last member.
+    run_end = np.minimum(np.append(heads[1:], ts.size), e[win]) - 1
+    parent[heads] = o[win]
+    z[heads] = ts[run_end]
+    xh = x[win]
+    child_hi = xh + span[win] / powers[idx - 1]
+    busy = run_end > heads
+    members -= heads.size
+    heads = heads[busy]
+    return members, heads, run_end[busy] + 1, ts[heads], child_hi[busy]
+
+
 def _dyadic_parents(
     ts: np.ndarray, offsets: np.ndarray, window: np.ndarray, alpha: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -119,12 +248,16 @@ def _dyadic_parents(
 
     Objects occupy ``ts[offsets[k]:offsets[k + 1]]`` with root windows
     ``window[k]``; parents are indices into ``ts``.  After the roots, the
-    level loop runs once for all objects: it works on (owner, member)
-    pairs, and owners never span objects.
+    level loop runs once for all objects: it works on windows, and
+    windows never span objects.  Phase 1 (:func:`_split_level`) places
+    levels from their windows' ends and boundaries while they hold more
+    than ``SPLIT_RATIO`` members per boundary; the first level that does
+    not goes to phase 2, the member loop, which finishes the forest.
     """
     n = ts.size
     parent = np.full(n, -1, dtype=np.intp)
-    is_root = _roots(ts, offsets, window)
+    keys = None if offsets.size == 2 else _object_keys(ts, offsets)
+    is_root = _roots(ts, offsets, window, keys)
     roots = np.flatnonzero(is_root)
     if roots.size == n:  # every tree is a lone root
         return parent, ts.copy()
@@ -135,28 +268,35 @@ def _dyadic_parents(
     root_end = np.append(roots[1:], n)
     z = ts.copy()
     z[roots] = ts[root_end - 1]
-    root_of = (np.cumsum(is_root) - 1)[~is_root]
-    m = np.flatnonzero(~is_root)
-    owner = roots[root_of]
-    x = ts[owner]
-    t = ts[m]
-    obj_of_root = np.searchsorted(offsets, roots, side="right") - 1
-    cutoff = (ts[roots] + window[obj_of_root])[root_of]
+    # Root windows: owner o, members o + 1 .. e - 1, start x, cutoff c.
+    o, e, x = roots, root_end, ts[roots]
+    c = x + window[np.searchsorted(offsets, roots, side="right") - 1]
     edges, powers = _power_tables(alpha)
+    members = n - roots.size
 
-    # Each level carries every unplaced member's time t, window start x
-    # and cutoff, compressing them as members become children.
+    # Phase 1 while windows are large: split them at their boundaries.
+    while members > SPLIT_RATIO * SPLIT_LEVEL_COST:
+        split = _split_level(ts, keys, members, o, e, x, c, edges, powers, parent, z)
+        if split is None:
+            break
+        members, o, e, x, c = split
+
+    # Phase 2: each level carries every unplaced member's time t, window
+    # start x and cutoff, compressing them as members become children.
+    counts = e - o - 1
+    owner = np.repeat(o, counts)
+    # The k-th member overall, in window w, is o[w] + 1 + (k - start[w]).
+    start = np.cumsum(counts) - counts
+    m = np.arange(members) + np.repeat(o + 1 - start, counts)
+    x = np.repeat(x, counts)
+    cutoff = np.repeat(c, counts)
+    t = ts[m]
     while m.size:
         g = (t - x) / (cutoff - x)
         small = g < MIN_RELATIVE_GAP
         if small.any():
-            j = int(np.argmax(small))
-            raise ValueError(
-                f"arrival {t[j]} is within {g[j]:.3e} of its window start "
-                f"{x[j]} (relative); below the {MIN_RELATIVE_GAP} resolution limit"
-            )
-        # Interval index: the least i >= 1 with alpha ** -i <= g.
-        idx = np.maximum(edges.size - np.searchsorted(edges, g, side="right"), 1)
+            _raise_resolution(t, g, x, small)
+        idx = _interval(g, edges)
         # Runs of consecutive members with the same (owner, interval):
         # the first member of a run becomes a child; the rest fall into
         # that child's window.

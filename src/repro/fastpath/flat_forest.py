@@ -62,6 +62,13 @@ class FlatForest:
         n = arr.size
         if n == 0:
             raise ValueError("a merge forest needs at least one node")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            # NaN fails every comparison, so the order check below alone
+            # would let it through.
+            raise ValueError(
+                f"arrivals must be finite, got {float(arr[~finite][0])!r}"
+            )
         if np.any(arr[1:] <= arr[:-1]):
             raise ValueError("arrivals must be strictly increasing")
         if par[0] != -1:

@@ -28,6 +28,16 @@ level), so the work is O(sum of path depths) vector operations:
   ``t2max - y`` with ``t2max`` the last two-delivery slot
   ``min(2y - u', u' + L)`` over the path pairs ``(u, u')``.
 
+The continuous verifier (real-valued forests such as immediate dyadic)
+walks the same chains: at each level a client's pair ``(u, lo)`` yields
+the stage pieces ``(2(y - u), 2y - u - lo]`` from ``u`` and
+``(2y - u - lo, 2(y - lo)]`` from ``lo``, clipped to ``L``.  A level
+gathers only ``lo``: ``y`` and ``u`` (the previous level's ``lo``) ride
+along with the surviving clients, ``2y - u - lo`` and each clipped end
+are computed once, pieces are compressed only when some are dropped
+(none are on a dyadic forest with ``beta <= 1/2``), and failure messages
+are rebuilt from the failing pairs' indices alone.
+
 Exactness contract (same shape as ``fastpath.general``): all arithmetic
 is the oracle's integer (or, for the continuous verifier, float)
 expressions evaluated elementwise, so reports are **identical** to the
@@ -51,6 +61,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..core.merge_tree import MergeForest, _as_int_if_exact
+from ..core.validation import check_finite_value
 from ..scale.kernels import replay_walk
 from .flat_forest import FlatForest, as_flat_forest
 
@@ -78,6 +89,7 @@ def _finish(report, checks: int, failures: List[str]):
 
 
 def _validated_flat(forest, L, report) -> Optional[FlatForest]:
+    check_finite_value(L, "L")
     flat = as_flat_forest(forest)
     try:
         flat.validate_for_length(L)
@@ -185,72 +197,62 @@ def replay_verify_forest_continuous(
     par = flat.parent
     lengths = flat.stream_lengths(L)
     eps = 1e-9
+    limit = lengths + eps
     checks = 0
     failures: List[str] = []
     demanded = np.zeros(n)
 
-    def _demand_checks(streams, b, clients, typed_b):
-        # ``typed_b(j)`` re-evaluates the failing piece's end with the
-        # oracle's scalar arithmetic: the reference works on Python
-        # int-when-exact labels, so its ``min(2y - u - lo, L)`` stays an
-        # int on integer forests and its messages print ``10``, not
-        # ``10.0``.  Only failing pieces pay the re-evaluation.
+    def _demand_checks(keep, streams, b, clients, typed_b):
+        # The pieces ``keep`` selects; on valid forests that is all of
+        # them, and nothing is compressed.  ``typed_b(c, s)`` re-evaluates
+        # a failing piece's end with the oracle's scalar arithmetic: the
+        # reference works on Python int-when-exact labels, so its
+        # ``min(2y - u - lo, L)`` stays an int on integer forests and its
+        # messages print ``10``, not ``10.0``.  Only failing pieces pay.
         nonlocal checks
+        if not keep.all():
+            streams, b, clients = streams[keep], b[keep], clients[keep]
         checks += streams.size
-        fail = b > lengths[streams] + eps
-        for j in np.nonzero(fail)[0].tolist():
+        for j in np.flatnonzero(b > limit[streams]).tolist():
+            c, s = int(clients[j]), int(streams[j])
             failures.append(
-                f"client {_fmt(x[clients[j]])} needs position {typed_b(j)} "
-                f"of stream {_fmt(x[streams[j]])} "
-                f"(length {float(lengths[streams[j]])})"
+                f"client {_fmt(x[c])} needs position {typed_b(c, s)} "
+                f"of stream {_fmt(x[s])} (length {float(lengths[s])})"
             )
         np.maximum.at(demanded, streams, b)
 
     # Stage pieces, level by level: at level s the pair is
     # (u, lo) = (w_{s-1}, w_s) and contributes the stage's piece from u
     # (positions (2(y-u), 2y-u-lo]) and from lo ((2y-u-lo, 2(y-lo)]).
-    cl = np.nonzero(par >= 0)[0]
+    # y and u ride along; only lo is gathered per level.
+    cl = np.flatnonzero(par >= 0)
     wprev = cl
     wcur = par[cl]
+    y = u = x[cl]
     while cl.size:
-        y = x[cl]
-        u = x[wprev]
         lo = x[wcur]
-        a1 = 2 * (y - u)
-        b1 = 2 * y - u - lo
-        keep = np.minimum(b1, L) > a1
-        yk, uk, lok = y[keep], u[keep], lo[keep]
+        mid = 2 * y - u - lo
+        end = np.minimum(mid, L)
         _demand_checks(
-            wprev[keep],
-            np.minimum(b1, L)[keep],
-            cl[keep],
-            lambda j: min(2 * _fmt(yk[j]) - _fmt(uk[j]) - _fmt(lok[j]), L),
+            end > 2 * (y - u), wprev, end, cl,
+            lambda c, s: min(2 * _fmt(x[c]) - _fmt(x[s]) - _fmt(x[par[s]]), L),
         )
-        a2 = 2 * y - u - lo
-        b2 = 2 * (y - lo)
-        keep = np.minimum(b2, L) > a2
-        yk2, lok2 = y[keep], lo[keep]
+        end = np.minimum(2 * (y - lo), L)
         _demand_checks(
-            wcur[keep],
-            np.minimum(b2, L)[keep],
-            cl[keep],
-            lambda j: min(2 * (_fmt(yk2[j]) - _fmt(lok2[j])), L),
+            end > mid, wcur, end, cl,
+            lambda c, s: min(2 * (_fmt(x[c]) - _fmt(x[s])), L),
         )
         pcur = par[wcur]
         step = pcur >= 0
-        cl = cl[step]
+        cl, y, u = cl[step], y[step], lo[step]
         wprev = wcur[step]
         wcur = pcur[step]
 
     # Root-stream tails: positions (2(y - r), L] — always float(L).
     root = flat.root_index
-    tail = L > 2 * (x - x[root])
-    n_tail = int(np.count_nonzero(tail))
     _demand_checks(
-        root[tail],
-        np.full(n_tail, float(L)),
-        np.nonzero(tail)[0],
-        lambda j: float(L),  # the oracle appends float(L) tails verbatim
+        L > 2 * (x - x[root]), root, np.full(n, float(L)), np.arange(n),
+        lambda c, s: float(L),  # the oracle appends float(L) tails verbatim
     )
 
     # Coverage of (0, L]: the pieces are contiguous from 0 and clipped to

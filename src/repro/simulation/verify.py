@@ -40,6 +40,7 @@ from ..core.receiving_program import (
     receive_all_program,
     receive_two_program,
 )
+from ..core.validation import check_finite_value
 from ..fastpath.flat_forest import FlatForest, as_flat_forest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,6 +113,7 @@ def verify_forest_reference(
     Python objects.  Kept as the reference the batched replay must match
     report-for-report.
     """
+    check_finite_value(L, "L")
     report = VerificationReport()
     flat = as_flat_forest(forest)
     if isinstance(forest, FlatForest):
@@ -220,6 +222,7 @@ def verify_forest_continuous_reference(
     forest: Union[MergeForest, FlatForest], L: float
 ) -> VerificationReport:
     """Per-client continuous-interval verification — the oracle."""
+    check_finite_value(L, "L")
     report = VerificationReport()
     flat = as_flat_forest(forest)
     if isinstance(forest, FlatForest):

@@ -69,6 +69,16 @@ class TestForestValidation:
         with pytest.raises(ValueError, match="corrupt"):
             forest_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, bad, tmp_path):
+        """json reads NaN and Infinity; a forest holding one is corrupt."""
+        doc = json.loads(forest_to_json(build_optimal_forest(15, 8), 15))
+        doc["trees"][0]["edges"][-1][0] = bad
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="finite"):
+            load_forest(path)
+
     def test_metadata_preserved(self):
         doc = json.loads(forest_to_json(build_optimal_forest(15, 8), 15))
         assert doc["L"] == 15

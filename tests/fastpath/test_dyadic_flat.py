@@ -5,15 +5,20 @@
 traces — arrivals exactly on dyadic interval edges, exactly
 at the cutoff ``y``, dense clusters, for alpha from the ``MIN_ALPHA``
 floor up to 7.5 — and the ragged form == one call per object.
+
+The builder tests run twice: with the shipped ``SPLIT_RATIO`` and with
+``SPLIT_RATIO = 0``, which sends every level through phase 1 (the window
+split), since the natural inputs here are too small to reach it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dyadic import (
@@ -24,8 +29,9 @@ from repro.baselines.dyadic import (
     dyadic_cost,
     dyadic_forest,
 )
+import repro.fastpath.dyadic as flat_dyadic
 from repro.core.fibonacci import PHI
-from repro.fastpath.dyadic import dyadic_flat_forest
+from repro.fastpath.dyadic import SPLIT_RATIO, dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.incremental import IncrementalFlatForest
 
@@ -34,6 +40,19 @@ from tests.conftest import increasing_times, increasing_times_exact
 ALPHAS = st.sampled_from([2.0, PHI])
 BETAS = st.sampled_from([0.5, 0.3, 0.9])
 EDGE_ALPHAS = [1.3, PHI, 2.0, 3.0, 7.5]
+
+#: the split fixture is function-scoped; it only sets a module constant,
+#: which holds for every example alike
+SPLIT_SETTINGS = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture(params=[0, SPLIT_RATIO], ids=["phase1-forced", "shipped"])
+def split_ratio(request, monkeypatch):
+    """Run the test with phase 1 forced at every level, and as shipped."""
+    monkeypatch.setattr(flat_dyadic, "SPLIT_RATIO", request.param)
+    return request.param
 
 
 def _interval_edges(params, L):
@@ -73,13 +92,14 @@ def _assert_same_forest(ts, L, params):
     return flat, ref
 
 
+@pytest.mark.usefixtures("split_ratio")
 class TestBatchEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(SPLIT_SETTINGS, max_examples=60)
     @given(increasing_times(min_size=1, max_size=50, horizon=300.0), ALPHAS, BETAS)
     def test_random_traces(self, times, alpha, beta):
         _assert_same_forest(times, 100, DyadicParams(alpha=alpha, beta=beta))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(SPLIT_SETTINGS, max_examples=40)
     @given(increasing_times_exact(min_size=1, max_size=40, horizon=200.0), ALPHAS)
     def test_exact_grid_costs_bit_identical(self, times, alpha):
         params = DyadicParams(alpha=alpha, beta=0.5)
@@ -130,6 +150,62 @@ class TestBatchEquivalence:
     def test_dense_cluster(self):
         ts = [i * 0.125 for i in range(400)]
         _assert_same_forest(ts, 100, DyadicParams(alpha=2.0, beta=0.5))
+
+    @pytest.mark.parametrize("alpha", [MIN_ALPHA, PHI, 7.5])
+    def test_resolution_message_is_the_member_loops(self, alpha, monkeypatch):
+        """Phase 1 checks only each window's first member: the smallest g
+        of the window.  The first offence in index order (a child window
+        of the second tree; the third tree offends too) must raise the
+        member loop's message."""
+        params = DyadicParams(alpha=alpha, beta=0.5)
+        ts = [0.0, 9.6, 20.0]
+        for root in (40.0, 100.0):
+            child = root + 9.6  # g = 0.3: inside an interval, off its edges
+            ts += [root, child, child + 4 * math.ulp(child), root + 20.0]
+        with pytest.raises(ValueError, match="resolution limit") as split:
+            dyadic_flat_forest(ts, 64, params)
+        assert "window start 49.6 " in str(split.value)  # the second tree
+        monkeypatch.setattr(flat_dyadic, "SPLIT_RATIO", 10**9)
+        with pytest.raises(ValueError, match="resolution limit") as member:
+            dyadic_flat_forest(ts, 64, params)
+        assert str(split.value) == str(member.value)
+        with pytest.raises(ValueError, match="resolution limit"):
+            dyadic_forest(ts, 64, params)
+
+
+class TestPhaseOne:
+    """Phase 1 on the inputs it is shipped for, without forcing it."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Count the levels phase 1 places."""
+        placed = []
+        split_level = flat_dyadic._split_level
+
+        def spy(*args):
+            out = split_level(*args)
+            placed.append(out is not None)
+            return out
+
+        monkeypatch.setattr(flat_dyadic, "_split_level", spy)
+        return placed
+
+    def test_dense_root_window_reaches_phase_one(self, splits):
+        """2.4e4 arrivals in one root window: large windows are split at
+        their boundaries, and the forest is still the oracle's."""
+        rng = np.random.default_rng(19)
+        ticks = np.sort(rng.choice(10**6, size=24_000, replace=False))
+        ts = np.concatenate([[0.0], (ticks + 1) / 20_000.0, [60.0, 61.5]])
+        _, ref = _assert_same_forest(ts.tolist(), 100, DyadicParams())
+        assert ref.num_trees() == 2
+        assert sum(splits) >= 2  # phase 1 placed the first levels
+        assert splits[-1] is False  # and handed the rest to phase 2
+
+    def test_small_levels_go_straight_to_phase_two(self, splits):
+        """A few hundred members go to phase 2 before any window endpoint
+        is evaluated: phase 1 is not even entered."""
+        _assert_same_forest([i * 0.125 for i in range(400)], 100, DyadicParams())
+        assert splits == []
 
 
 class TestValidation:
@@ -185,6 +261,7 @@ class TestValidation:
             if size is not None:
                 assert edges.size == size
 
+    @pytest.mark.usefixtures("split_ratio")
     def test_resolution_limit_matches_oracle(self):
         ts = [0.0, 1e-14, 1.0]
         with pytest.raises(ValueError, match="resolution limit"):
@@ -261,8 +338,9 @@ def ragged_catalog(draw):
     return parts, lengths
 
 
+@pytest.mark.usefixtures("split_ratio")
 class TestRagged:
-    @settings(max_examples=80, deadline=None)
+    @settings(SPLIT_SETTINGS, max_examples=80)
     @given(ragged_catalog(), st.sampled_from([1.3, PHI, 2.0, 3.0]), BETAS)
     def test_ragged_equals_per_object(self, catalog, alpha, beta):
         parts, lengths = catalog

@@ -122,6 +122,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlatForest([], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrivals_rejected(self, bad):
+        """NaN fails every comparison, so the order check alone let
+        ``[0, nan, 3]`` through, and the batched continuous replay then
+        reported it ok."""
+        with pytest.raises(ValueError, match="finite"):
+            FlatForest([0.0, bad, 3.0], [-1, 0, 0])
+
     def test_find_and_paths(self):
         forest = build_optimal_forest(15, 20)
         flat = forest.to_flat()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dyadic import dyadic_forest
+from repro.fastpath.dyadic import dyadic_flat_forest
 from repro.core.buffers import build_optimal_bounded_forest
 from repro.core.full_cost import build_optimal_forest
 from repro.core.online import build_online_forest
@@ -167,6 +168,29 @@ class TestInjectedViolations:
         assert not ref.ok
         assert any("buffer" in f for f in fast.failures)
 
+    def test_dense_dyadic_forest_with_a_deep_corruption(self):
+        """A dense dyadic forest (its first levels are split in phase 1 at
+        the shipped ratio) whose deepest node is moved under the latest
+        earlier node off its root path, the stored subtree maxima kept:
+        the new ancestors' streams are too short for it, the old ones'
+        too long, several levels up."""
+        rng = random.Random(23)
+        ts = sorted(rng.sample(range(1, 400_000), 6000))
+        flat = dyadic_flat_forest([0.0] + [t / 4000.0 for t in ts], 200)
+        par = flat.parent.tolist()
+        depth = [0] * len(par)
+        for i in range(1, len(par)):
+            depth[i] = depth[par[i]] + 1 if par[i] >= 0 else 0
+        deep = max(range(len(par)), key=depth.__getitem__)
+        assert depth[deep] >= 6
+        path = set(flat.path_indices(deep))
+        par[deep] = max(j for j in range(deep) if j not in path)
+        corrupt = FlatForest(flat.arrivals, par, z=flat.z)
+        ref = verify_forest_continuous_reference(corrupt, 200)
+        assert len(ref.failures) >= 5
+        assert any("needs position" in f for f in ref.failures)
+        assert_reports_equal(ref, replay_verify_forest_continuous(corrupt, 200))
+
     def test_infeasible_span(self):
         from repro.core.merge_tree import MergeForest, star_tree
 
@@ -184,6 +208,33 @@ class TestErrorPaths:
             verify_forest_reference(forest, 10)
         with pytest.raises(ValueError, match="slotted"):
             replay_verify_forest(forest, 10)
+
+    @pytest.mark.parametrize("L", [float("inf"), float("nan")])
+    def test_non_finite_L_rejected(self, L):
+        """All four verifiers refuse before any work.  With L = inf the
+        batched ones used to report ok while the oracles disagreed (or
+        raised TypeError); with NaN the continuous pair counted 5 checks
+        against 9."""
+        forest = FlatForest([0.0, 1.0, 3.0], [-1, 0, 0])
+        for verify in (
+            replay_verify_forest,
+            verify_forest_reference,
+            replay_verify_forest_continuous,
+            verify_forest_continuous_reference,
+        ):
+            with pytest.raises(ValueError, match="L must be finite"):
+                verify(forest, L)
+
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_non_positive_L_is_an_infeasible_record(self, L):
+        forest = FlatForest([0.0, 1.0, 3.0], [-1, 0, 0])
+        for fast, ref in (
+            (replay_verify_forest, verify_forest_reference),
+            (replay_verify_forest_continuous, verify_forest_continuous_reference),
+        ):
+            report = fast(forest, L)
+            assert_reports_equal(ref(forest, L), report)
+            assert report.checks == 1 and "infeasible" in report.failures[0]
 
     def test_unknown_model(self):
         forest = build_optimal_forest(10, 5)
