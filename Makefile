@@ -3,11 +3,21 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke perfbench-pairs
+.PHONY: test fuzz bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke perfbench-pairs
 
 ## tier-1 test suite (must stay green)
 test:
 	$(PY) -m pytest -x -q
+
+## hostile-input fuzzers at CI size (CI job): the trace-payload, live
+## restore and sweep-artifact fuzzers at 10^4 examples each, under the
+## hypothesis "fuzz" profile of tests/conftest.py (tier-1 runs them at
+## their own, smaller example counts)
+FUZZ_TESTS := tests/arrivals/test_serialization.py::TestPayloadFuzz \
+	tests/live/test_resume_token.py::test_fuzzed_open_window_restores_exactly_or_raises \
+	tests/sweeps/test_quarantine.py::TestArtifactFuzz
+fuzz:
+	$(PY) -m pytest -q --hypothesis-profile=fuzz $(FUZZ_TESTS)
 
 ## full fastpath sweep: regenerates BENCH_fastpath.json at the repo root
 bench:

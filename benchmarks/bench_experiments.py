@@ -20,7 +20,9 @@ sweep enforces the ISSUE 5 acceptance floor: >= 10x end-to-end on at
 least two figure drivers at paper-scale (default) parameters —
 ``fig1`` and ``fig9`` clear it outright, and the warm-cache ``fig12``
 re-render demonstrates the dirty-point story on a simulation-bound
-driver.
+driver.  ``fig67_tree_multiplicity`` times Figs. 6-7's exhaustive table
+from the exact merge-cost histogram against the retired loop that
+builds and scores every preorder tree.
 """
 
 from __future__ import annotations
@@ -42,14 +44,17 @@ from repro.baselines.dyadic import DyadicParams, dyadic_cost, paper_beta
 from repro.core.bounds import online_ratio_bound, online_ratio_bound_applies
 from repro.core.fibonacci import PHI
 from repro.core.full_cost import optimal_full_cost
+from repro.core.offline import enumerate_optimal_trees
 from repro.core.online import online_full_cost
 from repro.experiments import ExperimentResult
 from repro.experiments import fig1_delay_savings as fig1
 from repro.experiments import fig9_online_ratio as fig9
 from repro.experiments import policy_comparison as fig12
+from repro.experiments import worked_examples as fig67
 from repro.experiments.fig1_delay_savings import fig1_spec, run_fig1
 from repro.experiments.fig9_online_ratio import run_fig9
 from repro.experiments.policy_comparison import comparison_spec, run_fig12
+from repro.experiments.worked_examples import run_fig67
 from repro.sweeps import SweepCache, run_sweep
 
 from conftest import timeit_best, write_bench_json
@@ -158,6 +163,15 @@ def run_fig12_reference(
     return _run_comparison_reference("poisson", L, lambdas, horizon_media, seeds)
 
 
+def run_fig67_reference(n_enum_max: int = 10) -> List[ExperimentResult]:
+    """Figs. 6-7, every preorder tree built and scored per point."""
+    rows = []
+    for n in range(2, n_enum_max + 1):
+        trees = enumerate_optimal_trees(n)
+        rows.append((n, len(trees), int(trees[0].merge_cost())))
+    return fig67._fig67_tables(rows)
+
+
 def _rows(results) -> List:
     return [list(map(tuple, res.rows)) for res in results]
 
@@ -186,6 +200,11 @@ def test_fig12_sweep_smoke(benchmark):
     kwargs = dict(L=50, lambdas=(0.5, 2.0), horizon_media=10, seeds=(0,))
     fast = benchmark(run_fig12, **kwargs)
     _assert_rows_equal(fast, run_fig12_reference(**kwargs), "fig12")
+
+
+def test_fig67_sweep_smoke(benchmark):
+    fast = benchmark(run_fig67, n_enum_max=8)
+    _assert_rows_equal(fast, run_fig67_reference(n_enum_max=8), "fig6-7")
 
 
 def test_fig1_cache_smoke(tmp_path, benchmark):
@@ -229,6 +248,12 @@ def run_bench() -> Dict:
         _assert_rows_equal(fast_res, ref_res, name)
         rows.append(_case(name, points, ref_s, fast_s))
 
+    # -- exhaustive tree table: cost histogram vs Catalan enumeration -------
+    ref_s, ref_res = timeit_best(run_fig67_reference, repeats=3)
+    fast_s, fast_res = timeit_best(run_fig67, repeats=3)
+    _assert_rows_equal(fast_res, ref_res, "fig6-7")
+    rows.append(_case("fig67_tree_multiplicity", 9, ref_s, fast_s))
+
     # -- simulation-bound driver: kernel + closed-form DG -------------------
     ref_s, ref_res = timeit_best(run_fig12_reference, repeats=1)
     fast_s, fast_res = timeit_best(run_fig12, repeats=2)
@@ -265,8 +290,10 @@ def run_bench() -> Dict:
             "paper-scale default parameters.  Best-of-k wall clock; "
             "every pair asserts row-identical tables in-run.  The "
             "_cached case re-renders from a warm content-hash artifact "
-            "cache (zero dirty points).  Floor: >= 10x on at least two "
-            "figure drivers."
+            "cache (zero dirty points).  fig67_tree_multiplicity counts "
+            "the optimal trees from the exact merge-cost histogram "
+            "instead of enumerating all C(n-1) preorder trees.  Floor: "
+            ">= 10x on at least two figure drivers."
         ),
         "benchmarks": rows,
     }

@@ -1,12 +1,20 @@
-"""Argparse value types shared by the ``fleet``, ``live`` and ``burnin``
-front ends, so a malformed number exits 2 before any work runs."""
+"""Argparse value types shared by the experiment, ``fleet``, ``live`` and
+``burnin`` front ends, so a malformed number or an unusable output path
+exits 2 before any work runs."""
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 
-__all__ = ["positive_float", "positive_int"]
+__all__ = [
+    "positive_float",
+    "positive_int",
+    "non_negative_int",
+    "output_dir",
+    "output_file",
+]
 
 
 def positive_float(text: str) -> float:
@@ -20,12 +28,56 @@ def positive_float(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    """A count: a whole number >= 1."""
+def _whole_number(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """A count: a whole number >= 1."""
+    value = _whole_number(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
+
+
+def non_negative_int(text: str) -> int:
+    """A seed or a worker count: a whole number >= 0."""
+    value = _whole_number(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _unusable_dir(path: str) -> str:
+    """Why ``path`` cannot be (made into) a directory to write in; "" if
+    it can.  Nothing is created: the nearest existing ancestor must be a
+    writable directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe) and os.path.dirname(probe) != probe:
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        return f"{probe} is not a directory"
+    if not os.access(probe, os.W_OK | os.X_OK):
+        return f"{probe} is not writable"
+    return ""
+
+
+def output_dir(text: str) -> str:
+    """A directory to write into: an existing one, or one that can be made."""
+    reason = _unusable_dir(text)
+    if reason:
+        raise argparse.ArgumentTypeError(f"cannot write under {text!r}: {reason}")
+    return text
+
+
+def output_file(text: str) -> str:
+    """A report file to write: not a directory, in a usable directory."""
+    if not os.path.basename(text) or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: not a file path")
+    reason = _unusable_dir(os.path.dirname(os.path.abspath(text)))
+    if reason:
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {reason}")
+    return text

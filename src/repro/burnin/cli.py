@@ -17,7 +17,7 @@ import argparse
 import time
 from typing import List, Optional
 
-from ..argtypes import positive_float, positive_int
+from ..argtypes import non_negative_int, output_file, positive_float, positive_int
 from .soak import SoakConfig, run_soak
 
 __all__ = ["burnin_main"]
@@ -38,13 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--episodes", type=positive_int,
                         default=defaults.episodes,
                         help=f"soak episodes (default {defaults.episodes})")
-    parser.add_argument("--seed", type=int, default=defaults.seed,
+    parser.add_argument("--seed", type=non_negative_int, default=defaults.seed,
                         help="base seed; same seed, same evidence report, "
                         "byte for byte (default 0)")
     parser.add_argument("--objects", type=positive_int,
                         default=defaults.objects,
                         help=f"catalog size per episode (default {defaults.objects})")
-    parser.add_argument("--workers", type=int, default=defaults.workers,
+    parser.add_argument("--workers", type=non_negative_int,
+                        default=defaults.workers,
                         help="worker processes for sharded episodes "
                         f"(default {defaults.workers}; worker-kill episodes "
                         "need >= 2)")
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=defaults.mean_interarrival_minutes,
                         help="global mean inter-arrival in minutes "
                         f"(default {defaults.mean_interarrival_minutes:g})")
-    parser.add_argument("--report", type=str, default=None, metavar="PATH",
+    parser.add_argument("--report", type=output_file, default=None, metavar="PATH",
                         help="write the JSON evidence report to PATH")
     parser.add_argument("--selftest-violation", action="store_true",
                         help="deliberately violate a contract in episode 0 "

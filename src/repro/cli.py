@@ -24,7 +24,9 @@ dispatched before the experiment parser runs.  Exit codes are
 contracts: ``fleet`` exits 4 when a standing fleet/admission invariant
 fails, ``burnin`` exits 3 on any soak violation, ``live`` exits 5 when
 a live invariant (fence, immutability, oracle equality) fails,
-experiments exit 4 when a reported table contains non-finite values.
+experiments exit 4 when a reported table contains non-finite values,
+and every front end exits 2 on a malformed number or an unusable output
+path, before any work runs (:mod:`repro.argtypes`).
 
 Each experiment prints the same rows/series the paper reports (see
 DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
@@ -40,6 +42,7 @@ import sys
 import time
 from typing import List, Optional
 
+from .argtypes import non_negative_int, output_dir
 from .experiments import all_experiments, get_experiment
 from .experiments.report import save_results
 from .sweeps import DEFAULT_CACHE_DIR, configure_sweeps
@@ -124,12 +127,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         nargs="?",
         const="results",
         default=None,
+        type=output_dir,
         metavar="DIR",
         help="also write <id>.txt and <id>.json under DIR (default: results/)",
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="shard sweep-point evaluation across N worker processes "
@@ -140,6 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         nargs="?",
         const=DEFAULT_CACHE_DIR,
         default=None,
+        type=output_dir,
         metavar="DIR",
         help="enable the sweep artifact cache under DIR (default: "
         f"{DEFAULT_CACHE_DIR}/); re-rendering after a parameter tweak "

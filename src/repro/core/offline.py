@@ -18,13 +18,16 @@ Fibonacci number the optimal tree is unique — the *Fibonacci merge tree*
 (Fig. 7).
 
 This module provides the closed forms (scalar and numpy-vectorised), the
-interval characterisation, the O(n) builder, and an exhaustive optimal-tree
-enumerator used to validate uniqueness/multiplicity claims (Figs. 6-7).
+interval characterisation, the O(n) builder, and the exhaustive tools
+behind the uniqueness/multiplicity claims of Figs. 6-7: an exact histogram
+of merge costs over every preorder tree (:func:`merge_cost_counts`, which
+counts without building a tree) and a brute-force tree enumerator, kept as
+its oracle and as the source of Fig. 6's two trees.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ __all__ = [
     "build_optimal_parent_array",
     "fibonacci_tree",
     "MAX_ENUMERATION_N",
+    "merge_cost_counts",
     "enumerate_merge_trees",
     "enumerate_optimal_trees",
     "count_optimal_trees",
@@ -220,13 +224,74 @@ def fibonacci_tree(k: int, start: int = 0) -> MergeTree:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (validation of Figs. 6-7 and Theorem 3)
 # ---------------------------------------------------------------------------
+#
+# Every merge tree with the preorder property over arrivals 0..n-1 splits
+# uniquely at its root's last child h (1 <= h <= n-1): a left part, the
+# tree over 0..h-1 under root 0, and a right part, the subtree over
+# h..n-1 rooted at h.  Conversely any pair of such trees joins back into
+# one, so there are C_{n-1} trees (Catalan).  ``enumerate_merge_trees``
+# builds them all; ``merge_cost_counts`` only counts them, per cost.
 
 
-#: Largest ``n`` the exhaustive enumerators accept.  ``C_12 = 208012``
-#: trees is the last size that enumerates in seconds; one step further
-#: quintuples the work, and nothing downstream needs it — optimal trees
-#: for any ``n`` come from the O(n) Theorem 7 builder / the DPs.
+#: Largest ``n`` the exhaustive tools accept.  ``C_12 = 208012`` trees is
+#: the last size that enumerates in seconds; one step further quintuples
+#: the work, and nothing downstream needs it — optimal trees for any ``n``
+#: come from the O(n) Theorem 7 builder / the DPs.
 MAX_ENUMERATION_N: int = 13
+
+
+def _check_enumerable(n: int) -> None:
+    """The one size limit of the exhaustive tools (same error for each)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_ENUMERATION_N:
+        raise ValueError(
+            f"exhaustive tree enumeration at n={n} would range over the "
+            f"Catalan number C_{n - 1} > 208012 candidate trees — an "
+            f"exponential blow-up; the cap is n <= {MAX_ENUMERATION_N}.  "
+            "For larger n use build_optimal_tree (Theorem 7, O(n)) or the "
+            "repro.core.dp programs, which cover every optimum without "
+            "enumeration."
+        )
+
+
+def merge_cost_counts(n: int) -> Dict[int, int]:
+    """How many preorder merge trees over ``n`` arrivals have each merge cost.
+
+    Returns ``{cost: count}`` over all ``C_{n-1}`` trees
+    :func:`enumerate_merge_trees` yields, without building one.  With
+    ``H(1) = {0: 1}``, the split at the root's last child ``h`` gives
+
+        H(n)[a + b + 2n - h - 2] += H(h)[a] * H(n - h)[b],   h = 1 .. n-1,
+
+    the cost recurrence of Eq. (5) carried over whole distributions.  It
+    is exact because ``Mcost`` sums ``2 z - x - p`` over non-root nodes
+    (``z`` the last descendant, ``p`` the parent):
+
+    * a left-part node keeps its subtree and its parent, so its ``z`` and
+      ``p`` are unchanged and the left part contributes its own cost ``a``;
+    * a right-part node's term is invariant under translation, so the
+      right part, shifted by ``h``, contributes its own cost ``b``;
+    * node ``h`` itself has ``z = n - 1`` and ``p = 0``: it contributes
+      ``2(n - 1) - h - 0``.
+
+    So each tree is counted exactly once, at its exact integer cost (Python
+    ints throughout).  Same size limit and error as the enumerator
+    (:data:`MAX_ENUMERATION_N`), although ``n = 13`` takes milliseconds.
+    """
+    _check_enumerable(n)
+    hist: List[Dict[int, int]] = [{}, {0: 1}]
+    for size in range(2, n + 1):
+        counts: Dict[int, int] = {}
+        for h in range(1, size):
+            shift = 2 * size - h - 2
+            right = hist[size - h].items()
+            for a, ca in hist[h].items():
+                for b, cb in right:
+                    cost = a + b + shift
+                    counts[cost] = counts.get(cost, 0) + ca * cb
+        hist.append(counts)
+    return hist[n]
 
 
 def enumerate_merge_trees(n: int, start: int = 0) -> Iterator[MergeTree]:
@@ -234,18 +299,10 @@ def enumerate_merge_trees(n: int, start: int = 0) -> Iterator[MergeTree]:
 
     These are exactly the candidates for optimality ([6] shows every optimal
     tree has the preorder property).  The count is the Catalan number
-    ``C_{n-1}``, so ``n`` is capped at :data:`MAX_ENUMERATION_N`.
+    ``C_{n-1}``, so ``n`` is capped at :data:`MAX_ENUMERATION_N`.  The
+    brute-force oracle of :func:`merge_cost_counts`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"enumerate_merge_trees(n={n}) would generate the Catalan "
-            f"number C_{n - 1} > 208012 candidate trees — an exponential "
-            f"blow-up; the cap is n <= {MAX_ENUMERATION_N}.  For larger n "
-            "use build_optimal_tree (Theorem 7, O(n)) or the repro.core.dp "
-            "programs, which cover every optimum without enumeration."
-        )
+    _check_enumerable(n)
 
     def gen(offset: int, size: int) -> Iterator[MergeNode]:
         if size == 1:
@@ -287,5 +344,9 @@ def enumerate_optimal_trees(n: int, start: int = 0) -> List[MergeTree]:
 
 
 def count_optimal_trees(n: int) -> int:
-    """Number of distinct optimal merge trees for ``n`` arrivals (small n)."""
-    return len(enumerate_optimal_trees(n))
+    """Number of distinct optimal merge trees for ``n`` arrivals (small n).
+
+    Read off the cost histogram: the count at its smallest cost.
+    """
+    counts = merge_cost_counts(n)
+    return counts[min(counts)]

@@ -97,7 +97,10 @@ def fig67_spec(n_enum_max: int = 10) -> SweepSpec:
 )
 def run_fig67(n_enum_max: int = 10) -> List[ExperimentResult]:
     sweep = run_sweep(fig67_spec(n_enum_max))
-    rows = sweep.rows("n", "count", "m")
+    return _fig67_tables(sweep.rows("n", "count", "m"), sweep.columns_json())
+
+
+def _fig67_tables(rows, columns=None) -> List[ExperimentResult]:
     res_counts = ExperimentResult(
         title="Number of optimal merge trees by n (exhaustive)",
         headers=("n", "# optimal trees", "M(n)"),
@@ -106,7 +109,7 @@ def run_fig67(n_enum_max: int = 10) -> List[ExperimentResult]:
             "n = 4 has exactly two optimal trees (Fig. 6); Fibonacci n "
             "(2, 3, 5, 8, ...) have exactly one (Fig. 7).",
         ],
-        columns=sweep.columns_json(),
+        columns=columns,
     )
     renders = []
     for k in (4, 5, 6, 7):  # F_k = 3, 5, 8, 13

@@ -16,7 +16,7 @@ import argparse
 import time
 from typing import List, Optional
 
-from ..argtypes import positive_float, positive_int
+from ..argtypes import non_negative_int, output_dir, positive_float, positive_int
 from ..multiplex.catalog import Catalog
 from ..scale.columnar import is_store
 from ..scale.kernels import configure_backend
@@ -49,6 +49,11 @@ def _budget_list(text: str) -> List[int]:
     return budgets
 
 
+def _store_dir(text: str) -> str:
+    """An existing store (read, never written) or a spool parent."""
+    return text if is_store(text) else output_dir(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -72,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", choices=FLEET_POLICIES,
                         default="batched-dyadic",
                         help="serving policy (default batched-dyadic)")
-    parser.add_argument("--workers", type=int, default=0,
+    parser.add_argument("--workers", type=non_negative_int, default=0,
                         help="worker processes (default 0 = in-process)")
-    parser.add_argument("--store", type=str, default=None, metavar="DIR",
+    parser.add_argument("--store", type=_store_dir, default=None, metavar="DIR",
                         help="ship the workload out-of-core through an "
                         "on-disk columnar store: an existing store dir "
                         "(repro.scale.columnar) is read directly; any "
@@ -85,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="kernel backend (default auto: numba when "
                         "installed, else the contract-equal numpy "
                         "fallback)")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
+    parser.add_argument("--seed", type=non_negative_int, default=7,
+                        help="workload seed")
     parser.add_argument("--budgets", type=_budget_list, default=None,
                         help="comma-separated channel budgets for the "
                         "capacity frontier (default: derived from the run)")

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..argtypes import positive_float, positive_int
+from ..argtypes import non_negative_int, output_file, positive_float, positive_int
 from ..fleet.runner import run_fleet
 from ..fleet.scenarios import SCENARIOS, scenario_workload
 from ..multiplex.catalog import Catalog
@@ -67,12 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="serving policy (default batched-dyadic)")
     parser.add_argument("--mean-interarrival", type=positive_float, default=0.2,
                         help="global mean inter-arrival in minutes (default 0.2)")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
+    parser.add_argument("--seed", type=non_negative_int, default=7,
+                        help="workload seed")
     parser.add_argument("--accel", type=positive_float, default=None, metavar="X",
                         help="pace ingestion at X simulated minutes per "
                         "wall-clock second (default: no pacing)")
-    parser.add_argument("--report", type=str, default=None, metavar="PATH",
-                        help="write the JSON live report to PATH")
+    parser.add_argument("--report", type=output_file, default=None, metavar="PATH",
+                        help="write the JSON live report (the drained "
+                        "report, with --smoke) to PATH")
     parser.add_argument("--smoke", action="store_true",
                         help="CI acceptance soak: accelerated diurnal day, "
                         "mid-run checkpoint/restore, injected worker kill "
@@ -117,10 +119,15 @@ def live_main(argv: Optional[List[str]] = None) -> int:
 
     contracts = check_live_report(report, catalog, workload=workload)
     print(contracts.render())
-    if args.report:
-        Path(args.report).write_text(report.to_json())
-        print(f"wrote {args.report}")
+    _write_report(report, args.report)
     return 0 if contracts.ok else EXIT_LIVE_VIOLATION
+
+
+def _write_report(report, path: Optional[str]) -> None:
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(report.to_json())
+        print(f"wrote {path}")
 
 
 def _smoke(args) -> int:
@@ -201,6 +208,7 @@ def _smoke(args) -> int:
     check(diff is None,
           f"daemon == sharded oracle across worker kill ({diff or 'exact'})")
 
+    _write_report(report, args.report)
     if failures:
         print(f"live smoke: {len(failures)} failure(s)")
         return EXIT_LIVE_VIOLATION

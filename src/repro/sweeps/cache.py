@@ -12,12 +12,13 @@ cache hit returns bit-identical metrics to a fresh evaluation.  Writes go
 through a temp file + rename, making concurrent sweeps over one cache
 directory safe (last writer wins with an intact artifact either way).
 
-Robustness contract: a torn, truncated, garbage, wrong-schema or
-key-mismatched artifact is **quarantined** — moved to
-``<root>/quarantine/`` and counted both in :attr:`SweepCache.quarantined`
-and as a miss — and the engine recomputes the point.  Artifact
-corruption can degrade cache performance, never correctness, and never
-raises out of :meth:`SweepCache.get`.
+Robustness contract: a torn, truncated, garbage, too deeply nested,
+wrong-schema or key-mismatched artifact, one whose integers exceed the
+parser's digit limit, or one that lacks a metric the caller expects, is
+**quarantined** — moved to ``<root>/quarantine/`` and counted both in
+:attr:`SweepCache.quarantined` and as a miss — and the engine recomputes
+the point.  Artifact corruption can degrade cache performance, never
+correctness, and never raises out of :meth:`SweepCache.get`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 __all__ = ["SweepCache", "ARTIFACT_SCHEMA", "DEFAULT_CACHE_DIR", "QUARANTINE_DIR"]
 
@@ -63,14 +64,19 @@ class SweepCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict[str, object]]:
+    def get(
+        self, key: str, metrics: Sequence[str] = ()
+    ) -> Optional[Dict[str, object]]:
         """The cached metrics dict, or None on a miss.
 
-        An unreadable or invalid artifact — torn bytes, invalid JSON,
-        wrong schema, non-scalar metrics, or a payload recorded under a
-        different key — is moved to ``<root>/quarantine/`` and counted
-        as both ``quarantined`` and a miss; the engine then recomputes
-        the point and ``put`` writes a fresh artifact in its place.
+        An unreadable or invalid artifact — torn bytes, JSON the parser
+        rejects (malformed, nested past its recursion limit, or an
+        integer past its digit limit), wrong schema, non-scalar metrics,
+        a payload recorded under a different key, or one missing any of
+        the expected ``metrics`` names — is moved to
+        ``<root>/quarantine/`` and counted as both ``quarantined`` and a
+        miss; the engine then recomputes the point and ``put`` writes a
+        fresh artifact in its place.
         """
         path = self.path(key)
         try:
@@ -87,13 +93,13 @@ class SweepCache:
             self._quarantine(path)
             self.misses += 1
             return None
-        metrics = _validated_metrics(text, key)
-        if metrics is None:
+        found = _validated_metrics(text, key, metrics)
+        if found is None:
             self._quarantine(path)
             self.misses += 1
             return None
         self.hits += 1
-        return metrics
+        return found
 
     def put(self, key: str, metrics: Dict[str, object]) -> None:
         for name, value in metrics.items():
@@ -152,7 +158,9 @@ class SweepCache:
         return sum(1 for p in self.root.rglob("*.json") if p.parent != qdir)
 
 
-def _validated_metrics(text: str, key: str) -> Optional[Dict[str, object]]:
+def _validated_metrics(
+    text: str, key: str, expected: Sequence[str]
+) -> Optional[Dict[str, object]]:
     """Parse and validate one artifact; None means quarantine it.
 
     ``payload.get("key", key)`` lets pre-``key`` artifacts (written
@@ -161,7 +169,9 @@ def _validated_metrics(text: str, key: str) -> Optional[Dict[str, object]]:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # ValueError covers malformed JSON and integer literals past the
+        # interpreter's digit limit; deep nesting overflows the parser.
         return None
     if not isinstance(payload, dict) or payload.get("schema") != ARTIFACT_SCHEMA:
         return None
@@ -171,6 +181,8 @@ def _validated_metrics(text: str, key: str) -> Optional[Dict[str, object]]:
     if not isinstance(metrics, dict):
         return None
     if any(not isinstance(v, _SCALARS) for v in metrics.values()):
+        return None
+    if any(name not in metrics for name in expected):
         return None
     return metrics
 

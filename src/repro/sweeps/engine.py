@@ -201,7 +201,7 @@ def run_sweep(
         for i, key in enumerate(keys):
             if key is None:
                 continue
-            got = cache.get(key)
+            got = cache.get(key, spec.metrics)
             if got is None:
                 misses += 1
             else:

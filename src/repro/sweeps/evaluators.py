@@ -447,7 +447,13 @@ def general_offline_point(
 
 
 def tree_multiplicity_point(*, n: int) -> Dict[str, object]:
-    from ..core.offline import enumerate_optimal_trees
+    """Optimal merge trees over ``n`` arrivals: how many, and their cost.
 
-    trees = enumerate_optimal_trees(n)
-    return {"count": len(trees), "m": int(trees[0].merge_cost())}
+    Both come from the exact merge-cost histogram over all ``C_{n-1}``
+    preorder trees (:func:`repro.core.offline.merge_cost_counts`), so no
+    tree is built.  ``m`` is the histogram's own minimum, not Eq. (6), so
+    the table's M(n) column still checks the closed form independently.
+    """
+    counts = offline.merge_cost_counts(n)
+    m = min(counts)
+    return {"count": counts[m], "m": m}

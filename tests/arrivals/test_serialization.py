@@ -18,7 +18,7 @@ from repro.arrivals.serialization import (
     trace_to_json,
 )
 
-from tests.conftest import increasing_times
+from tests.conftest import fuzz_examples, increasing_times
 
 
 class TestRoundTrip:
@@ -257,7 +257,7 @@ def payload_dicts(draw):
 
 
 class TestPayloadFuzz:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=fuzz_examples(500), deadline=None)
     @given(st.one_of(payload_dicts(), _json_values))
     def test_equal_round_trip_or_value_error(self, payload):
         try:

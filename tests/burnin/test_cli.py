@@ -12,6 +12,9 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: an output path under a regular file: no directory can be made there
+UNUSABLE = os.path.join(os.devnull, "out")
+
 
 def _run(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -46,6 +49,9 @@ class TestBurninCli:
             ("--horizon", "nan"),
             ("--delay", "inf"),
             ("--mean-interarrival", "nan"),
+            ("--seed", "-1"),
+            ("--workers", "-3"),
+            ("--report", os.path.join(UNUSABLE, "soak.json")),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
@@ -93,14 +99,20 @@ class TestFleetCli:
             ("--objects", "0"),
             ("--duration", "0"),
             ("--mean-interarrival", "0"),
+            ("--seed", "-1"),
+            ("--workers", "-3"),
+            ("--store", UNUSABLE),
         ],
     )
-    def test_bad_numbers_exit_two_before_running(self, flag, value):
-        proc = _run("fleet", "--objects", "6", flag, value)
-        assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert flag in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""  # rejected before the fleet ran
+    def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--objects", "6", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""  # rejected before the fleet ran
 
 
 class TestExperimentsCli:
@@ -112,6 +124,34 @@ class TestExperimentsCli:
         proc = _run("list")
         assert proc.returncode == 0
         assert "Available experiments" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--workers", "-3"),
+            ("--save", UNUSABLE),
+            ("--cache", UNUSABLE),
+        ],
+    )
+    def test_bad_values_exit_two_before_running(self, flag, value, capsys):
+        """A bad output path used to raise after the experiment had run."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["table-full", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""  # rejected before the experiment ran
+
+    def test_zero_workers_and_new_output_dirs_accepted(self, tmp_path, capsys):
+        from repro.cli import main
+
+        save, cache = tmp_path / "a" / "saved", tmp_path / "b" / "cache"
+        argv = ["table-full", "--workers", "0", "--save", str(save), "--cache", str(cache)]
+        assert main(argv) == 0
+        assert (save / "table-full.json").exists()
+        assert "saved:" in capsys.readouterr().out
 
 
 class TestFiniteContractUnit:

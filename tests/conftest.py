@@ -6,9 +6,25 @@ import random
 from typing import List
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.merge_tree import MergeNode, MergeTree
+
+
+# ---------------------------------------------------------------------------
+# hypothesis profiles
+# ---------------------------------------------------------------------------
+
+#: ``make fuzz`` loads this profile (``--hypothesis-profile=fuzz``) to run
+#: the hostile-input fuzzers at a CI size of 10^4 examples each.
+settings.register_profile("fuzz", max_examples=10_000, deadline=None)
+
+
+def fuzz_examples(tier1: int) -> int:
+    """Example count of a hostile-input fuzzer: ``tier1`` in the tier-1
+    suite, the ``fuzz`` profile's count when that profile is loaded."""
+    return max(tier1, settings.default.max_examples)
 
 
 # ---------------------------------------------------------------------------

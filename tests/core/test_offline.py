@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -198,3 +201,46 @@ class TestEnumeration:
                     - 2
                 )
                 assert cost > offline.merge_cost(n), (n, h)
+
+
+def _catalan(k: int) -> int:
+    return comb(2 * k, k) // (k + 1)
+
+
+class TestMergeCostCounts:
+    """The exact cost histogram behind Figs. 6-7's exhaustive table."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_enumerated_histogram(self, n):
+        enumerated = Counter(t.merge_cost() for t in offline.enumerate_merge_trees(n))
+        assert offline.merge_cost_counts(n) == dict(enumerated)
+
+    def test_total_is_catalan_up_to_cap(self):
+        for n in range(1, offline.MAX_ENUMERATION_N + 1):
+            counts = offline.merge_cost_counts(n)
+            assert sum(counts.values()) == _catalan(n - 1), n
+            assert all(type(c) is int and type(v) is int for c, v in counts.items())
+
+    def test_minimum_is_eq6_and_eq5(self):
+        for n in range(1, offline.MAX_ENUMERATION_N + 1):
+            best = min(offline.merge_cost_counts(n))
+            assert best == offline.merge_cost(n) == dp.merge_cost(n), n
+
+    def test_optimal_count_factors_over_theorem3_intervals(self):
+        # An optimal tree splits at some h in I(n) into two optimal parts,
+        # and every such pair joins into one: count(n) sums over I(n).
+        count = {n: offline.count_optimal_trees(n) for n in range(1, offline.MAX_ENUMERATION_N + 1)}
+        assert count[1] == 1
+        for n in range(2, offline.MAX_ENUMERATION_N + 1):
+            total = sum(count[h] * count[n - h] for h in DP_SETS[n - 1])
+            assert count[n] == total, n
+
+    def test_same_cap_and_error_as_enumerator(self):
+        n = offline.MAX_ENUMERATION_N + 1
+        with pytest.raises(ValueError, match="Catalan") as hist_err:
+            offline.merge_cost_counts(n)
+        with pytest.raises(ValueError) as enum_err:
+            next(offline.enumerate_merge_trees(n))
+        assert str(hist_err.value) == str(enum_err.value)
+        with pytest.raises(ValueError):
+            offline.merge_cost_counts(0)

@@ -16,7 +16,7 @@ from repro.experiments.fig8_root_intervals import run_fig8
 from repro.experiments.fig9_online_ratio import run_fig9
 from repro.experiments.policy_comparison import compare_policies, run_fig11, run_fig12
 from repro.experiments.table_merge_cost import run_table_mn, run_table_mw
-from repro.experiments.worked_examples import run_fig3, run_fig67, run_table_full
+from repro.experiments.worked_examples import fig67_spec, run_fig3, run_fig67, run_table_full
 from repro.experiments.asymptotics import run_thm8, run_thm14, run_thm19
 from repro.experiments.ablations import (
     run_ablation_dyadic,
@@ -197,6 +197,16 @@ class TestWorkedExamples:
         assert by_n[4] == 2
         assert by_n[2] == by_n[3] == by_n[5] == by_n[8] == 1
         assert len(fib_res.notes) == 4
+
+    def test_fig67_spec_identity(self):
+        # The evaluator's module and name and the metric names feed every
+        # point's cache key: a rename would dirty each cached artifact.
+        spec = fig67_spec()
+        assert spec.evaluator_id == "repro.sweeps.evaluators.tree_multiplicity_point"
+        assert spec.metrics == ("count", "m")
+        assert spec.point_key({"n": 2}) == (
+            "7d91f1e47df40e483607420db6c3bec7418df3b43e898ddef2e485f38c32265e"
+        )
 
 
 class TestCLI:

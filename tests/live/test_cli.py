@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,8 @@ class TestLiveCli:
             ("--accel", "0"),
             ("--accel", "-1"),
             ("--accel", "inf"),
+            ("--seed", "-1"),
+            ("--report", os.path.join(os.devnull, "live.json")),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
@@ -86,3 +89,13 @@ class TestLiveSmoke:
         assert "checkpoint/restore replay identical" in out
         assert "worker kill fired" in out
         assert "all checks passed" in out
+
+    def test_smoke_writes_its_drained_report(self, tmp_path, capsys):
+        """``--report`` used to be ignored under ``--smoke``."""
+        path = tmp_path / "reports" / "smoke.json"
+        assert live_main(["--smoke", "--report", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == "repro.live-report.v1"
+        assert payload["totals"]["clients"] > 0 and payload["records"]
+        assert payload["config"]["epoch_minutes"] == 10.0  # the smoke's day

@@ -27,6 +27,7 @@ from repro.fastpath.incremental import IncrementalFlatForest
 from repro.fleet.scenarios import scenario_workload
 from repro.live import CHECKPOINT_SCHEMA, LIVE_POLICIES, LiveConfig, LiveDaemon
 from repro.multiplex.catalog import Catalog
+from tests.conftest import fuzz_examples
 
 DELAY = 1.5
 HORIZON = 120.0
@@ -535,7 +536,7 @@ def _open_values(draw, current, bound):
     return np.unique(values)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=fuzz_examples(300), deadline=None)
 @given(st.data())
 def test_fuzzed_open_window_restores_exactly_or_raises(epoch5_tokens, data):
     """Random float arrays re-encoded into ``open`` and ``last_push`` (ROADMAP
