@@ -19,9 +19,11 @@ policy + ``tree_from_parent_map`` forest reconstruction + per-client
 continuous verification pipeline.  "Fast" timings exercise
 ``fastpath.replay`` (per-level vectorised interval algebra),
 ``fastpath.dyadic`` (vectorised batch construction), and the production
-policy/verify stack.  Every timed pair asserts exact
-agreement — identical verification reports, node-for-node identical
-forests — in the same run.
+policy + flat forest reconstruction + batched replay (both policy
+pipelines place arrivals with the same ``DyadicOnline`` stack walk, so
+that row measures reconstruction and replay).  Every timed pair asserts
+exact agreement — identical verification reports, node-for-node
+identical forests — in the same run.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ def _assert_reports_equal(ref, fast) -> None:
 
 
 class _ObjectDyadicPolicy(Policy):
-    """The pre-refactor ImmediateDyadicPolicy: MergeNode stack walks."""
+    """ImmediateDyadicPolicy as it was before the flat refactor: the same
+    ``DyadicOnline`` placement, with the Lemma 1 extensions walked along
+    ``MergeNode`` parents."""
 
     uses_slots = False
 
@@ -160,7 +164,7 @@ def _reference_policy_pipeline(L: int, trace) -> float:
 
 
 def _flat_policy_pipeline(L: int, trace) -> float:
-    """Production stack: flat policy + flat forest + batched verify."""
+    """Production stack: event policy + flat forest + batched verify."""
     res = Simulation(L, trace, ImmediateDyadicPolicy(L)).run()
     verify_simulation(res, continuous=True).raise_if_failed()
     return res.metrics.total_units
@@ -331,8 +335,9 @@ def run_sweep() -> Dict:
             "Flat simulation engine: batched FlatForest replay verification "
             "vs per-client ReceivingProgram replay (and, continuous, vs the "
             "per-client interval replay on dyadic forests); vectorised "
-            "dyadic forest construction vs MergeNode recursion; flat policy "
-            "+ verify pipeline vs the object-walk pipeline.  Best-of-k wall clock; "
+            "dyadic forest construction vs MergeNode recursion; flat forest "
+            "reconstruction + batched replay vs the object pipeline (both "
+            "place arrivals with DyadicOnline).  Best-of-k wall clock; "
             "every pair asserts identical reports/forests/costs in-run.  "
             "scale_replay_walk rows time the backend-dispatched demand walk "
             "at 10^6/10^7 against the vectorised level walk (floor >= 3x "

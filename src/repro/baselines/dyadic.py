@@ -21,10 +21,10 @@ indices only decrease along time within a window, the algorithm is
 implementable on-line with a stack holding the current rightmost path
 (``DyadicOnline``); the batch recursion (:func:`dyadic_forest`) is the
 specification.  Both produce identical forests (tested).  Both build
-``MergeNode`` objects and serve as the *oracles* for the flat twins
-``fastpath.dyadic.dyadic_flat_forest`` and
-``fastpath.incremental.IncrementalFlatForest``, which the simulation
-policies, catalog provisioning sweeps and the live tier actually run on.
+``MergeNode`` objects: ``DyadicOnline`` places the arrivals of the event
+simulation's dyadic policies, and both are the *oracles* for the flat
+batch builder ``fastpath.dyadic.dyadic_flat_forest``, which the fleet
+engine, catalog provisioning sweeps and the live tier run on.
 
 Costs are the receive-two costs of the resulting merge forest: roots pay
 ``L``, a non-root ``v`` pays ``l(v) = 2 z(v) - v - p(v)`` (Lemma 1, valid

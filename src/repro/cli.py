@@ -150,14 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{DEFAULT_CACHE_DIR}/); re-rendering after a parameter tweak "
         "recomputes only dirty grid points",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="kernel backend for sweep-point evaluation (default auto: "
-        "numba when installed, else the contract-equal numpy fallback; "
-        "results are bit-identical either way)",
-    )
     args = parser.parse_args(argv)
 
     # `False` (not None) when the flag is absent: every `main()` call
@@ -166,7 +158,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_sweeps(
         workers=args.workers,
         cache=args.cache if args.cache is not None else False,
-        backend=args.backend,
     )
     if args.experiment == "list":
         _print_listing()

@@ -24,12 +24,10 @@ reference implementations in :mod:`repro.core` — the O(n^2)/O(n^3) DPs in
   builder :func:`~repro.fastpath.dyadic.dyadic_flat_forest`, with the
   recursive ``MergeNode`` construction of ``baselines.dyadic`` as oracle;
 * :mod:`repro.fastpath.incremental` —
-  :class:`~repro.fastpath.incremental.IncrementalFlatForest`, the one
-  flat dyadic stack machine (``DyadicOnline`` is its oracle), behind the
-  dyadic simulation policies and ``repro.live``: one-arrival pushes in
-  amortised O(log n), catalog-wide epoch batches that each tree is built
-  from once, when it commits, node-for-node equal to the batch
-  construction on every prefix;
+  :class:`~repro.fastpath.incremental.IncrementalFlatForest`, the open
+  dyadic windows behind ``repro.live``: catalog-wide epoch batches that
+  each tree is built from once, when it commits, node-for-node equal to
+  the batch construction on every prefix;
 * :mod:`repro.fastpath.replay` — batched replay verification of whole
   merge forests (Section 2 receiving programs, Lemma 1/17 tightness,
   Lemma 15 buffer peaks) as per-level vectorised interval algebra,

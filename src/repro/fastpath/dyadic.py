@@ -4,9 +4,8 @@ The recursive specification :func:`~repro.baselines.dyadic.dyadic_forest`
 and the stack machine :class:`~repro.baselines.dyadic.DyadicOnline` both
 materialise a :class:`~repro.core.merge_tree.MergeNode` per arrival, which
 makes the dyadic comparator the slowest per-object step in catalog
-provisioning runs (``fleet.run_fleet``) and in the dyadic simulation
-policies.  This module and :mod:`repro.fastpath.incremental` re-express
-both constructions on parent-index arrays:
+provisioning runs (``fleet.run_fleet``).  This module re-expresses the
+construction on parent-index arrays:
 
 * :func:`dyadic_flat_forest` — the batch construction, vectorised level
   by level.  A level splits every window into its dyadic interval runs
@@ -28,19 +27,17 @@ both constructions on parent-index arrays:
   forests in one pass (the fleet runner's shards): only root finding is
   per object, and even that runs one round of searches for all objects
   at a time.
-* :class:`~repro.fastpath.incremental.IncrementalFlatForest` — the one
-  flat incremental stack machine; ``push`` is the same O(amortised 1)
-  walk as ``DyadicOnline.push`` minus every ``MergeNode`` allocation, and
-  its catalog-wide epoch batches are built with the ragged form below,
-  each tree once, when it commits.
+* :class:`~repro.fastpath.incremental.IncrementalFlatForest` — the live
+  tier's open windows; its catalog-wide epoch batches are built with the
+  ragged form, each tree once, when it commits.
 
 Exactness contract (same shape as ``fastpath.general``): every interval
 classification evaluates the exact float expressions of the reference —
 ``g = (t - x) / (y - x)`` against a table of ``alpha ** (-i)`` powers
 computed by the *scalar* interpreter, and child windows
 ``x + (y - x) / alpha ** (i - 1)`` — so the resulting parent arrays are
-**bit-identical** to ``dyadic_forest`` / ``DyadicOnline`` on every input
-both accept, including arrivals exactly on interval edges or on the
+**bit-identical** to ``dyadic_forest`` and to the ``DyadicOnline``
+placements of the event policies on every input both accept, including arrivals exactly on interval edges or on the
 cutoff.  Phase 1 rests on one more fact: within a window ``g`` never
 decreases as ``t`` grows, under IEEE rounding too (subtracting a fixed
 number and dividing by a fixed positive one are both monotone), so the

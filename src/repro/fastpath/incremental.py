@@ -1,22 +1,15 @@
-"""Incremental flat merge forests: the one flat dyadic stack machine.
+"""Incremental flat merge forests: the live tier's ragged open windows.
 
-:class:`IncrementalFlatForest` is the one flat twin of the ``MergeNode``
-stack machine :class:`~repro.baselines.dyadic.DyadicOnline`.  The event
-policies (``simulation.policies``, ``simulation.hybrid``) push into a
-one-object forest and read :meth:`~IncrementalFlatForest.current_path`;
-the live tier holds a whole catalog in one forest — one stream length
-per object, arrivals laid end to end as in the ragged
-:func:`~repro.fastpath.dyadic.dyadic_flat_forest` — and batches, evicts
-and resumes it.  The batch builder assumes the full arrival sequence is
-available and rebuilds from scratch.  A long-running daemon needs three
-operations it does not provide:
+:class:`IncrementalFlatForest` holds a whole catalog's open windows in
+one forest — one stream length per object, arrivals laid end to end as in
+the ragged :func:`~repro.fastpath.dyadic.dyadic_flat_forest` — and
+batches, evicts and resumes it.  The batch builder assumes the full
+arrival sequence is available and rebuilds from scratch.  A long-running
+daemon needs three operations it does not provide:
 
-* **append-arrival** — :meth:`~IncrementalFlatForest.push` places one
-  strictly-later arrival with the rightmost-path walk of
-  ``DyadicOnline.push``, amortised O(log n);
-  :meth:`~IncrementalFlatForest.push_batch` appends an epoch's arrivals
-  for every object at once: it checks them and appends them to the
-  float64 open windows, and builds nothing;
+* **append-arrival** — :meth:`~IncrementalFlatForest.push_batch` appends
+  an epoch's arrivals for every object at once: it checks them and
+  appends them to the float64 open windows, and builds nothing;
 * **extend-stream** — nothing is kept current as arrivals land.  A
   node's parent and subtree maximum ``z`` (hence its Lemma 1 receive-two
   length ``2 z - x - p``) depend only on its own tree's members, so they
@@ -26,6 +19,10 @@ operations it does not provide:
   pops finished trees off the front of every object's window and builds
   them all with one ragged ``dyadic_flat_forest`` call, so live memory is
   O(open window), not O(history).
+
+One arrival at a time is placed by the ``MergeNode`` stack machine
+:class:`~repro.baselines.dyadic.DyadicOnline`, which the event policies
+run; both agree with the batch construction node for node (tested).
 
 Eviction contract.  A tree rooted at ``r`` can only change while an
 arrival ``t <= r + window`` may still arrive (later arrivals start new
@@ -51,12 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..baselines.dyadic import DyadicParams, check_stream_length, dyadic_interval_index
-from ..core.validation import check_finite_value, check_offsets, non_increasing_within
+from ..baselines.dyadic import DyadicParams, check_stream_length
+from ..core.validation import check_offsets, non_increasing_within
 from .dyadic import dyadic_flat_forest
 from .flat_forest import FlatForest
 
@@ -106,15 +103,6 @@ class CommittedTrees:
     cutoffs: np.ndarray
 
 
-class _StackEntry:
-    __slots__ = ("arrival", "cutoff", "last_child_interval")
-
-    def __init__(self, arrival: float, cutoff: float, last_child_interval: Optional[int]):
-        self.arrival = arrival
-        self.cutoff = cutoff
-        self.last_child_interval = last_child_interval
-
-
 class IncrementalFlatForest:
     """Dyadic merge forests that grow at the right and shrink at the left.
 
@@ -137,8 +125,7 @@ class IncrementalFlatForest:
         self._window = params.beta * lengths
         m = lengths.size
         # Live arrivals, objects end to end: object k is
-        # _values[_bounds[k]:_bounds[k + 1]].  push keeps spare capacity
-        # past the end so that it appends in amortised O(1).
+        # _values[_bounds[k]:_bounds[k + 1]].
         self._values = np.empty(0, dtype=np.float64)
         self._bounds = np.zeros(m + 1, dtype=np.intp)
         self._evicted = np.zeros(m, dtype=np.int64)
@@ -146,9 +133,6 @@ class IncrementalFlatForest:
         self._watermark = np.full(m, -math.inf)
         #: newest value pushed (-inf: nothing yet).
         self._last = np.full(m, -math.inf)
-        # Rightmost path of a one-object forest's newest tree (the only
-        # tree that can grow); None after a batch until a push needs it.
-        self._stack: Optional[List[_StackEntry]] = []
 
     # -- queries ---------------------------------------------------------------
 
@@ -182,20 +166,17 @@ class IncrementalFlatForest:
         out[has] = self._values[lo[has]] + self._window[has]
         return out
 
-    def _live(self) -> np.ndarray:
-        return self._values[: self._bounds[-1]]
-
     def open_window(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(live arrivals, offsets, evicted, watermark, last push)``.
 
         Everything :meth:`resume` needs to rebuild this forest exactly:
-        the live nodes' parents, ``z`` and the rightmost-path stack are
-        functions of the live arrivals alone.  Arrivals are laid out
-        objects end to end (``offsets``); the other three have one entry
-        per object, ``-inf`` meaning none.
+        the live nodes' parents and ``z`` are functions of the live
+        arrivals alone.  Arrivals are laid out objects end to end
+        (``offsets``); the other three have one entry per object,
+        ``-inf`` meaning none.
         """
         return (
-            self._live().copy(),
+            self._values.copy(),
             self._bounds.copy(),
             self._evicted.copy(),
             self._watermark.copy(),
@@ -245,8 +226,8 @@ class IncrementalFlatForest:
         """Rebuild a forest from :meth:`open_window` output.
 
         Eviction pops whole trees only, so each object's live remainder
-        starts at a tree root; parents, ``z`` and the stack follow from
-        the arrivals.  The open windows are built once here, so a window
+        starts at a tree root; parents and ``z`` follow from the
+        arrivals.  The open windows are built once here, so a window
         the dyadic builder refuses raises now.  Inconsistent state raises
         ``ValueError`` naming the object.
         """
@@ -277,7 +258,6 @@ class IncrementalFlatForest:
         forest._evicted = evicted.astype(np.int64)
         forest._watermark = watermark.copy()
         forest._last = last_push.copy()
-        forest._stack = None if ts.size else []
         forest.live_forest()  # the builder's own checks, once
         return forest
 
@@ -288,83 +268,13 @@ class IncrementalFlatForest:
         the ragged ``dyadic_flat_forest`` lays them out, with current
         ``z`` (final for every tree but each object's newest).
         """
-        live = self._live()
-        if not live.size:
+        if not self._values.size:
             return None
-        return dyadic_flat_forest(live.copy(), self._lengths, self.params, offsets=self._bounds)
+        return dyadic_flat_forest(
+            self._values.copy(), self._lengths, self.params, offsets=self._bounds
+        )
 
     # -- append ----------------------------------------------------------------
-
-    def _one_object(self) -> None:
-        if self._lengths.size != 1:
-            raise ValueError("push and current_path need a one-object forest")
-
-    def _check_push(self, t: float) -> None:
-        check_finite_value(t, what="arrival")
-        last = self._last[0]
-        if t <= last:
-            raise ValueError(f"arrivals must be strictly increasing: {t} after {float(last)}")
-        watermark = self._watermark[0]
-        if t <= watermark:
-            raise RuntimeError(
-                f"arrival {t} at or below the committed watermark "
-                f"{float(watermark)}: a committed tree would have to change"
-            )
-
-    def push(self, t: float) -> int:
-        """Place one arrival on a one-object forest; returns its node id.
-
-        The ``DyadicOnline.push`` rightmost-path walk: the new node's
-        parent is decided here, and :meth:`current_path` reads it.
-        """
-        self._one_object()
-        self._check_push(t)
-        if self._stack is None:
-            self._rebuild_stack()
-        n = int(self._bounds[1])
-        if n == self._values.size:  # grow the buffer, doubling
-            grown = np.empty(max(2 * n, 16), dtype=np.float64)
-            grown[:n] = self._values
-            self._values = grown
-        self._values[n] = t
-        self._bounds[1] = n + 1
-        self._last[0] = t
-        node = int(self._evicted[0]) + n
-        stack = self._stack
-        if not stack or t > stack[0].cutoff:
-            self._stack = [_StackEntry(t, t + float(self._window[0]), None)]
-            return node
-        alpha = self.params.alpha
-        depth = 0
-        while True:
-            entry = stack[depth]
-            idx = dyadic_interval_index(t, entry.arrival, entry.cutoff, alpha)
-            if entry.last_child_interval is not None and idx == entry.last_child_interval:
-                depth += 1  # inside the current last child's window
-                continue
-            if entry.last_child_interval is not None and idx > entry.last_child_interval:
-                raise AssertionError(
-                    "dyadic interval index increased along time — "
-                    "ordering invariant broken"
-                )
-            span = entry.cutoff - entry.arrival
-            hi = entry.arrival + span / alpha ** (idx - 1)
-            entry.last_child_interval = idx
-            del stack[depth + 1 :]
-            stack.append(_StackEntry(t, hi, None))
-            return node
-
-    def extend(self, arrivals: Sequence[float]) -> None:
-        for t in arrivals:
-            self.push(t)
-
-    def current_path(self) -> Tuple[float, ...]:
-        """Arrivals along the rightmost path, root first: the receiving
-        path of the most recently pushed node."""
-        self._one_object()
-        if self._stack is None:
-            self._rebuild_stack()
-        return tuple(e.arrival for e in self._stack)
 
     def push_batch(
         self,
@@ -415,54 +325,9 @@ class IncrementalFlatForest:
                 f"arrival {float(first[j])} at or below the committed watermark "
                 f"{float(self._watermark[got[j]])}: a committed tree would have to change"
             )
-        self._values, self._bounds = _ragged_extend(self._live(), self._bounds, ts, offsets)
+        self._values, self._bounds = _ragged_extend(self._values, self._bounds, ts, offsets)
         self._last[got] = ts[offsets[got + 1] - 1]
-        self._stack = None  # rebuilt if a push follows
         return int(ts.size)
-
-    def _rebuild_stack(self) -> None:
-        """Recompute a one-object forest's rightmost-path stack.
-
-        Builds the newest tree from its members and walks root -> last
-        child, re-deriving each entry's cutoff and
-        ``last_child_interval`` with the exact scalar expressions
-        :meth:`push` uses, so later pushes continue bit-identically.
-        """
-        live = self._live()
-        if not live.size:
-            self._stack = []
-            return
-        window = float(self._window[0])
-        root = 0  # the newest root: walk the live window's roots
-        while True:
-            nxt = int(np.searchsorted(live, live[root] + window, side="right"))
-            if nxt >= live.size:
-                break
-            root = nxt
-        tree = dyadic_flat_forest(live[root:].copy(), self._lengths[0], self.params)
-        parent = tree.parent
-        # last child of each node, by arrival order (children have larger
-        # indices; the rightmost path is the chain of last children).
-        last_child = np.full(len(tree), -1, dtype=np.intp)
-        nonroot = np.nonzero(parent >= 0)[0]
-        last_child[parent[nonroot]] = nonroot  # later children overwrite
-        alpha = self.params.alpha
-        node = 0
-        arrival = float(tree.arrivals[0])
-        cutoff = arrival + window
-        stack = []
-        while True:
-            child = int(last_child[node])
-            if child < 0:
-                stack.append(_StackEntry(arrival, cutoff, None))
-                break
-            child_arrival = float(tree.arrivals[child])
-            idx = dyadic_interval_index(child_arrival, arrival, cutoff, alpha)
-            stack.append(_StackEntry(arrival, cutoff, idx))
-            span = cutoff - arrival
-            cutoff = arrival + span / alpha ** (idx - 1)
-            node, arrival = child, child_arrival
-        self._stack = stack
 
     # -- evict -----------------------------------------------------------------
 
@@ -477,7 +342,7 @@ class IncrementalFlatForest:
         numbers (numpy orders them lexicographically, comparing exact
         floats), as the ragged builder finds roots.
         """
-        ts = self._live()
+        ts = self._values
         bounds = self._bounds
         m = self.objects
         end = bounds[:-1].copy()
@@ -527,13 +392,11 @@ class IncrementalFlatForest:
         take = np.repeat(
             np.tile([True, False], lo.size), np.column_stack((end - lo, hi - end)).ravel()
         )
-        values, offsets, rest, bounds = _ragged_split(self._live(), self._bounds, take)
+        values, offsets, rest, bounds = _ragged_split(self._values, self._bounds, take)
         # build before touching the state: a window the builder refuses
         # leaves the forest as it was
         forest = dyadic_flat_forest(values, self._lengths, self.params, offsets=offsets)
         self._values, self._bounds = rest, bounds
         self._evicted += np.diff(offsets)
         self._watermark = np.maximum(self._watermark, cutoffs)
-        if not rest.size:
-            self._stack = []  # the open trees themselves were committed
         return CommittedTrees(forest, offsets, trees, cutoffs)

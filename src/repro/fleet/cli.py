@@ -18,8 +18,7 @@ from typing import List, Optional
 
 from ..argtypes import non_negative_int, output_dir, positive_float, positive_int
 from ..multiplex.catalog import Catalog
-from ..scale.columnar import is_store
-from ..scale.kernels import configure_backend
+from ..scale.columnar import ColumnarStore, StoreError, is_store
 from .capacity import (
     admission_report,
     capacity_frontier,
@@ -50,8 +49,15 @@ def _budget_list(text: str) -> List[int]:
 
 
 def _store_dir(text: str) -> str:
-    """An existing store (read, never written) or a spool parent."""
-    return text if is_store(text) else output_dir(text)
+    """An existing store whose index and segment length check out (read,
+    never written), or a spool parent."""
+    if not is_store(text):
+        return output_dir(text)
+    try:
+        ColumnarStore(text).close()
+    except StoreError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(repro.scale.columnar) is read directly; any "
                         "other DIR is used as a spool parent (removed "
                         "after the run)")
-    parser.add_argument("--backend", choices=("auto", "numpy", "numba"),
-                        default="auto",
-                        help="kernel backend (default auto: numba when "
-                        "installed, else the contract-equal numpy "
-                        "fallback)")
     parser.add_argument("--seed", type=non_negative_int, default=7,
                         help="workload seed")
     parser.add_argument("--budgets", type=_budget_list, default=None,
@@ -106,9 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def fleet_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    backend = configure_backend(args.backend)
-    if args.backend != "auto":
-        print(f"kernel backend: {backend}")
     catalog = Catalog.zipf(
         args.objects, duration_minutes=args.duration, exponent=args.exponent
     )

@@ -32,7 +32,7 @@ wins, and the batched kernel evaluates it directly:
   (:func:`~repro.fastpath.general.optimal_flat_forest_general`);
 * ``batched-dyadic`` — the (alpha, beta)-dyadic forest over served slot
   ends (:func:`~repro.fastpath.dyadic.dyadic_flat_forest`, bit-identical
-  to the ``IncrementalFlatForest`` pushes the event policy performs);
+  to the ``DyadicOnline`` pushes the event policy performs);
 * ``immediate-dyadic`` — the dyadic forest over the raw arrival times;
 * ``pure-batching`` / ``unicast`` — every served slot end / every
   arrival is a root of length ``L``.
@@ -627,8 +627,8 @@ def simulate_segmented(
     at mode entry (the mode-exit cut is a preorder prefix, so its ``z``
     values already encode that extensions stopped), dyadic segments are
     the (alpha, beta)-dyadic forest over the segment's *served* slot ends
-    (exact because the event policy starts a fresh
-    ``IncrementalFlatForest`` at every dyadic mode entry).  Per-segment
+    (exact because the event policy starts a fresh ``DyadicOnline`` at
+    every dyadic mode entry).  Per-segment
     forests concatenate into one flat forest: labels stay strictly
     increasing and no tree spans a segment boundary, so global ``z``
     values equal the per-segment ones.

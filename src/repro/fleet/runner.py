@@ -16,19 +16,16 @@ stream interval arrays (O(streams), not O(requests)); per-client arrays
 never leave the worker, and results are folded into the report as they
 stream back — a shard holds at most max(:data:`SHARD_ARRIVALS`, largest
 object) arrivals, so a 10^6-request catalog holds at most that many
-clients' arrays in memory at a time (per worker).  A generated object
-counts its expected arrivals, so its shard may hold a few more.
+clients' arrays in memory at a time (per worker).
 
 Workloads come in two forms:
 
 * an explicit per-object trace mapping (minutes), e.g. from
   :func:`repro.multiplex.split_requests` or the scenario library,
-  shipped to sharded workers as pickled float64 arrays — or, with
-  ``store=``, through an on-disk columnar store (the out-of-core route);
-* generated in-worker: each object draws its own Poisson trace with rate
-  ``global_rate * weight`` (the thinning property makes this the same
-  process as splitting one global stream) from a per-object seed spawned
-  off the base seed — the parent never materialises the global trace.
+  shipped to sharded workers as pickled float64 arrays;
+* a columnar store (``store=``, the out-of-core route): the explicit
+  mapping spooled to disk, or an existing store that workers read
+  directly, so the parent never materialises the workload.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from typing import (
 
 import numpy as np
 
-from ..arrivals.generators import poisson
 from ..arrivals.traces import ArrivalTrace
 from ..core.validation import non_increasing_within
 from ..multiplex.catalog import Catalog, MediaObject
@@ -438,21 +434,14 @@ def _shard_points(index: int, shard) -> List[tuple]:
     return [(entry[0], entry) for entry in shard[0]]
 
 
-def _shard_times(entries, mean_gap, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shard_times(entries, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(clean, repaired, offsets)``: a shard's arrival times end to end,
     through :func:`sanitize_times`."""
     columns: List[np.ndarray] = []
     releases: List[Tuple[columnar.ColumnarStore, StoreSlice]] = []
     try:
-        for _, obj, source in entries:
-            if isinstance(source, np.random.SeedSequence):
-                # In-worker thinned generation: this object's share of the
-                # global Poisson stream, from its own spawned SeedSequence
-                # (shipped whole — entropy alone would drop the spawn key
-                # and give every object the same stream).
-                rng = np.random.default_rng(source)
-                source = poisson(mean_gap / obj.weight, horizon, seed=rng).times
-            elif isinstance(source, StoreSlice):
+        for _, _, source in entries:
+            if isinstance(source, StoreSlice):
                 # Columnar store: attach once per process (cached) and take
                 # a zero-copy view; the pages go back once the shard's
                 # times are sanitized (a copy).
@@ -471,8 +460,8 @@ def _shard_times(entries, mean_gap, horizon) -> Tuple[np.ndarray, np.ndarray, np
 def _run_shard(shard) -> List[FleetObjectResult]:
     """Module-level worker entry (picklable for process pools): one
     engine pass over a shard of objects, folded per object."""
-    entries, mean_gap, delay, horizon, policy = shard
-    clean, repaired, offsets = _shard_times(entries, mean_gap, horizon)
+    entries, delay, horizon, policy = shard
+    clean, repaired, offsets = _shard_times(entries, horizon)
     # Slot units of the delay guarantee, with object_run's expressions.
     ts = clean / delay
     horizons = np.full(len(entries), horizon / delay)
@@ -516,33 +505,19 @@ def _run_shard(shard) -> List[FleetObjectResult]:
 def _fleet_shards(
     catalog: Catalog,
     workload: Optional[Dict[str, ArrivalTrace]],
-    mean_interarrival_minutes: Optional[float],
     delay_minutes: float,
     horizon_minutes: float,
     policy: FleetPolicy,
-    seed,
     views: Optional[Dict[str, StoreSlice]] = None,
 ) -> List[tuple]:
     """Pool tasks: shards of ``(index, object, source)`` entries, where a
-    source is a times array, a :class:`StoreSlice` or a seed for
-    in-worker generation, sized by its arrival count (a generated
-    object's by its expected count)."""
-    if workload is None and views is not None:
+    source is a times array or a :class:`StoreSlice`, sized by its
+    arrival count."""
+    if workload is None:
         # Store-only workload: every object's times come from the
         # columnar store by name; absent objects are quiet.
         sources = [views.get(obj.name, _EMPTY) for obj in catalog]
         sizes = [s.count if isinstance(s, StoreSlice) else 0 for s in sources]
-    elif workload is None:
-        if mean_interarrival_minutes is None:
-            raise ValueError(
-                "need either a workload mapping, a columnar store, or "
-                "mean_interarrival_minutes for in-worker generation"
-            )
-        sources = np.random.SeedSequence(seed).spawn(len(catalog))
-        sizes = [
-            horizon_minutes / (mean_interarrival_minutes / obj.weight)
-            for obj in catalog
-        ]
     else:
         sources = [
             _EMPTY if workload.get(obj.name) is None
@@ -552,7 +527,7 @@ def _fleet_shards(
         sizes = [s.size for s in sources]
     entries = [(i, obj, src) for i, (obj, src) in enumerate(zip(catalog, sources))]
     return [
-        (shard, mean_interarrival_minutes, delay_minutes, horizon_minutes, policy)
+        (shard, delay_minutes, horizon_minutes, policy)
         for shard in _shards(entries, sizes)
     ]
 
@@ -563,8 +538,6 @@ def iter_fleet(
     horizon_minutes: float,
     policy: Optional[FleetPolicy] = None,
     workload: Optional[Dict[str, ArrivalTrace]] = None,
-    mean_interarrival_minutes: Optional[float] = None,
-    seed=None,
     workers: int = 0,
     store=None,
 ) -> Iterator[FleetObjectResult]:
@@ -579,7 +552,8 @@ def iter_fleet(
     generator finishes **or is abandoned** — the ``finally`` runs on
     ``close()``/GC, so early exits leak nothing.
 
-    ``store`` selects how an explicit workload reaches the shards:
+    ``store`` selects how the workload reaches the shards; a call with
+    neither a ``workload`` nor a ``store`` raises ``ValueError``:
 
     * ``None`` — each shard carries its object's times as a float64
       array (pickled to the worker when sharded, on every start method);
@@ -596,6 +570,8 @@ def iter_fleet(
     for name, value in (("delay_minutes", delay_minutes), ("horizon_minutes", horizon_minutes)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if workload is None and (store is None or store is False):
+        raise ValueError("need a workload mapping or a columnar store (store=)")
     if workload is not None:
         known = {obj.name for obj in catalog}
         for name in workload:
@@ -614,14 +590,7 @@ def iter_fleet(
             else:
                 views = columnar.store_slices(store)
         shards = _fleet_shards(
-            catalog,
-            workload,
-            mean_interarrival_minutes,
-            delay_minutes,
-            horizon_minutes,
-            policy,
-            seed,
-            views,
+            catalog, workload, delay_minutes, horizon_minutes, policy, views
         )
         for results in pool_map(
             _run_shard, shards, workers=workers, chunksize=1,
@@ -636,8 +605,6 @@ def run_fleet(
     horizon_minutes: float,
     policy: Optional[FleetPolicy] = None,
     workload: Optional[Dict[str, ArrivalTrace]] = None,
-    mean_interarrival_minutes: Optional[float] = None,
-    seed=None,
     workers: int = 0,
     store=None,
 ) -> FleetReport:
@@ -664,7 +631,8 @@ def run_fleet(
     ``store`` (see :func:`iter_fleet`) routes workload shipping through
     the out-of-core columnar store: pass ``True``/a spool directory with
     a ``workload``, or an existing store directory with
-    ``workload=None`` to run straight off disk.  Reports are
+    ``workload=None`` to run straight off disk; with neither a workload
+    nor a store it raises ``ValueError``.  Reports are
     bit-identical to the in-memory path for every chunk size and worker
     count (``tests/scale/test_store_equivalence.py``).
     """
@@ -679,8 +647,6 @@ def run_fleet(
         horizon_minutes,
         policy=policy,
         workload=workload,
-        mean_interarrival_minutes=mean_interarrival_minutes,
-        seed=seed,
         workers=workers,
         store=store,
     ):

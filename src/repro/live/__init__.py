@@ -6,10 +6,10 @@ closes that gap: :class:`LiveDaemon` ingests arrivals in epoch batches,
 one ragged pass over the whole catalog per epoch, holds every object's
 open window in one incremental forest
 (:class:`repro.fastpath.incremental.IncrementalFlatForest`), commits
-streams once the fence passes their merge windows, building each tree
-once, then
-(:mod:`repro.live.horizon`), and emits channel schedules the moment each
-tree is final (:mod:`repro.live.schedule`) — ahead of (accelerated)
+streams once the fence passes their merge windows
+(:mod:`repro.live.horizon`), building each tree once, at commit, and
+emits channel schedules the moment each tree is final
+(:mod:`repro.live.schedule`) — ahead of (accelerated)
 wall-clock, with a cumulative report bit-identical to the offline batch
 oracle on the same trace.  Per-epoch work scales with the new commits
 and the open window, not with elapsed history: each record's digest is

@@ -6,13 +6,12 @@ sanitizes once, builds each object's merge forest whole, and folds a
 :class:`~repro.fleet.runner.FleetReport`.  The daemon ingests the same
 arrivals **epoch by epoch**, holds every object's open window in one
 ragged :class:`~repro.fastpath.incremental.IncrementalFlatForest`, commits
-streams as the fence passes their merge windows (building each tree once,
-then, and emitting channel assignments through
-:class:`~repro.live.schedule.ChannelPlanner`), and evicts committed trees
+streams as the fence passes their merge windows, building each tree once,
+at commit, emits channel assignments through
+:class:`~repro.live.schedule.ChannelPlanner`, and evicts committed trees
 from live memory — yet its cumulative report is **bit-identical** to the
-offline oracle on
-the same trace: same per-object ``starts``/``ends`` arrays, counters,
-bandwidth and startup metrics (``fleet_reports_equal`` returns None;
+offline oracle on the same trace: same per-object ``starts``/``ends``
+arrays, counters, bandwidth and startup metrics (``fleet_reports_equal`` returns None;
 ``tests/live/test_daemon.py`` and the burn-in live episodes assert it).
 
 Why bit-identical is achievable at all: for every live-servable policy

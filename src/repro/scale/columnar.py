@@ -216,6 +216,14 @@ def write_store(
     return writer.slices()
 
 
+def _index_int(value, what: str, limit: Optional[int] = None) -> int:
+    """An index field: a JSON integer >= 0 (not a bool), below ``limit``."""
+    if type(value) is not int or value < 0 or (limit is not None and value >= limit):
+        got = repr(value) if isinstance(value, (int, float)) else type(value).__name__
+        raise StoreError(f"{what} must be an integer in [0, {limit or 'inf'}), got {got}")
+    return value
+
+
 def _load_index(root) -> dict:
     path = _index_path(root)
     try:
@@ -223,7 +231,9 @@ def _load_index(root) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise StoreError(f"not a columnar store (no {INDEX_NAME}): {root}")
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past the parser's
+        # digit limit; RecursionError: nesting too deep to parse
         raise StoreError(f"unreadable store index {path}: {exc}")
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         got = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
@@ -234,25 +244,25 @@ def _load_index(root) -> dict:
         raise StoreError(f"store dtype {doc.get('dtype')!r} != {DTYPE!r}")
     try:
         objects = doc["objects"]
-        total = int(doc["total"])
+        if not isinstance(objects, list):
+            raise StoreError(f"store index objects must be a list, got {type(objects).__name__}")
+        total = _index_int(doc["total"], "index total")
         offset = 0
         for e in objects:
             name = e["name"]
             if not isinstance(name, str):
-                raise StoreError(f"non-string column name {name!r}")
-            if int(e["offset"]) != offset or int(e["count"]) < 0:
+                raise StoreError(f"non-string column name of type {type(name).__name__}")
+            if _index_int(e["offset"], f"column {name!r} offset") != offset:
                 raise StoreError(
                     f"column {name!r} not contiguous at offset {offset}"
                 )
-            int(e["crc32"])
-            offset += int(e["count"])
+            _index_int(e["crc32"], f"column {name!r} crc32", 1 << 32)
+            offset += _index_int(e["count"], f"column {name!r} count")
         if offset != total:
             raise StoreError(
                 f"index total {total} != sum of column counts {offset}"
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, StoreError):
-            raise
+    except (KeyError, TypeError) as exc:
         raise StoreError(f"malformed store index {path}: {exc}")
     names = [e["name"] for e in objects]
     if len(set(names)) != len(names):

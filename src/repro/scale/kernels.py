@@ -19,22 +19,21 @@ each of them twice:
   sequential passes, list-loop) implementation that was the production
   code before this module existed.
 
-Backend selection: ``auto`` (the default) uses numba when importable and
-falls back to numpy otherwise, logging a one-time notice.  Requesting
-``numba`` explicitly without numba installed degrades the same way (a
-one-time warning, never an ImportError) — the ``repro[fast]`` extra
-installs it.  Every public kernel is a pure function of its inputs and
-the two backends are **bit-identical** by construction: the scalar
-bodies evaluate the same IEEE expressions in the same association order
-as the fallbacks (``tests/scale/test_kernels.py`` asserts equality on
-adversarial grids for every kernel, on the plain-Python bodies always
-and on the JIT-compiled ones whenever numba is present).
+Backend: whatever the platform has — numba when it imports (the
+``repro[fast]`` extra installs it), numpy otherwise, with a one-time
+notice.  No option selects it; :func:`configure_backend` is the seam
+through which tests and benchmarks compare the two.  Every public kernel
+is a pure function of its inputs and the two backends are
+**bit-identical** by construction: the scalar bodies evaluate the same
+IEEE expressions in the same association order as the fallbacks
+(``tests/scale/test_kernels.py`` asserts equality on adversarial grids
+for every kernel, on the plain-Python bodies always and on the
+JIT-compiled ones whenever numba is present).
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -67,35 +66,23 @@ except ImportError:  # graceful degradation (satellite contract)
         "the JIT kernels)"
     )
 
-#: the active backend: "numba" or "numpy".  ``REPRO_BACKEND`` seeds it so
-#: forked/spawned workers and subprocess benches inherit the selection.
-_BACKEND = "numpy"
-_WARNED_NUMBA_MISSING = False
+#: the active backend: "numba" or "numpy" (``auto`` in every new process).
+_BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
 def configure_backend(name: str = "auto") -> str:
-    """Select the kernel backend; returns the backend actually active.
+    """Select the kernel backend; returns the backend now active.
 
-    ``auto`` picks numba when importable, else numpy.  Asking for
-    ``numba`` without numba installed logs a one-time warning and stays
-    on numpy — never an exception, so a ``--backend numba`` run degrades
-    to a correct (slower) run on a numpy-only box.
+    ``auto`` picks numba when importable, else numpy; ``numba`` without
+    numba installed raises ``ValueError``.  Tests and benchmarks use this
+    to compare the backends; every fresh process starts on ``auto``.
     """
-    global _BACKEND, _WARNED_NUMBA_MISSING
+    global _BACKEND
     if name not in ("auto", "numpy", "numba"):
         raise ValueError(f"unknown backend {name!r}; choose auto|numpy|numba")
-    if name == "numpy":
-        _BACKEND = "numpy"
-    elif HAVE_NUMBA:
-        _BACKEND = "numba"
-    else:
-        if name == "numba" and not _WARNED_NUMBA_MISSING:
-            _WARNED_NUMBA_MISSING = True
-            _log.warning(
-                "backend 'numba' requested but numba is not installed; "
-                "using the numpy fallback kernels (contract-equal, slower)"
-            )
-        _BACKEND = "numpy"
+    if name == "numba" and not HAVE_NUMBA:
+        raise ValueError("backend 'numba' requested but numba is not installed")
+    _BACKEND = "numba" if HAVE_NUMBA and name != "numpy" else "numpy"
     return _BACKEND
 
 
@@ -262,12 +249,11 @@ def _replay_walk_body(x, par, lengths, L, receive_two, demanded, t2max):
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed
-    _cache = os.environ.get("REPRO_NUMBA_CACHE", "1") != "0"
-    _bucket_slots_jit = _njit(cache=_cache)(_bucket_slots_body)
-    _forest_z_jit = _njit(cache=_cache)(_forest_z_body)
-    _hysteresis_scan_jit = _njit(cache=_cache)(_hysteresis_scan_body)
-    _knuth_tables_jit = _njit(cache=_cache)(_knuth_tables_body)
-    _replay_walk_jit = _njit(cache=_cache)(_replay_walk_body)
+    _bucket_slots_jit = _njit(cache=True)(_bucket_slots_body)
+    _forest_z_jit = _njit(cache=True)(_forest_z_body)
+    _hysteresis_scan_jit = _njit(cache=True)(_hysteresis_scan_body)
+    _knuth_tables_jit = _njit(cache=True)(_knuth_tables_body)
+    _replay_walk_jit = _njit(cache=True)(_replay_walk_body)
 else:
     _bucket_slots_jit = _bucket_slots_body
     _forest_z_jit = _forest_z_body
@@ -550,8 +536,3 @@ def _replay_walk_numpy(
         np.asarray(fail_stream, dtype=np.intp),
         np.asarray(fail_demand, dtype=np.float64),
     )
-
-
-# Seed the backend from the environment so worker processes and bench
-# subprocesses inherit an explicit selection; default is auto.
-configure_backend(os.environ.get("REPRO_BACKEND", "auto"))

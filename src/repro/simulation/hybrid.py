@@ -26,9 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, TYPE_CHECKING
 
-from ..baselines.dyadic import DyadicParams
+from ..baselines.dyadic import DyadicOnline, DyadicParams
 from ..core.online import OnlineScheduler
-from ..fastpath.incremental import IncrementalFlatForest
 from .policies import Policy, _serve_dyadic_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +65,7 @@ class HybridPolicy(Policy):
         self._recent_sum = 0
         self._mode = "dyadic"
         self._dg_anchor: Optional[int] = None
-        self._dyadic = IncrementalFlatForest(L, self.params)
+        self._dyadic = DyadicOnline(L, self.params)
         #: (slot_index, mode) history of mode switches, for analysis
         self.mode_log: List[tuple] = []
 
@@ -99,7 +98,7 @@ class HybridPolicy(Policy):
             # across the DG interlude would interleave tree label ranges,
             # which breaks the merge-forest property (trees must be
             # contiguous in time).  A new root will start instead.
-            self._dyadic = IncrementalFlatForest(self.L, self.params)
+            self._dyadic = DyadicOnline(self.L, self.params)
             self.mode_log.append((slot_index, "dyadic"))
 
     # -- slot handling ------------------------------------------------------------
@@ -144,9 +143,7 @@ class HybridPolicy(Policy):
             return
         scale = sim.slot
         label = (slot_index + 1) * scale
-        self._dyadic.push(label / scale)
-        path = _serve_dyadic_path(
-            sim, self._dyadic.current_path(), self.L, scale, label
-        )
+        node = self._dyadic.push(label / scale)
+        path = _serve_dyadic_path(sim, node, self.L, scale, label)
         for c in clients:
             c.assign(label, path)

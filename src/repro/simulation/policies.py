@@ -11,12 +11,12 @@ consecutive slotted arrivals and for dyadic windows with ``alpha <= 2``
 (see ``baselines.dyadic``); the :class:`~repro.simulation.stream.Stream`
 entity asserts it.
 
-Since the flat-simulation refactor no policy constructs or traverses
-``MergeNode`` objects: the off-line replays precompute flat parent
-arrays (``build_optimal_flat_forest`` / the ``OnlineScheduler`` tables),
-and the dyadic policies place arrivals with
-:class:`~repro.fastpath.incremental.IncrementalFlatForest`, whose stack
-*is* the receiving path the Lemma 1 extensions walk.
+The off-line replays consume precomputed flat parent arrays
+(``build_optimal_flat_forest`` / the ``OnlineScheduler`` tables) and
+build no ``MergeNode`` objects.  The dyadic policies place each arrival
+with the stack walk of :class:`~repro.baselines.dyadic.DyadicOnline`;
+the new node's root path is the receiving path the Lemma 1 extensions
+walk.
 
 Policies implemented (the paper's Section 4.2 cast plus baselines):
 
@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..baselines.dyadic import DyadicParams
+from ..baselines.dyadic import DyadicOnline, DyadicParams
 from ..core.full_cost import build_optimal_flat_forest
 from ..core.online import OnlineScheduler
-from ..fastpath.incremental import IncrementalFlatForest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.merge_tree import MergeNode
     from .client import Client
     from .server import Simulation
 
@@ -76,19 +76,20 @@ class Policy:
 
 def _serve_dyadic_path(
     sim: "Simulation",
-    path_slots: Tuple[float, ...],
+    node: "MergeNode",
     L: float,
     scale: float,
     label: float,
 ) -> Tuple[float, ...]:
     """Start the stream for a freshly placed dyadic node and apply the
-    Lemma 1 ancestor extensions, all from the receiving path alone.
+    Lemma 1 ancestor extensions, all from its receiving path alone.
 
-    ``path_slots`` is the root path in the dyadic builder's (slot-unit)
-    frame; ``label`` is the new stream's label on the simulation clock
-    (``path_slots[-1] * scale`` up to the caller's arithmetic).  Returns
-    the scaled path for client assignment.
+    ``node`` was just returned by ``DyadicOnline.push``, in the builder's
+    (slot-unit) frame; ``label`` is the new stream's label on the
+    simulation clock (``node.arrival * scale`` up to the caller's
+    arithmetic).  Returns the scaled path for client assignment.
     """
+    path_slots = tuple(n.arrival for n in node.path_from_root())
     path = tuple(p * scale for p in path_slots)
     if len(path) == 1:
         sim.start_stream(label, planned_units=L * scale, parent_label=None)
@@ -254,13 +255,11 @@ class ImmediateDyadicPolicy(Policy):
         self.name = "immediate-dyadic"
         self.L = L
         self.params = params or DyadicParams()
-        self._builder = IncrementalFlatForest(L, self.params)
+        self._builder = DyadicOnline(L, self.params)
 
     def on_arrival(self, client: "Client", sim: "Simulation") -> None:
-        self._builder.push(client.arrival)
-        path = _serve_dyadic_path(
-            sim, self._builder.current_path(), self.L, 1.0, client.arrival
-        )
+        node = self._builder.push(client.arrival)
+        path = _serve_dyadic_path(sim, node, self.L, 1.0, client.arrival)
         client.assign(client.arrival, path)
 
 
@@ -273,7 +272,7 @@ class BatchedDyadicPolicy(Policy):
         self.name = "batched-dyadic"
         self.L = L
         self.params = params or DyadicParams()
-        self._builder = IncrementalFlatForest(L, self.params)
+        self._builder = DyadicOnline(L, self.params)
 
     def on_slot_end(
         self, slot_index: int, clients: List["Client"], sim: "Simulation"
@@ -283,10 +282,8 @@ class BatchedDyadicPolicy(Policy):
         scale = sim.slot
         label = (slot_index + 1) * scale
         # Dyadic windows are in the same units as L; work in slot units.
-        self._builder.push(label / scale)
-        path = _serve_dyadic_path(
-            sim, self._builder.current_path(), self.L, scale, label
-        )
+        node = self._builder.push(label / scale)
+        path = _serve_dyadic_path(sim, node, self.L, scale, label)
         for c in clients:
             c.assign(label, path)
 

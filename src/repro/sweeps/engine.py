@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..fleet.runner import pool_map
-from ..scale.kernels import active_backend, configure_backend
+from ..scale.kernels import active_backend
 from .cache import SweepCache
 from .spec import SweepSpec
 
@@ -36,24 +36,18 @@ __all__ = [
     "sweep_defaults",
 ]
 
-_DEFAULTS: Dict[str, object] = {"workers": 0, "cache": None, "backend": None}
+_DEFAULTS: Dict[str, object] = {"workers": 0, "cache": None}
 
 
 def configure_sweeps(
     workers: Optional[int] = None,
     cache: Union[SweepCache, str, None, bool] = None,
-    backend: Optional[str] = None,
 ) -> None:
-    """Set process-wide sweep defaults (the CLI's
-    ``--workers/--cache/--backend``).  ``backend`` also reconfigures the
-    kernel backend of *this* process (see
-    :func:`repro.scale.kernels.configure_backend`)."""
+    """Set process-wide sweep defaults (the CLI's ``--workers/--cache``)."""
     if workers is not None:
         _DEFAULTS["workers"] = int(workers)
     if cache is not None:
         _DEFAULTS["cache"] = _normalise_cache(cache)
-    if backend is not None:
-        _DEFAULTS["backend"] = configure_backend(backend)
 
 
 def sweep_defaults() -> Dict[str, object]:
@@ -99,7 +93,7 @@ class SweepResult:
     cache_hits: int = 0
     cache_misses: int = 0
     evaluated: int = 0
-    #: kernel backend the dirty points were evaluated under ("numpy" or
+    #: kernel backend of the process that ran the sweep ("numpy" or
     #: "numba").  Informational: both backends are contract-tested
     #: bit-identical, which is also why cache keys ignore it — cached
     #: artifacts are backend-portable by construction.
@@ -139,15 +133,8 @@ class SweepResult:
 
 
 def _eval_point(args) -> Dict[str, object]:
-    """Worker entry: apply the evaluator to fixed params + one point.
-
-    The backend rides along with every task so spawned workers (which do
-    not inherit the parent's in-process kernel configuration) evaluate
-    under the same backend the parent resolved; configure_backend is a
-    cached no-op when already set.
-    """
-    evaluator, params, backend = args
-    configure_backend(backend)
+    """Worker entry: apply the evaluator to fixed params + one point."""
+    evaluator, params = args
     return dict(evaluator(**params))
 
 
@@ -156,27 +143,17 @@ def run_sweep(
     workers: Optional[int] = None,
     cache: Union[SweepCache, str, None, bool] = None,
     seed=None,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Evaluate a sweep spec into a columnar result table.
 
-    ``workers``/``cache``/``backend`` default to the process-wide
-    configuration (:func:`configure_sweeps`); ``cache=False`` disables
-    caching for this run regardless.  ``seed`` feeds the per-point
-    ``SeedSequence`` spawn when ``spec.spawn_seeds`` — spawned points
-    cache only under an explicit seed (entropy-seeded draws are not
-    reproducible artifacts).  ``backend`` selects the kernel backend for
-    this run's point evaluations (shipped to every worker); values are
-    bit-identical either way, so it only changes speed.
+    ``workers``/``cache`` default to the process-wide configuration
+    (:func:`configure_sweeps`); ``cache=False`` disables caching for this
+    run regardless.  ``seed`` feeds the per-point ``SeedSequence`` spawn
+    when ``spec.spawn_seeds`` — spawned points cache only under an
+    explicit seed (entropy-seeded draws are not reproducible artifacts).
     """
     workers = int(_DEFAULTS["workers"]) if workers is None else int(workers)
     cache = _DEFAULTS["cache"] if cache is None else _normalise_cache(cache)
-    if backend is not None:
-        backend = configure_backend(backend)
-    elif _DEFAULTS["backend"] is not None:
-        backend = configure_backend(str(_DEFAULTS["backend"]))
-    else:
-        backend = active_backend()
     if not spec.cacheable:
         cache = None
 
@@ -209,7 +186,7 @@ def run_sweep(
                 results[i] = got
 
     dirty = [i for i, r in enumerate(results) if r is None]
-    args = [(spec.evaluator, params[i], backend) for i in dirty]
+    args = [(spec.evaluator, params[i]) for i in dirty]
     for i, metrics in zip(dirty, pool_map(_eval_point, args, workers=workers)):
         missing = set(spec.metrics) - set(metrics)
         if missing:
@@ -232,5 +209,5 @@ def run_sweep(
         cache_hits=hits,
         cache_misses=misses,
         evaluated=len(dirty),
-        backend=backend,
+        backend=active_backend(),
     )

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -112,6 +113,27 @@ class TestFleetCli:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert flag in err
+        assert out == ""  # rejected before the fleet ran
+
+    @pytest.mark.parametrize("fault", ["index", "segment"])
+    def test_malformed_store_exits_two(self, tmp_path, capsys, fault):
+        """An Infinity total used to end in an OverflowError traceback, a
+        truncated segment in a StoreError one from the worker."""
+        from repro.cli import main
+        from repro.scale.columnar import write_store
+
+        write_store(tmp_path, [("title-001", np.arange(3.0))])
+        if fault == "index":
+            index = tmp_path / "index.json"
+            index.write_text(index.read_text().replace('"total": 3', '"total": Infinity'))
+        else:
+            with (tmp_path / "segment.bin").open("r+b") as fh:
+                fh.truncate(8)
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--store", str(tmp_path), "--no-frontier"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--store" in err and ("total" in err or "torn write" in err)
         assert out == ""  # rejected before the fleet ran
 
 

@@ -40,6 +40,34 @@ small_L = st.integers(min_value=1, max_value=60)
 #: sizes safe for exhaustive (Catalan) enumeration
 tiny_n = st.integers(min_value=1, max_value=8)
 
+#: JSON scalars, and JSON values nested from them: the shapes a fuzzer
+#: writes where the program expects one of its own documents
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def hostile_json_text(draw, int_document: str) -> str:
+    """Text at the JSON parser's limits: nesting up to 10^5 deep, or
+    ``int_document`` with its ``%s`` filled by a 4,000-6,000-digit
+    integer (past the parser's 4,300-digit limit or just under it)."""
+    depth = draw(st.integers(min_value=1, max_value=100_000))
+    kind = draw(st.sampled_from(["array", "object", "int"]))
+    if kind == "array":
+        return "[" * depth + "]" * draw(st.integers(min_value=0, max_value=depth))
+    if kind == "object":
+        return '{"a":' * depth + "1" + "}" * draw(st.integers(min_value=0, max_value=depth))
+    return int_document % ("7" * draw(st.integers(min_value=4000, max_value=6000)))
+
 
 @st.composite
 def preorder_tree(draw, max_n: int = 24, start: int = 0) -> MergeTree:

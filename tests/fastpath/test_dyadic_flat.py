@@ -1,10 +1,11 @@
 """Flat dyadic builders vs. the MergeNode oracles — node-for-node.
 
-``dyadic_flat_forest`` == ``dyadic_forest`` == ``DyadicOnline`` ==
-``IncrementalFlatForest`` (the one flat stack machine) on adversarial
-traces — arrivals exactly on dyadic interval edges, exactly
-at the cutoff ``y``, dense clusters, for alpha from the ``MIN_ALPHA``
-floor up to 7.5 — and the ragged form == one call per object.
+``dyadic_flat_forest`` == ``dyadic_forest`` == ``DyadicOnline`` (the
+stack machine the event policies place arrivals with) ==
+``IncrementalFlatForest``'s open window on adversarial traces — arrivals
+exactly on dyadic interval edges, exactly at the cutoff ``y``, dense
+clusters, for alpha from the ``MIN_ALPHA`` floor up to 7.5 — and the
+ragged form == one call per object.
 
 The builder tests run twice: with the shipped ``SPLIT_RATIO`` and with
 ``SPLIT_RATIO = 0``, which sends every level through phase 1 (the window
@@ -13,6 +14,7 @@ split), since the natural inputs here are too small to reach it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -84,11 +86,14 @@ def _assert_same_forest(ts, L, params):
     flat = dyadic_flat_forest(ts, L, params)
     assert flat.equals(ref)
     assert np.array_equal(flat.z, ref.z)  # trusted-z shortcut is exact
-    online = IncrementalFlatForest(L, params)
+    online = DyadicOnline(L, params)
     online.extend(ts)
-    live = online.live_forest()
+    assert FlatForest.from_forest(online.finish()).equals(ref)
+    window = IncrementalFlatForest(L, params)
+    window.push_batch(ts)
+    live = window.live_forest()
     assert live.equals(ref)
-    assert np.array_equal(live.z, ref.z)  # z kept current push by push
+    assert np.array_equal(live.z, ref.z)
     return flat, ref
 
 
@@ -150,6 +155,14 @@ class TestBatchEquivalence:
     def test_dense_cluster(self):
         ts = [i * 0.125 for i in range(400)]
         _assert_same_forest(ts, 100, DyadicParams(alpha=2.0, beta=0.5))
+
+    def test_mixed_gaps(self):
+        """Gaps from an eighth of a slot to past the window: deep paths,
+        shallow ones and many roots in one trace."""
+        rng = random.Random(5)
+        gaps = [rng.choice([0.125, 0.5, 3.0, 60.0]) for _ in range(200)]
+        ts = list(itertools.accumulate(gaps))
+        _assert_same_forest(ts, 100, DyadicParams(alpha=PHI, beta=0.5))
 
     @pytest.mark.parametrize("alpha", [MIN_ALPHA, PHI, 7.5])
     def test_resolution_message_is_the_member_loops(self, alpha, monkeypatch):
@@ -271,55 +284,60 @@ class TestValidation:
 
 
 class TestFlatOnline:
+    """One arrival at a time: the path the event policies serve
+    (``DyadicOnline.push`` and the new node's ``path_from_root()``) is the
+    rightmost path of the flat open window fed the same arrival through a
+    one-element ``push_batch``."""
+
+    @staticmethod
+    def _assert_paths_agree(ts, L, params):
+        obj = DyadicOnline(L, params)
+        flat = IncrementalFlatForest(L, params)
+        for t in ts:
+            node = obj.push(t)
+            flat.push_batch([t])
+            want = tuple(n.arrival for n in node.path_from_root())
+            assert flat.live_forest().paths()[-1] == want
+
     def test_paths_match_object_stack(self):
         rng = random.Random(5)
-        params = DyadicParams(alpha=PHI, beta=0.5)
-        obj = DyadicOnline(100, params)
-        flat = IncrementalFlatForest(100, params)
-        t = 0.0
-        for _ in range(200):
-            t += rng.choice([0.125, 0.5, 3.0, 60.0])
-            node = obj.push(t)
-            flat.push(t)
-            want = tuple(n.arrival for n in node.path_from_root())
-            assert flat.current_path() == want
+        gaps = [rng.choice([0.125, 0.5, 3.0, 60.0]) for _ in range(200)]
+        ts = list(itertools.accumulate(gaps))
+        self._assert_paths_agree(ts, 100, DyadicParams(alpha=PHI, beta=0.5))
 
     @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
     def test_paths_match_object_stack_on_edge_grids(self, alpha):
         params = DyadicParams(alpha=alpha, beta=0.5)
         for ts in (_interval_edges(params, 64), _nested_edges(params, 64)):
-            obj = DyadicOnline(64, params)
-            flat = IncrementalFlatForest(64, params)
-            for t in ts:
-                node = obj.push(t)
-                flat.push(t)
-                want = tuple(n.arrival for n in node.path_from_root())
-                assert flat.current_path() == want
+            self._assert_paths_agree(ts, 64, params)
 
     def test_monotonicity_enforced(self):
         online = IncrementalFlatForest(100)
-        online.push(5.0)
+        online.push_batch([5.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            online.push(5.0)
+            online.push_batch([5.0])
 
     def test_nan_push_rejected_without_advancing(self):
         online = IncrementalFlatForest(100)
-        online.push(0.0)
+        online.push_batch([0.0])
         with pytest.raises(ValueError, match="finite"):
-            online.push(float("nan"))
-        assert online.push(1.0) == 1
-        assert online.current_path() == (0.0, 1.0)
+            online.push_batch([float("nan")])
+        assert online.push_batch([1.0]) == 1
+        assert online.total_appended.tolist() == [2]
+        assert online.live_forest().paths()[-1] == (0.0, 1.0)
 
     def test_finish_empty(self):
         assert IncrementalFlatForest(100).live_forest() is None
 
     def test_indices_are_arrival_order(self):
         online = IncrementalFlatForest(100)
-        assert online.push(0.0) == 0
-        assert online.push(10.0) == 1
-        assert online.push(70.0) == 2  # new root
+        for t in (0.0, 10.0, 70.0):  # 70 is past the window: new root
+            online.push_batch([t])
         assert len(online) == 3
-        assert online.live_forest().num_trees() == 2
+        live = online.live_forest()
+        assert live.arrivals.tolist() == [0.0, 10.0, 70.0]
+        assert live.parent.tolist() == [-1, 0, -1]
+        assert live.num_trees() == 2
 
 
 @st.composite

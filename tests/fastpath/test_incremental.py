@@ -3,11 +3,11 @@
 The incremental forest must be indistinguishable from the batch
 construction at every moment: concatenating its committed trees with the
 live remainder reproduces ``dyadic_flat_forest`` of the full prefix node
-for node (parents *and* z), whether arrivals came through scalar ``push``
-or vectorised ``push_batch``, for one object or a ragged catalog, and
-however eviction interleaved.  The scalar walk's own parent decisions
-are pinned through ``current_path()``: after every push it must be the
-rightmost path of the batch build of the prefix.
+for node (parents *and* z), for one object or a ragged catalog, however
+the batches were cut and however eviction interleaved.  The one-arrival
+walk the event policies place arrivals with (``DyadicOnline.push``) is
+pinned against it too: after every arrival, the new node's root path is
+the rightmost path of the batch build of the prefix.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dyadic import PHI, DyadicParams
+from repro.baselines.dyadic import PHI, DyadicOnline, DyadicParams
 from repro.fastpath import (
     FlatForest,
     IncrementalFlatForest,
@@ -72,6 +72,12 @@ def _materialise(inc, committed):
     return FlatForest(arrivals, np.concatenate(parents), z=z)
 
 
+def _assert_identical(flat_a, flat_b):
+    np.testing.assert_array_equal(flat_a.arrivals, flat_b.arrivals)
+    np.testing.assert_array_equal(flat_a.parent, flat_b.parent)
+    np.testing.assert_array_equal(flat_a.z, flat_b.z)
+
+
 def _rightmost_path(forest):
     """Arrivals from the root to the newest node, root first."""
     path, i = [], len(forest) - 1
@@ -81,67 +87,76 @@ def _rightmost_path(forest):
     return tuple(reversed(path))
 
 
-def _assert_identical(flat_a, flat_b):
-    np.testing.assert_array_equal(flat_a.arrivals, flat_b.arrivals)
-    np.testing.assert_array_equal(flat_a.parent, flat_b.parent)
-    np.testing.assert_array_equal(flat_a.z, flat_b.z)
+def _node_path(node):
+    """The receiving path the event policies take from a placed node."""
+    return tuple(n.arrival for n in node.path_from_root())
 
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_push_matches_batch_on_every_prefix(params):
     ts = _poisson_trace(300, seed=1)
+    obj = DyadicOnline(L, params)
     inc = IncrementalFlatForest(L, params)
-    committed = []
     for k, t in enumerate(ts, start=1):
-        inc.push(float(t))
+        node = obj.push(float(t))
+        inc.push_batch(ts[k - 1 : k])
         want = dyadic_flat_forest(ts[:k], L, params)
-        # the parent the scalar walk just decided, and every one above it
-        assert inc.current_path() == _rightmost_path(want)
-        _assert_identical(_materialise(inc, committed), want)
+        # the parent the one-arrival walk just decided, and every one above it
+        assert _node_path(node) == _rightmost_path(want)
+        _assert_identical(_materialise(inc, []), want)
 
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_edge_grid_prefixes(params):
     ts = _edge_trace(params)
+    obj = DyadicOnline(L, params)
     inc = IncrementalFlatForest(L, params)
     for k, t in enumerate(ts, start=1):
-        inc.push(float(t))
+        node = obj.push(float(t))
+        inc.push_batch(ts[k - 1 : k])
         want = dyadic_flat_forest(ts[:k], L, params)
-        assert inc.current_path() == _rightmost_path(want)
+        assert _node_path(node) == _rightmost_path(want)
         _assert_identical(_materialise(inc, []), want)
 
 
 @pytest.mark.parametrize("params", PARAMS)
 @pytest.mark.parametrize("batch", [1, 3, 17, 64])
 def test_push_batch_equals_scalar_push(params, batch):
+    """Batches of any size give the forest of one-arrival batches and of
+    the one-arrival walk, and later arrivals continue it identically."""
     ts = _poisson_trace(500, seed=2)
     scalar = IncrementalFlatForest(L, params)
-    scalar.extend(ts.tolist())
+    for k in range(ts.size):
+        scalar.push_batch(ts[k : k + 1])
     batched = IncrementalFlatForest(L, params)
     for lo in range(0, ts.size, batch):
         batched.push_batch(ts[lo : lo + batch])
     _assert_identical(_materialise(scalar, []), _materialise(batched, []))
     assert scalar.total_appended.tolist() == batched.total_appended.tolist() == [ts.size]
-    # pushes continue bit-identically after a batch (stack reconstruction)
+    obj = DyadicOnline(L, params)
+    obj.extend(ts.tolist())
+    _assert_identical(FlatForest.from_forest(obj.finish()), _materialise(batched, []))
     tail = float(ts[-1]) + 0.001
-    scalar.push(tail)
-    batched.push(tail)
+    scalar.push_batch([tail])
+    batched.push_batch([tail])
     _assert_identical(_materialise(scalar, []), _materialise(batched, []))
 
 
 @pytest.mark.parametrize("params", PARAMS)
 @pytest.mark.parametrize("batch", [1, 5, 17, 64])
 def test_current_path_after_push_batch(params, batch):
-    """The stack ``push_batch`` rebuilds gives the scalar pushes' path."""
+    """After every batch the open window's rightmost path is the one the
+    one-arrival walk gave the batch's last arrival."""
     for seed in range(10):
         ts = _poisson_trace(150, seed=seed, scale=0.2 + 0.3 * seed)
-        scalar = IncrementalFlatForest(L, params)
+        obj = DyadicOnline(L, params)
         batched = IncrementalFlatForest(L, params)
         for lo in range(0, ts.size, batch):
             chunk = ts[lo : lo + batch]
-            scalar.extend(chunk.tolist())
+            for t in chunk.tolist():
+                node = obj.push(t)
             batched.push_batch(chunk)
-            assert batched.current_path() == scalar.current_path()
+            assert _rightmost_path(batched.live_forest()) == _node_path(node)
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -150,12 +165,11 @@ def test_eviction_is_invisible_to_the_global_forest(params):
     inc = IncrementalFlatForest(L, params)
     committed = []
     for k, t in enumerate(ts, start=1):
-        inc.push(float(t))
+        inc.push_batch(ts[k - 1 : k])
         if k % 37 == 0:
             fence = float(t) - params.window(L) / 2
             committed.append(inc.evict_committable(fence))
         want = dyadic_flat_forest(ts[:k], L, params)
-        assert inc.current_path() == _rightmost_path(want)
         _assert_identical(_materialise(inc, committed), want)
     committed.append(inc.evict_committable(math.inf))
     assert inc.live_forest() is None
@@ -175,7 +189,7 @@ def test_eviction_is_invisible_to_the_global_forest(params):
 def test_evict_only_strictly_before_fence():
     params = DyadicParams(alpha=2.0, beta=1.0)
     inc = IncrementalFlatForest(L, params)
-    inc.push(0.0)
+    inc.push_batch([0.0])
     cutoff = 0.0 + params.window(L)
     none = inc.evict_committable(cutoff)  # cutoff == fence: not yet
     assert none.roots.tolist() == [0] and len(none.forest) == 0
@@ -190,20 +204,19 @@ def test_evict_only_strictly_before_fence():
 def test_watermark_rejects_push_into_committed_window():
     params = DyadicParams(alpha=2.0, beta=1.0)
     inc = IncrementalFlatForest(L, params)
-    inc.push(0.0)
-    inc.push(200.0)  # second window (window = 120)
+    inc.push_batch([0.0, 200.0])  # two windows (window = 120)
     done = inc.evict_committable(150.0)
     assert done.cutoffs.tolist() == [120.0]
     with pytest.raises(ValueError):
-        inc.push(100.0)  # not strictly increasing — caught first
+        inc.push_batch([100.0])  # not strictly increasing — caught first
     inc2 = IncrementalFlatForest(L, params)
-    inc2.push(0.0)
+    inc2.push_batch([0.0])
     inc2.evict_committable(math.inf)
     with pytest.raises(RuntimeError):
-        inc2.push(60.0)  # increasing, but at/below the committed cutoff
+        inc2.push_batch([60.0])  # increasing, but at/below the committed cutoff
     with pytest.raises(RuntimeError):
         inc2.push_batch(np.asarray([90.0, 130.0]))
-    inc2.push(121.0)  # strictly above the watermark: fine
+    inc2.push_batch([121.0])  # strictly above the watermark: fine
 
 
 def test_batch_after_evict_and_empty_batch():
@@ -225,7 +238,6 @@ def _state(inc):
     return (
         [a.tolist() for a in inc.open_window()],
         None if live is None else (live.parent.tolist(), live.z.tolist()),
-        inc.current_path(),
     )
 
 
@@ -244,7 +256,7 @@ def test_resume_rebuilds_the_open_window_exactly(params):
     back = IncrementalFlatForest.resume(L, *inc.open_window(), params=params)
     assert len(back) == 0 and _state(back) == _state(inc)
     with pytest.raises(RuntimeError):
-        back.push(float(ts[-1]) + 1.0)  # still at or below the watermark
+        back.push_batch([float(ts[-1]) + 1.0])  # still at or below the watermark
 
 
 def test_resume_rejects_inconsistent_state():
@@ -266,11 +278,11 @@ def test_resume_rejects_inconsistent_state():
 
 def test_rejects_bad_input():
     inc = IncrementalFlatForest(L)
-    inc.push(1.0)
+    inc.push_batch([1.0])
     with pytest.raises(ValueError):
-        inc.push(1.0)  # not strictly increasing
+        inc.push_batch([1.0])  # not strictly increasing
     with pytest.raises(ValueError):
-        inc.push(math.nan)
+        inc.push_batch([math.nan])
     with pytest.raises(ValueError):
         inc.push_batch(np.asarray([2.0, 2.0]))
     with pytest.raises(ValueError):
@@ -389,10 +401,6 @@ def test_ragged_batch_checks_every_object():
         inc.push_batch(np.asarray([3.0, 9.0, 8.0]), [0, 1, 3])
     with pytest.raises(ValueError, match="finite"):
         inc.push_batch(np.asarray([3.0, math.nan]), [0, 1, 2])
-    with pytest.raises(ValueError, match="one-object"):
-        inc.push(9.0)
-    with pytest.raises(ValueError, match="one-object"):
-        inc.current_path()
     assert inc.total_appended.tolist() == [2, 1]  # the refused batches left no trace
     inc.evict_committable(math.inf)
     with pytest.raises(RuntimeError, match="watermark"):

@@ -101,41 +101,10 @@ class TestRunFleet:
                 assert by_name[obj.name].streams == 0
                 assert by_name[obj.name].total_units_minutes == 0.0
 
-    def test_generated_mode_is_seed_deterministic(self, catalog):
-        kwargs = dict(
-            workload=None, mean_interarrival_minutes=0.25, seed=99,
-        )
-        a = run_fleet(catalog, 2.0, 180.0, **kwargs)
-        b = run_fleet(catalog, 2.0, 180.0, **kwargs)
-        assert a.clients == b.clients and a.peak_channels == b.peak_channels
-        for x, y in zip(a.objects, b.objects):
-            assert np.array_equal(x.starts, y.starts)
-        c = run_fleet(catalog, 2.0, 180.0, workload=None,
-                      mean_interarrival_minutes=0.25, seed=100)
-        assert any(
-            not np.array_equal(x.starts, y.starts)
-            for x, y in zip(a.objects, c.objects)
-        ), "different seeds produced identical workloads"
-
-    def test_generated_mode_objects_draw_independent_streams(self):
-        """Regression: spawned per-object seeds must differ — shipping
-        only the SeedSequence entropy (dropping the spawn key) gave every
-        object an identical RNG stream."""
-        from repro.multiplex import MediaObject
-
-        equal = Catalog(
-            [MediaObject(f"eq-{i}", 60.0, 1.0) for i in range(4)]
-        )
-        report = run_fleet(equal, 2.0, 180.0, workload=None,
-                           mean_interarrival_minutes=0.5, seed=7)
-        streams = [tuple(o.starts.tolist()) for o in report.objects]
-        assert len(set(streams)) == len(streams), (
-            "equal-weight objects produced identical traces"
-        )
-
-    def test_generated_mode_needs_a_rate(self, catalog):
-        with pytest.raises(ValueError, match="mean_interarrival"):
-            run_fleet(catalog, 2.0, 180.0, workload=None)
+    def test_needs_a_workload_or_a_store(self, catalog):
+        for store in (None, False):
+            with pytest.raises(ValueError, match="workload mapping or a columnar store"):
+                run_fleet(catalog, 2.0, 180.0, workload=None, store=store)
 
     def test_rejects_bad_geometry(self, catalog):
         with pytest.raises(ValueError):

@@ -98,8 +98,7 @@ def small_budget(monkeypatch):
 class TestShardBoundaries:
     def test_partition_covers_every_boundary_case(self, catalog, workload, small_budget):
         shards = runner._fleet_shards(
-            catalog, workload, None, DELAY, HORIZON, FleetPolicy.batched_dyadic(),
-            None,
+            catalog, workload, DELAY, HORIZON, FleetPolicy.batched_dyadic()
         )
         groups = [[entry[0] for entry in shard[0]] for shard in shards]
         # at the budget (+ an empty object), oversized alone, empties alone

@@ -107,11 +107,7 @@ class TestStateEquivalence:
     ):
         daemon, text = _midrun(catalog, workload, _config(policy, epoch, fence))
         calls = {"epochs": 0, "pushes": 0, "built": []}
-        process, push_batch, push = (
-            LiveDaemon._process_epoch,
-            IncrementalFlatForest.push_batch,
-            IncrementalFlatForest.push,
-        )
+        process, push_batch = LiveDaemon._process_epoch, IncrementalFlatForest.push_batch
         build = incremental.dyadic_flat_forest
 
         def counting_process(self, *args):
@@ -122,17 +118,12 @@ class TestStateEquivalence:
             calls["pushes"] += 1
             return push_batch(self, *args, **kwargs)
 
-        def counting_push(self, t):
-            calls["pushes"] += 1
-            return push(self, t)
-
         def counting_build(arrivals, *args, **kwargs):
             calls["built"].append(len(arrivals))
             return build(arrivals, *args, **kwargs)
 
         monkeypatch.setattr(LiveDaemon, "_process_epoch", counting_process)
         monkeypatch.setattr(IncrementalFlatForest, "push_batch", counting_push_batch)
-        monkeypatch.setattr(IncrementalFlatForest, "push", counting_push)
         monkeypatch.setattr(incremental, "dyadic_flat_forest", counting_build)
         restored = LiveDaemon.restore(text)
         assert calls["epochs"] == 0

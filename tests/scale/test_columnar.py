@@ -31,6 +31,7 @@ from repro.scale.columnar import (
     store_slices,
     write_store,
 )
+from tests.conftest import fuzz_examples, hostile_json_text, json_values
 
 
 def _columns(seed: int, names=("alpha", "beta", "gamma"), sizes=(513, 0, 2048)):
@@ -162,7 +163,61 @@ class TestAttachCache:
         columnar.detach()
 
 
+def _set_index(root, **fields) -> None:
+    """Rewrite a store's ``index.json``: ``fields`` go on the top level,
+    ``object_<field>`` keys on its first column entry."""
+    index = Path(root) / "index.json"
+    doc = json.loads(index.read_text())
+    for key, value in fields.items():
+        if key.startswith("object_"):
+            doc["objects"][0][key[len("object_"):]] = value
+        else:
+            doc[key] = value
+    index.write_text(json.dumps(doc))
+
+
+#: index fields that crashed the readers (``OverflowError`` from
+#: ``int(inf)``) or were accepted silently (``int()`` truncation, a bool,
+#: a crc32 past 32 bits, objects that are not a list); every one must be a
+#: StoreError
+MALFORMED_FIELDS = {
+    "total-inf": {"total": float("inf")},
+    "offset-inf": {"object_offset": float("inf")},
+    "count-inf": {"object_count": float("inf")},
+    "crc32-inf": {"object_crc32": float("inf")},
+    "total-string": {"total": "3"},
+    "total-float": {"total": 3.9},
+    "offset-bool": {"object_offset": False},
+    "crc32-past-32-bits": {"object_crc32": 2**32},
+    "objects-not-a-list": {"objects": {}, "total": 0},
+}
+
+
 class TestIndexValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+    def test_malformed_field_is_a_store_error(self, tmp_path, case):
+        write_store(tmp_path, [("title-001", np.arange(3.0))])
+        _set_index(tmp_path, **MALFORMED_FIELDS[case])
+        with pytest.raises(StoreError):
+            store_slices(tmp_path)
+        with pytest.raises(StoreError):
+            ColumnarStore(tmp_path)
+        assert not check_columnar_store(tmp_path).ok
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"total": %s}' % ("9" * 5000)],
+        ids=["deep-nesting", "5000-digit-int"],
+    )
+    def test_parser_failure_is_a_store_error(self, tmp_path, text):
+        write_store(tmp_path, [("title-001", np.arange(3.0))])
+        (tmp_path / "index.json").write_text(text)
+        with pytest.raises(StoreError, match="unreadable"):
+            store_slices(tmp_path)
+        with pytest.raises(StoreError, match="unreadable"):
+            ColumnarStore(tmp_path)
+        assert not check_columnar_store(tmp_path).ok
+
     def test_segment_size_mismatch(self, tmp_path):
         write_store(tmp_path, [("x", np.arange(16.0))])
         with (tmp_path / "segment.bin").open("ab") as fh:
@@ -228,3 +283,111 @@ class TestTornSegmentContract:
         assert doc["schema"] == "bogus.v0"
         with pytest.raises(StoreError, match="schema"):
             ColumnarStore(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# index.json fuzz: a loaded index tiles the segment, or it is a StoreError
+# ---------------------------------------------------------------------------
+
+#: numbers an index field might hold by mistake, as JSON can spell them
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.integers(),
+    st.just(2**32),
+    st.floats(),
+    st.booleans(),
+    st.text(alphabet="0123456789-.e", max_size=6),
+)
+
+
+_HOSTILE = hostile_json_text(
+    '{"schema": "' + columnar.SCHEMA + '", "dtype": "<f8", "total": %s, "objects": []}'
+)
+
+
+@st.composite
+def _mutated_index(draw, doc) -> str:
+    """The true index with top-level fields and column-entry fields kept,
+    dropped or replaced, entries dropped, duplicated or reordered, and
+    its text possibly torn."""
+    doc = json.loads(json.dumps(doc))
+    objects = doc["objects"]
+    for entry in objects:
+        for field in ("name", "offset", "count", "crc32"):
+            op = draw(st.sampled_from(["keep"] * 6 + ["drop", "number", "json"]))
+            if op == "drop":
+                del entry[field]
+            elif op != "keep":
+                entry[field] = draw(_NUMBERS if op == "number" else json_values)
+    op = draw(st.sampled_from(["keep", "keep", "drop", "duplicate", "reverse"]))
+    if op == "drop":
+        del objects[draw(st.integers(0, len(objects) - 1))]
+    elif op == "duplicate":
+        objects.append(draw(st.sampled_from(objects)))
+    elif op == "reverse":
+        objects.reverse()
+    for field in ("schema", "dtype", "total", "objects"):
+        op = draw(st.sampled_from(["keep", "keep", "keep", "drop", "number", "json"]))
+        if op == "drop":
+            del doc[field]
+        elif op != "keep":
+            doc[field] = draw(_NUMBERS if op == "number" else json_values)
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    return text
+
+
+def _assert_tiles(slices, total):
+    """Slices in index order cover ``[0, total)`` exactly, end to end."""
+    offset = 0
+    for sl in slices:
+        assert type(sl.offset) is int and type(sl.count) is int
+        assert sl.offset == offset and sl.count >= 0
+        offset += sl.count
+    assert offset == total
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(tmp_path_factory):
+    """A three-column store (one column empty) and its true index."""
+    root = tmp_path_factory.mktemp("index-fuzz")
+    write_store(root, _columns(11, sizes=(5, 0, 9)).items())
+    return root, json.loads((root / "index.json").read_text())
+
+
+class TestIndexFuzz:
+    """Contract: ``store_slices`` and ``ColumnarStore`` load slices that
+    tile ``[0, total)`` exactly, or raise ``StoreError``; and
+    ``check_columnar_store`` never raises."""
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(data=st.data())
+    def test_loads_a_tiling_or_raises_store_error(self, fuzz_store, data):
+        root, doc = fuzz_store
+        text = data.draw(
+            st.one_of(
+                st.text(),
+                json_values.map(json.dumps),
+                _HOSTILE,
+                _mutated_index(doc),
+            )
+        )
+        (root / "index.json").write_text(text)
+        try:
+            slices = store_slices(root)
+        except StoreError:
+            slices = None
+        else:
+            _assert_tiles(slices.values(), json.loads(text)["total"])
+        try:
+            store = ColumnarStore(root)
+        except StoreError:
+            store = None  # an index store_slices accepts may still not fit the segment
+        else:
+            with store:
+                assert slices == {sl.name: sl for sl in map(store.slice, store.names)}
+                _assert_tiles(slices.values(), store.total)
+                assert store.total == doc["total"]  # the segment's length
+        report = check_columnar_store(root)  # must not raise
+        assert store is not None or not report.ok

@@ -12,8 +12,6 @@ unchanged without numba).
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,14 +119,12 @@ class TestBackendConfig:
             K.configure_backend("cython")
 
     @pytest.mark.skipif(K.HAVE_NUMBA, reason="needs a numpy-only environment")
-    def test_numba_request_degrades_without_numba(self, caplog):
-        """Asking for numba without numba never raises: one warning,
-        numpy fallback (the graceful-degradation satellite)."""
-        K._WARNED_NUMBA_MISSING = False
-        with caplog.at_level(logging.WARNING, logger="repro.scale"):
-            assert K.configure_backend("numba") == "numpy"
-            assert K.configure_backend("numba") == "numpy"
-        assert sum("numba" in r.message for r in caplog.records) == 1  # one-time
+    def test_numba_request_raises_without_numba(self):
+        """Only tests and benchmarks select a backend; asking for numba
+        where it is missing is their error, and changes nothing."""
+        with pytest.raises(ValueError, match="numba is not installed"):
+            K.configure_backend("numba")
+        assert K.active_backend() == "numpy"
 
 
 # ---------------------------------------------------------------------------

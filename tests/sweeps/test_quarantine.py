@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sweeps import ARTIFACT_SCHEMA, Axis, SweepCache, SweepSpec, run_sweep
 from repro.sweeps.evaluators import merge_cost_table_point
-from tests.conftest import fuzz_examples
+from tests.conftest import fuzz_examples, hostile_json_text, json_scalars, json_values
 
 
 def _spec():
@@ -126,34 +126,11 @@ class TestQuarantine:
 # hypothesis fuzz over artifact text and JSON shapes
 # ---------------------------------------------------------------------------
 
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
-)
-_JSON = st.recursive(
-    _SCALARS,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.dictionaries(st.text(max_size=6), kids, max_size=4),
-    ),
-    max_leaves=10,
-)
 _NON_SCALARS = st.one_of(
-    st.lists(_JSON, max_size=3),
-    st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
+    st.lists(json_values, max_size=3),
+    st.dictionaries(st.text(max_size=6), json_values, max_size=3),
 )
-
-
-@st.composite
-def _hostile_text(draw) -> str:
-    """Text at the parser's limits: deep nesting or a huge integer."""
-    depth = draw(st.integers(min_value=1, max_value=100_000))
-    kind = draw(st.sampled_from(["array", "object", "int"]))
-    if kind == "array":
-        return "[" * depth + "]" * draw(st.integers(min_value=0, max_value=depth))
-    if kind == "object":
-        return '{"a":' * depth + "1" + "}" * draw(st.integers(min_value=0, max_value=depth))
-    digits = draw(st.integers(min_value=4000, max_value=6000))
-    return '{"schema": "%s", "metrics": {"closed": %s}}' % (ARTIFACT_SCHEMA, "7" * digits)
+_HOSTILE = hostile_json_text('{"schema": "' + ARTIFACT_SCHEMA + '", "metrics": {"closed": %s}}')
 
 
 @st.composite
@@ -167,19 +144,19 @@ def _mutated_artifact(draw, payload) -> str:
         if op == "drop":
             del doc[field]
         elif op == "replace":
-            doc[field] = draw(_JSON)
+            doc[field] = draw(json_values)
     metrics = dict(payload["metrics"])
     op = draw(st.sampled_from(["keep", "thin", "pad", "spoil", "replace"]))
     if op == "thin":
         for name in draw(st.sets(st.sampled_from(sorted(metrics)), min_size=1)):
             del metrics[name]
     elif op == "pad":
-        extra = draw(st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3))
+        extra = draw(st.dictionaries(st.text(max_size=6), json_scalars, max_size=3))
         metrics = {**extra, **metrics}
     elif op == "spoil":
         metrics[draw(st.sampled_from(sorted(metrics)))] = draw(_NON_SCALARS)
-    doc["metrics"] = metrics if op != "replace" else draw(_JSON)
-    doc.update(draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=2)))
+    doc["metrics"] = metrics if op != "replace" else draw(json_values)
+    doc.update(draw(st.dictionaries(st.text(max_size=6), json_values, max_size=2)))
     text = json.dumps(doc)
     if draw(st.booleans()):
         text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
@@ -211,8 +188,8 @@ class TestArtifactFuzz:
         text = data.draw(
             st.one_of(
                 st.text(),
-                _JSON.map(json.dumps),
-                _hostile_text(),
+                json_values.map(json.dumps),
+                _HOSTILE,
                 _mutated_artifact(payload),
             )
         )
