@@ -42,7 +42,11 @@ from repro.core.merge_tree import MergeForest, tree_from_parent_map
 from repro.core.online import build_online_flat_forest
 from repro.fastpath.dyadic import dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
-from repro.fastpath.replay import replay_verify_forest, replay_verify_forest_continuous
+from repro.fastpath.replay import (
+    WALK_BLOCK,
+    replay_verify_forest,
+    replay_verify_forest_continuous,
+)
 from repro.simulation import ImmediateDyadicPolicy, Simulation, verify_simulation
 from repro.simulation.policies import Policy
 from repro.simulation.verify import (
@@ -198,6 +202,17 @@ def test_dyadic_flat_smoke(benchmark):
     fast = benchmark(dyadic_flat_forest, ts, DYADIC_L)
     ref = dyadic_forest(ts, DYADIC_L)
     assert fast.equals(FlatForest.from_forest(ref))
+
+
+def test_continuous_replay_blocks_smoke(benchmark):
+    """The continuous walk over 4x10^4 clients: three blocks of the
+    shipped ``WALK_BLOCK``, against the per-client interval oracle."""
+    flat = dyadic_flat_forest(irregular_times(40_000), DYADIC_L)
+    assert int((flat.parent >= 0).sum()) > 2 * WALK_BLOCK
+    fast = benchmark(replay_verify_forest_continuous, flat, DYADIC_L)
+    ref = verify_forest_continuous_reference(flat, DYADIC_L)
+    assert ref.ok
+    _assert_reports_equal(ref, fast)
 
 
 def test_scale_replay_smoke(benchmark):

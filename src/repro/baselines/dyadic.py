@@ -267,16 +267,29 @@ class DyadicOnline:
     time never grow, which is what makes the on-line construction agree
     with the batch recursion.
 
-    ``finish()`` returns the accumulated :class:`MergeForest`.
+    The builder holds only the open tree's stack: a tree whose cutoff has
+    passed is no longer referenced by it, so a long event run keeps one
+    tree alive, not every tree it placed.  :meth:`forest` assembles a
+    whole forest from the roots ``push`` returns.
     """
 
     def __init__(self, L: float, params: DyadicParams = DyadicParams()):
         check_stream_length(L)
         self.L = L
         self.params = params
-        self._roots: List[MergeNode] = []
         self._stack: List[_StackEntry] = []
         self._last_time: Optional[float] = None
+
+    @classmethod
+    def forest(
+        cls, arrivals: Sequence[float], L: float, params: DyadicParams = DyadicParams()
+    ) -> MergeForest:
+        """The forest of ``arrivals``, pushed one at a time."""
+        builder = cls(L, params)
+        roots = [node for node in map(builder.push, arrivals) if node.parent is None]
+        if not roots:
+            raise ValueError("no arrivals were pushed")
+        return MergeForest([MergeTree(r) for r in roots])
 
     def push(self, t: float) -> MergeNode:
         """Process the arrival at time ``t`` (strictly increasing).
@@ -293,7 +306,6 @@ class DyadicOnline:
         self._last_time = t
         if not self._stack or t > self._stack[0].cutoff:
             root = MergeNode(t)
-            self._roots.append(root)
             self._stack = [
                 _StackEntry(root, t + self.params.window(self.L), None)
             ]
@@ -323,12 +335,3 @@ class DyadicOnline:
             del self._stack[depth + 1 :]
             self._stack.append(_StackEntry(child, hi, None))
             return child
-
-    def extend(self, arrivals: Sequence[float]) -> None:
-        for t in arrivals:
-            self.push(t)
-
-    def finish(self) -> MergeForest:
-        if not self._roots:
-            raise ValueError("no arrivals were pushed")
-        return MergeForest([MergeTree(r) for r in self._roots])

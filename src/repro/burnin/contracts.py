@@ -279,8 +279,11 @@ def _check_replay(
                     "replay has none"
                 )
             continue
+        # The fold's expressions (``runner._run_shard``, the live daemon):
+        # ``x * d + l * d`` differs from ``(x + l) * d`` in the last ULP
+        # whenever ``d`` is not a power of two.
         starts = result.forest.arrivals * report.delay_minutes
-        ends = starts + result.lengths * report.delay_minutes
+        ends = (result.forest.arrivals + result.lengths) * report.delay_minutes
         if not (
             np.array_equal(starts, reported.starts)
             and np.array_equal(ends, reported.ends)

@@ -36,7 +36,15 @@ gathers only ``lo``: ``y`` and ``u`` (the previous level's ``lo``) ride
 along with the surviving clients, ``2y - u - lo`` and each clipped end
 are computed once, pieces are compressed only when some are dropped
 (none are on a dyadic forest with ``beta <= 1/2``), and failure messages
-are rebuilt from the failing pairs' indices alone.
+are rebuilt from the failing pairs' indices alone.  The non-root clients
+walk in contiguous blocks of ``WALK_BLOCK`` (2**14, so each per-level
+array is about 128 KB and a level's two dozen passes stay in L2 rather
+than streaming 6 MB arrays of a hot title through memory).  Blocking is
+exact: a client's pieces depend only on its own root path, every check
+counts pieces one by one, and ``demanded`` is a maximum, which no order
+changes; only the order of the failure list moves.  A not-tight failure
+re-derives the oracle-typed demands for the affected trees' index ranges
+alone.
 
 Exactness contract (same shape as ``fastpath.general``): all arithmetic
 is the oracle's integer (or, for the continuous verifier, float)
@@ -46,7 +54,8 @@ per-client oracles ``verify_forest_reference`` /
 set (message strings included; ordering within the list may differ) — on
 every forest both accept, including corrupted ones.
 ``tests/fastpath/test_replay.py`` asserts that on randomized optimal,
-on-line and dyadic forests with injected violations.  One caveat: node
+on-line and dyadic forests with injected violations, with the walk in
+blocks of 1, 7 and ``WALK_BLOCK`` clients.  One caveat: node
 labels in failure messages print collapsed-to-int when exact (``4``, not
 ``4.0``), matching what the reference sees for any ``FlatForest`` input
 (its ``to_forest`` collapses exact labels); a ``MergeForest`` input that
@@ -66,6 +75,10 @@ from ..scale.kernels import replay_walk
 from .flat_forest import FlatForest, as_flat_forest
 
 __all__ = ["replay_verify_forest", "replay_verify_forest_continuous"]
+
+#: Non-root clients per block of the continuous walk: 2**14 clients keep
+#: each per-level array near 128 KB, so a level's passes run in L2.
+WALK_BLOCK = 1 << 14
 
 
 def _fmt(value: float):
@@ -201,6 +214,7 @@ def replay_verify_forest_continuous(
     checks = 0
     failures: List[str] = []
     demanded = np.zeros(n)
+    nonroot = np.flatnonzero(par >= 0)
 
     def _demand_checks(keep, streams, b, clients, typed_b):
         # The pieces ``keep`` selects; on valid forests that is all of
@@ -221,32 +235,35 @@ def replay_verify_forest_continuous(
             )
         np.maximum.at(demanded, streams, b)
 
+    def typed_from_u(c, s):
+        return min(2 * _fmt(x[c]) - _fmt(x[s]) - _fmt(x[par[s]]), L)
+
+    def typed_from_lo(c, s):
+        return min(2 * (_fmt(x[c]) - _fmt(x[s])), L)
+
     # Stage pieces, level by level: at level s the pair is
     # (u, lo) = (w_{s-1}, w_s) and contributes the stage's piece from u
     # (positions (2(y-u), 2y-u-lo]) and from lo ((2y-u-lo, 2(y-lo)]).
-    # y and u ride along; only lo is gathered per level.
-    cl = np.flatnonzero(par >= 0)
-    wprev = cl
-    wcur = par[cl]
-    y = u = x[cl]
-    while cl.size:
-        lo = x[wcur]
-        mid = 2 * y - u - lo
-        end = np.minimum(mid, L)
-        _demand_checks(
-            end > 2 * (y - u), wprev, end, cl,
-            lambda c, s: min(2 * _fmt(x[c]) - _fmt(x[s]) - _fmt(x[par[s]]), L),
-        )
-        end = np.minimum(2 * (y - lo), L)
-        _demand_checks(
-            end > mid, wcur, end, cl,
-            lambda c, s: min(2 * (_fmt(x[c]) - _fmt(x[s])), L),
-        )
-        pcur = par[wcur]
-        step = pcur >= 0
-        cl, y, u = cl[step], y[step], lo[step]
-        wprev = wcur[step]
-        wcur = pcur[step]
+    # y and u ride along; only lo is gathered per level.  The non-root
+    # clients walk one WALK_BLOCK at a time, so a level's arrays stay
+    # cache-sized; each client's pieces do not depend on the others.
+    for first in range(0, nonroot.size, WALK_BLOCK):
+        cl = nonroot[first : first + WALK_BLOCK]
+        wprev = cl
+        wcur = par[cl]
+        y = u = x[cl]
+        while cl.size:
+            lo = x[wcur]
+            mid = 2 * y - u - lo
+            end = np.minimum(mid, L)
+            _demand_checks(end > 2 * (y - u), wprev, end, cl, typed_from_u)
+            end = np.minimum(2 * (y - lo), L)
+            _demand_checks(end > mid, wcur, end, cl, typed_from_lo)
+            pcur = par[wcur]
+            step = pcur >= 0
+            cl, y, u = cl[step], y[step], lo[step]
+            wprev = wcur[step]
+            wcur = pcur[step]
 
     # Root-stream tails: positions (2(y - r), L] — always float(L).
     root = flat.root_index
@@ -260,9 +277,8 @@ def replay_verify_forest_continuous(
     # passes identically to the oracle on any forest FlatForest accepts.
     checks += n
 
-    nr = np.nonzero(par >= 0)[0]
-    checks += nr.size
-    bad = nr[np.abs(demanded[nr] - lengths[nr]) > eps].tolist()
+    checks += nonroot.size
+    bad = nonroot[np.abs(demanded[nonroot] - lengths[nonroot]) > eps].tolist()
     if bad:
         # Failure slow path: the oracle's running max keeps the *type* of
         # the first maximal piece (an int L from a clipped ``min(b, L)``
@@ -283,16 +299,22 @@ def _typed_demands(flat: FlatForest, roots, L) -> dict:
 
     Replays ``_client_intervals_continuous`` client by client (arrival
     order, as the reference does) so the running ``max`` resolves ties —
-    and hence Python types — identically to the reference verifier.
+    and hence Python types — identically to the reference verifier.  A
+    stream's demand comes from its own tree, and trees are contiguous
+    index ranges, so only the given trees' ranges are replayed.
     """
     from ..simulation.verify import _client_intervals_continuous
 
-    paths = flat.paths([_fmt(a) for a in flat.arrivals.tolist()])
-    root_of = flat.root_index
+    starts = np.flatnonzero(flat.parent < 0)
+    ends = np.append(starts[1:], len(flat))
     demanded: dict = {}
-    for i in range(len(flat)):
-        if int(root_of[i]) not in roots:
-            continue
-        for stream, _a, b in _client_intervals_continuous(paths[i], L):
-            demanded[stream] = max(demanded.get(stream, 0.0), b)
+    for lo in sorted(roots):
+        hi = int(ends[np.searchsorted(starts, lo)])
+        par = flat.parent[lo:hi]
+        tree = FlatForest.concatenated(
+            flat.arrivals[lo:hi], np.where(par >= 0, par - lo, -1), flat.z[lo:hi]
+        )
+        for path in tree.paths([_fmt(a) for a in tree.arrivals.tolist()]):
+            for stream, _a, b in _client_intervals_continuous(path, L):
+                demanded[stream] = max(demanded.get(stream, 0.0), b)
     return demanded

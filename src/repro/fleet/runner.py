@@ -313,27 +313,31 @@ def sanitize_times(
     Ragged form: with ``offsets``, ``times`` holds several objects' feeds
     end to end (object ``k`` is ``times[offsets[k]:offsets[k + 1]]``);
     each is repaired on its own, ``repaired`` has one count per object,
-    and a third array delimits the objects in ``clean``.  An object whose
-    in-window entries already increase strictly is kept as it is (exactly
-    what sorting and collapsing would return); only the others are sorted.
+    and a third array delimits the objects in ``clean``.  In either form,
+    a feed whose in-window entries already increase strictly is kept as
+    it is (exactly what sorting and collapsing would return); only the
+    others are sorted.
     """
     ts = np.asarray(times, dtype=np.float64)
     ok = np.isfinite(ts)
     # & instead of chained comparisons: NaN must not reach the range test
     ok &= (ts >= 0.0) & (ts < horizon)
-    if offsets is None:
-        clean = np.unique(ts[ok])  # sorts and collapses exact duplicates
-        return clean, int(ts.size - clean.size)
     kept = ts[ok]
+    ragged = offsets is not None
+    if not ragged:
+        offsets = np.array([0, ts.size])
     bounds = np.concatenate(([0], np.cumsum(ok)))[offsets]
     dec = non_increasing_within(kept, bounds)
-    if not dec.any():
-        return kept, np.diff(offsets) - np.diff(bounds), bounds
-    parts = [kept[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    for k in np.unique(np.searchsorted(bounds, np.flatnonzero(dec), side="right") - 1):
-        parts[k] = np.unique(parts[k])
-    bounds = np.concatenate(([0], np.cumsum([p.size for p in parts])))
-    return np.concatenate(parts), np.diff(offsets) - np.diff(bounds), bounds
+    if dec.any():
+        parts = [kept[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        for k in np.unique(np.searchsorted(bounds, np.flatnonzero(dec), side="right") - 1):
+            parts[k] = np.unique(parts[k])  # sorts and collapses exact duplicates
+        kept = np.concatenate(parts)
+        bounds = np.concatenate(([0], np.cumsum([p.size for p in parts])))
+    repaired = np.diff(offsets) - np.diff(bounds)
+    if ragged:
+        return kept, repaired, bounds
+    return kept, int(repaired[0])
 
 
 @contextlib.contextmanager

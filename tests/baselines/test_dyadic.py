@@ -169,9 +169,7 @@ class TestForest:
     def test_online_stack_matches_batch(self, times):
         params = DyadicParams()
         batch = dyadic_forest(times, 100, params)
-        online = DyadicOnline(100, params)
-        online.extend(times)
-        stack = online.finish()
+        stack = DyadicOnline.forest(times, 100, params)
         assert [t.canonical() for t in batch] == [t.canonical() for t in stack]
 
     @settings(max_examples=25, deadline=None)
@@ -219,7 +217,7 @@ class TestOnlineStack:
 
     def test_finish_empty(self):
         with pytest.raises(ValueError):
-            DyadicOnline(100).finish()
+            DyadicOnline.forest([], 100)
 
     def test_bad_L(self):
         with pytest.raises(ValueError):

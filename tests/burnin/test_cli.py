@@ -81,6 +81,17 @@ class TestFleetCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "contracts: OK" in proc.stdout
 
+    @pytest.mark.parametrize("delay", ["1.5", "0.3"])
+    def test_inexact_delay_passes_the_replay_contract(self, delay):
+        """Exited 4 ("folded intervals != in-process replay") when the
+        contract rebuilt the folded ends with other float expressions."""
+        proc = _run(
+            "fleet", "--objects", "20", "--delay", delay,
+            "--policy", "immediate-dyadic", "--check", "--no-frontier",
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "contracts: OK" in proc.stdout
+
     @pytest.mark.parametrize("budgets", ["0,50", "-3", ","])
     def test_bad_budgets_exit_two_before_running(self, budgets):
         proc = _run("fleet", "--objects", "6", "--budgets", budgets)

@@ -14,7 +14,7 @@ from repro.burnin import (
     check_sweep_result,
     fleet_reports_equal,
 )
-from repro.fleet import FleetPolicy, admission_report, run_fleet
+from repro.fleet import FLEET_POLICIES, FleetPolicy, admission_report, run_fleet
 from repro.multiplex import Catalog, split_requests
 from repro.sweeps import Axis, SweepSpec, run_sweep
 from repro.sweeps.evaluators import merge_cost_table_point
@@ -117,6 +117,25 @@ class TestFleetContracts:
         )
         contracts = check_fleet_report(report, catalog, workload, policy)
         assert any(o.name == "fleet.replay" for o in contracts.failures())
+
+    @pytest.mark.parametrize("delay", [0.3, 0.7, 2.2, 1.5, 3.0])
+    @pytest.mark.parametrize("kind", FLEET_POLICIES)
+    def test_replay_exact_at_inexact_delays(self, catalog, workload, kind, delay):
+        """The contract rebuilds the folded ends with the fold's
+        ``(x + l) * delay``: ``x * delay + l * delay`` differs in the last
+        ULP when the delay is not binary-exact, which rejected clean runs.
+        A one-ULP nudge of one end is still caught."""
+        policy = FleetPolicy(kind)
+        report = run_fleet(catalog, delay, HORIZON, policy=policy, workload=workload)
+        contracts = check_fleet_report(report, catalog, workload, policy)
+        assert contracts.ok, contracts.render()
+        victim = next(o for o in report.objects if o.streams > 0)
+        ends = victim.ends.copy()
+        ends[-1] = np.nextafter(ends[-1], np.inf)
+        idx = report.objects.index(victim)
+        report.objects[idx] = dataclasses.replace(victim, ends=ends)
+        broken = check_fleet_report(report, catalog, workload, policy)
+        assert [o.name for o in broken.failures()] == ["fleet.replay"]
 
     def test_capacity_contract_armed_by_budget(self, catalog, workload):
         report = _report(catalog, workload, FleetPolicy.batched_dyadic())

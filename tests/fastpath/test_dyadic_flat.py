@@ -86,9 +86,7 @@ def _assert_same_forest(ts, L, params):
     flat = dyadic_flat_forest(ts, L, params)
     assert flat.equals(ref)
     assert np.array_equal(flat.z, ref.z)  # trusted-z shortcut is exact
-    online = DyadicOnline(L, params)
-    online.extend(ts)
-    assert FlatForest.from_forest(online.finish()).equals(ref)
+    assert FlatForest.from_forest(DyadicOnline.forest(ts, L, params)).equals(ref)
     window = IncrementalFlatForest(L, params)
     window.push_batch(ts)
     live = window.live_forest()

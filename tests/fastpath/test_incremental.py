@@ -133,9 +133,8 @@ def test_push_batch_equals_scalar_push(params, batch):
         batched.push_batch(ts[lo : lo + batch])
     _assert_identical(_materialise(scalar, []), _materialise(batched, []))
     assert scalar.total_appended.tolist() == batched.total_appended.tolist() == [ts.size]
-    obj = DyadicOnline(L, params)
-    obj.extend(ts.tolist())
-    _assert_identical(FlatForest.from_forest(obj.finish()), _materialise(batched, []))
+    obj = DyadicOnline.forest(ts.tolist(), L, params)
+    _assert_identical(FlatForest.from_forest(obj), _materialise(batched, []))
     tail = float(ts[-1]) + 0.001
     scalar.push_batch([tail])
     batched.push_batch([tail])

@@ -6,15 +6,17 @@ batched replay must produce *identical* ``VerificationReport``s to the
 object-walk oracle — same ok flag, same check count, same failure set —
 including on corrupted forests with injected violations (mutated parent
 pointers, shortened streams via tampered subtree maxima, buffer bound
-breaches).
+breaches).  Every case that runs the continuous verifier runs with its
+walk in blocks of 1 and 7 clients as well as the shipped ``WALK_BLOCK``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dyadic import dyadic_forest
@@ -24,7 +26,9 @@ from repro.core.full_cost import build_optimal_forest
 from repro.core.online import build_online_forest
 from repro.core.receive_all import build_optimal_forest_receive_all
 from repro.fastpath.flat_forest import FlatForest, as_flat_forest
+import repro.fastpath.replay as replay
 from repro.fastpath.replay import (
+    WALK_BLOCK,
     replay_verify_forest,
     replay_verify_forest_continuous,
 )
@@ -47,6 +51,19 @@ def assert_reports_equal(ref, fast, ctx=""):
 small_L = st.sampled_from([4, 7, 10, 15, 30])
 small_n = st.integers(min_value=1, max_value=90)
 
+#: the block fixture is function-scoped; it only sets a module constant,
+#: which holds for every example alike
+BLOCK_SETTINGS = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture(params=[1, 7, WALK_BLOCK], ids=["block1", "block7", "shipped"])
+def walk_block(request, monkeypatch):
+    """Walk the non-root clients 1, 7 or the shipped number at a time."""
+    monkeypatch.setattr(replay, "WALK_BLOCK", request.param)
+    return request.param
+
 
 class TestValidForests:
     @settings(max_examples=40, deadline=None)
@@ -60,7 +77,8 @@ class TestValidForests:
                 (L, n, model),
             )
 
-    @settings(max_examples=30, deadline=None)
+    @pytest.mark.usefixtures("walk_block")
+    @settings(BLOCK_SETTINGS, max_examples=30)
     @given(small_L, small_n)
     def test_online_forests(self, L, n):
         forest = build_online_forest(L, n)
@@ -93,7 +111,8 @@ class TestValidForests:
                 bound,
             )
 
-    @settings(max_examples=30, deadline=None)
+    @pytest.mark.usefixtures("walk_block")
+    @settings(BLOCK_SETTINGS, max_examples=30)
     @given(increasing_times_exact(min_size=1, max_size=35, horizon=300.0))
     def test_dyadic_continuous(self, times):
         forest = dyadic_forest(times, 100)
@@ -123,6 +142,7 @@ def _mutate_parent(flat: FlatForest, rng: random.Random) -> FlatForest:
 class TestInjectedViolations:
     """Corrupted forests must fail identically in both replays."""
 
+    @pytest.mark.usefixtures("walk_block")
     def test_mutated_parents(self):
         rng = random.Random(11)
         failing = 0
@@ -168,6 +188,7 @@ class TestInjectedViolations:
         assert not ref.ok
         assert any("buffer" in f for f in fast.failures)
 
+    @pytest.mark.usefixtures("walk_block")
     def test_dense_dyadic_forest_with_a_deep_corruption(self):
         """A dense dyadic forest (its first levels are split in phase 1 at
         the shipped ratio) whose deepest node is moved under the latest
@@ -190,6 +211,38 @@ class TestInjectedViolations:
         assert len(ref.failures) >= 5
         assert any("needs position" in f for f in ref.failures)
         assert_reports_equal(ref, replay_verify_forest_continuous(corrupt, 200))
+
+    @pytest.mark.usefixtures("walk_block")
+    def test_not_tight_replays_only_the_affected_trees(self, monkeypatch):
+        """Tampered subtree maxima in two of many dyadic trees: the typed
+        not-tight messages equal the oracle's, and root paths are built
+        for those two trees' index ranges only."""
+        rng = random.Random(29)
+        ts = sorted(rng.sample(range(1, 200_000), 3000))
+        flat = dyadic_flat_forest([t / 100.0 for t in ts], 100)
+        starts = np.flatnonzero(flat.parent < 0)
+        ends = np.append(starts[1:], len(flat))
+        assert starts.size >= 10
+        z = flat.z.copy()
+        sizes = []
+        for k in (2, 7):
+            lo, hi = int(starts[k]), int(ends[k])
+            inner = np.intersect1d(np.arange(lo + 1, hi), flat.parent[lo:hi])
+            z[inner[0]] = flat.arrivals[inner[0]]  # its subtree "ends" at it
+            sizes.append(hi - lo)
+        corrupt = FlatForest(flat.arrivals, flat.parent, z=z)
+        ref = verify_forest_continuous_reference(corrupt, 100)
+        assert sum("not tight" in f for f in ref.failures) >= 2
+        built = []
+        paths = FlatForest.paths
+
+        def spy(self, labels=None):
+            built.append(len(self))
+            return paths(self, labels)
+
+        monkeypatch.setattr(FlatForest, "paths", spy)
+        assert_reports_equal(ref, replay_verify_forest_continuous(corrupt, 100))
+        assert built == sizes
 
     def test_infeasible_span(self):
         from repro.core.merge_tree import MergeForest, star_tree

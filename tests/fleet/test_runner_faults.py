@@ -71,3 +71,28 @@ class TestSanitizeTimes:
     def test_empty_input(self):
         out, repaired = sanitize_times(np.empty(0), 10.0)
         assert out.size == 0 and repaired == 0
+
+    @pytest.mark.parametrize(
+        "feed", ["clean", "shuffled", "duplicated", "nan", "out-of-window"]
+    )
+    def test_one_object_form_equals_sort_and_collapse(self, feed):
+        """A strictly increasing feed skips the sort; every feed still
+        gives ``np.unique`` of its in-window entries, bit for bit, with
+        the same repaired count."""
+        rng = np.random.default_rng(3)
+        times = np.sort(rng.uniform(0.0, 10.0, 500))
+        times[0] = -0.0  # a signed zero is in the window and kept as it is
+        if feed == "shuffled":
+            rng.shuffle(times)
+        elif feed == "duplicated":
+            times = np.insert(times, [7, 90, 91], times[[7, 90, 90]])
+        elif feed == "nan":
+            times[[3, 200]] = np.nan
+        elif feed == "out-of-window":
+            times = np.concatenate(([-1.0], times, [10.0, np.inf]))
+        out, repaired = sanitize_times(times, 10.0)
+        ok = np.isfinite(times) & (times >= 0.0) & (times < 10.0)
+        want = np.unique(times[ok])
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert repaired == times.size - want.size
+        assert out is not times and not np.shares_memory(out, times)

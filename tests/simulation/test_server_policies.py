@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.arrivals import ArrivalTrace, constant_rate, every_slot, poisson
 from repro.baselines.batching import batched_dyadic_cost, pure_batching_cost
-from repro.baselines.dyadic import DyadicParams, dyadic_forest
+from repro.baselines.dyadic import DyadicOnline, DyadicParams, dyadic_forest
 from repro.baselines.unicast import unicast_cost
 from repro.core.full_cost import optimal_full_cost
 from repro.core.online import online_full_cost, online_tree_size
 from repro.simulation import (
     BatchedDyadicPolicy,
     DelayGuaranteedPolicy,
+    HybridPolicy,
     ImmediateDyadicPolicy,
     OfflineOptimalPolicy,
     PureBatchingPolicy,
@@ -116,6 +120,32 @@ class TestBatchedDyadic:
         for c in res.clients:
             by_slot.setdefault(int(c.arrival), set()).add(c.tree_label)
         assert all(len(s) == 1 for s in by_slot.values())
+
+
+class TestDyadicBuilderMemory:
+    @pytest.mark.parametrize(
+        "policy", [ImmediateDyadicPolicy, BatchedDyadicPolicy, HybridPolicy]
+    )
+    def test_closed_trees_are_released(self, policy, monkeypatch):
+        """The event policies only ``push``: once its cutoff passes, a
+        tree is referenced by nothing, so a long run keeps one tree
+        alive, not every tree it placed."""
+        first = []
+        push = DyadicOnline.push
+
+        def spy(self, t):
+            node = push(self, t)
+            if not first:
+                first.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(DyadicOnline, "push", spy)
+        L = 20
+        served = policy(L)  # the policy, and its builder, outlive the run
+        res = Simulation(L, poisson(2.0, 400.0, seed=4), served).run()
+        assert res.metrics.total_units > 0 and first
+        gc.collect()
+        assert first[0]() is None
 
 
 class TestSimplePolicies:
