@@ -52,12 +52,7 @@ from repro.fleet import (
 )
 from repro.multiplex import Catalog, split_requests
 from repro.scale.columnar import ColumnarWriter
-from repro.scale.kernels import (
-    active_backend,
-    bucket_slots,
-    configure_backend,
-    forest_z,
-)
+from repro.scale.kernels import active_backend
 
 from conftest import timeit_best, write_bench_json
 from tests.fleet.oracles import assert_equivalent_run, simulate_event
@@ -85,30 +80,11 @@ SHARD_HORIZON_MIN = 1440.0
 #: asserted floor of the shard pass over the per-object loop.
 SHARD_FLOOR = 3.0
 
-#: scale-tier kernel rows (clients per case).
-SCALE_NS = (1_000_000, 10_000_000)
-
-#: asserted JIT speedup floor at n = 10^6 (only when numba is active —
-#: on a numpy-only box the rows record backend "numpy" and speedup ~1).
-JIT_FLOOR = 3.0
-
 #: RSS case geometry: OBJECTS columns of RSS_CLIENTS arrivals each
 #: (10^7 clients total).  Peak RSS of the columnar run scales with ONE
 #: object's working set, so the per-object size is what the bound sees.
 RSS_OBJECTS = 100
 RSS_CLIENTS = 100_000
-
-
-def _scale_inputs(n: int):
-    """Deterministic (times, slot_ends, parent) grids for the kernel rows."""
-    rng = np.random.default_rng(29)
-    horizon = n / 100.0
-    times = np.sort(rng.uniform(0.0, horizon, size=n))
-    slot_ends = np.arange(0.5, horizon + 1.0, 0.5)
-    idx = np.arange(n, dtype=np.intp)
-    parent = idx - 1
-    parent[idx % 64 == 0] = -1  # contiguous runs of 64 (chains)
-    return times, slot_ends, parent
 
 
 # -- out-of-core RSS case ----------------------------------------------------
@@ -316,25 +292,6 @@ def test_engine_hybrid_smoke(benchmark):
     assert len(fast.mode_log) >= 4  # the trace actually flips modes
 
 
-def test_scale_bucket_slots_smoke(benchmark):
-    """10^6-row slot bucketing through the backend dispatcher (the scale
-    tier's hot loop); asserts the searchsorted contract in-run."""
-    times, slot_ends, _ = _scale_inputs(1_000_000)
-    client_slot, served_idx = benchmark(bucket_slots, times, slot_ends)
-    ref = np.searchsorted(slot_ends, times, side="right")
-    ref = np.where(ref >= slot_ends.size, -1, ref)
-    assert np.array_equal(client_slot, ref)
-    assert np.array_equal(served_idx, np.unique(ref[ref >= 0]))
-
-
-def test_scale_forest_z_smoke(benchmark):
-    """10^6-node subtree-maximum pass through the backend dispatcher."""
-    times, _, parent = _scale_inputs(1_000_000)
-    z = benchmark.pedantic(forest_z, args=(times, parent), rounds=1)
-    assert z.shape == times.shape
-    assert np.all(z >= times)
-
-
 def test_fleet_runner_smoke(benchmark):
     catalog = Catalog.zipf(12, duration_minutes=60.0)
     workload = split_requests(poisson(0.2, 120.0, seed=5), catalog, seed=5)
@@ -390,8 +347,8 @@ def run_sweep() -> Dict:
     # -- scale tier: out-of-core columnar catalog at 10^7 clients -----------
     # This case runs FIRST: Linux ru_maxrss survives fork+exec, so child
     # processes inherit the parent's peak RSS — the deltas below are only
-    # meaningful while the parent is still small (the later kernel rows
-    # allocate ~10^7-element arrays in this process).
+    # meaningful while the parent is still small (the later engine rows
+    # allocate 10^6-client runs in this process).
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as store:
         with ColumnarWriter(store) as writer:
             for i, obj in enumerate(_rss_catalog()):
@@ -514,45 +471,6 @@ def run_sweep() -> Dict:
     assert row["speedup"] >= SHARD_FLOOR, row
     rows.append(row)
 
-    # -- scale tier: backend-dispatched kernels at 10^6 / 10^7 --------------
-    for n in SCALE_NS:
-        times, slot_ends, parent = _scale_inputs(n)
-        arrivals = times  # forest arrivals reuse the sorted grid
-
-        configure_backend(backend)
-        bucket_slots(times, slot_ends)  # warm: pages, JIT compilation
-        forest_z(arrivals, parent)
-
-        configure_backend("numpy")
-        ref_s, ref_bucket = timeit_best(
-            lambda: bucket_slots(times, slot_ends), repeats=2
-        )
-        zref_s, ref_z = timeit_best(
-            lambda: forest_z(arrivals, parent), repeats=2
-        )
-        configure_backend(backend)
-        fast_s, fast_bucket = timeit_best(
-            lambda: bucket_slots(times, slot_ends), repeats=3
-        )
-        zfast_s, fast_z = timeit_best(
-            lambda: forest_z(arrivals, parent), repeats=3
-        )
-        assert np.array_equal(fast_bucket[0], ref_bucket[0])
-        assert np.array_equal(fast_bucket[1], ref_bucket[1])
-        assert np.array_equal(fast_z, ref_z)
-        rows.append(
-            _case("scale_bucket_slots", n, ref_s, fast_s, backend=backend)
-        )
-        rows.append(
-            _case("scale_forest_z", n, zref_s, zfast_s, backend=backend)
-        )
-
-    # JIT floor (ISSUE 8): >= 3x at n >= 10^6 whenever numba is active;
-    # numpy-only rows honestly record backend "numpy" and ~1x.
-    if backend == "numba":
-        jit = [r for r in rows if r["name"].startswith("scale_")]
-        assert jit and all(r["speedup"] >= JIT_FLOOR for r in jit), jit
-
     # Acceptance floor (ISSUE 4): >= 10x for the batched kernel at 10^5.
     big = [r for r in rows if r["name"].startswith("engine_") and r["n"] >= 100_000]
     assert big and all(r["speedup"] >= 10 for r in big), big
@@ -572,9 +490,7 @@ def run_sweep() -> Dict:
             "catalog through the runner's shard pass against one "
             "simulate_batched run per object, asserts the folded reports "
             "equal field for field, repaired counts included (floor >= 3x).  "
-            "scale_* rows time the backend-dispatched kernels at 10^6/10^7 "
-            "(floor >= 3x under numba; numpy-only rows record ~1x with an "
-            "honest backend tag); fleet_columnar_catalog runs a 10^7-client "
+            "fleet_columnar_catalog runs a 10^7-client "
             "catalog in subprocess children and asserts the columnar run's "
             "peak RSS stays under half the store size while the in-memory "
             "run exceeds it."

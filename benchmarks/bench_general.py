@@ -70,8 +70,7 @@ from repro.simulation.channels import (
     peak_concurrency,
 )
 
-from repro.fastpath.general import _knuth_tables
-from repro.scale.kernels import active_backend, configure_backend
+from repro.scale.kernels import active_backend
 
 from conftest import timeit_best, write_bench_json
 
@@ -315,27 +314,6 @@ def run_sweep() -> Dict:
         )
         rows.append(_case("optimal_forest_general", n, ref_s, fast_s))
 
-    # -- scale tier: Knuth window scan, backend-dispatched ------------------
-    # O(n^2) time AND memory, so n stays at DP scale; the row times the
-    # window scan itself under the active backend (compiled under numba,
-    # the list DP otherwise — numpy-only rows honestly record ~1x).
-    backend = active_backend()
-    ts4k = irregular_times(4000)
-    configure_backend(backend)
-    _knuth_tables(ts4k)  # warm: pages, JIT compilation
-    fast_s, (fast_cost, fast_split) = timeit_best(
-        lambda: _knuth_tables(ts4k), repeats=2
-    )
-    configure_backend("numpy")
-    ref_s, (ref_cost, ref_split) = timeit_best(
-        lambda: _knuth_tables(ts4k), repeats=2
-    )
-    configure_backend(backend)
-    assert fast_cost == ref_cost and fast_split == ref_split
-    rows.append(
-        _case("knuth_tables_backend", len(ts4k), ref_s, fast_s, backend=backend)
-    )
-
     # -- vectorised channel schedule vs the heap greedy ---------------------
     for n in (10_000, 100_000):
         objs, starts, ends = _channel_case(n)
@@ -386,7 +364,7 @@ def run_sweep() -> Dict:
         rows.append(_case(
             "capacity_plan", len(catalog), ref_s, fast_s,
             durations=durations, dropped=len(fast_plan[2].dropped),
-            backend=backend,
+            backend=active_backend(),
         ))
 
     payload = {
@@ -397,10 +375,8 @@ def run_sweep() -> Dict:
             "Knuth-windowed O(n^2) flat reconstruction; heap-greedy channel "
             "assignment vs assign_channels_flat; per-stream catalog "
             "aggregation loops vs stacked interval arrays.  Best-of-k wall clock, "
-            "exact agreement asserted on every pair.  knuth_tables_backend "
-            "times the backend-dispatched Knuth window scan at n = 4000 "
-            "(compiled under numba; numpy-only rows record ~1x with an "
-            "honest backend tag).  capacity_plan times python -m repro "
+            "exact agreement asserted on every pair.  capacity_plan times "
+            "python -m repro "
             "fleet's dg_fleet_peak -> capacity_frontier -> admission_report "
             "at 1000 titles, 1440-minute horizon, 2-minute delay, from a "
             "cold envelope memo: multiplicity-weighted peaks with bisected "

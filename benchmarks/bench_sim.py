@@ -54,15 +54,6 @@ from repro.simulation.verify import (
     verify_forest_reference,
 )
 
-import numpy as np
-
-from repro.scale.kernels import (
-    _replay_walk_numpy,
-    active_backend,
-    configure_backend,
-    replay_walk,
-)
-
 from conftest import timeit_best, write_bench_json
 
 #: stream length for the replay cases (DG envelope forests; small L keeps
@@ -80,25 +71,6 @@ def irregular_times(n: int, step: float = 1 / 64) -> List[float]:
         t += step * (1 + (i % 7) * 3 + (40 if i % 23 == 0 else 0))
         ts.append(t)
     return ts
-
-
-def grid_times(n: int, step: float = 1 / 64) -> np.ndarray:
-    """Vectorised :func:`irregular_times` (same values) for the 10^7 rows."""
-    i = np.arange(n)
-    gaps = step * (1 + (i % 7) * 3 + np.where(i % 23 == 0, 40, 0))
-    return np.cumsum(gaps)
-
-
-def _scale_replay_forest(n: int) -> FlatForest:
-    return dyadic_flat_forest(grid_times(n), DYADIC_L)
-
-
-def _replay_equal(a, b) -> bool:
-    """Whole-tuple equality for replay_walk outputs (arrays + scalars)."""
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(a, b)
-    )
 
 
 def _assert_reports_equal(ref, fast) -> None:
@@ -215,24 +187,6 @@ def test_continuous_replay_blocks_smoke(benchmark):
     _assert_reports_equal(ref, fast)
 
 
-def test_scale_replay_smoke(benchmark):
-    """10^6-client replay demand walk through the backend dispatcher;
-    asserts whole-tuple equality against the vectorised walk in-run."""
-    flat = _scale_replay_forest(1_000_000)
-    lengths = flat.stream_lengths(DYADIC_L, "receive-two")
-    out = benchmark.pedantic(
-        replay_walk,
-        args=(flat.arrivals, flat.parent, lengths, float(DYADIC_L),
-              "receive-two"),
-        rounds=1,
-    )
-    ref = _replay_walk_numpy(
-        flat.arrivals, flat.parent, lengths, float(DYADIC_L), "receive-two"
-    )
-    assert _replay_equal(out, ref)
-    assert ref[3].size == 0  # a clean dyadic forest replays clean
-
-
 def test_policy_sweep_smoke(benchmark):
     trace = poisson(0.25, 400.0, seed=17)
     fast_units = benchmark(_flat_policy_pipeline, DYADIC_L, trace)
@@ -317,27 +271,6 @@ def run_sweep() -> Dict:
             _case("policy_sweep_dyadic", len(trace), ref_s, fast_s, L=DYADIC_L)
         )
 
-    # -- scale tier: backend-dispatched replay walk at 10^6 / 10^7 ----------
-    backend = active_backend()
-    for n in (1_000_000, 10_000_000):
-        flat = _scale_replay_forest(n)
-        lengths = flat.stream_lengths(DYADIC_L, "receive-two")
-        args = (flat.arrivals, flat.parent, lengths, float(DYADIC_L),
-                "receive-two")
-        configure_backend(backend)
-        replay_walk(*args)  # warm: pages, JIT compilation
-        ref_s, ref = timeit_best(lambda: _replay_walk_numpy(*args), repeats=2)
-        fast_s, fast = timeit_best(lambda: replay_walk(*args), repeats=3)
-        assert _replay_equal(fast, ref)
-        assert ref[3].size == 0, "dyadic forest must replay clean"
-        rows.append(
-            _case("scale_replay_walk", n, ref_s, fast_s,
-                  L=DYADIC_L, backend=backend)
-        )
-    if backend == "numba":
-        jit = [r for r in rows if r["name"] == "scale_replay_walk"]
-        assert jit and all(r["speedup"] >= 3 for r in jit), jit
-
     # Acceptance floor for this PR's tentpole rows (ISSUE 3): >= 10x on
     # batched replay and dyadic construction at n = 10^5.
     for name in ("verify_forest_replay", "dyadic_forest"):
@@ -353,11 +286,7 @@ def run_sweep() -> Dict:
             "dyadic forest construction vs MergeNode recursion; flat forest "
             "reconstruction + batched replay vs the object pipeline (both "
             "place arrivals with DyadicOnline).  Best-of-k wall clock; "
-            "every pair asserts identical reports/forests/costs in-run.  "
-            "scale_replay_walk rows time the backend-dispatched demand walk "
-            "at 10^6/10^7 against the vectorised level walk (floor >= 3x "
-            "under numba; numpy-only rows record ~1x with an honest "
-            "backend tag)."
+            "every pair asserts identical reports/forests/costs in-run."
         ),
         "benchmarks": rows,
     }

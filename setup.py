@@ -3,14 +3,8 @@
 Kept as a plain ``setup.py`` (no pyproject): the execution environment
 is offline and lacks the ``wheel`` package, so PEP 660 editable installs
 (which shell out to ``bdist_wheel``) fail — this form lets
-``pip install -e .`` fall back to ``setup.py develop``.
-
-Extras:
-
-* ``repro[fast]`` — numba, enabling the JIT-compiled scale-tier kernels
-  (:mod:`repro.scale.kernels`).  Strictly optional: without it every
-  kernel runs its contract-tested numpy fallback and the full test
-  suite passes unchanged.
+``pip install -e .`` fall back to ``setup.py develop``.  numpy is the
+only run-time dependency.
 """
 
 from setuptools import find_packages, setup
@@ -26,7 +20,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.24"],
-    extras_require={
-        "fast": ["numba>=0.57"],
-    },
 )

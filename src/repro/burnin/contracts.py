@@ -43,7 +43,7 @@ import numpy as np
 
 from ..fleet.capacity import AdmissionReport, dg_fleet_peak
 from ..fleet.engine import FleetPolicy
-from ..fleet.runner import FleetReport, _times_of, object_run
+from ..fleet.runner import FleetReport, _times_of, object_run, stream_minutes
 from ..multiplex.catalog import Catalog
 from ..sweeps.engine import SweepResult
 
@@ -279,11 +279,9 @@ def _check_replay(
                     "replay has none"
                 )
             continue
-        # The fold's expressions (``runner._run_shard``, the live daemon):
-        # ``x * d + l * d`` differs from ``(x + l) * d`` in the last ULP
-        # whenever ``d`` is not a power of two.
-        starts = result.forest.arrivals * report.delay_minutes
-        ends = (result.forest.arrivals + result.lengths) * report.delay_minutes
+        starts, ends = stream_minutes(
+            result.forest.arrivals, result.lengths, report.delay_minutes
+        )
         if not (
             np.array_equal(starts, reported.starts)
             and np.array_equal(ends, reported.ends)

@@ -92,9 +92,7 @@ class FlatForest:
         # because every child has a larger index than its parent.  Builders
         # that know the subtree maxima already (e.g. the flat dyadic
         # construction, where a run's subtree is exactly the run) may pass
-        # ``z`` to skip the pass; the array is trusted as-is.  The pass is
-        # backend-dispatched (repro.scale.kernels) — compiled under numba,
-        # the original list loop otherwise.
+        # ``z`` to skip the pass; the array is trusted as-is.
         if z is None:
             z = forest_z(arr, par)
         else:

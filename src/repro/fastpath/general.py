@@ -53,7 +53,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.validation import check_strictly_increasing
-from ..scale.kernels import active_backend, knuth_tables
 
 __all__ = [
     "general_arrivals_cost",
@@ -71,17 +70,7 @@ def _knuth_tables(ts: List[float]) -> Tuple[List[List[float]], List[List[int]]]:
     at ``i``; ``split[i][j]`` the largest optimal ``h`` (the reference's
     ``<=`` tie-break), scanned only over the Knuth window
     ``[split[i][j-1], split[i+1][j]]``.
-
-    Backend-dispatched: under the numba backend the window scan runs
-    compiled on 2-D arrays (:func:`repro.scale.kernels.knuth_tables`,
-    same expressions in the same association order, so the tables are
-    bit-identical) and is converted back to the list-of-lists form this
-    module's consumers index; the plain-Python DP below remains the
-    numpy-backend path and the property-tested oracle.
     """
-    if active_backend() == "numba":  # pragma: no cover - needs numba
-        cost_arr, split_arr = knuth_tables(np.asarray(ts, dtype=np.float64))
-        return cost_arr.tolist(), split_arr.tolist()
     n = len(ts)
     cost = [[0.0] * n for _ in range(n)]
     split = [[0] * n for _ in range(n)]

@@ -42,9 +42,9 @@ array is about 128 KB and a level's two dozen passes stay in L2 rather
 than streaming 6 MB arrays of a hot title through memory).  Blocking is
 exact: a client's pieces depend only on its own root path, every check
 counts pieces one by one, and ``demanded`` is a maximum, which no order
-changes; only the order of the failure list moves.  A not-tight failure
-re-derives the oracle-typed demands for the affected trees' index ranges
-alone.
+changes; only the order of the failure list moves.  Continuous demands
+print as floats here and in the oracle, whatever the labels' type, so a
+failure message needs no second walk.
 
 Exactness contract (same shape as ``fastpath.general``): all arithmetic
 is the oracle's integer (or, for the continuous verifier, float)
@@ -121,6 +121,8 @@ def replay_verify_forest(
     """Batched equivalent of the per-client ``verify_forest_reference``."""
     if model not in ("receive-two", "receive-all"):
         raise ValueError(f"unknown model {model!r}")
+    if buffer_bound is not None:
+        check_finite_value(buffer_bound, "buffer_bound")
     report = _new_report()
     flat = _validated_flat(forest, L, report)
     if flat is None:
@@ -141,12 +143,6 @@ def replay_verify_forest(
     failures: List[str] = []
 
     # -- demand walk (own-stream + every ancestor level) ---------------------
-    # Backend-dispatched (repro.scale.kernels.replay_walk): the numpy
-    # path is the original per-tree-level vectorised walk; the numba path
-    # a compiled per-client scalar walk of the same expressions, which
-    # re-runs the numpy walk only to enumerate failures on corrupted
-    # forests — so reports are identical across backends, failure
-    # ordering included.
     demanded, t2max, used_total, fail_client, fail_stream, fail_demand = (
         replay_walk(x, par, lengths, float(L), model)
     )
@@ -216,13 +212,9 @@ def replay_verify_forest_continuous(
     demanded = np.zeros(n)
     nonroot = np.flatnonzero(par >= 0)
 
-    def _demand_checks(keep, streams, b, clients, typed_b):
+    def _demand_checks(keep, streams, b, clients):
         # The pieces ``keep`` selects; on valid forests that is all of
-        # them, and nothing is compressed.  ``typed_b(c, s)`` re-evaluates
-        # a failing piece's end with the oracle's scalar arithmetic: the
-        # reference works on Python int-when-exact labels, so its
-        # ``min(2y - u - lo, L)`` stays an int on integer forests and its
-        # messages print ``10``, not ``10.0``.  Only failing pieces pay.
+        # them, and nothing is compressed.
         nonlocal checks
         if not keep.all():
             streams, b, clients = streams[keep], b[keep], clients[keep]
@@ -230,16 +222,10 @@ def replay_verify_forest_continuous(
         for j in np.flatnonzero(b > limit[streams]).tolist():
             c, s = int(clients[j]), int(streams[j])
             failures.append(
-                f"client {_fmt(x[c])} needs position {typed_b(c, s)} "
+                f"client {_fmt(x[c])} needs position {float(b[j])} "
                 f"of stream {_fmt(x[s])} (length {float(lengths[s])})"
             )
         np.maximum.at(demanded, streams, b)
-
-    def typed_from_u(c, s):
-        return min(2 * _fmt(x[c]) - _fmt(x[s]) - _fmt(x[par[s]]), L)
-
-    def typed_from_lo(c, s):
-        return min(2 * (_fmt(x[c]) - _fmt(x[s])), L)
 
     # Stage pieces, level by level: at level s the pair is
     # (u, lo) = (w_{s-1}, w_s) and contributes the stage's piece from u
@@ -256,9 +242,9 @@ def replay_verify_forest_continuous(
             lo = x[wcur]
             mid = 2 * y - u - lo
             end = np.minimum(mid, L)
-            _demand_checks(end > 2 * (y - u), wprev, end, cl, typed_from_u)
+            _demand_checks(end > 2 * (y - u), wprev, end, cl)
             end = np.minimum(2 * (y - lo), L)
-            _demand_checks(end > mid, wcur, end, cl, typed_from_lo)
+            _demand_checks(end > mid, wcur, end, cl)
             pcur = par[wcur]
             step = pcur >= 0
             cl, y, u = cl[step], y[step], lo[step]
@@ -268,8 +254,7 @@ def replay_verify_forest_continuous(
     # Root-stream tails: positions (2(y - r), L] — always float(L).
     root = flat.root_index
     _demand_checks(
-        L > 2 * (x - x[root]), root, np.full(n, float(L)), np.arange(n),
-        lambda c, s: float(L),  # the oracle appends float(L) tails verbatim
+        L > 2 * (x - x[root]), root, np.full(n, float(L)), np.arange(n)
     )
 
     # Coverage of (0, L]: the pieces are contiguous from 0 and clipped to
@@ -278,43 +263,11 @@ def replay_verify_forest_continuous(
     checks += n
 
     checks += nonroot.size
-    bad = nonroot[np.abs(demanded[nonroot] - lengths[nonroot]) > eps].tolist()
-    if bad:
-        # Failure slow path: the oracle's running max keeps the *type* of
-        # the first maximal piece (an int L from a clipped ``min(b, L)``
-        # prints as ``10``, a float as ``10.0``), so re-derive the demand
-        # values for the affected trees with the oracle's own piece
-        # builder.  Only corrupted forests pay this.
-        typed = _typed_demands(flat, {int(flat.root_index[i]) for i in bad}, L)
-        for i in bad:
-            failures.append(
-                f"stream {float(x[i])}: length {float(lengths[i])} vs demand "
-                f"{typed.get(float(x[i]), 0.0)} (not tight)"
-            )
+    bad = nonroot[np.abs(demanded[nonroot] - lengths[nonroot]) > eps]
+    for i in bad.tolist():
+        failures.append(
+            f"stream {float(x[i])}: length {float(lengths[i])} vs demand "
+            f"{float(demanded[i])} (not tight)"
+        )
     return _finish(report, checks, failures)
 
-
-def _typed_demands(flat: FlatForest, roots, L) -> dict:
-    """Oracle-ordered per-stream continuous demand for the given trees.
-
-    Replays ``_client_intervals_continuous`` client by client (arrival
-    order, as the reference does) so the running ``max`` resolves ties —
-    and hence Python types — identically to the reference verifier.  A
-    stream's demand comes from its own tree, and trees are contiguous
-    index ranges, so only the given trees' ranges are replayed.
-    """
-    from ..simulation.verify import _client_intervals_continuous
-
-    starts = np.flatnonzero(flat.parent < 0)
-    ends = np.append(starts[1:], len(flat))
-    demanded: dict = {}
-    for lo in sorted(roots):
-        hi = int(ends[np.searchsorted(starts, lo)])
-        par = flat.parent[lo:hi]
-        tree = FlatForest.concatenated(
-            flat.arrivals[lo:hi], np.where(par >= 0, par - lo, -1), flat.z[lo:hi]
-        )
-        for path in tree.paths([_fmt(a) for a in tree.arrivals.tolist()]):
-            for stream, _a, b in _client_intervals_continuous(path, L):
-                demanded[stream] = max(demanded.get(stream, 0.0), b)
-    return demanded

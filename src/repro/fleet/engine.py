@@ -44,13 +44,12 @@ the mode trajectory, not on the slot multiset.  But the trajectory
 itself is a pure function of the per-slot arrival **counts**, so
 :func:`simulate_segmented` retires the hybrid's event queue too:
 bucket arrivals once, run the sequential hysteresis scan
-(:func:`repro.scale.kernels.hysteresis_scan` — backend-dispatched like
-every scale-tier kernel), cut the trace at mode switches, and sweep
-each constant-mode segment with the construction above — DG segments
-are the tiled Fibonacci template anchored at mode entry (a mode-exit
-cut is a preorder prefix, hence a valid forest whose ``z`` values
-already encode that extensions stopped), dyadic segments are
-``dyadic_flat_forest`` over the segment's served slot ends (exact
+(:func:`repro.scale.kernels.hysteresis_scan`), cut the trace at mode
+switches, and sweep each constant-mode segment with the construction
+above — DG segments are the tiled Fibonacci template anchored at mode
+entry (a mode-exit cut is a preorder prefix, hence a valid forest whose
+``z`` values already encode that extensions stopped), dyadic segments
+are ``dyadic_flat_forest`` over the segment's served slot ends (exact
 because the event policy resets its dyadic builder at every mode
 entry).  The concatenated per-segment forests evaluate stream ends
 closed-form via Lemma 1 exactly as the single-policy kinds do.  This
@@ -621,12 +620,12 @@ def simulate_segmented(
 
     The batched equivalent of the event-driven ``HybridPolicy`` run:
     bucket arrivals once, compute the DG/dyadic mode trajectory with the
-    backend-dispatched hysteresis scan over per-slot arrival counts, cut
-    the trace at mode switches, and sweep each constant-mode segment
-    closed-form — DG segments are the tiled Fibonacci template anchored
-    at mode entry (the mode-exit cut is a preorder prefix, so its ``z``
-    values already encode that extensions stopped), dyadic segments are
-    the (alpha, beta)-dyadic forest over the segment's *served* slot ends
+    hysteresis scan over per-slot arrival counts, cut the trace at mode
+    switches, and sweep each constant-mode segment closed-form — DG
+    segments are the tiled Fibonacci template anchored at mode entry
+    (the mode-exit cut is a preorder prefix, so its ``z`` values already
+    encode that extensions stopped), dyadic segments are the
+    (alpha, beta)-dyadic forest over the segment's *served* slot ends
     (exact because the event policy starts a fresh ``DyadicOnline`` at
     every dyadic mode entry).  Per-segment
     forests concatenate into one flat forest: labels stay strictly

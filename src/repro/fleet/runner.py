@@ -69,6 +69,7 @@ __all__ = [
     "run_fleet",
     "sanitize_times",
     "stored_workload",
+    "stream_minutes",
 ]
 
 _EMPTY = np.empty(0, dtype=np.float64)
@@ -461,6 +462,21 @@ def _shard_times(entries, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             store.release_slice(sl)
 
 
+def stream_minutes(
+    arrivals: np.ndarray, lengths: np.ndarray, delay: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stream ``(starts, ends)`` in minutes from slot-unit arrivals and
+    stream lengths.
+
+    The fleet fold, the live daemon's commit and the replay contract all
+    take their intervals from here, so they agree bit for bit:
+    ``arrivals * delay + lengths * delay`` differs from ``(arrivals +
+    lengths) * delay`` in the last ULP whenever ``delay`` is not a power
+    of two.
+    """
+    return arrivals * delay, (arrivals + lengths) * delay
+
+
 def _run_shard(shard) -> List[FleetObjectResult]:
     """Module-level worker entry (picklable for process pools): one
     engine pass over a shard of objects, folded per object."""
@@ -481,8 +497,9 @@ def _run_shard(shard) -> List[FleetObjectResult]:
     if result.forest is None:
         starts_all = ends_all = _EMPTY
     else:
-        starts_all = result.forest.arrivals * delay
-        ends_all = (result.forest.arrivals + result.lengths) * delay
+        starts_all, ends_all = stream_minutes(
+            result.forest.arrivals, result.lengths, delay
+        )
     bounds = result.node_offsets.tolist()
     out = []
     for j, (_, obj, _) in enumerate(entries):

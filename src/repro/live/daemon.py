@@ -82,6 +82,7 @@ from ..fleet.runner import (
     FleetReport,
     _times_of,
     sanitize_times,
+    stream_minutes,
 )
 from .horizon import LiveConfig, LiveHorizon
 from .schedule import ChannelPlanner
@@ -647,10 +648,7 @@ class LiveDaemon:
             roots = np.diff(offsets)
             cutoffs = arrivals[np.maximum(offsets[1:] - 1, 0)]
             lengths = np.repeat(self._L, roots)
-        # The exact minute-scale expressions of the fleet fold (runner._run_shard):
-        # starts = arrivals * delay, ends = (arrivals + lengths) * delay.
-        starts = arrivals * delay
-        ends = (arrivals + lengths) * delay
+        starts, ends = stream_minutes(arrivals, lengths, delay)
         for k in np.flatnonzero(roots).tolist():
             lo, hi = offsets[k], offsets[k + 1]
             self._ledgers[k].emit(

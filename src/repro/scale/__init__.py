@@ -1,4 +1,4 @@
-"""repro.scale — out-of-core columnar storage + backend-selected kernels.
+"""repro.scale — out-of-core columnar storage + hot-loop kernels.
 
 The 10^7-client tier (ROADMAP item 1) in two halves:
 
@@ -6,11 +6,9 @@ The 10^7-client tier (ROADMAP item 1) in two halves:
   arrival store (one float64 segment + offsets index) that workers
   attach once and read as zero-copy views — the out-of-core route for
   store-backed fleet runs;
-* :mod:`repro.scale.kernels` — numba-JIT versions (optional dependency;
-  numpy fallback auto-selected and contract-tested equal) of the three
-  hot kernels that remained pure-numpy-bound: slot bucketing +
-  flat-forest construction, the per-tree-level replay algebra, and the
-  Knuth window scan.
+* :mod:`repro.scale.kernels` — the numpy hot loops of the fleet engine
+  and the replay verifiers: slot bucketing, the flat-forest subtree
+  maxima, the replay demand walk and the hybrid hysteresis scan.
 """
 
 from .columnar import (
@@ -26,12 +24,10 @@ from .columnar import (
     write_store,
 )
 from .kernels import (
-    HAVE_NUMBA,
     active_backend,
     bucket_slots,
     configure_backend,
     forest_z,
-    knuth_tables,
     replay_walk,
 )
 
@@ -46,11 +42,9 @@ __all__ = [
     "read_slice",
     "store_slices",
     "write_store",
-    "HAVE_NUMBA",
     "active_backend",
     "bucket_slots",
     "configure_backend",
     "forest_z",
-    "knuth_tables",
     "replay_walk",
 ]

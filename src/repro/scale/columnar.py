@@ -30,7 +30,7 @@ The write buffer (``chunk_size`` elements) is an I/O granularity only:
 the emitted bytes are the concatenation of the column data regardless of
 chunking, so stores written with chunk sizes 1, 7, 2^k or n are
 **byte-identical** (tests assert this, and that fleet results are
-bit-identical across chunk sizes and backends).
+bit-identical across chunk sizes).
 
 Memory model: readers ``mmap`` the segment ``ACCESS_READ`` — views cost
 address space, not resident memory; pages fault in as a kernel touches

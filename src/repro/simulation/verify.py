@@ -113,6 +113,8 @@ def verify_forest_reference(
     Python objects.  Kept as the reference the batched replay must match
     report-for-report.
     """
+    if buffer_bound is not None:
+        check_finite_value(buffer_bound, "buffer_bound")
     check_finite_value(L, "L")
     report = VerificationReport()
     flat = as_flat_forest(forest)
@@ -257,15 +259,15 @@ def verify_forest_continuous_reference(
                 demanded[stream] = max(demanded.get(stream, 0.0), b)
                 report.record(
                     b <= lengths[stream] + eps,
-                    f"client {arrival} needs position {b} of stream {stream} "
-                    f"(length {lengths[stream]})",
+                    f"client {arrival} needs position {float(b)} of stream "
+                    f"{stream} (length {lengths[stream]})",
                 )
 
     for label in flat.arrivals[flat.parent >= 0].tolist():
         report.record(
             abs(demanded.get(label, 0.0) - lengths[label]) <= eps,
             f"stream {label}: length {lengths[label]} vs demand "
-            f"{demanded.get(label, 0.0)} (not tight)",
+            f"{float(demanded.get(label, 0.0))} (not tight)",
         )
     return report
 

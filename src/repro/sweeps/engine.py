@@ -93,10 +93,8 @@ class SweepResult:
     cache_hits: int = 0
     cache_misses: int = 0
     evaluated: int = 0
-    #: kernel backend of the process that ran the sweep ("numpy" or
-    #: "numba").  Informational: both backends are contract-tested
-    #: bit-identical, which is also why cache keys ignore it — cached
-    #: artifacts are backend-portable by construction.
+    #: kernel backend of the process that ran the sweep (always
+    #: "numpy").  Informational; cache keys ignore it.
     backend: str = "numpy"
 
     @property

@@ -30,12 +30,15 @@ def workload(catalog):
 
 
 class TestRunFleet:
-    def test_matches_multiplex_dyadic_provisioning(self, catalog, workload):
+    @pytest.mark.parametrize("delay", [2.0, 1.5])
+    def test_matches_multiplex_dyadic_provisioning(self, catalog, workload, delay):
         """Immediate-dyadic fleet == each object's dyadic forest built by
         hand over its trace in slot units and scaled back to minutes —
-        the provisioning the ``multiplex`` experiment reports."""
+        the provisioning the ``multiplex`` experiment reports.  At 1.5
+        minutes ``x * delay + l * delay`` would miss ``(x + l) * delay``
+        in the last ULP, so the fold's rounding is pinned too."""
         report = run_fleet(
-            catalog, 2.0, 180.0,
+            catalog, delay, 180.0,
             policy=FleetPolicy.immediate_dyadic(), workload=workload,
         )
         all_starts, all_ends = [], []
@@ -45,15 +48,15 @@ class TestRunFleet:
             if len(trace) == 0:
                 assert got.streams == 0
                 continue
-            L = obj.units(2.0)
+            L = obj.units(delay)
             forest = dyadic_flat_forest(
-                [t / 2.0 for t in trace], L, DyadicParams()
+                [t / delay for t in trace], L, DyadicParams()
             )
             _labels, starts, ends = flat_forest_intervals(forest, L)
-            assert np.array_equal(got.starts, starts * 2.0)
-            assert np.array_equal(got.ends, ends * 2.0)
-            all_starts.append(starts * 2.0)
-            all_ends.append(ends * 2.0)
+            assert np.array_equal(got.starts, starts * delay)
+            assert np.array_equal(got.ends, ends * delay)
+            all_starts.append(starts * delay)
+            all_ends.append(ends * delay)
         assert report.peak_channels == peak_concurrency(
             np.concatenate(all_starts), np.concatenate(all_ends)
         )

@@ -391,3 +391,45 @@ class TestIndexFuzz:
                 assert store.total == doc["total"]  # the segment's length
         report = check_columnar_store(root)  # must not raise
         assert store is not None or not report.ok
+
+
+@pytest.fixture(scope="module")
+def segment_store(tmp_path_factory):
+    """A three-column store (one column empty) and its segment's bytes."""
+    root = tmp_path_factory.mktemp("segment-fuzz")
+    write_store(root, _columns(11, sizes=(5, 0, 9)).items())
+    return root, (root / "segment.bin").read_bytes()
+
+
+@st.composite
+def _mutated_segment(draw, raw: bytes):
+    """``(bytes, length_changed)``: a burst of up to 4 changed bytes (the
+    span CRC-32 always detects), a truncation or an extension."""
+    op = draw(st.sampled_from(["burst", "truncate", "extend"]))
+    if op == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))], True
+    if op == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=64)), True
+    at = draw(st.integers(0, len(raw) - 1))
+    masks = draw(st.lists(st.integers(0, 255), min_size=0, max_size=3))
+    masks = [draw(st.integers(1, 255))] + masks[: len(raw) - at - 1]
+    out = bytearray(raw)
+    for k, mask in enumerate(masks):
+        out[at + k] ^= mask
+    return bytes(out), False
+
+
+class TestSegmentFuzz:
+    """Contract: a changed ``segment.bin`` fails ``check_columnar_store``
+    without raising, and one of the wrong length does not open."""
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(data=st.data())
+    def test_fails_the_check_or_does_not_open(self, segment_store, data):
+        root, raw = segment_store
+        segment, length_changed = data.draw(_mutated_segment(raw))
+        (root / "segment.bin").write_bytes(segment)
+        assert not check_columnar_store(root).ok
+        if length_changed:
+            with pytest.raises(StoreError):
+                ColumnarStore(root)

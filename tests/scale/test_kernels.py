@@ -1,13 +1,11 @@
-"""Backend-selected kernels: dispatch semantics + fallback/JIT equality.
+"""The numpy kernels of :mod:`repro.scale.kernels` against independent
+references.
 
-The contract this file pins: for every kernel in
-:mod:`repro.scale.kernels`, the scalar body (the code numba compiles) is
-**bit-identical** to the fallback path (the pre-JIT production code) on
-adversarial inputs.  The scalar bodies are plain Python, so the equality
-half runs everywhere; the ``TestJitBackend`` class additionally
-exercises the actually-compiled dispatchers and is skipped on
-numpy-only environments (the satellite contract: the full suite passes
-unchanged without numba).
+Each kernel must equal, bit for bit on adversarial inputs, a reference
+that computes the same thing another way: the two-pointer bucketing and
+the per-client replay walk of ``tests/scale/oracles.py``, a brute-force
+ancestor walk for the subtree maxima, the cubic DP for the Knuth tables
+and the event policy's deque window for the hysteresis scan.
 """
 
 from __future__ import annotations
@@ -17,16 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.general import _merge_tables
 from repro.fastpath.flat_forest import FlatForest
-from repro.fastpath.general import _knuth_tables
+from repro.fastpath.general import general_merge_tables
 from repro.scale import kernels as K
 
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    before = K.active_backend()
-    yield
-    K.configure_backend(before)
+from tests.scale.oracles import (
+    bucket_slots_two_pointer,
+    forest_z_ancestors,
+    replay_walk_per_client,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -111,114 +109,100 @@ class TestBackendConfig:
         assert K.active_backend() == "numpy"
 
     def test_auto_resolves_by_availability(self):
-        expected = "numba" if K.HAVE_NUMBA else "numpy"
-        assert K.configure_backend("auto") == expected
+        assert K.configure_backend("auto") == "numpy"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             K.configure_backend("cython")
 
-    @pytest.mark.skipif(K.HAVE_NUMBA, reason="needs a numpy-only environment")
     def test_numba_request_raises_without_numba(self):
-        """Only tests and benchmarks select a backend; asking for numba
-        where it is missing is their error, and changes nothing."""
-        with pytest.raises(ValueError, match="numba is not installed"):
+        """numpy is the only backend: asking for numba is an error and
+        changes nothing."""
+        with pytest.raises(ValueError, match="'numba'"):
             K.configure_backend("numba")
         assert K.active_backend() == "numpy"
 
 
 # ---------------------------------------------------------------------------
-# scalar bodies == fallback paths (bit-identical), no numba required
+# kernels == independent references (bit-identical)
 # ---------------------------------------------------------------------------
 
 
-class TestScalarBodiesMatchFallbacks:
+class TestKernelsMatchOracles:
     @settings(max_examples=60, deadline=None)
     @given(sorted_times, slot_ends)
-    def test_bucket_slots_body(self, times, ends):
-        K.configure_backend("numpy")
-        cs_ref, served_ref = K.bucket_slots(times, ends)
-        cs = np.empty(times.size, dtype=np.intp)
+    def test_bucket_slots(self, times, ends):
+        cs, served = K.bucket_slots(times, ends)
         offsets = np.array([0, times.size], dtype=np.intp)
-        K._bucket_slots_body(times, offsets, np.array([ends.size]), ends, cs)
-        assert np.array_equal(cs, cs_ref)
-        assert np.array_equal(np.unique(cs[cs >= 0]), served_ref)
+        ref = bucket_slots_two_pointer(times, offsets, np.array([ends.size]), ends)
+        assert np.array_equal(cs, ref)
+        assert np.array_equal(served, np.unique(ref[ref >= 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(ragged_bucketing())
-    def test_bucket_slots_ragged_body(self, case):
-        """The ragged body restarts its pointer per object and equals the
-        ragged fallback, which equals one call per object."""
+    def test_bucket_slots_ragged(self, case):
+        """The ragged kernel equals the two-pointer walk restarted per
+        object, and one call per object."""
         objects, offsets, nslots, ends = case
         times = np.concatenate(objects)
-        K.configure_backend("numpy")
-        cs_ref, served_ref, served_offsets = K.bucket_slots(
-            times, ends, offsets, nslots
+        cs, served, served_offsets = K.bucket_slots(times, ends, offsets, nslots)
+        assert np.array_equal(
+            cs, bucket_slots_two_pointer(times, offsets, nslots, ends)
         )
-        cs = np.empty(times.size, dtype=np.intp)
-        K._bucket_slots_body(times, offsets, nslots, ends, cs)
-        assert np.array_equal(cs, cs_ref)
         for k, obj in enumerate(objects):
             one_cs, one_served = K.bucket_slots(obj, ends[: nslots[k]])
-            assert np.array_equal(cs_ref[offsets[k] : offsets[k + 1]], one_cs)
+            assert np.array_equal(cs[offsets[k] : offsets[k + 1]], one_cs)
             lo, hi = served_offsets[k], served_offsets[k + 1]
-            assert np.array_equal(served_ref[lo:hi], one_served)
+            assert np.array_equal(served[lo:hi], one_served)
             assert np.array_equal(one_served, np.unique(one_cs[one_cs >= 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(random_forest())
-    def test_forest_z_body(self, forest):
+    def test_forest_z(self, forest):
         arr, par = forest.arrivals, forest.parent
-        z_ref = K.forest_z(arr, par)  # list-loop fallback
-        z = arr.copy()
-        K._forest_z_body(arr, par, z)
-        assert np.array_equal(z, z_ref)
-        assert np.array_equal(z_ref, forest.z)  # and both match FlatForest
+        z = K.forest_z(arr, par)
+        assert np.array_equal(z, forest_z_ancestors(arr, par))
+        assert np.array_equal(z, forest.z)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=45), st.integers(0, 10_000))
-    def test_knuth_tables_body(self, n, seed):
-        K.configure_backend("numpy")  # make _knuth_tables run the list DP
+    def test_knuth_tables(self, n, seed):
+        """The Knuth-windowed tables equal the full-scan cubic DP's,
+        largest-optimal-split tie-break included."""
         rng = np.random.default_rng(seed)
-        ts = np.cumsum(rng.integers(1, 7, size=n)).astype(np.float64)
-        cost2d, split2d = K.knuth_tables(ts)  # always the scalar body
-        assert cost2d.shape == (n, n) and split2d.shape == (n, n)
-        if n:
-            cost_ref, split_ref = _knuth_tables(ts.tolist())
-            assert cost2d.tolist() == cost_ref
-            assert split2d.tolist() == split_ref
+        ts = np.cumsum(rng.integers(1, 7, size=n)).astype(np.float64).tolist()
+        cost, split = general_merge_tables(ts)
+        cost_ref, split_ref = _merge_tables(ts)
+        assert cost == cost_ref
+        assert split == split_ref
 
     @settings(max_examples=60, deadline=None)
     @given(random_forest(), st.sampled_from([2, 4, 7, 15, 40]),
            st.sampled_from(["receive-two", "receive-all"]))
-    def test_replay_walk_body(self, forest, L, model):
+    def test_replay_walk(self, forest, L, model):
+        """Equal to the per-client walk, and clean: a valid forest with
+        its model's stream lengths over-demands no stream."""
         arr, par = forest.arrivals, forest.parent
         lengths = forest.stream_lengths(L, model)
-        ref = K._replay_walk_numpy(arr, par, lengths, float(L), model)
-        demanded = np.empty(arr.size, dtype=np.float64)
-        t2max = np.full(arr.size, -np.inf)
-        used, fails = K._replay_walk_body(
-            arr, par, lengths, float(L), model == "receive-two", demanded, t2max
+        out = K.replay_walk(arr, par, lengths, float(L), model)
+        demanded, t2max, used, fails = replay_walk_per_client(
+            arr, par, lengths, float(L), model == "receive-two"
         )
-        assert np.array_equal(demanded, ref[0])
-        assert np.array_equal(t2max, ref[1])
-        assert used == ref[2]
-        assert fails == ref[3].size  # same failure *count*; records via numpy
+        assert np.array_equal(out[0], demanded)
+        assert np.array_equal(out[1], t2max)
+        assert out[2] == used
+        assert out[3].size == fails == 0
 
     @settings(max_examples=30, deadline=None)
     @given(random_forest(max_n=30), st.sampled_from([3, 6, 12]))
     def test_replay_walk_fail_count_on_corrupted_lengths(self, forest, L):
-        """Shorten streams so demands overflow: the scalar body's failure
-        count must equal the numpy walk's failure-record count."""
+        """Shorten streams so demands overflow: the kernel's failure
+        records must number the per-client walk's failures."""
         arr, par = forest.arrivals, forest.parent
         lengths = forest.stream_lengths(L, "receive-two") * 0.5
-        ref = K._replay_walk_numpy(arr, par, lengths, float(L), "receive-two")
-        demanded = np.empty(arr.size, dtype=np.float64)
-        t2max = np.full(arr.size, -np.inf)
-        _, fails = K._replay_walk_body(
-            arr, par, lengths, float(L), True, demanded, t2max
-        )
-        assert fails == ref[3].size
+        out = K.replay_walk(arr, par, lengths, float(L), "receive-two")
+        _, _, _, fails = replay_walk_per_client(arr, par, lengths, float(L), True)
+        assert out[3].size == fails
 
     def test_replay_walk_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -230,16 +214,11 @@ class TestScalarBodiesMatchFallbacks:
     @settings(max_examples=60, deadline=None)
     @given(slot_counts, st.integers(1, 8),
            st.floats(0.0, 4.0), st.floats(0.0, 1.0))
-    def test_hysteresis_scan_body(self, counts, window, rate_high, low_frac):
+    def test_hysteresis_scan(self, counts, window, rate_high, low_frac):
+        """The kernel's running sum equals the event policy's deque-window
+        reference model."""
         rate_low = rate_high * low_frac
-        K.configure_backend("numpy")
-        ref = K.hysteresis_scan(counts, window, rate_high, rate_low)
-        mode = np.empty(counts.size, dtype=np.int8)
-        K._hysteresis_scan_body(
-            counts.astype(np.int64), window, rate_high, rate_low, mode
-        )
-        assert np.array_equal(mode, ref)
-        # And both match the event policy's deque-window reference model.
+        mode = K.hysteresis_scan(counts, window, rate_high, rate_low)
         assert mode.tolist() == _hysteresis_reference(
             counts.tolist(), window, rate_high, rate_low
         )
@@ -256,91 +235,6 @@ class TestScalarBodiesMatchFallbacks:
     def test_hysteresis_scan_empty_counts(self):
         out = K.hysteresis_scan(np.empty(0, dtype=np.int64), 3, 1.0, 0.5)
         assert out.size == 0 and out.dtype == np.int8
-
-
-# ---------------------------------------------------------------------------
-# the compiled dispatchers (JIT path; skipped on numpy-only environments)
-# ---------------------------------------------------------------------------
-
-
-class TestJitBackend:
-    pytestmark = pytest.mark.skipif(
-        not K.HAVE_NUMBA, reason="numba not installed (repro[fast] extra)"
-    )
-
-    @settings(max_examples=25, deadline=None)
-    @given(sorted_times, slot_ends)
-    def test_bucket_slots_backends_identical(self, times, ends):
-        K.configure_backend("numpy")
-        ref = K.bucket_slots(times, ends)
-        K.configure_backend("numba")
-        jit = K.bucket_slots(times, ends)
-        assert np.array_equal(jit[0], ref[0])
-        assert np.array_equal(jit[1], ref[1])
-
-    @settings(max_examples=25, deadline=None)
-    @given(ragged_bucketing())
-    def test_bucket_slots_ragged_backends_identical(self, case):
-        objects, offsets, nslots, ends = case
-        times = np.concatenate(objects)
-        K.configure_backend("numpy")
-        ref = K.bucket_slots(times, ends, offsets, nslots)
-        K.configure_backend("numba")
-        jit = K.bucket_slots(times, ends, offsets, nslots)
-        for a, b in zip(jit, ref):
-            assert np.array_equal(a, b)
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_forest())
-    def test_forest_z_backends_identical(self, forest):
-        arr, par = forest.arrivals, forest.parent
-        K.configure_backend("numpy")
-        ref = K.forest_z(arr, par)
-        K.configure_backend("numba")
-        assert np.array_equal(K.forest_z(arr, par), ref)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=2, max_value=40), st.integers(0, 10_000))
-    def test_knuth_tables_backends_identical(self, n, seed):
-        # dispatch for this kernel lives in general._knuth_tables
-        rng = np.random.default_rng(seed)
-        ts = np.cumsum(rng.integers(1, 7, size=n)).astype(np.float64).tolist()
-        K.configure_backend("numpy")
-        cost_ref, split_ref = _knuth_tables(ts)
-        K.configure_backend("numba")
-        cost, split = _knuth_tables(ts)
-        assert cost == cost_ref
-        assert split == split_ref
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_forest(), st.sampled_from([2, 7, 15]),
-           st.sampled_from(["receive-two", "receive-all"]))
-    def test_replay_walk_backends_identical(self, forest, L, model):
-        arr, par = forest.arrivals, forest.parent
-        lengths = forest.stream_lengths(L, model)
-        K.configure_backend("numpy")
-        ref = K.replay_walk(arr, par, lengths, float(L), model)
-        K.configure_backend("numba")
-        jit = K.replay_walk(arr, par, lengths, float(L), model)
-        for a, b in zip(jit, ref):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b
-
-    @settings(max_examples=25, deadline=None)
-    @given(slot_counts, st.integers(1, 8),
-           st.floats(0.0, 4.0), st.floats(0.0, 1.0))
-    def test_hysteresis_scan_backends_identical(
-        self, counts, window, rate_high, low_frac
-    ):
-        rate_low = rate_high * low_frac
-        K.configure_backend("numpy")
-        ref = K.hysteresis_scan(counts, window, rate_high, rate_low)
-        K.configure_backend("numba")
-        assert np.array_equal(
-            K.hysteresis_scan(counts, window, rate_high, rate_low), ref
-        )
 
 
 class TestRaggedBucketValidation:

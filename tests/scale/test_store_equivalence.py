@@ -2,9 +2,9 @@
 
 The acceptance contract of the scale tier: routing a workload through
 the out-of-core columnar store — at *any* writer chunk size, with any
-worker count, on any available kernel backend — produces the same
-:class:`FleetReport` as the in-memory PR 5 path, compared field-for-field
-and array-for-array by :func:`repro.burnin.fleet_reports_equal`.
+worker count — produces the same :class:`FleetReport` as the in-memory
+path, compared field-for-field and array-for-array by
+:func:`repro.burnin.fleet_reports_equal`.
 """
 
 from __future__ import annotations
@@ -23,20 +23,10 @@ from repro.fleet import run_fleet, stored_workload
 from repro.fleet.runner import _times_of
 from repro.multiplex import Catalog, split_requests
 from repro.scale import columnar
-from repro.scale.kernels import HAVE_NUMBA, active_backend, configure_backend
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
 #: writer chunk sizes the byte-identity contract names: 1, a prime, a
 #: power of two, and "everything at once"
 CHUNK_SIZES = (1, 7, 64, 1 << 20)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    before = active_backend()
-    yield
-    configure_backend(before)
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +42,14 @@ def workload(catalog):
 
 @pytest.fixture(scope="module")
 def baseline(catalog, workload):
-    configure_backend("numpy")
     return run_fleet(catalog, 2.0, 120.0, workload=workload)
 
 
 class TestStoreEquivalence:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_spooled_store_matches_in_memory(
-        self, catalog, workload, baseline, tmp_path, chunk_size, backend
+        self, catalog, workload, baseline, tmp_path, chunk_size
     ):
-        configure_backend(backend)
         with stored_workload(
             catalog, workload, root=tmp_path, chunk_size=chunk_size
         ):
@@ -98,21 +85,17 @@ class TestStoreEquivalence:
     @given(
         seed=st.integers(0, 2**31 - 1),
         chunk_size=st.sampled_from(CHUNK_SIZES),
-        backend=st.sampled_from(BACKENDS),
     )
     def test_parent_arrays_identical_random_workloads(
-        self, tmp_path_factory, seed, chunk_size, backend
+        self, tmp_path_factory, seed, chunk_size
     ):
         """Random workloads: forests built off store views equal forests
         built off in-memory arrays, parent-for-parent."""
         catalog = Catalog.zipf(3, duration_minutes=30.0)
         base = poisson(0.4, 60.0, seed=seed)
         workload = split_requests(base, catalog, seed=seed)
-
-        configure_backend("numpy")
         ref = run_fleet(catalog, 1.5, 60.0, workload=workload)
 
-        configure_backend(backend)
         root = tmp_path_factory.mktemp("eq")
         report = run_fleet(
             catalog, 1.5, 60.0, workload=workload, store=root
