@@ -10,14 +10,15 @@ test:
 	$(PY) -m pytest -x -q
 
 ## hostile-input fuzzers at CI size (CI job): the trace-payload, live
-## restore, sweep-artifact, store-index and store-segment fuzzers at 10^4
-## examples each, under the hypothesis "fuzz" profile of tests/conftest.py
-## (tier-1 runs them at their own, smaller example counts)
+## restore, sweep-artifact, store-index, store-segment and CLI-argument
+## fuzzers at 10^4 examples each, under the hypothesis "fuzz" profile of
+## tests/conftest.py (tier-1 runs them at their own, smaller example counts)
 FUZZ_TESTS := tests/arrivals/test_serialization.py::TestPayloadFuzz \
 	tests/live/test_resume_token.py::test_fuzzed_open_window_restores_exactly_or_raises \
 	tests/sweeps/test_quarantine.py::TestArtifactFuzz \
 	tests/scale/test_columnar.py::TestIndexFuzz \
-	tests/scale/test_columnar.py::TestSegmentFuzz
+	tests/scale/test_columnar.py::TestSegmentFuzz \
+	tests/burnin/test_cli.py::TestArgumentFuzz
 fuzz:
 	$(PY) -m pytest -q --hypothesis-profile=fuzz $(FUZZ_TESTS)
 

@@ -17,16 +17,19 @@ import argparse
 import time
 from typing import List, Optional
 
-from ..argtypes import non_negative_int, output_file, positive_float, positive_int
+from ..argtypes import non_negative_int, output_file, positive_float, positive_int, stream_length
+from ..multiplex.catalog import MediaObject
 from .soak import SoakConfig, run_soak
 
-__all__ = ["burnin_main"]
+__all__ = ["burnin_main", "parse_args"]
 
 #: exit code for a soak that detected one or more contract violations.
 EXIT_CONTRACT_VIOLATION = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parse-and-validate step, the soak's ``config`` included: a bad
+    value exits 2 here, before any episode runs."""
     defaults = SoakConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro burnin",
@@ -66,12 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--selftest-violation", action="store_true",
                         help="deliberately violate a contract in episode 0 "
                         "(harness self-test; the run must exit non-zero)")
-    return parser
-
-
-def burnin_main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = SoakConfig(
+    args = parser.parse_args(argv)
+    args.config = SoakConfig(
         episodes=args.episodes,
         seed=args.seed,
         objects=args.objects,
@@ -81,6 +80,14 @@ def burnin_main(argv: Optional[List[str]] = None) -> int:
         mean_interarrival_minutes=args.mean_interarrival,
         selftest_violation=args.selftest_violation,
     )
+    # Every episode's catalog has the config's one duration.
+    stream_length(parser, MediaObject("soak", args.config.duration_minutes, 1.0), args.delay)
+    return args
+
+
+def burnin_main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
+    config = args.config
     t0 = time.perf_counter()
     report = run_soak(config)
     elapsed = time.perf_counter() - t0

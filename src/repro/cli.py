@@ -47,7 +47,7 @@ from .experiments import all_experiments, get_experiment
 from .experiments.report import save_results
 from .sweeps import DEFAULT_CACHE_DIR, configure_sweeps
 
-__all__ = ["main"]
+__all__ = ["main", "parse_args"]
 
 
 def _print_listing() -> None:
@@ -113,6 +113,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .live.cli import live_main
 
         return live_main(argv[1:])
+    args = parse_args(argv)
+
+    # `False` (not None) when the flag is absent: every `main()` call
+    # re-establishes its own cache setting instead of inheriting one from
+    # an earlier in-process invocation.
+    configure_sweeps(
+        workers=args.workers,
+        cache=args.cache if args.cache is not None else False,
+    )
+    if args.experiment == "list":
+        _print_listing()
+        return 0
+    if args.experiment == "all":
+        ok = True
+        for exp_id in sorted(all_experiments()):
+            print(f"\n{'#' * 70}\n# {exp_id}\n{'#' * 70}\n")
+            ok = _run_one(exp_id, args.save) and ok
+        return 0 if ok else 4
+    try:
+        ok = _run_one(args.experiment, args.save)
+    except KeyError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    return 0 if ok else 4
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parse-and-validate step: a bad value exits 2 before any work runs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures from Bar-Noy, Goshi & Ladner "
@@ -150,30 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{DEFAULT_CACHE_DIR}/); re-rendering after a parameter tweak "
         "recomputes only dirty grid points",
     )
-    args = parser.parse_args(argv)
-
-    # `False` (not None) when the flag is absent: every `main()` call
-    # re-establishes its own cache setting instead of inheriting one from
-    # an earlier in-process invocation.
-    configure_sweeps(
-        workers=args.workers,
-        cache=args.cache if args.cache is not None else False,
-    )
-    if args.experiment == "list":
-        _print_listing()
-        return 0
-    if args.experiment == "all":
-        ok = True
-        for exp_id in sorted(all_experiments()):
-            print(f"\n{'#' * 70}\n# {exp_id}\n{'#' * 70}\n")
-            ok = _run_one(exp_id, args.save) and ok
-        return 0 if ok else 4
-    try:
-        ok = _run_one(args.experiment, args.save)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return 0 if ok else 4
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

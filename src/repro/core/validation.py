@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "check_strictly_increasing",
     "check_finite_value",
+    "check_count",
     "check_offsets",
     "non_increasing_within",
 ]
@@ -33,6 +34,12 @@ def check_finite_value(t: float, what: str = "arrival time") -> None:
     """Reject NaN and +-inf (one value; used by on-line push paths)."""
     if not math.isfinite(t):
         raise ValueError(f"{what} must be finite, got {t!r}")
+
+
+def check_count(value, what: str) -> None:
+    """Reject anything but an integer >= 1 (numpy's pass, ``bool`` does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def check_strictly_increasing(

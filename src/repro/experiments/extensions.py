@@ -11,8 +11,8 @@
 ``multiplex`` and ``general-offline`` are grids (delay axis, intensity
 axis) and run as sweeps through the batched tier.  ``hybrid`` is one
 workload against three policies, all served by the batched kernel — the
-hybrid's rate-window mode feedback goes through the segmented sweep
-(:func:`repro.fleet.engine.simulate_segmented`), not an event queue.
+hybrid's rate-window mode feedback cuts its run into DG and dyadic
+segments (:func:`repro.fleet.engine.simulate_batched`), not events.
 ``hybrid-thresholds`` sweeps the hysteresis knobs over a (high, low)
 grid through the same kernel.
 """
@@ -131,8 +131,8 @@ def run_hybrid(
     trace = day_night_trace(day_lam, night_lam, phase_slots, phases, seed)
 
     # All three policies run through the batched kernel; the hybrid's
-    # mode feedback goes through the segmented sweep (bit-identical to
-    # the retired event-driven run — the equivalence suite pins it).
+    # mode feedback cuts its run into DG and dyadic segments (bit-identical
+    # to the retired event-driven run — the equivalence suite pins it).
     pol_h = FleetPolicy.hybrid(window_slots=20, rate_high=1.0, rate_low=0.4)
     res_h = simulate_batched(L, trace, pol_h, slot=1.0)
     res_dg = simulate_batched(L, trace, FleetPolicy.delay_guaranteed(), slot=1.0)
@@ -199,8 +199,8 @@ def hybrid_threshold_spec(
     "Hybrid hysteresis sensitivity: bandwidth and peak across thresholds",
     "Section 5 (future work), made concrete",
     "The hybrid server's mode thresholds swept over a (rate_high, "
-    "rate_low) grid on the day/night workload, through the segmented "
-    "batched kernel.",
+    "rate_low) grid on the day/night workload, through the batched "
+    "kernel's mode segments.",
 )
 def run_hybrid_thresholds(
     L: int = 100,

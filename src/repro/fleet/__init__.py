@@ -28,7 +28,6 @@ from .engine import (
     RaggedTrace,
     ShardResult,
     simulate_batched,
-    simulate_segmented,
 )
 from .runner import (
     FleetObjectResult,
@@ -89,7 +88,6 @@ __all__ = [
     "sanitize_times",
     "scenario_workload",
     "simulate_batched",
-    "simulate_segmented",
     "stored_workload",
     "thinned",
 ]

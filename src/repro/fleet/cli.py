@@ -16,8 +16,9 @@ import argparse
 import time
 from typing import List, Optional
 
-from ..argtypes import non_negative_int, output_dir, positive_float, positive_int
-from ..multiplex.catalog import Catalog
+from ..argtypes import (
+    add_catalog_options, non_negative_int, output_dir, positive_float, zipf_catalog,
+)
 from ..scale.columnar import ColumnarStore, StoreError, is_store
 from .capacity import (
     admission_report,
@@ -30,7 +31,7 @@ from .engine import FLEET_POLICIES, FleetPolicy
 from .runner import run_fleet
 from .scenarios import SCENARIOS, scenario_workload
 
-__all__ = ["fleet_main"]
+__all__ = ["fleet_main", "parse_args"]
 
 
 def _budget_list(text: str) -> List[int]:
@@ -60,20 +61,15 @@ def _store_dir(text: str) -> str:
     return text
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parse-and-validate step, ``catalog`` included: a bad value
+    exits 2 here, before any work runs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
         description="Serve a media catalog through the batched fleet engine "
         "and plan channel capacity for a start-up-delay guarantee.",
     )
-    parser.add_argument("--objects", type=positive_int, default=120,
-                        help="catalog size (Zipf popularity; default 120)")
-    parser.add_argument("--duration", type=positive_float, default=120.0,
-                        help="media duration in minutes (default 120)")
-    parser.add_argument("--exponent", type=float, default=0.8,
-                        help="Zipf exponent (default 0.8)")
-    parser.add_argument("--delay", type=positive_float, default=2.0,
-                        help="guaranteed start-up delay in minutes (default 2)")
+    add_catalog_options(parser, objects=120)
     parser.add_argument("--horizon", type=positive_float, default=360.0,
                         help="observation horizon in minutes (default 360)")
     parser.add_argument("--mean-interarrival", type=positive_float, default=0.05,
@@ -102,14 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also replay-verify every object's merge "
                         "forest (in-process re-simulation; roughly doubles "
                         "the runtime)")
-    return parser
+    args = parser.parse_args(argv)
+    args.catalog = zipf_catalog(parser, args)
+    return args
 
 
 def fleet_main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    catalog = Catalog.zipf(
-        args.objects, duration_minutes=args.duration, exponent=args.exponent
-    )
+    args = parse_args(argv)
+    catalog = args.catalog
     print(
         f"scenario {args.scenario!r}: {SCENARIOS[args.scenario]} "
         f"({args.objects} objects, horizon {args.horizon:g} min)"

@@ -42,21 +42,22 @@ bit is a stateful function of a sliding rate window with hysteresis, so
 the forest a slot contributes depends on the arrival *prefix* through
 the mode trajectory, not on the slot multiset.  But the trajectory
 itself is a pure function of the per-slot arrival **counts**, so
-:func:`simulate_segmented` retires the hybrid's event queue too:
-bucket arrivals once, run the sequential hysteresis scan
-(:func:`repro.scale.kernels.hysteresis_scan`), cut the trace at mode
-switches, and sweep each constant-mode segment with the construction
-above — DG segments are the tiled Fibonacci template anchored at mode
-entry (a mode-exit cut is a preorder prefix, hence a valid forest whose
-``z`` values already encode that extensions stopped), dyadic segments
-are ``dyadic_flat_forest`` over the segment's served slot ends (exact
-because the event policy resets its dyadic builder at every mode
-entry).  The concatenated per-segment forests evaluate stream ends
-closed-form via Lemma 1 exactly as the single-policy kinds do.  This
-is the template for any policy with feedback from realised load to
-structure (admission control, load-shedding, QoE-adaptive selection):
-compute the feedback trajectory from counts, then slot-sweep the
-segments.
+:func:`simulate_batched` retires the hybrid's event queue too.  Every
+slotted run is a list of segments of consecutive slots, each built by
+one per-kind construction: a single-policy kind is one segment over the
+whole horizon, and for the hybrid the sequential hysteresis scan
+(:func:`repro.scale.kernels.hysteresis_scan`) only cuts the horizon at
+mode switches into DG and batched-dyadic segments.  A DG segment is the
+tiled Fibonacci template anchored at mode entry (a mode-exit cut is a
+preorder prefix, hence a valid forest whose ``z`` values already encode
+that extensions stopped); a dyadic segment is ``dyadic_flat_forest``
+over the segment's served slot ends (exact because the event policy
+resets its dyadic builder at every mode entry).  No tree spans a cut,
+so the segments' forests concatenate with their own ``z`` values and
+evaluate stream ends closed-form via Lemma 1.  This is the template for
+any policy with feedback from realised load to structure (admission
+control, load-shedding, QoE-adaptive selection): compute the feedback
+trajectory from counts, then slot-sweep the segments.
 
 Shards.  Given a :class:`RaggedTrace` (several objects' arrivals end to
 end, as the fleet runner ships them), :func:`simulate_batched` runs the
@@ -100,9 +101,10 @@ from ..arrivals.traces import ArrivalTrace
 from ..baselines.dyadic import DyadicParams
 from ..core.full_cost import build_optimal_flat_forest
 from ..core.online import build_online_flat_forest
-from ..core.validation import check_offsets, non_increasing_within
+from ..core.validation import check_count, check_offsets, non_increasing_within
 from ..fastpath.dyadic import dyadic_flat_forest
 from ..fastpath.flat_forest import FlatForest
+from ..fastpath.general import optimal_flat_forest_general
 from ..scale.kernels import bucket_slots, forest_z, hysteresis_scan
 from ..simulation.metrics import BandwidthMetrics
 from ..simulation.verify import VerificationReport, verify_forest, verify_forest_continuous
@@ -116,7 +118,6 @@ __all__ = [
     "RaggedTrace",
     "ShardResult",
     "simulate_batched",
-    "simulate_segmented",
 ]
 
 #: policy kinds whose whole run is one slot sweep (no mode feedback).
@@ -133,11 +134,13 @@ SLOT_SWEEPABLE = (
 #: feedback-coupled kinds swept per mode segment (see module docstring).
 SEGMENTED = ("hybrid",)
 
-#: every kind the fleet tier accepts; ``simulate_batched`` dispatches
-#: SEGMENTED kinds to :func:`simulate_segmented` transparently.
+#: every kind the fleet tier accepts, all run by :func:`simulate_batched`.
 FLEET_POLICIES = SLOT_SWEEPABLE + SEGMENTED
 
 _IMMEDIATE = ("immediate-dyadic", "unicast")
+
+#: kinds whose template covers every slot, served or not
+_EVERY_SLOT = ("delay-guaranteed", "offline-optimal")
 
 _EMPTY = np.empty(0, dtype=np.float64)
 _NO_NODES = np.empty(0, dtype=np.intp)
@@ -172,8 +175,7 @@ class FleetPolicy:
         ):
             raise ValueError(f"{self.kind} takes no dyadic params")
         if self.kind == "hybrid":
-            if self.window_slots < 1:
-                raise ValueError("window_slots must be >= 1")
+            check_count(self.window_slots, "window_slots")
             if not 0 <= self.rate_low <= self.rate_high:
                 raise ValueError("need 0 <= rate_low <= rate_high")
 
@@ -369,11 +371,12 @@ def simulate_batched(
     policy: FleetPolicy,
     slot: float = 1.0,
 ) -> BatchedResult:
-    """Run one slot-sweepable policy without an event queue.
+    """Run one policy without an event queue.
 
     The batched equivalent of ``Simulation(L, trace, policy, slot).run()``
-    for every kind in :data:`SLOT_SWEEPABLE` — same metrics, same flat
-    forest (see the module docstring for the exactness contract).
+    for every kind in :data:`FLEET_POLICIES` — same metrics, same flat
+    forest, same mode log (see the module docstring: a slotted run is a
+    list of segments, each built by :func:`_construct`).
 
     Given a :class:`RaggedTrace` (and one ``L`` per object), the whole
     shard of objects runs as one engine pass and a :class:`ShardResult`
@@ -381,101 +384,60 @@ def simulate_batched(
     """
     if isinstance(trace, RaggedTrace):
         return _simulate_shard(L, trace, policy, slot)
-    if policy.kind in SEGMENTED:
-        return simulate_segmented(L, trace, policy, slot)
     _check_slot(L, slot)
     times = np.asarray(trace.times, dtype=np.float64)
     n_clients = times.size
-    kind = policy.kind
     params = policy.params or DyadicParams()
-
+    mode_log = None
+    parts = []
     if policy.uses_slots:
         nslots = trace.num_slots(slot)
         # The exact float end times the event loop schedules SlotEnd at.
         slot_ends = np.arange(1, nslots + 1, dtype=np.float64) * slot
         client_slot, served_idx = bucket_slots(times, slot_ends)
-        served_ends = slot_ends[served_idx]
-    else:
-        client_slot = served_idx = served_ends = None  # type: ignore[assignment]
-
-    forest: Optional[FlatForest] = None
-    lengths = np.empty(0, dtype=np.float64)
-    client_node = np.full(n_clients, -1, dtype=np.intp)
-    client_service = np.full(n_clients, math.nan, dtype=np.float64)
-
-    if kind == "delay-guaranteed":
-        # Static tiled Fibonacci template over *every* slot; the sim works
-        # in the scaled frame throughout, so build z/lengths there too.
-        parent = build_online_flat_forest(L, nslots).parent
-        forest = FlatForest(slot_ends, parent)
-        lengths = forest.stream_lengths(L * slot)
-        client_node = np.where(client_slot >= 0, client_slot, -1)
-
-    elif kind == "offline-optimal":
-        flat_units = build_optimal_flat_forest(L, nslots)
-        forest = FlatForest(slot_ends, flat_units.parent)
-        lengths = flat_units.stream_lengths(L) * slot
-        client_node = np.where(client_slot >= 0, client_slot, -1)
-
-    elif kind == "general-offline":
-        if served_idx.size == 0:
-            raise ValueError("need at least one served slot")
-        from ..fastpath.general import optimal_flat_forest_general
-
-        push_vals = served_ends / slot  # the event policy's `label / scale`
-        flat_units = optimal_flat_forest_general(push_vals.tolist(), L)
-        forest = FlatForest(served_ends, flat_units.parent)
-        lengths = flat_units.stream_lengths(L) * slot
-        client_node = _nodes_among_served(client_slot, served_idx)
-
-    elif kind == "batched-dyadic":
-        if served_idx.size:
-            push_vals = served_ends / slot
-            flat_units = dyadic_flat_forest(push_vals, L, params)
-            forest = FlatForest(served_ends, flat_units.parent)
-            lengths = flat_units.stream_lengths(L) * slot
-        client_node = _nodes_among_served(client_slot, served_idx)
-
-    elif kind == "pure-batching":
-        if served_idx.size:
-            forest = FlatForest(
-                served_ends, np.full(served_idx.size, -1, dtype=np.intp)
-            )
-            lengths = np.full(served_idx.size, L * slot, dtype=np.float64)
-        client_node = _nodes_among_served(client_slot, served_idx)
-
-    elif kind == "immediate-dyadic":
-        if n_clients:
-            forest = dyadic_flat_forest(times, L, params)
-            lengths = forest.stream_lengths(L)
-        client_node = np.arange(n_clients, dtype=np.intp)
-        client_service = times.copy()
-
-    elif kind == "unicast":
-        if n_clients:
-            forest = FlatForest(times, np.full(n_clients, -1, dtype=np.intp))
-            lengths = np.full(n_clients, float(L), dtype=np.float64)
-        client_node = np.arange(n_clients, dtype=np.intp)
-        client_service = times.copy()
-
-    if policy.uses_slots:
+        if policy.kind in SEGMENTED:
+            segments, mode_log = _mode_segments(policy, client_slot, nslots)
+        else:
+            segments = [(policy.kind, 0, nslots)]
+        node_of_slot = np.full(nslots, -1, dtype=np.intp)
+        offset = 0
+        for kind, s, e in segments:
+            if kind in _EVERY_SLOT:
+                nodes = slice(s, e)
+            else:
+                lo, hi = np.searchsorted(served_idx, (s, e))
+                nodes = served_idx[lo:hi]
+            part = _construct(kind, L, slot_ends[nodes], slot, params)
+            if part is not None:
+                size = len(part[0])
+                node_of_slot[nodes] = np.arange(offset, offset + size)
+                offset += size
+                parts.append(part)
+        # Any slot with arrivals is served in every mode, so a served
+        # client never reads a -1 entry.
         served = client_slot >= 0
-        client_service = np.where(
-            served, slot_ends[np.maximum(client_slot, 0)], math.nan
-        )
-        client_node = np.where(served, client_node, -1)
+        slots = client_slot[served]
+        client_service = np.full(n_clients, math.nan)
+        client_service[served] = slot_ends[slots]
+        client_node = np.full(n_clients, -1, dtype=np.intp)
+        client_node[served] = node_of_slot[slots]
+    else:
+        # Each client is served on arrival by a stream of its own.
+        part = _construct(policy.kind, L, times, 1.0, params)
+        parts = [part] if part is not None else []
+        client_service = times.copy()
+        client_node = np.arange(n_clients, dtype=np.intp)
 
-    if forest is not None:
+    forest, lengths = _joined(parts)
+    if forest is None:
+        metrics = BandwidthMetrics(L=L, clients_served=n_clients)
+    else:
         starts = forest.arrivals
         metrics = BandwidthMetrics.from_arrays(
             L, starts, starts + lengths, forest.is_root, n_clients
         )
-    else:
-        metrics = BandwidthMetrics(L=L)
-        metrics.clients_served = n_clients
-
     return BatchedResult(
-        policy_name=kind,
+        policy_name=policy.kind,
         L=L,
         slot=slot,
         horizon=trace.horizon,
@@ -485,7 +447,77 @@ def simulate_batched(
         client_arrival=times,
         client_service=client_service,
         client_node=client_node,
+        mode_log=mode_log,
     )
+
+
+def _mode_segments(policy: FleetPolicy, client_slot: np.ndarray, nslots: int):
+    """The hybrid's ``(segments, mode_log)``: the hysteresis scan over the
+    per-slot arrival counts cuts the horizon into constant-mode stretches
+    ``(kind, first slot, end slot)``, DG where the mode bit is set and
+    batched dyadic elsewhere."""
+    counts = np.bincount(client_slot[client_slot >= 0], minlength=nslots)
+    mode = hysteresis_scan(counts, policy.window_slots, policy.rate_high, policy.rate_low)
+    # A stretch starts wherever the mode bit changes.  The event policy
+    # starts in dyadic mode (0) and logs each switch at the slot it takes
+    # effect; plain-int entries keep the log's repr identical to the
+    # oracle's.
+    starts = np.flatnonzero(np.diff(mode, prepend=-1)).tolist()
+    mode_log = [(k, "dg" if mode[k] else "dyadic") for k in starts if k or mode[k]]
+    segments = [
+        ("delay-guaranteed" if mode[s] else "batched-dyadic", s, e)
+        for s, e in zip(starts, starts[1:] + [nslots])
+    ]
+    return segments, mode_log
+
+
+def _construct(kind: str, L, labels: np.ndarray, scale: float, params: DyadicParams):
+    """One segment's ``(forest, lengths)`` under ``kind`` (None if it
+    starts no stream), ``labels`` being its stream starts on the simulation
+    clock.  DG takes Lemma 1 lengths on that clock, with ``L * scale``
+    roots; the other kinds build in slot units (the event policy's ``label
+    / scale``) and scale their lengths back."""
+    n = labels.size
+    if kind == "delay-guaranteed":
+        forest = FlatForest(labels, build_online_flat_forest(L, n).parent)
+        return forest, forest.stream_lengths(L * scale)
+    if kind == "offline-optimal":
+        units = build_optimal_flat_forest(L, n)
+        forest = FlatForest(labels, units.parent)
+    elif n == 0:
+        if kind == "general-offline":
+            raise ValueError("need at least one served slot")
+        return None
+    elif kind in ("pure-batching", "unicast"):  # every stream a root of length L
+        return FlatForest(labels, np.full(n, -1, dtype=np.intp)), np.full(n, L * scale)
+    else:
+        values = labels if scale == 1.0 else labels / scale
+        if kind == "general-offline":
+            units = optimal_flat_forest_general(values.tolist(), L)
+        else:
+            units = dyadic_flat_forest(values, L, params)
+        # x / 1.0 == x: at scale 1 the builder's forest (and its z) is
+        # already on the simulation clock.
+        forest = units if scale == 1.0 else FlatForest(labels, units.parent)
+    lengths = units.stream_lengths(L)
+    lengths *= scale
+    return forest, lengths
+
+
+def _joined(parts):
+    """Consecutive segments' ``(forest, lengths)`` as one; no tree spans a
+    cut, so each segment's ``z`` stands."""
+    if len(parts) < 2:
+        return parts[0] if parts else (None, _EMPTY)
+    forests, lengths = zip(*parts)
+    bases = np.cumsum([0] + [len(f) for f in forests[:-1]])
+    parent = [np.where(f.parent < 0, -1, f.parent + b) for f, b in zip(forests, bases)]
+    forest = FlatForest(
+        np.concatenate([f.arrivals for f in forests]),
+        np.concatenate(parent),
+        np.concatenate([f.z for f in forests]),
+    )
+    return forest, np.concatenate(lengths)
 
 
 #: kinds whose shard pass is one ragged sweep; the rest loop per object
@@ -599,143 +631,4 @@ def _per_object_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slo
         np.concatenate(lengths),
         np.asarray(node_offsets, dtype=np.intp),
         np.asarray(delays, dtype=np.float64),
-    )
-
-
-def _nodes_among_served(
-    client_slot: np.ndarray, served_idx: np.ndarray
-) -> np.ndarray:
-    """Map each client's slot to its node index among the served slots."""
-    node = np.searchsorted(served_idx, np.maximum(client_slot, 0))
-    return np.where(client_slot >= 0, node, -1).astype(np.intp)
-
-
-def simulate_segmented(
-    L: int,
-    trace: ArrivalTrace,
-    policy: FleetPolicy,
-    slot: float = 1.0,
-) -> BatchedResult:
-    """Run a feedback-coupled policy as a sequence of slot sweeps.
-
-    The batched equivalent of the event-driven ``HybridPolicy`` run:
-    bucket arrivals once, compute the DG/dyadic mode trajectory with the
-    hysteresis scan over per-slot arrival counts, cut the trace at mode
-    switches, and sweep each constant-mode segment closed-form — DG
-    segments are the tiled Fibonacci template anchored at mode entry
-    (the mode-exit cut is a preorder prefix, so its ``z`` values already
-    encode that extensions stopped), dyadic segments are the
-    (alpha, beta)-dyadic forest over the segment's *served* slot ends
-    (exact because the event policy starts a fresh ``DyadicOnline`` at
-    every dyadic mode entry).  Per-segment
-    forests concatenate into one flat forest: labels stay strictly
-    increasing and no tree spans a segment boundary, so global ``z``
-    values equal the per-segment ones.
-
-    Same exactness contract as :func:`simulate_batched`: bit-identical
-    metrics, parent arrays, and mode log for power-of-two ``slot``.
-    """
-    _check_slot(L, slot)
-    if policy.kind not in SEGMENTED:
-        raise ValueError(f"{policy.kind!r} is not a segmented policy kind")
-    params = policy.params or DyadicParams()
-    times = np.asarray(trace.times, dtype=np.float64)
-    n_clients = times.size
-    nslots = trace.num_slots(slot)
-    slot_ends = np.arange(1, nslots + 1, dtype=np.float64) * slot
-    client_slot, served_idx = bucket_slots(times, slot_ends)
-
-    mode_log: List[Tuple[int, str]] = []
-    labels_parts: List[np.ndarray] = []
-    parent_parts: List[np.ndarray] = []
-    length_parts: List[np.ndarray] = []
-    node_of_slot = np.full(nslots, -1, dtype=np.intp)
-    offset = 0
-    if nslots:
-        in_slot = client_slot >= 0
-        counts = np.bincount(
-            client_slot[in_slot], minlength=nslots
-        ).astype(np.int64)
-        mode = hysteresis_scan(
-            counts, policy.window_slots, policy.rate_high, policy.rate_low
-        )
-        # The event policy starts in dyadic mode (0) and logs each switch
-        # at the slot it takes effect; plain-int entries keep the log's
-        # repr identical to the oracle's.
-        switches = np.flatnonzero(np.diff(np.concatenate(([0], mode))) != 0)
-        mode_log = [
-            (int(k), "dg" if mode[k] else "dyadic") for k in switches.tolist()
-        ]
-        is_served = np.zeros(nslots, dtype=bool)
-        is_served[served_idx] = True
-        cuts = (np.flatnonzero(np.diff(mode) != 0) + 1).tolist()
-        for s, e in zip([0] + cuts, cuts + [nslots]):
-            if mode[s]:
-                # DG serves every slot of the segment, empty or not, and
-                # works in the scaled frame (labels are slot-end times).
-                n_seg = e - s
-                seg_labels = slot_ends[s:e]
-                seg_parent = build_online_flat_forest(L, n_seg).parent
-                seg_len = FlatForest(seg_labels, seg_parent).stream_lengths(
-                    L * slot
-                )
-                node_of_slot[s:e] = offset + np.arange(n_seg)
-            else:
-                seg_served = np.flatnonzero(is_served[s:e]) + s
-                if seg_served.size == 0:
-                    continue
-                seg_labels = slot_ends[seg_served]
-                flat_units = dyadic_flat_forest(seg_labels / slot, L, params)
-                seg_parent = flat_units.parent
-                seg_len = flat_units.stream_lengths(L) * slot
-                node_of_slot[seg_served] = offset + np.arange(seg_served.size)
-            labels_parts.append(seg_labels)
-            parent_parts.append(
-                np.where(seg_parent < 0, -1, seg_parent + offset)
-            )
-            length_parts.append(seg_len)
-            offset += seg_labels.size
-
-    forest: Optional[FlatForest] = None
-    lengths = np.empty(0, dtype=np.float64)
-    if labels_parts:
-        forest = FlatForest(
-            np.concatenate(labels_parts),
-            np.concatenate(parent_parts).astype(np.intp),
-        )
-        lengths = np.concatenate(length_parts)
-        starts = forest.arrivals
-        metrics = BandwidthMetrics.from_arrays(
-            L, starts, starts + lengths, forest.is_root, n_clients
-        )
-    else:
-        metrics = BandwidthMetrics(L=L)
-        metrics.clients_served = n_clients
-
-    if nslots:
-        served = client_slot >= 0
-        client_service = np.where(
-            served, slot_ends[np.maximum(client_slot, 0)], math.nan
-        )
-        # Any slot with arrivals is served in either mode, so the lookup
-        # never hits a -1 entry for a served client.
-        client_node = np.where(
-            served, node_of_slot[np.maximum(client_slot, 0)], -1
-        ).astype(np.intp)
-    else:
-        client_service = np.full(n_clients, math.nan, dtype=np.float64)
-        client_node = np.full(n_clients, -1, dtype=np.intp)
-
-    return BatchedResult(
-        policy_name=policy.kind,
-        L=L,
-        slot=slot,
-        horizon=trace.horizon,
-        metrics=metrics,
-        forest=forest,
-        lengths=lengths,
-        client_arrival=times,
-        client_service=client_service,
-        client_node=client_node,
-        mode_log=mode_log,
     )

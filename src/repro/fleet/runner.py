@@ -396,16 +396,28 @@ def object_run(
     """
     L = obj.units(delay_minutes)
     clean, repaired = sanitize_times(times_minutes, horizon_minutes)
-    ts = clean / delay_minutes
-    if ts.size == 0 and policy.kind == "general-offline":
+    if clean.size == 0 and policy.kind == "general-offline":
         return None, repaired
-    horizon_slots = horizon_minutes / delay_minutes
-    if ts.size and ts[-1] >= horizon_slots:
-        # Float division can push the last arrival onto the horizon; the
-        # trace contract is arrivals strictly inside [0, horizon).
-        horizon_slots = float(np.nextafter(ts[-1], np.inf))
-    trace = ArrivalTrace(times=ts, horizon=horizon_slots)
+    ts, horizons = _slot_units(clean, np.array([0, clean.size]), delay_minutes, horizon_minutes)
+    trace = ArrivalTrace(times=ts, horizon=float(horizons[0]))
     return simulate_batched(L, trace, policy, slot=1.0), repaired
+
+
+def _slot_units(
+    clean: np.ndarray, offsets: np.ndarray, delay: float, horizon: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrival minutes and per-object horizons in slot units of the delay
+    guarantee, for :func:`object_run` and the shard pass alike.  Float
+    division can push a last arrival onto its horizon; the trace contract
+    is arrivals strictly inside ``[0, horizon)``, so that horizon moves up."""
+    ts = clean / delay
+    horizons = np.full(offsets.size - 1, horizon / delay)
+    busy = np.diff(offsets) > 0
+    last = ts[offsets[1:][busy] - 1]
+    horizons[busy] = np.where(
+        last >= horizons[busy], np.nextafter(last, np.inf), horizons[busy]
+    )
+    return ts, horizons
 
 
 #: Arrival budget of one pool task, a *shard*: consecutive catalog
@@ -482,16 +494,7 @@ def _run_shard(shard) -> List[FleetObjectResult]:
     engine pass over a shard of objects, folded per object."""
     entries, delay, horizon, policy = shard
     clean, repaired, offsets = _shard_times(entries, horizon)
-    # Slot units of the delay guarantee, with object_run's expressions.
-    ts = clean / delay
-    horizons = np.full(len(entries), horizon / delay)
-    busy = np.diff(offsets) > 0
-    last = ts[offsets[1:][busy] - 1]
-    # Float division can push the last arrival onto the horizon; the
-    # trace contract is arrivals strictly inside [0, horizon).
-    horizons[busy] = np.where(
-        last >= horizons[busy], np.nextafter(last, np.inf), horizons[busy]
-    )
+    ts, horizons = _slot_units(clean, offsets, delay, horizon)
     L = [obj.units(delay) for _, obj, _ in entries]
     result = simulate_batched(L, RaggedTrace(ts, offsets, horizons), policy, slot=1.0)
     if result.forest is None:

@@ -26,34 +26,31 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..argtypes import non_negative_int, output_file, positive_float, positive_int
+from ..argtypes import (
+    add_catalog_options, non_negative_int, output_file, positive_float, zipf_catalog,
+)
 from ..fleet.runner import run_fleet
 from ..fleet.scenarios import SCENARIOS, scenario_workload
 from ..multiplex.catalog import Catalog
 from .daemon import LiveDaemon
 from .horizon import LIVE_POLICIES, LiveConfig
 
-__all__ = ["live_main"]
+__all__ = ["live_main", "parse_args"]
 
 #: exit code when any live standing invariant was violated.
 EXIT_LIVE_VIOLATION = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parse-and-validate step, ``catalog`` and ``config`` included: a
+    bad value exits 2 here, before the daemon runs."""
     parser = argparse.ArgumentParser(
         prog="python -m repro live",
         description="Serve a media catalog online: rolling-horizon epoch "
         "ingestion, incremental merge forests, fence-gated commits, and "
         "channel schedules emitted ahead of accelerated wall-clock.",
     )
-    parser.add_argument("--objects", type=positive_int, default=24,
-                        help="catalog size (Zipf popularity; default 24)")
-    parser.add_argument("--duration", type=positive_float, default=120.0,
-                        help="media duration in minutes (default 120)")
-    parser.add_argument("--exponent", type=float, default=0.8,
-                        help="Zipf exponent (default 0.8)")
-    parser.add_argument("--delay", type=positive_float, default=2.0,
-                        help="guaranteed start-up delay in minutes (default 2)")
+    add_catalog_options(parser, objects=24)
     parser.add_argument("--horizon", type=positive_float, default=360.0,
                         help="stream horizon in minutes (default 360)")
     parser.add_argument("--epoch", type=positive_float, default=30.0,
@@ -79,26 +76,29 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="CI acceptance soak: accelerated diurnal day, "
                         "mid-run checkpoint/restore, injected worker kill "
                         "on the oracle run; exits 5 on any violation")
-    return parser
+    args = parser.parse_args(argv)
+    args.catalog = zipf_catalog(parser, args)
+    try:
+        args.config = LiveConfig(
+            delay_minutes=args.delay,
+            horizon_minutes=args.horizon,
+            epoch_minutes=args.epoch,
+            fence_minutes=args.fence,
+            policy=args.policy,
+        )
+    except ValueError as exc:  # every value passed its type: the epoch outgrew the horizon
+        parser.error(f"argument --epoch: {exc}")
+    return args
 
 
 def live_main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.smoke:
         return _smoke(args)
 
     from ..burnin.contracts import check_live_report
 
-    catalog = Catalog.zipf(
-        args.objects, duration_minutes=args.duration, exponent=args.exponent
-    )
-    config = LiveConfig(
-        delay_minutes=args.delay,
-        horizon_minutes=args.horizon,
-        epoch_minutes=args.epoch,
-        fence_minutes=args.fence,
-        policy=args.policy,
-    )
+    catalog, config = args.catalog, args.config
     workload = scenario_workload(
         args.scenario, catalog, args.mean_interarrival, args.horizon, seed=args.seed
     )

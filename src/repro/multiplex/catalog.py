@@ -51,7 +51,10 @@ class MediaObject:
         """Stream length ``L`` in slots for a given delay guarantee."""
         if delay_minutes <= 0:
             raise ValueError("delay must be positive")
-        return max(1, round(self.duration_minutes / delay_minutes))
+        slots = self.duration_minutes / delay_minutes
+        if not slots < 2.0**63:  # NaN too; the engine holds L as an int64
+            raise ValueError(f"{self.name}: {slots:g} slots per stream do not fit in int64")
+        return max(1, round(slots))
 
 
 class Catalog:

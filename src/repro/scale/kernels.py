@@ -10,8 +10,8 @@ sequential passes, list-loop) implementation:
   construction;
 * :func:`replay_walk` — the per-tree-level replay demand walk of
   :mod:`repro.fastpath.replay`;
-* :func:`hysteresis_scan` — the sequential mode scan driving
-  :func:`repro.fleet.engine.simulate_segmented`.
+* :func:`hysteresis_scan` — the sequential mode scan that cuts a hybrid
+  run of :func:`repro.fleet.engine.simulate_batched` into segments.
 
 ``tests/scale/test_kernels.py`` checks each against an independent
 per-element reference (two-pointer bucketing, per-client walk,
@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.validation import check_offsets
+from ..core.validation import check_count, check_offsets
 
 __all__ = [
     "active_backend",
@@ -153,8 +153,7 @@ def hysteresis_scan(
     evaluate the identical IEEE quotient.  Inherently sequential (the
     mode bit feeds back), like :func:`forest_z`: a plain list loop.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_count(window, "window")
     if not 0 <= rate_low <= rate_high:
         raise ValueError("need 0 <= rate_low <= rate_high")
     counts = np.ascontiguousarray(counts, dtype=np.int64)

@@ -28,6 +28,7 @@ from typing import Deque, List, Optional, TYPE_CHECKING
 
 from ..baselines.dyadic import DyadicOnline, DyadicParams
 from ..core.online import OnlineScheduler
+from ..core.validation import check_count
 from .policies import Policy, _serve_dyadic_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,8 +51,7 @@ class HybridPolicy(Policy):
         rate_high: float = 1.0,
         rate_low: float = 0.5,
     ):
-        if window_slots < 1:
-            raise ValueError("window_slots must be >= 1")
+        check_count(window_slots, "window_slots")
         if not 0 <= rate_low <= rate_high:
             raise ValueError("need 0 <= rate_low <= rate_high")
         self.name = "hybrid"
@@ -61,7 +61,7 @@ class HybridPolicy(Policy):
         self.window_slots = window_slots
         self.rate_high = rate_high
         self.rate_low = rate_low
-        self._recent: Deque[int] = deque(maxlen=window_slots)
+        self._recent: Deque[int] = deque(maxlen=int(window_slots))
         self._recent_sum = 0
         self._mode = "dyadic"
         self._dg_anchor: Optional[int] = None

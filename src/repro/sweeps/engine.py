@@ -140,15 +140,12 @@ def run_sweep(
     spec: SweepSpec,
     workers: Optional[int] = None,
     cache: Union[SweepCache, str, None, bool] = None,
-    seed=None,
 ) -> SweepResult:
     """Evaluate a sweep spec into a columnar result table.
 
     ``workers``/``cache`` default to the process-wide configuration
     (:func:`configure_sweeps`); ``cache=False`` disables caching for this
-    run regardless.  ``seed`` feeds the per-point ``SeedSequence`` spawn
-    when ``spec.spawn_seeds`` — spawned points cache only under an
-    explicit seed (entropy-seeded draws are not reproducible artifacts).
+    run regardless.
     """
     workers = int(_DEFAULTS["workers"]) if workers is None else int(workers)
     cache = _DEFAULTS["cache"] if cache is None else _normalise_cache(cache)
@@ -156,35 +153,20 @@ def run_sweep(
         cache = None
 
     points = spec.points()
-    params: List[Dict[str, object]] = [dict(spec.fixed, **p) for p in points]
-    keys: List[Optional[str]] = [None] * len(points)
-    if spec.spawn_seeds:
-        children = np.random.SeedSequence(seed).spawn(len(points))
-        for i, (prm, child) in enumerate(zip(params, children)):
-            prm["seed_seq"] = child
-        if cache is not None and seed is not None:
-            keys = [
-                spec.point_key(p, extra={"base_seed": seed, "index": i})
-                for i, p in enumerate(points)
-            ]
-    elif cache is not None:
-        keys = [spec.point_key(p) for p in points]
+    keys = [spec.point_key(p) for p in points] if cache is not None else []
 
     results: List[Optional[Dict[str, object]]] = [None] * len(points)
     hits = misses = 0
-    if cache is not None:
-        for i, key in enumerate(keys):
-            if key is None:
-                continue
-            got = cache.get(key, spec.metrics)
-            if got is None:
-                misses += 1
-            else:
-                hits += 1
-                results[i] = got
+    for i, key in enumerate(keys):
+        got = cache.get(key, spec.metrics)
+        if got is None:
+            misses += 1
+        else:
+            hits += 1
+            results[i] = got
 
     dirty = [i for i, r in enumerate(results) if r is None]
-    args = [(spec.evaluator, params[i]) for i in dirty]
+    args = [(spec.evaluator, dict(spec.fixed, **points[i])) for i in dirty]
     for i, metrics in zip(dirty, pool_map(_eval_point, args, workers=workers)):
         missing = set(spec.metrics) - set(metrics)
         if missing:
@@ -193,7 +175,7 @@ def run_sweep(
                 f"{sorted(missing)} for point {points[i]}"
             )
         results[i] = metrics
-        if cache is not None and keys[i] is not None:
+        if cache is not None:
             cache.put(keys[i], metrics)
 
     columns: Dict[str, np.ndarray] = {}

@@ -392,8 +392,8 @@ def hybrid_threshold_point(
 
     ``rate_low = low_frac * rate_high`` keeps the sweep grid rectangular
     while satisfying the ``0 <= rate_low <= rate_high`` contract at every
-    point.  Runs through the segmented batched kernel (``hybrid`` kind of
-    :func:`repro.fleet.engine.simulate_batched`) — no event queue.
+    point.  Runs through the batched kernel's mode segments (``hybrid``
+    kind of :func:`repro.fleet.engine.simulate_batched`) — no event queue.
     """
     trace = day_night_trace(day_lam, night_lam, phase_slots, phases, seed)
     policy = FleetPolicy.hybrid(

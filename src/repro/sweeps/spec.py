@@ -94,10 +94,7 @@ class SweepSpec:
     matching the nested loops the drivers used to write).  ``fixed``
     parameters reach the evaluator on every point.  ``version`` is a
     manual cache-buster: bump it when the evaluator's semantics change
-    without its dotted path changing.  ``spawn_seeds=True`` makes the
-    engine pass each point a ``seed_seq`` child spawned off the run's
-    base :class:`numpy.random.SeedSequence` (per-point independent
-    streams, deterministic in the base seed).
+    without its dotted path changing.
     """
 
     name: str
@@ -107,7 +104,6 @@ class SweepSpec:
     fixed: Dict[str, object] = field(default_factory=dict)
     version: str = "1"
     cacheable: bool = True
-    spawn_seeds: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.axes, Mapping):
@@ -155,7 +151,7 @@ class SweepSpec:
     def evaluator_id(self) -> str:
         return f"{self.evaluator.__module__}.{self.evaluator.__qualname__}"
 
-    def point_key(self, point: Mapping[str, object], extra=None) -> str:
+    def point_key(self, point: Mapping[str, object]) -> str:
         """Content hash identifying one point's result artifact.
 
         Covers the evaluator identity, spec version, fixed parameters and
@@ -170,7 +166,5 @@ class SweepSpec:
             "point": dict(point),
             "metrics": list(self.metrics),
         }
-        if extra is not None:
-            payload["extra"] = extra
         digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
         return digest

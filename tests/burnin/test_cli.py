@@ -10,6 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import cli as experiments_cli
+from repro.burnin import cli as burnin_cli
+from repro.fleet import cli as fleet_cli
+from repro.fleet.engine import FLEET_POLICIES
+from repro.fleet.scenarios import SCENARIOS
+from repro.live import cli as live_cli
+from repro.live.horizon import LIVE_POLICIES
+
+from tests.conftest import fuzz_examples
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -53,6 +65,7 @@ class TestBurninCli:
             ("--seed", "-1"),
             ("--workers", "-3"),
             ("--report", os.path.join(UNUSABLE, "soak.json")),
+            ("--delay", "1e-300"),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
@@ -114,6 +127,10 @@ class TestFleetCli:
             ("--seed", "-1"),
             ("--workers", "-3"),
             ("--store", UNUSABLE),
+            ("--exponent", "nan"),
+            ("--exponent", "-1"),
+            ("--exponent", "1e308"),
+            ("--delay", "1e-300"),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):
@@ -199,3 +216,116 @@ class TestFiniteContractUnit:
         bad = ExperimentResult("t", ("a",), [(float("nan"),)])
         assert _finite_ok([good])
         assert not _finite_ok([good, bad])
+
+
+# ---------------------------------------------------------------------------
+# every front end's argument surface, fuzzed
+# ---------------------------------------------------------------------------
+
+#: spellings a numeric or choice option must turn into exit 2 or a value
+HOSTILE = [
+    "nan", "-nan", "inf", "-inf", "-0", "0", "-1", "1e308", "-1e308", "1e400",
+    "1e-300", "5e-324", "1" * 30, "-" + "9" * 30, "+", "-", "--", "1e", "0x10",
+    "", " ", "1,5", "abc", "\u00bd",
+]
+
+
+def _value(*choices: str):
+    """A hostile spelling or free text, or a value its type accepts: the
+    failures that matter come from values that each pass their type, so
+    those are most of the draws."""
+    accepted = [
+        st.integers(min_value=0, max_value=10**30).map(str),
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    ]
+    if choices:
+        accepted.append(st.sampled_from(choices))
+    return st.one_of(st.sampled_from(HOSTILE), st.text(max_size=5), *accepted)
+
+
+#: ``--objects`` sizes a catalog built at parse time, so no drawn value
+#: may parse as a whole number above 1,000 (free text could: int() reads
+#: any script's decimal digits)
+_OBJECTS = st.one_of(
+    st.integers(max_value=1000).map(str),
+    st.sampled_from([h for h in HOSTILE if not h.strip("+-").isdigit()]),
+)
+
+
+@st.composite
+def _argv(draw, options, flags=(), positional=None):
+    argv = [] if positional is None else [draw(positional)]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=5)):
+        argv += [name, draw(options[name])]
+    if flags:
+        argv += draw(st.lists(st.sampled_from(flags), unique=True))
+    return argv
+
+
+def _numbers(*names: str) -> dict:
+    return {name: _value() for name in names}
+
+
+#: each front end's parse-and-validate step and its argv, path options
+#: left out (the step checks them against the file system)
+FRONT_ENDS = {
+    "experiments": (
+        experiments_cli.parse_args,
+        _argv(
+            {"--workers": _value()},
+            positional=st.sampled_from(["list", "all", "fig1", "no-such", *HOSTILE]),
+        ),
+    ),
+    "fleet": (
+        fleet_cli.parse_args,
+        _argv(
+            {
+                **_numbers("--duration", "--exponent", "--delay", "--horizon",
+                           "--mean-interarrival", "--workers", "--seed"),
+                "--objects": _OBJECTS,
+                "--budgets": _value("1,2", "0,50", ",", "3,,4"),
+                "--scenario": _value(*SCENARIOS),
+                "--policy": _value(*FLEET_POLICIES),
+            },
+            flags=("--no-frontier", "--check"),
+        ),
+    ),
+    "live": (
+        live_cli.parse_args,
+        _argv(
+            {
+                **_numbers("--duration", "--exponent", "--delay", "--horizon", "--epoch",
+                           "--fence", "--mean-interarrival", "--seed", "--accel"),
+                "--objects": _OBJECTS,
+                "--scenario": _value(*SCENARIOS),
+                "--policy": _value(*LIVE_POLICIES),
+            },
+            flags=("--smoke",),
+        ),
+    ),
+    "burnin": (
+        burnin_cli.parse_args,
+        _argv(
+            _numbers("--episodes", "--seed", "--objects", "--workers", "--horizon",
+                     "--delay", "--mean-interarrival"),
+            flags=("--selftest-violation",),
+        ),
+    ),
+}
+
+
+class TestArgumentFuzz:
+    """The exit-2 contract at its source: a front end's parse-and-validate
+    step returns its arguments or raises ``SystemExit(2)``, whatever the
+    values.  It never runs a workload or writes a file."""
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(data=st.data())
+    def test_parses_or_exits_two(self, front_end, data):
+        parse, argvs = FRONT_ENDS[front_end]
+        argv = data.draw(argvs, label="argv")
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv

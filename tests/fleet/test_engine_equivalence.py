@@ -13,6 +13,8 @@ boundary arrival belongs to the next slot).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,48 @@ class TestHybridEquivalence:
         policy = FleetPolicy.hybrid(window_slots=2, rate_high=1.0, rate_low=0.5)
         simulate_batched(15, trace, policy).verify().raise_if_failed()
 
+    @pytest.mark.parametrize("slot", [1.0, 0.5, 2.0, 0.3])
+    @pytest.mark.parametrize(
+        "params", [None, DyadicParams(alpha=2.0, beta=0.5)], ids=["phi", "a2"]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mean=st.sampled_from([0.2, 0.8, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        L=st.sampled_from([7, 15, 40]),
+    )
+    def test_hybrid_pinned_to_one_mode_is_that_kind(self, slot, params, mean, seed, L):
+        """One segment over the whole horizon: thresholds that never let
+        the hybrid leave DG (or dyadic) give exactly the single-kind run,
+        at binary and non-binary slots alike."""
+        from repro.arrivals import poisson
+
+        trace = poisson(mean, 40.0, seed=seed)
+        pinned = [
+            (FleetPolicy.hybrid(params, rate_high=0.0, rate_low=0.0),
+             FleetPolicy.delay_guaranteed(), [(0, "dg")]),
+            (FleetPolicy.hybrid(params, rate_high=math.inf),
+             FleetPolicy.batched_dyadic(params), []),
+        ]
+        for hybrid, kind, mode_log in pinned:
+            a = simulate_batched(L, trace, hybrid, slot=slot)
+            b = simulate_batched(L, trace, kind, slot=slot)
+            assert a.mode_log == mode_log
+            assert (a.forest is None) == (b.forest is None)
+            if a.forest is not None:
+                for name in ("arrivals", "parent", "z"):
+                    np.testing.assert_array_equal(
+                        getattr(a.forest, name), getattr(b.forest, name)
+                    )
+            for name in ("lengths", "client_arrival", "client_service", "client_node"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            ma, mb = a.metrics, b.metrics
+            assert (ma.streams_started, ma.roots_started, ma.clients_served) == (
+                mb.streams_started, mb.roots_started, mb.clients_served
+            )
+            for x, y in zip(ma.interval_arrays(), mb.interval_arrays()):
+                np.testing.assert_array_equal(x, y)
+
 
 class TestDeterministicEdges:
     def test_boundary_arrival_lands_in_next_slot(self):
@@ -252,8 +296,11 @@ class TestDeterministicEdges:
         # hysteresis knobs; dyadic params are allowed (its quiet mode).
         assert FleetPolicy("hybrid").uses_slots
         assert FleetPolicy.hybrid(DyadicParams()).params is not None
-        with pytest.raises(ValueError, match="window_slots"):
-            FleetPolicy.hybrid(window_slots=0)
+        for window in (0, 2.5, True):
+            # 2.5 used to fail later with a TypeError, True ran as 1
+            with pytest.raises(ValueError, match="window_slots"):
+                FleetPolicy.hybrid(window_slots=window)
+        assert FleetPolicy.hybrid(window_slots=np.int64(3)).window_slots == 3
         with pytest.raises(ValueError, match="rate_low"):
             FleetPolicy.hybrid(rate_high=1.0, rate_low=2.0)
         with pytest.raises(ValueError, match="rate_low"):

@@ -62,6 +62,9 @@ class TestLiveCli:
             ("--accel", "inf"),
             ("--seed", "-1"),
             ("--report", os.path.join(os.devnull, "live.json")),
+            ("--exponent", "nan"),
+            ("--epoch", "120"),
+            ("--delay", "1e-300"),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):

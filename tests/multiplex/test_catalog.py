@@ -49,6 +49,10 @@ class TestMediaObject:
             MediaObject("x", 10.0, 0.0)
         with pytest.raises(ValueError):
             MediaObject("x", 10.0, 1.0).units(0)
+        for delay in (1e-300, float("nan")):
+            # 1e-300 used to give an L the engine could not hold
+            with pytest.raises(ValueError, match="int64"):
+                MediaObject("x", 10.0, 1.0).units(delay)
 
 
 class TestCatalog:

@@ -225,8 +225,10 @@ class TestKernelsMatchOracles:
 
     def test_hysteresis_scan_validates_inputs(self):
         counts = np.zeros(3, dtype=np.int64)
-        with pytest.raises(ValueError, match="window"):
-            K.hysteresis_scan(counts, 0, 1.0, 0.5)
+        for window in (0, 2.5, True):
+            with pytest.raises(ValueError, match="window"):
+                K.hysteresis_scan(counts, window, 1.0, 0.5)
+        assert K.hysteresis_scan(counts, np.int64(2), 1.0, 0.5).tolist() == [0, 0, 0]
         with pytest.raises(ValueError, match="rate_low"):
             K.hysteresis_scan(counts, 2, 1.0, 2.0)
         with pytest.raises(ValueError, match="rate_low"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.arrivals import ArrivalTrace, constant_rate, every_slot, poisson
@@ -22,8 +23,10 @@ def day_night_trace(busy_lam=0.25, quiet_lam=8.0, phase=300.0, phases=4, seed=0)
 
 class TestConstruction:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HybridPolicy(10, window_slots=0)
+        for window in (0, 2.5, True):
+            with pytest.raises(ValueError, match="window_slots"):
+                HybridPolicy(10, window_slots=window)
+        assert HybridPolicy(10, window_slots=np.int64(3))._recent.maxlen == 3
         with pytest.raises(ValueError):
             HybridPolicy(10, rate_low=2.0, rate_high=1.0)
 

@@ -116,57 +116,6 @@ class TestCache:
             cache.put("ab" * 32, {"xs": [1, 2]})
 
 
-class TestSpawnSeeds:
-    def test_spawned_points_deterministic_in_base_seed(self):
-        spec = SweepSpec(
-            name="spawn-test",
-            evaluator=_spawned_mean_point,
-            axes=[Axis("scale", (1.0, 2.0, 3.0))],
-            metrics=("mean",),
-            spawn_seeds=True,
-        )
-        a = run_sweep(spec, seed=42)
-        b = run_sweep(spec, seed=42)
-        c = run_sweep(spec, seed=43)
-        assert a.rows() == b.rows()
-        assert a.rows() != c.rows()
-        # per-point streams must be independent draws, not one repeated
-        assert len(set(a.values("mean"))) == 3
-
-    def test_spawned_points_shard_identically(self):
-        spec = SweepSpec(
-            name="spawn-test-workers",
-            evaluator=_spawned_mean_point,
-            axes=[Axis("scale", (1.0, 2.0, 3.0, 4.0))],
-            metrics=("mean",),
-            spawn_seeds=True,
-        )
-        assert run_sweep(spec, seed=7).rows() == run_sweep(
-            spec, seed=7, workers=2
-        ).rows()
-
-    def test_entropy_seeded_points_never_cache(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        spec = SweepSpec(
-            name="spawn-nocache",
-            evaluator=_spawned_mean_point,
-            axes=[Axis("scale", (1.0,))],
-            metrics=("mean",),
-            spawn_seeds=True,
-        )
-        run_sweep(spec, cache=cache)  # seed=None -> no artifacts
-        assert len(cache) == 0
-        run_sweep(spec, cache=cache, seed=5)
-        assert len(cache) == 1
-        warm = run_sweep(spec, cache=cache, seed=5)
-        assert warm.evaluated == 0
-
-
-def _spawned_mean_point(*, scale: float, seed_seq) -> dict:
-    rng = np.random.default_rng(seed_seq)
-    return {"mean": float(rng.random(8).mean() * scale)}
-
-
 class TestBatchedTierEquality:
     """run_sweep point results == direct batched-tier calls."""
 
