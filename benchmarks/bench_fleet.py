@@ -18,7 +18,9 @@ interval multisets, total bandwidth, flat-forest parent arrays, and
 per-client service — via ``assert_equivalent_run`` from
 ``tests/fleet/oracles.py``.  The sweep enforces
 the ISSUE 4 acceptance floor: >= 10x at n = 10^5 clients for every
-engine case.
+engine case.  The ``zipf_split`` row times the workload draw that feeds
+the fleet, ``split_requests``, against ``rng.choice`` plus the same
+stable-argsort grouping, and asserts the two splits equal.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ if __name__ == "__main__":  # script mode: make src and the oracles importable
 import numpy as np
 
 from repro.arrivals import poisson
+from repro.arrivals.generators import rng_from
 from repro.burnin.contracts import fleet_reports_equal
 from repro.fleet import (
     FleetObjectResult,
@@ -204,6 +207,22 @@ def _shard_case(titles: int, mean_gap: float, horizon: float):
     return catalog, workload
 
 
+def _reference_split(trace, catalog, seed):
+    """``split_requests`` with the draw left to ``rng.choice`` (bisecting
+    its cdf) and the same stable-argsort grouping."""
+    picks = rng_from(seed).choice(len(catalog), size=len(trace), p=catalog.weights())
+    order = np.argsort(picks.astype(np.min_scalar_type(len(catalog))), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(picks, minlength=len(catalog)))))
+    grouped = trace.times[order]
+    return {obj.name: grouped[bounds[k] : bounds[k + 1]] for k, obj in enumerate(catalog)}
+
+
+def _assert_same_split(fast, reference) -> None:
+    assert list(fast) == list(reference)
+    for name, times in reference.items():
+        assert np.array_equal(fast[name].times, times), name
+
+
 def _engine_pair(kind: str, n: int):
     horizon, mean = ENGINE_TRACES[n]
     trace = poisson(mean, horizon, seed=17)
@@ -305,6 +324,15 @@ def test_fleet_runner_smoke(benchmark):
     )
     ref_peak, _ = _reference_catalog_sweep(catalog, workload)
     assert report.peak_channels == ref_peak
+
+
+def test_zipf_split_smoke(benchmark):
+    """The title draw against ``rng.choice``, at ~10^5 requests: enough
+    for the draw's cdf to be looked up rather than bisected."""
+    catalog = Catalog.zipf(100, duration_minutes=60.0)
+    trace = poisson(0.005, 480.0, seed=5)
+    fast = benchmark(split_requests, trace, catalog, 5)
+    _assert_same_split(fast, _reference_split(trace, catalog, 5))
 
 
 def test_fleet_shard_catalog_smoke(benchmark):
@@ -471,6 +499,13 @@ def run_sweep() -> Dict:
     assert row["speedup"] >= SHARD_FLOOR, row
     rows.append(row)
 
+    # -- the title draw at the fleet-catalog shape --------------------------
+    trace = poisson(SHARD_MEAN_GAP_MIN, SHARD_HORIZON_MIN, seed=1)
+    ref_s, reference = timeit_best(lambda: _reference_split(trace, catalog, 1), repeats=5)
+    fast_s, fast = timeit_best(lambda: split_requests(trace, catalog, 1), repeats=5)
+    _assert_same_split(fast, reference)
+    rows.append(_case("zipf_split", len(trace), ref_s, fast_s, objects=SHARD_TITLES))
+
     # Acceptance floor (ISSUE 4): >= 10x for the batched kernel at 10^5.
     big = [r for r in rows if r["name"].startswith("engine_") and r["n"] >= 100_000]
     assert big and all(r["speedup"] >= 10 for r in big), big
@@ -490,6 +525,10 @@ def run_sweep() -> Dict:
             "catalog through the runner's shard pass against one "
             "simulate_batched run per object, asserts the folded reports "
             "equal field for field, repaired counts included (floor >= 3x).  "
+            "zipf_split draws and groups ~7.2 x 10^5 requests over the same "
+            "1000 titles with split_requests (its cdf looked up) against "
+            "rng.choice (its cdf bisected) plus the same grouping, and "
+            "asserts the splits equal.  "
             "fleet_columnar_catalog runs a 10^7-client "
             "catalog in subprocess children and asserts the columnar run's "
             "peak RSS stays under half the store size while the in-memory "

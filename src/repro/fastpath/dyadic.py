@@ -9,9 +9,10 @@ construction on parent-index arrays:
 
 * :func:`dyadic_flat_forest` — the batch construction, vectorised level
   by level.  A level splits every window into its dyadic interval runs
-  (the interval of an offset is one ``searchsorted`` against the
-  per-``alpha`` table of scalar ``alpha ** -i`` edges, built once down to
-  ``MIN_RELATIVE_GAP``; it returns the index the scalar
+  (the interval of an offset is one exact lookup in the per-``alpha``
+  :class:`~repro.scale.kernels.SortedTable` of scalar ``alpha ** -i``
+  edges, built once down to ``MIN_RELATIVE_GAP``, the same answer as a
+  ``searchsorted`` against them; it returns the index the scalar
   :func:`~repro.baselines.dyadic.dyadic_interval_index` reaches with its
   log estimate and +-1 corrections): the first member of a run becomes a
   child, and the rest of the run is that child's window at the next
@@ -61,6 +62,7 @@ import numpy as np
 
 from ..baselines.dyadic import MIN_RELATIVE_GAP, DyadicParams, check_stream_length
 from ..core.validation import check_offsets, non_increasing_within
+from ..scale.kernels import SortedTable
 from .flat_forest import FlatForest
 
 __all__ = ["dyadic_flat_forest"]
@@ -95,6 +97,13 @@ def _power_tables(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     edges = np.asarray(neg[::-1], dtype=np.float64)
     powers = np.asarray([alpha ** i for i in range(len(neg))], dtype=np.float64)
     return edges, powers
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_table(alpha: float) -> SortedTable:
+    """The ``edges`` of :func:`_power_tables` as a :class:`SortedTable`,
+    kept per ``alpha`` so that its bucket table is built once."""
+    return SortedTable(_power_tables(alpha)[0])
 
 
 def _object_keys(ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -143,10 +152,10 @@ def _roots(
     return is_root
 
 
-def _interval(g: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _interval(g: np.ndarray, edges: SortedTable) -> np.ndarray:
     """Interval index of relative offsets ``g``: the least ``i >= 1`` with
     ``alpha ** -i <= g``."""
-    return np.maximum(edges.size - np.searchsorted(edges, g, side="right"), 1)
+    return np.maximum(edges.table.size - edges.index(g), 1)
 
 
 def _raise_resolution(
@@ -192,7 +201,7 @@ def _split_level(ts, keys, members, o, e, x, c, edges, powers, parent, z):
     # position, comparing the reference g against the same table edge.
     rank = np.arange(n_steps)
     lower = np.repeat(idx_first + np.cumsum(steps) - steps - 1, steps) - rank
-    threshold = edges[edges.size - 1 - lower]
+    threshold = edges.table[edges.table.size - 1 - lower]
     xb, sb = np.repeat(x, steps), np.repeat(span, steps)
     edge_time = xb + threshold * sb
     if keys is None:
@@ -268,7 +277,7 @@ def _dyadic_parents(
     # Root windows: owner o, members o + 1 .. e - 1, start x, cutoff c.
     o, e, x = roots, root_end, ts[roots]
     c = x + window[np.searchsorted(offsets, roots, side="right") - 1]
-    edges, powers = _power_tables(alpha)
+    edges, powers = _edge_table(alpha), _power_tables(alpha)[1]
     members = n - roots.size
 
     # Phase 1 while windows are large: split them at their boundaries.

@@ -86,8 +86,8 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
             fence_minutes=args.fence,
             policy=args.policy,
         )
-    except ValueError as exc:  # every value passed its type: the epoch outgrew the horizon
-        parser.error(f"argument --epoch: {exc}")
+    except ValueError as exc:  # every value passed its type: the pair does not fit
+        parser.error(f"argument --horizon/--epoch: {exc}")
     return args
 
 

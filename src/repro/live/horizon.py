@@ -73,6 +73,11 @@ class LiveConfig:
                 f"epoch_minutes {self.epoch_minutes} exceeds the horizon "
                 f"{self.horizon_minutes}"
             )
+        epochs = self.horizon_minutes / self.epoch_minutes
+        if not epochs < 2.0**63:  # inf too; epochs are counted in int64
+            raise ValueError(
+                f"horizon_minutes / epoch_minutes = {epochs:g} epochs do not fit in int64"
+            )
         if self.policy not in LIVE_POLICIES:
             raise ValueError(
                 f"policy {self.policy!r} is not live-servable; "

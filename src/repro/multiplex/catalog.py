@@ -29,8 +29,17 @@ def zipf_weights(count: int, exponent: float = 0.8) -> np.ndarray:
     # NaN fails every comparison, so the range test rejects it too.
     if not 0 <= exponent < math.inf:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent}")
-    raw = 1.0 / np.arange(1, count + 1, dtype=float) ** exponent
-    return raw / raw.sum()
+    # Not k ** -exponent: its last bit can differ, and every golden with
+    # it.  k ** exponent may overflow to inf, a zero weight, rejected below.
+    with np.errstate(over="ignore"):
+        raw = 1.0 / np.arange(1, count + 1, dtype=float) ** exponent
+    weights = raw / raw.sum()
+    if not weights[-1] > 0:
+        raise ValueError(
+            f"exponent {exponent} is too large for {count} objects: "
+            f"the rank-{count} weight underflows to 0"
+        )
+    return weights
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,11 @@ class MediaObject:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.duration_minutes <= 0:
-            raise ValueError(f"{self.name}: duration must be positive")
-        if self.weight <= 0:
-            raise ValueError(f"{self.name}: weight must be positive")
+        # NaN fails every comparison, so the range tests reject it too.
+        if not 0 < self.duration_minutes < math.inf:
+            raise ValueError(f"{self.name}: duration must be positive and finite")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"{self.name}: weight must be positive and finite")
 
     def units(self, delay_minutes: float) -> int:
         """Stream length ``L`` in slots for a given delay guarantee."""

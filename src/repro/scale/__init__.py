@@ -7,8 +7,9 @@ The 10^7-client tier (ROADMAP item 1) in two halves:
   attach once and read as zero-copy views — the out-of-core route for
   store-backed fleet runs;
 * :mod:`repro.scale.kernels` — the numpy hot loops of the fleet engine
-  and the replay verifiers: slot bucketing, the flat-forest subtree
-  maxima, the replay demand walk and the hybrid hysteresis scan.
+  and the replay verifiers: the sorted-table lookup, slot bucketing, the
+  flat-forest subtree maxima, the replay demand walk and the hybrid
+  hysteresis scan.
 """
 
 from .columnar import (
@@ -24,6 +25,7 @@ from .columnar import (
     write_store,
 )
 from .kernels import (
+    SortedTable,
     active_backend,
     bucket_slots,
     configure_backend,
@@ -42,6 +44,7 @@ __all__ = [
     "read_slice",
     "store_slices",
     "write_store",
+    "SortedTable",
     "active_backend",
     "bucket_slots",
     "configure_backend",

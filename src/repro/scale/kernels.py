@@ -1,9 +1,13 @@
 """Hot-loop kernels of the fleet engine and the replay verifiers.
 
-Four loops the flat refactors left on the hot paths live here, each a
+Five loops the flat refactors left on the hot paths live here, each a
 pure function of its inputs with one numpy (or, for the inherently
 sequential passes, list-loop) implementation:
 
+* :class:`SortedTable` — ``searchsorted(side="right")`` by bucket-table
+  lookup, for the Zipf title draw of
+  :func:`repro.multiplex.split_requests`, slot bucketing and the dyadic
+  interval classification of :mod:`repro.fastpath.dyadic`;
 * :func:`bucket_slots` — slot bucketing in
   :func:`repro.fleet.engine.simulate_batched`;
 * :func:`forest_z` — the subtree-maximum pass of flat-forest
@@ -14,7 +18,7 @@ sequential passes, list-loop) implementation:
   run of :func:`repro.fleet.engine.simulate_batched` into segments.
 
 ``tests/scale/test_kernels.py`` checks each against an independent
-per-element reference (two-pointer bucketing, per-client walk,
+reference (``np.searchsorted``, two-pointer bucketing, per-client walk,
 ancestor walk, the event policy's deque window) on adversarial grids.
 
 numpy is the only backend.  :func:`configure_backend` and
@@ -25,6 +29,7 @@ shape.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,6 +37,7 @@ import numpy as np
 from ..core.validation import check_count, check_offsets
 
 __all__ = [
+    "SortedTable",
     "active_backend",
     "configure_backend",
     "bucket_slots",
@@ -55,6 +61,148 @@ def configure_backend(name: str = "auto") -> str:
 def active_backend() -> str:
     """The backend the kernels run on: always ``"numpy"``."""
     return "numpy"
+
+
+#: :meth:`SortedTable.index` bisects key arrays shorter than this, and
+#: than ``LOOKUP_KEYS_PER_BUCKET`` keys per bucket-table entry: a bucket
+#: table costs about one key's lookup per entry to build, and a small
+#: call (a sweep point's slot table, a live epoch's dyadic level) would
+#: pay for it and never earn it back.
+LOOKUP_MIN_KEYS = 2**12
+LOOKUP_KEYS_PER_BUCKET = 4
+
+#: The bucket table's size cap, in entries (1 MB of intp).
+MAX_BUCKETS = 2**17
+
+#: A table whose fullest bucket holds more distinct entries than this is
+#: bisected: each one costs another pass over the keys.
+MAX_WALK = 16
+
+#: Keys are looked up this many at a time, so every temporary is
+#: cache-sized and the output is the only key-sized array a call makes.
+LOOKUP_BLOCK = 2**14
+
+
+class SortedTable:
+    """``np.searchsorted(table, keys, side="right")``, looked up instead of
+    bisected.
+
+    ``table`` is a 1-D, finite, non-decreasing float64 array (ties
+    allowed; anything else is a ``ValueError``).  :meth:`index` returns
+    exactly what ``np.searchsorted`` returns for every non-NaN float64
+    key, ``-0.0``, ``+-inf``, negatives and subnormals included.
+
+    A non-negative float's int64 bit pattern orders like the float, so
+    ``bits >> (52 - m)`` cuts the positive axis into buckets at most
+    ``2 ** -m`` wide relative to the values in them.  ``m`` is the
+    smallest that keeps the table's smallest relative gap between
+    distinct entries out of one bucket (at most 51, so that a shifted
+    pattern never overflows when offset), lowered until the bucket table
+    has at most ``MAX_BUCKETS`` entries.  A key's bucket, clamped to
+    between one bucket below ``table[0]``'s and one above
+    ``table[-1]``'s (negative keys and ``-0.0`` have negative patterns,
+    ``+inf`` one above every finite float's), gives the exact count of
+    distinct entries below that bucket's lowest float.  Exact
+    comparisons against the NaN-padded distinct entries then walk the
+    count up, one step per distinct entry the fullest bucket holds: one
+    step when no bucket holds two, which the bucket table's builder
+    counts.  With ties, a rank table turns the count of distinct entries
+    into the count of entries.
+
+    Bisected instead: key arrays shorter than ``max(LOOKUP_MIN_KEYS,
+    LOOKUP_KEYS_PER_BUCKET * bucket entries)``, where the bucket table
+    costs more than it saves; tables with a non-positive entry (or none),
+    whose bit patterns do not order like their values; and tables whose
+    fullest bucket holds more than ``MAX_WALK`` distinct entries.  The
+    bucket table is built on the first call that takes the lookup, and
+    kept.
+    """
+
+    def __init__(self, table) -> None:
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        if table.ndim != 1 or not (
+            np.isfinite(table).all() and (table[1:] >= table[:-1]).all()
+        ):
+            raise ValueError("a sorted table must be 1-D, finite and non-decreasing")
+        self.table = table
+        # None: not planned yet; False: always bisect.
+        self._plan = None if table.size and table[0] > 0 else False
+        self._walk = None
+
+    def _make_plan(self) -> None:
+        """Distinct entries, bucket shift and clamped bucket range."""
+        t = self.table
+        new = np.empty(t.size, dtype=bool)
+        new[0] = True
+        np.not_equal(t[1:], t[:-1], out=new[1:])
+        distinct = t[new]
+        m = 0
+        if distinct.size > 1:
+            gap = float(((distinct[1:] - distinct[:-1]) / distinct[1:]).min())
+            m = min(51, math.ceil(-math.log2(gap)))
+        bits = distinct.view(np.int64)
+        while True:
+            shift = 52 - m
+            lo = int(bits[0] >> shift) - 1
+            hi = int(bits[-1] >> shift) + 1
+            if hi - lo < MAX_BUCKETS or m == 0:
+                break
+            m -= 1
+        self._plan = (distinct, shift, lo, hi)
+
+    def _make_walk(self) -> None:
+        """The bucket table: per bucket, the count of distinct entries
+        below its lowest float (its predecessors' occupancy summed)."""
+        distinct, shift, lo, hi = self._plan
+        occupancy = np.bincount((distinct.view(np.int64) >> shift) - lo, minlength=hi - lo + 1)
+        steps = int(occupancy.max())
+        if steps > MAX_WALK:
+            self._plan = False
+            return
+        below = np.zeros(hi - lo + 1, dtype=np.intp)
+        np.cumsum(occupancy[:-1], out=below[1:])
+        rank = None
+        if distinct.size < self.table.size:
+            t = self.table
+            last = np.append(t[1:] != t[:-1], True)
+            rank = np.concatenate(([0], np.flatnonzero(last) + 1))
+        self._walk = (shift, lo, below, np.append(distinct, np.nan), steps, rank)
+
+    def _looks_up(self, nkeys: int) -> bool:
+        """Whether ``nkeys`` keys take the lookup, planning and building
+        the bucket table the first time a call is large enough."""
+        if self._plan is None and nkeys >= LOOKUP_MIN_KEYS:
+            self._make_plan()
+        if not self._plan:
+            return False
+        _, _, lo, hi = self._plan
+        if nkeys < max(LOOKUP_MIN_KEYS, LOOKUP_KEYS_PER_BUCKET * (hi - lo + 1)):
+            return False
+        if self._walk is None:
+            self._make_walk()
+        return self._walk is not None
+
+    def index(self, keys) -> np.ndarray:
+        """``np.searchsorted(self.table, keys, side="right")`` for an array
+        of float64 ``keys``, as an intp array of its shape."""
+        keys = np.asarray(keys, dtype=np.float64)
+        if not self._looks_up(keys.size):
+            return np.searchsorted(self.table, keys, side="right")
+        shift, lo, below, padded, steps, rank = self._walk
+        out = np.empty(keys.shape, dtype=np.intp)
+        flat_keys, flat_out = keys.reshape(-1), out.reshape(-1)
+        for s in range(0, keys.size, LOOKUP_BLOCK):
+            k = flat_keys[s : s + LOOKUP_BLOCK]
+            c = flat_out[s : s + LOOKUP_BLOCK]
+            # shift >= 1, so no bucket offset overflows int64
+            bucket = k.view(np.int64) >> shift
+            bucket -= lo
+            np.take(below, bucket, mode="clip", out=c)  # the clamp
+            for _ in range(steps):
+                c += np.take(padded, c) <= k
+            if rank is not None:
+                c[...] = rank[c]
+        return out
 
 
 def bucket_slots(
@@ -98,7 +246,7 @@ def bucket_slots(
     else:
         offsets = np.array([0, times.size], dtype=np.intp)
         nslots = np.array([slot_ends.size], dtype=np.intp)
-    client_slot = np.searchsorted(slot_ends, times, side="right")
+    client_slot = SortedTable(slot_ends).index(times)
     limit = nslots[0] if not ragged else np.repeat(nslots, np.diff(offsets))
     client_slot[client_slot >= limit] = -1
     client_slot = client_slot.astype(np.intp, copy=False)

@@ -9,7 +9,11 @@ ragged form == one call per object.
 
 The builder tests run twice: with the shipped ``SPLIT_RATIO`` and with
 ``SPLIT_RATIO = 0``, which sends every level through phase 1 (the window
-split), since the natural inputs here are too small to reach it.
+split), since the natural inputs here are too small to reach it.  The
+batch equivalences, edge grids and alpha sweep included, run once more
+with every interval classification on the bucket-table side of
+:class:`~repro.scale.kernels.SortedTable`, which inputs this small never
+reach either.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.baselines.dyadic import (
     dyadic_forest,
 )
 import repro.fastpath.dyadic as flat_dyadic
+import repro.scale.kernels as kernels
 from repro.core.fibonacci import PHI
 from repro.fastpath.dyadic import SPLIT_RATIO, dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
@@ -55,6 +60,13 @@ def split_ratio(request, monkeypatch):
     """Run the test with phase 1 forced at every level, and as shipped."""
     monkeypatch.setattr(flat_dyadic, "SPLIT_RATIO", request.param)
     return request.param
+
+
+@pytest.fixture
+def interval_lookup(monkeypatch):
+    """Every ``SortedTable.index`` call looks up, however few its keys."""
+    monkeypatch.setattr(kernels, "LOOKUP_MIN_KEYS", 0)
+    monkeypatch.setattr(kernels, "LOOKUP_KEYS_PER_BUCKET", 0)
 
 
 def _interval_edges(params, L):
@@ -182,6 +194,12 @@ class TestBatchEquivalence:
         assert str(split.value) == str(member.value)
         with pytest.raises(ValueError, match="resolution limit"):
             dyadic_forest(ts, 64, params)
+
+
+@pytest.mark.usefixtures("interval_lookup")
+class TestBatchEquivalenceLookup(TestBatchEquivalence):
+    """:class:`TestBatchEquivalence` with the interval classification
+    looked up in the per-alpha bucket table instead of bisected."""
 
 
 class TestPhaseOne:

@@ -65,6 +65,9 @@ class TestLiveCli:
             ("--exponent", "nan"),
             ("--epoch", "120"),
             ("--delay", "1e-300"),
+            # each overflows the int64 epoch count against FAST's other value
+            ("--horizon", "1e308"),
+            ("--epoch", "1e-300"),
         ],
     )
     def test_bad_numbers_exit_two_before_running(self, flag, value, capsys):

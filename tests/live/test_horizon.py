@@ -60,6 +60,12 @@ class TestLiveConfig:
         with pytest.raises(ValueError, match="exceeds the horizon"):
             _config(epoch_minutes=200.0)
 
+    def test_rejects_an_epoch_count_past_int64(self):
+        """1e308 / 1e-300 used to reach num_epochs and raise OverflowError."""
+        with pytest.raises(ValueError, match="int64"):
+            LiveConfig(1.0, 1e308, 1e-300, 1.0)
+        assert LiveConfig(1.0, 2.0**62, 1.0, 1.0).num_epochs == 2**62
+
     def test_rejects_batch_only_policies(self):
         for policy in ("delay-guaranteed", "offline-optimal", "general-offline"):
             with pytest.raises(ValueError, match="not live-servable"):

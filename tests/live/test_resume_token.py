@@ -243,6 +243,14 @@ class TestHostileTokens:
         (obj if section is None else obj[section])[key] = value
         _rejects(payload, rf"{key}: expected")
 
+    def test_epoch_count_past_int64(self, token):
+        """A horizon/epoch ratio whose epoch count overflows is a typed
+        error naming the config, not an OverflowError."""
+        payload, _ = _copy(token)
+        payload["config"]["horizon_minutes"] = 1e308
+        payload["config"]["epoch_minutes"] = 1e-300
+        _rejects(payload, r"config.*int64")
+
     def test_wrong_top_level_types(self, token):
         for key, value in (("records", "x"), ("epoch", {"a": 1}), ("objects", [])):
             payload, _ = _copy(token)

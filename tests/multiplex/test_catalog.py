@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ class TestZipfWeights:
         with pytest.raises(ValueError):
             zipf_weights(3, -1.0)
 
+    @pytest.mark.parametrize("count,exponent", [(120, 200.0), (3, 1e308)])
+    def test_overflowing_exponent_rejected_without_warning(self, count, exponent):
+        """k ** exponent overflows to inf: a ValueError naming the
+        exponent, not numpy's overflow RuntimeWarning and a zero weight."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exponent"):
+                zipf_weights(count, exponent)
+
     @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
     def test_non_finite_exponent_rejected(self, exponent):
         """NaN used to give all-NaN weights that failed inside sampling."""
@@ -49,6 +60,15 @@ class TestMediaObject:
             MediaObject("x", 10.0, 0.0)
         with pytest.raises(ValueError):
             MediaObject("x", 10.0, 1.0).units(0)
+        # non-finite fields used to pass (nan <= 0 is False) and surface
+        # only at the draw, as "Probabilities contain NaN"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weight"):
+                MediaObject("x", 10.0, bad)
+            with pytest.raises(ValueError, match="duration"):
+                MediaObject("x", bad, 1.0)
+        with pytest.raises(ValueError, match="weight"):
+            Catalog([MediaObject("a", 60.0, float("nan")), MediaObject("b", 60.0, 1.0)])
         for delay in (1e-300, float("nan")):
             # 1e-300 used to give an L the engine could not hold
             with pytest.raises(ValueError, match="int64"):

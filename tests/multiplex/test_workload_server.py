@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.scale.kernels as kernels
 from repro.arrivals import ArrivalTrace, poisson
 from repro.multiplex import (
     Catalog,
@@ -64,15 +65,35 @@ class TestSplitRequestsVectorised:
         }
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
-    def test_byte_identical_to_reference_loop(self, seed):
-        catalog = Catalog.zipf(13, duration_minutes=45.0)
-        trace = poisson(0.2, 240.0, seed=99)
-        fast = split_requests(trace, catalog, seed=seed)
-        slow = self.reference_split(trace, catalog, seed=seed)
-        assert fast.keys() == slow.keys()
-        for name in fast:
-            assert fast[name].times.tolist() == slow[name].times.tolist()
-            assert fast[name].horizon == slow[name].horizon
+    def test_byte_identical_to_reference_loop(self, seed, monkeypatch):
+        """On 1-, 4-, 13- and 1000-title Zipf catalogs and a hand-weighted
+        one, at ~1,200 requests (the draw's cdf is bisected) and ~120,000
+        (looked up in its bucket table, for every one of these cdfs)."""
+        lookups = []  # sizes of the tables whose bucket table was built
+        make_walk = kernels.SortedTable._make_walk
+
+        def spy(table):
+            lookups.append(table.table.size)
+            make_walk(table)
+
+        monkeypatch.setattr(kernels.SortedTable, "_make_walk", spy)
+        catalogs = [Catalog.zipf(n, duration_minutes=45.0) for n in (1, 4, 13, 1000)]
+        catalogs.append(Catalog([
+            MediaObject("a", 60.0, 5.0), MediaObject("b", 30.0, 0.5),
+            MediaObject("c", 90.0, 3.0), MediaObject("d", 60.0, 1e-3),
+            MediaObject("e", 45.0, 2.0),
+        ]))
+        for mean in (0.2, 0.002):
+            trace = poisson(mean, 240.0, seed=99)
+            for catalog in catalogs:
+                fast = split_requests(trace, catalog, seed=seed)
+                slow = self.reference_split(trace, catalog, seed=seed)
+                assert fast.keys() == slow.keys()
+                for name in fast:
+                    assert fast[name].times.tolist() == slow[name].times.tolist()
+                    assert fast[name].horizon == slow[name].horizon
+            # the small trace bisected every cdf, the large one looked each up
+            assert lookups == ([] if mean == 0.2 else [1, 4, 13, 1000, 5])
 
     def test_empty_trace(self):
         catalog = Catalog.zipf(4)

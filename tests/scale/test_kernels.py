@@ -2,17 +2,18 @@
 references.
 
 Each kernel must equal, bit for bit on adversarial inputs, a reference
-that computes the same thing another way: the two-pointer bucketing and
-the per-client replay walk of ``tests/scale/oracles.py``, a brute-force
-ancestor walk for the subtree maxima, the cubic DP for the Knuth tables
-and the event policy's deque window for the hysteresis scan.
+that computes the same thing another way: ``np.searchsorted`` for the
+sorted-table lookup, the two-pointer bucketing and the per-client
+replay walk of ``tests/scale/oracles.py``, a brute-force ancestor walk
+for the subtree maxima, the cubic DP for the Knuth tables and the event
+policy's deque window for the hysteresis scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.general import _merge_tables
@@ -58,6 +59,58 @@ def ragged_bucketing(draw):
     nslots = [draw(st.integers(0, ends.size)) for _ in objects]
     offsets = np.cumsum([0] + [t.size for t in objects])
     return objects, offsets, np.asarray(nslots), ends
+
+
+#: entries a table strategy mixes in: subnormals, the smallest normal,
+#: and the ends of a 600-decade range
+SPECIAL_ENTRIES = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300]
+
+
+@st.composite
+def sorted_tables(draw):
+    """Non-decreasing float64 tables for :class:`SortedTable`: one entry
+    or many, ties, one-ULP and sub-``2**-16`` relative gaps, subnormal
+    entries, ranges across 600 decades, and now and then a non-positive
+    entry (such tables always bisect)."""
+    values = draw(st.lists(
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1e300),
+            st.sampled_from(SPECIAL_ENTRIES),
+        ),
+        min_size=1, max_size=16,
+    ))
+    for v in list(values):
+        near = draw(st.sampled_from(["none", "tie", "ulp", "tight"]))
+        if near == "tie":
+            values.append(v)
+        elif near == "ulp":
+            values.append(float(np.nextafter(v, np.inf)))
+        elif near == "tight":
+            values.append(v * (1.0 + 2.0 ** -draw(st.integers(17, 45))))
+    if draw(st.integers(0, 4)) == 0:
+        values.append(draw(st.sampled_from([0.0, -0.0, -1.0, -1e300])))
+    return np.sort(np.asarray(values, dtype=np.float64))
+
+
+def _table_keys(table, extra):
+    """Every entry, one ULP either side of it, +-0, +-inf, negatives."""
+    keys = [0.0, -0.0, np.inf, -np.inf, -1.0, -5e-324, -1e300, 1.0, *extra]
+    for v in table.tolist():
+        keys += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    return np.asarray(keys, dtype=np.float64)
+
+
+@pytest.fixture(params=["shipped", "lookup-forced"])
+def table_side(request, monkeypatch):
+    """:class:`SortedTable` as shipped (arrays as small as these bisect),
+    and with every call on the bucket-table side: no size check, no walk
+    cap, and 7-key blocks so that calls cross block seams."""
+    if request.param == "lookup-forced":
+        monkeypatch.setattr(K, "LOOKUP_MIN_KEYS", 0)
+        monkeypatch.setattr(K, "LOOKUP_KEYS_PER_BUCKET", 0)
+        monkeypatch.setattr(K, "MAX_WALK", 10**9)
+        monkeypatch.setattr(K, "LOOKUP_BLOCK", 7)
+    return request.param
 
 
 def _hysteresis_reference(counts, window, rate_high, rate_low):
@@ -156,6 +209,26 @@ class TestKernelsMatchOracles:
             assert np.array_equal(served[lo:hi], one_served)
             assert np.array_equal(one_served, np.unique(one_cs[one_cs >= 0]))
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sorted_tables(), st.lists(st.floats(allow_nan=False), max_size=8))
+    def test_sorted_table(self, table_side, table, extra):
+        """``index`` is ``np.searchsorted(side="right")`` exactly, on both
+        sides of the size check."""
+        keys = _table_keys(table, extra)
+        sorted_table = K.SortedTable(table)
+        got = sorted_table.index(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+        looked_up = sorted_table._walk is not None
+        assert looked_up == (table_side == "lookup-forced" and table[0] > 0)
+        # a 2-D key array keeps its shape; a strided one reads the same
+        square = keys[: keys.size // 2 * 2].reshape(2, -1)
+        for other in (square, keys[::-1]):
+            assert np.array_equal(
+                sorted_table.index(other), np.searchsorted(table, other, side="right")
+            )
+
     @settings(max_examples=60, deadline=None)
     @given(random_forest())
     def test_forest_z(self, forest):
@@ -237,6 +310,60 @@ class TestKernelsMatchOracles:
     def test_hysteresis_scan_empty_counts(self):
         out = K.hysteresis_scan(np.empty(0, dtype=np.int64), 3, 1.0, 0.5)
         assert out.size == 0 and out.dtype == np.int8
+
+
+class TestSortedTableSizes:
+    """The shipped constants at the sizes the three callers use."""
+
+    def test_hot_sizes_look_up_and_small_calls_bisect(self):
+        from repro.fastpath.dyadic import _power_tables
+        from repro.multiplex.catalog import zipf_weights
+
+        rng = np.random.default_rng(5)
+        cdf = zipf_weights(1000).cumsum()
+        cdf /= cdf[-1]
+        slot_ends = np.arange(1, 721, dtype=np.float64) * 2.0
+        edges, _ = _power_tables(1.3)
+        for table, keys in (
+            (cdf, rng.random(200_000)),
+            (slot_ends, np.sort(rng.uniform(0.0, 1440.0, 60_000))),
+            (edges, rng.random(2**12) ** 8),
+        ):
+            small = K.SortedTable(table)
+            assert np.array_equal(
+                small.index(keys[:100]), np.searchsorted(table, keys[:100], side="right")
+            )
+            assert small._walk is None  # 100 keys bisect
+            hot = K.SortedTable(table)
+            assert np.array_equal(hot.index(keys), np.searchsorted(table, keys, side="right"))
+            assert hot._walk is not None
+
+    def test_crowded_bucket_bisects(self):
+        """A cluster the bucket cap cannot split takes the bisection."""
+        table = np.append(1.0 + np.arange(200) * 2.0**-40, 1e300)
+        cluster = np.random.default_rng(1).uniform(1.0, 1.0 + 2.0**-32, 2**20)
+        keys = np.concatenate([table, cluster])
+        sorted_table = K.SortedTable(table)
+        assert np.array_equal(
+            sorted_table.index(keys), np.searchsorted(table, keys, side="right")
+        )
+        assert sorted_table._walk is None
+
+    @pytest.mark.parametrize("table", [
+        [1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0], [2.0, 1.0], [[1.0, 2.0]],
+    ])
+    def test_rejects_bad_tables(self, table):
+        with pytest.raises(ValueError, match="sorted table"):
+            K.SortedTable(table)
+
+    def test_empty_and_non_positive_tables_bisect(self):
+        keys = np.linspace(-2.0, 2.0, 2**16)
+        for table in (np.empty(0), np.array([0.0, 1.0]), np.array([-1.0, 1.0])):
+            sorted_table = K.SortedTable(table)
+            assert np.array_equal(
+                sorted_table.index(keys), np.searchsorted(table, keys, side="right")
+            )
+            assert sorted_table._walk is None
 
 
 class TestRaggedBucketValidation:
