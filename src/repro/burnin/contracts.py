@@ -37,14 +37,14 @@ relevant ``check_*`` entry point (see README "The burn-in tier").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..fleet.capacity import AdmissionReport, dg_fleet_peak
 from ..fleet.engine import FleetPolicy
-from ..fleet.runner import FleetReport, _times_of, object_run, stream_minutes
-from ..multiplex.catalog import Catalog
+from ..fleet.runner import FleetReport, object_run, stream_minutes
+from ..multiplex import Catalog, Workload
 from ..sweeps.engine import SweepResult
 
 __all__ = [
@@ -249,25 +249,22 @@ def _check_cost_bounds(report: FleetReport, out: ContractReport) -> None:
 def _check_replay(
     report: FleetReport,
     catalog: Catalog,
-    workload: Dict[str, object],
+    workload: Mapping,
     policy: FleetPolicy,
     out: ContractReport,
 ) -> None:
     """Re-simulate every object in-process and demand (a) bit-identical
     results to the folded report and (b) a clean batched replay
     verification of the realised merge forest."""
+    workload = Workload.of([obj.name for obj in catalog], workload, report.horizon_minutes)
     by_name = {o.name: o for o in report.objects}
     checks = 0
     bad: List[str] = []
-    for obj in catalog:
+    for obj, times in zip(catalog, np.split(workload.times, workload.offsets[1:-1])):
         reported = by_name.get(obj.name)
         if reported is None:
             bad.append(f"{obj.name}: missing from the report")
             continue
-        trace = workload.get(obj.name)
-        times = (
-            np.empty(0, dtype=np.float64) if trace is None else _times_of(trace)
-        )
         result, _ = object_run(
             obj, times, report.delay_minutes, report.horizon_minutes, policy
         )
@@ -302,7 +299,7 @@ def _check_replay(
 def check_fleet_report(
     report: FleetReport,
     catalog: Optional[Catalog] = None,
-    workload: Optional[Dict[str, object]] = None,
+    workload: Optional[Mapping] = None,
     policy: Optional[FleetPolicy] = None,
     budget_channels: Optional[int] = None,
     replay: bool = True,
@@ -664,7 +661,7 @@ def _check_live_oracle(report, catalog, workload, out: ContractReport) -> None:
 def check_live_report(
     report,
     catalog: Optional[Catalog] = None,
-    workload: Optional[Dict[str, object]] = None,
+    workload: Optional[Mapping] = None,
     budget_channels: Optional[int] = None,
 ) -> ContractReport:
     """Assert every live standing invariant on a finished

@@ -266,8 +266,4 @@ def flash_overload(
     """
     if target not in workload:
         raise KeyError(f"overload target {target!r} not in the workload")
-    surged = dict(workload)
-    surged[target] = flash_crowd(at, clients, spread, seed=seed)(
-        workload[target]
-    )
-    return surged
+    return {**workload, target: flash_crowd(at, clients, spread, seed=seed)(workload[target])}

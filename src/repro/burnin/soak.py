@@ -55,7 +55,7 @@ import numpy as np
 
 from ..fleet.capacity import admission_report
 from ..fleet.engine import FleetPolicy
-from ..fleet.runner import FleetReport, _times_of, run_fleet
+from ..fleet.runner import FleetReport, run_fleet
 from ..fleet.scenarios import scenario_workload
 from ..live import LIVE_POLICIES, LiveConfig, LiveDaemon
 from ..multiplex.catalog import Catalog
@@ -340,7 +340,7 @@ def _episode_malformed_trace(ctx, out: ContractReport, seed: int) -> Dict[str, o
     rng_children = np.random.SeedSequence(seed).spawn(len(catalog.objects))
     corrupted = {
         obj.name: corrupt_times(
-            _times_of(workload[obj.name]),
+            workload[obj.name].times,
             seed=child,
             horizon=config.horizon_minutes,
         )

@@ -20,12 +20,12 @@ clients' arrays in memory at a time (per worker).
 
 Workloads come in two forms:
 
-* an explicit per-object trace mapping (minutes), e.g. from
-  :func:`repro.multiplex.split_requests` or the scenario library,
-  shipped to sharded workers as pickled float64 arrays;
-* a columnar store (``store=``, the out-of-core route): the explicit
-  mapping spooled to disk, or an existing store that workers read
-  directly, so the parent never materialises the workload.
+* a :class:`~repro.multiplex.Workload` (minutes), as the scenario
+  library returns it or :meth:`~repro.multiplex.Workload.of` makes it of
+  any title -> times mapping; a shard ships one zero-copy range of it;
+* a columnar store (``store=``, the out-of-core route): the workload
+  spooled to disk, or an existing store (its titles in any order) that
+  workers read directly, so the parent never materialises the workload.
 """
 
 from __future__ import annotations
@@ -43,17 +43,17 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from ..arrivals.traces import ArrivalTrace
 from ..core.validation import non_increasing_within
-from ..multiplex.catalog import Catalog, MediaObject
+from ..multiplex import Catalog, MediaObject, Workload
 from ..scale import columnar
 from ..scale.columnar import StoreSlice
 from ..simulation.channels import interval_profile, peak_concurrency
@@ -285,17 +285,6 @@ class FleetReport:
 # ---------------------------------------------------------------------------
 
 
-WorkloadValue = Union[ArrivalTrace, np.ndarray, Sequence[float]]
-
-
-def _times_of(trace: WorkloadValue) -> np.ndarray:
-    """Times array of a workload value — :class:`ArrivalTrace` or a raw
-    array-like (the operational ingest path; repaired by
-    :func:`sanitize_times` before simulation)."""
-    times = getattr(trace, "times", trace)
-    return np.asarray(times, dtype=np.float64)
-
-
 def sanitize_times(
     times: np.ndarray, horizon: float, offsets: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, ...]:
@@ -344,9 +333,8 @@ def sanitize_times(
 @contextlib.contextmanager
 def stored_workload(
     catalog: Catalog,
-    workload: Dict[str, WorkloadValue],
+    workload: Mapping,
     root=None,
-    chunk_size: int = columnar.DEFAULT_CHUNK,
 ) -> Iterator[Dict[str, StoreSlice]]:
     """Context-managed columnar-store shipping of an explicit workload.
 
@@ -363,16 +351,14 @@ def stored_workload(
     until the process exits (``tests/fleet/test_store_faults.py`` kills
     workers at every fold index and asserts the directory is gone).
     """
+    workload = Workload.of([obj.name for obj in catalog], workload)
     if root is not None:
         root = os.fspath(root)
         os.makedirs(root, exist_ok=True)
     base = tempfile.mkdtemp(prefix="repro-store-", dir=root)
     try:
-        with columnar.ColumnarWriter(base, chunk_size=chunk_size) as writer:
-            for obj in catalog:
-                if obj.name in workload:
-                    writer.add(obj.name, _times_of(workload[obj.name]))
-        yield writer.slices()
+        columns = np.split(workload.times, workload.offsets[1:-1])
+        yield columnar.write_store(base, zip(workload.names, columns))
     finally:
         columnar.detach(base)  # drop any parent-side attachment first
         shutil.rmtree(base, ignore_errors=True)
@@ -427,12 +413,12 @@ def _slot_units(
 SHARD_ARRIVALS = 1 << 16
 
 
-def _shards(entries: List[tuple], sizes: List[float]) -> List[Tuple[tuple, ...]]:
+def _shards(entries: Sequence, sizes: List[float]) -> List[tuple]:
     """Consecutive ``entries`` grouped into shards of at most
     :data:`SHARD_ARRIVALS` arrivals (``sizes``), one oversized entry
     alone."""
-    shards: List[Tuple[tuple, ...]] = []
-    current: List[tuple] = []
+    shards: List[tuple] = []
+    current: List = []
     total = 0.0
     for entry, size in zip(entries, sizes):
         if current and total + size > SHARD_ARRIVALS:
@@ -446,18 +432,20 @@ def _shards(entries: List[tuple], sizes: List[float]) -> List[Tuple[tuple, ...]]
 
 
 def _shard_points(index: int, shard) -> List[tuple]:
-    """Fault-hook points of a shard task: one per catalog object it holds
-    (``pool_map``'s ``fault_points``)."""
-    return [(entry[0], entry) for entry in shard[0]]
+    """Fault-hook points of a shard task: one ``(index, object)`` entry
+    per catalog object it holds (``pool_map``'s ``fault_points``)."""
+    return [(i, (i, obj)) for i, obj in enumerate(shard[1], start=shard[0])]
 
 
-def _shard_times(entries, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(clean, repaired, offsets)``: a shard's arrival times end to end,
-    through :func:`sanitize_times`."""
-    columns: List[np.ndarray] = []
+def _shard_times(columns, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(clean, repaired, offsets)``: a shard's arrival times end to end
+    (see :func:`_fleet_shards`), through :func:`sanitize_times`."""
+    if isinstance(columns, tuple):
+        return sanitize_times(columns[0], horizon, columns[1])
+    views: List[np.ndarray] = []
     releases: List[Tuple[columnar.ColumnarStore, StoreSlice]] = []
     try:
-        for _, _, source in entries:
+        for source in columns:
             if isinstance(source, StoreSlice):
                 # Columnar store: attach once per process (cached) and take
                 # a zero-copy view; the pages go back once the shard's
@@ -465,9 +453,9 @@ def _shard_times(entries, horizon) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 store = columnar.attach(source.root)
                 releases.append((store, source))
                 source = store.view(source)
-            columns.append(source)
-        offsets = np.concatenate(([0], np.cumsum([c.size for c in columns])))
-        times = columns[0] if len(columns) == 1 else np.concatenate(columns)
+            views.append(source)
+        offsets = np.concatenate(([0], np.cumsum([v.size for v in views])))
+        times = views[0] if len(views) == 1 else np.concatenate(views)
         return sanitize_times(times, horizon, offsets)
     finally:
         for store, sl in releases:
@@ -492,10 +480,10 @@ def stream_minutes(
 def _run_shard(shard) -> List[FleetObjectResult]:
     """Module-level worker entry (picklable for process pools): one
     engine pass over a shard of objects, folded per object."""
-    entries, delay, horizon, policy = shard
-    clean, repaired, offsets = _shard_times(entries, horizon)
+    _first, objects, columns, delay, horizon, policy = shard
+    clean, repaired, offsets = _shard_times(columns, horizon)
     ts, horizons = _slot_units(clean, offsets, delay, horizon)
-    L = [obj.units(delay) for _, obj, _ in entries]
+    L = [obj.units(delay) for obj in objects]
     result = simulate_batched(L, RaggedTrace(ts, offsets, horizons), policy, slot=1.0)
     if result.forest is None:
         starts_all = ends_all = _EMPTY
@@ -505,9 +493,9 @@ def _run_shard(shard) -> List[FleetObjectResult]:
         )
     bounds = result.node_offsets.tolist()
     out = []
-    for j, (_, obj, _) in enumerate(entries):
-        starts = starts_all[bounds[j] : bounds[j + 1]].copy()
-        ends = ends_all[bounds[j] : bounds[j + 1]].copy()
+    for j, obj in enumerate(objects):
+        starts = starts_all[bounds[j] : bounds[j + 1]]
+        ends = ends_all[bounds[j] : bounds[j + 1]]
         out.append(
             FleetObjectResult(
                 name=obj.name,
@@ -528,32 +516,34 @@ def _run_shard(shard) -> List[FleetObjectResult]:
 
 def _fleet_shards(
     catalog: Catalog,
-    workload: Optional[Dict[str, ArrivalTrace]],
+    workload: Optional[Workload],
     delay_minutes: float,
     horizon_minutes: float,
     policy: FleetPolicy,
     views: Optional[Dict[str, StoreSlice]] = None,
 ) -> List[tuple]:
-    """Pool tasks: shards of ``(index, object, source)`` entries, where a
-    source is a times array or a :class:`StoreSlice`, sized by its
-    arrival count."""
+    """Pool tasks ``(first, objects, columns, delay, horizon, policy)``,
+    one per shard of the catalog's ``objects`` from index ``first`` on:
+    ``columns`` is a zero-copy ``(times, offsets)`` range of the
+    ``workload``, or, from a store, a :class:`StoreSlice` per object."""
+    objects = list(catalog)
     if workload is None:
         # Store-only workload: every object's times come from the
         # columnar store by name; absent objects are quiet.
-        sources = [views.get(obj.name, _EMPTY) for obj in catalog]
+        sources = [views.get(obj.name, _EMPTY) for obj in objects]
         sizes = [s.count if isinstance(s, StoreSlice) else 0 for s in sources]
     else:
-        sources = [
-            _EMPTY if workload.get(obj.name) is None
-            else _times_of(workload[obj.name])
-            for obj in catalog
-        ]
-        sizes = [s.size for s in sources]
-    entries = [(i, obj, src) for i, (obj, src) in enumerate(zip(catalog, sources))]
-    return [
-        (shard, delay_minutes, horizon_minutes, policy)
-        for shard in _shards(entries, sizes)
-    ]
+        sizes = np.diff(workload.offsets).tolist()
+    tasks = []
+    for shard in _shards(range(len(objects)), sizes):
+        lo, hi = shard[0], shard[-1] + 1
+        if workload is None:
+            columns = sources[lo:hi]
+        else:
+            o = workload.offsets[lo : hi + 1]
+            columns = (workload.times[o[0] : o[-1]], o - o[0])
+        tasks.append((lo, objects[lo:hi], columns, delay_minutes, horizon_minutes, policy))
+    return tasks
 
 
 def iter_fleet(
@@ -561,7 +551,7 @@ def iter_fleet(
     delay_minutes: float,
     horizon_minutes: float,
     policy: Optional[FleetPolicy] = None,
-    workload: Optional[Dict[str, ArrivalTrace]] = None,
+    workload: Optional[Mapping] = None,
     workers: int = 0,
     store=None,
 ) -> Iterator[FleetObjectResult]:
@@ -579,8 +569,8 @@ def iter_fleet(
     ``store`` selects how the workload reaches the shards; a call with
     neither a ``workload`` nor a ``store`` raises ``ValueError``:
 
-    * ``None`` — each shard carries its object's times as a float64
-      array (pickled to the worker when sharded, on every start method);
+    * ``None`` — each shard carries its objects' times as one range of
+      the workload (pickled to the worker when sharded, on every start method);
     * ``True`` or a directory path, with ``workload`` — the workload is
       spooled through a private on-disk columnar store
       (:func:`stored_workload`; the path is the spool's parent
@@ -597,10 +587,7 @@ def iter_fleet(
     if workload is None and (store is None or store is False):
         raise ValueError("need a workload mapping or a columnar store (store=)")
     if workload is not None:
-        known = {obj.name for obj in catalog}
-        for name in workload:
-            if name not in known:
-                raise ValueError(f"workload key {name!r} is not in the catalog")
+        workload = Workload.of([obj.name for obj in catalog], workload, horizon_minutes)
     policy = policy or FleetPolicy.batched_dyadic()
     with contextlib.ExitStack() as stack:
         views: Optional[Dict[str, StoreSlice]] = None
@@ -628,7 +615,7 @@ def run_fleet(
     delay_minutes: float,
     horizon_minutes: float,
     policy: Optional[FleetPolicy] = None,
-    workload: Optional[Dict[str, ArrivalTrace]] = None,
+    workload: Optional[Mapping] = None,
     workers: int = 0,
     store=None,
 ) -> FleetReport:
@@ -641,24 +628,24 @@ def run_fleet(
     byte-identical reports for ``workers=0``, ``workers=2`` and
     ``workers=2`` with ``store=True``.
 
-    Workload values may be :class:`ArrivalTrace` objects or raw arrival
-    arrays; either way the times pass through :func:`sanitize_times`
-    before simulation, so a malformed external feed (NaN, unsorted,
-    duplicated, out-of-window entries) degrades to its valid arrival
-    multiset — counted per object in ``FleetObjectResult.repaired`` —
-    instead of crashing the fold.  A workload key that is not in the
-    catalog raises ``ValueError`` before any work: its arrivals would
-    otherwise vanish uncounted.  A worker process dying mid-fold is
-    retried in-process (see :func:`pool_map`); a columnar-store spool is
-    torn down on every exit path (see :func:`stored_workload`).
+    Workload values (read through :meth:`~repro.multiplex.Workload.of`)
+    may be :class:`ArrivalTrace` objects or raw arrays; either way the
+    times pass through :func:`sanitize_times` before simulation, so a
+    malformed external feed (NaN, unsorted, duplicated, out-of-window
+    entries) degrades to its valid arrival multiset — counted per object
+    in ``FleetObjectResult.repaired`` — instead of crashing the fold.  A
+    key that is not in the catalog, or a value that is not a 1-D array of
+    real numbers, raises ``ValueError`` before any work.  A worker process
+    dying mid-fold is retried in-process (see :func:`pool_map`); a
+    columnar-store spool is torn down on every exit path (see :func:`stored_workload`).
 
     ``store`` (see :func:`iter_fleet`) routes workload shipping through
     the out-of-core columnar store: pass ``True``/a spool directory with
     a ``workload``, or an existing store directory with
     ``workload=None`` to run straight off disk; with neither a workload
     nor a store it raises ``ValueError``.  Reports are
-    bit-identical to the in-memory path for every chunk size and worker
-    count (``tests/scale/test_store_equivalence.py``).
+    bit-identical to the in-memory path for every store write-buffer
+    size and worker count (``tests/scale/test_store_equivalence.py``).
     """
     report = FleetReport(
         policy=(policy or FleetPolicy.batched_dyadic()).kind,

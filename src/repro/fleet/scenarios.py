@@ -13,8 +13,8 @@ process through modifiers::
 
 Everything is seeded and deterministic.  :func:`scenario_workload` wires
 the named scenarios (``zipf``, ``flash``, ``diurnal``, ``premiere``,
-``blend``) into per-object catalog workloads for the fleet runner and
-the ``python -m repro fleet`` CLI.
+``blend``) into catalog workloads for the fleet runner, the live daemon
+and the ``python -m repro fleet`` CLI.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from ..arrivals.generators import SeedLike, constant_rate, poisson, rng_from
 from ..arrivals.traces import ArrivalTrace
-from ..multiplex.catalog import Catalog
-from ..multiplex.workload import split_requests
+from ..multiplex import Catalog, Workload, split_requests
 
 __all__ = [
     "Transformer",
@@ -228,8 +227,9 @@ def scenario_workload(
     mean_interarrival_minutes: float,
     horizon_minutes: float,
     seed: SeedLike = None,
-) -> Dict[str, ArrivalTrace]:
-    """Build a named per-object workload for the fleet runner/CLI.
+) -> Workload:
+    """Build a named catalog :class:`~repro.multiplex.Workload` for the
+    fleet runner, the live daemon and the CLIs.
 
     All randomness flows from ``seed`` through a single generator, so a
     scenario is reproducible end to end.
@@ -242,7 +242,7 @@ def scenario_workload(
     top = catalog.popularity_rank()[0].name
 
     if name == "blend":
-        return {
+        traces = {
             obj.name: constant_poisson_blend(
                 # drumbeat at ~20% of the object's organic rate
                 constant_interarrival=5.0 * mean_interarrival_minutes / obj.weight,
@@ -252,28 +252,27 @@ def scenario_workload(
             )
             for obj in catalog
         }
+        return Workload.of([obj.name for obj in catalog], traces, horizon_minutes)
 
     base = poisson(mean_interarrival_minutes, horizon_minutes, seed=rng)
     workload = split_requests(base, catalog, seed=rng)
     if name == "zipf":
         return workload
-    if name == "flash":
-        crowd = max(50, len(base) // 10)
-        workload[top] = flash_crowd(
-            at=horizon_minutes / 3.0,
-            clients=crowd,
-            spread=2.0,
-            seed=rng,
-        )(workload[top])
-        return workload
     if name == "diurnal":
         mod = diurnal(period=horizon_minutes / 2.0, depth=0.8, seed=rng)
-        return {name_: mod(trace) for name_, trace in workload.items()}
-    # premiere
-    workload[top] = premiere_drop(
-        clients=max(100, len(base) // 5),
-        decay=horizon_minutes / 10.0,
-        at=0.0,
-        seed=rng,
-    )(workload[top])
-    return workload
+        traces = {name_: mod(trace) for name_, trace in workload.items()}
+    elif name == "flash":
+        traces = {**workload, top: flash_crowd(
+            at=horizon_minutes / 3.0,
+            clients=max(50, len(base) // 10),
+            spread=2.0,
+            seed=rng,
+        )(workload[top])}
+    else:  # premiere
+        traces = {**workload, top: premiere_drop(
+            clients=max(100, len(base) // 5),
+            decay=horizon_minutes / 10.0,
+            at=0.0,
+            seed=rng,
+        )(workload[top])}
+    return Workload.of(workload.names, traces, horizon_minutes)

@@ -70,17 +70,16 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arrivals.traces import ArrivalTrace
+from ..core.validation import non_increasing_within
 from ..fastpath.incremental import IncrementalFlatForest, _ragged_extend, _ragged_split
-from ..multiplex.catalog import Catalog, MediaObject
+from ..multiplex import Catalog, MediaObject, Workload
 from ..fleet.runner import (
     FleetObjectResult,
     FleetReport,
-    _times_of,
     sanitize_times,
     stream_minutes,
 )
@@ -530,17 +529,17 @@ class LiveDaemon:
 
     Each epoch is one ragged pass over the whole catalog: every title's
     arrivals laid end to end, one ``sanitize_times``, one bucketing pass,
-    one ``push_batch`` and one ``evict_committable``.  Both reject a
-    mapping key that is not in the catalog, and a batch that is not 1-D,
-    before any state changes.
+    one ``push_batch`` and one ``evict_committable``.  Both read their
+    mapping through :meth:`~repro.multiplex.Workload.of`, so a key that
+    is not in the catalog, or a batch that is not a 1-D array of real
+    numbers, raises ``ValueError`` before any state changes.
     """
 
     def __init__(self, catalog: Catalog, config: LiveConfig):
         self.catalog = catalog
         self.config = config
         self.horizon = LiveHorizon(config)
-        self._names = [obj.name for obj in catalog]
-        self._known = frozenset(self._names)
+        self._names = tuple(obj.name for obj in catalog)
         self._ledgers = [_ObjectLedger(obj, config) for obj in catalog]
         m = len(self._ledgers)
         self._L = np.array([led.L for led in self._ledgers], dtype=np.float64)
@@ -561,27 +560,15 @@ class LiveDaemon:
 
     # -- epoch machinery -------------------------------------------------------
 
-    def _ragged(self, mapping: Dict[str, Any]) -> Tuple[np.ndarray, np.ndarray]:
-        """Every title's times end to end, in catalog order, with offsets.
-
-        Rejects a key that is not in the catalog, and a batch that is not
-        1-D, before anything else happens.
-        """
-        for name in mapping:
-            if name not in self._known:
-                raise ValueError(f"{name!r} is not in the catalog")
-        parts = []
-        for name in self._names:
-            raw = mapping.get(name)
-            times = _EMPTY if raw is None else _times_of(raw)
-            if times.ndim != 1:
-                raise ValueError(
-                    f"arrivals of {name!r} must be 1-D, got shape {times.shape}"
-                )
-            parts.append(times)
-        offsets = np.zeros(len(parts) + 1, dtype=np.intp)
-        np.cumsum([p.size for p in parts], out=offsets[1:])
-        return np.concatenate(parts), offsets
+    def _sanitized(self, mapping: Mapping) -> Tuple[np.ndarray, ...]:
+        """:func:`sanitize_times` of every title's times (:meth:`Workload.of`);
+        refused, as ``run_fleet`` refuses it, if dividing by the delay merges two."""
+        horizon = self.config.horizon_minutes
+        workload = Workload.of(self._names, mapping, horizon)
+        clean, repaired, bounds = sanitize_times(workload.times, horizon, workload.offsets)
+        if non_increasing_within(clean / self.config.delay_minutes, bounds).any():
+            raise ValueError("arrival times must be strictly increasing in slot units")
+        return clean, repaired, bounds
 
     def _ingest(self, minutes: np.ndarray, offsets: np.ndarray) -> None:
         """Absorb one epoch's clean, strictly-later arrival minutes."""
@@ -711,7 +698,7 @@ class LiveDaemon:
 
     # -- driving ---------------------------------------------------------------
 
-    def step(self, batches: Dict[str, Union[ArrivalTrace, np.ndarray, Sequence[float]]]) -> EpochRecord:
+    def step(self, batches: Mapping) -> EpochRecord:
         """Ingest the next epoch from raw operational batches.
 
         Epoch ``k`` accepts arrivals in its own window ``[t0, t1)``;
@@ -720,14 +707,11 @@ class LiveDaemon:
         :func:`~repro.fleet.runner.sanitize_times`.  Every earlier
         epoch's arrivals lie below ``t0``, so a replayed batch is
         repaired away by the window alone.  A step that raises — an
-        unknown title, a batch that is not 1-D, no epoch left to begin —
-        leaves the daemon as it was.
+        unknown title, a batch that is not a 1-D array of real numbers, no
+        epoch left to begin — leaves the daemon as it was.
         """
-        times, offsets = self._ragged(batches)
+        clean, repaired, bounds = self._sanitized(batches)
         k, t0, t1 = self.horizon.next_epoch()
-        clean, repaired, bounds = sanitize_times(
-            times, self.config.horizon_minutes, offsets
-        )
         inside = (clean >= t0) & (clean < t1)
         kept = np.concatenate(([0], np.cumsum(inside)))[bounds]
         self._repaired += repaired + (np.diff(bounds) - np.diff(kept))
@@ -736,7 +720,7 @@ class LiveDaemon:
 
     def run(
         self,
-        workload: Dict[str, Union[ArrivalTrace, np.ndarray, Sequence[float]]],
+        workload: Mapping,
         until_epoch: Optional[int] = None,
         accel: Optional[float] = None,
     ) -> Optional[LiveReport]:
@@ -755,10 +739,7 @@ class LiveDaemon:
         decisions landed.  Returns the final :class:`LiveReport` after
         the drain, or None when stopping early.
         """
-        times, offsets = self._ragged(workload)
-        clean, repaired, bounds = sanitize_times(
-            times, self.config.horizon_minutes, offsets
-        )
+        clean, repaired, bounds = self._sanitized(workload)
         if not self._repaired_folded:
             self._repaired += repaired
         self._repaired_folded = True

@@ -36,10 +36,10 @@ __all__ = ["LIVE_POLICIES", "LiveConfig", "LiveHorizon"]
 
 #: policy kinds the live tier serves: those whose merge structure is a
 #: pure function of the arrivals seen so far (slotted or immediate).
-#: The template policies (delay-guaranteed, offline-optimal) build their
-#: forest over *every* slot of the whole horizon up front — nothing about
-#: them is online — and general-offline optimises over the completed
-#: trace; all three stay batch-only.
+#: Delay-guaranteed's forest is prefix-closed too (one template tree per
+#: L, tiled), but the daemon has no template commit path yet; the
+#: offline-optimal forest depends on the final slot count n, and
+#: general-offline optimises over the whole trace.  All three stay batch-only.
 LIVE_POLICIES = (
     "batched-dyadic",
     "immediate-dyadic",

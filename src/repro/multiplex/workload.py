@@ -9,34 +9,103 @@ property), which the tests confirm statistically.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from collections.abc import Mapping
+from functools import cached_property
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
 from ..arrivals.generators import SeedLike, poisson, rng_from
 from ..arrivals.traces import ArrivalTrace
+from ..core.validation import check_offsets
 from ..scale.kernels import SortedTable
 from .catalog import Catalog
 
-__all__ = ["split_requests", "catalog_workload"]
+__all__ = ["Workload", "split_requests", "catalog_workload"]
+
+_EMPTY = np.empty(0, dtype=np.float64)
+
+
+class Workload(Mapping):
+    """A catalog's arrival minutes end to end in one read-only float64
+    array: title ``k`` of ``names`` is ``times[offsets[k]:offsets[k + 1]]``,
+    and ``workload[name]`` an :class:`ArrivalTrace` view of it on
+    ``horizon``.  One that :meth:`of` made of an operator feed holds the
+    feed as given, for :func:`~repro.fleet.runner.sanitize_times`."""
+
+    def __init__(self, names: Sequence[str], times, offsets, horizon: float):
+        self.names, self.horizon = tuple(names), horizon
+        self.times = np.asarray(times, dtype=np.float64).view()
+        self.offsets = check_offsets(offsets, self.times.size).view()
+        if self.offsets.size != len(self.names) + 1:
+            raise ValueError(f"{len(self.names)} titles need {len(self.names) + 1} offsets")
+        self.times.flags.writeable = self.offsets.flags.writeable = False
+
+    @classmethod
+    def of(cls, names: Sequence[str], mapping, horizon: float = math.inf) -> "Workload":
+        """The workload of a title -> times ``mapping`` in ``names`` order:
+        the mapping itself if it is a :class:`Workload` over ``names``, else
+        a copy on ``horizon`` (unbounded by default: read only its ``times``).
+        Absent titles are empty; a key not in ``names``, or a value that is
+        neither an :class:`ArrivalTrace` nor a 1-D array of real numbers,
+        raises ``ValueError`` naming the title."""
+        names = tuple(names)
+        if isinstance(mapping, Workload) and mapping.names == names:
+            return mapping
+        known = set(names)
+        for key in mapping:
+            if key not in known:
+                raise ValueError(f"workload key {key!r} is not in the catalog")
+        columns = [_column(name, mapping.get(name, _EMPTY)) for name in names]
+        offsets = np.cumsum([0] + [c.size for c in columns])
+        return cls(names, np.concatenate(columns), offsets, horizon)
+
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {name: k for k, name in enumerate(self.names)}
+
+    def __getitem__(self, name: str) -> ArrivalTrace:
+        k = self._index[name]
+        return ArrivalTrace(self.times[self.offsets[k] : self.offsets[k + 1]], self.horizon)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+def _column(name: str, value) -> np.ndarray:
+    """One title's times (a trace's or an array's) as a 1-D real array."""
+    try:
+        array = np.asarray(getattr(value, "times", value))
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"arrivals of {name!r} are not an array: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"arrivals of {name!r} must be real numbers, got {array.dtype}")
+    if array.ndim != 1:
+        raise ValueError(f"arrivals of {name!r} must be 1-D, got shape {array.shape}")
+    return array
 
 
 def split_requests(
     trace: ArrivalTrace, catalog: Catalog, seed: SeedLike = None
-) -> Dict[str, ArrivalTrace]:
+) -> Workload:
     """Assign each request in ``trace`` to a catalog object by popularity.
 
-    Returns a per-object trace on the same horizon (possibly empty).
-    The RNG draw is ``rng.choice(len(catalog), size=len(trace),
+    Returns the catalog's :class:`Workload` on the same horizon (a title
+    may be empty).  The RNG draw is ``rng.choice(len(catalog), size=len(trace),
     p=weights)``'s own arithmetic (:func:`_choice`) with the final
     bisection looked up, so the generator consumes the same stream and
     seeds reproduce byte-identical workloads.  The reference test keeps
     ``rng.choice`` itself, so a numpy whose ``choice`` changes fails that
     test instead of silently moving the goldens.  The bucketing is a
     stable argsort/group-count pass — within each object the stable sort
-    preserves arrival order, so each sub-trace stays strictly increasing.
-    The sub-traces are slices of one grouped array, with no per-request
-    Python object.
+    preserves arrival order, so each title stays strictly increasing.
+    The grouped array is the workload's ``times``: no per-title object.
     """
     rng = rng_from(seed)
     picks = _choice(rng, catalog.weights(), len(trace))
@@ -44,16 +113,10 @@ def split_requests(
     order = np.argsort(
         picks.astype(np.min_scalar_type(len(catalog))), kind="stable"
     )
-    bounds = np.concatenate(
+    offsets = np.concatenate(
         ([0], np.cumsum(np.bincount(picks, minlength=len(catalog))))
     )
-    grouped = trace.times[order]
-    return {
-        obj.name: ArrivalTrace(
-            times=grouped[bounds[k] : bounds[k + 1]], horizon=trace.horizon
-        )
-        for k, obj in enumerate(catalog)
-    }
+    return Workload([obj.name for obj in catalog], trace.times[order], offsets, trace.horizon)
 
 
 def _choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
@@ -81,7 +144,7 @@ def catalog_workload(
     mean_interarrival_minutes: float,
     horizon_minutes: float,
     seed: SeedLike = None,
-) -> Dict[str, ArrivalTrace]:
+) -> Workload:
     """Generate the global request stream and split it per object.
 
     Times are in *minutes* (callers rescale to slots per their delay).

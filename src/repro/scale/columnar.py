@@ -26,11 +26,11 @@ re-checks, for the burn-in torn-segment contract):
   the writer — a torn/overwritten segment is detected even when the
   file length is intact.
 
-The write buffer (``chunk_size`` elements) is an I/O granularity only:
-the emitted bytes are the concatenation of the column data regardless of
-chunking, so stores written with chunk sizes 1, 7, 2^k or n are
-**byte-identical** (tests assert this, and that fleet results are
-bit-identical across chunk sizes).
+The write buffer (:data:`DEFAULT_CHUNK` elements, read at write time) is
+an I/O granularity only: the emitted bytes are the concatenation of the
+column data regardless of chunking, so stores written with buffers of 1,
+7, 2^k or n elements are **byte-identical** (tests assert this, and that
+fleet results are bit-identical across buffer sizes).
 
 Memory model: readers ``mmap`` the segment ``ACCESS_READ`` — views cost
 address space, not resident memory; pages fault in as a kernel touches
@@ -70,7 +70,7 @@ DTYPE = "<f8"
 ITEMSIZE = 8
 SEGMENT_NAME = "segment.bin"
 INDEX_NAME = "index.json"
-DEFAULT_CHUNK = 1 << 20  # elements per write-buffer flush (8 MiB)
+DEFAULT_CHUNK = 1 << 20  # elements per write-buffer flush (8 MiB) and chunks() view
 
 
 class StoreError(ValueError):
@@ -104,21 +104,16 @@ def is_store(root) -> bool:
 
 
 class ColumnarWriter:
-    """Streaming store writer with a bounded (``chunk_size``) buffer.
+    """Streaming store writer with a bounded (:data:`DEFAULT_CHUNK`) buffer.
 
     Context-managed: the index is written (atomically, tmp + rename) only
     on clean ``close()``; an exception inside the ``with`` block aborts —
     the partial segment stays index-less, so readers refuse it as a store
-    rather than trusting torn data.  Columns may be appended whole
-    (:meth:`add`) or streamed in pieces (:meth:`add_chunks`) — a producer
-    generating 10^7 arrivals never materialises the column either.
+    rather than trusting torn data.
     """
 
-    def __init__(self, root, chunk_size: int = DEFAULT_CHUNK):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, root):
         self.root = os.fspath(root)
-        self.chunk_size = int(chunk_size)
         os.makedirs(self.root, exist_ok=True)
         self._seg = open(_segment_path(self.root), "wb")
         self._entries: List[dict] = []
@@ -129,37 +124,22 @@ class ColumnarWriter:
     # -- column append ------------------------------------------------------
 
     def add(self, name: str, values) -> StoreSlice:
-        """Append one whole column (any float array-like)."""
-        return self.add_chunks(name, (values,))
-
-    def add_chunks(self, name: str, chunks: Iterable) -> StoreSlice:
-        """Append one column from an iterable of array-like pieces."""
+        """Append one whole column (any float array-like, flattened)."""
         if self._closed:
             raise StoreError("writer is closed")
         if name in self._names:
             raise StoreError(f"duplicate column name {name!r}")
-        start = self._offset
+        arr = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         crc = 0
-        for piece in chunks:
-            arr = np.ascontiguousarray(piece, dtype=np.float64)
-            if arr.ndim != 1:
-                arr = arr.reshape(-1)
-            for lo in range(0, arr.size, self.chunk_size):
-                raw = arr[lo : lo + self.chunk_size].astype(
-                    DTYPE, copy=False
-                ).tobytes()
-                self._seg.write(raw)
-                crc = zlib.crc32(raw, crc)
-                self._offset += min(self.chunk_size, arr.size - lo)
-        entry = {
-            "name": name,
-            "offset": start,
-            "count": self._offset - start,
-            "crc32": crc,
-        }
+        for lo in range(0, arr.size, DEFAULT_CHUNK):
+            raw = arr[lo : lo + DEFAULT_CHUNK].astype(DTYPE, copy=False).tobytes()
+            self._seg.write(raw)
+            crc = zlib.crc32(raw, crc)
+        entry = {"name": name, "offset": self._offset, "count": arr.size, "crc32": crc}
+        self._offset += arr.size
         self._entries.append(entry)
         self._names.add(name)
-        return StoreSlice(self.root, name, start, entry["count"])
+        return StoreSlice(self.root, name, entry["offset"], arr.size)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -206,11 +186,9 @@ class ColumnarWriter:
             self.abort()
 
 
-def write_store(
-    root, items: Iterable[Tuple[str, object]], chunk_size: int = DEFAULT_CHUNK
-) -> Dict[str, StoreSlice]:
+def write_store(root, items: Iterable[Tuple[str, object]]) -> Dict[str, StoreSlice]:
     """Write ``(name, values)`` pairs into a store at ``root``; return slices."""
-    with ColumnarWriter(root, chunk_size=chunk_size) as writer:
+    with ColumnarWriter(root) as writer:
         for name, values in items:
             writer.add(name, values)
     return writer.slices()
@@ -339,15 +317,12 @@ class ColumnarStore:
             raise StoreError(f"slice {sl} outside segment of {self.total}")
         return self._flat[sl.offset : sl.offset + sl.count]
 
-    def chunks(
-        self, name: str, chunk_size: int = DEFAULT_CHUNK
-    ) -> Iterator[np.ndarray]:
-        """Iterate one column in bounded views (for streaming consumers)."""
+    def chunks(self, name: str) -> Iterator[np.ndarray]:
+        """Iterate one column in bounded views of :data:`DEFAULT_CHUNK`
+        elements (for streaming consumers)."""
         sl = self.slice(name)
-        for lo in range(0, sl.count, chunk_size):
-            yield self._flat[
-                sl.offset + lo : sl.offset + min(lo + chunk_size, sl.count)
-            ]
+        for lo in range(0, sl.count, DEFAULT_CHUNK):
+            yield self._flat[sl.offset + lo : sl.offset + min(lo + DEFAULT_CHUNK, sl.count)]
 
     # -- memory give-back ---------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -202,6 +203,36 @@ class TestScenariosMatchTheLoops:
             ),
         )
         assert fast == _scenario_digest(name, catalog, 17)
+
+
+#: sha256 (first 16 hex digits) of every title's times, in catalog order,
+#: for each scenario at seeds 1 and 7 on ``Catalog.zipf(4, 30 min)``, mean
+#: gap 0.5 min, horizon 60 min — computed before the scenario builders
+#: returned one columnar workload, so any byte they move fails here
+SCENARIO_BYTES = {
+    ("blend", 1): ["97393ab37447c190", "86a3a21ee2935e6c", "39e72f96fe1157b9", "dcbc7b49c44d33f6"],
+    ("blend", 7): ["3af82c98c9669292", "07bbe534a22eb964", "28218c688fb76322", "a9876d5f1e7c53fd"],
+    ("diurnal", 1): ["9b8e684ae8df3ca3", "dee7fc24bede3c15", "818ffbfd1cb1b24c", "ff1e21ea9bc23cad"],
+    ("diurnal", 7): ["f7b47d1c7cd68aa7", "f4deffaa64b16af6", "a8b08a85d90c494e", "d9e6cfdbce676fe8"],
+    ("flash", 1): ["73e8c5335e88fb75", "77337396437b5220", "dd0a1b8944c8754c", "0fe394b250435813"],
+    ("flash", 7): ["7d077676769743e6", "83a55f671c9585ff", "4639e86079d75582", "44457bc4e8c7bada"],
+    ("premiere", 1): ["20d1d58da025ea7b", "77337396437b5220", "dd0a1b8944c8754c", "0fe394b250435813"],
+    ("premiere", 7): ["62a0d32feca878d6", "83a55f671c9585ff", "4639e86079d75582", "44457bc4e8c7bada"],
+    ("zipf", 1): ["76d70d0efb15839c", "77337396437b5220", "dd0a1b8944c8754c", "0fe394b250435813"],
+    ("zipf", 7): ["9d4ff9d9293eed39", "83a55f671c9585ff", "4639e86079d75582", "44457bc4e8c7bada"],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SCENARIO_BYTES))
+def test_scenario_bytes_are_pinned(name, seed):
+    catalog = Catalog.zipf(4, duration_minutes=30.0)
+    workload = scenario_workload(name, catalog, 0.5, 60.0, seed=seed)
+    digests = [
+        hashlib.sha256(workload[obj.name].times.tobytes()).hexdigest()[:16]
+        for obj in catalog
+    ]
+    assert digests == SCENARIO_BYTES[name, seed]
+    assert all(workload[obj.name].horizon == 60.0 for obj in catalog)
 
 
 class TestScenarioWorkload:

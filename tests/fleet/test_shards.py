@@ -27,7 +27,7 @@ from repro.fleet.engine import (
     ShardResult,
     simulate_batched,
 )
-from repro.multiplex import Catalog, MediaObject
+from repro.multiplex import Catalog, MediaObject, Workload
 from repro.scale import columnar
 
 DELAY, HORIZON = 2.0, 60.0
@@ -98,9 +98,10 @@ def small_budget(monkeypatch):
 class TestShardBoundaries:
     def test_partition_covers_every_boundary_case(self, catalog, workload, small_budget):
         shards = runner._fleet_shards(
-            catalog, workload, DELAY, HORIZON, FleetPolicy.batched_dyadic()
+            catalog, Workload.of([o.name for o in catalog], workload, HORIZON),
+            DELAY, HORIZON, FleetPolicy.batched_dyadic(),
         )
-        groups = [[entry[0] for entry in shard[0]] for shard in shards]
+        groups = [list(range(first, first + len(objects))) for first, objects, *_ in shards]
         # at the budget (+ an empty object), oversized alone, empties alone
         assert groups == [[0, 1], [2], [3, 4], [5], [6], [7], [8]]
 

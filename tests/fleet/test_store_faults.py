@@ -112,12 +112,10 @@ class TestKillAtEveryIndex:
     def test_kill_with_existing_store(self, catalog, workload, tmp_path):
         """Crash against a pre-written store: the store (user data, not a
         spool) must survive, and the retry must still read it."""
-        from repro.fleet.runner import _times_of
-
         root = tmp_path / "store"
         columnar.write_store(
             root,
-            ((obj.name, _times_of(workload[obj.name])) for obj in catalog),
+            ((obj.name, workload[obj.name].times) for obj in catalog),
         )
         clean = run_fleet(catalog, 2.0, 60.0, workload=workload)
         marker_dir = tmp_path / "markers"

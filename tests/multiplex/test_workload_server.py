@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.scale.kernels as kernels
@@ -9,6 +10,7 @@ from repro.arrivals import ArrivalTrace, poisson
 from repro.multiplex import (
     Catalog,
     MediaObject,
+    Workload,
     catalog_workload,
     split_requests,
 )
@@ -107,3 +109,31 @@ class TestSplitRequestsVectorised:
         trace = poisson(0.5, 60.0, seed=2)
         out = split_requests(trace, catalog, seed=3)
         assert out["only"].times.tolist() == trace.times.tolist()
+
+
+class TestWorkload:
+    """The columnar workload: one read-only array, read by title."""
+
+    def test_split_is_one_read_only_array(self, catalog):
+        trace = poisson(1.0, 200.0, seed=0)
+        wl = split_requests(trace, catalog, seed=5)
+        assert isinstance(wl, Workload) and wl.names == tuple(o.name for o in catalog)
+        assert not wl.times.flags.writeable and not wl.offsets.flags.writeable
+        for k, name in enumerate(wl.names):
+            view = wl[name]
+            assert np.shares_memory(view.times, wl.times)
+            assert view.times.tobytes() == wl.times[wl.offsets[k] : wl.offsets[k + 1]].tobytes()
+        assert "no-such-title" not in wl and wl.get("no-such-title") is None
+
+    def test_of_passes_a_workload_through_and_converts_a_mapping(self, catalog):
+        wl = catalog_workload(catalog, 2.0, 400.0, seed=4)
+        names = [o.name for o in catalog]
+        assert Workload.of(names, wl) is wl
+        first, last = names[0], names[-1]
+        mixed = {first: wl[first], last: [3.0, 1.0, 2.0]}
+        out = Workload.of(names, mixed, 400.0)
+        assert out[first] == wl[first]
+        assert out.times[out.offsets[-2] :].tolist() == [3.0, 1.0, 2.0]  # as given
+        assert all(len(out[n]) == 0 for n in names[1:-1])  # absent titles are empty
+        with pytest.raises(ValueError, match="'no-such-title' is not in the catalog"):
+            Workload.of(names, {"no-such-title": [1.0]})

@@ -76,12 +76,13 @@ class TestRoundtrip:
             with pytest.raises(StoreError, match="no column"):
                 store.column("missing")
 
-    def test_chunks_concatenate_to_column(self, tmp_path):
+    def test_chunks_concatenate_to_column(self, tmp_path, monkeypatch):
         cols = _columns(1)
         write_store(tmp_path, cols.items())
+        monkeypatch.setattr(columnar, "DEFAULT_CHUNK", 100)
         with ColumnarStore(tmp_path) as store:
             for name, data in cols.items():
-                parts = [chunk.copy() for chunk in store.chunks(name, 100)]
+                parts = [chunk.copy() for chunk in store.chunks(name)]
                 joined = (
                     np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
                 )
@@ -105,9 +106,11 @@ class TestWriterContract:
         prints = set()
         for chunk in (1, 7, 64, 1 << 20, max(1, n)):
             root = tmp_path_factory.mktemp("store")
-            write_store(root, cols.items(), chunk_size=chunk)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(columnar, "DEFAULT_CHUNK", chunk)
+                write_store(root, cols.items())
             prints.add(_fingerprint(root))
-        assert len(prints) == 1  # chunk_size is I/O granularity only
+        assert len(prints) == 1  # the buffer size is I/O granularity only
 
     def test_slices_match_store_slices(self, tmp_path):
         cols = _columns(3)

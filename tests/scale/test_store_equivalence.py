@@ -20,12 +20,11 @@ from repro.arrivals import poisson
 from repro.burnin import fleet_reports_equal
 from repro.fastpath import FlatForest
 from repro.fleet import run_fleet, stored_workload
-from repro.fleet.runner import _times_of
 from repro.multiplex import Catalog, split_requests
 from repro.scale import columnar
 
-#: writer chunk sizes the byte-identity contract names: 1, a prime, a
-#: power of two, and "everything at once"
+#: writer buffer sizes (``columnar.DEFAULT_CHUNK``) the byte-identity
+#: contract names: 1, a prime, a power of two, and "everything at once"
 CHUNK_SIZES = (1, 7, 64, 1 << 20)
 
 
@@ -48,11 +47,10 @@ def baseline(catalog, workload):
 class TestStoreEquivalence:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_spooled_store_matches_in_memory(
-        self, catalog, workload, baseline, tmp_path, chunk_size
+        self, catalog, workload, baseline, tmp_path, chunk_size, monkeypatch
     ):
-        with stored_workload(
-            catalog, workload, root=tmp_path, chunk_size=chunk_size
-        ):
+        monkeypatch.setattr(columnar, "DEFAULT_CHUNK", chunk_size)
+        with stored_workload(catalog, workload, root=tmp_path):
             pass  # spooling alone must not disturb anything
         report = run_fleet(
             catalog, 2.0, 120.0, workload=workload, store=tmp_path
@@ -68,7 +66,7 @@ class TestStoreEquivalence:
         root = tmp_path / "prewritten"
         columnar.write_store(
             root,
-            ((obj.name, _times_of(workload[obj.name])) for obj in catalog),
+            ((obj.name, workload[obj.name].times) for obj in catalog),
         )
         report = run_fleet(
             catalog, 2.0, 120.0, workload=None, store=root, workers=workers
@@ -97,9 +95,11 @@ class TestStoreEquivalence:
         ref = run_fleet(catalog, 1.5, 60.0, workload=workload)
 
         root = tmp_path_factory.mktemp("eq")
-        report = run_fleet(
-            catalog, 1.5, 60.0, workload=workload, store=root
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columnar, "DEFAULT_CHUNK", chunk_size)
+            report = run_fleet(
+                catalog, 1.5, 60.0, workload=workload, store=root
+            )
         assert fleet_reports_equal(report, ref) is None
         for a, b in zip(report.objects, ref.objects):
             assert np.array_equal(a.starts, b.starts)
