@@ -26,11 +26,16 @@ if __name__ == "__main__":  # script mode: make src importable before repro
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import numpy as np
+
+import repro.fastpath.dyadic as flat_dyadic
+from repro.baselines.dyadic import dyadic_forest
 from repro.core import dp
 from repro.core.full_cost import build_optimal_flat_forest, build_optimal_forest
 from repro.core.merge_tree import MergeForest
 from repro.core.online import build_online_flat_forest, build_online_forest
 from repro.fastpath import cost_tables
+from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.general import general_arrivals_cost
 from repro.simulation.channels import StreamInterval, peak_concurrency
 
@@ -38,6 +43,9 @@ from conftest import timeit_best, write_bench_json
 
 #: stream length used for the forest-scale cases (trees of ~233 arrivals).
 FOREST_L = 500
+
+#: stream length of the dense dyadic case (fleet-hot-check's slot units)
+DYADIC_L = 240
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +107,28 @@ def test_online_flat_build_smoke(benchmark):
     assert flat.full_cost(FOREST_L) == int(
         build_online_forest(FOREST_L, 20_000).full_cost(FOREST_L)
     )
+
+
+def test_dyadic_flat_blocks_smoke(benchmark, monkeypatch):
+    """A hot title's dense trace, 1.2x10^5 arrivals in ~32 root windows:
+    phase 2 of the flat build runs in at least 3 member blocks, and the
+    forest is the recursive builder's node for node."""
+    ts = np.cumsum(np.random.default_rng(5).exponential(0.008, 120_000))
+    blocks = []
+    member_loop = flat_dyadic._member_loop
+
+    def spy(*args):
+        blocks.append(args)
+        return member_loop(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(flat_dyadic, "_member_loop", spy)
+        flat_dyadic.dyadic_flat_forest(ts, DYADIC_L)
+    assert len(blocks) >= 3
+    flat = benchmark(flat_dyadic.dyadic_flat_forest, ts, DYADIC_L)
+    ref = FlatForest.from_forest(dyadic_forest(ts.tolist(), DYADIC_L))
+    assert flat.equals(ref)
+    assert np.array_equal(flat.z, ref.z)
 
 
 # ---------------------------------------------------------------------------

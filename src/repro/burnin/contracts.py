@@ -15,7 +15,8 @@ episode, faulted or not:
 * **delay guarantee** — no served client waits longer than the
   guaranteed start-up delay.
 * **replay clean** — re-simulating every object from the workload
-  in-process reproduces the folded report *exactly* (bit-identical
+  in-process reproduces the folded report *exactly* (each catalog object
+  once and nothing else, every per-object counter, bit-identical
   interval arrays, so pool sharding / crash recovery / trace repair
   cannot corrupt a fold) and the realised merge forests pass the batched
   :mod:`repro.fastpath.replay` verification.
@@ -43,8 +44,8 @@ import numpy as np
 
 from ..fleet.capacity import AdmissionReport, dg_fleet_peak
 from ..fleet.engine import FleetPolicy
-from ..fleet.runner import FleetReport, object_run, stream_minutes
-from ..multiplex import Catalog, Workload
+from ..fleet.runner import FleetObjectResult, FleetReport, object_run, stream_minutes
+from ..multiplex import Catalog, MediaObject, Workload
 from ..sweeps.engine import SweepResult
 
 __all__ = [
@@ -146,20 +147,31 @@ def fleet_reports_equal(a: FleetReport, b: FleetReport) -> Optional[str]:
     if [o.name for o in a.objects] != [o.name for o in b.objects]:
         return "object sets differ"
     for x, y in zip(a.objects, b.objects):
-        for attr in (
-            "L", "clients", "streams", "roots",
-            "total_units_minutes", "max_startup_delay_minutes",
-        ):
-            if getattr(x, attr) != getattr(y, attr):
-                return (
-                    f"object {x.name}: {attr} "
-                    f"{getattr(x, attr)!r} != {getattr(y, attr)!r}"
-                )
-        if not (
-            np.array_equal(x.starts, y.starts)
-            and np.array_equal(x.ends, y.ends)
-        ):
-            return f"object {x.name}: interval arrays differ"
+        diff = _object_difference(x, y)
+        if diff is not None:
+            return f"object {x.name}: {diff}"
+    return None
+
+
+#: The per-object counters two runs of one object must share.  A replay
+#: of the very workload a report was folded from must also share the
+#: object's ``delay_minutes`` and ``repaired``.
+_RESULT_COUNTERS = (
+    "L", "clients", "streams", "roots",
+    "total_units_minutes", "max_startup_delay_minutes",
+)
+
+
+def _object_difference(
+    x: FleetObjectResult, y: FleetObjectResult, counters=_RESULT_COUNTERS
+) -> Optional[str]:
+    """None when two results of one object agree on ``counters`` and the
+    intervals; else the first difference."""
+    for attr in counters:
+        if getattr(x, attr) != getattr(y, attr):
+            return f"{attr} {getattr(x, attr)!r} != {getattr(y, attr)!r}"
+    if not (np.array_equal(x.starts, y.starts) and np.array_equal(x.ends, y.ends)):
+        return "interval arrays differ"
     return None
 
 
@@ -255,45 +267,79 @@ def _check_replay(
 ) -> None:
     """Re-simulate every object in-process and demand (a) bit-identical
     results to the folded report and (b) a clean batched replay
-    verification of the realised merge forest."""
+    verification of the realised merge forest.  Each report entry must
+    name a distinct catalog object."""
     workload = Workload.of([obj.name for obj in catalog], workload, report.horizon_minutes)
-    by_name = {o.name: o for o in report.objects}
-    checks = 0
+    names = {obj.name for obj in catalog}
+    by_name: Dict[str, FleetObjectResult] = {}
     bad: List[str] = []
+    for o in report.objects:
+        if o.name not in names:
+            bad.append(f"{o.name}: not in the catalog")
+        elif o.name in by_name:
+            bad.append(f"{o.name}: in the report more than once")
+        by_name[o.name] = o
+    checks = 0
     for obj, times in zip(catalog, np.split(workload.times, workload.offsets[1:-1])):
         reported = by_name.get(obj.name)
         if reported is None:
             bad.append(f"{obj.name}: missing from the report")
             continue
-        result, _ = object_run(
-            obj, times, report.delay_minutes, report.horizon_minutes, policy
-        )
-        checks += 1
-        if result is None or result.forest is None:
-            if reported.streams != 0:
-                bad.append(
-                    f"{obj.name}: report has {reported.streams} streams, "
-                    "replay has none"
-                )
-            continue
-        starts, ends = stream_minutes(
-            result.forest.arrivals, result.lengths, report.delay_minutes
-        )
-        if not (
-            np.array_equal(starts, reported.starts)
-            and np.array_equal(ends, reported.ends)
-        ):
-            bad.append(f"{obj.name}: folded intervals != in-process replay")
-            continue
-        verification = result.verify(continuous=not policy.uses_slots)
-        checks += verification.checks
-        if not verification.ok:
-            bad.append(
-                f"{obj.name}: replay verification failed "
-                f"({len(verification.failures)} checks): "
-                + "; ".join(verification.failures[:2])
-            )
+        checks += _replay_object(obj, times, reported, report, policy, bad)
     out.record("fleet.replay", not bad, checks, "; ".join(bad[:3]))
+
+
+def _replay_object(
+    obj: MediaObject,
+    times: np.ndarray,
+    reported: FleetObjectResult,
+    report: FleetReport,
+    policy: FleetPolicy,
+    bad: List[str],
+) -> int:
+    """One object of :func:`_check_replay`: its replay, compared with
+    ``reported`` and verified.  Appends to ``bad`` and returns the checks
+    made.  Each title's replay lives only in this call, and its interval
+    arrays go before its verification, so a run's transients are bounded
+    by its largest title, not by two of them."""
+    delay = report.delay_minutes
+    result, repaired = object_run(obj, times, delay, report.horizon_minutes, policy)
+    forest = None if result is None else result.forest
+    starts = ends = np.empty(0)
+    if forest is not None:
+        starts, ends = stream_minutes(forest.arrivals, result.lengths, delay)
+    replayed = FleetObjectResult(
+        name=obj.name,
+        L=obj.units(delay),
+        delay_minutes=delay,
+        clients=0 if result is None else result.client_arrival.size,
+        streams=starts.size,
+        roots=0 if result is None else result.metrics.roots_started,
+        total_units_minutes=float(np.sum(ends - starts)),
+        max_startup_delay_minutes=(
+            0.0 if result is None else result.max_startup_delay() * delay
+        ),
+        starts=starts,
+        ends=ends,
+        repaired=repaired,
+    )
+    diff = _object_difference(
+        reported, replayed, _RESULT_COUNTERS + ("delay_minutes", "repaired")
+    )
+    del starts, ends, replayed
+    if diff is not None:
+        bad.append(f"{obj.name}: report != in-process replay: {diff}")
+        return 1
+    if forest is None:
+        return 1
+    verification = result.verify(continuous=not policy.uses_slots)
+    if not verification.ok:
+        bad.append(
+            f"{obj.name}: replay verification failed "
+            f"({len(verification.failures)} checks): "
+            + "; ".join(verification.failures[:2])
+        )
+    return 1 + verification.checks
 
 
 def check_fleet_report(

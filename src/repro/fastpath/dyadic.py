@@ -23,8 +23,16 @@ construction on parent-index arrays:
   the exact position.  Phase 2, from the first level whose windows hold
   no more than ``SPLIT_RATIO`` members per boundary (from the start on
   catalog shards and live epochs), classifies every member, carrying its
-  time, window start and cutoff along.  O(total tree depth) numpy work,
-  no per-node Python objects.  Its ragged form builds many objects'
+  time, window start and cutoff along.  It runs over consecutive windows
+  in blocks of at most ``MEMBER_BLOCK`` members (a larger window alone),
+  each block through all its remaining levels, so a hot title's phase-2
+  arrays are bounded by a block; a call with at most one block of
+  members is one block, with no extra numpy calls.  Windows never share
+  a member, so blocking changes no placement.  A block stops at its
+  first resolution offence, and the call raises the earliest offence by
+  (level, index) over all blocks: the one the loop over every window at
+  once would meet, message and all.  O(total tree depth) numpy work, no
+  per-node Python objects.  Its ragged form builds many objects'
   forests in one pass (the fleet runner's shards): only root finding is
   per object, and even that runs one round of searches for all objects
   at a time.
@@ -50,13 +58,14 @@ member at a time by that comparison until it holds exactly.
 ``tests/fastpath/test_dyadic_flat.py`` asserts node-for-node equality
 on adversarial edge-grid traces for alpha from ``MIN_ALPHA`` to 7.5, and
 ragged == one call per object on random catalogs, each with phase 1
-forced at every level (``SPLIT_RATIO = 0``) and as shipped.
+forced at every level (``SPLIT_RATIO = 0``) and as shipped, the ragged
+equivalence and the resolution messages also in member blocks of 1 and 7.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +85,11 @@ SPLIT_RATIO = 8
 #: A level of at most ``SPLIT_RATIO * SPLIT_LEVEL_COST`` members goes to
 #: phase 2 before any window endpoint is evaluated.
 SPLIT_LEVEL_COST = 128
+
+#: Phase 2 runs over consecutive windows in blocks of at most this many
+#: members (a larger window is a block of its own), so its per-member
+#: arrays are bounded by a block, not by the hottest title.
+MEMBER_BLOCK = 1 << 15
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,15 +172,12 @@ def _interval(g: np.ndarray, edges: SortedTable) -> np.ndarray:
     return np.maximum(edges.table.size - edges.index(g), 1)
 
 
-def _raise_resolution(
-    t: np.ndarray, g: np.ndarray, x: np.ndarray, small: np.ndarray
-) -> None:
-    """Reject the first member in index order whose offset ``g`` lies below
-    ``MIN_RELATIVE_GAP`` (the oracle's message)."""
-    j = int(np.argmax(small))
-    raise ValueError(
-        f"arrival {t[j]} is within {g[j]:.3e} of its window start "
-        f"{x[j]} (relative); below the {MIN_RELATIVE_GAP} resolution limit"
+def _resolution_error(t: float, g: float, x: float) -> ValueError:
+    """The oracle's rejection of an arrival ``t`` whose offset ``g`` from
+    its window start ``x`` lies below ``MIN_RELATIVE_GAP``."""
+    return ValueError(
+        f"arrival {t} is within {g:.3e} of its window start "
+        f"{x} (relative); below the {MIN_RELATIVE_GAP} resolution limit"
     )
 
 
@@ -189,7 +200,8 @@ def _split_level(ts, keys, members, o, e, x, c, edges, powers, parent, z):
     g_first = (t_first - x) / span
     small = g_first < MIN_RELATIVE_GAP
     if small.any():
-        _raise_resolution(t_first, g_first, x, small)
+        j = int(np.argmax(small))  # the first offence in index order
+        raise _resolution_error(t_first[j], g_first[j], x[j])
     idx_first = _interval(g_first, edges)
     steps = idx_first - _interval((ts[last] - x) / span, edges)
     n_steps = int(steps.sum())
@@ -247,6 +259,71 @@ def _split_level(ts, keys, members, o, e, x, c, edges, powers, parent, z):
     return members, heads, run_end[busy] + 1, ts[heads], child_hi[busy]
 
 
+def _member_blocks(counts: np.ndarray, members: int) -> List[Tuple[int, int]]:
+    """Phase 2's blocks ``(lo, hi)`` of consecutive windows, where window
+    ``k`` holds ``counts[k]`` members: each block holds at most
+    ``MEMBER_BLOCK`` members, or is one larger window alone."""
+    if members <= MEMBER_BLOCK:
+        return [(0, counts.size)]
+    ends = np.cumsum(counts)
+    blocks = []
+    lo = 0
+    while lo < counts.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, base + MEMBER_BLOCK, side="right"))
+        hi = max(hi, lo + 1)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _member_loop(ts, o, x, c, counts, edges, powers, parent, z):
+    """Phase 2 over windows ``o``, ``x``, ``c`` holding ``counts`` members:
+    every remaining level of their subtrees, written into ``parent`` and
+    ``z``.  Returns None, or stops at the first resolution offence by
+    (level, index) and returns it as ``(level, index, t, g, x)``."""
+    # Each level carries every unplaced member's time t, window start x
+    # and cutoff, compressing them as members become children.
+    owner = np.repeat(o, counts)
+    # The k-th member overall, in window w, is o[w] + 1 + (k - start[w]).
+    start = np.cumsum(counts) - counts
+    m = np.arange(owner.size) + np.repeat(o + 1 - start, counts)
+    x = np.repeat(x, counts)
+    cutoff = np.repeat(c, counts)
+    t = ts[m]
+    level = 0
+    while m.size:
+        g = (t - x) / (cutoff - x)
+        small = g < MIN_RELATIVE_GAP
+        if small.any():
+            j = int(np.argmax(small))
+            return level, int(m[j]), t[j], g[j], x[j]
+        idx = _interval(g, edges)
+        # Runs of consecutive members with the same (owner, interval):
+        # the first member of a run becomes a child; the rest fall into
+        # that child's window.
+        first = np.empty(m.size, dtype=bool)
+        first[0] = True
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        first[1:] |= idx[1:] != idx[:-1]
+        heads = np.flatnonzero(first)
+        child = m[heads]
+        parent[child] = owner[heads]
+        z[child] = t[np.append(heads[1:] - 1, m.size - 1)]
+        # Child window right edge: x + span / alpha ** (idx - 1).
+        xh = x[heads]
+        child_hi = xh + (cutoff[heads] - xh) / powers[idx[heads] - 1]
+        rest = ~first
+        run = (np.cumsum(first) - 1)[rest]
+        owner = child[run]
+        x = t[heads][run]
+        cutoff = child_hi[run]
+        m = m[rest]
+        t = t[rest]
+        level += 1
+    return None
+
+
 def _dyadic_parents(
     ts: np.ndarray, offsets: np.ndarray, window: np.ndarray, alpha: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,7 +335,8 @@ def _dyadic_parents(
     windows never span objects.  Phase 1 (:func:`_split_level`) places
     levels from their windows' ends and boundaries while they hold more
     than ``SPLIT_RATIO`` members per boundary; the first level that does
-    not goes to phase 2, the member loop, which finishes the forest.
+    not goes to phase 2, the member loop (:func:`_member_loop`, one
+    block of windows at a time), which finishes the forest.
     """
     n = ts.size
     parent = np.full(n, -1, dtype=np.intp)
@@ -287,43 +365,20 @@ def _dyadic_parents(
             break
         members, o, e, x, c = split
 
-    # Phase 2: each level carries every unplaced member's time t, window
-    # start x and cutoff, compressing them as members become children.
+    # Phase 2, one block of windows at a time: windows never share a
+    # member, so a block runs all its levels alone.  Every block starts at
+    # the same level, so the earliest offence by (level, index) over all
+    # blocks is the one the loop over every window at once would meet.
     counts = e - o - 1
-    owner = np.repeat(o, counts)
-    # The k-th member overall, in window w, is o[w] + 1 + (k - start[w]).
-    start = np.cumsum(counts) - counts
-    m = np.arange(members) + np.repeat(o + 1 - start, counts)
-    x = np.repeat(x, counts)
-    cutoff = np.repeat(c, counts)
-    t = ts[m]
-    while m.size:
-        g = (t - x) / (cutoff - x)
-        small = g < MIN_RELATIVE_GAP
-        if small.any():
-            _raise_resolution(t, g, x, small)
-        idx = _interval(g, edges)
-        # Runs of consecutive members with the same (owner, interval):
-        # the first member of a run becomes a child; the rest fall into
-        # that child's window.
-        first = np.empty(m.size, dtype=bool)
-        first[0] = True
-        np.not_equal(owner[1:], owner[:-1], out=first[1:])
-        first[1:] |= idx[1:] != idx[:-1]
-        heads = np.flatnonzero(first)
-        child = m[heads]
-        parent[child] = owner[heads]
-        z[child] = t[np.append(heads[1:] - 1, m.size - 1)]
-        # Child window right edge: x + span / alpha ** (idx - 1).
-        xh = x[heads]
-        child_hi = xh + (cutoff[heads] - xh) / powers[idx[heads] - 1]
-        rest = ~first
-        run = (np.cumsum(first) - 1)[rest]
-        owner = child[run]
-        x = t[heads][run]
-        cutoff = child_hi[run]
-        m = m[rest]
-        t = t[rest]
+    offence = None
+    for lo, hi in _member_blocks(counts, members):
+        found = _member_loop(
+            ts, o[lo:hi], x[lo:hi], c[lo:hi], counts[lo:hi], edges, powers, parent, z
+        )
+        if found is not None and (offence is None or found[:2] < offence[:2]):
+            offence = found
+    if offence is not None:
+        raise _resolution_error(*offence[2:])
     return parent, z
 
 

@@ -189,16 +189,21 @@ class FlatForest:
         self, L: Union[float, np.ndarray], model: str = "receive-two"
     ) -> np.ndarray:
         """Per-node stream lengths: Lemma 1 or Lemma 17; roots carry ``L``
-        (one value, or one per node for a :meth:`concatenated` forest)."""
-        nonroot = self.parent >= 0
-        out = np.full(len(self), L, dtype=np.float64)
-        p = self.arrivals[self.parent[nonroot]]
-        if model == "receive-two":
-            out[nonroot] = 2 * self.z[nonroot] - self.arrivals[nonroot] - p
-        elif model == "receive-all":
-            out[nonroot] = self.z[nonroot] - p
-        else:
+        (one value, or one per node for a :meth:`concatenated` forest).
+
+        Every node takes the non-root expression, a root's "parent" being
+        the last node (``-1`` wraps), and the roots are then overwritten,
+        so no per-node array is compressed or scattered."""
+        if model not in ("receive-two", "receive-all"):
             raise ValueError(f"unknown client model {model!r}")
+        p = np.take(self.arrivals, self.parent, mode="wrap")
+        if model == "receive-two":
+            out = 2 * self.z
+            out -= self.arrivals
+            out -= p
+        else:
+            out = np.subtract(self.z, p, out=p)
+        np.copyto(out, L, where=self.parent < 0)
         return out
 
     def stream_length_map(

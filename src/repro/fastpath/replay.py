@@ -36,15 +36,21 @@ gathers only ``lo``: ``y`` and ``u`` (the previous level's ``lo``) ride
 along with the surviving clients, ``2y - u - lo`` and each clipped end
 are computed once, pieces are compressed only when some are dropped
 (none are on a dyadic forest with ``beta <= 1/2``), and failure messages
-are rebuilt from the failing pairs' indices alone.  The non-root clients
-walk in contiguous blocks of ``WALK_BLOCK`` (2**14, so each per-level
-array is about 128 KB and a level's two dozen passes stay in L2 rather
-than streaming 6 MB arrays of a hot title through memory).  Blocking is
-exact: a client's pieces depend only on its own root path, every check
-counts pieces one by one, and ``demanded`` is a maximum, which no order
-changes; only the order of the failure list moves.  Continuous demands
+are rebuilt from the failing pairs' indices alone.  Continuous demands
 print as floats here and in the oracle, whatever the labels' type, so a
 failure message needs no second walk.
+
+The continuous verifier takes the nodes in contiguous blocks of
+``WALK_BLOCK`` (2**14, so each per-level array is about 128 KB and a
+level's two dozen passes stay in L2 rather than streaming 6 MB arrays of
+a hot title through memory): the walk, the root-stream tails and, once
+every demand is in, the tightness test.  The node-sized arrays it keeps
+are the stream lengths and the per-stream demand maxima ``demanded``; a
+piece is compared against ``lengths[stream] + eps`` as it goes, with no
+per-node limit array.  Blocking is exact: a client's pieces depend only
+on its own root path, every check counts pieces one by one, and
+``demanded`` is a maximum, which no order changes; only the order of the
+failure list moves.  The slotted verifier walks every client at once.
 
 Exactness contract (same shape as ``fastpath.general``): all arithmetic
 is the oracle's integer (or, for the continuous verifier, float)
@@ -54,13 +60,13 @@ per-client oracles ``verify_forest_reference`` /
 set (message strings included; ordering within the list may differ) — on
 every forest both accept, including corrupted ones.
 ``tests/fastpath/test_replay.py`` asserts that on randomized optimal,
-on-line and dyadic forests with injected violations, with the walk in
-blocks of 1, 7 and ``WALK_BLOCK`` clients.  One caveat: node
-labels in failure messages print collapsed-to-int when exact (``4``, not
-``4.0``), matching what the reference sees for any ``FlatForest`` input
-(its ``to_forest`` collapses exact labels); a ``MergeForest`` input that
-stores an exact label as a float would print it uncollapsed in the
-reference only.
+on-line and dyadic forests with injected violations, with the
+continuous verifier's nodes in blocks of 1, 7 and ``WALK_BLOCK``.  One
+caveat: node labels in failure messages print collapsed-to-int when
+exact (``4``, not ``4.0``), matching what the reference sees for any
+``FlatForest`` input (its ``to_forest`` collapses exact labels); a
+``MergeForest`` input that stores an exact label as a float would print
+it uncollapsed in the reference only.
 """
 
 from __future__ import annotations
@@ -76,9 +82,16 @@ from .flat_forest import FlatForest, as_flat_forest
 
 __all__ = ["replay_verify_forest", "replay_verify_forest_continuous"]
 
-#: Non-root clients per block of the continuous walk: 2**14 clients keep
-#: each per-level array near 128 KB, so a level's passes run in L2.
+#: Nodes per block of the continuous walk and its per-node checks: 2**14
+#: nodes keep each per-level array near 128 KB, so a level's passes run
+#: in L2.
 WALK_BLOCK = 1 << 14
+
+
+def _node_blocks(n: int):
+    """Node indices ``0 .. n - 1`` in contiguous blocks of ``WALK_BLOCK``."""
+    for first in range(0, n, WALK_BLOCK):
+        yield np.arange(first, min(first + WALK_BLOCK, n))
 
 
 def _fmt(value: float):
@@ -204,13 +217,12 @@ def replay_verify_forest_continuous(
     x = flat.arrivals
     n = x.size
     par = flat.parent
+    root = flat.root_index
     lengths = flat.stream_lengths(L)
     eps = 1e-9
-    limit = lengths + eps
     checks = 0
     failures: List[str] = []
     demanded = np.zeros(n)
-    nonroot = np.flatnonzero(par >= 0)
 
     def _demand_checks(keep, streams, b, clients):
         # The pieces ``keep`` selects; on valid forests that is all of
@@ -219,7 +231,7 @@ def replay_verify_forest_continuous(
         if not keep.all():
             streams, b, clients = streams[keep], b[keep], clients[keep]
         checks += streams.size
-        for j in np.flatnonzero(b > limit[streams]).tolist():
+        for j in np.flatnonzero(b > lengths[streams] + eps).tolist():
             c, s = int(clients[j]), int(streams[j])
             failures.append(
                 f"client {_fmt(x[c])} needs position {float(b[j])} "
@@ -230,11 +242,11 @@ def replay_verify_forest_continuous(
     # Stage pieces, level by level: at level s the pair is
     # (u, lo) = (w_{s-1}, w_s) and contributes the stage's piece from u
     # (positions (2(y-u), 2y-u-lo]) and from lo ((2y-u-lo, 2(y-lo)]).
-    # y and u ride along; only lo is gathered per level.  The non-root
-    # clients walk one WALK_BLOCK at a time, so a level's arrays stay
+    # y and u ride along; only lo is gathered per level.  The clients
+    # walk one WALK_BLOCK of nodes at a time, so a level's arrays stay
     # cache-sized; each client's pieces do not depend on the others.
-    for first in range(0, nonroot.size, WALK_BLOCK):
-        cl = nonroot[first : first + WALK_BLOCK]
+    for block in _node_blocks(n):
+        cl = block[par[block] >= 0]
         wprev = cl
         wcur = par[cl]
         y = u = x[cl]
@@ -250,24 +262,27 @@ def replay_verify_forest_continuous(
             cl, y, u = cl[step], y[step], lo[step]
             wprev = wcur[step]
             wcur = pcur[step]
-
-    # Root-stream tails: positions (2(y - r), L] — always float(L).
-    root = flat.root_index
-    _demand_checks(
-        L > 2 * (x - x[root]), root, np.full(n, float(L)), np.arange(n)
-    )
+        # Root-stream tails: positions (2(y - r), L] — always float(L).
+        r = root[block]
+        _demand_checks(
+            L > 2 * (x[block] - x[r]), r, np.full(block.size, float(L)), block
+        )
 
     # Coverage of (0, L]: the pieces are contiguous from 0 and clipped to
     # end exactly at L for every strictly-increasing path, so this check
     # passes identically to the oracle on any forest FlatForest accepts.
     checks += n
 
-    checks += nonroot.size
-    bad = nonroot[np.abs(demanded[nonroot] - lengths[nonroot]) > eps]
-    for i in bad.tolist():
-        failures.append(
-            f"stream {float(x[i])}: length {float(lengths[i])} vs demand "
-            f"{float(demanded[i])} (not tight)"
-        )
+    # Tightness, once every demand is in: a stream's readers come after
+    # it, possibly in a later block.
+    for block in _node_blocks(n):
+        nonroot = block[par[block] >= 0]
+        checks += nonroot.size
+        bad = nonroot[np.abs(demanded[nonroot] - lengths[nonroot]) > eps]
+        for i in bad.tolist():
+            failures.append(
+                f"stream {float(x[i])}: length {float(lengths[i])} vs demand "
+                f"{float(demanded[i])} (not tight)"
+            )
     return _finish(report, checks, failures)
 

@@ -425,7 +425,7 @@ def simulate_batched(
         # Each client is served on arrival by a stream of its own.
         part = _construct(policy.kind, L, times, 1.0, params)
         parts = [part] if part is not None else []
-        client_service = times.copy()
+        client_service = times  # the trace's read-only times
         client_node = np.arange(n_clients, dtype=np.intp)
 
     forest, lengths = _joined(parts)

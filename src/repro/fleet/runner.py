@@ -16,7 +16,14 @@ stream interval arrays (O(streams), not O(requests)); per-client arrays
 never leave the worker, and results are folded into the report as they
 stream back — a shard holds at most max(:data:`SHARD_ARRIVALS`, largest
 object) arrivals, so a 10^6-request catalog holds at most that many
-clients' arrays in memory at a time (per worker).
+clients' arrays in memory at a time (per worker).  Within one object
+the per-client transients are a few arrays per client: the dyadic
+build's member loop and the continuous replay verifier work one block
+at a time, and the replay contract holds one object's replay at a time.  On the
+flash-crowd run (``fleet --check --store``, immediate dyadic, one stream
+per client, seed 1) the traced peak of the run and its replay contract
+is about 139 B per client of the hottest object, the report and the
+workload it must hold included.
 
 Workloads come in two forms:
 

@@ -148,6 +148,68 @@ class TestFleetContracts:
         assert any(o.name == "fleet.capacity" for o in bad.failures())
 
 
+def _tampered_counter(attr):
+    def tamper(objects):
+        victim = next(o for o in objects if o.roots > 1)
+        value = getattr(victim, attr)
+        if attr == "max_startup_delay_minutes":
+            value = value / 2  # still inside the guarantee
+        elif attr == "repaired":
+            value = value + 1  # a repair the feed never needed
+        else:
+            value = value - 1
+        objects[objects.index(victim)] = dataclasses.replace(victim, **{attr: value})
+        return f"{victim.name}: report != in-process replay: {attr} {value!r} != "
+    return tamper
+
+
+def _duplicated(objects):
+    objects.append(objects[1])
+    return f"{objects[1].name}: in the report more than once"
+
+
+def _unknown(objects):
+    objects.append(dataclasses.replace(objects[1], name="not-a-title"))
+    return "not-a-title: not in the catalog"
+
+
+class TestReplayTampering:
+    """The replay contract compares every per-object counter with the
+    in-process replay (those :func:`fleet_reports_equal` compares, and
+    the object's delay and repair count), and wants each catalog object
+    in the report exactly once and nothing else."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _tampered_counter("clients"),
+            _tampered_counter("roots"),
+            _tampered_counter("max_startup_delay_minutes"),
+            _tampered_counter("L"),
+            _tampered_counter("delay_minutes"),
+            _tampered_counter("repaired"),
+            _duplicated,
+            _unknown,
+        ],
+        ids=[
+            "clients", "roots", "max-startup-delay", "L", "delay", "repaired",
+            "duplicate", "unknown",
+        ],
+    )
+    def test_tampered_report_fails_replay(self, tamper):
+        catalog = Catalog.zipf(5, duration_minutes=60.0)
+        workload = split_requests(poisson(0.4, HORIZON, seed=11), catalog, seed=11)
+        policy = FleetPolicy.batched_dyadic()
+        report = _report(catalog, workload, policy)
+        clean = check_fleet_report(report, catalog, workload, policy)
+        assert clean.ok, clean.render()
+        expected = tamper(report.objects)
+        broken = check_fleet_report(report, catalog, workload, policy)
+        replay = {o.name: o for o in broken.outcomes}["fleet.replay"]
+        assert not replay.ok
+        assert expected in replay.detail
+
+
 class TestFleetReportsEqual:
     def test_identical_runs_compare_equal(self, catalog, workload):
         a = _report(catalog, workload, FleetPolicy.batched_dyadic())

@@ -13,7 +13,9 @@ split), since the natural inputs here are too small to reach it.  The
 batch equivalences, edge grids and alpha sweep included, run once more
 with every interval classification on the bucket-table side of
 :class:`~repro.scale.kernels.SortedTable`, which inputs this small never
-reach either.
+reach either.  The ragged equivalence, the dense phase-1 trace and the
+resolution messages run with phase 2 in member blocks of 1 and 7 as well
+as the shipped ``MEMBER_BLOCK``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.baselines.dyadic import (
 import repro.fastpath.dyadic as flat_dyadic
 import repro.scale.kernels as kernels
 from repro.core.fibonacci import PHI
-from repro.fastpath.dyadic import SPLIT_RATIO, dyadic_flat_forest
+from repro.fastpath.dyadic import MEMBER_BLOCK, SPLIT_RATIO, dyadic_flat_forest
 from repro.fastpath.flat_forest import FlatForest
 from repro.fastpath.incremental import IncrementalFlatForest
 
@@ -59,6 +61,14 @@ SPLIT_SETTINGS = settings(
 def split_ratio(request, monkeypatch):
     """Run the test with phase 1 forced at every level, and as shipped."""
     monkeypatch.setattr(flat_dyadic, "SPLIT_RATIO", request.param)
+    return request.param
+
+
+@pytest.fixture(params=[1, 7, MEMBER_BLOCK], ids=["block1", "block7", "shipped"])
+def member_block(request, monkeypatch):
+    """Run phase 2 in blocks of at most 1, 7 or the shipped number of
+    members."""
+    monkeypatch.setattr(flat_dyadic, "MEMBER_BLOCK", request.param)
     return request.param
 
 
@@ -174,6 +184,7 @@ class TestBatchEquivalence:
         ts = list(itertools.accumulate(gaps))
         _assert_same_forest(ts, 100, DyadicParams(alpha=PHI, beta=0.5))
 
+    @pytest.mark.usefixtures("member_block")
     @pytest.mark.parametrize("alpha", [MIN_ALPHA, PHI, 7.5])
     def test_resolution_message_is_the_member_loops(self, alpha, monkeypatch):
         """Phase 1 checks only each window's first member: the smallest g
@@ -194,6 +205,24 @@ class TestBatchEquivalence:
         assert str(split.value) == str(member.value)
         with pytest.raises(ValueError, match="resolution limit"):
             dyadic_forest(ts, 64, params)
+
+    @pytest.mark.usefixtures("member_block")
+    @pytest.mark.parametrize("alpha", [PHI, 2.0, 7.5])
+    def test_resolution_message_across_blocks(self, alpha, monkeypatch):
+        """Two offending trees in phase 2: the first tree offends one level
+        deeper than the second, so the message names the second tree's
+        member (the earliest offence by level, then index), however the
+        windows fall into blocks.  Raising at the first block that
+        offends would name the first tree's."""
+        monkeypatch.setattr(flat_dyadic, "SPLIT_RATIO", 10**9)
+        params = DyadicParams(alpha=alpha, beta=0.5)
+        deep = 51.6 + 4 * math.ulp(51.6)
+        shallow = 109.6 + 4 * math.ulp(109.6)
+        ts = [0.0, 9.6, 20.0, 40.0, 49.6, 51.6, deep, 60.0, 100.0, 109.6, shallow, 120.0]
+        with pytest.raises(ValueError, match="resolution limit") as raised:
+            dyadic_flat_forest(ts, 64, params)
+        assert str(raised.value).startswith(f"arrival {shallow} ")
+        assert "window start 109.6 " in str(raised.value)
 
 
 @pytest.mark.usefixtures("interval_lookup")
@@ -219,6 +248,7 @@ class TestPhaseOne:
         monkeypatch.setattr(flat_dyadic, "_split_level", spy)
         return placed
 
+    @pytest.mark.usefixtures("member_block")
     def test_dense_root_window_reaches_phase_one(self, splits):
         """2.4e4 arrivals in one root window: large windows are split at
         their boundaries, and the forest is still the oracle's."""
@@ -290,7 +320,7 @@ class TestValidation:
             if size is not None:
                 assert edges.size == size
 
-    @pytest.mark.usefixtures("split_ratio")
+    @pytest.mark.usefixtures("split_ratio", "member_block")
     def test_resolution_limit_matches_oracle(self):
         ts = [0.0, 1e-14, 1.0]
         with pytest.raises(ValueError, match="resolution limit"):
@@ -374,6 +404,7 @@ def ragged_catalog(draw):
 
 @pytest.mark.usefixtures("split_ratio")
 class TestRagged:
+    @pytest.mark.usefixtures("member_block")
     @settings(SPLIT_SETTINGS, max_examples=80)
     @given(ragged_catalog(), st.sampled_from([1.3, PHI, 2.0, 3.0]), BETAS)
     def test_ragged_equals_per_object(self, catalog, alpha, beta):
@@ -392,6 +423,7 @@ class TestRagged:
             if part.size == 0:
                 continue
             one = dyadic_flat_forest(part, lengths[k], params)
+            assert one.equals(FlatForest.from_forest(dyadic_forest(part, lengths[k], params)))
             parent = ragged.parent[lo:hi]
             assert np.array_equal(np.where(parent < 0, -1, parent - lo), one.parent)
             assert np.array_equal(ragged.z[lo:hi], one.z)

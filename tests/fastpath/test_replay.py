@@ -7,7 +7,8 @@ object-walk oracle — same ok flag, same check count, same failure set —
 including on corrupted forests with injected violations (mutated parent
 pointers, shortened streams via tampered subtree maxima, buffer bound
 breaches).  Every case that runs the continuous verifier runs with its
-walk in blocks of 1 and 7 clients as well as the shipped ``WALK_BLOCK``.
+walk and per-node checks in blocks of 1 and 7 nodes as well as the
+shipped ``WALK_BLOCK``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ BLOCK_SETTINGS = settings(
 
 @pytest.fixture(params=[1, 7, WALK_BLOCK], ids=["block1", "block7", "shipped"])
 def walk_block(request, monkeypatch):
-    """Walk the non-root clients 1, 7 or the shipped number at a time."""
+    """Walk and check the nodes 1, 7 or the shipped number at a time."""
     monkeypatch.setattr(replay, "WALK_BLOCK", request.param)
     return request.param
 
