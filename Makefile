@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test fuzz bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke perfbench-pairs
+.PHONY: test fuzz bench bench-general bench-sim bench-fleet bench-experiments bench-live bench-smoke burnin burnin-smoke live-smoke perfbench-selftest perfbench-trace-smoke perfbench-pairs importtime
 
 ## tier-1 test suite (must stay green)
 test:
@@ -102,3 +102,10 @@ PAIRS ?= 10
 BASE ?= HEAD
 perfbench-pairs:
 	python3 benchmarks/perfbench_pairs.py --workload $(W) --seed $(SEED) --pairs $(PAIRS) --base $(BASE)
+
+## one perfbench workload's set-up imports under python -X importtime, in a
+## fresh interpreter: repro module count and source lines, import time and
+## the ten largest cumulative entries, so an added eager import shows here:
+##   make importtime W=fleet-catalog
+importtime:
+	python3 benchmarks/importtime.py --workload $(W)

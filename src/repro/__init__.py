@@ -30,8 +30,9 @@ Quickstart
 36
 """
 
+from ._exports import lazy_exports
+
 __version__ = "1.0.0"
 
-from . import core
-
-__all__ = ["core", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {"core": "core"})
+__all__.append("__version__")

@@ -1,27 +1,18 @@
 """Workload generators and arrival traces for the MoD simulations."""
 
-from .generators import bursty, constant_rate, every_slot, poisson, rng_from
-from .serialization import (
-    load_trace,
-    save_trace,
-    trace_from_json,
-    trace_from_payload,
-    trace_payload,
-    trace_to_json,
-)
-from .traces import ArrivalTrace
+from .._exports import lazy_exports
 
-__all__ = [
-    "ArrivalTrace",
-    "bursty",
-    "constant_rate",
-    "every_slot",
-    "load_trace",
-    "poisson",
-    "rng_from",
-    "save_trace",
-    "trace_from_json",
-    "trace_from_payload",
-    "trace_payload",
-    "trace_to_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ArrivalTrace": "traces",
+    "bursty": "generators",
+    "constant_rate": "generators",
+    "every_slot": "generators",
+    "load_trace": "serialization",
+    "poisson": "generators",
+    "rng_from": "generators",
+    "save_trace": "serialization",
+    "trace_from_json": "serialization",
+    "trace_from_payload": "serialization",
+    "trace_payload": "serialization",
+    "trace_to_json": "serialization",
+})

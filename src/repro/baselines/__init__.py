@@ -1,32 +1,21 @@
 """Baseline / comparator algorithms: dyadic merging, batching, unicast,
 patching."""
 
-from .batching import batched_dyadic_cost, batched_dyadic_forest, pure_batching_cost
-from .dyadic import (
-    DyadicOnline,
-    DyadicParams,
-    dyadic_cost,
-    dyadic_forest,
-    dyadic_interval_index,
-    dyadic_tree,
-    paper_beta,
-)
-from .patching import PatchingResult, patching_cost, recommended_window
-from .unicast import unicast_cost
+from .._exports import lazy_exports
 
-__all__ = [
-    "DyadicOnline",
-    "DyadicParams",
-    "PatchingResult",
-    "batched_dyadic_cost",
-    "batched_dyadic_forest",
-    "dyadic_cost",
-    "dyadic_forest",
-    "dyadic_interval_index",
-    "dyadic_tree",
-    "paper_beta",
-    "patching_cost",
-    "pure_batching_cost",
-    "recommended_window",
-    "unicast_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "DyadicOnline": "dyadic",
+    "DyadicParams": "dyadic",
+    "PatchingResult": "patching",
+    "batched_dyadic_cost": "batching",
+    "batched_dyadic_forest": "batching",
+    "dyadic_cost": "dyadic",
+    "dyadic_forest": "dyadic",
+    "dyadic_interval_index": "dyadic",
+    "dyadic_tree": "dyadic",
+    "paper_beta": "dyadic",
+    "patching_cost": "patching",
+    "pure_batching_cost": "batching",
+    "recommended_window": "patching",
+    "unicast_cost": "unicast",
+})

@@ -19,41 +19,24 @@ holds its inviolables when the runtime misbehaves.  Three layers:
   byte-reproducible JSON evidence report.
 """
 
-from .contracts import (
-    ContractOutcome,
-    ContractReport,
-    check_admission_report,
-    check_columnar_store,
-    check_fleet_report,
-    check_sweep_result,
-    fleet_reports_equal,
-)
-from .faults import (
-    TornArtifact,
-    TornSegment,
-    WorkerKill,
-    corrupt_times,
-    flash_overload,
-    installed_task_fault,
-)
-from .soak import FAULT_FAMILIES, SoakConfig, SoakReport, run_soak
+from .._exports import lazy_exports
 
-__all__ = [
-    "ContractOutcome",
-    "ContractReport",
-    "FAULT_FAMILIES",
-    "SoakConfig",
-    "SoakReport",
-    "TornArtifact",
-    "TornSegment",
-    "WorkerKill",
-    "check_admission_report",
-    "check_columnar_store",
-    "check_fleet_report",
-    "check_sweep_result",
-    "corrupt_times",
-    "flash_overload",
-    "fleet_reports_equal",
-    "installed_task_fault",
-    "run_soak",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ContractOutcome": "contracts",
+    "ContractReport": "contracts",
+    "FAULT_FAMILIES": "soak",
+    "SoakConfig": "soak",
+    "SoakReport": "soak",
+    "TornArtifact": "faults",
+    "TornSegment": "faults",
+    "WorkerKill": "faults",
+    "check_admission_report": "contracts",
+    "check_columnar_store": "contracts",
+    "check_fleet_report": "contracts",
+    "check_sweep_result": "contracts",
+    "corrupt_times": "faults",
+    "flash_overload": "faults",
+    "fleet_reports_equal": "contracts",
+    "installed_task_fault": "faults",
+    "run_soak": "soak",
+})

@@ -38,7 +38,7 @@ relevant ``check_*`` entry point (see README "The burn-in tier").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -46,7 +46,9 @@ from ..fleet.capacity import AdmissionReport, dg_fleet_peak
 from ..fleet.engine import FleetPolicy
 from ..fleet.runner import FleetObjectResult, FleetReport, object_run, stream_minutes
 from ..multiplex import Catalog, MediaObject, Workload
-from ..sweeps.engine import SweepResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sweeps.engine import SweepResult
 
 __all__ = [
     "ContractOutcome",

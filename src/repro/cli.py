@@ -37,6 +37,7 @@ text and raw JSON per experiment.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 - gettext imports it when main builds its first parser
 import math
 import sys
 import time

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
+from ..fastpath import general as fast_general
 from .merge_tree import MergeNode, MergeTree
 
 __all__ = [
@@ -204,9 +205,7 @@ def general_arrivals_cost(arrivals: Sequence[float]) -> float:
     :func:`general_arrivals_cost_reference` (the correctness oracle the
     fastpath equivalence tests compare against).
     """
-    from ..fastpath.general import general_arrivals_cost as _fast
-
-    return _fast(arrivals)
+    return fast_general.general_arrivals_cost(arrivals)
 
 
 def general_arrivals_cost_reference(arrivals: Sequence[float]) -> float:

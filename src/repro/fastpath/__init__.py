@@ -40,38 +40,22 @@ and emit ``BENCH_fastpath.json`` / ``BENCH_general.json`` /
 ``BENCH_sim.json``.
 """
 
-from .cost_tables import (
-    merge_cost,
-    merge_cost_table,
-    receive_all_cost,
-    receive_all_cost_table,
-    reset_cost_caches,
-)
-from .general import (
-    general_arrivals_cost,
-    general_merge_tables,
-    optimal_flat_forest_general,
-    optimal_flat_tree_general,
-)
-from .flat_forest import FlatForest
-from .dyadic import dyadic_flat_forest
-from .incremental import CommittedTrees, IncrementalFlatForest
-from .replay import replay_verify_forest, replay_verify_forest_continuous
+from .._exports import lazy_exports
 
-__all__ = [
-    "merge_cost",
-    "merge_cost_table",
-    "receive_all_cost",
-    "receive_all_cost_table",
-    "reset_cost_caches",
-    "general_arrivals_cost",
-    "general_merge_tables",
-    "optimal_flat_forest_general",
-    "optimal_flat_tree_general",
-    "FlatForest",
-    "CommittedTrees",
-    "IncrementalFlatForest",
-    "dyadic_flat_forest",
-    "replay_verify_forest",
-    "replay_verify_forest_continuous",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "merge_cost": "cost_tables",
+    "merge_cost_table": "cost_tables",
+    "receive_all_cost": "cost_tables",
+    "receive_all_cost_table": "cost_tables",
+    "reset_cost_caches": "cost_tables",
+    "general_arrivals_cost": "general",
+    "general_merge_tables": "general",
+    "optimal_flat_forest_general": "general",
+    "optimal_flat_tree_general": "general",
+    "FlatForest": "flat_forest",
+    "CommittedTrees": "incremental",
+    "IncrementalFlatForest": "incremental",
+    "dyadic_flat_forest": "dyadic",
+    "replay_verify_forest": "replay",
+    "replay_verify_forest_continuous": "replay",
+})

@@ -53,6 +53,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.validation import check_strictly_increasing
+from .flat_forest import FlatForest
 
 __all__ = [
     "general_arrivals_cost",
@@ -203,8 +204,6 @@ def optimal_flat_forest_general(arrivals: Sequence[float], L: float):
     are filled directly; ``.to_forest()`` recovers the object form
     losslessly when needed).
     """
-    from .flat_forest import FlatForest
-
     ts = [float(t) for t in arrivals]
     if not ts:
         raise ValueError("need at least one arrival")
@@ -228,8 +227,6 @@ def optimal_flat_tree_general(arrivals: Sequence[float]):
     :func:`optimal_flat_forest_general`: no root-placement DP, no span
     check (use the forest builder when ``L`` matters).  O(n^2).
     """
-    from .flat_forest import FlatForest
-
     ts = [float(t) for t in arrivals]
     if not ts:
         raise ValueError("need at least one arrival")

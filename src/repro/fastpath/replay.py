@@ -84,7 +84,9 @@ __all__ = ["replay_verify_forest", "replay_verify_forest_continuous"]
 
 #: Nodes per block of the continuous walk and its per-node checks: 2**14
 #: nodes keep each per-level array near 128 KB, so a level's passes run
-#: in L2.
+#: in L2.  The verification's other blocked reductions (the analytic cost,
+#: ``BandwidthMetrics.total_units``, ``BatchedResult.max_startup_delay``)
+#: take the same blocks.
 WALK_BLOCK = 1 << 14
 
 

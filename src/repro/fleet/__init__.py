@@ -8,86 +8,43 @@ for composable workload shapes.  ``python -m repro fleet`` ties them
 together.
 """
 
-from .capacity import (
-    AdmissionReport,
-    FrontierPoint,
-    admission_report,
-    capacity_frontier,
-    default_delay_grid,
-    dg_fleet_peak,
-    min_fleet_delay,
-    min_object_delay,
-    render_frontier,
-)
-from .engine import (
-    FLEET_POLICIES,
-    SEGMENTED,
-    SLOT_SWEEPABLE,
-    BatchedResult,
-    FleetPolicy,
-    RaggedTrace,
-    ShardResult,
-    simulate_batched,
-)
-from .runner import (
-    FleetObjectResult,
-    FleetReport,
-    install_task_fault_hook,
-    iter_fleet,
-    object_run,
-    pool_map,
-    run_fleet,
-    sanitize_times,
-    stored_workload,
-)
-from .scenarios import (
-    SCENARIOS,
-    Transformer,
-    compose,
-    constant_poisson_blend,
-    diurnal,
-    flash_crowd,
-    inject,
-    premiere_drop,
-    scenario_workload,
-    thinned,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdmissionReport",
-    "BatchedResult",
-    "FleetObjectResult",
-    "FleetPolicy",
-    "FleetReport",
-    "FrontierPoint",
-    "FLEET_POLICIES",
-    "RaggedTrace",
-    "SCENARIOS",
-    "SEGMENTED",
-    "SLOT_SWEEPABLE",
-    "ShardResult",
-    "Transformer",
-    "admission_report",
-    "capacity_frontier",
-    "compose",
-    "constant_poisson_blend",
-    "default_delay_grid",
-    "dg_fleet_peak",
-    "diurnal",
-    "flash_crowd",
-    "inject",
-    "install_task_fault_hook",
-    "iter_fleet",
-    "min_fleet_delay",
-    "min_object_delay",
-    "object_run",
-    "pool_map",
-    "premiere_drop",
-    "render_frontier",
-    "run_fleet",
-    "sanitize_times",
-    "scenario_workload",
-    "simulate_batched",
-    "stored_workload",
-    "thinned",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "AdmissionReport": "capacity",
+    "BatchedResult": "engine",
+    "FleetObjectResult": "runner",
+    "FleetPolicy": "engine",
+    "FleetReport": "runner",
+    "FrontierPoint": "capacity",
+    "FLEET_POLICIES": "engine",
+    "RaggedTrace": "engine",
+    "SCENARIOS": "scenarios",
+    "SEGMENTED": "engine",
+    "SLOT_SWEEPABLE": "engine",
+    "ShardResult": "engine",
+    "Transformer": "scenarios",
+    "admission_report": "capacity",
+    "capacity_frontier": "capacity",
+    "compose": "scenarios",
+    "constant_poisson_blend": "scenarios",
+    "default_delay_grid": "capacity",
+    "dg_fleet_peak": "capacity",
+    "diurnal": "scenarios",
+    "flash_crowd": "scenarios",
+    "inject": "scenarios",
+    "install_task_fault_hook": "runner",
+    "iter_fleet": "runner",
+    "min_fleet_delay": "capacity",
+    "min_object_delay": "capacity",
+    "object_run": "runner",
+    "pool_map": "runner",
+    "premiere_drop": "scenarios",
+    "render_frontier": "capacity",
+    "run_fleet": "runner",
+    "sanitize_times": "runner",
+    "scenario_workload": "scenarios",
+    "simulate_batched": "engine",
+    "stored_workload": "runner",
+    "thinned": "scenarios",
+})

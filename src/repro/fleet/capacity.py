@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.online import build_online_flat_forest
 from ..multiplex.catalog import Catalog, MediaObject
 
 __all__ = [
@@ -99,8 +100,6 @@ def dg_envelope(L: int, n_slots: int) -> Envelope:
     returned arrays are marked read-only; callers that want minutes
     scale into fresh arrays.
     """
-    from ..core.online import build_online_flat_forest
-
     forest = build_online_flat_forest(L, n_slots)
     labels, starts, ends = forest.intervals(L)
     for a in (labels, starts, ends):

@@ -42,8 +42,6 @@ import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -151,6 +149,10 @@ def pool_map(
                 _fire_hook(hook, fault_points, index, a)
             yield fn(a)
         return
+    # The pool machinery loads only when a run asks for worker processes.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     done = 0
     while done < len(args):
         if hook is None:

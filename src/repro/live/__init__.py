@@ -20,26 +20,17 @@ digest chain are standing ``burnin.contracts`` checks, soak-tested by
 the live episode family in ``burnin.soak``.
 """
 
-from .daemon import (
-    CHECKPOINT_SCHEMA,
-    EpochRecord,
-    LiveDaemon,
-    LiveReport,
-    chain_digests,
-    live_digest,
-)
-from .horizon import LIVE_POLICIES, LiveConfig, LiveHorizon
-from .schedule import ChannelPlanner
+from .._exports import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "ChannelPlanner",
-    "EpochRecord",
-    "LIVE_POLICIES",
-    "LiveConfig",
-    "LiveDaemon",
-    "LiveHorizon",
-    "LiveReport",
-    "chain_digests",
-    "live_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "CHECKPOINT_SCHEMA": "daemon",
+    "ChannelPlanner": "schedule",
+    "EpochRecord": "daemon",
+    "LIVE_POLICIES": "horizon",
+    "LiveConfig": "horizon",
+    "LiveDaemon": "daemon",
+    "LiveHorizon": "horizon",
+    "LiveReport": "daemon",
+    "chain_digests": "daemon",
+    "live_digest": "daemon",
+})

@@ -12,42 +12,23 @@ The 10^7-client tier (ROADMAP item 1) in two halves:
   hysteresis scan.
 """
 
-from .columnar import (
-    ColumnarStore,
-    ColumnarWriter,
-    StoreError,
-    StoreSlice,
-    attach,
-    detach,
-    is_store,
-    read_slice,
-    store_slices,
-    write_store,
-)
-from .kernels import (
-    SortedTable,
-    active_backend,
-    bucket_slots,
-    configure_backend,
-    forest_z,
-    replay_walk,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ColumnarStore",
-    "ColumnarWriter",
-    "StoreError",
-    "StoreSlice",
-    "attach",
-    "detach",
-    "is_store",
-    "read_slice",
-    "store_slices",
-    "write_store",
-    "SortedTable",
-    "active_backend",
-    "bucket_slots",
-    "configure_backend",
-    "forest_z",
-    "replay_walk",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ColumnarStore": "columnar",
+    "ColumnarWriter": "columnar",
+    "StoreError": "columnar",
+    "StoreSlice": "columnar",
+    "attach": "columnar",
+    "detach": "columnar",
+    "is_store": "columnar",
+    "read_slice": "columnar",
+    "store_slices": "columnar",
+    "write_store": "columnar",
+    "SortedTable": "kernels",
+    "active_backend": "kernels",
+    "bucket_slots": "kernels",
+    "configure_backend": "kernels",
+    "forest_z": "kernels",
+    "replay_walk": "kernels",
+})

@@ -1,56 +1,34 @@
 """Event-driven Media-on-Demand server simulator and verification."""
 
-from .client import Client
-from .events import Event, EventQueue
-from .metrics import BandwidthMetrics
-from .policies import (
-    BatchedDyadicPolicy,
-    DelayGuaranteedPolicy,
-    GeneralOfflinePolicy,
-    ImmediateDyadicPolicy,
-    OfflineOptimalPolicy,
-    Policy,
-    PureBatchingPolicy,
-    UnicastPolicy,
-)
-from .hybrid import HybridPolicy
-from .channels import ChannelAssignment, StreamInterval, assign_channels, assign_forest_channels, flat_forest_intervals, forest_intervals, min_forest_channels, peak_concurrency
-from .server import Simulation, SimulationResult
-from .stream import Stream
-from .verify import (
-    VerificationReport,
-    verify_forest,
-    verify_forest_continuous,
-    verify_simulation,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BandwidthMetrics",
-    "BatchedDyadicPolicy",
-    "Client",
-    "ChannelAssignment",
-    "DelayGuaranteedPolicy",
-    "GeneralOfflinePolicy",
-    "HybridPolicy",
-    "Event",
-    "EventQueue",
-    "ImmediateDyadicPolicy",
-    "OfflineOptimalPolicy",
-    "Policy",
-    "PureBatchingPolicy",
-    "Simulation",
-    "SimulationResult",
-    "Stream",
-    "StreamInterval",
-    "assign_channels",
-    "assign_forest_channels",
-    "flat_forest_intervals",
-    "forest_intervals",
-    "min_forest_channels",
-    "peak_concurrency",
-    "UnicastPolicy",
-    "VerificationReport",
-    "verify_forest",
-    "verify_forest_continuous",
-    "verify_simulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "BandwidthMetrics": "metrics",
+    "BatchedDyadicPolicy": "policies",
+    "Client": "client",
+    "ChannelAssignment": "channels",
+    "DelayGuaranteedPolicy": "policies",
+    "GeneralOfflinePolicy": "policies",
+    "HybridPolicy": "hybrid",
+    "Event": "events",
+    "EventQueue": "events",
+    "ImmediateDyadicPolicy": "policies",
+    "OfflineOptimalPolicy": "policies",
+    "Policy": "policies",
+    "PureBatchingPolicy": "policies",
+    "Simulation": "server",
+    "SimulationResult": "server",
+    "Stream": "stream",
+    "StreamInterval": "channels",
+    "assign_channels": "channels",
+    "assign_forest_channels": "channels",
+    "flat_forest_intervals": "channels",
+    "forest_intervals": "channels",
+    "min_forest_channels": "channels",
+    "peak_concurrency": "channels",
+    "UnicastPolicy": "policies",
+    "VerificationReport": "verify",
+    "verify_forest": "verify",
+    "verify_forest_continuous": "verify",
+    "verify_simulation": "verify",
+})

@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..fastpath import replay
+
 __all__ = ["BandwidthMetrics"]
 
 
@@ -92,12 +94,20 @@ class BandwidthMetrics:
 
         Summed in :attr:`intervals` order, one interval at a time
         (``np.add.accumulate`` adds sequentially), so the float total is
-        the same however the metrics were filled.
+        the same however the metrics were filled.  It is summed
+        ``replay.WALK_BLOCK`` streams at a time, each block's first length
+        carrying the running total in: the same additions as one pass,
+        without a stream-sized temporary.
         """
         starts, ends = self.interval_arrays()
         if not starts.size:
             return 0
-        total = float(np.add.accumulate(ends - starts)[-1])
+        total = 0.0
+        for lo in range(0, starts.size, replay.WALK_BLOCK):
+            block = slice(lo, lo + replay.WALK_BLOCK)
+            lengths = ends[block] - starts[block]
+            lengths[0] += total
+            total = float(np.add.accumulate(lengths)[-1])
         return int(total) if total.is_integer() else total
 
     @property
@@ -120,7 +130,11 @@ class BandwidthMetrics:
         if not self._ordered:
             starts, ends = self._arrays
             order = np.lexsort((starts, ends))
-            self._arrays = (starts[order], ends[order])
+            # One sorted copy at a time: the unsorted ends go before the
+            # starts are gathered.
+            self._arrays = None
+            ends = ends[order]
+            self._arrays = (starts[order], ends)
             self._ordered = True
         return self._arrays
 

@@ -33,15 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, TYPE_CHECKING, Union
 
-from ..core.buffers import buffer_requirement
-from ..core.merge_tree import MergeForest
-from ..core.receiving_program import (
-    forest_programs,
-    receive_all_program,
-    receive_two_program,
-)
+import numpy as np
+
+from ..core.merge_tree import MergeForest, _as_int_if_exact
 from ..core.validation import check_finite_value
 from ..fastpath.flat_forest import FlatForest, as_flat_forest
+from ..fastpath import replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import SimulationResult
@@ -53,6 +50,7 @@ __all__ = [
     "verify_forest_reference",
     "verify_forest_continuous_reference",
     "verify_simulation",
+    "record_bandwidth_check",
 ]
 
 
@@ -95,9 +93,7 @@ def verify_forest(
     :func:`verify_forest_reference` is the per-client oracle it is
     property-tested against.
     """
-    from ..fastpath.replay import replay_verify_forest
-
-    return replay_verify_forest(forest, L, model=model, buffer_bound=buffer_bound)
+    return replay.replay_verify_forest(forest, L, model=model, buffer_bound=buffer_bound)
 
 
 def verify_forest_reference(
@@ -113,6 +109,9 @@ def verify_forest_reference(
     Python objects.  Kept as the reference the batched replay must match
     report-for-report.
     """
+    from ..core.buffers import buffer_requirement
+    from ..core.receiving_program import forest_programs
+
     if buffer_bound is not None:
         check_finite_value(buffer_bound, "buffer_bound")
     check_finite_value(L, "L")
@@ -215,9 +214,7 @@ def verify_forest_continuous(
     Runs on the batched flat replay; the per-client walk survives as
     :func:`verify_forest_continuous_reference`.
     """
-    from ..fastpath.replay import replay_verify_forest_continuous
-
-    return replay_verify_forest_continuous(forest, L)
+    return replay.replay_verify_forest_continuous(forest, L)
 
 
 def verify_forest_continuous_reference(
@@ -272,6 +269,36 @@ def verify_forest_continuous_reference(
     return report
 
 
+def record_bandwidth_check(
+    report: VerificationReport, flat: FlatForest, L: float, measured: float
+) -> None:
+    """Record whether ``measured`` bandwidth equals the forest's analytic
+    full cost ``s L + Mcost`` (receive-two), to a relative 1e-6.
+
+    A forest with a tree spanning more than ``L - 1`` has no full cost;
+    the replay has recorded it infeasible, so no check is made.  The cost
+    is summed one node block at a time (``replay.WALK_BLOCK``), with no
+    node-sized temporary, so its last bits may differ from
+    :meth:`FlatForest.full_cost` on real-valued labels.
+    """
+    x, parent, z = flat.arrivals, flat.parent, flat.z
+    trees, merge = 0, 0.0
+    for lo in range(0, x.size, replay.WALK_BLOCK):
+        block = slice(lo, lo + replay.WALK_BLOCK)
+        root = parent[block] < 0
+        if np.any(z[block][root] - x[block][root] > L - 1):
+            return
+        trees += int(np.count_nonzero(root))
+        nonroot = ~root
+        zs, xs, ps = z[block][nonroot], x[block][nonroot], parent[block][nonroot]
+        merge += float(np.sum(2 * zs - xs - x[ps]))
+    analytic = _as_int_if_exact(trees * L + _as_int_if_exact(merge))
+    report.record(
+        abs(measured - analytic) <= 1e-6 * max(1.0, abs(analytic)),
+        f"measured bandwidth {measured} != analytic full cost {analytic}",
+    )
+
+
 def verify_simulation(
     result: "SimulationResult", continuous: bool = False
 ) -> VerificationReport:
@@ -292,12 +319,7 @@ def verify_simulation(
     else:
         report = verify_forest(flat, result.L)
 
-    measured = result.metrics.total_units
-    analytic = flat.full_cost(result.L)
-    report.record(
-        abs(measured - analytic) <= 1e-6 * max(1.0, abs(analytic)),
-        f"measured bandwidth {measured} != analytic full cost {analytic}",
-    )
+    record_bandwidth_check(report, flat, result.L, result.metrics.total_units)
     paths = flat.paths()
     for client in result.clients:
         if client.tree_label is None:

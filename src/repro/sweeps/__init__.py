@@ -14,20 +14,18 @@ Adding a figure is: write/pick an evaluator, declare a ``SweepSpec``,
 format the rows (see README "The sweep tier").
 """
 
-from .cache import ARTIFACT_SCHEMA, DEFAULT_CACHE_DIR, QUARANTINE_DIR, SweepCache
-from .engine import SweepResult, configure_sweeps, run_sweep, sweep_defaults
-from .spec import Axis, SweepSpec, canonical_json
+from .._exports import lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA",
-    "Axis",
-    "QUARANTINE_DIR",
-    "SweepSpec",
-    "SweepCache",
-    "SweepResult",
-    "DEFAULT_CACHE_DIR",
-    "canonical_json",
-    "configure_sweeps",
-    "run_sweep",
-    "sweep_defaults",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ARTIFACT_SCHEMA": "cache",
+    "Axis": "spec",
+    "QUARANTINE_DIR": "cache",
+    "SweepSpec": "spec",
+    "SweepCache": "cache",
+    "SweepResult": "engine",
+    "DEFAULT_CACHE_DIR": "cache",
+    "canonical_json": "spec",
+    "configure_sweeps": "engine",
+    "run_sweep": "engine",
+    "sweep_defaults": "engine",
+})

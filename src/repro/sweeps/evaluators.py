@@ -22,13 +22,16 @@ import numpy as np
 
 from ..arrivals import ArrivalTrace, constant_rate, poisson
 from ..baselines.dyadic import DyadicParams, paper_beta
-from ..core import bounds, offline, receive_all
+from ..core import bounds, dp, offline, receive_all
 from ..core.buffers import optimal_bounded_full_cost
 from ..core.fibonacci import PHI, is_fib
 from ..core.full_cost import optimal_full_cost
 from ..core.online import online_full_cost_closed
 from ..fastpath import cost_tables
+from ..fleet import capacity
 from ..fleet.engine import FleetPolicy, simulate_batched
+from ..fleet.runner import run_fleet
+from ..multiplex import Catalog, catalog_workload
 
 __all__ = [
     "delay_savings_point",
@@ -289,11 +292,8 @@ def static_tree_point(*, size: int, L: int, n: int) -> Dict[str, object]:
 
 def construction_timing_point(*, n: int) -> Dict[str, object]:
     """Wall-clock of the O(n) builder vs the O(n^2) DP (not cacheable)."""
-    from ..core import dp
-    from ..core.offline import build_optimal_tree
-
     t0 = time.perf_counter()
-    tree_fast = build_optimal_tree(n)
+    tree_fast = offline.build_optimal_tree(n)
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     dp.merge_cost_table(n)
@@ -333,18 +333,14 @@ def multiplex_point(
     next to the serve), keeping the evaluator a pure function of its
     parameters — the property the content-hash cache relies on.
     """
-    from ..fleet.capacity import aggregate_peak, dg_envelopes
-    from ..fleet.runner import run_fleet
-    from ..multiplex import Catalog, catalog_workload
-
     catalog = Catalog.zipf(titles, duration_minutes=duration, exponent=exponent)
     workload = catalog_workload(catalog, mean_interarrival, horizon, seed=seed)
-    envelopes = dg_envelopes(catalog, delay, horizon)
+    envelopes = capacity.dg_envelopes(catalog, delay, horizon)
     dy = run_fleet(
         catalog, delay, horizon, FleetPolicy.immediate_dyadic(), workload=workload
     )
     return {
-        "dg_peak": aggregate_peak(envelopes),
+        "dg_peak": capacity.aggregate_peak(envelopes),
         "dg_units": sum(
             float(np.sum(ends - starts) * delay) for _, starts, ends in envelopes
         ),

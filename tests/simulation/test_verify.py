@@ -128,3 +128,133 @@ class TestTightnessCheck:
         report = verify_simulation(res)
         assert not report.ok
         assert any("never assigned" in f for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# measured vs analytic bandwidth: infeasible forests and blocked sums
+# ---------------------------------------------------------------------------
+
+
+def _one_client_runs(arrivals, parent, L, stretch=0.0):
+    """A forest served to one client at its first stream, as the batched
+    engine's result and as the event simulation's (the parts of a
+    ``SimulationResult`` that ``verify_simulation`` reads).  ``stretch``
+    lengthens every measured stream."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro.fastpath.flat_forest import FlatForest
+    from repro.fleet.engine import BatchedResult
+    from repro.simulation.metrics import BandwidthMetrics
+
+    flat = FlatForest(np.asarray(arrivals, dtype=np.float64), parent)
+    lengths = flat.stream_lengths(L)
+    starts = flat.arrivals
+    metrics = BandwidthMetrics.from_arrays(L, starts, starts + lengths + stretch, flat.is_root, 1)
+    first = np.zeros(1)
+    batched = BatchedResult(
+        policy_name="test", L=L, slot=1.0, horizon=float(starts[-1]) + 1, metrics=metrics,
+        forest=flat, lengths=lengths, client_arrival=first, client_service=first,
+        client_node=np.zeros(1, dtype=np.intp),
+    )
+    client = SimpleNamespace(client_id=0, tree_label=float(starts[0]), path=(float(starts[0]),))
+    event = SimpleNamespace(
+        flat_forest=lambda: flat, L=L, metrics=metrics, clients=[client]
+    )
+    return batched, event
+
+
+def _outcome(report):
+    return report.ok, report.checks, sorted(report.failures)
+
+
+class TestBandwidthCheck:
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_an_infeasible_forest_is_reported_not_raised(self, continuous):
+        from repro.simulation.verify import verify_simulation
+
+        batched, event = _one_client_runs([0, 1, 9], [-1, 0, 0], 5)
+        from_batched = batched.verify(continuous=continuous)
+        from_event = verify_simulation(event, continuous=continuous)
+        assert _outcome(from_batched) == _outcome(from_event)
+        assert not from_batched.ok
+        assert from_batched.failures == [
+            "forest infeasible for L=5: tree rooted at 0 spans 9 > L-1 = 4; "
+            "the last arrival cannot merge in time"
+        ]
+
+    @pytest.mark.parametrize("stretch", [0.0, 0.5])
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_both_verifiers_agree_check_for_check(self, continuous, stretch):
+        from repro.fastpath.flat_forest import as_flat_forest
+        from repro.simulation.verify import verify_simulation
+
+        flat = as_flat_forest(build_optimal_forest(15, 40))
+        batched, event = _one_client_runs(flat.arrivals, flat.parent, 15, stretch)
+        from_batched = batched.verify(continuous=continuous)
+        assert _outcome(from_batched) == _outcome(verify_simulation(event, continuous=continuous))
+        assert from_batched.ok == (stretch == 0.0)
+        if stretch:
+            assert from_batched.failures == [
+                f"measured bandwidth {batched.metrics.total_units} != analytic full cost "
+                f"{flat.full_cost(15)}"
+            ]
+
+    def test_blocked_cost_equals_full_cost_across_blocks(self):
+        """Integer labels sum exactly in any order: the blocked cost is
+        ``FlatForest.full_cost`` itself, over several node blocks."""
+        import numpy as np
+
+        from repro.baselines.dyadic import DyadicParams
+        from repro.fastpath import replay
+        from repro.fastpath.dyadic import dyadic_flat_forest
+        from repro.simulation.verify import record_bandwidth_check
+
+        labels = np.flatnonzero(np.random.default_rng(3).random(5 * replay.WALK_BLOCK) < 0.7)
+        flat = dyadic_flat_forest(labels.astype(np.float64), 64, DyadicParams())
+        assert len(flat) > 3 * replay.WALK_BLOCK
+        report = VerificationReport()
+        record_bandwidth_check(report, flat, 64, -1)
+        assert report.failures == [f"measured bandwidth -1 != analytic full cost {flat.full_cost(64)}"]
+
+
+class TestBlockedReductions:
+    """Sums and maxima taken one block at a time equal the whole-array
+    expressions they replace, bit for bit."""
+
+    def test_total_units_adds_in_the_same_order(self):
+        import numpy as np
+
+        from repro.fastpath import replay
+        from repro.simulation.metrics import BandwidthMetrics
+
+        rng = np.random.default_rng(5)
+        n = 3 * replay.WALK_BLOCK + 17
+        starts = np.sort(rng.random(n) * 1e4)
+        ends = starts + rng.random(n) * 50
+        m = BandwidthMetrics.from_arrays(60, starts, ends, np.ones(n, dtype=bool), n)
+        s, e = m.interval_arrays()
+        assert m.total_units == float(np.add.accumulate(e - s)[-1])
+
+    @pytest.mark.parametrize("unserved", [0, 3])
+    def test_max_startup_delay_over_blocks(self, unserved):
+        import numpy as np
+
+        from repro.fastpath import replay
+        from repro.fleet import engine
+
+        rng = np.random.default_rng(9)
+        n = 2 * replay.WALK_BLOCK + 11
+        arrival = np.sort(rng.random(n) * 1e5)
+        service = arrival + rng.random(n)
+        node = np.arange(n, dtype=np.intp)
+        node[:unserved] = -1
+        service[:unserved] = np.nan
+        result = engine.BatchedResult(
+            policy_name="test", L=10, slot=1.0, horizon=2e5, metrics=None,
+            forest=None, lengths=np.empty(0), client_arrival=arrival,
+            client_service=service, client_node=node,
+        )
+        served = node >= 0
+        assert result.max_startup_delay() == float(np.max(service[served] - arrival[served]))
