@@ -38,6 +38,7 @@ relevant ``check_*`` entry point (see README "The burn-in tier").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -164,17 +165,24 @@ _RESULT_COUNTERS = (
 )
 
 
-def _object_difference(
-    x: FleetObjectResult, y: FleetObjectResult, counters=_RESULT_COUNTERS
-) -> Optional[str]:
-    """None when two results of one object agree on ``counters`` and the
-    intervals; else the first difference."""
+def _counter_difference(x, y, counters) -> Optional[str]:
+    """The first of ``counters`` on which two results of one object
+    differ, or None."""
     for attr in counters:
         if getattr(x, attr) != getattr(y, attr):
             return f"{attr} {getattr(x, attr)!r} != {getattr(y, attr)!r}"
-    if not (np.array_equal(x.starts, y.starts) and np.array_equal(x.ends, y.ends)):
-        return "interval arrays differ"
     return None
+
+
+def _object_difference(x: FleetObjectResult, y: FleetObjectResult) -> Optional[str]:
+    """None when two results of one object agree on the counters and the
+    intervals; else the first difference."""
+    diff = _counter_difference(x, y, _RESULT_COUNTERS)
+    if diff is None and not (
+        np.array_equal(x.starts, y.starts) and np.array_equal(x.ends, y.ends)
+    ):
+        return "interval arrays differ"
+    return diff
 
 
 def _check_delay_guarantee(report: FleetReport, out: ContractReport) -> None:
@@ -310,25 +318,32 @@ def _replay_object(
     starts = ends = np.empty(0)
     if forest is not None:
         starts, ends = stream_minutes(forest.arrivals, result.lengths, delay)
-    replayed = FleetObjectResult(
-        name=obj.name,
+    streams = starts.size
+    same_intervals = np.array_equal(reported.starts, starts) and np.array_equal(
+        reported.ends, ends
+    )
+    # The lengths overwrite the replay's own ends: the same elements in
+    # the same contiguous layout as ``ends - starts``, so the same pairwise
+    # sum bit for bit, without a third client-sized array.
+    total_units = float(np.sum(np.subtract(ends, starts, out=ends)))
+    del starts, ends
+    replayed = SimpleNamespace(
         L=obj.units(delay),
-        delay_minutes=delay,
         clients=0 if result is None else result.client_arrival.size,
-        streams=starts.size,
+        streams=streams,
         roots=0 if result is None else result.metrics.roots_started,
-        total_units_minutes=float(np.sum(ends - starts)),
+        total_units_minutes=total_units,
         max_startup_delay_minutes=(
             0.0 if result is None else result.max_startup_delay() * delay
         ),
-        starts=starts,
-        ends=ends,
+        delay_minutes=delay,
         repaired=repaired,
     )
-    diff = _object_difference(
+    diff = _counter_difference(
         reported, replayed, _RESULT_COUNTERS + ("delay_minutes", "repaired")
     )
-    del starts, ends, replayed
+    if diff is None and not same_intervals:
+        diff = "interval arrays differ"
     if diff is not None:
         bad.append(f"{obj.name}: report != in-process replay: {diff}")
         return 1

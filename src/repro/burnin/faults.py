@@ -37,7 +37,6 @@ import numpy as np
 from ..arrivals.traces import ArrivalTrace
 from ..fleet.runner import install_task_fault_hook
 from ..fleet.scenarios import flash_crowd
-from ..sweeps.cache import ARTIFACT_SCHEMA
 
 __all__ = [
     "WorkerKill",
@@ -138,6 +137,8 @@ class TornArtifact:
                 json.dumps({"schema": "bogus.v0", "metrics": {"x": 1}})
             )
         else:  # wrong-key: valid artifact recorded under a different hash
+            from ..sweeps.cache import ARTIFACT_SCHEMA
+
             path.write_text(
                 json.dumps(
                     {

@@ -59,10 +59,6 @@ from ..fleet.runner import FleetReport, run_fleet
 from ..fleet.scenarios import scenario_workload
 from ..live import LIVE_POLICIES, LiveConfig, LiveDaemon
 from ..multiplex.catalog import Catalog
-from ..sweeps.cache import SweepCache
-from ..sweeps.engine import run_sweep
-from ..sweeps.evaluators import merge_cost_table_point
-from ..sweeps.spec import SweepSpec
 from .contracts import (
     ContractReport,
     check_admission_report,
@@ -288,6 +284,12 @@ def _episode_worker_kill(ctx, out: ContractReport, episode: int) -> Dict[str, ob
 
 
 def _episode_torn_cache(out: ContractReport, episode: int) -> Dict[str, object]:
+    # the sweep tier loads only when a soak runs this episode
+    from ..sweeps.cache import SweepCache
+    from ..sweeps.engine import run_sweep
+    from ..sweeps.evaluators import merge_cost_table_point
+    from ..sweeps.spec import SweepSpec
+
     spec = SweepSpec(
         name="burnin-merge-cost",
         evaluator=merge_cost_table_point,

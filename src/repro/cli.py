@@ -44,14 +44,23 @@ import time
 from typing import List, Optional
 
 from .argtypes import non_negative_int, output_dir
-from .experiments import all_experiments, get_experiment
-from .experiments.report import save_results
-from .sweeps import DEFAULT_CACHE_DIR, configure_sweeps
 
 __all__ = ["main", "parse_args"]
 
+# The experiment harness and the sweep tier are imported on the experiment
+# path only: ``fleet``, ``burnin`` and ``live`` load neither.
+
+
+def get_experiment(exp_id: str):
+    """The registered experiment ``exp_id`` (``KeyError`` lists the known ids)."""
+    from .experiments import get_experiment as lookup
+
+    return lookup(exp_id)
+
 
 def _print_listing() -> None:
+    from .experiments import all_experiments
+
     exps = all_experiments()
     width = max(len(e) for e in exps)
     print("Available experiments:\n")
@@ -86,6 +95,8 @@ def _run_one(exp_id: str, save_dir: Optional[str]) -> bool:
         print(res.render())
         print()
     if save_dir is not None:
+        from .experiments.report import save_results
+
         paths = save_results(exp, results, save_dir)
         print("saved: " + ", ".join(str(p) for p in paths))
     print(f"[{exp_id} completed in {elapsed:.2f}s]")
@@ -115,6 +126,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return live_main(argv[1:])
     args = parse_args(argv)
+    from .experiments import all_experiments
+    from .sweeps import configure_sweeps
 
     # `False` (not None) when the flag is absent: every `main()` call
     # re-establishes its own cache setting instead of inheriting one from
@@ -142,6 +155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     """The parse-and-validate step: a bad value exits 2 before any work runs."""
+    from .sweeps.cache import DEFAULT_CACHE_DIR
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures from Bar-Noy, Goshi & Ladner "

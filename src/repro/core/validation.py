@@ -70,7 +70,7 @@ def check_offsets(offsets, n: int) -> np.ndarray:
         or offsets.dtype.kind not in "iu"
         or offsets[0] != 0
         or offsets[-1] != n
-        or np.any(offsets[1:] < offsets[:-1])
+        or (offsets[1:] < offsets[:-1]).any()
     ):
         raise ValueError("offsets must run non-decreasing from 0 to the number of values")
     return offsets.astype(np.intp, copy=False)

@@ -418,7 +418,8 @@ def dyadic_flat_forest(
             raise ValueError("arrivals must be strictly increasing")
         window = np.array([params.window(L)])
         parent, z = _dyadic_parents(ts, np.array([0, n]), window, params.alpha)
-        return FlatForest(ts, parent, z=z)
+        # built from checked arrivals: not validated again, like the ragged form
+        return FlatForest.concatenated(ts, parent, z)
 
     offsets = check_offsets(offsets, n)
     if non_increasing_within(ts, offsets).any():

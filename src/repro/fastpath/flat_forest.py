@@ -114,7 +114,10 @@ class FlatForest:
         never crosses an object, and arrivals increase within each object
         but restart at the next one, so label lookups (:meth:`find`) do
         not apply.  Nothing is validated; every per-node array query
-        (``stream_lengths``, ``is_root``, ``z``) does apply.
+        (``stream_lengths``, ``is_root``, ``z``) does apply.  The
+        one-object builders return their forest this way too: one object's
+        arrivals increase over the whole array, so there label lookups
+        apply as well.
         """
         forest = cls.__new__(cls)
         forest.arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)

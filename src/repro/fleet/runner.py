@@ -294,6 +294,18 @@ class FleetReport:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of NaN-free ``values``, without its first-call
+    import of ``numpy.ma`` (tens of milliseconds): the same in-place sort
+    of a copy, keeping the first of each run of equal values, so a
+    ``-0.0``/``0.0`` tie keeps the one ``np.unique`` keeps."""
+    out = np.sort(values)
+    first = np.empty(out.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(out[1:], out[:-1], out=first[1:])
+    return out[first]
+
+
 def sanitize_times(
     times: np.ndarray, horizon: float, offsets: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, ...]:
@@ -329,8 +341,10 @@ def sanitize_times(
     dec = non_increasing_within(kept, bounds)
     if dec.any():
         parts = [kept[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-        for k in np.unique(np.searchsorted(bounds, np.flatnonzero(dec), side="right") - 1):
-            parts[k] = np.unique(parts[k])  # sorts and collapses exact duplicates
+        unsorted = np.zeros(len(parts), dtype=bool)
+        unsorted[np.searchsorted(bounds, np.flatnonzero(dec), side="right") - 1] = True
+        for k in np.flatnonzero(unsorted).tolist():
+            parts[k] = _sorted_distinct(parts[k])
         kept = np.concatenate(parts)
         bounds = np.concatenate(([0], np.cumsum([p.size for p in parts])))
     repaired = np.diff(offsets) - np.diff(bounds)

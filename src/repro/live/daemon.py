@@ -1,4 +1,4 @@
-"""The live serving daemon: epoch loop, ledgers, digest chain, resume token.
+"""The live serving daemon: epoch loop, committed chunks, digest chain, resume token.
 
 :class:`LiveDaemon` turns the batch fleet pipeline inside out.  Offline,
 :func:`repro.fleet.runner.run_fleet` sees every arrival up front,
@@ -28,7 +28,15 @@ the last bit.
 Each epoch is one ragged pass over the whole catalog: the titles'
 arrivals laid end to end, one ``sanitize_times``, one bucketing pass,
 one ``push_batch`` and one ``evict_committable``, so an epoch costs
-O(epoch + open window), never O(history) or O(titles) numpy calls.
+O(epoch + open window), never O(history) or O(titles) numpy calls.  The
+commit side is one pass too: the catalog's counters are arrays, one
+:meth:`~repro.live.schedule.ChannelPlanner.assign` call gives every
+stream the epoch commits its channel, the epoch keeps its committed
+``starts``/``ends``/channel ids as one ragged chunk, and its record
+hashes that chunk with one :func:`live_digest` call, touching only the
+titles that committed.  :meth:`LiveDaemon.report` and
+:meth:`LiveDaemon.checkpoint` scatter the chunks into per-title arrays,
+each value copied once.
 
 Digest chain.  Each epoch record's digest links the previous record's
 digest, the per-object counts of streams committed since that record,
@@ -44,11 +52,11 @@ between objects after it was emitted.
 
 Resume token (``repro.live-checkpoint.v2``): compact JSON holding the
 config, the catalog, the last ingested epoch, every record (the chain
-head is the last record's digest) and, per object, the ledger counters,
+head is the last record's digest) and, per object, its counters,
 the committed ``starts``/``ends``/channel ids as base64 little-endian
 arrays, the open window (live forest arrivals with id offset and
-watermark, or the pending roots of root-only policies) and the channel
-planner's free heap.  :meth:`LiveDaemon.restore` validates every field —
+watermark, or the pending roots of root-only policies) and its state in
+the channel planner (the title's free heap and counters).  :meth:`LiveDaemon.restore` validates every field —
 a damaged or hostile token raises ``ValueError`` naming the field —
 cross-checks the counters, the planner and the last record's totals
 against the carried intervals, checks those against the record chain
@@ -70,7 +78,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,19 +147,33 @@ def chain_digests(
     per object; link ``k`` hashes the intervals between record ``k-1``'s
     counts and record ``k``'s.  Committed arrays only ever grow at the
     end, so the result equals the records' own digests unless a committed
-    stream was rewritten, dropped or moved.
+    stream was rewritten, dropped or moved.  An object whose count did
+    not move adds no bytes to a link's :func:`live_digest`, so each link
+    slices only the objects whose counts moved.
     """
+    records = len(counts_by_record)
+    cumulative = np.zeros((records + 1, len(per_object)), dtype=np.int64)
+    cumulative[1:] = np.array(counts_by_record, dtype=np.int64).reshape(
+        records, len(per_object)
+    )
+    new = np.diff(cumulative, axis=0)
+    moved_rows, moved = np.nonzero(new)
+    cut = np.searchsorted(moved_rows, np.arange(records + 1)).tolist()
+    moved_from = cumulative[moved_rows, moved].tolist()
+    moved_by = new[moved_rows, moved].tolist()
+    moved = moved.tolist()
     digests: List[str] = []
     head = ""
-    prev = [0] * len(per_object)
-    for counts in counts_by_record:
-        new = [c - p for c, p in zip(counts, prev)]
+    for row, lo, hi in zip(new, cut[:-1], cut[1:]):
         fresh = live_digest(
-            [(s[p:], e[p:]) for (s, e), p in zip(per_object, prev)], new
+            [
+                (per_object[k][0][p:], per_object[k][1][p:])
+                for k, p in zip(moved[lo:hi], moved_from[lo:hi])
+            ],
+            moved_by[lo:hi],
         )
-        head = _link(head, new, fresh)
+        head = _link(head, row, fresh)
         digests.append(head)
-        prev = list(counts)
     return digests
 
 
@@ -334,118 +356,16 @@ class EpochRecord:
         )
 
 
-class _ObjectLedger:
-    """One object's committed side: counters, channel planner, chunks."""
+class _Chunk(NamedTuple):
+    """Streams committed together — one epoch's, or one title's restored
+    history — titles end to end: ``titles[j]``'s streams are
+    ``bounds[j]:bounds[j + 1]``, in start order."""
 
-    def __init__(self, obj: MediaObject, config: LiveConfig):
-        self.obj = obj
-        self.L = obj.units(config.delay_minutes)
-        self.planner = ChannelPlanner()
-        self.roots = 0
-        self.streams = 0
-        self.max_cutoff_minutes: Optional[float] = None
-        self.starts: List[np.ndarray] = []  # committed, minutes
-        self.ends: List[np.ndarray] = []
-        self.channel_ids: List[np.ndarray] = []
-        self._recorded = 0  # committed chunks already hashed into a record
-
-    def emit(
-        self, starts: np.ndarray, ends: np.ndarray, roots: int, cutoff_minutes: float
-    ) -> None:
-        """Commit one batch of streams, in start order, and assign channels."""
-        self.starts.append(starts)
-        self.ends.append(ends)
-        self.channel_ids.append(self.planner.assign(starts, ends))
-        self.roots += roots
-        self.streams += int(starts.size)
-        if self.max_cutoff_minutes is None or cutoff_minutes > self.max_cutoff_minutes:
-            self.max_cutoff_minutes = cutoff_minutes
-
-    def fresh_streams(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Streams committed since the previous record, as one chunk.
-
-        Compacts those commits into a single chunk, so the ledger holds
-        at most one chunk per record however many trees committed.
-        """
-        k = self._recorded
-        if len(self.starts) - k > 1:
-            for chunks in (self.starts, self.ends, self.channel_ids):
-                chunks[k:] = [np.concatenate(chunks[k:])]
-        self._recorded = len(self.starts)
-        if self._recorded == k:
-            return _EMPTY, _EMPTY
-        return self.starts[-1], self.ends[-1]
-
-    def committed_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.starts:
-            return _EMPTY, _EMPTY
-        return np.concatenate(self.starts), np.concatenate(self.ends)
-
-    def channel_array(self) -> np.ndarray:
-        if not self.channel_ids:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(self.channel_ids)
-
-    # -- resume token ----------------------------------------------------------
-
-    def committed_token(self) -> Tuple[dict, dict]:
-        """The token's ``committed`` and ``planner`` sections."""
-        starts, ends = self.committed_arrays()
-        free_at, release_seq, seq, last_start = self.planner.state()
-        committed = {
-            "starts": _encode(starts),
-            "ends": _encode(ends),
-            "channels": _encode(self.channel_array(), "<i8"),
-        }
-        planner = {
-            "channels": int(free_at.size),
-            "free_at": _encode(free_at),
-            "release_seq": _encode(release_seq, "<i8"),
-            "seq": seq,
-            "last_start": _finite_or_none(last_start),
-        }
-        return committed, planner
-
-    @classmethod
-    def from_token(
-        cls, obj: MediaObject, config: LiveConfig, f: _Fields
-    ) -> "_ObjectLedger":
-        """Rebuild the committed side from a token's object entry."""
-        led = cls(obj, config)
-        led.streams = n = f.integer("streams")
-        led.roots = f.integer("roots")
-        if led.roots > n:
-            raise f.error("roots", f"{led.roots} roots but {n} streams")
-        led.max_cutoff_minutes = f.number("max_cutoff_minutes", optional=True)
-
-        c = f.section("committed")
-        starts = c.increasing("starts", c.array("starts", "<f8", n), strict=False)
-        ends = c.array("ends", "<f8", n)
-        if not np.isfinite(ends).all() or np.any(ends <= starts):
-            raise c.error("ends", "non-finite, or not after its stream's start")
-
-        # the planner has assigned exactly the committed streams, in order
-        p = f.section("planner")
-        channels = p.integer("channels")
-        free_at = p.array("free_at", "<f8", channels)
-        release_seq = p.array("release_seq", "<i8", channels)
-        seq = p.integer("seq")
-        if seq != n:
-            raise p.error("seq", f"{seq} streams assigned but {n} committed")
-        last_start = _or_minus_inf(p.number("last_start", optional=True))
-        if last_start != (starts[-1] if n else -math.inf):
-            raise p.error("last_start", "is not the last committed start")
-        try:
-            led.planner = ChannelPlanner.resume(free_at, release_seq, seq, last_start)
-        except ValueError as exc:
-            raise ValueError(f"checkpoint field {p.path}: {exc}") from None
-        ids = c.array("channels", "<i8", n)
-        if n and (int(ids.min()) < 0 or int(ids.max()) >= channels):
-            raise c.error("channels", f"channel id outside [0, {channels})")
-        if n:
-            led.starts, led.ends, led.channel_ids = [starts], [ends], [ids]
-            led._recorded = 1
-        return led
+    titles: np.ndarray
+    bounds: np.ndarray
+    starts: np.ndarray  # minutes
+    ends: np.ndarray
+    channels: np.ndarray
 
 
 @dataclass
@@ -529,7 +449,8 @@ class LiveDaemon:
 
     Each epoch is one ragged pass over the whole catalog: every title's
     arrivals laid end to end, one ``sanitize_times``, one bucketing pass,
-    one ``push_batch`` and one ``evict_committable``.  Both read their
+    one ``push_batch`` and one ``evict_committable``; what the epoch
+    commits takes one channel-planner call and one digest pass.  Both read their
     mapping through :meth:`~repro.multiplex.Workload.of`, so a key that
     is not in the catalog, or a batch that is not a 1-D array of real
     numbers, raises ``ValueError`` before any state changes.
@@ -540,14 +461,22 @@ class LiveDaemon:
         self.config = config
         self.horizon = LiveHorizon(config)
         self._names = tuple(obj.name for obj in catalog)
-        self._ledgers = [_ObjectLedger(obj, config) for obj in catalog]
-        m = len(self._ledgers)
-        self._L = np.array([led.L for led in self._ledgers], dtype=np.float64)
+        m = len(self._names)
+        self._L = np.array(
+            [obj.units(config.delay_minutes) for obj in catalog], dtype=np.float64
+        )
         # Ingest-side counters, one entry per object in catalog order.
         self._clients = np.zeros(m, dtype=np.int64)
         self._repaired = np.zeros(m, dtype=np.int64)
         self._max_wait = np.zeros(m)  # slot units, slotted kinds only
         self._last_push = np.full(m, -math.inf)  # newest value pushed, slot units
+        # Committed side: counters per object, one channel planner for the
+        # catalog, and the committed streams as chunks in commit order.
+        self._streams = np.zeros(m, dtype=np.int64)
+        self._roots = np.zeros(m, dtype=np.int64)
+        self._max_cutoff = np.full(m, -math.inf)  # minutes; -inf: none yet
+        self._planner = ChannelPlanner(m)
+        self._chunks: List[_Chunk] = []
         # Open windows in slot units: a forest for the merging kinds; the
         # root-only kinds' pending starts, objects end to end.
         self._forest: Optional[IncrementalFlatForest] = (
@@ -612,18 +541,19 @@ class LiveDaemon:
                 self._pending, self._pending_bounds, push, offsets
             )
 
-    def _commit(self, fence_minutes: float) -> None:
-        """Commit every stream whose merge window closed before the fence."""
+    def _commit(self, fence_minutes: float) -> Optional[_Chunk]:
+        """Commit every stream whose merge window closed before the fence;
+        returns the committed chunk, or None when nothing committed."""
         delay = self.config.delay_minutes
         fence_slots = fence_minutes / delay
         if self._forest is not None:
             done = self._forest.evict_committable(fence_slots)
             if not done.roots.any():
-                return
+                return None
             arrivals, offsets, roots, cutoffs = (
                 done.forest.arrivals, done.offsets, done.roots, done.cutoffs
             )
-            lengths = done.forest.stream_lengths(np.repeat(self._L, np.diff(offsets)))
+            lengths = done.forest.stream_lengths(self._L.repeat(offsets[1:] - offsets[:-1]))
         else:
             # root-only kinds: a stream is final the moment it starts, so
             # its own start is its window end
@@ -631,16 +561,22 @@ class LiveDaemon:
                 self._pending, self._pending_bounds, self._pending < fence_slots
             )
             if not arrivals.size:
-                return
+                return None
             roots = np.diff(offsets)
             cutoffs = arrivals[np.maximum(offsets[1:] - 1, 0)]
             lengths = np.repeat(self._L, roots)
         starts, ends = stream_minutes(arrivals, lengths, delay)
-        for k in np.flatnonzero(roots).tolist():
-            lo, hi = offsets[k], offsets[k + 1]
-            self._ledgers[k].emit(
-                starts[lo:hi], ends[lo:hi], int(roots[k]), float(cutoffs[k]) * delay
-            )
+        channels = self._planner.assign(starts, ends, offsets)
+        titles = np.flatnonzero(roots)
+        self._streams += offsets[1:] - offsets[:-1]
+        self._roots += roots
+        cut = cutoffs[titles] * delay
+        top = self._max_cutoff[titles]
+        self._max_cutoff[titles] = np.where(cut > top, cut, top)
+        bounds = np.concatenate((offsets[titles], offsets[-1:]))
+        chunk = _Chunk(titles, bounds, starts, ends, channels)
+        self._chunks.append(chunk)
+        return chunk
 
     def _oldest_open(self) -> np.ndarray:
         """Per object, the window end of its oldest open tree in slot
@@ -661,16 +597,22 @@ class LiveDaemon:
             return None
         return float(np.min(oldest * self.config.delay_minutes))
 
-    def _make_record(self, ingested: int, drain: bool) -> EpochRecord:
-        ledgers = self._ledgers
-        counts = tuple(led.streams for led in ledgers)
-        cutoffs = [
-            led.max_cutoff_minutes
-            for led in ledgers
-            if led.max_cutoff_minutes is not None
-        ]
-        fresh = [led.fresh_streams() for led in ledgers]
-        new_counts = [int(starts.size) for starts, _ends in fresh]
+    def _make_record(
+        self, ingested: int, drain: bool, fresh: Optional[_Chunk]
+    ) -> EpochRecord:
+        """The record closing this epoch; ``fresh`` is what it committed."""
+        counts = tuple(self._streams.tolist())
+        new_counts = np.zeros(len(counts), dtype=np.int64)
+        per_object: List[Tuple[np.ndarray, np.ndarray]] = []
+        sizes: List[int] = []
+        if fresh is not None:
+            new_counts[fresh.titles] = fresh.bounds[1:] - fresh.bounds[:-1]
+            cuts = fresh.bounds.tolist()
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                per_object.append((fresh.starts[lo:hi], fresh.ends[lo:hi]))
+                sizes.append(hi - lo)
+        # argmax picks the first of equal maxima, as max() over the objects would
+        top = float(self._max_cutoff[self._max_cutoff.argmax()])
         head = self.records[-1].digest if self.records else ""
         record = EpochRecord(
             epoch=self.horizon.epoch,
@@ -680,11 +622,11 @@ class LiveDaemon:
             ingested=ingested,
             repaired=sum(self._repaired.tolist()),
             committed_streams=sum(counts),
-            committed_roots=sum(led.roots for led in ledgers),
+            committed_roots=sum(self._roots.tolist()),
             committed_counts=counts,
-            max_committed_cutoff=max(cutoffs) if cutoffs else None,
+            max_committed_cutoff=_finite_or_none(top),
             min_live_cutoff=self._min_live_cutoff_minutes(),
-            digest=_link(head, new_counts, live_digest(fresh, new_counts)),
+            digest=_link(head, new_counts, live_digest(per_object, sizes)),
         )
         self.records.append(record)
         return record
@@ -693,8 +635,8 @@ class LiveDaemon:
         self.horizon.begin_epoch(k)
         self._ingest(minutes, offsets)
         assert self.horizon.fence is not None
-        self._commit(self.horizon.fence)
-        return self._make_record(int(minutes.size), drain=False)
+        fresh = self._commit(self.horizon.fence)
+        return self._make_record(int(minutes.size), drain=False, fresh=fresh)
 
     # -- driving ---------------------------------------------------------------
 
@@ -783,23 +725,45 @@ class LiveDaemon:
     def drain(self) -> EpochRecord:
         """End of stream: commit everything still live, close the run."""
         self.horizon.mark_drained()
-        self._commit(math.inf)
-        return self._make_record(0, drain=True)
+        fresh = self._commit(math.inf)
+        return self._make_record(0, drain=True, fresh=fresh)
+
+    def _committed(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every committed stream, objects end to end, as ``(starts, ends,
+        channels, bounds)``: object ``k``'s are ``bounds[k]:bounds[k + 1]``,
+        in commit order.  Each chunk is scattered into place once."""
+        bounds = np.zeros(len(self._names) + 1, dtype=np.intp)
+        np.cumsum(self._streams, out=bounds[1:])
+        total = int(bounds[-1])
+        starts, ends = np.empty(total), np.empty(total)
+        channels = np.empty(total, dtype=np.intp)
+        filled = bounds[:-1].copy()
+        for chunk in self._chunks:
+            counts = chunk.bounds[1:] - chunk.bounds[:-1]
+            at = np.arange(chunk.starts.size) + (
+                filled[chunk.titles] - chunk.bounds[:-1]
+            ).repeat(counts)
+            starts[at], ends[at], channels[at] = chunk.starts, chunk.ends, chunk.channels
+            filled[chunk.titles] += counts
+        return starts, ends, channels, bounds
 
     def report(self) -> LiveReport:
         delay = self.config.delay_minutes
         slotted = self.config.policy in _SLOTTED_KINDS
+        all_starts, all_ends, all_channels, bounds = self._committed()
+        cuts = bounds.tolist()
         objects = []
-        for k, led in enumerate(self._ledgers):
-            starts, ends = led.committed_arrays()
+        channels = {}
+        for k, (obj, lo, hi) in enumerate(zip(self.catalog, cuts[:-1], cuts[1:])):
+            starts, ends = all_starts[lo:hi], all_ends[lo:hi]
             objects.append(
                 FleetObjectResult(
-                    name=led.obj.name,
-                    L=led.L,
+                    name=obj.name,
+                    L=obj.units(delay),
                     delay_minutes=delay,
                     clients=int(self._clients[k]),
-                    streams=int(starts.size),
-                    roots=led.roots,
+                    streams=hi - lo,
+                    roots=int(self._roots[k]),
                     total_units_minutes=float(np.sum(ends - starts)),
                     # immediate kinds serve at the arrival time
                     max_startup_delay_minutes=(
@@ -810,13 +774,13 @@ class LiveDaemon:
                     repaired=int(self._repaired[k]),
                 )
             )
+            channels[obj.name] = all_channels[lo:hi]
         fleet = FleetReport(
             policy=self.config.policy,
             delay_minutes=self.config.delay_minutes,
             horizon_minutes=self.config.horizon_minutes,
             objects=objects,
         )
-        channels = {led.obj.name: led.channel_array() for led in self._ledgers}
         return LiveReport(
             config=self.config,
             fleet=fleet,
@@ -832,24 +796,36 @@ class LiveDaemon:
             values, bounds, evicted, watermark, _last = self._forest.open_window()
         else:
             values, bounds = self._pending, self._pending_bounds
+        starts, ends, channels, cuts = self._committed()
         tokens = []
-        for k, led in enumerate(self._ledgers):
+        for k in range(len(self._names)):
             open_window: Dict[str, Any] = {"arrivals": _encode(values[bounds[k] : bounds[k + 1]])}
             if self._forest is not None:
                 open_window["offset"] = int(evicted[k])
                 open_window["watermark"] = _finite_or_none(float(watermark[k]))
-            committed, planner = led.committed_token()
+            lo, hi = cuts[k], cuts[k + 1]
+            free_at, release_seq, seq, last_start = self._planner.state(k)
             tokens.append({
                 "clients": int(self._clients[k]),
                 "repaired": int(self._repaired[k]),
-                "roots": led.roots,
-                "streams": led.streams,
+                "roots": int(self._roots[k]),
+                "streams": int(self._streams[k]),
                 "max_wait_slots": float(self._max_wait[k]),
-                "max_cutoff_minutes": led.max_cutoff_minutes,
+                "max_cutoff_minutes": _finite_or_none(float(self._max_cutoff[k])),
                 "last_push": _finite_or_none(float(self._last_push[k])),
-                "committed": committed,
+                "committed": {
+                    "starts": _encode(starts[lo:hi]),
+                    "ends": _encode(ends[lo:hi]),
+                    "channels": _encode(channels[lo:hi], "<i8"),
+                },
                 "open": open_window,
-                "planner": planner,
+                "planner": {
+                    "channels": int(free_at.size),
+                    "free_at": _encode(free_at),
+                    "release_seq": _encode(release_seq, "<i8"),
+                    "seq": seq,
+                    "last_start": _finite_or_none(last_start),
+                },
             })
         return tokens
 
@@ -879,11 +855,52 @@ class LiveDaemon:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
+    def _restore_committed(self, k: int, f: _Fields) -> int:
+        """Read object ``k``'s counters, committed intervals and planner
+        state from its token entry; returns its committed stream count."""
+        n = f.integer("streams")
+        roots = f.integer("roots")
+        if roots > n:
+            raise f.error("roots", f"{roots} roots but {n} streams")
+        max_cutoff = f.number("max_cutoff_minutes", optional=True)
+
+        c = f.section("committed")
+        starts = c.increasing("starts", c.array("starts", "<f8", n), strict=False)
+        ends = c.array("ends", "<f8", n)
+        if not np.isfinite(ends).all() or np.any(ends <= starts):
+            raise c.error("ends", "non-finite, or not after its stream's start")
+
+        # the planner has assigned exactly the committed streams, in order
+        p = f.section("planner")
+        channels = p.integer("channels")
+        free_at = p.array("free_at", "<f8", channels)
+        release_seq = p.array("release_seq", "<i8", channels)
+        seq = p.integer("seq")
+        if seq != n:
+            raise p.error("seq", f"{seq} streams assigned but {n} committed")
+        last_start = _or_minus_inf(p.number("last_start", optional=True))
+        if last_start != (starts[-1] if n else -math.inf):
+            raise p.error("last_start", "is not the last committed start")
+        try:
+            self._planner.resume(k, free_at, release_seq, seq, last_start)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint field {p.path}: {exc}") from None
+        ids = c.array("channels", "<i8", n)
+        if n and (int(ids.min()) < 0 or int(ids.max()) >= channels):
+            raise c.error("channels", f"channel id outside [0, {channels})")
+        self._streams[k], self._roots[k] = n, roots
+        self._max_cutoff[k] = _or_minus_inf(max_cutoff)
+        if n:
+            title = np.array([k], dtype=np.intp)
+            self._chunks.append(
+                _Chunk(title, np.array([0, n], dtype=np.intp), starts, ends, ids)
+            )
+        return n
+
     def _restore_object(self, k: int, f: _Fields) -> Tuple[np.ndarray, int, float]:
         """Read object ``k``'s token entry; returns its open window as
         ``(arrivals, evicted count, watermark)``."""
-        obj = self.catalog.objects[k]
-        self._ledgers[k] = led = _ObjectLedger.from_token(obj, self.config, f)
+        streams = self._restore_committed(k, f)
         self._clients[k] = f.integer("clients", hi=_INT64_MAX)
         self._repaired[k] = f.integer("repaired", hi=_INT64_MAX)
         self._max_wait[k] = f.number("max_wait_slots")
@@ -896,9 +913,9 @@ class LiveDaemon:
                 raise o.error("arrivals", "newest pending root is not the last push")
             return arrivals, 0, -math.inf
         offset = o.integer("offset", hi=_INT64_MAX)
-        if offset != led.streams:
+        if offset != streams:
             raise o.error(
-                "offset", f"{offset} evicted nodes but {led.streams} committed streams"
+                "offset", f"{offset} evicted nodes but {streams} committed streams"
             )
         watermark = _or_minus_inf(o.number("watermark", optional=True))
         try:
@@ -942,10 +959,10 @@ class LiveDaemon:
         """Rebuild a daemon from :meth:`checkpoint` output, replaying nothing.
 
         The restored daemon is indistinguishable from one that never
-        stopped (same ledgers, records, digests, open windows, planner
-        state); calling :meth:`run` with the original workload continues
-        exactly where the checkpoint left off.  Any inconsistency raises
-        ``ValueError`` naming the offending field.
+        stopped (same counters, committed streams, records, digests, open
+        windows, planner state); calling :meth:`run` with the original
+        workload continues exactly where the checkpoint left off.  Any
+        inconsistency raises ``ValueError`` naming the offending field.
         """
         try:
             payload = json.loads(text)
@@ -1030,11 +1047,10 @@ class LiveDaemon:
         else:
             daemon._pending, daemon._pending_bounds = values, bounds
 
-        ledgers = daemon._ledgers
         if records:
             for key, total in (
-                ("committed_counts", tuple(led.streams for led in ledgers)),
-                ("committed_roots", sum(led.roots for led in ledgers)),
+                ("committed_counts", tuple(daemon._streams.tolist())),
+                ("committed_roots", sum(daemon._roots.tolist())),
                 ("repaired", sum(daemon._repaired.tolist())),
             ):
                 if getattr(records[-1], key) != total:
@@ -1055,10 +1071,11 @@ class LiveDaemon:
                         f"checkpoint field objects[{name!r}].{changed[0]}: "
                         "state ingested before epoch 0"
                     )
-        derived = chain_digests(
-            [led.committed_arrays() for led in ledgers],
-            [rec.committed_counts for rec in records],
-        )
+        # each restored chunk is one object's whole committed history
+        committed = [(_EMPTY, _EMPTY)] * len(catalog)
+        for chunk in daemon._chunks:
+            committed[int(chunk.titles[0])] = (chunk.starts, chunk.ends)
+        derived = chain_digests(committed, [rec.committed_counts for rec in records])
         for i, (rec, want) in enumerate(zip(records, derived)):
             if rec.digest != want:
                 raise ValueError(

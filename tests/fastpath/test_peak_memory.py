@@ -7,8 +7,9 @@ The peak ``tracemalloc`` sees over each call on a dense 2.5x10^5-node
 dyadic forest (a hot title's shape: ~1.5x10^4 arrivals per root window)
 must stay within a per-node bound:
 
-* the build, outputs included: 60 B per node (93 with the member loop
-  over every window at once);
+* the build, outputs included: 36 B per node (43 with the one-object
+  forest re-validated by the ``FlatForest`` constructor, 93 with the
+  member loop over every window at once);
 * the continuous verifier: 45 B per node (120 with each level's arrays
   spanning every client, 59 with node-sized tail and tightness arrays).
 """
@@ -45,7 +46,7 @@ def hot_times():
 def test_dyadic_build_peak_per_node(hot_times):
     flat, peak = _traced_peak(lambda: dyadic_flat_forest(hot_times, L))
     assert len(flat) == N
-    assert peak <= 60 * N, f"build peak {peak / N:.1f} B per node"
+    assert peak <= 36 * N, f"build peak {peak / N:.1f} B per node"
 
 
 def test_continuous_walk_peak_per_node(hot_times):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.burnin import WorkerKill, installed_task_fault
 from repro.fleet import pool_map, sanitize_times
@@ -96,3 +98,38 @@ class TestSanitizeTimes:
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
         assert repaired == times.size - want.size
         assert out is not times and not np.shares_memory(out, times)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 9.5, 10.0]),
+                    st.floats(-1.0, 11.0),
+                ),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.data(),
+    )
+    def test_repair_equals_np_unique_per_title(self, feeds, data):
+        """Ragged and one-title repairs equal ``np.unique`` of each title's
+        in-window entries bit for bit (signed zeros included) on feeds with
+        NaN, +-inf, +-0.0, duplicates and reversals."""
+        feeds = [
+            f[::-1] if data.draw(st.booleans(), label=f"reverse {k}") else f
+            for k, f in enumerate(feeds)
+        ]
+        times = np.array([t for f in feeds for t in f], dtype=np.float64)
+        offsets = np.cumsum([0] + [len(f) for f in feeds])
+        out, repaired, bounds = sanitize_times(times, 10.0, offsets)
+        for k, feed in enumerate(feeds):
+            ts = np.array(feed, dtype=np.float64)
+            want = np.unique(ts[np.isfinite(ts) & (ts >= 0.0) & (ts < 10.0)])
+            got = out[bounds[k] : bounds[k + 1]]
+            assert got.tobytes() == want.tobytes()
+            assert repaired[k] == ts.size - want.size
+            alone, alone_repaired = sanitize_times(ts, 10.0)
+            assert alone.tobytes() == want.tobytes() and alone_repaired == repaired[k]

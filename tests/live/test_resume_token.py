@@ -26,6 +26,7 @@ from repro.fastpath import incremental
 from repro.fastpath.incremental import IncrementalFlatForest
 from repro.fleet.scenarios import scenario_workload
 from repro.live import CHECKPOINT_SCHEMA, LIVE_POLICIES, LiveConfig, LiveDaemon
+from repro.live.daemon import _link, chain_digests, live_digest
 from repro.multiplex.catalog import Catalog
 from tests.conftest import fuzz_examples
 
@@ -72,8 +73,13 @@ def _open_state(daemon):
     )
 
 
-def _planner_state(planner):
-    return sorted(planner._free), planner._seq, planner._channels, planner._last_start
+def _planner_states(daemon):
+    """Every title's planner state, as plain lists."""
+    states = []
+    for k in range(len(daemon.catalog)):
+        free_at, release_seq, seq, last_start = daemon._planner.state(k)
+        states.append((free_at.tolist(), release_seq.tolist(), seq, last_start))
+    return states
 
 
 @pytest.mark.parametrize("epoch,fence", GEOMETRIES)
@@ -95,10 +101,9 @@ class TestStateEquivalence:
         assert _open_state(restored) == _open_state(daemon)
         for attr in ("_clients", "_repaired", "_max_wait", "_last_push"):
             np.testing.assert_array_equal(getattr(restored, attr), getattr(daemon, attr))
-        for led, back in zip(daemon._ledgers, restored._ledgers):
-            assert _planner_state(back.planner) == _planner_state(led.planner)
-            for attr in ("roots", "streams", "max_cutoff_minutes"):
-                assert getattr(back, attr) == getattr(led, attr), attr
+        assert _planner_states(restored) == _planner_states(daemon)
+        for attr in ("_streams", "_roots", "_max_cutoff"):
+            np.testing.assert_array_equal(getattr(restored, attr), getattr(daemon, attr))
         open_nodes = len(daemon._forest) if daemon._forest is not None else daemon._pending.size
         assert open_nodes > 0, "the checkpoint should hold a non-empty open window"
 
@@ -135,6 +140,71 @@ class TestStateEquivalence:
         else:
             assert calls["built"] == []
         assert restored.horizon.epoch == daemon.horizon.epoch
+
+
+@pytest.mark.parametrize("policy", ["batched-dyadic", "immediate-dyadic", "pure-batching"])
+def test_checkpoint_round_trips_at_every_stage(catalog, workload, policy):
+    """``restore(text).checkpoint() == text`` at several epochs, and a run
+    continued on a restored daemon keeps checkpointing as the daemon that
+    never stopped: restored chunks and later epochs' chunks gather alike."""
+    config = _config(policy, 6.0, 40.0)
+    daemon = LiveDaemon(catalog, config)
+    stages = [0, 3, config.num_epochs // 2, config.num_epochs - 2]
+    resumed = None
+    for epoch in stages:
+        daemon.run(workload, until_epoch=epoch)
+        text = daemon.checkpoint()
+        assert LiveDaemon.restore(text).checkpoint() == text
+        if resumed is None:
+            resumed = LiveDaemon.restore(text)
+        else:
+            resumed.run(workload, until_epoch=epoch)
+            assert resumed.checkpoint() == text
+    assert daemon.records[-1].committed_streams > 0
+    resumed_report, report = resumed.run(workload), daemon.run(workload)
+    assert fleet_reports_equal(resumed_report.fleet, report.fleet) is None
+    for name, ids in report.channels.items():
+        np.testing.assert_array_equal(resumed_report.channels[name], ids)
+    assert [r.to_payload() for r in resumed_report.records] == [
+        r.to_payload() for r in report.records
+    ]
+
+
+def _chain_reference(per_object, counts_by_record):
+    """The record chain hashed over every object at every link."""
+    digests, head, prev = [], "", [0] * len(per_object)
+    for counts in counts_by_record:
+        new = [c - p for c, p in zip(counts, prev)]
+        fresh = live_digest([(s[p:], e[p:]) for (s, e), p in zip(per_object, prev)], new)
+        head = _link(head, new, fresh)
+        digests.append(head)
+        prev = list(counts)
+    return digests
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chain_skipping_unmoved_objects_equals_the_full_loop(data):
+    """Hashing only the objects whose counts moved gives every digest the
+    loop over every object gives, with counts that stand still, move
+    several objects at once, or (as a tampered report's may) shrink or
+    run past an array's end."""
+    m = data.draw(st.integers(1, 5), label="objects")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    per_object = []
+    for _ in range(m):
+        n = int(rng.integers(0, 12))
+        starts = np.cumsum(rng.uniform(0.1, 2.0, n))
+        per_object.append((starts, starts + rng.uniform(0.1, 5.0, n)))
+    records = data.draw(
+        st.lists(st.lists(st.integers(0, 14), min_size=m, max_size=m), max_size=8),
+        label="counts",
+    )
+    grown = np.maximum.accumulate(np.array(records, dtype=int).reshape(-1, m), axis=0)
+    for counts_by_record in (records, grown.tolist()):
+        assert chain_digests(per_object, counts_by_record) == _chain_reference(
+            per_object, counts_by_record
+        )
 
 
 def test_restore_before_any_epoch(catalog, workload):

@@ -184,3 +184,45 @@ def test_timed_path_imports_nothing(workload, tmp_path):
         _run(_TIMED, workload, str(tmp_path), "feed")
     imported = json.loads(_run(_TIMED, workload, str(tmp_path), "timed"))
     assert imported == []
+
+
+# ---------------------------------------------------------------------------
+# (d) paths that load less than their whole tier
+# ---------------------------------------------------------------------------
+
+_REPAIR = r"""
+import json, sys
+import numpy as np
+from repro.fleet.runner import sanitize_times
+sanitize_times(np.array([0.0, 2.0, 1.0, 3.0, 3.0]), 10.0)
+sanitize_times(np.array([4.0, 1.0, 1.0, 0.5, 2.0, 2.0]), 10.0, np.array([0, 3, 6]))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+
+def test_feed_repair_loads_no_numpy_ma():
+    """Repairing a dirty feed (one title and ragged) does not import
+    ``numpy.ma``, as the first ``np.unique`` call would."""
+    assert json.loads(_run(_REPAIR)) == []
+
+
+_HELP = r"""
+import contextlib, io, json, runpy, sys
+sys.argv = ["repro", sys.argv[1], "--help"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+
+
+@pytest.mark.parametrize("command", ["fleet", "live", "burnin"])
+def test_front_end_help_loads_no_experiment_or_sweep_tier(command):
+    """``python -m repro fleet|live|burnin`` dispatch before the
+    experiment harness and the sweep tier are imported."""
+    loaded = json.loads(_run(_HELP, command))
+    assert "repro.cli" in loaded
+    off = [m for m in loaded if m.startswith(("repro.experiments", "repro.sweeps"))]
+    assert not off
