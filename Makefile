@@ -13,7 +13,8 @@ test:
 ## restore, sweep-artifact, store-index, store-segment, CLI-argument and
 ## workload-mapping fuzzers at 10^4 examples each, under the hypothesis
 ## "fuzz" profile of tests/conftest.py (tier-1 runs them at their own,
-## smaller example counts)
+## smaller example counts).  A RuntimeWarning is an error here, so a
+## numeric overflow on a hostile-input path fails the job
 FUZZ_TESTS := tests/arrivals/test_serialization.py::TestPayloadFuzz \
 	tests/live/test_resume_token.py::test_fuzzed_open_window_restores_exactly_or_raises \
 	tests/sweeps/test_quarantine.py::TestArtifactFuzz \
@@ -22,7 +23,7 @@ FUZZ_TESTS := tests/arrivals/test_serialization.py::TestPayloadFuzz \
 	tests/burnin/test_cli.py::TestArgumentFuzz \
 	tests/fleet/test_workload_values.py::TestWorkloadFuzz
 fuzz:
-	$(PY) -m pytest -q --hypothesis-profile=fuzz $(FUZZ_TESTS)
+	$(PY) -m pytest -q -W error::RuntimeWarning --hypothesis-profile=fuzz $(FUZZ_TESTS)
 
 ## full fastpath sweep: regenerates BENCH_fastpath.json at the repo root
 bench:

@@ -120,7 +120,7 @@ def _compare_policies_reference(
         if len(trace) == 0:
             continue
         imm_vals.append(dyadic_cost(list(trace), L, dyadic_params) / L)
-        bat_vals.append(batched_dyadic_cost(trace, L, 1.0, batched_params) / L)
+        bat_vals.append(batched_dyadic_cost(trace, L, batched_params) / L)
         if kind == "constant":
             break
     return {

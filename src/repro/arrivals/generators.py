@@ -120,16 +120,16 @@ def poisson(
     return ArrivalTrace(times=times, horizon=horizon)
 
 
-def every_slot(n: int, slot: float = 1.0) -> ArrivalTrace:
+def every_slot(n: int) -> ArrivalTrace:
     """One client at the start of each of ``n`` slots (the DG special case).
 
     The delay-guaranteed analyses treat a client arriving anywhere inside a
     slot as served at the slot end; this canonical trace puts one client at
-    each slot start ``0, slot, 2*slot, ...``.
+    each slot start ``0, 1, 2, ...``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return ArrivalTrace(times=np.arange(n) * slot, horizon=n * slot)
+    return ArrivalTrace(times=np.arange(n, dtype=np.float64), horizon=float(n))
 
 
 def bursty(

@@ -32,8 +32,8 @@ class ArrivalTrace:
     """A strictly increasing sequence of client arrival times.
 
     ``horizon`` is the (exclusive) end of the observation window; arrivals
-    must fall in ``[0, horizon)``.  Times are floats in *slot units* unless
-    a caller opts for other units consistently.
+    must fall in ``[0, horizon)``.  Times are floats in *slot units*: slot
+    ``t`` covers ``[t, t + 1)``.
 
     ``times`` may be passed as any one-dimensional sequence of numbers and
     is stored as a read-only float64 array.  A float64 ndarray argument
@@ -111,42 +111,34 @@ class ArrivalTrace:
 
     # -- slotting ----------------------------------------------------------------
 
-    def num_slots(self, slot: float = 1.0) -> int:
-        """Number of slots of length ``slot`` covering the horizon."""
-        if slot <= 0:
-            raise ValueError(f"slot length must be positive, got {slot}")
-        return int(math.ceil(self.horizon / slot))
+    def num_slots(self) -> int:
+        """Number of slots covering the horizon."""
+        return int(math.ceil(self.horizon))
 
-    def slot_counts(self, slot: float = 1.0) -> np.ndarray:
-        """Clients per slot; slot ``t`` covers ``[t*slot, (t+1)*slot)``.
+    def slot_counts(self) -> np.ndarray:
+        """Clients per slot; slot ``t`` covers ``[t, t + 1)``.  An arrival
+        ``t < horizon`` lies in slot ``floor(t) < ceil(horizon)``."""
+        idx = self.times.astype(np.int64)
+        return np.bincount(idx, minlength=self.num_slots()).astype(np.int64, copy=False)
 
-        An arrival just below the horizon can round up to index
-        ``num_slots`` in ``t / slot``; it belongs to the last slot.
-        """
-        nslots = self.num_slots(slot)
-        idx = (self.times / slot).astype(np.int64)
-        np.minimum(idx, nslots - 1, out=idx)
-        return np.bincount(idx, minlength=nslots).astype(np.int64, copy=False)
-
-    def slotted(self, slot: float = 1.0, keep_empty: bool = False) -> List[int]:
-        """Batch arrivals to slot ends, in units of ``slot``.
+    def slotted(self, keep_empty: bool = False) -> List[int]:
+        """Batch arrivals to slot ends.
 
         Returns the sorted list of *slot indices* ``t`` such that the slot
-        ``[t*slot, (t+1)*slot)`` must be served: with ``keep_empty=False``
-        only slots containing at least one arrival (the batched-dyadic
-        view); with ``keep_empty=True`` every slot in the horizon (the
-        Delay Guaranteed view, which starts a stream at the end of every
-        slot regardless).  The imaginary client for slot ``t`` arrives at
-        time ``(t+1)*slot``, i.e. the slot's end — callers converting back
-        to time units should use ``(t+1)*slot``.
+        ``[t, t + 1)`` must be served: with ``keep_empty=False`` only slots
+        containing at least one arrival (the batched-dyadic view); with
+        ``keep_empty=True`` every slot in the horizon (the Delay
+        Guaranteed view, which starts a stream at the end of every slot
+        regardless).  The imaginary client for slot ``t`` arrives at the
+        slot's end, ``t + 1``.
         """
         if keep_empty:
-            return list(range(self.num_slots(slot)))
-        return np.flatnonzero(self.slot_counts(slot)).tolist()
+            return list(range(self.num_slots()))
+        return np.flatnonzero(self.slot_counts()).tolist()
 
-    def slot_end_times(self, slot: float = 1.0, keep_empty: bool = False) -> List[float]:
+    def slot_end_times(self, keep_empty: bool = False) -> List[float]:
         """End times of the served slots (the batched clients' start times)."""
-        return [(t + 1) * slot for t in self.slotted(slot, keep_empty)]
+        return [float(t + 1) for t in self.slotted(keep_empty)]
 
     # -- surgery -----------------------------------------------------------------
 

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-def pure_batching_cost(trace: ArrivalTrace, L: int, slot: float = 1.0) -> float:
+def pure_batching_cost(trace: ArrivalTrace, L: int) -> float:
     """Total bandwidth of pure batching: ``L`` per non-empty slot.
 
     In the delay-guaranteed every-slot case this is ``n * L``
@@ -37,37 +37,28 @@ def pure_batching_cost(trace: ArrivalTrace, L: int, slot: float = 1.0) -> float:
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    served = trace.slotted(slot=slot, keep_empty=False)
-    return len(served) * L
+    return len(trace.slotted()) * L
 
 
 def batched_dyadic_forest(
-    trace: ArrivalTrace,
-    L: int,
-    slot: float = 1.0,
-    params: Optional[DyadicParams] = None,
+    trace: ArrivalTrace, L: int, params: Optional[DyadicParams] = None
 ) -> MergeForest:
     """Dyadic merge forest over the ends of the non-empty slots.
 
-    Slot ends are measured in slot units (slot ``t`` produces an imaginary
-    client at time ``t + 1``); the dyadic window is ``beta * L`` in the same
-    units, matching the immediate-service variant.
+    Slot ``t`` produces an imaginary client at its end, ``t + 1``; the
+    dyadic window is ``beta * L`` in the same units, matching the
+    immediate-service variant.
     """
     if params is None:
         params = DyadicParams()
-    ends = trace.slot_end_times(slot=slot, keep_empty=False)
+    ends = trace.slot_end_times()
     if not ends:
         raise ValueError("trace has no arrivals; nothing to serve")
-    # Convert to slot units so costs are comparable with analytic formulas.
-    ends_in_slots = [t / slot for t in ends]
-    return dyadic_forest(ends_in_slots, L, params)
+    return dyadic_forest(ends, L, params)
 
 
 def batched_dyadic_cost(
-    trace: ArrivalTrace,
-    L: int,
-    slot: float = 1.0,
-    params: Optional[DyadicParams] = None,
+    trace: ArrivalTrace, L: int, params: Optional[DyadicParams] = None
 ) -> float:
     """Total bandwidth (slot units) of the batched dyadic algorithm."""
-    return batched_dyadic_forest(trace, L, slot, params).full_cost(L)
+    return batched_dyadic_forest(trace, L, params).full_cost(L)

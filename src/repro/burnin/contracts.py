@@ -630,12 +630,16 @@ def _check_commit_immutability(report, out: ContractReport) -> None:
     from ..live.daemon import chain_digests
 
     per_object = [(o.starts, o.ends) for o in report.fleet.objects]
+    sizes = [starts.size for starts, _ in per_object]
     records = report.records
-    bad = [
-        f"epoch {rec.epoch}: count tuple arity mismatch"
-        for rec in records
-        if len(rec.committed_counts) != len(per_object)
-    ]
+    bad = []
+    for rec in records:
+        if len(rec.committed_counts) != len(per_object):
+            bad.append(f"epoch {rec.epoch}: count tuple arity mismatch")
+        elif not all(0 <= c <= n for c, n in zip(rec.committed_counts, sizes)):
+            # No prefix of the final arrays has this length (a count past
+            # int64 included): a committed stream was dropped.
+            bad.append(f"epoch {rec.epoch}: a committed count exceeds the final streams")
     if not bad:
         expected = chain_digests(per_object, [r.committed_counts for r in records])
         bad = [

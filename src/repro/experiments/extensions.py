@@ -134,9 +134,9 @@ def run_hybrid(
     # mode feedback cuts its run into DG and dyadic segments (bit-identical
     # to the retired event-driven run — the equivalence suite pins it).
     pol_h = FleetPolicy.hybrid(window_slots=20, rate_high=1.0, rate_low=0.4)
-    res_h = simulate_batched(L, trace, pol_h, slot=1.0)
-    res_dg = simulate_batched(L, trace, FleetPolicy.delay_guaranteed(), slot=1.0)
-    res_dy = simulate_batched(L, trace, FleetPolicy.immediate_dyadic(), slot=1.0)
+    res_h = simulate_batched(L, trace, pol_h)
+    res_dg = simulate_batched(L, trace, FleetPolicy.delay_guaranteed())
+    res_dy = simulate_batched(L, trace, FleetPolicy.immediate_dyadic())
     mode_log = res_h.mode_log or []
 
     rows = [

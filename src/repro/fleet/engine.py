@@ -61,25 +61,30 @@ trajectory from counts, then slot-sweep the segments.
 
 Shards.  Given a :class:`RaggedTrace` (several objects' arrivals end to
 end, as the fleet runner ships them), :func:`simulate_batched` runs the
-whole shard as one pass: one ragged ``bucket_slots`` call and one ragged
-``dyadic_flat_forest`` call for every object, so a thousand small titles
-cost a dozen engine calls, not a thousand.  The one-object run stays the
-oracle: each object's slice of the :class:`ShardResult` is bit-identical
-to it.
+whole shard as one pass, whatever the kind.  One ragged ``bucket_slots``
+call buckets every object of a slotted kind, and one reduction takes
+every object's longest wait.  The dyadic kinds build every object's
+forest with one ragged ``dyadic_flat_forest`` call; pure batching and
+unicast need no build, every stream being a root.  DG, offline-optimal,
+general-offline and hybrid build each object's segments with
+:func:`_slotted_parts`, the helper the one-object run uses, on the
+object's slice of that bucketing.  The one-object run stays the oracle:
+each object's slice of the :class:`ShardResult` is bit-identical to it.
 
 Exactness contract
 ------------------
 
-Arrivals are bucketed with ``searchsorted`` against the *float* slot-end
-times the event loop itself uses (``(k+1) * slot``), so edge-of-slot
-arrivals land in exactly the slot the event ordering (SlotEnd < Arrival
-at equal timestamps) gives them.  Metrics and parent arrays are
-bit-identical to the event-driven run for ``slot`` values that are
-powers of two (including the default 1.0) — the same binary-exactness
-contract as ``fastpath.general`` — because then the per-policy scale
-conversions (``label / slot``, ``length * slot``) are exact in IEEE
-arithmetic.  On other slot values, deviations are confined to the last
-ULP of never-extended leaf stream lengths.
+The engine's clock is the slot of one guaranteed start-up delay: slot
+``k`` ends at ``k + 1``, and L is a slot count.  Minutes become slots at
+the fleet and live boundary (``fleet.runner``, ``live.daemon``), never
+below it.  Arrivals are bucketed with ``searchsorted`` against the float
+slot-end times the event loop itself uses, so edge-of-slot arrivals land
+in exactly the slot the event ordering (SlotEnd < Arrival at equal
+timestamps) gives them.  Slot ends are integers, exact in float64, so
+the Lemma 1 lengths ``2 z - x - p`` over them are exact too, and the
+immediate kinds evaluate that expression in the order the event
+policy's extensions do.  Metrics and parent arrays are therefore
+bit-identical to the event-driven run.
 
 The one observable difference by construction: the oracle's
 ``BandwidthMetrics.intervals`` list is in stream *finish* order (end
@@ -103,7 +108,7 @@ from ..core.validation import check_count, check_offsets, non_increasing_within
 from ..fastpath import replay
 from ..fastpath.dyadic import dyadic_flat_forest
 from ..fastpath.flat_forest import FlatForest
-from ..scale.kernels import bucket_slots, forest_z, hysteresis_scan
+from ..scale.kernels import bucket_slots, hysteresis_scan
 from ..simulation.metrics import BandwidthMetrics
 from ..simulation.verify import (
     VerificationReport,
@@ -145,8 +150,10 @@ _IMMEDIATE = ("immediate-dyadic", "unicast")
 #: kinds whose template covers every slot, served or not
 _EVERY_SLOT = ("delay-guaranteed", "offline-optimal")
 
+#: kinds whose every stream is a root of length L
+_ROOTS = ("pure-batching", "unicast")
+
 _EMPTY = np.empty(0, dtype=np.float64)
-_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -240,13 +247,12 @@ class BatchedResult:
 
     policy_name: str
     L: int
-    slot: float
     horizon: float
     metrics: BandwidthMetrics
-    #: realised forest with labels on the simulation clock; None when the
-    #: run started no streams (empty trace under an arrival-driven policy)
+    #: realised forest, labels in slots; None when the run started no
+    #: streams (empty trace under an arrival-driven policy)
     forest: Optional[FlatForest]
-    #: per-node final stream lengths on the simulation clock
+    #: per-node final stream lengths in slots
     lengths: np.ndarray
     client_arrival: np.ndarray
     client_service: np.ndarray
@@ -358,25 +364,18 @@ class ShardResult:
     max_startup_delay: np.ndarray
 
 
-def _check_slot(L, slot: float) -> None:
+def _check_L(L) -> None:
     lengths = np.asarray(L, dtype=np.float64)
     # NaN fails every comparison, so the range test rejects it too.
     if not ((lengths >= 1) & (lengths < math.inf)).all():
         raise ValueError(f"L must be finite and >= 1, got {L}")
-    if not (math.isfinite(slot) and slot > 0):
-        raise ValueError(f"slot must be positive and finite, got {slot}")
 
 
-def simulate_batched(
-    L: int,
-    trace: ArrivalTrace,
-    policy: FleetPolicy,
-    slot: float = 1.0,
-) -> BatchedResult:
+def simulate_batched(L: int, trace: ArrivalTrace, policy: FleetPolicy) -> BatchedResult:
     """Run one policy without an event queue.
 
-    The batched equivalent of ``Simulation(L, trace, policy, slot).run()``
-    for every kind in :data:`FLEET_POLICIES` — same metrics, same flat
+    The batched equivalent of ``Simulation(L, trace, policy).run()`` for
+    every kind in :data:`FLEET_POLICIES` — same metrics, same flat
     forest, same mode log (see the module docstring: a slotted run is a
     list of segments, each built by :func:`_construct`).
 
@@ -385,52 +384,39 @@ def simulate_batched(
     comes back; see :func:`_simulate_shard`.
     """
     if isinstance(trace, RaggedTrace):
-        return _simulate_shard(L, trace, policy, slot)
-    _check_slot(L, slot)
+        return _simulate_shard(L, trace, policy)
+    _check_L(L)
     times = np.asarray(trace.times, dtype=np.float64)
     n_clients = times.size
-    params = policy.params or DyadicParams()
     mode_log = None
-    parts = []
     if policy.uses_slots:
-        nslots = trace.num_slots(slot)
+        nslots = trace.num_slots()
         # The exact float end times the event loop schedules SlotEnd at.
-        slot_ends = np.arange(1, nslots + 1, dtype=np.float64) * slot
+        slot_ends = np.arange(1, nslots + 1, dtype=np.float64)
         client_slot, served_idx = bucket_slots(times, slot_ends)
-        if policy.kind in SEGMENTED:
-            segments, mode_log = _mode_segments(policy, client_slot, nslots)
-        else:
-            segments = [(policy.kind, 0, nslots)]
-        node_of_slot = np.full(nslots, -1, dtype=np.intp)
-        offset = 0
-        for kind, s, e in segments:
-            if kind in _EVERY_SLOT:
-                nodes = slice(s, e)
-            else:
-                lo, hi = np.searchsorted(served_idx, (s, e))
-                nodes = served_idx[lo:hi]
-            part = _construct(kind, L, slot_ends[nodes], slot, params)
-            if part is not None:
-                size = len(part[0])
-                node_of_slot[nodes] = np.arange(offset, offset + size)
-                offset += size
-                parts.append(part)
-        # Any slot with arrivals is served in every mode, so a served
-        # client never reads a -1 entry.
+        parts, mode_log = _slotted_parts(
+            policy, L, slot_ends, client_slot, served_idx, nslots
+        )
+        forest, lengths = _joined(parts)
         served = client_slot >= 0
         slots = client_slot[served]
         client_service = np.full(n_clients, math.nan)
         client_service[served] = slot_ends[slots]
         client_node = np.full(n_clients, -1, dtype=np.intp)
-        client_node[served] = node_of_slot[slots]
+        if forest is not None:
+            # A node's label is its slot's end k + 1, an integer exact in
+            # float64.  Any slot with arrivals is served in every mode, so
+            # a served client never reads a -1 entry.
+            node_of_slot = np.full(nslots, -1, dtype=np.intp)
+            node_of_slot[forest.arrivals.astype(np.intp) - 1] = np.arange(len(forest))
+            client_node[served] = node_of_slot[slots]
     else:
         # Each client is served on arrival by a stream of its own.
-        part = _construct(policy.kind, L, times, 1.0, params)
-        parts = [part] if part is not None else []
+        part = _construct(policy.kind, L, times, policy.params or DyadicParams())
+        forest, lengths = _joined([] if part is None else [part])
         client_service = times  # the trace's read-only times
         client_node = np.arange(n_clients, dtype=np.intp)
 
-    forest, lengths = _joined(parts)
     if forest is None:
         metrics = BandwidthMetrics(L=L, clients_served=n_clients)
     else:
@@ -441,7 +427,6 @@ def simulate_batched(
     return BatchedResult(
         policy_name=policy.kind,
         L=L,
-        slot=slot,
         horizon=trace.horizon,
         metrics=metrics,
         forest=forest,
@@ -451,6 +436,38 @@ def simulate_batched(
         client_node=client_node,
         mode_log=mode_log,
     )
+
+
+def _slotted_parts(
+    policy: FleetPolicy,
+    L: int,
+    slot_ends: np.ndarray,
+    client_slot: np.ndarray,
+    served_idx: np.ndarray,
+    nslots: int,
+):
+    """One object's slotted run as ``(parts, mode_log)``: the
+    ``(forest, lengths)`` of each segment that starts a stream, in slot
+    order, from the object's bucketing (``bucket_slots`` output against
+    the first ``nslots`` of ``slot_ends``).  A single-policy kind is one
+    segment over every slot; the hybrid's mode scan cuts the slots into
+    DG and batched-dyadic segments."""
+    if policy.kind in SEGMENTED:
+        segments, mode_log = _mode_segments(policy, client_slot, nslots)
+    else:
+        segments, mode_log = [(policy.kind, 0, nslots)], None
+    params = policy.params or DyadicParams()
+    parts = []
+    for kind, s, e in segments:
+        if kind in _EVERY_SLOT:
+            labels = slot_ends[s:e]
+        else:
+            lo, hi = np.searchsorted(served_idx, (s, e))
+            labels = slot_ends[served_idx[lo:hi]]
+        part = _construct(kind, L, labels, params)
+        if part is not None:
+            parts.append(part)
+    return parts, mode_log
 
 
 def _mode_segments(policy: FleetPolicy, client_slot: np.ndarray, nslots: int):
@@ -473,18 +490,15 @@ def _mode_segments(policy: FleetPolicy, client_slot: np.ndarray, nslots: int):
     return segments, mode_log
 
 
-def _construct(kind: str, L, labels: np.ndarray, scale: float, params: DyadicParams):
+def _construct(kind: str, L, labels: np.ndarray, params: DyadicParams):
     """One segment's ``(forest, lengths)`` under ``kind`` (None if it
-    starts no stream), ``labels`` being its stream starts on the simulation
-    clock.  DG takes Lemma 1 lengths on that clock, with ``L * scale``
-    roots; the other kinds build in slot units (the event policy's ``label
-    / scale``) and scale their lengths back."""
+    starts no stream), ``labels`` being its stream starts in slots."""
     n = labels.size
     if kind == "delay-guaranteed":
         from ..core.online import build_online_flat_forest
 
         forest = FlatForest(labels, build_online_flat_forest(L, n).parent)
-        return forest, forest.stream_lengths(L * scale)
+        return forest, forest.stream_lengths(L)
     if kind == "offline-optimal":
         from ..core.full_cost import build_optimal_flat_forest
 
@@ -494,33 +508,27 @@ def _construct(kind: str, L, labels: np.ndarray, scale: float, params: DyadicPar
         if kind == "general-offline":
             raise ValueError("need at least one served slot")
         return None
-    elif kind in ("pure-batching", "unicast"):  # every stream a root of length L
-        return FlatForest(labels, np.full(n, -1, dtype=np.intp)), np.full(n, L * scale)
-    else:
-        values = labels if scale == 1.0 else labels / scale
-        if kind == "general-offline":
-            from ..fastpath.general import optimal_flat_forest_general
+    elif kind in _ROOTS:
+        return FlatForest(labels, np.full(n, -1, dtype=np.intp)), np.full(n, float(L))
+    elif kind == "general-offline":
+        from ..fastpath.general import optimal_flat_forest_general
 
-            units = optimal_flat_forest_general(values.tolist(), L)
-        else:
-            units = dyadic_flat_forest(values, L, params)
-        # x / 1.0 == x: at scale 1 the builder's forest (and its z) is
-        # already on the simulation clock.
-        forest = units if scale == 1.0 else FlatForest(labels, units.parent)
-    lengths = units.stream_lengths(L)
-    lengths *= scale
-    return forest, lengths
+        forest = units = optimal_flat_forest_general(labels.tolist(), L)
+    else:
+        forest = units = dyadic_flat_forest(labels, L, params)
+    return forest, units.stream_lengths(L)
 
 
 def _joined(parts):
-    """Consecutive segments' ``(forest, lengths)`` as one; no tree spans a
-    cut, so each segment's ``z`` stands."""
+    """Consecutive segments' ``(forest, lengths)`` as one, the objects of
+    a shard included; no tree spans a cut, so each segment's ``z``
+    stands."""
     if len(parts) < 2:
         return parts[0] if parts else (None, _EMPTY)
     forests, lengths = zip(*parts)
     bases = np.cumsum([0] + [len(f) for f in forests[:-1]])
     parent = [np.where(f.parent < 0, -1, f.parent + b) for f, b in zip(forests, bases)]
-    forest = FlatForest(
+    forest = FlatForest.concatenated(
         np.concatenate([f.arrivals for f in forests]),
         np.concatenate(parent),
         np.concatenate([f.z for f in forests]),
@@ -528,55 +536,22 @@ def _joined(parts):
     return forest, np.concatenate(lengths)
 
 
-#: kinds whose shard pass is one ragged sweep; the rest loop per object
-_RAGGED = ("batched-dyadic", "immediate-dyadic", "pure-batching", "unicast")
-
-
-def _simulate_shard(
-    L, trace: RaggedTrace, policy: FleetPolicy, slot: float
-) -> ShardResult:
-    """One engine pass over a shard of objects.
-
-    The ragged kinds bucket every object's arrivals with one
-    ``bucket_slots`` call and build every object's forest with one
-    ``dyadic_flat_forest`` call; the other kinds (whose forests are
-    templates over every slot, or come from a per-trace optimum or a
-    mode scan) loop over the objects inside this pass.  Either way object
-    ``k``'s slice is bit-identical to ``simulate_batched(L[k],
-    trace.trace(k), policy, slot)``, which the fleet replay contract
-    checks.
-    """
-    _check_slot(L, slot)
+def _simulate_shard(L, trace: RaggedTrace, policy: FleetPolicy) -> ShardResult:
+    """One engine pass over a shard of objects, for every kind (see the
+    module docstring's "Shards").  Object ``k``'s slice is bit-identical
+    to ``simulate_batched(L[k], trace.trace(k), policy)``, which the
+    fleet replay contract checks."""
+    _check_L(L)
     L = np.asarray(L, dtype=np.int64)
     if L.shape != (len(trace),):
         raise ValueError(f"need one L per object, got shape {L.shape}")
-    pass_ = _ragged_pass if policy.kind in _RAGGED else _per_object_pass
-    labels, parent, z, lengths, node_offsets, max_delay = pass_(L, trace, policy, slot)
-    forest: Optional[FlatForest] = None
-    roots = np.zeros(len(trace), dtype=np.int64)
-    if labels.size:
-        forest = FlatForest.concatenated(labels, parent, z)
-        roots = np.diff(np.concatenate(([0], np.cumsum(forest.is_root)))[node_offsets])
-    return ShardResult(
-        forest=forest,
-        lengths=lengths,
-        node_offsets=node_offsets,
-        clients=np.diff(trace.offsets),
-        roots=roots,
-        max_startup_delay=max_delay,
-    )
-
-
-def _ragged_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slot: float):
     times, offsets = trace.times, trace.offsets
     # Immediate kinds serve every client on arrival: no wait at all.
     max_wait = np.zeros(len(trace))
     if policy.uses_slots:
-        scale = slot
-        nslots = np.ceil(trace.horizons / slot).astype(np.intp)
-        # The exact float end times the event loop schedules SlotEnd at;
-        # object k's slots are the first nslots[k] of them.
-        slot_ends = np.arange(1, nslots.max(initial=0) + 1, dtype=np.float64) * slot
+        nslots = np.ceil(trace.horizons).astype(np.intp)
+        # Object k's slots are the first nslots[k] of these.
+        slot_ends = np.arange(1, nslots.max(initial=0) + 1, dtype=np.float64)
         client_slot, served_idx, node_offsets = bucket_slots(
             times, slot_ends, offsets, nslots
         )
@@ -590,53 +565,45 @@ def _ragged_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slot: f
         if busy.any():
             max_wait[busy] = np.maximum.reduceat(wait, offsets[:-1][busy])
     else:
-        scale = 1.0
         labels, node_offsets = times, offsets
-    node_L = np.repeat(L, np.diff(node_offsets))
-    if "dyadic" in policy.kind and labels.size:
-        # x / 1.0 == x, so at scale 1 the labels are the units (and the
-        # units' subtree maxima are the labels').
-        units = dyadic_flat_forest(
-            labels if scale == 1.0 else labels / scale,
-            L, policy.params or DyadicParams(), offsets=node_offsets,
-        )
-        parent = units.parent
-        z = units.z if scale == 1.0 else forest_z(labels, parent)
-        lengths = units.stream_lengths(node_L) * scale
-    else:  # every stream is a root of length L
-        parent = np.full(labels.size, -1, dtype=np.intp)
-        z = labels
-        lengths = node_L * scale
-    return labels, parent, z, lengths, node_offsets, max_wait
-
-
-def _per_object_pass(L: np.ndarray, trace: RaggedTrace, policy: FleetPolicy, slot: float):
-    """The kinds with no ragged kernel: one :func:`simulate_batched` run
-    per object, concatenated."""
-    labels, parents, zs, lengths = [_EMPTY], [_NO_NODES], [_EMPTY], [_EMPTY]
-    node_offsets, delays = [0], []
-    for k in range(len(trace)):
-        sub = trace.trace(k)
-        result = None
-        if len(sub) or policy.kind != "general-offline":
-            # The optimum is undefined over zero served slots; a quiet
-            # object contributes nothing.
-            result = simulate_batched(int(L[k]), sub, policy, slot)
-        base = node_offsets[-1]
-        if result is not None and result.forest is not None:
-            f = result.forest
-            labels.append(f.arrivals)
-            parents.append(np.where(f.parent < 0, -1, f.parent + base))
-            zs.append(f.z)
-            lengths.append(result.lengths)
-            base += f.arrivals.size
-        node_offsets.append(base)
-        delays.append(0.0 if result is None else result.max_startup_delay())
-    return (
-        np.concatenate(labels),
-        np.concatenate(parents),
-        np.concatenate(zs),
-        np.concatenate(lengths),
-        np.asarray(node_offsets, dtype=np.intp),
-        np.asarray(delays, dtype=np.float64),
+    if "dyadic" in policy.kind or policy.kind in _ROOTS:
+        node_L = np.repeat(L, np.diff(node_offsets))
+        if not labels.size:
+            forest, lengths = None, _EMPTY
+        elif "dyadic" in policy.kind:
+            forest = dyadic_flat_forest(
+                labels, L, policy.params or DyadicParams(), offsets=node_offsets
+            )
+            lengths = forest.stream_lengths(node_L)
+        else:  # every stream is a root of length L
+            forest = FlatForest.concatenated(
+                labels, np.full(labels.size, -1, dtype=np.intp), labels
+            )
+            lengths = node_L.astype(np.float64)
+    else:
+        parts, sizes = [], [0]
+        for k in range(len(trace)):
+            served = served_idx[node_offsets[k] : node_offsets[k + 1]]
+            title = []
+            if served.size or policy.kind != "general-offline":
+                # The optimum is undefined over zero served slots; a quiet
+                # object contributes nothing.
+                title, _ = _slotted_parts(
+                    policy, int(L[k]), slot_ends,
+                    client_slot[offsets[k] : offsets[k + 1]], served, int(nslots[k]),
+                )
+            parts += title
+            sizes.append(sum(len(f) for f, _ in title))
+        forest, lengths = _joined(parts)
+        node_offsets = np.cumsum(sizes, dtype=np.intp)
+    roots = np.zeros(len(trace), dtype=np.int64)
+    if forest is not None:
+        roots = np.diff(np.concatenate(([0], np.cumsum(forest.is_root)))[node_offsets])
+    return ShardResult(
+        forest=forest,
+        lengths=lengths,
+        node_offsets=node_offsets,
+        clients=np.diff(offsets),
+        roots=roots,
+        max_startup_delay=max_wait,
     )

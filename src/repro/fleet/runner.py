@@ -409,7 +409,7 @@ def object_run(
         return None, repaired
     ts, horizons = _slot_units(clean, np.array([0, clean.size]), delay_minutes, horizon_minutes)
     trace = ArrivalTrace(times=ts, horizon=float(horizons[0]))
-    return simulate_batched(L, trace, policy, slot=1.0), repaired
+    return simulate_batched(L, trace, policy), repaired
 
 
 def _slot_units(
@@ -507,7 +507,7 @@ def _run_shard(shard) -> List[FleetObjectResult]:
     clean, repaired, offsets = _shard_times(columns, horizon)
     ts, horizons = _slot_units(clean, offsets, delay, horizon)
     L = [obj.units(delay) for obj in objects]
-    result = simulate_batched(L, RaggedTrace(ts, offsets, horizons), policy, slot=1.0)
+    result = simulate_batched(L, RaggedTrace(ts, offsets, horizons), policy)
     if result.forest is None:
         starts_all = ends_all = _EMPTY
     else:

@@ -285,10 +285,12 @@ class _Fields:
         """Check ``values`` (read from ``key``) are finite and sorted."""
         if not np.isfinite(values).all():
             raise self.error(key, "non-finite value")
-        steps = np.diff(values)
-        if strict and np.any(steps <= 0):
+        # Neighbours are compared, not subtracted: the difference of two
+        # finite values can overflow.
+        later, earlier = values[1:], values[:-1]
+        if strict and np.any(later <= earlier):
             raise self.error(key, "not strictly increasing")
-        if np.any(steps < 0):
+        if np.any(later < earlier):
             raise self.error(key, "not sorted")
         return values
 

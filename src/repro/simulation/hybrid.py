@@ -116,15 +116,14 @@ class HybridPolicy(Policy):
     def _serve_dg(
         self, slot_index: int, clients: List["Client"], sim: "Simulation"
     ) -> None:
-        scale = sim.slot
         rel = slot_index - self._dg_anchor
         node = rel % self.scheduler.size
-        label = (slot_index + 1) * scale
+        label = float(slot_index + 1)
         base = self._dg_anchor + (rel - node)
         path_rel = self.scheduler.receiving_path(node)
-        path = tuple((base + p + 1) * scale for p in path_rel)
+        path = tuple(float(base + p + 1) for p in path_rel)
         if node == 0:
-            sim.start_stream(label, planned_units=self.L * scale, parent_label=None)
+            sim.start_stream(label, planned_units=float(self.L), parent_label=None)
         else:
             parent_label = path[-2]
             sim.start_stream(
@@ -141,9 +140,7 @@ class HybridPolicy(Policy):
     ) -> None:
         if not clients:
             return
-        scale = sim.slot
-        label = (slot_index + 1) * scale
-        node = self._dyadic.push(label / scale)
-        path = _serve_dyadic_path(sim, node, self.L, scale, label)
+        label = float(slot_index + 1)
+        path = _serve_dyadic_path(sim, self._dyadic.push(label), self.L)
         for c in clients:
             c.assign(label, path)

@@ -75,34 +75,25 @@ class Policy:
 
 
 def _serve_dyadic_path(
-    sim: "Simulation",
-    node: "MergeNode",
-    L: float,
-    scale: float,
-    label: float,
+    sim: "Simulation", node: "MergeNode", L: int
 ) -> Tuple[float, ...]:
     """Start the stream for a freshly placed dyadic node and apply the
     Lemma 1 ancestor extensions, all from its receiving path alone.
 
-    ``node`` was just returned by ``DyadicOnline.push``, in the builder's
-    (slot-unit) frame; ``label`` is the new stream's label on the
-    simulation clock (``node.arrival * scale`` up to the caller's
-    arithmetic).  Returns the scaled path for client assignment.
+    ``node`` was just returned by ``DyadicOnline.push``; its arrival is
+    the new stream's label.  Returns the path for client assignment.
     """
-    path_slots = tuple(n.arrival for n in node.path_from_root())
-    path = tuple(p * scale for p in path_slots)
+    path = tuple(n.arrival for n in node.path_from_root())
+    y = path[-1]
     if len(path) == 1:
-        sim.start_stream(label, planned_units=L * scale, parent_label=None)
+        sim.start_stream(y, planned_units=float(L), parent_label=None)
         return path
     parent_label = path[-2]
-    sim.start_stream(
-        label, planned_units=label - parent_label, parent_label=parent_label
-    )
-    # z(a) updates for every non-root strict ancestor, in slot units.
-    y = path_slots[-1]
-    for depth in range(len(path_slots) - 2, 0, -1):
-        a, pa = path_slots[depth], path_slots[depth - 1]
-        sim.extend_stream(a * scale, (2 * y - a - pa) * scale)
+    sim.start_stream(y, planned_units=y - parent_label, parent_label=parent_label)
+    # z(a) updates for every non-root strict ancestor.
+    for depth in range(len(path) - 2, 0, -1):
+        a, pa = path[depth], path[depth - 1]
+        sim.extend_stream(a, 2 * y - a - pa)
     return path
 
 
@@ -125,15 +116,13 @@ class DelayGuaranteedPolicy(Policy):
         self, slot_index: int, clients: List["Client"], sim: "Simulation"
     ) -> None:
         order = self.scheduler.order_for_slot(slot_index)
-        # Work in slot-end time units: slot k's stream starts at (k+1)*slot.
-        scale = sim.slot
-        label = (slot_index + 1) * scale
-        path_slots = self.scheduler.receiving_path(slot_index)
-        path = tuple((s + 1) * scale for s in path_slots)
+        # Slot k's stream starts at its end, k + 1.
+        label = float(slot_index + 1)
+        path = tuple(float(s + 1) for s in self.scheduler.receiving_path(slot_index))
         if order.is_root:
-            sim.start_stream(label, planned_units=self.L * scale, parent_label=None)
+            sim.start_stream(label, planned_units=float(self.L), parent_label=None)
         else:
-            parent_label = (order.parent_slot + 1) * scale
+            parent_label = float(order.parent_slot + 1)
             sim.start_stream(
                 label,
                 planned_units=label - parent_label,
@@ -169,16 +158,15 @@ class OfflineOptimalPolicy(Policy):
     def on_slot_end(
         self, slot_index: int, clients: List["Client"], sim: "Simulation"
     ) -> None:
-        scale = sim.slot
-        label = (slot_index + 1) * scale
+        label = float(slot_index + 1)
         parent = self._parent[slot_index]
-        parent_label = None if parent < 0 else (parent + 1) * scale
+        parent_label = None if parent < 0 else float(parent + 1)
         sim.start_stream(
             label,
-            planned_units=self._lengths[slot_index] * scale,
+            planned_units=self._lengths[slot_index],
             parent_label=parent_label,
         )
-        path = tuple((p + 1) * scale for p in self._path[slot_index])
+        path = tuple(float(p + 1) for p in self._path[slot_index])
         for c in clients:
             c.assign(label, path)
 
@@ -197,12 +185,9 @@ class GeneralOfflinePolicy(Policy):
     uses_slots = True
 
     def __init__(self, L: int, served_slot_ends: Sequence[float]):
-        """``served_slot_ends``: the slot-end times *in slot units* that
-        will contain at least one client, known in advance (it is an
-        off-line policy).  ``trace.slot_end_times(slot)`` returns absolute
-        times, so divide by the slot — ``[t / slot for t in
-        trace.slot_end_times(slot)]`` — which is the identity for the
-        default ``slot = 1.0``."""
+        """``served_slot_ends``: the ends of the slots that will contain
+        at least one client, known in advance (it is an off-line
+        policy): ``trace.slot_end_times()``."""
         from ..fastpath.general import optimal_flat_forest_general
 
         self.name = "general-offline"
@@ -228,20 +213,17 @@ class GeneralOfflinePolicy(Policy):
     ) -> None:
         if not clients:
             return
-        scale = sim.slot
-        label = (slot_index + 1) * scale
-        key = label / scale
-        if key not in self._parent:
+        label = float(slot_index + 1)
+        if label not in self._parent:
             raise RuntimeError(
-                f"slot end {key} was not in the precomputed served set"
+                f"slot end {label} was not in the precomputed served set"
             )
-        parent = self._parent[key]
         sim.start_stream(
             label,
-            planned_units=self._lengths[key] * scale,
-            parent_label=None if parent is None else parent * scale,
+            planned_units=self._lengths[label],
+            parent_label=self._parent[label],
         )
-        path = tuple(p * scale for p in self._path[key])
+        path = self._path[label]
         for c in clients:
             c.assign(label, path)
 
@@ -259,7 +241,7 @@ class ImmediateDyadicPolicy(Policy):
 
     def on_arrival(self, client: "Client", sim: "Simulation") -> None:
         node = self._builder.push(client.arrival)
-        path = _serve_dyadic_path(sim, node, self.L, 1.0, client.arrival)
+        path = _serve_dyadic_path(sim, node, self.L)
         client.assign(client.arrival, path)
 
 
@@ -279,11 +261,8 @@ class BatchedDyadicPolicy(Policy):
     ) -> None:
         if not clients:
             return  # unlike Delay Guaranteed, empty slots start nothing
-        scale = sim.slot
-        label = (slot_index + 1) * scale
-        # Dyadic windows are in the same units as L; work in slot units.
-        node = self._builder.push(label / scale)
-        path = _serve_dyadic_path(sim, node, self.L, scale, label)
+        label = float(slot_index + 1)
+        path = _serve_dyadic_path(sim, self._builder.push(label), self.L)
         for c in clients:
             c.assign(label, path)
 
@@ -302,9 +281,8 @@ class PureBatchingPolicy(Policy):
     ) -> None:
         if not clients:
             return
-        scale = sim.slot
-        label = (slot_index + 1) * scale
-        sim.start_stream(label, planned_units=self.L * scale, parent_label=None)
+        label = float(slot_index + 1)
+        sim.start_stream(label, planned_units=float(self.L), parent_label=None)
         for c in clients:
             c.assign(label, (label,))
 

@@ -102,23 +102,16 @@ class SimulationResult:
 
 
 class Simulation:
-    """One simulation run: a trace, a policy, a media length."""
+    """One simulation run: a trace, a policy, a media length.  Time and
+    ``L`` count slots of one guaranteed start-up delay: slot ``k`` ends
+    at ``k + 1``."""
 
-    def __init__(
-        self,
-        L: int,
-        trace: ArrivalTrace,
-        policy: Policy,
-        slot: float = 1.0,
-    ) -> None:
+    def __init__(self, L: int, trace: ArrivalTrace, policy: Policy) -> None:
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
-        if slot <= 0:
-            raise ValueError(f"slot must be positive, got {slot}")
         self.L = L
         self.trace = trace
         self.policy = policy
-        self.slot = slot
         self.queue = EventQueue()
         self.metrics = BandwidthMetrics(L=L)
         self.clients: List[Client] = []
@@ -196,9 +189,9 @@ class Simulation:
                 t, lambda t=t: self._handle_arrival(t), priority=_PRIO_ARRIVAL
             )
         if self.policy.uses_slots:
-            nslots = self.trace.num_slots(self.slot)
+            nslots = self.trace.num_slots()
             for k in range(nslots):
-                end = (k + 1) * self.slot
+                end = float(k + 1)
                 self.queue.schedule(
                     end,
                     lambda k=k, end=end: self._handle_slot_end(k, end),

@@ -68,7 +68,7 @@ def _streams_served(trace: ArrivalTrace, L: int, policy: FleetPolicy) -> float:
     evaluator the closed per-point computations used, so values are
     bit-identical to the retired loops.
     """
-    result = simulate_batched(L, trace, policy, slot=1.0)
+    result = simulate_batched(L, trace, policy)
     return result.flat_forest().full_cost(L) / L
 
 
@@ -397,7 +397,7 @@ def hybrid_threshold_point(
         rate_high=rate_high,
         rate_low=low_frac * rate_high,
     )
-    run = simulate_batched(L, trace, policy, slot=1.0)
+    run = simulate_batched(L, trace, policy)
     return {
         "streams": float(run.metrics.streams_served),
         "peak": int(run.metrics.peak_concurrency()),
@@ -425,7 +425,7 @@ def general_offline_point(
             "dyadic": 0.0,
             "dg": 0.0,
         }
-    opt_run = simulate_batched(L, trace, FleetPolicy.general_offline(), slot=1.0)
+    opt_run = simulate_batched(L, trace, FleetPolicy.general_offline())
     opt_forest = opt_run.flat_forest()
     dyadic = _streams_served(trace, L, FleetPolicy.batched_dyadic()) * L
     return {

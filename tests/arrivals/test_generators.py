@@ -152,11 +152,7 @@ class TestEverySlot:
         t = every_slot(5)
         assert t.times.tolist() == [0, 1, 2, 3, 4]
         assert t.horizon == 5
-        assert t.slotted(1.0) == [0, 1, 2, 3, 4]
-
-    def test_scaled(self):
-        t = every_slot(3, slot=2.0)
-        assert t.times.tolist() == [0.0, 2.0, 4.0]
+        assert t.slotted() == [0, 1, 2, 3, 4]
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -173,8 +169,8 @@ class TestBursty:
         # Variance of slot counts should exceed Poisson's at equal rate.
         b = bursty(0.5, 2000.0, burst_size=10, burst_spread=1.0, seed=4)
         p = poisson(0.5, 2000.0, seed=4)
-        vb = np.var(b.slot_counts(5.0))
-        vp = np.var(p.slot_counts(5.0))
+        vb = np.var(b.slot_counts())
+        vp = np.var(p.slot_counts())
         assert vb > vp
 
     def test_errors(self):

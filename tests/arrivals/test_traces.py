@@ -94,57 +94,47 @@ class TestStats:
 class TestSlotting:
     def test_slot_counts(self):
         t = ArrivalTrace(times=(0.2, 0.7, 3.5), horizon=5.0)
-        assert list(t.slot_counts(1.0)) == [2, 0, 0, 1, 0]
+        assert list(t.slot_counts()) == [2, 0, 0, 1, 0]
 
     def test_slotted(self):
         t = ArrivalTrace(times=(0.2, 0.7, 3.5), horizon=5.0)
-        assert t.slotted(1.0) == [0, 3]
-        assert t.slotted(1.0, keep_empty=True) == [0, 1, 2, 3, 4]
-        assert t.slot_end_times(1.0) == [1.0, 4.0]
-
-    def test_coarse_slots(self):
-        t = ArrivalTrace(times=(0.2, 0.7, 3.5), horizon=5.0)
-        assert t.num_slots(2.5) == 2
-        assert list(t.slot_counts(2.5)) == [2, 1]
-
-    def test_bad_slot(self):
-        t = ArrivalTrace(times=(), horizon=5.0)
-        with pytest.raises(ValueError):
-            t.num_slots(0)
+        assert t.slotted() == [0, 3]
+        assert t.slotted(keep_empty=True) == [0, 1, 2, 3, 4]
+        assert t.slot_end_times() == [1.0, 4.0]
 
     @pytest.mark.parametrize(
-        "time, horizon, slot",
+        "time, horizon",
         [
-            (1.7, 1.7000000000000002, 0.1),
-            (6.8, 6.800000000000001, 0.2),
-            (430.49999999999994, 430.5, 0.7),
+            (1.7, 1.7000000000000002),
+            (6.8, 6.800000000000001),
+            (430.49999999999994, 430.5),
+            (4.999999999999999, 5.0),
         ],
     )
-    def test_arrival_rounding_onto_the_horizon_lands_in_the_last_slot(
-        self, time, horizon, slot
+    def test_arrival_one_ulp_under_the_horizon_lands_in_the_last_slot(
+        self, time, horizon
     ):
-        # time / slot rounds up to num_slots: the arrival still belongs
-        # to the last slot, which covers it.
+        # An arrival t < horizon lies in slot floor(t) < ceil(horizon):
+        # no clamp is needed, even a float step under the horizon.
         t = ArrivalTrace(times=(time,), horizon=horizon)
-        n = t.num_slots(slot)
-        assert time / slot >= n
-        counts = t.slot_counts(slot)
+        n = t.num_slots()
+        assert math.floor(time) == n - 1
+        counts = t.slot_counts()
         assert counts.size == n and counts[-1] == 1 and counts.sum() == 1
-        assert t.slotted(slot) == [n - 1]
-        assert t.slot_end_times(slot) == [n * slot]
-        assert pure_batching_cost(t, L=10, slot=slot) == 10
+        assert t.slotted() == [n - 1]
+        assert t.slot_end_times() == [float(n)]
+        assert pure_batching_cost(t, L=10) == 10
 
     @given(increasing_times(min_size=0, max_size=50, horizon=100.0))
     def test_counts_conserve_clients(self, times):
         t = ArrivalTrace(times=tuple(times), horizon=100.0)
-        for slot in (1.0, 2.0, 7.5):
-            assert int(t.slot_counts(slot).sum()) == len(times)
+        assert int(t.slot_counts().sum()) == len(times)
 
     @given(increasing_times(min_size=1, max_size=50, horizon=100.0))
     def test_nonempty_slots_subset_of_all(self, times):
         t = ArrivalTrace(times=tuple(times), horizon=100.0)
-        nonempty = set(t.slotted(1.0))
-        assert nonempty <= set(t.slotted(1.0, keep_empty=True))
+        nonempty = set(t.slotted())
+        assert nonempty <= set(t.slotted(keep_empty=True))
         assert len(nonempty) <= len(times)
 
 

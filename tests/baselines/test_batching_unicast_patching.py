@@ -41,7 +41,7 @@ class TestBatchedDyadic:
         # Arrivals already on distinct slots: batched == dyadic on slot ends.
         t = ArrivalTrace(times=(0.5, 3.5, 7.5), horizon=10.0)
         params = DyadicParams()
-        got = batched_dyadic_cost(t, 100, 1.0, params)
+        got = batched_dyadic_cost(t, 100, params)
         want = dyadic_cost([1.0, 4.0, 8.0], 100, params)
         assert got == want
 
@@ -53,7 +53,7 @@ class TestBatchedDyadic:
     def test_cheaper_than_immediate_when_dense(self):
         t = poisson(0.1, 300.0, seed=9)  # ~10 clients per slot
         params = DyadicParams()
-        batched = batched_dyadic_cost(t, 100, 1.0, params)
+        batched = batched_dyadic_cost(t, 100, params)
         immediate = dyadic_cost(list(t), 100, params)
         assert batched < immediate
 

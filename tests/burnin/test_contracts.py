@@ -14,7 +14,9 @@ from repro.burnin import (
     check_sweep_result,
     fleet_reports_equal,
 )
+from repro.burnin.contracts import check_live_report
 from repro.fleet import FLEET_POLICIES, FleetPolicy, admission_report, run_fleet
+from repro.live import LiveConfig, LiveDaemon
 from repro.multiplex import Catalog, split_requests
 from repro.sweeps import Axis, SweepSpec, run_sweep
 from repro.sweeps.evaluators import merge_cost_table_point
@@ -323,4 +325,29 @@ class TestAdmissionContracts:
         contracts = check_admission_report(doctored, catalog, HORIZON)
         assert any(
             o.name == "admission.capacity" for o in contracts.failures()
+        )
+
+
+class TestLiveRecordCounts:
+    def test_committed_count_past_int64_fails_the_check(self, catalog, workload):
+        """A record count no int64 holds cannot be a committed prefix: the
+        immutability check records a failure instead of raising
+        ``OverflowError`` from the digest chain."""
+        three = Catalog(catalog.objects[:3])
+        config = LiveConfig(
+            delay_minutes=DELAY, horizon_minutes=HORIZON,
+            epoch_minutes=10.0, fence_minutes=15.0,
+        )
+        report = LiveDaemon(three, config).run({o.name: workload[o.name] for o in three})
+        records = list(report.records)
+        counts = list(records[3].committed_counts)
+        counts[0] = 2**70
+        records[3] = dataclasses.replace(records[3], committed_counts=tuple(counts))
+        broken = dataclasses.replace(report, records=records)
+        outcome = {o.name: o for o in check_live_report(broken).outcomes}[
+            "live.committed-prefix-immutability"
+        ]
+        assert not outcome.ok
+        assert outcome.detail == (
+            f"epoch {records[3].epoch}: a committed count exceeds the final streams"
         )

@@ -28,17 +28,16 @@ from repro.simulation.policies import (
 from repro.simulation.server import Simulation
 
 
-def make_event_policy(policy: FleetPolicy, L: int, trace: ArrivalTrace, slot: float = 1.0):
+def make_event_policy(policy: FleetPolicy, L: int, trace: ArrivalTrace):
     """The event-driven :class:`~repro.simulation.policies.Policy` that
     realises the same run ``simulate_batched`` sweeps."""
     kind = policy.kind
     if kind == "delay-guaranteed":
         return DelayGuaranteedPolicy(L)
     if kind == "offline-optimal":
-        return OfflineOptimalPolicy(L, trace.num_slots(slot))
+        return OfflineOptimalPolicy(L, trace.num_slots())
     if kind == "general-offline":
-        ends = [t / slot for t in trace.slot_end_times(slot)]
-        return GeneralOfflinePolicy(L, ends)
+        return GeneralOfflinePolicy(L, trace.slot_end_times())
     if kind == "batched-dyadic":
         return BatchedDyadicPolicy(L, policy.params)
     if kind == "immediate-dyadic":
@@ -58,11 +57,9 @@ def make_event_policy(policy: FleetPolicy, L: int, trace: ArrivalTrace, slot: fl
     raise ValueError(f"no event policy for {kind!r}")  # pragma: no cover
 
 
-def simulate_event(
-    L: int, trace: ArrivalTrace, policy: FleetPolicy, slot: float = 1.0
-):
+def simulate_event(L: int, trace: ArrivalTrace, policy: FleetPolicy):
     """Run the event-driven oracle for a :class:`FleetPolicy` spec."""
-    return Simulation(L, trace, make_event_policy(policy, L, trace, slot), slot).run()
+    return Simulation(L, trace, make_event_policy(policy, L, trace)).run()
 
 
 def client_paths(batched: BatchedResult) -> List[Tuple[float, ...]]:

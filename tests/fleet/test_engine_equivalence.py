@@ -49,8 +49,7 @@ def edge_of_slot_traces(draw):
     """Strictly increasing arrivals on the 1/8 grid over 2..24 slots.
 
     Roughly a third of drawn points are exact integers — arrivals landing
-    exactly on slot boundaries with ``slot = 1.0`` (and on boundaries of
-    any power-of-two slot after scaling).
+    exactly on slot boundaries.
     """
     n_slots = draw(st.integers(min_value=2, max_value=24))
     grid = st.integers(min_value=0, max_value=n_slots * 8 - 1)
@@ -75,30 +74,6 @@ def test_policy_equivalence_on_edge_traces(policy, trace, L):
     assert_equivalent_run(event, batched)
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    trace=edge_of_slot_traces(),
-    slot=st.sampled_from([0.5, 0.25, 2.0]),
-    L=st.sampled_from([7, 15]),
-)
-def test_equivalence_under_binary_slot_scaling(trace, slot, L):
-    """The binary-exactness contract: any power-of-two slot is exact."""
-    scaled = ArrivalTrace(
-        times=tuple(t * slot for t in trace.times), horizon=trace.horizon * slot
-    )
-    for policy in (
-        FleetPolicy.delay_guaranteed(),
-        FleetPolicy.offline_optimal(),
-        FleetPolicy.general_offline(),
-        FleetPolicy.batched_dyadic(),
-        FleetPolicy.pure_batching(),
-    ):
-        assert_equivalent_run(
-            simulate_event(L, scaled, policy, slot=slot),
-            simulate_batched(L, scaled, policy, slot=slot),
-        )
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     mean=st.sampled_from([0.2, 0.8, 3.0]),
@@ -120,7 +95,7 @@ def test_equivalence_on_poisson_traces(mean, seed, L):
 
 
 # ---------------------------------------------------------------------------
-# the segmented hybrid kind (PR 10): thresholds x windows x slot geometry
+# the segmented hybrid kind: thresholds x windows
 # ---------------------------------------------------------------------------
 
 #: (window_slots, rate_high, rate_low) with rate_low drawn as a fraction
@@ -151,24 +126,6 @@ class TestHybridEquivalence:
         # golden table's rendered mode-log note cannot drift.
         assert repr(event.mode_log) == repr(batched.mode_log)
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        trace=edge_of_slot_traces(),
-        slot=st.sampled_from([0.5, 0.25, 2.0]),
-        knobs=hybrid_knobs,
-    )
-    def test_hybrid_under_binary_slot_scaling(self, trace, slot, knobs):
-        w, rh, rl = knobs
-        scaled = ArrivalTrace(
-            times=tuple(t * slot for t in trace.times),
-            horizon=trace.horizon * slot,
-        )
-        policy = FleetPolicy.hybrid(window_slots=w, rate_high=rh, rate_low=rl)
-        assert_equivalent_run(
-            simulate_event(7, scaled, policy, slot=slot),
-            simulate_batched(7, scaled, policy, slot=slot),
-        )
-
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31), L=st.sampled_from([10, 20]))
     def test_hybrid_on_bursty_poisson_traces(self, seed, L):
@@ -194,7 +151,7 @@ class TestHybridEquivalence:
         policy = FleetPolicy.hybrid(window_slots=2, rate_high=1.0, rate_low=0.5)
         simulate_batched(15, trace, policy).verify().raise_if_failed()
 
-    @pytest.mark.parametrize("slot", [1.0, 0.5, 2.0, 0.3])
+    @pytest.mark.parametrize("delay", [1.0, 0.5, 2.0, 0.3])
     @pytest.mark.parametrize(
         "params", [None, DyadicParams(alpha=2.0, beta=0.5)], ids=["phi", "a2"]
     )
@@ -204,13 +161,16 @@ class TestHybridEquivalence:
         seed=st.integers(min_value=0, max_value=2**31),
         L=st.sampled_from([7, 15, 40]),
     )
-    def test_hybrid_pinned_to_one_mode_is_that_kind(self, slot, params, mean, seed, L):
+    def test_hybrid_pinned_to_one_mode_is_that_kind(self, delay, params, mean, seed, L):
         """One segment over the whole horizon: thresholds that never let
         the hybrid leave DG (or dyadic) give exactly the single-kind run,
-        at binary and non-binary slots alike."""
+        on 40 minutes of arrivals in slot units of any delay, as the fleet
+        boundary converts them (``t / delay``): integral and fractional
+        horizons alike."""
         from repro.arrivals import poisson
 
-        trace = poisson(mean, 40.0, seed=seed)
+        minutes = poisson(mean, 40.0, seed=seed)
+        trace = ArrivalTrace(minutes.times / delay, 40.0 / delay)
         pinned = [
             (FleetPolicy.hybrid(params, rate_high=0.0, rate_low=0.0),
              FleetPolicy.delay_guaranteed(), [(0, "dg")]),
@@ -218,8 +178,8 @@ class TestHybridEquivalence:
              FleetPolicy.batched_dyadic(params), []),
         ]
         for hybrid, kind, mode_log in pinned:
-            a = simulate_batched(L, trace, hybrid, slot=slot)
-            b = simulate_batched(L, trace, kind, slot=slot)
+            a = simulate_batched(L, trace, hybrid)
+            b = simulate_batched(L, trace, kind)
             assert a.mode_log == mode_log
             assert (a.forest is None) == (b.forest is None)
             if a.forest is not None:
@@ -310,5 +270,3 @@ class TestDeterministicEdges:
         trace = ArrivalTrace(times=(0.5,), horizon=2.0)
         with pytest.raises(ValueError):
             simulate_batched(0, trace, FleetPolicy.unicast())
-        with pytest.raises(ValueError):
-            simulate_batched(5, trace, FleetPolicy.unicast(), slot=0.0)

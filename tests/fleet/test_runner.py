@@ -5,17 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arrivals import poisson
+from repro.arrivals import ArrivalTrace, poisson
 from repro.baselines.dyadic import DyadicParams
 from repro.burnin.contracts import fleet_reports_equal
 from repro.fastpath.dyadic import dyadic_flat_forest
-from repro.fleet import FleetPolicy, run_fleet
+from repro.fleet import FLEET_POLICIES, FleetPolicy, run_fleet
+from repro.fleet.runner import stream_minutes
 from repro.multiplex import Catalog, split_requests
 from repro.simulation.channels import (
     flat_forest_intervals,
     interval_profile,
     peak_concurrency,
 )
+
+from tests.fleet.oracles import simulate_event
+
+SLOTTED = [kind for kind in FLEET_POLICIES if FleetPolicy(kind).uses_slots]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,33 @@ class TestRunFleet:
         assert report.peak_channels == peak_concurrency(
             np.concatenate(all_starts), np.concatenate(all_ends)
         )
+
+    @pytest.mark.parametrize("delay", [2.0, 1.5])
+    @pytest.mark.parametrize("kind", SLOTTED)
+    def test_slotted_kinds_match_the_event_oracle(self, catalog, workload, kind, delay):
+        """Every slotted kind: each folded object == the event oracle run
+        on the object's trace in slot units (``t / delay``), its streams
+        mapped back to minutes by ``stream_minutes``.  The engine and the
+        oracle count slots; minutes are the runner's alone."""
+        policy = FleetPolicy(kind)
+        if kind == "hybrid":  # thresholds this light workload crosses
+            policy = FleetPolicy.hybrid(window_slots=5, rate_high=0.5, rate_low=0.2)
+        report = run_fleet(catalog, delay, 180.0, policy=policy, workload=workload)
+        for obj, got in zip(catalog, report.objects):
+            trace = ArrivalTrace(workload[obj.name].times / delay, 180.0 / delay)
+            assert got.clients == len(trace)
+            if kind == "general-offline" and len(trace) == 0:
+                assert got.streams == 0
+                continue
+            event = simulate_event(obj.units(delay), trace, policy)
+            labels = sorted(event.streams)
+            lengths = [event.streams[label].finished_units for label in labels]
+            starts, ends = stream_minutes(np.asarray(labels), np.asarray(lengths), delay)
+            assert np.array_equal(got.starts, starts), obj.name
+            assert np.array_equal(got.ends, ends), obj.name
+            assert got.roots == event.metrics.roots_started
+            assert got.total_units_minutes == float(np.sum(ends - starts))
+            assert got.max_startup_delay_minutes == event.max_startup_delay() * delay
 
     def test_worker_count_does_not_change_results(self, catalog, workload):
         """In-process, sharded (pickled arrays) and sharded through the

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.arrivals.traces import ArrivalTrace
 from repro.burnin import WorkerKill, installed_task_fault
+from repro.core.online import online_tree_size
 from repro.fleet import FleetPolicy, object_run, run_fleet
 from repro.fleet import runner
 from repro.fleet.engine import (
@@ -58,24 +59,24 @@ def workload(catalog):
     return out
 
 
-def _oracle(catalog, workload, policy):
+def _oracle(catalog, workload, policy, delay=DELAY, horizon=HORIZON):
     """Each object's summary from its own one-object run."""
     out = []
     for obj in catalog:
         times = np.asarray(workload.get(obj.name, np.empty(0)), dtype=np.float64)
-        result, repaired = object_run(obj, times, DELAY, HORIZON, policy)
+        result, repaired = object_run(obj, times, delay, horizon, policy)
         if result is None or result.forest is None:
             starts = ends = np.empty(0)
             roots = 0
         else:
-            starts = result.forest.arrivals * DELAY
-            ends = (result.forest.arrivals + result.lengths) * DELAY
+            starts = result.forest.arrivals * delay
+            ends = (result.forest.arrivals + result.lengths) * delay
             roots = result.metrics.roots_started
         out.append((
-            obj.name, obj.units(DELAY),
+            obj.name, obj.units(delay),
             0 if result is None else int(result.client_arrival.size),
             int(starts.size), roots, float(np.sum(ends - starts)),
-            0.0 if result is None else result.max_startup_delay() * DELAY,
+            0.0 if result is None else result.max_startup_delay() * delay,
             repaired, starts.tobytes(), ends.tobytes(),
         ))
     return out
@@ -165,6 +166,22 @@ class TestShardBoundaries:
         assert seen == [(i, obj.name) for i, obj in enumerate(catalog)]
 
 
+#: A deterministic shard for the kinds built object by object, in slots
+#: of a one-minute delay: mixed L; "dg" at L = 8 over 23 slots, not a
+#: multiple of ``online_tree_size(8)`` = 5; "quiet", no arrivals, between
+#: busy objects; "burst", whose three arrivals a slot over slots 4-8 take
+#: a two-slot-window hybrid into DG mode and its quiet tail out again.
+PER_TITLE_SLOTS = 23.0
+PER_TITLE = {
+    "early": (5, [0.5, 3.0, 7.25, 12.0, 20.5]),
+    "dg": (8, [1.0, 1.5, 9.0, 22.75]),
+    "quiet": (13, []),
+    "burst": (5, [4.1, 4.5, 4.9, 5.1, 5.5, 5.9, 6.1, 6.5, 6.9, 7.1, 7.5, 7.9,
+                  8.1, 8.5, 8.9, 15.5]),
+}
+PER_TITLE_KINDS = ("delay-guaranteed", "offline-optimal", "general-offline", "hybrid")
+
+
 @st.composite
 def shard_traces(draw):
     """1-8 objects' traces on a 1/8 grid with their own horizons and L."""
@@ -181,36 +198,81 @@ def shard_traces(draw):
     return parts, horizons, lengths
 
 
+def _assert_slices_equal(trace, lengths, policy):
+    """Each object's slice of the shard pass equals its one-object run;
+    returns those runs (None for a quiet object under general-offline,
+    which the optimum leaves out)."""
+    shard = simulate_batched(lengths, trace, policy)
+    assert isinstance(shard, ShardResult)
+    bounds = shard.node_offsets
+    runs = []
+    for k in range(len(trace)):
+        sub = trace.trace(k)
+        assert shard.clients[k] == len(sub)
+        lo, hi = bounds[k], bounds[k + 1]
+        if policy.kind == "general-offline" and len(sub) == 0:
+            assert lo == hi and shard.max_startup_delay[k] == 0.0
+            runs.append(None)
+            continue
+        one = simulate_batched(lengths[k], sub, policy)
+        if one.forest is None:
+            assert lo == hi and shard.roots[k] == 0
+        else:
+            assert np.array_equal(shard.forest.arrivals[lo:hi], one.forest.arrivals)
+            assert np.array_equal(shard.lengths[lo:hi], one.lengths)
+            assert np.array_equal(shard.forest.z[lo:hi], one.forest.z)
+            parent = shard.forest.parent[lo:hi]
+            assert np.array_equal(np.where(parent < 0, -1, parent - lo), one.forest.parent)
+            assert shard.roots[k] == one.metrics.roots_started
+        assert shard.max_startup_delay[k] == one.max_startup_delay()
+        runs.append(one)
+    return runs
+
+
 class TestShardPass:
     @settings(max_examples=40, deadline=None)
-    @given(shard_traces(), st.sampled_from(FLEET_POLICIES), st.sampled_from([1.0, 0.5]))
-    def test_slices_equal_one_object_runs(self, case, kind, slot):
+    @given(shard_traces(), st.sampled_from(FLEET_POLICIES))
+    def test_slices_equal_one_object_runs(self, case, kind):
         parts, horizons, lengths = case
         offsets = np.cumsum([0] + [p.size for p in parts])
         trace = RaggedTrace(np.concatenate(parts), offsets, horizons)
-        policy = FleetPolicy(kind)
-        shard = simulate_batched(lengths, trace, policy, slot)
-        assert isinstance(shard, ShardResult)
-        bounds = shard.node_offsets
         for k, part in enumerate(parts):
-            sub = trace.trace(k)
-            assert sub == ArrivalTrace(part, horizons[k])
-            assert shard.clients[k] == part.size
-            lo, hi = bounds[k], bounds[k + 1]
-            if kind == "general-offline" and part.size == 0:
-                assert lo == hi and shard.max_startup_delay[k] == 0.0
-                continue
-            one = simulate_batched(lengths[k], sub, policy, slot)
-            if one.forest is None:
-                assert lo == hi and shard.roots[k] == 0
-            else:
-                assert np.array_equal(shard.forest.arrivals[lo:hi], one.forest.arrivals)
-                assert np.array_equal(shard.lengths[lo:hi], one.lengths)
-                assert np.array_equal(shard.forest.z[lo:hi], one.forest.z)
-                parent = shard.forest.parent[lo:hi]
-                assert np.array_equal(np.where(parent < 0, -1, parent - lo), one.forest.parent)
-                assert shard.roots[k] == one.metrics.roots_started
-            assert shard.max_startup_delay[k] == one.max_startup_delay()
+            assert trace.trace(k) == ArrivalTrace(part, horizons[k])
+        _assert_slices_equal(trace, lengths, FleetPolicy(kind))
+
+    @pytest.mark.parametrize("kind", PER_TITLE_KINDS)
+    def test_per_title_kinds_in_one_pass(self, kind):
+        """DG, offline-optimal, general-offline and hybrid build each
+        object's segments inside the one shard pass: every slice equals
+        the one-object run, and ``run_fleet`` folds the same at either
+        worker count."""
+        policy = FleetPolicy(kind)
+        if kind == "hybrid":
+            policy = FleetPolicy.hybrid(window_slots=2, rate_high=1.0, rate_low=0.5)
+        names = list(PER_TITLE)
+        lengths = [PER_TITLE[name][0] for name in names]
+        parts = [np.asarray(PER_TITLE[name][1], dtype=np.float64) for name in names]
+        trace = RaggedTrace(
+            np.concatenate(parts), np.cumsum([0] + [p.size for p in parts]),
+            [PER_TITLE_SLOTS] * len(parts),
+        )
+        assert PER_TITLE_SLOTS % online_tree_size(PER_TITLE["dg"][0])
+        runs = dict(zip(names, _assert_slices_equal(trace, lengths, policy)))
+        if kind == "general-offline":
+            assert runs["quiet"] is None
+        if kind == "hybrid":
+            assert runs["burst"].mode_log == [(4, "dg"), (10, "dyadic")]
+        catalog = Catalog(
+            [MediaObject(name, float(L), 1.0) for name, (L, _) in PER_TITLE.items()]
+        )
+        workload = {name: np.asarray(times) for name, (_, times) in PER_TITLE.items()}
+        want = _oracle(catalog, workload, policy, delay=1.0, horizon=PER_TITLE_SLOTS)
+        for workers in (0, 2):
+            report = run_fleet(
+                catalog, 1.0, PER_TITLE_SLOTS, policy=policy, workload=workload,
+                workers=workers,
+            )
+            assert _folded(report) == want, workers
 
     def test_all_empty_shard_has_no_forest(self):
         trace = RaggedTrace(np.empty(0), [0, 0, 0], [5.0, 7.0])
@@ -227,18 +289,6 @@ class TestShardPass:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("slot", [math.inf, math.nan, -1.0])
-    def test_simulate_batched_rejects_bad_slot(self, slot):
-        """slot=inf used to raise IndexError."""
-        trace = ArrivalTrace(np.array([0.5, 1.5]), 3.0)
-        with pytest.raises(ValueError, match="slot"):
-            simulate_batched(4, trace, FleetPolicy.batched_dyadic(), slot=slot)
-
-    def test_simulate_segmented_rejects_non_finite_slot(self):
-        trace = ArrivalTrace(np.array([0.5, 1.5]), 3.0)
-        with pytest.raises(ValueError, match="slot"):
-            simulate_batched(4, trace, FleetPolicy.hybrid(), slot=math.inf)
-
     @pytest.mark.parametrize("L", [math.inf, math.nan])
     @pytest.mark.parametrize(
         "kind", ["delay-guaranteed", "offline-optimal", "hybrid"]
@@ -259,11 +309,6 @@ class TestValidation:
         ragged = RaggedTrace(np.array([0.5, 0.2]), [0, 1, 2], [3.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
             simulate_batched([4, L], ragged, FleetPolicy(kind))
-
-    def test_shard_rejects_non_finite_slot(self):
-        trace = RaggedTrace(np.array([0.5]), [0, 1], [3.0])
-        with pytest.raises(ValueError, match="slot"):
-            simulate_batched([4], trace, FleetPolicy.batched_dyadic(), slot=math.inf)
 
     @pytest.mark.parametrize(
         "times, offsets, horizons",

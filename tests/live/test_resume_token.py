@@ -15,6 +15,7 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -583,6 +584,15 @@ class TestOpenWindowAgainstClock:
         if "watermark" in obj["open"]:
             obj["open"]["watermark"] = None
         _rejects(payload, r"open\.arrivals: the oldest open window ends at .* before the fence")
+
+    def test_unordered_window_at_the_float_range_warns_nothing(self, epoch5_tokens, policy):
+        """Finite neighbours whose difference overflows: the order check
+        compares them, so the refusal comes without a RuntimeWarning."""
+        payload, obj = _copy(epoch5_tokens[policy])
+        obj["open"]["arrivals"] = _encode([1.23e295, -1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _rejects(payload, r"open\.arrivals: not strictly increasing")
 
 
 @st.composite

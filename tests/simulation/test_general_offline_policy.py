@@ -18,7 +18,7 @@ from repro.simulation import (
 class TestGeneralOfflinePolicy:
     def test_cost_matches_general_dp(self):
         trace = poisson(3.0, 120.0, seed=4)
-        ends = trace.slot_end_times(1.0)
+        ends = trace.slot_end_times()
         L = 40
         res = Simulation(L, trace, GeneralOfflinePolicy(L, ends)).run()
         assert res.metrics.total_units == pytest.approx(
@@ -29,14 +29,14 @@ class TestGeneralOfflinePolicy:
     def test_every_slot_reduces_to_uniform_optimum(self):
         n, L = 30, 12
         trace = every_slot(n)
-        ends = trace.slot_end_times(1.0)
+        ends = trace.slot_end_times()
         res = Simulation(L, trace, GeneralOfflinePolicy(L, ends)).run()
         assert res.metrics.total_units == optimal_full_cost(L, n)
 
     def test_beats_batched_dyadic(self):
         trace = poisson(2.5, 150.0, seed=8)
         L = 40
-        ends = trace.slot_end_times(1.0)
+        ends = trace.slot_end_times()
         res_opt = Simulation(L, trace, GeneralOfflinePolicy(L, ends)).run()
         res_dy = Simulation(L, trace, BatchedDyadicPolicy(L)).run()
         assert res_opt.metrics.total_units <= res_dy.metrics.total_units

@@ -102,7 +102,7 @@ class TestBatchedDyadic:
         trace = poisson(1.3, 150.0, seed=6)
         params = DyadicParams()
         res = Simulation(100, trace, BatchedDyadicPolicy(100, params)).run()
-        want = batched_dyadic_cost(trace, 100, 1.0, params)
+        want = batched_dyadic_cost(trace, 100, params)
         assert abs(res.metrics.total_units - want) < 1e-6
         verify_simulation(res).raise_if_failed()
 
@@ -180,8 +180,6 @@ class TestSimulationPlumbing:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             Simulation(0, every_slot(5), DelayGuaranteedPolicy(5))
-        with pytest.raises(ValueError):
-            Simulation(5, every_slot(5), DelayGuaranteedPolicy(5), slot=0)
 
     def test_duplicate_stream_label_rejected(self):
         sim = Simulation(10, every_slot(3), DelayGuaranteedPolicy(10))

@@ -1,73 +1,17 @@
-"""Tests for non-unit slot lengths and run-to-run determinism.
+"""Run-to-run determinism of the event simulation, and client bookkeeping.
 
-The paper measures everything in slot units, but a real deployment has a
-slot = D minutes; policies must scale stream lengths and labels
-consistently.  Costs in *time* units must equal the slot-unit costs
-scaled by D.
+The simulation counts time in slots of one guaranteed start-up delay;
+minutes become slots at the fleet boundary, and
+``tests/fleet/test_runner.py`` pins that conversion against the event
+oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.arrivals import ArrivalTrace, poisson
-from repro.core.online import online_full_cost
-from repro.simulation import (
-    BatchedDyadicPolicy,
-    DelayGuaranteedPolicy,
-    OfflineOptimalPolicy,
-    PureBatchingPolicy,
-    Simulation,
-    verify_simulation,
-)
-from repro.core.full_cost import optimal_full_cost
-
-
-def scaled_every_slot(n: int, slot: float) -> ArrivalTrace:
-    return ArrivalTrace(
-        times=tuple(i * slot for i in range(n)), horizon=n * slot
-    )
-
-
-class TestScaledSlots:
-    @pytest.mark.parametrize("slot", [0.25, 0.5, 2.0, 15.0])
-    def test_dg_cost_scales_linearly(self, slot):
-        L, n = 15, 40
-        trace = scaled_every_slot(n, slot)
-        res = Simulation(L, trace, DelayGuaranteedPolicy(L), slot=slot).run()
-        assert res.metrics.total_units == pytest.approx(
-            online_full_cost(L, n) * slot
-        )
-        # the reconstructed forest (labels in time units) must carry the
-        # same structure regardless of the slot scale
-        assert res.forest().num_arrivals() == n
-
-    @pytest.mark.parametrize("slot", [0.5, 3.0])
-    def test_offline_cost_scales_linearly(self, slot):
-        L, n = 10, 30
-        trace = scaled_every_slot(n, slot)
-        res = Simulation(L, trace, OfflineOptimalPolicy(L, n), slot=slot).run()
-        assert res.metrics.total_units == pytest.approx(
-            optimal_full_cost(L, n) * slot
-        )
-
-    def test_batched_dyadic_scaled(self):
-        L, slot = 50, 2.0
-        trace = poisson(3.0, 100.0, seed=3)
-        res_scaled = Simulation(L, trace, BatchedDyadicPolicy(L), slot=slot).run()
-        # same arrivals compressed to unit slots must cost 1/slot as much
-        unit_times = tuple(t / slot for t in trace.times)
-        unit_trace = ArrivalTrace(times=unit_times, horizon=trace.horizon / slot)
-        res_unit = Simulation(L, unit_trace, BatchedDyadicPolicy(L), slot=1.0).run()
-        assert res_scaled.metrics.total_units == pytest.approx(
-            res_unit.metrics.total_units * slot
-        )
-
-    def test_startup_delay_bounded_by_scaled_slot(self):
-        L, slot = 20, 5.0
-        trace = poisson(4.0, 200.0, seed=6)
-        res = Simulation(L, trace, PureBatchingPolicy(L), slot=slot).run()
-        assert 0 < res.max_startup_delay() <= slot
+from repro.arrivals import poisson
+from repro.simulation import BatchedDyadicPolicy, DelayGuaranteedPolicy, Simulation
 
 
 class TestDeterminism:

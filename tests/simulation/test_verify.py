@@ -154,7 +154,7 @@ def _one_client_runs(arrivals, parent, L, stretch=0.0):
     metrics = BandwidthMetrics.from_arrays(L, starts, starts + lengths + stretch, flat.is_root, 1)
     first = np.zeros(1)
     batched = BatchedResult(
-        policy_name="test", L=L, slot=1.0, horizon=float(starts[-1]) + 1, metrics=metrics,
+        policy_name="test", L=L, horizon=float(starts[-1]) + 1, metrics=metrics,
         forest=flat, lengths=lengths, client_arrival=first, client_service=first,
         client_node=np.zeros(1, dtype=np.intp),
     )
@@ -252,7 +252,7 @@ class TestBlockedReductions:
         node[:unserved] = -1
         service[:unserved] = np.nan
         result = engine.BatchedResult(
-            policy_name="test", L=10, slot=1.0, horizon=2e5, metrics=None,
+            policy_name="test", L=10, horizon=2e5, metrics=None,
             forest=None, lengths=np.empty(0), client_arrival=arrival,
             client_service=service, client_node=node,
         )
