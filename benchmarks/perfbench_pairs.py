@@ -12,7 +12,9 @@ exit, or the path of a checkout already on disk.  Each pair runs
 ``perfbench/run.py --seconds 20 --trace 0`` (``run_seconds`` of
 ``BENCHMARK.json``) once in each checkout, with that checkout's own
 ``perfbench/``; which side goes first alternates from pair to pair, so a
-drift in machine speed falls on both sides alike.
+drift in machine speed falls on both sides alike.  Each pair prints both
+sides' ``wall_s`` and ``peak_rss_mb`` as it finishes, so a verdict on
+either can be read pair by pair.
 
 For every end-to-end metric of ``BENCHMARK.json`` the report gives each
 side's median and quartiles, the pairs the change wins and ties, failed
@@ -177,9 +179,12 @@ def main(argv: Sequence[str] = None) -> int:
             for side in order:
                 runs[side].append(_run(sides[side], args.workload, args.seed,
                                        bench["run_seconds"]))
-            walls = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in sides}
-            print(f"pair {k + 1:2d} ({order[0]} first): wall_s base "
-                  f"{walls['base']:.4g}, change {walls['change']:.4g}", flush=True)
+            cells = "; ".join(
+                f"{name} base {runs['base'][-1]['metrics'][name]['value']:.4g}, "
+                f"change {runs['change'][-1]['metrics'][name]['value']:.4g}"
+                for name in ("wall_s", "peak_rss_mb")
+            )
+            print(f"pair {k + 1:2d} ({order[0]} first): {cells}", flush=True)
         return 0 if _report(bench, runs) else 1
     finally:
         if scratch is not None:

@@ -23,7 +23,14 @@ construction on parent-index arrays:
   the exact position.  Phase 2, from the first level whose windows hold
   no more than ``SPLIT_RATIO`` members per boundary (from the start on
   catalog shards and live epochs), classifies every member, carrying its
-  time, window start and cutoff along.  It runs over consecutive windows
+  time, window start and cutoff along.  A level compacts by index: one
+  ``np.flatnonzero`` finds the members that are not heads, every carried
+  array is gathered by those positions, and a member's run follows from
+  its position alone (the r-th member kept, at position p, has p - r
+  heads at or before it).  A hot title's levels keep a third to nine
+  tenths of their members, two thirds weighted by size, and there a
+  boolean selection or a ``cumsum`` of the head mask costs up to four
+  times the index and its gathers.  It runs over consecutive windows
   in blocks of at most ``MEMBER_BLOCK`` members (a larger window alone),
   each block through all its remaining levels, so a hot title's phase-2
   arrays are bounded by a block; a call with at most one block of
@@ -283,7 +290,7 @@ def _member_loop(ts, o, x, c, counts, edges, powers, parent, z):
     ``z``.  Returns None, or stops at the first resolution offence by
     (level, index) and returns it as ``(level, index, t, g, x)``."""
     # Each level carries every unplaced member's time t, window start x
-    # and cutoff, compressing them as members become children.
+    # and cutoff, gathering the members that did not become children.
     owner = np.repeat(o, counts)
     # The k-th member overall, in window w, is o[w] + 1 + (k - start[w]).
     start = np.cumsum(counts) - counts
@@ -313,13 +320,15 @@ def _member_loop(ts, o, x, c, counts, edges, powers, parent, z):
         # Child window right edge: x + span / alpha ** (idx - 1).
         xh = x[heads]
         child_hi = xh + (cutoff[heads] - xh) / powers[idx[heads] - 1]
-        rest = ~first
-        run = (np.cumsum(first) - 1)[rest]
+        # The r-th member kept, at position p, has p - r heads at or
+        # before it: its run is head p - r - 1.
+        stay = np.flatnonzero(~first)
+        run = stay - np.arange(stay.size) - 1
         owner = child[run]
         x = t[heads][run]
         cutoff = child_hi[run]
-        m = m[rest]
-        t = t[rest]
+        m = m[stay]
+        t = t[stay]
         level += 1
     return None
 

@@ -598,7 +598,7 @@ def _simulate_shard(L, trace: RaggedTrace, policy: FleetPolicy) -> ShardResult:
         node_offsets = np.cumsum(sizes, dtype=np.intp)
     roots = np.zeros(len(trace), dtype=np.int64)
     if forest is not None:
-        roots = np.diff(np.concatenate(([0], np.cumsum(forest.is_root)))[node_offsets])
+        roots = np.diff(np.searchsorted(np.flatnonzero(forest.is_root), node_offsets))
     return ShardResult(
         forest=forest,
         lengths=lengths,

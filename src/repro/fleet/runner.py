@@ -57,7 +57,7 @@ from typing import (
 import numpy as np
 
 from ..arrivals.traces import ArrivalTrace
-from ..core.validation import non_increasing_within
+from ..core.validation import check_offsets, non_increasing_within
 from ..multiplex import Catalog, MediaObject, Workload
 from ..scale import columnar
 from ..scale.columnar import StoreSlice
@@ -324,20 +324,21 @@ def sanitize_times(
     Ragged form: with ``offsets``, ``times`` holds several objects' feeds
     end to end (object ``k`` is ``times[offsets[k]:offsets[k + 1]]``);
     each is repaired on its own, ``repaired`` has one count per object,
-    and a third array delimits the objects in ``clean``.  In either form,
-    a feed whose in-window entries already increase strictly is kept as
-    it is (exactly what sorting and collapsing would return); only the
-    others are sorted.
+    and a third array delimits the objects in ``clean``; ``offsets`` that
+    do not run non-decreasing from 0 to ``times.size`` raise
+    ``ValueError``.  In either form, a feed whose in-window entries
+    already increase strictly is kept as it is (exactly what sorting and
+    collapsing would return); only the others are sorted.
     """
     ts = np.asarray(times, dtype=np.float64)
+    ragged = offsets is not None
+    offsets = check_offsets(offsets, ts.size) if ragged else np.array([0, ts.size])
     ok = np.isfinite(ts)
     # & instead of chained comparisons: NaN must not reach the range test
     ok &= (ts >= 0.0) & (ts < horizon)
     kept = ts[ok]
-    ragged = offsets is not None
-    if not ragged:
-        offsets = np.array([0, ts.size])
-    bounds = np.concatenate(([0], np.cumsum(ok)))[offsets]
+    # each bound is its offset less the entries dropped before it
+    bounds = offsets - np.searchsorted(np.flatnonzero(~ok), offsets)
     dec = non_increasing_within(kept, bounds)
     if dec.any():
         parts = [kept[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]

@@ -651,16 +651,24 @@ class LiveDaemon:
         :func:`~repro.fleet.runner.sanitize_times`.  Every earlier
         epoch's arrivals lie below ``t0``, so a replayed batch is
         repaired away by the window alone.  A step that raises — an
-        unknown title, a batch that is not a 1-D array of real numbers, no
-        epoch left to begin — leaves the daemon as it was.
+        unknown title, a batch that is not a 1-D array of real numbers, an
+        arrival that the delay division merges with its title's last one
+        from an earlier epoch (immediate kinds), no epoch left to begin —
+        leaves the daemon as it was.
         """
         clean, repaired, bounds = self._sanitized(batches)
         k, t0, t1 = self.horizon.next_epoch()
         inside = (clean >= t0) & (clean < t1)
         kept = np.concatenate(([0], np.cumsum(inside)))[bounds]
+        minutes = clean[inside]
+        if self.config.policy not in _SLOTTED_KINDS:
+            # an immediate kind's last push is its last arrival in slot units
+            got = np.flatnonzero(kept[1:] > kept[:-1])
+            if (minutes[kept[got]] / self.config.delay_minutes <= self._last_push[got]).any():
+                raise ValueError("arrival times must be strictly increasing in slot units")
         self._repaired += repaired + (np.diff(bounds) - np.diff(kept))
         self._repaired_folded = True  # step() accounts repairs itself
-        return self._process_epoch(k, clean[inside], kept)
+        return self._process_epoch(k, minutes, kept)
 
     def run(
         self,

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.burnin import WorkerKill, installed_task_fault
 from repro.fleet import pool_map, sanitize_times
+from tests.conftest import fuzz_examples
+
+#: one feed entry: NaN, +-inf, +-0.0, the window's edges or any value near it
+_feed_value = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 9.5, 10.0]),
+    st.floats(-1.0, 11.0),
+)
 
 
 def _square(x: int) -> int:
@@ -99,19 +107,9 @@ class TestSanitizeTimes:
         assert repaired == times.size - want.size
         assert out is not times and not np.shares_memory(out, times)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=fuzz_examples(200), deadline=None)
     @given(
-        st.lists(
-            st.lists(
-                st.one_of(
-                    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 9.5, 10.0]),
-                    st.floats(-1.0, 11.0),
-                ),
-                max_size=12,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
+        st.lists(st.lists(_feed_value, max_size=12), min_size=1, max_size=5),
         st.data(),
     )
     def test_repair_equals_np_unique_per_title(self, feeds, data):
@@ -133,3 +131,52 @@ class TestSanitizeTimes:
             assert repaired[k] == ts.size - want.size
             alone, alone_repaired = sanitize_times(ts, 10.0)
             assert alone.tobytes() == want.tobytes() and alone_repaired == repaired[k]
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0, 5], np.array([0.0, 4.0]), [0, 3, 1, 4], [1, 4], [0, -1, 4]],
+        ids=["past-the-end", "float", "decreasing", "not-from-zero", "negative"],
+    )
+    def test_malformed_offsets_rejected(self, offsets):
+        """Offsets that do not run non-decreasing from 0 to the feed's
+        size raise ``ValueError``, as every ragged entry point does."""
+        with pytest.raises(ValueError, match="offsets must run non-decreasing"):
+            sanitize_times(np.array([1.0, 2.0, 3.0, 4.0]), 10.0, offsets)
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(st.lists(_feed_value, max_size=12), st.data())
+    def test_hostile_offsets_repair_or_raise_value_error(self, feed, data):
+        """On any offsets — well-formed cuts, or integer and float arrays
+        of any values, order and shape — the repair equals ``np.unique``
+        of each title's in-window entries, or the call raises
+        ``ValueError``; never another exception."""
+        times = np.array(feed, dtype=np.float64)
+        n = times.size
+        cuts = st.lists(st.integers(0, n), max_size=4).map(lambda c: [0, *sorted(c), n])
+        hostile = hnp.arrays(
+            st.sampled_from([np.int8, np.int64, np.uint8, np.uint64, np.float64]),
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+            elements=st.integers(0, n + 2) | st.sampled_from([0, n]),
+        )
+        offsets = data.draw(
+            st.one_of(
+                cuts.map(np.array),
+                st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-2, n + 2),
+                         max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+                st.lists(st.floats() | st.sampled_from([0.0, float(n)]),
+                         max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+                hostile,
+            ),
+            label="offsets",
+        )
+        try:
+            out, repaired, bounds = sanitize_times(times, 10.0, offsets)
+        except ValueError:
+            return
+        cut = offsets.tolist()
+        assert len(bounds) == len(cut) and len(repaired) == len(cut) - 1
+        for k, (lo, hi) in enumerate(zip(cut[:-1], cut[1:])):
+            ts = times[lo:hi]
+            want = np.unique(ts[np.isfinite(ts) & (ts >= 0.0) & (ts < 10.0)])
+            assert out[bounds[k] : bounds[k + 1]].tobytes() == want.tobytes()
+            assert repaired[k] == ts.size - want.size

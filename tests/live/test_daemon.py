@@ -268,6 +268,50 @@ class TestFailedStepChangesNothing:
             daemon.step({catalog.objects[0].name: np.array([np.nan])})
         assert daemon.checkpoint() == before
 
+    @staticmethod
+    def _daemon_after_first_of_pair(policy):
+        """A one-title daemon at delay 0.7 that served
+        ``nextafter(110, -inf)`` in epoch 10: ``110.0`` in epoch 11 divides
+        by the delay to the same slot-unit value."""
+        catalog = Catalog.zipf(1, duration_minutes=45.0)
+        name = catalog.objects[0].name
+        config = LiveConfig(
+            delay_minutes=0.7, horizon_minutes=HORIZON, epoch_minutes=10.0,
+            fence_minutes=15.0, policy=policy,
+        )
+        daemon = LiveDaemon(catalog, config)
+        for _ in range(10):
+            daemon.step({})
+        first = np.nextafter(110.0, -np.inf)
+        assert first / 0.7 == 110.0 / 0.7
+        daemon.step({name: np.array([first])})
+        return daemon, name
+
+    @pytest.mark.parametrize("policy", ["immediate-dyadic", "unicast"])
+    def test_arrival_the_delay_merges_with_an_earlier_epoch(self, policy):
+        """An immediate kind refuses an arrival whose slot-unit value equals
+        its title's last one from an earlier epoch, as ``run_fleet``
+        refuses the same feed, before anything changes."""
+        daemon, name = self._daemon_after_first_of_pair(policy)
+        pair = {name: np.array([np.nextafter(110.0, -np.inf), 110.0])}
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _oracle(daemon.catalog, pair, daemon.config)
+        before = daemon.checkpoint()
+        with pytest.raises(ValueError, match="strictly increasing in slot units"):
+            daemon.step({name: np.array([110.0, 115.0])})
+        assert daemon.checkpoint() == before
+        rec = daemon.step({name: np.array([115.0])})
+        assert rec.epoch == 11 and rec.ingested == 1
+
+    @pytest.mark.parametrize("policy", ["batched-dyadic", "pure-batching"])
+    def test_slotted_kinds_serve_the_pair_in_one_slot(self, policy):
+        daemon, name = self._daemon_after_first_of_pair(policy)
+        rec = daemon.step({name: np.array([110.0])})
+        assert rec.epoch == 11 and rec.ingested == 1
+        daemon.drain()
+        (served,) = daemon.report().fleet.objects
+        assert served.clients == 2 and served.streams == 1
+
 
 class TestUnknownKeys:
     """Arrivals for a title outside the catalog raise instead of vanishing."""

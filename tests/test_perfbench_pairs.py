@@ -1,4 +1,5 @@
-"""The verdict of ``benchmarks/perfbench_pairs.py`` on synthetic samples."""
+"""The verdict and pair lines of ``benchmarks/perfbench_pairs.py`` on
+synthetic samples."""
 
 from __future__ import annotations
 
@@ -72,3 +73,20 @@ class TestVerdict:
     def test_bad_samples_rejected(self, base, change, better):
         with pytest.raises(ValueError):
             verdict(base, change, better, 0.25)
+
+
+def test_each_pair_prints_wall_and_peak_rss(tmp_path, monkeypatch, capsys):
+    """A pair's line gives both sides' ``wall_s`` and ``peak_rss_mb``."""
+    def fake_run(root, workload, seed, seconds):
+        side = 1.0 if root == tmp_path.resolve() else 2.0
+        values = {"setup_s": 0.25, "wall_s": side, "peak_rss_mb": 100.0 + side}
+        return {"failed": 0, "attempted": 1,
+                "metrics": {k: {"value": v} for k, v in values.items()}}
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    pairs.main(["--workload", "fleet-hot-check", "--pairs", "2", "--base", str(tmp_path)])
+    lines = [s for s in capsys.readouterr().out.splitlines() if s.startswith("pair ")]
+    assert lines == [
+        "pair  1 (base first): wall_s base 1, change 2; peak_rss_mb base 101, change 102",
+        "pair  2 (change first): wall_s base 1, change 2; peak_rss_mb base 101, change 102",
+    ]
