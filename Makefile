@@ -11,8 +11,8 @@ test:
 
 ## hostile-input fuzzers at CI size (CI job): the trace-payload, live
 ## restore, sweep-artifact, store-index, store-segment, CLI-argument,
-## workload-mapping and feed-repair (feeds and their offsets) fuzzers at
-## 10^4 examples each, under the hypothesis
+## workload-mapping, feed-repair (feeds and their offsets) and tampered
+## fleet-report contract fuzzers at 10^4 examples each, under the hypothesis
 ## "fuzz" profile of tests/conftest.py (tier-1 runs them at their own,
 ## smaller example counts).  A RuntimeWarning is an error here, so a
 ## numeric overflow on a hostile-input path fails the job
@@ -24,7 +24,8 @@ FUZZ_TESTS := tests/arrivals/test_serialization.py::TestPayloadFuzz \
 	tests/burnin/test_cli.py::TestArgumentFuzz \
 	tests/fleet/test_workload_values.py::TestWorkloadFuzz \
 	tests/fleet/test_runner_faults.py::TestSanitizeTimes::test_repair_equals_np_unique_per_title \
-	tests/fleet/test_runner_faults.py::TestSanitizeTimes::test_hostile_offsets_repair_or_raise_value_error
+	tests/fleet/test_runner_faults.py::TestSanitizeTimes::test_hostile_offsets_repair_or_raise_value_error \
+	tests/burnin/test_contracts.py::TestSummaryOracleFuzz
 fuzz:
 	$(PY) -m pytest -q -W error::RuntimeWarning --hypothesis-profile=fuzz $(FUZZ_TESTS)
 

@@ -151,12 +151,16 @@ def capacity_catalog(titles: int, durations: str) -> Catalog:
     ])
 
 
-def stacked_peak(envelopes) -> int:
-    """The concatenate-and-sort fleet peak: one stacked copy per object.
+def stacked_peak(envelopes, counts=None) -> int:
+    """The concatenate-and-sort fleet peak: one stacked copy per object,
+    ``counts[i]`` copies of envelope ``i`` (one each when None), so it
+    takes ``fleet.capacity.aggregate_peak``'s call.
 
     Keep in sync with ``stacked_peak`` in ``tests/fleet/test_capacity.py``
     (not shared: ``tests`` is not importable from benchmark script mode).
     """
+    if counts is not None:
+        envelopes = [env for env, c in zip(envelopes, counts) for _ in range(c)]
     if not envelopes:
         return 0
     starts = np.concatenate([env[1] for env in envelopes])

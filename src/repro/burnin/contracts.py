@@ -37,15 +37,23 @@ relevant ``check_*`` entry point (see README "The burn-in tier").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..fastpath import replay
 from ..fleet.capacity import AdmissionReport, dg_fleet_peak
 from ..fleet.engine import FleetPolicy
-from ..fleet.runner import FleetObjectResult, FleetReport, object_run, stream_minutes
+from ..fleet.runner import (
+    FleetObjectResult,
+    FleetReport,
+    _shards,
+    object_run,
+    stream_minutes,
+)
 from ..multiplex import Catalog, MediaObject, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -186,9 +194,10 @@ def _object_difference(x: FleetObjectResult, y: FleetObjectResult) -> Optional[s
 
 
 def _check_delay_guarantee(report: FleetReport, out: ContractReport) -> None:
+    bound = report.delay_minutes + _EPS
+    # ``not x <= bound``, so a NaN wait fails (``x > bound`` is False for NaN)
     bad = [
-        o.name for o in report.objects
-        if o.max_startup_delay_minutes > report.delay_minutes + _EPS
+        o.name for o in report.objects if not o.max_startup_delay_minutes <= bound
     ]
     out.record(
         "fleet.delay-guarantee",
@@ -213,37 +222,104 @@ def _check_capacity(
     )
 
 
-def _check_conservation(report: FleetReport, out: ContractReport) -> None:
-    checks = 0
+@dataclass
+class _Intervals:
+    """What the summary contracts read of each title's interval arrays.
+
+    ``formed``: one 1-D size for starts and ends (the other facts hold
+    only for such titles); ``finite`` and ``ordered``: every endpoint
+    finite, no stream ending before it starts; ``units``: the summed
+    stream lengths, ``np.sum`` over the title's own slice of one
+    subtraction, so the same float as its fold's; ``longest``: the
+    longest stream, ``-inf`` for a title with no well-formed streams.
+    """
+
+    formed: List[bool]
+    finite: np.ndarray
+    ordered: np.ndarray
+    units: List[float]
+    longest: np.ndarray
+
+
+def _interval_facts(objects: List[FleetObjectResult]) -> _Intervals:
+    """Read every title's intervals laid end to end, in groups of
+    consecutive titles holding at most ``replay.WALK_BLOCK`` streams: a
+    few whole-array passes a group, and one slice sum a title.  A larger
+    title is a group of its own, read in place, never copied."""
+    n = len(objects)
+    formed = [
+        o.starts.ndim == 1 and o.starts.shape == o.ends.shape for o in objects
+    ]
+    sizes = [o.starts.size if ok else 0 for o, ok in zip(objects, formed)]
+    facts = _Intervals(
+        formed, np.ones(n, dtype=bool), np.ones(n, dtype=bool),
+        [0.0] * n, np.full(n, -np.inf),
+    )
+    for group in _shards(range(n), sizes, replay.WALK_BLOCK):
+        titles = [i for i in group if sizes[i]]
+        if titles:
+            _read_group(objects, titles, sizes, facts)
+    return facts
+
+
+def _read_group(
+    objects: List[FleetObjectResult], titles: List[int], sizes: List[int],
+    facts: _Intervals,
+) -> None:
+    """One group of :func:`_interval_facts`, its titles each holding a
+    stream.  The group's arrays live only in this call: two hot titles'
+    stream lengths alive at once raised a hot run's peak RSS."""
+    if len(titles) == 1:
+        starts, ends = objects[titles[0]].starts, objects[titles[0]].ends
+    else:
+        starts = np.concatenate([objects[i].starts for i in titles])
+        ends = np.concatenate([objects[i].ends for i in titles])
+    bounds = np.cumsum([0] + [sizes[i] for i in titles])
+    firsts = bounds[:-1]
+    owner = np.asarray(titles)
+    non_finite = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(ends)))
+    reversed_ = np.flatnonzero(ends < starts)
+    for flags, at in ((facts.finite, non_finite), (facts.ordered, reversed_)):
+        if at.size:
+            flags[owner[np.searchsorted(firsts, at, side="right") - 1]] = False
+    # a tampered report may hold inf - inf or overflow: facts, not warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        lengths = ends - starts
+        facts.longest[owner] = np.maximum.reduceat(lengths, firsts)
+        for i, a, b in zip(titles, firsts.tolist(), bounds[1:].tolist()):
+            facts.units[i] = float(np.add.reduce(lengths[a:b]))
+
+
+def _check_conservation(
+    report: FleetReport, facts: _Intervals, out: ContractReport
+) -> None:
     bad: List[str] = []
-    for o in report.objects:
-        checks += 4
-        if o.starts.shape != o.ends.shape or o.streams != o.starts.size:
+    for i, o in enumerate(report.objects):
+        if not facts.formed[i] or o.streams != o.starts.size:
             bad.append(f"{o.name}: stream count != interval arrays")
-            continue
-        if o.starts.size and not (
-            np.all(np.isfinite(o.starts)) and np.all(np.isfinite(o.ends))
-        ):
+        elif not facts.finite[i]:
             bad.append(f"{o.name}: non-finite interval endpoints")
-            continue
-        if o.starts.size and np.any(o.ends < o.starts):
+        elif not facts.ordered[i]:
             bad.append(f"{o.name}: stream ends before it starts")
-            continue
-        units = float(np.sum(o.ends - o.starts))
-        if abs(units - o.total_units_minutes) > _REL * max(1.0, abs(units)):
-            bad.append(
-                f"{o.name}: summary units {o.total_units_minutes} != "
-                f"interval sum {units}"
-            )
+        else:
+            units = facts.units[i]
+            # ``not ... <=``, so a NaN summary fails
+            if not abs(units - o.total_units_minutes) <= _REL * max(1.0, abs(units)):
+                bad.append(
+                    f"{o.name}: summary units {o.total_units_minutes} != "
+                    f"interval sum {units}"
+                )
     out.record(
-        "fleet.conservation", not bad, checks, "; ".join(bad[:3])
+        "fleet.conservation", not bad, 4 * len(report.objects), "; ".join(bad[:3])
     )
 
 
-def _check_cost_bounds(report: FleetReport, out: ContractReport) -> None:
+def _check_cost_bounds(
+    report: FleetReport, facts: _Intervals, out: ContractReport
+) -> None:
     checks = 0
     bad: List[str] = []
-    for o in report.objects:
+    for i, o in enumerate(report.objects):
         if o.streams == 0:
             continue
         checks += 3
@@ -252,7 +328,7 @@ def _check_cost_bounds(report: FleetReport, out: ContractReport) -> None:
         if not 1 <= o.roots <= o.streams:
             bad.append(f"{o.name}: {o.roots} roots of {o.streams} streams")
             continue
-        longest = float(np.max(o.ends - o.starts))
+        longest = float(facts.longest[i])
         if longest > full + _EPS:
             bad.append(
                 f"{o.name}: stream of {longest:g} min exceeds the "
@@ -377,8 +453,9 @@ def check_fleet_report(
     out = ContractReport()
     _check_delay_guarantee(report, out)
     _check_capacity(report, budget_channels, out)
-    _check_conservation(report, out)
-    _check_cost_bounds(report, out)
+    facts = _interval_facts(report.objects)
+    _check_conservation(report, facts, out)
+    _check_cost_bounds(report, facts, out)
     if replay and catalog is not None and workload is not None:
         _check_replay(
             report, catalog, workload,
@@ -525,25 +602,33 @@ def check_admission_report(
         f"served weight {report.served_weight_fraction} != admitted "
         f"weight {weight}",
     )
-    survivors = [o for o in catalog if o.name in admitted]
-    peak = (
-        dg_fleet_peak(Catalog(survivors), report.delay_minutes, horizon_minutes)
-        if survivors
-        else 0
-    )
-    out.record(
-        "admission.peak-recomputed",
-        peak == report.peak_channels,
-        1,
-        f"reported peak {report.peak_channels} != recomputed {peak}",
-    )
-    out.record(
-        "admission.capacity",
-        peak <= report.budget_channels,
-        1,
-        f"admitted set needs {peak} channels, budget is "
-        f"{report.budget_channels} — an admitted guarantee would be violated",
-    )
+    delay = report.delay_minutes
+    if not 0 < delay < math.inf:  # NaN too
+        unusable = f"delay {delay!r} min is not positive and finite"
+        out.record(
+            "admission.peak-recomputed", False, 1,
+            f"cannot recompute the admitted peak: {unusable}",
+        )
+        out.record(
+            "admission.capacity", False, 1,
+            f"cannot check the admitted set against the budget: {unusable}",
+        )
+    else:
+        survivors = [o for o in catalog if o.name in admitted]
+        peak = dg_fleet_peak(survivors, delay, horizon_minutes) if survivors else 0
+        out.record(
+            "admission.peak-recomputed",
+            peak == report.peak_channels,
+            1,
+            f"reported peak {report.peak_channels} != recomputed {peak}",
+        )
+        out.record(
+            "admission.capacity",
+            peak <= report.budget_channels,
+            1,
+            f"admitted set needs {peak} channels, budget is "
+            f"{report.budget_channels} — an admitted guarantee would be violated",
+        )
     out.record(
         "admission.feasible-honesty",
         (not report.feasible) or not dropped,

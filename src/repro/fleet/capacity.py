@@ -11,11 +11,14 @@ the candidate grid (the tests keep the unmemoised scan as their oracle).
 Peaks are taken straight from the memoised slot-unit envelopes: every
 object in a fleet shares one slot (the delay guarantee) and the DG
 envelope endpoints are whole slots, so the peak is the same on the slot
-and the minute timeline and nothing is rescaled.  Whole-slot endpoints
-also mean no sort is needed: :func:`aggregate_peak` adds each *distinct*
-envelope, times the number of objects sharing it, into one int64
-difference array over the slots, so titles of one duration cost one
-envelope's worth of work per delay probe, not one per title.
+and the minute timeline and nothing is rescaled.  A delay probe works
+per *distinct* envelope, never per title: it computes every title's
+``L = max(1, round(duration / delay))`` as one array, looks up the memo
+once per distinct ``(L, n_slots)`` and counts the titles sharing each,
+and :func:`aggregate_peak` adds each distinct envelope, times its title
+count, into one int64 difference array over the slots (whole-slot
+endpoints need no sort).  A catalog of one duration costs one envelope's
+worth of work per probe, whatever its size.
 
 Monotonicity caveat: the fleet DG peak is nonincreasing in the delay up
 to the ``L = round(duration / delay)`` rounding, which can produce
@@ -29,14 +32,14 @@ Load shedding has no such caveat.  Dropping a title removes its
 intervals and never adds one, so the admitted set's peak is exactly
 nonincreasing in the number of least-popular titles dropped, and
 :func:`admission_report` bisects the drop count: O(log n) peak
-evaluations give the same plan as dropping one title at a time (the
+evaluations, each over the envelope counts of the admitted suffix of the
+shed order, give the same plan as dropping one title at a time (the
 tests keep that loop as their oracle).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -93,12 +96,12 @@ def dg_envelope(L: int, n_slots: int) -> Envelope:
 
     The envelope — ``(labels, starts, ends)`` of the static tiled
     Fibonacci forest — depends only on ``(L, n_slots)``; a frontier
-    bisection probes many delays over one catalog, and every object
-    whose ``(units, slots)`` pair repeats (identical durations, repeated
-    delay probes, neighbouring budgets re-bracketing the same grid
-    points) reuses the arrays instead of rebuilding the forest.  The
-    returned arrays are marked read-only; callers that want minutes
-    scale into fresh arrays.
+    bisection probes many delays over one catalog, and every pair that
+    repeats (repeated delay probes, neighbouring budgets re-bracketing
+    the same grid points, the shedding plan at the grid maximum) reuses
+    the arrays instead of rebuilding the forest.  The returned arrays
+    are marked read-only; callers that want minutes scale into fresh
+    arrays.
     """
     forest = build_online_flat_forest(L, n_slots)
     labels, starts, ends = forest.intervals(L)
@@ -107,19 +110,57 @@ def dg_envelope(L: int, n_slots: int) -> Envelope:
     return labels, starts, ends
 
 
-def dg_envelopes(
-    objects: Iterable[MediaObject], delay_minutes: float, horizon_minutes: float
-) -> List[Envelope]:
-    """Each object's DG envelope at one delay, in slot units of that delay.
+def _title_units(objects: Sequence[MediaObject], delay_minutes: float) -> np.ndarray:
+    """Every object's :meth:`~MediaObject.units` at one delay, as one int64
+    array: the same ties-to-even rounding, and the same ``ValueError``,
+    naming the first object whose slots do not fit in int64."""
+    durations = np.array([o.duration_minutes for o in objects], dtype=np.float64)
+    if durations.size and delay_minutes <= 0:
+        raise ValueError("delay must be positive")
+    with np.errstate(over="ignore"):  # inf slots fail the test below
+        slots = durations / delay_minutes
+    over = np.flatnonzero(~(slots < 2.0**63))  # NaN too
+    if over.size:
+        first = int(over[0])
+        raise ValueError(
+            f"{objects[first].name}: {float(slots[first]):g} slots per stream "
+            "do not fit in int64"
+        )
+    return np.maximum(np.rint(slots), 1.0).astype(np.int64)
+
+
+def _envelope_classes(
+    objects: Sequence[MediaObject], delay_minutes: float, horizon_minutes: float
+) -> Tuple[List[Envelope], np.ndarray]:
+    """``(envelopes, which)``: the distinct DG envelopes of ``objects`` at
+    one delay, one :func:`dg_envelope` lookup each, and every object's
+    index into them.
 
     A stream starts every ``delay_minutes`` over ``horizon / delay``
-    slots, whatever the workload; the forests come from the
-    :func:`dg_envelope` memo.
+    slots, whatever the workload, so every object shares ``n_slots`` and
+    the envelopes differ only by ``L``; they come in increasing ``L``.
     """
     if horizon_minutes <= 0:
         raise ValueError("horizon must be positive")
     n_slots = max(1, int(np.ceil(horizon_minutes / delay_minutes)))
-    return [dg_envelope(obj.units(delay_minutes), n_slots) for obj in objects]
+    units = _title_units(objects, delay_minutes)
+    order = np.argsort(units, kind="stable")
+    ranked = units[order]
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    which = np.empty(units.size, dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return [dg_envelope(L, n_slots) for L in ranked[first].tolist()], which
+
+
+def dg_envelopes(
+    objects: Iterable[MediaObject], delay_minutes: float, horizon_minutes: float
+) -> List[Envelope]:
+    """Each object's DG envelope at one delay, in slot units of that delay
+    (objects of one ``L`` share one memoised tuple)."""
+    envelopes, which = _envelope_classes(list(objects), delay_minutes, horizon_minutes)
+    return [envelopes[i] for i in which.tolist()]
 
 
 def _whole_slots(values: np.ndarray) -> np.ndarray:
@@ -130,22 +171,24 @@ def _whole_slots(values: np.ndarray) -> np.ndarray:
     return slots
 
 
-def aggregate_peak(envelopes: Sequence[Envelope]) -> int:
-    """Peak number of simultaneously live streams across envelopes.
+def aggregate_peak(envelopes: Sequence[Envelope], counts: Sequence[int]) -> int:
+    """Peak number of simultaneously live streams when ``counts[i]``
+    objects each hold envelope ``i``.
 
     The envelopes share one timeline of whole, non-negative slots.  Each
-    distinct envelope (by identity: the memo hands every object with the
-    same ``(L, n_slots)`` the same tuple; equal copies are just counted
-    apart) adds its occupancy, times its multiplicity, into one int64
-    difference array.  Half-open intervals: a stream ending at slot t
-    frees its channel before one starting at t takes it, as in
-    :func:`~repro.simulation.channels.peak_concurrency`.  0 when empty.
+    one with a positive count adds its occupancy, times its count, into
+    one int64 difference array.  Half-open intervals: a stream ending at
+    slot t frees its channel before one starting at t takes it, as in
+    :func:`~repro.simulation.channels.peak_concurrency`.  0 when no
+    envelope is counted.
     """
-    multiplicity = Counter(map(id, envelopes))
-    distinct = {id(env): env for env in envelopes}
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (len(envelopes),) or np.any(counts < 0):
+        raise ValueError("need one non-negative count per envelope")
     slots = [
-        (multiplicity[key], _whole_slots(env[1]), _whole_slots(env[2]))
-        for key, env in distinct.items()
+        (count, _whole_slots(env[1]), _whole_slots(env[2]))
+        for env, count in zip(envelopes, counts.tolist())
+        if count
     ]
     if not slots:
         return 0
@@ -158,9 +201,12 @@ def aggregate_peak(envelopes: Sequence[Envelope]) -> int:
     return int(np.cumsum(diff).max())
 
 
-def dg_fleet_peak(catalog: Catalog, delay_minutes: float, horizon_minutes: float) -> int:
+def dg_fleet_peak(
+    catalog: Iterable[MediaObject], delay_minutes: float, horizon_minutes: float
+) -> int:
     """Fleet-wide DG envelope peak — deterministic, workload-independent."""
-    return aggregate_peak(dg_envelopes(catalog, delay_minutes, horizon_minutes))
+    envelopes, which = _envelope_classes(list(catalog), delay_minutes, horizon_minutes)
+    return aggregate_peak(envelopes, np.bincount(which, minlength=len(envelopes)))
 
 
 def _bisect_smallest_feasible(
@@ -220,9 +266,7 @@ def min_object_delay(
         raise ValueError("budget must be >= 1 channel")
     grid = _candidate_delays(delays)
     idx = _bisect_smallest_feasible(
-        grid,
-        lambda d: aggregate_peak(dg_envelopes([obj], d, horizon_minutes))
-        <= budget_channels,
+        grid, lambda d: dg_fleet_peak([obj], d, horizon_minutes) <= budget_channels
     )
     return None if idx is None else grid[idx]
 
@@ -344,23 +388,27 @@ def admission_report(
         )
     d_max = grid[-1]
     objects = catalog.objects
-    envelopes = dg_envelopes(objects, d_max, horizon_minutes)
-    shed_order = sorted(range(len(objects)), key=lambda i: objects[i].weight)
+    envelopes, which = _envelope_classes(objects, d_max, horizon_minutes)
+    # least popular first, ties in catalog order (a stable sort)
+    shed_order = np.argsort(catalog.weights(), kind="stable")
+    shed_which = which[shed_order]
     peaks: Dict[int, int] = {}
 
     def fits(k: int) -> bool:  # after dropping the k least popular
-        peaks[k] = aggregate_peak([envelopes[i] for i in shed_order[k:]])
+        counts = np.bincount(shed_which[k:], minlength=len(envelopes))
+        peaks[k] = aggregate_peak(envelopes, counts)
         return peaks[k] <= budget_channels
 
     k = _bisect_smallest_feasible(range(len(objects) + 1), fits)
-    shed = set(shed_order[:k])
-    admitted = [o for i, o in enumerate(objects) if i not in shed]
+    kept = np.ones(len(objects), dtype=bool)
+    kept[shed_order[:k]] = False
+    admitted = [o for o, keep in zip(objects, kept.tolist()) if keep]
     return AdmissionReport(
         budget_channels=budget_channels,
         delay_minutes=d_max,
         feasible=False,
         admitted=tuple(o.name for o in admitted),
-        dropped=tuple(objects[i].name for i in shed_order[:k]),
+        dropped=tuple(objects[i].name for i in shed_order[:k].tolist()),
         peak_channels=peaks[k],
         served_weight_fraction=float(sum(o.weight for o in admitted)),
     )

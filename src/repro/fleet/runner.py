@@ -437,15 +437,15 @@ def _slot_units(
 SHARD_ARRIVALS = 1 << 16
 
 
-def _shards(entries: Sequence, sizes: List[float]) -> List[tuple]:
-    """Consecutive ``entries`` grouped into shards of at most
-    :data:`SHARD_ARRIVALS` arrivals (``sizes``), one oversized entry
-    alone."""
+def _shards(entries: Sequence, sizes: List[float], budget: float) -> List[tuple]:
+    """Consecutive ``entries`` grouped into runs of at most ``budget`` in
+    total ``sizes`` (:data:`SHARD_ARRIVALS` arrivals for a shard), one
+    oversized entry alone."""
     shards: List[tuple] = []
     current: List = []
     total = 0.0
     for entry, size in zip(entries, sizes):
-        if current and total + size > SHARD_ARRIVALS:
+        if current and total + size > budget:
             shards.append(tuple(current))
             current, total = [], 0.0
         current.append(entry)
@@ -515,24 +515,28 @@ def _run_shard(shard) -> List[FleetObjectResult]:
         starts_all, ends_all = stream_minutes(
             result.forest.arrivals, result.lengths, delay
         )
+    # One subtraction a shard: a title's bandwidth is the sum of its own
+    # slice, the same pairwise sum bit for bit as a fresh ``ends - starts``.
+    lengths = ends_all - starts_all
     bounds = result.node_offsets.tolist()
+    clients, roots = result.clients.tolist(), result.roots.tolist()
+    waits, repaired = result.max_startup_delay.tolist(), repaired.tolist()
     out = []
     for j, obj in enumerate(objects):
-        starts = starts_all[bounds[j] : bounds[j + 1]]
-        ends = ends_all[bounds[j] : bounds[j + 1]]
+        lo, hi = bounds[j], bounds[j + 1]
         out.append(
             FleetObjectResult(
                 name=obj.name,
                 L=L[j],
                 delay_minutes=delay,
-                clients=int(result.clients[j]),
-                streams=int(starts.size),
-                roots=int(result.roots[j]),
-                total_units_minutes=float(np.sum(ends - starts)),
-                max_startup_delay_minutes=float(result.max_startup_delay[j]) * delay,
-                starts=starts,
-                ends=ends,
-                repaired=int(repaired[j]),
+                clients=clients[j],
+                streams=hi - lo,
+                roots=roots[j],
+                total_units_minutes=float(np.add.reduce(lengths[lo:hi])),
+                max_startup_delay_minutes=waits[j] * delay,
+                starts=starts_all[lo:hi],
+                ends=ends_all[lo:hi],
+                repaired=repaired[j],
             )
         )
     return out
@@ -559,7 +563,7 @@ def _fleet_shards(
     else:
         sizes = np.diff(workload.offsets).tolist()
     tasks = []
-    for shard in _shards(range(len(objects)), sizes):
+    for shard in _shards(range(len(objects)), sizes, SHARD_ARRIVALS):
         lo, hi = shard[0], shard[-1] + 1
         if workload is None:
             columns = sources[lo:hi]

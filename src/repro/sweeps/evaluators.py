@@ -340,7 +340,7 @@ def multiplex_point(
         catalog, delay, horizon, FleetPolicy.immediate_dyadic(), workload=workload
     )
     return {
-        "dg_peak": capacity.aggregate_peak(envelopes),
+        "dg_peak": capacity.dg_fleet_peak(catalog, delay, horizon),
         "dg_units": sum(
             float(np.sum(ends - starts) * delay) for _, starts, ends in envelopes
         ),

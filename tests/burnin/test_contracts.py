@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrivals import poisson
 from repro.burnin import (
@@ -15,11 +19,15 @@ from repro.burnin import (
     fleet_reports_equal,
 )
 from repro.burnin.contracts import check_live_report
+from repro.fastpath import replay
 from repro.fleet import FLEET_POLICIES, FleetPolicy, admission_report, run_fleet
+from repro.fleet.scenarios import scenario_workload
 from repro.live import LiveConfig, LiveDaemon
 from repro.multiplex import Catalog, split_requests
 from repro.sweeps import Axis, SweepSpec, run_sweep
 from repro.sweeps.evaluators import merge_cost_table_point
+from tests.burnin import oracles
+from tests.conftest import fuzz_examples
 
 DELAY = 2.0
 HORIZON = 180.0
@@ -351,3 +359,204 @@ class TestLiveRecordCounts:
         assert outcome.detail == (
             f"epoch {records[3].epoch}: a committed count exceeds the final streams"
         )
+
+
+# ---------------------------------------------------------------------------
+# The summary battery on hostile reports, and its per-title oracle
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _zipf_report(policy: str = "batched-dyadic", quiet: tuple = ()):
+    """Five 60-minute titles, the zipf scenario at mean inter-arrival 0.5
+    over 600 minutes, run at a 2-minute delay (seed 1); the titles at
+    the ``quiet`` indices get no arrivals.  Callers copy before
+    tampering."""
+    catalog = Catalog.zipf(5, duration_minutes=60.0)
+    workload = dict(scenario_workload("zipf", catalog, 0.5, 600.0, seed=1).items())
+    for i in quiet:
+        workload[catalog[i].name] = np.empty(0)
+    return run_fleet(catalog, 2.0, 600.0, policy=FleetPolicy(policy), workload=workload)
+
+
+def _with(report, index, **changes):
+    """A copy of ``report`` with one title's fields replaced."""
+    objects = list(report.objects)
+    objects[index] = dataclasses.replace(objects[index], **changes)
+    return dataclasses.replace(report, objects=objects)
+
+
+class TestSummaryHostileReports:
+    def test_title_with_streams_but_no_intervals_fails_without_raising(self):
+        report = _zipf_report()
+        victim = 2
+        assert report.objects[victim].streams > 0
+        empty = _with(report, victim, starts=np.empty(0), ends=np.empty(0))
+        contracts = check_fleet_report(empty)
+        assert not contracts.ok
+        outcomes = {o.name: o for o in contracts.outcomes}
+        name = report.objects[victim].name
+        assert outcomes["fleet.conservation"].detail == (
+            f"{name}: stream count != interval arrays"
+        )
+        assert outcomes["fleet.cost-bounds"].ok
+        clean = check_fleet_report(report)
+        assert [(o.name, o.checks) for o in contracts.outcomes] == [
+            (o.name, o.checks) for o in clean.outcomes
+        ]
+
+    def test_nan_startup_delay_fails_the_guarantee(self):
+        report = _with(_zipf_report(), 1, max_startup_delay_minutes=math.nan)
+        contracts = check_fleet_report(report, replay=False)
+        assert not contracts.ok
+        assert [o.name for o in contracts.failures()] == ["fleet.delay-guarantee"]
+        assert contracts.failures()[0].detail.endswith(report.objects[1].name)
+
+    def test_nan_units_fail_conservation(self):
+        report = _with(_zipf_report(), 3, total_units_minutes=math.nan)
+        failures = {
+            o.name: o for o in check_fleet_report(report, replay=False).failures()
+        }
+        assert set(failures) == {"fleet.conservation", "fleet.cost-bounds"}
+        assert failures["fleet.conservation"].detail.startswith(
+            f"{report.objects[3].name}: summary units nan != interval sum"
+        )
+
+    @pytest.mark.parametrize("side", ["starts", "ends"])
+    def test_mismatched_interval_arrays_fail_without_raising(self, side):
+        report = _zipf_report()
+        victim = report.objects[0]
+        short = _with(report, 0, **{side: getattr(victim, side)[:-1]})
+        failures = check_fleet_report(short, replay=False).failures()
+        assert [o.name for o in failures] == ["fleet.conservation"]
+        assert failures[0].detail == f"{victim.name}: stream count != interval arrays"
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _tamper_endpoint(draw, o):
+    if not o.starts.size:
+        return o
+    side = draw(st.sampled_from(["starts", "ends"]))
+    values = getattr(o, side).copy()
+    values[draw(st.integers(0, values.size - 1))] = draw(_NON_FINITE)
+    return dataclasses.replace(o, **{side: values})
+
+
+def _tamper_counter(draw, o):
+    attr = draw(st.sampled_from([
+        "total_units_minutes", "max_startup_delay_minutes", "delay_minutes",
+        "L", "streams", "roots",
+    ]))
+    value = getattr(o, attr)
+    if isinstance(value, int):
+        value = draw(st.one_of(_NON_FINITE, st.sampled_from([0, value - 1, value + 1])))
+    else:
+        value = draw(_NON_FINITE)
+    return dataclasses.replace(o, **{attr: value})
+
+
+def _tamper_reversed(draw, o):
+    if not o.starts.size:
+        return o
+    k = draw(st.integers(0, o.starts.size - 1))
+    starts, ends = o.starts.copy(), o.ends.copy()
+    starts[k], ends[k] = o.ends[k], o.starts[k]
+    return dataclasses.replace(o, starts=starts, ends=ends)
+
+
+def _tamper_drift(draw, o):
+    """Units drift around the 1e-9 tolerance, relative or absolute."""
+    step = draw(st.sampled_from([-2e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 2e-9, 1e-8]))
+    units = o.total_units_minutes
+    if draw(st.booleans()):
+        return dataclasses.replace(o, total_units_minutes=units * (1 + step))
+    return dataclasses.replace(o, total_units_minutes=units + step)
+
+
+def _tamper_longest(draw, o):
+    """One stream at the full L*delay length, or just past it."""
+    if not o.starts.size:
+        return o
+    k = draw(st.integers(0, o.starts.size - 1))
+    ends = o.ends.copy()
+    ends[k] = o.starts[k] + o.L * o.delay_minutes + draw(
+        st.sampled_from([0.0, 0.5e-9, 2e-9, 1.0])
+    )
+    return dataclasses.replace(o, ends=ends)
+
+
+def _tamper_size(draw, o):
+    """Stream count and interval arrays that disagree."""
+    kind = draw(st.sampled_from(["drop-start", "drop-end", "extra-end", "count"]))
+    if kind == "drop-start":
+        return dataclasses.replace(o, starts=o.starts[:-1])
+    if kind == "drop-end":
+        return dataclasses.replace(o, ends=o.ends[:-1])
+    if kind == "extra-end":
+        return dataclasses.replace(o, ends=np.append(o.ends, 1.0))
+    return dataclasses.replace(o, streams=o.streams + draw(st.sampled_from([-1, 1])))
+
+
+def _tamper_empty(draw, o):
+    """Empty interval arrays, or zero streams, the other side left alone."""
+    if draw(st.booleans()):
+        return dataclasses.replace(o, starts=np.empty(0), ends=np.empty(0))
+    return dataclasses.replace(o, streams=0)
+
+
+_TAMPERS = [
+    _tamper_endpoint, _tamper_counter, _tamper_reversed, _tamper_drift,
+    _tamper_longest, _tamper_size, _tamper_empty,
+]
+
+_BASES = [
+    ("batched-dyadic", ()),
+    ("batched-dyadic", (1, 4)),
+    ("immediate-dyadic", (0,)),
+]
+
+
+class TestSummaryOracleFuzz:
+    """The grouped battery equals the title-by-title oracle, outcome for
+    outcome (names, verdicts, check counts, details), on ``run_fleet``
+    reports with random tampering, at group sizes from one stream up."""
+
+    @settings(max_examples=fuzz_examples(200), deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(_BASES),
+        st.sampled_from([1, 3, 64, replay.WALK_BLOCK]),
+    )
+    def test_tampered_report_outcomes_equal_the_oracle(self, data, base, block):
+        report = _zipf_report(*base)
+        objects = list(report.objects)
+        for _ in range(data.draw(st.integers(0, 3))):
+            index = data.draw(st.integers(0, len(objects) - 1))
+            objects[index] = data.draw(st.sampled_from(_TAMPERS))(data.draw, objects[index])
+        report = dataclasses.replace(report, objects=objects)
+        expected = oracles.summary_contracts(report)
+        saved, replay.WALK_BLOCK = replay.WALK_BLOCK, block
+        try:
+            got = check_fleet_report(report, replay=False)
+        finally:
+            replay.WALK_BLOCK = saved
+        assert got.outcomes == expected.outcomes
+
+
+class TestAdmissionHostileDelay:
+    @pytest.mark.parametrize("delay", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_delay_fails_without_raising(self, delay):
+        catalog = Catalog.zipf(20, duration_minutes=60.0)
+        verdict = admission_report(catalog, 600.0, 3)
+        clean = check_admission_report(verdict, catalog, 600.0)
+        hostile = dataclasses.replace(verdict, delay_minutes=delay)
+        contracts = check_admission_report(hostile, catalog, 600.0)
+        assert [(o.name, o.checks) for o in contracts.outcomes] == [
+            (o.name, o.checks) for o in clean.outcomes
+        ]
+        failures = {o.name: o.detail for o in contracts.failures()}
+        assert set(failures) == {"admission.peak-recomputed", "admission.capacity"}
+        for detail in failures.values():
+            assert f"delay {delay!r} min is not positive and finite" in detail

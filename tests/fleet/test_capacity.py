@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -25,16 +26,20 @@ from repro.fleet import capacity
 from repro.fleet.capacity import aggregate_peak, dg_envelope, dg_envelopes
 from repro.multiplex import Catalog, MediaObject, zipf_weights
 from repro.simulation.channels import interval_profile, peak_concurrency
+from tests.burnin import oracles
 from tests.simulation.test_channels_flat import sweep_peak
 
 HORIZON = 240.0
 GRID = default_delay_grid(lo=0.5, hi=16.0, points=10)
 
 
-def stacked_peak(envelopes):
+def stacked_peak(envelopes, counts=None):
     """The concatenate-and-sort peak: every envelope's intervals stacked,
-    one per object, and swept by ``peak_concurrency``.  The oracle for
-    the multiplicity-weighted difference array of ``aggregate_peak``."""
+    one per object (``counts[i]`` copies of envelope ``i``, one each when
+    None), and swept by ``peak_concurrency``.  The oracle for the
+    count-weighted difference array of ``aggregate_peak``."""
+    if counts is not None:
+        envelopes = [env for env, c in zip(envelopes, counts) for _ in range(c)]
     if not envelopes:
         return 0
     starts = np.concatenate([env[1] for env in envelopes])
@@ -225,17 +230,17 @@ class TestAdmission:
     def test_shedding_reads_the_envelope_memo(self, catalog):
         """Shedding pins the delay at the grid maximum, which the
         bisection already probed: its envelopes are all memo hits."""
-        dg_envelope.cache_clear()
-        assert min_fleet_delay(catalog, HORIZON, 4, GRID) is None
-        probe = dg_envelope.cache_info()
-        report = admission_report(catalog, HORIZON, 4, GRID)
-        after = dg_envelope.cache_info()
-        assert report.dropped
-        assert after.misses == probe.misses
-        # the repeated bisection, then one lookup per object to shed
-        assert after.hits - probe.hits == (
-            probe.hits + probe.misses + len(catalog)
-        )
+        for cat in (catalog, mixed_catalog(zipf_weights(10))):
+            dg_envelope.cache_clear()
+            assert min_fleet_delay(cat, HORIZON, 4, GRID) is None
+            probe = dg_envelope.cache_info()
+            report = admission_report(cat, HORIZON, 4, GRID)
+            after = dg_envelope.cache_info()
+            assert report.dropped
+            assert after.misses == probe.misses
+            # the repeated bisection, then one lookup per distinct envelope
+            distinct = len({obj.units(GRID[-1]) for obj in cat})
+            assert after.hits - probe.hits == probe.hits + probe.misses + distinct
 
 
 def _shedding_budgets(catalog):
@@ -289,7 +294,7 @@ class TestBisectedShedding:
     )
     def test_budget_below_top_title_sheds_everything(self, catalog):
         top = catalog.popularity_rank()[0]
-        own = aggregate_peak(dg_envelopes([top], GRID[-1], HORIZON))
+        own = aggregate_peak(dg_envelopes([top], GRID[-1], HORIZON), [1])
         assert own >= 2
         report = admission_report(catalog, HORIZON, own - 1, GRID)
         assert report == shed_linear(catalog, HORIZON, own - 1, GRID[-1])
@@ -305,9 +310,9 @@ class TestBisectedShedding:
         calls = Counter()
         aggregate, fleet = capacity.aggregate_peak, capacity.dg_fleet_peak
 
-        def counted_aggregate(envelopes):
+        def counted_aggregate(envelopes, counts):
             calls["aggregate"] += 1
-            return aggregate(envelopes)
+            return aggregate(envelopes, counts)
 
         def counted_fleet(*args):
             calls["fleet"] += 1
@@ -324,21 +329,36 @@ class TestBisectedShedding:
 class TestEnvelopeMemo:
     """The DG envelope memo: fewer forest builds, identical answers."""
 
-    def test_frontier_probes_hit_the_envelope_cache(self, catalog):
-        dg_envelope.cache_clear()
-        points = capacity_frontier(catalog, HORIZON, [5, 20, 60, 150], GRID)
-        info = dg_envelope.cache_info()
-        # every probed delay maps each object to an (L, n_slots) pair;
-        # misses are bounded by the distinct pairs, and the repeated
-        # probes across budgets/objects must all be hits.
-        distinct = {
-            (obj.units(d), max(1, int(-(-HORIZON // d))))
-            for obj in catalog
-            for d in GRID
-        }
-        assert info.misses <= len(distinct)
-        assert info.hits > info.misses, info
-        assert [p.budget_channels for p in points] == [5, 20, 60, 150]
+    def test_frontier_probes_hit_the_envelope_cache(self, catalog, monkeypatch):
+        probed = []
+        fleet = capacity.dg_fleet_peak
+
+        def recorded(cat, delay, horizon):
+            probed.append(delay)
+            return fleet(cat, delay, horizon)
+
+        monkeypatch.setattr(capacity, "dg_fleet_peak", recorded)
+        for cat in (catalog, mixed_catalog(zipf_weights(10))):
+            probed.clear()
+            dg_envelope.cache_clear()
+            points = capacity_frontier(cat, HORIZON, [5, 20, 60, 150], GRID)
+            info = dg_envelope.cache_info()
+            # every probed delay maps each object to an (L, n_slots) pair;
+            # misses are bounded by the distinct pairs, a probe looks each
+            # of its distinct pairs up once, and repeated probes across
+            # budgets are served by the frontier's own peaks.
+            distinct = {
+                (obj.units(d), max(1, int(-(-HORIZON // d))))
+                for obj in cat
+                for d in GRID
+            }
+            assert info.misses <= len(distinct)
+            assert len(probed) == len(set(probed))
+            assert info.hits + info.misses == sum(
+                len({obj.units(d) for obj in cat}) for d in probed
+            )
+            assert info.hits + info.misses < len(cat) * len(probed)
+            assert [p.budget_channels for p in points] == [5, 20, 60, 150]
 
     def test_memoised_frontier_equals_unmemoised_oracle(self, catalog):
         """Every frontier delay equals the linear scan, which rebuilds
@@ -371,39 +391,53 @@ class TestAggregatePeak:
 
     def test_aggregate_peak_sums_overlaps(self):
         envelope = dg_envelope(4, 16)
-        assert aggregate_peak([envelope, envelope]) == 2 * aggregate_peak(
-            [envelope]
+        assert aggregate_peak([envelope, envelope], [1, 1]) == 2 * aggregate_peak(
+            [envelope], [1]
         )
+        assert aggregate_peak([envelope], [2]) == 2 * aggregate_peak([envelope], [1])
+
+    @pytest.mark.parametrize("counts", [[1], [1, 1, 1], [1, -1]])
+    def test_counts_must_match_and_be_non_negative(self, counts):
+        with pytest.raises(ValueError, match="one non-negative count per envelope"):
+            aggregate_peak([dg_envelope(4, 16), dg_envelope(3, 16)], counts)
+
+    def test_zero_counts_add_nothing(self):
+        a, b = dg_envelope(4, 16), dg_envelope(9, 40)
+        assert aggregate_peak([a, b], [3, 0]) == aggregate_peak([a], [3])
+        assert aggregate_peak([a, b], [0, 0]) == 0
 
     def test_aggregate_peak_empty(self):
-        assert aggregate_peak([]) == 0
+        assert aggregate_peak([], []) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_weighted_peak_equals_stacked_oracle(self, data):
-        """Any multiset, in any order: repeats of one memoised envelope
-        are weighted, equal copies that are not identical are counted
-        apart, and both give the stacked sweep's peak."""
+        """Any multiset, in any order: each envelope weighted by its count
+        (repeated entries and equal copies add up too) gives the peak of
+        the stacked sweep over one copy per object."""
         params = data.draw(st.lists(
             st.tuples(st.integers(1, 40), st.integers(1, 200)),
             min_size=1, max_size=6,
         ))
         distinct = [dg_envelope(L, n) for L, n in params]
         index = st.integers(0, len(distinct) - 1)
-        envelopes = [distinct[i] for i in data.draw(st.lists(index, max_size=40))]
+        envelopes = [distinct[i] for i in data.draw(st.lists(index, max_size=8))]
         envelopes += [
             tuple(a.copy() for a in distinct[i])
             for i in data.draw(st.lists(index, max_size=4))
         ]
         envelopes = data.draw(st.permutations(envelopes))
-        assert aggregate_peak(envelopes) == stacked_peak(envelopes)
+        counts = data.draw(st.lists(
+            st.integers(0, 12), min_size=len(envelopes), max_size=len(envelopes)
+        ))
+        assert aggregate_peak(envelopes, counts) == stacked_peak(envelopes, counts)
 
     @pytest.mark.parametrize("column", [1, 2], ids=["start", "end"])
     def test_non_integral_endpoint_raises(self, column):
         envelope = [a.copy() for a in dg_envelope(4, 16)]
         envelope[column][3] += 0.5
         with pytest.raises(ValueError, match="whole slots"):
-            aggregate_peak([dg_envelope(4, 16), tuple(envelope)])
+            aggregate_peak([dg_envelope(4, 16), tuple(envelope)], [1, 1])
 
     def test_aggregate_peak_matches_event_sweep(self, catalog):
         # whole-slot endpoints: many ends tie with starts, so the
@@ -412,7 +446,7 @@ class TestAggregatePeak:
             envelopes = dg_envelopes(catalog, delay, HORIZON)
             starts = np.concatenate([env[1] for env in envelopes])
             ends = np.concatenate([env[2] for env in envelopes])
-            assert aggregate_peak(envelopes) == sweep_peak(
+            assert aggregate_peak(envelopes, [1] * len(envelopes)) == sweep_peak(
                 starts.tolist(), ends.tolist()
             )
 
@@ -466,3 +500,92 @@ class TestDelayGridValidation:
     def test_non_positive_or_non_finite_delay_raises(self, catalog, search, bad):
         with pytest.raises(ValueError, match="positive and finite"):
             SEARCHES[search](catalog, [1.0, bad, 4.0])
+
+
+#: power-of-two delays, so ``duration / delay`` is exact and ``.5`` ties
+#: land exactly on the rounding boundary
+EXACT_DELAYS = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+
+
+@st.composite
+def mixed_duration_catalogs(draw):
+    """Catalogs whose ``duration / delay`` lands on ``.5`` at some grid
+    delay, falls below 0.5, or passes 2**63, mixed with plain durations
+    and tied or distinct weights."""
+    grid = sorted(draw(st.sets(st.sampled_from(EXACT_DELAYS), min_size=1, max_size=4)))
+    unit = st.sampled_from(grid)
+    duration = st.one_of(
+        st.tuples(st.integers(0, 60), unit).map(lambda ku: (ku[0] + 0.5) * ku[1]),
+        st.floats(1e-6, 0.49 * grid[0]),
+        st.floats(1.0, 120.0),
+        st.sampled_from([2.0**63 * 8.0, 1e300]),
+    )
+    n = draw(st.integers(1, 10))
+    durations = draw(st.lists(duration, min_size=n, max_size=n))
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.01, 10.0)),
+        min_size=n, max_size=n,
+    ))
+    catalog = Catalog([
+        MediaObject(f"t-{i}", d, w) for i, (d, w) in enumerate(zip(durations, weights))
+    ])
+    return catalog, grid
+
+
+def _outcome(fn):
+    """``fn()``'s value, or the message of the ValueError it raises."""
+    try:
+        return "value", fn()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestPerTitleOracle:
+    """Peaks, envelopes, frontiers and admission reports equal the
+    title-by-title planner on mixed-duration catalogs, errors included:
+    the same message, naming the same first title."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mixed_duration_catalogs(),
+        st.sampled_from([30.0, 120.0, 240.0]),
+        st.lists(st.integers(1, 120), min_size=1, max_size=4),
+    )
+    def test_planner_equals_the_per_title_oracle(self, drawn, horizon, budgets):
+        catalog, grid = drawn
+        for d in grid:
+            assert _outcome(lambda: dg_fleet_peak(catalog, d, horizon)) == _outcome(
+                lambda: oracles.title_fleet_peak(catalog, d, horizon)
+            )
+            got = _outcome(lambda: dg_envelopes(catalog, d, horizon))
+            want = _outcome(lambda: oracles.title_envelopes(catalog, d, horizon))
+            assert got[0] == want[0]
+            if got[0] == "value":
+                assert all(a is b for a, b in zip(got[1], want[1]))
+                assert len(got[1]) == len(want[1])
+            else:
+                assert got == want
+        assert _outcome(lambda: capacity_frontier(catalog, horizon, budgets, grid)) == (
+            _outcome(lambda: oracles.title_frontier(catalog, horizon, budgets, grid))
+        )
+        for budget in budgets:
+            got = _outcome(lambda: admission_report(catalog, horizon, budget, grid))
+            want = _outcome(
+                lambda: oracles.title_admission_report(catalog, horizon, budget, grid)
+            )
+            assert got == want
+            if got[0] == "value":
+                assert got[1].served_weight_fraction.hex() == (
+                    want[1].served_weight_fraction.hex()
+                )
+
+    def test_first_overflowing_title_is_named(self):
+        catalog = Catalog([
+            MediaObject("small", 10.0, 1.0),
+            MediaObject("huge-a", 1e300, 1.0),
+            MediaObject("huge-b", 2.0**70, 1.0),
+        ])
+        message = "huge-a: 1e+300 slots per stream do not fit in int64"
+        for fn in (dg_fleet_peak, oracles.title_fleet_peak):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(catalog, 1.0, 60.0)

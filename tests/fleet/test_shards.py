@@ -109,9 +109,7 @@ class TestShardBoundaries:
     def test_partition_depends_only_on_counts(self):
         sizes = [BUDGET, 0, BUDGET + 1, 0, 5, 15, 1]
         entries = list(range(len(sizes)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(runner, "SHARD_ARRIVALS", BUDGET)
-            assert runner._shards(entries, sizes) == [(0, 1), (2,), (3, 4, 5), (6,)]
+        assert runner._shards(entries, sizes, BUDGET) == [(0, 1), (2,), (3, 4, 5), (6,)]
 
     @pytest.mark.parametrize("kind", FLEET_POLICIES)
     def test_reports_equal_per_object_runs(
